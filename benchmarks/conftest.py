@@ -2,10 +2,11 @@
 
 Each benchmark regenerates one table or figure of the paper's §4 and
 writes its text rendering to ``benchmarks/results/``.  The expensive
-experiments (each builds and trains many simulated testbeds) are
-memoized per pytest session so that e.g. Figure 3 (execution time) and
-Figure 4 (energy) share one run of the speech experiment, exactly as
-they share one set of measurements in the paper.
+experiments (each trains a simulated testbed and measures every
+alternative on deep copies of it) are memoized per pytest session so
+that e.g. Figure 3 (execution time) and Figure 4 (energy) share one run
+of the speech experiment, exactly as they share one set of measurements
+in the paper.
 """
 
 import pathlib

@@ -309,8 +309,7 @@ class SpectraClient:
         return None
 
     def _count_poll_error(self, server_name: str) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("spectra.poll.errors").inc()
+        self.telemetry.metrics.counter("spectra.poll.errors").inc()
 
     def start_polling(self, interval_s: float = 5.0) -> None:
         """Begin periodic background polling of all servers."""
@@ -803,8 +802,7 @@ class SpectraClient:
         handle.recording = recording
         self._note_concurrency(recording)
         self.monitors.start_all(recording)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("spectra.failovers").inc()
+        self.telemetry.metrics.counter("spectra.failovers").inc()
         span.end(outcome="replaced", alternative=alternative.describe())
 
         # Re-choosing costs decision time, like any choose phase.
@@ -909,7 +907,7 @@ class SpectraClient:
                 "abort_fidelity_op", operation=handle.spec.name,
                 opid=handle.opid, alternative=handle.alternative.describe(),
             ).end()
-            self.telemetry.metrics.counter("spectra.ops.aborted").inc()
+        self.telemetry.metrics.counter("spectra.ops.aborted").inc()
 
     def end_fidelity_op(self, handle: OperationHandle) -> Generator:
         """Process: finish the operation, update models, return a report."""

@@ -21,7 +21,7 @@ and a 123-page document:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..apps import (
     LARGE_DOCUMENT,
@@ -33,7 +33,12 @@ from ..apps import (
     warm_document,
 )
 from ..testbeds import ThinkpadTestbed
-from .runner import AltMeasurement, ScenarioResult, SpectraMeasurement
+from .runner import (
+    AltMeasurement,
+    ScenarioResult,
+    SpectraMeasurement,
+    clone_world,
+)
 
 SCENARIOS = ("baseline", "filecache", "reintegrate", "energy")
 DOCUMENTS = {"small": SMALL_DOCUMENT, "large": LARGE_DOCUMENT}
@@ -47,9 +52,19 @@ ENERGY_SCENARIO_C = 0.6
 MODIFIED_INPUT_BYTES = 70 * 1024
 
 
-def _build(scenario: str, solver=None, telemetry=None
-           ) -> Tuple[ThinkpadTestbed, LatexApplication]:
+World = Tuple[ThinkpadTestbed, LatexApplication]
+
+
+def _build(scenario: str, solver=None, telemetry=None) -> World:
     """Fresh trained testbed with the scenario applied."""
+    bed, app = _train(solver=solver, telemetry=telemetry)
+    _apply_scenario(bed, app, scenario)
+    return bed, app
+
+
+def _train(solver=None, telemetry=None) -> World:
+    """Fresh testbed with documents installed, caches warm, and models
+    trained."""
     bed = ThinkpadTestbed(solver=solver, telemetry=telemetry)
     documents = dict(DOCUMENTS)
     for doc in documents.values():
@@ -79,8 +94,6 @@ def _build(scenario: str, solver=None, telemetry=None
     # apart in wall-clock time).
     bed.sim.advance(30.0)
     bed.poll()
-
-    _apply_scenario(bed, app, scenario)
     return bed, app
 
 
@@ -119,58 +132,74 @@ def scenario_energy_importance(scenario: str) -> float:
     return ENERGY_SCENARIO_C if scenario == "energy" else 0.0
 
 
-def run_latex_scenario(scenario: str, document: str,
-                       solver=None) -> ScenarioResult:
-    """Measure the three placements + Spectra's pick for one cell."""
-    reference = _build(scenario, solver=solver)[1].spec.alternatives(
-        ["server-a", "server-b"]
+def _scenario_clone(trained: World, scenario: str, solver) -> World:
+    bed, app = clone_world(trained, shared=(solver,))
+    _apply_scenario(bed, app, scenario)
+    return bed, app
+
+
+def _measure_forced(trained: World, scenario: str, document: str,
+                    alternative, solver) -> AltMeasurement:
+    bed, app = _scenario_clone(trained, scenario, solver)
+    e0 = bed.thinkpad.host.energy_consumed_joules()
+    try:
+        report = bed.sim.run_process(app.format(document, force=alternative))
+    except Exception:
+        return AltMeasurement(
+            alternative=alternative, time_s=float("inf"),
+            energy_j=float("inf"), feasible=False,
+        )
+    return AltMeasurement(
+        alternative=alternative,
+        time_s=report.elapsed_s,
+        energy_j=bed.thinkpad.host.energy_consumed_joules() - e0,
     )
 
-    measurements: List[AltMeasurement] = []
-    for alternative in reference:
-        bed, app = _build(scenario, solver=solver)
-        e0 = bed.thinkpad.host.energy_consumed_joules()
-        try:
-            report = bed.sim.run_process(
-                app.format(document, force=alternative)
-            )
-        except Exception:
-            measurements.append(AltMeasurement(
-                alternative=alternative, time_s=float("inf"),
-                energy_j=float("inf"), feasible=False,
-            ))
-            continue
-        measurements.append(AltMeasurement(
-            alternative=alternative,
-            time_s=report.elapsed_s,
-            energy_j=bed.thinkpad.host.energy_consumed_joules() - e0,
-        ))
 
-    bed, app = _build(scenario, solver=solver)
+def _measure_spectra(trained: World, scenario: str, document: str,
+                     solver) -> SpectraMeasurement:
+    bed, app = _scenario_clone(trained, scenario, solver)
     e0 = bed.thinkpad.host.energy_consumed_joules()
     report = bed.sim.run_process(app.format(document))
-    spectra = SpectraMeasurement(
+    return SpectraMeasurement(
         choice=report.alternative,
         time_s=report.elapsed_s,
         energy_j=bed.thinkpad.host.energy_consumed_joules() - e0,
         prediction=report.prediction,
     )
 
+
+def _measure_cell(trained: World, scenario: str, document: str,
+                  solver) -> ScenarioResult:
+    measurements = [
+        _measure_forced(trained, scenario, document, alternative, solver)
+        for alternative in trained[1].spec.alternatives(
+            ["server-a", "server-b"]
+        )
+    ]
     return ScenarioResult(
         scenario=scenario,
         measurements=measurements,
-        spectra=spectra,
+        spectra=_measure_spectra(trained, scenario, document, solver),
         energy_importance=scenario_energy_importance(scenario),
         meta={"document": document},
     )
 
 
+def run_latex_scenario(scenario: str, document: str,
+                       solver=None) -> ScenarioResult:
+    """Measure the three placements + Spectra's pick for one cell."""
+    return _measure_cell(_train(solver=solver), scenario, document, solver)
+
+
 def run_latex_experiment(scenarios=SCENARIOS, documents=("small", "large"),
                          solver=None) -> Dict[Tuple[str, str], ScenarioResult]:
-    """The full Figure 5/6/7 sweep: scenario × document."""
+    """The full Figure 5/6/7 sweep: scenario × document, from one
+    trained testbed."""
+    trained = _train(solver=solver)
     return {
-        (scenario, document): run_latex_scenario(scenario, document,
-                                                 solver=solver)
+        (scenario, document): _measure_cell(trained, scenario, document,
+                                            solver)
         for scenario in scenarios
         for document in documents
     }

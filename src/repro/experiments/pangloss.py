@@ -9,11 +9,12 @@ increasing length:
                on server A.
 
 Pangloss has ~90 alternatives per decision, so unlike the speech/Latex
-experiments each (scenario, sentence) cell uses **one** trained testbed:
-Spectra's own choice is probed first, then every alternative is measured
-forced, with the scenario's cache state *restored* after each
-measurement (running an alternative that reads the evicted corpus would
-otherwise warm B's cache and corrupt the remaining measurements).
+experiments each (scenario, sentence) cell runs on **one** deep copy of
+the trained testbed: Spectra's own choice is probed first, then every
+alternative is measured forced, with the scenario's cache state
+*restored* after each measurement (running an alternative that reads
+the evicted corpus would otherwise warm B's cache and corrupt the
+remaining measurements).
 
 Reported per cell, as in the paper: the percentile of Spectra's choice
 among all alternatives ranked by achieved utility (Fig. 8; 99 = best),
@@ -34,16 +35,31 @@ from ..apps import (
     warm_pangloss_files,
 )
 from ..testbeds import ThinkpadTestbed
-from .runner import AltMeasurement, ScenarioResult, SpectraMeasurement
+from .runner import (
+    AltMeasurement,
+    ScenarioResult,
+    SpectraMeasurement,
+    clone_world,
+)
 
 SCENARIOS = ("baseline", "filecache", "cpu")
 
 EBMT_CORPUS = ENGINE_FILES["ebmt"][0]
 
 
-def _build(scenario: str, solver=None
-           ) -> Tuple[ThinkpadTestbed, PanglossApplication]:
+World = Tuple[ThinkpadTestbed, PanglossApplication]
+
+
+def _build(scenario: str, solver=None) -> World:
     """Fresh trained testbed with the scenario applied."""
+    bed, app = _train(solver=solver)
+    _apply_scenario(bed, scenario)
+    return bed, app
+
+
+def _train(solver=None) -> World:
+    """Fresh testbed with knowledge bases installed, caches warm, and
+    models trained."""
     bed = ThinkpadTestbed(solver=solver)
     install_pangloss_files(bed.fileserver)
     for node in (bed.thinkpad, bed.server_a, bed.server_b):
@@ -63,7 +79,6 @@ def _build(scenario: str, solver=None
 
     bed.sim.advance(30.0)
     bed.poll()
-    _apply_scenario(bed, scenario)
     return bed, app
 
 
@@ -92,7 +107,13 @@ def _restore_scenario(bed: ThinkpadTestbed, scenario: str) -> None:
 def run_pangloss_cell(scenario: str, words: int,
                       solver=None) -> ScenarioResult:
     """One (scenario, sentence) cell: Spectra's pick + the full sweep."""
-    bed, app = _build(scenario, solver=solver)
+    return _measure_cell(_train(solver=solver), scenario, words, solver)
+
+
+def _measure_cell(trained: World, scenario: str, words: int,
+                  solver) -> ScenarioResult:
+    bed, app = clone_world(trained, shared=(solver,))
+    _apply_scenario(bed, scenario)
 
     # Spectra's own decision first, at exactly the trained state.
     e0 = bed.thinkpad.host.energy_consumed_joules()
@@ -139,11 +160,13 @@ def run_pangloss_experiment(scenarios=SCENARIOS,
                             sentences: Optional[List[int]] = None,
                             solver=None
                             ) -> Dict[Tuple[str, int], ScenarioResult]:
-    """The full Figure 8/9 sweep: scenario × probe sentence."""
+    """The full Figure 8/9 sweep: scenario × probe sentence, from one
+    trained testbed."""
     if sentences is None:
         sentences = SentenceWorkload().probes()
+    trained = _train(solver=solver)
     return {
-        (scenario, words): run_pangloss_cell(scenario, words, solver=solver)
+        (scenario, words): _measure_cell(trained, scenario, words, solver)
         for scenario in scenarios
         for words in sentences
     }

@@ -10,15 +10,49 @@ The validation methodology of the paper's §4, mechanized:
 :func:`measure_alternatives` runs every alternative *forced* and records
 time/energy; :func:`utility_of` scores measurements with the paper's
 utility; :func:`rank_percentile` reproduces the Figure-8 ranking.
+
+Training never depends on the scenario or on the alternative measured,
+so the figure experiments train one testbed per call and run each
+measurement on a :func:`clone_world` copy of it — the same starting
+state a freshly built and trained testbed would have, at the cost of
+one deep copy instead of a whole training run.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core import Alternative, DefaultUtility, OperationSpec
 from ..core.utility import AlternativePrediction
+
+WorldT = TypeVar("WorldT", bound=tuple)
+
+
+def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
+    """An independent deep copy of a quiescent ``(testbed, app)`` world.
+
+    Objects in *shared* (typically a solver handed to every measurement)
+    are kept by reference in the copy; everything else reachable from
+    *world* is copied, so running the clone cannot disturb the original.
+
+    Raises :class:`ValueError` in the two states where a deep copy could
+    still reach the original: callbacks queued on (or a drain running
+    in) the testbed's simulator — queued lambdas are copied by
+    reference — and enabled telemetry, whose tracer clock is a closure
+    over the original simulator.
+    """
+    sim = world[0].sim
+    if sim.pending or sim.running:
+        raise ValueError(
+            f"cannot clone a world with {sim.pending} queued callbacks "
+            f"(running={sim.running}); clone it between operations"
+        )
+    if sim.telemetry.enabled:
+        raise ValueError("cannot clone a world whose telemetry is enabled")
+    memo = {id(obj): obj for obj in shared}
+    return copy.deepcopy(world, memo)
 
 
 @dataclass

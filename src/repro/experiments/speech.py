@@ -11,16 +11,17 @@ Five scenarios on the Itsy/T20 testbed:
                reachable) and the 277 KB full-vocabulary language model
                flushed from the client's cache.
 
-For every scenario the harness measures all six alternatives (3 plans ×
-2 vocabularies) by forcing them on *fresh* testbeds (so a measurement
-cannot perturb the next one's cache or model state), then lets Spectra
-choose on its own testbed — the "S"-labelled bar plus the final
-"Spectra" bar of Figure 3.
+The testbed is trained once.  For every scenario the harness then
+measures all six alternatives (3 plans × 2 vocabularies) by forcing
+each on its own deep copy of the trained testbed with the scenario
+applied (so a measurement cannot perturb the next one's cache or model
+state), then lets Spectra choose on another copy — the "S"-labelled bar
+plus the final "Spectra" bar of Figure 3.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from ..apps import (
     FULL_LM_BYTES,
@@ -32,7 +33,12 @@ from ..apps import (
     SpeechWorkload,
 )
 from ..testbeds import ItsyTestbed
-from .runner import AltMeasurement, ScenarioResult, SpectraMeasurement
+from .runner import (
+    AltMeasurement,
+    ScenarioResult,
+    SpectraMeasurement,
+    clone_world,
+)
 
 SCENARIOS = ("baseline", "energy", "network", "cpu", "filecache")
 
@@ -43,8 +49,17 @@ SCENARIOS = ("baseline", "energy", "network", "cpu", "filecache")
 ENERGY_SCENARIO_C = 0.15
 
 
-def _build(scenario: str, solver=None, telemetry=None
-           ) -> "tuple[ItsyTestbed, SpeechApplication]":
+World = Tuple[ItsyTestbed, SpeechApplication]
+
+
+def _build(scenario: str, solver=None, telemetry=None) -> World:
+    """Fresh trained testbed with the scenario applied."""
+    bed, app = _train(solver=solver, telemetry=telemetry)
+    _apply_scenario(bed, scenario)
+    return bed, app
+
+
+def _train(solver=None, telemetry=None) -> World:
     """Fresh testbed with files installed, caches warm, and models trained."""
     bed = ItsyTestbed(solver=solver, telemetry=telemetry)
     fs = bed.fileserver
@@ -76,8 +91,6 @@ def _build(scenario: str, solver=None, telemetry=None
     # apart in wall-clock time).
     bed.sim.advance(30.0)
     bed.poll()
-
-    _apply_scenario(bed, scenario)
     return bed, app
 
 
@@ -109,58 +122,78 @@ def scenario_energy_importance(scenario: str) -> float:
     return ENERGY_SCENARIO_C if scenario == "energy" else 0.0
 
 
-def run_speech_scenario(scenario: str,
-                        probe_length_s: Optional[float] = None,
-                        solver=None) -> ScenarioResult:
-    """Measure all alternatives + Spectra's choice for one scenario."""
-    if probe_length_s is None:
-        probe_length_s = SpeechWorkload().probes(1)[0]
+def _scenario_clone(trained: World, scenario: str, solver) -> World:
+    bed, app = clone_world(trained, shared=(solver,))
+    _apply_scenario(bed, scenario)
+    return bed, app
 
-    # Which alternatives exist depends on the scenario (no server in the
-    # file-cache partition), but we measure all six and mark infeasible.
-    reference = _build(scenario, solver=solver)[1].spec.alternatives(["t20"])
 
-    measurements: List[AltMeasurement] = []
-    for alternative in reference:
-        bed, app = _build(scenario, solver=solver)
-        e0 = bed.itsy.host.energy_consumed_joules()
-        t0 = bed.sim.now
-        try:
-            report = bed.sim.run_process(
-                app.recognize(probe_length_s, force=alternative)
-            )
-        except Exception:
-            measurements.append(AltMeasurement(
-                alternative=alternative, time_s=float("inf"),
-                energy_j=float("inf"), feasible=False,
-            ))
-            continue
-        measurements.append(AltMeasurement(
-            alternative=alternative,
-            time_s=report.elapsed_s,
-            energy_j=bed.itsy.host.energy_consumed_joules() - e0,
-        ))
+def _measure_forced(trained: World, scenario: str, alternative,
+                    probe_length_s: float, solver) -> AltMeasurement:
+    bed, app = _scenario_clone(trained, scenario, solver)
+    e0 = bed.itsy.host.energy_consumed_joules()
+    try:
+        report = bed.sim.run_process(
+            app.recognize(probe_length_s, force=alternative)
+        )
+    except Exception:
+        return AltMeasurement(
+            alternative=alternative, time_s=float("inf"),
+            energy_j=float("inf"), feasible=False,
+        )
+    return AltMeasurement(
+        alternative=alternative,
+        time_s=report.elapsed_s,
+        energy_j=bed.itsy.host.energy_consumed_joules() - e0,
+    )
 
-    bed, app = _build(scenario, solver=solver)
+
+def _measure_spectra(trained: World, scenario: str, probe_length_s: float,
+                     solver) -> SpectraMeasurement:
+    bed, app = _scenario_clone(trained, scenario, solver)
     e0 = bed.itsy.host.energy_consumed_joules()
     report = bed.sim.run_process(app.recognize(probe_length_s))
-    spectra = SpectraMeasurement(
+    return SpectraMeasurement(
         choice=report.alternative,
         time_s=report.elapsed_s,
         energy_j=bed.itsy.host.energy_consumed_joules() - e0,
         prediction=report.prediction,
     )
 
+
+def _measure_scenario(trained: World, scenario: str,
+                      probe_length_s: Optional[float],
+                      solver) -> ScenarioResult:
+    if probe_length_s is None:
+        probe_length_s = SpeechWorkload().probes(1)[0]
+
+    # Which alternatives exist depends on the scenario (no server in the
+    # file-cache partition), but we measure all six and mark infeasible.
+    measurements = [
+        _measure_forced(trained, scenario, alternative, probe_length_s,
+                        solver)
+        for alternative in trained[1].spec.alternatives(["t20"])
+    ]
     return ScenarioResult(
         scenario=scenario,
         measurements=measurements,
-        spectra=spectra,
+        spectra=_measure_spectra(trained, scenario, probe_length_s, solver),
         energy_importance=scenario_energy_importance(scenario),
         meta={"probe_length_s": probe_length_s},
     )
 
 
+def run_speech_scenario(scenario: str,
+                        probe_length_s: Optional[float] = None,
+                        solver=None) -> ScenarioResult:
+    """Measure all alternatives + Spectra's choice for one scenario."""
+    return _measure_scenario(_train(solver=solver), scenario,
+                             probe_length_s, solver)
+
+
 def run_speech_experiment(scenarios=SCENARIOS, solver=None
                           ) -> Dict[str, ScenarioResult]:
-    """The full Figure 3/4 sweep."""
-    return {s: run_speech_scenario(s, solver=solver) for s in scenarios}
+    """The full Figure 3/4 sweep, from one trained testbed."""
+    trained = _train(solver=solver)
+    return {s: _measure_scenario(trained, s, None, solver)
+            for s in scenarios}

@@ -117,7 +117,7 @@ class FaultInjector:
                 target=str(event.target), value=event.value,
                 aborted_transfers=aborted, effective=effective,
             ).end()
-            self.telemetry.metrics.counter("faults.injected").inc()
+        self.telemetry.metrics.counter("faults.injected").inc()
         return entry
 
     # -- server faults ------------------------------------------------------------

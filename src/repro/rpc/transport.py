@@ -161,11 +161,9 @@ class RpcTransport:
                                 and attempts < effective.max_attempts)
                 if not retries_left or not is_retryable(exc):
                     span.end(error=type(exc).__name__, attempts=attempts)
-                    if self.telemetry.enabled:
-                        self.telemetry.metrics.counter("rpc.failures").inc()
+                    self.telemetry.metrics.counter("rpc.failures").inc()
                     raise
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter("rpc.retries").inc()
+                self.telemetry.metrics.counter("rpc.retries").inc()
                 try:
                     yield Timeout(effective.backoff_s(attempts))
                 except BaseException as backoff_exc:

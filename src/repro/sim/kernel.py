@@ -145,6 +145,16 @@ class Simulator:
         """Total callbacks executed so far (diagnostic counter)."""
         return self._processed
 
+    @property
+    def pending(self) -> int:
+        """Callbacks queued and not yet run (cancelled timers included)."""
+        return len(self._queue)
+
+    @property
+    def running(self) -> bool:
+        """True while :meth:`run` is draining the queue."""
+        return self._running
+
     # -- scheduling ------------------------------------------------------------
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments.contention import run_contention_cell
 from repro.scenarios import SCENARIOS, canned_spec, run_scenario, smoke_spec
+from repro.telemetry import NULL_TRACER, Telemetry
 
 
 class TestCannedScenarioSmoke:
@@ -45,6 +46,19 @@ class TestCannedScenarioSmoke:
         report = run_scenario(canned_spec("flash-crowd"), profile="smoke")
         for name in ("spectra.failovers", "rpc.retries", "faults.injected"):
             assert name in report.counters
+
+
+    def test_report_counters_do_not_depend_on_the_tracer(self):
+        """A metrics-only telemetry counts faults, retries and failovers
+        exactly as the default (traced) one does."""
+        spec = canned_spec("server-churn-day")
+        traced = run_scenario(spec, profile="smoke")
+        metrics_only = run_scenario(spec, profile="smoke",
+                                    telemetry=Telemetry(tracer=NULL_TRACER))
+        assert metrics_only.counters == traced.counters
+        for name in ("faults.injected", "rpc.retries", "rpc.failures",
+                     "spectra.failovers", "spectra.ops.aborted"):
+            assert traced.counters[name] > 0, name
 
 
 class TestContentionViaCompiler:
