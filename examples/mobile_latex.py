@@ -15,41 +15,28 @@ server.  This example focuses on the *data consistency* story:
 Run:  python examples/mobile_latex.py
 """
 
-from repro.apps import (
-    LARGE_DOCUMENT,
-    SMALL_DOCUMENT,
-    LatexApplication,
-    LatexService,
-    LatexWorkload,
-    install_document,
-    warm_document,
-)
-from repro.testbeds import ThinkpadTestbed
+from repro.apps import SMALL_DOCUMENT, LatexWorkload
+from repro.scenarios import AppSpec, compile_scenario, thinkpad_testbed
 
 
 def main() -> None:
-    bed = ThinkpadTestbed()
-    documents = {"small": SMALL_DOCUMENT, "large": LARGE_DOCUMENT}
-    for doc in documents.values():
-        install_document(bed.fileserver, doc)
-        for node in (bed.thinkpad, bed.server_a, bed.server_b):
-            warm_document(node.coda, doc, outputs=True)
-    for node in (bed.thinkpad, bed.server_a, bed.server_b):
-        node.register_service(LatexService(documents))
-    bed.poll()
-
-    app = LatexApplication(bed.client, documents)
-    bed.sim.run_process(app.register())
+    # The world: both documents installed and cached on every machine,
+    # Latex services running, the client connected and registered.
+    latex_app = AppSpec(kind="latex", options={"documents": ["small", "large"]})
+    world = compile_scenario(thinkpad_testbed(latex_app))
+    sim = world.sim
+    thinkpad = world.nodes["560x"]
+    app = world.clients[0].app
 
     print("Training (20 alternating runs)...")
     placements = app.spec.alternatives(["server-a", "server-b"])
     for i, doc in enumerate(LatexWorkload().training(20)):
-        bed.sim.run_process(app.format(doc, force=placements[i % 3]))
-    bed.sim.advance(30.0)
-    bed.poll()
+        sim.run_process(app.format(doc, force=placements[i % 3]))
+    sim.advance(30.0)
+    world.poll()
 
     def latex(doc, label):
-        report = bed.sim.run_process(app.format(doc))
+        report = sim.run_process(app.format(doc))
         where = report.alternative.server or "locally"
         print(f"  {label:52s} -> {where:9s} {report.elapsed_s:6.2f}s")
         return report
@@ -59,18 +46,18 @@ def main() -> None:
     latex("large", "latex dissertation.tex  (123 pages)")
 
     print("\nOn the train: weakly connected; editing paper.tex...")
-    bed.set_client_weakly_connected(True)
+    thinkpad.coda.weakly_connected = True
     # A couple of local builds leave dirty .dvi/.aux in the volume...
     local = app.spec.alternatives([])[0]
-    bed.sim.run_process(app.format("small", force=local))
+    sim.run_process(app.format("small", force=local))
     # ...and the edit itself buffers in the client modify log.
-    bed.sim.run_process(
-        bed.thinkpad.coda.modify(SMALL_DOCUMENT.main_input, 70 * 1024)
+    sim.run_process(
+        thinkpad.coda.modify(SMALL_DOCUMENT.main_input, 70 * 1024)
     )
-    pending = bed.thinkpad.coda.cml.total_pending_bytes()
+    pending = thinkpad.coda.cml.total_pending_bytes()
     print(f"  (client modify log now holds {pending / 1024:.0f} KB "
           "awaiting reintegration)")
-    bed.poll()
+    world.poll()
 
     latex("small", "latex paper.tex       (its volume is dirty!)")
     latex("large", "latex dissertation.tex (clean volume)")

@@ -14,43 +14,30 @@ link — and walks through a day in its life:
 Run:  python examples/speech_assistant.py
 """
 
-from repro.apps import (
-    FULL_LM_BYTES,
-    FULL_LM_PATH,
-    JanusService,
-    REDUCED_LM_BYTES,
-    REDUCED_LM_PATH,
-    SpeechApplication,
-    SpeechWorkload,
-)
-from repro.testbeds import ItsyTestbed
+from repro.apps import FULL_LM_PATH, SpeechWorkload
+from repro.scenarios import compile_scenario, itsy_testbed
+from repro.scenarios.library import SERIAL_BANDWIDTH_BPS
 
 
 def main() -> None:
-    bed = ItsyTestbed()
-    bed.fileserver.create_file(FULL_LM_PATH, FULL_LM_BYTES)
-    bed.fileserver.create_file(REDUCED_LM_PATH, REDUCED_LM_BYTES)
-    for coda in (bed.itsy.coda, bed.t20.coda):
-        coda.warm(FULL_LM_PATH)
-        coda.warm(REDUCED_LM_PATH)
-    bed.itsy.register_service(JanusService())
-    bed.t20.register_service(JanusService())
-    bed.poll()
-
-    app = SpeechApplication(bed.client)
-    bed.sim.run_process(app.register())
+    # The world: files installed, caches warm, services running, the
+    # client connected to the T20 and the speech app registered.
+    world = compile_scenario(itsy_testbed())
+    sim = world.sim
+    itsy, t20 = world.nodes["itsy"], world.nodes["t20"]
+    app = world.clients[0].app
 
     print("Training the demand models (15 utterances)...")
     alternatives = app.spec.alternatives(["t20"])
     for i, length in enumerate(SpeechWorkload().training(15)):
-        bed.sim.run_process(
+        sim.run_process(
             app.recognize(length, force=alternatives[i % len(alternatives)])
         )
-    bed.sim.advance(30.0)
-    bed.poll()
+    sim.advance(30.0)
+    world.poll()
 
     def say(phrase_len, label):
-        report = bed.sim.run_process(app.recognize(phrase_len))
+        report = sim.run_process(app.recognize(phrase_len))
         alt = report.alternative
         print(f"  {label:42s} -> {alt.plan.name:6s}"
               f"{('@' + alt.server) if alt.server else '':5s}"
@@ -61,22 +48,23 @@ def main() -> None:
     say(2.0, '"What is on my calendar today?"')
 
     print("\nWalking to a meeting (10-hour battery goal, moderate c):")
-    bed.set_energy_importance(0.15)
+    itsy.host.goal_adaptation.set_importance(0.15)
     say(2.0, '"Remind me to call the lab at four."')
-    bed.set_energy_importance(0.0)
+    itsy.host.goal_adaptation.set_importance(0.0)
 
     print("\nSerial link degraded to half bandwidth:")
-    bed.halve_bandwidth()
+    world.media["serial"].set_bandwidth(SERIAL_BANDWIDTH_BPS / 2.0)
     for _ in range(3):
-        bed.poll()
+        world.poll()
     say(2.0, '"Read me the last message."')
 
     print("\nLaptop gone (Spectra server unreachable), language model "
           "evicted:")
-    bed.restore_spectra_server()  # (re-arm, then partition cleanly)
-    bed.client.coda.flush(FULL_LM_PATH)
-    bed.partition_spectra_server()
-    bed.poll()
+    itsy.coda.flush(FULL_LM_PATH)
+    # The Spectra daemon on the T20 goes down; the file server behind
+    # the same serial wire stays reachable.
+    t20.server.available = False
+    world.poll()
     say(2.0, '"Start a voice memo."')
 
     print("\nEvery decision above was made by the same self-tuned models —"

@@ -13,40 +13,28 @@ Spectra.  Watch two axes adapt at once:
 Run:  python examples/translation_batch.py
 """
 
-from repro.apps import (
-    ENGINE_FILES,
-    PanglossApplication,
-    PanglossService,
-    SentenceWorkload,
-    active_engines,
-    install_pangloss_files,
-    warm_pangloss_files,
-)
-from repro.testbeds import ThinkpadTestbed
+from repro.apps import ENGINE_FILES, SentenceWorkload, active_engines
+from repro.scenarios import AppSpec, compile_scenario, thinkpad_testbed
 
 
 def main() -> None:
-    bed = ThinkpadTestbed()
-    install_pangloss_files(bed.fileserver)
-    for node in (bed.thinkpad, bed.server_a, bed.server_b):
-        warm_pangloss_files(node.coda)
-        node.register_service(PanglossService())
-    bed.poll()
-
-    app = PanglossApplication(bed.client)
-    bed.sim.run_process(app.register())
+    # The world: knowledge bases installed and cached everywhere,
+    # Pangloss services running, the client connected and registered.
+    world = compile_scenario(thinkpad_testbed(AppSpec(kind="pangloss")))
+    sim = world.sim
+    app = world.clients[0].app
 
     print("Training on 129 sentences (the paper's regimen)...")
     alternatives = app.spec.alternatives(["server-a", "server-b"])
     for i, words in enumerate(SentenceWorkload().training(129)):
-        bed.sim.run_process(
+        sim.run_process(
             app.translate(words, force=alternatives[i % len(alternatives)])
         )
-    bed.sim.advance(30.0)
-    bed.poll()
+    sim.advance(30.0)
+    world.poll()
 
     def translate(words):
-        report = bed.sim.run_process(app.translate(words))
+        report = sim.run_process(app.translate(words))
         fidelity = report.alternative.fidelity_dict()
         engines = "+".join(active_engines(fidelity)) or "(none)"
         where = report.alternative.server or "local"
@@ -61,8 +49,8 @@ def main() -> None:
         translate(words)
 
     print("\nBatch 2 — the 12 MB EBMT corpus is evicted from server B:")
-    bed.server_b.coda.flush(ENGINE_FILES["ebmt"][0])
-    bed.poll()
+    world.nodes["server-b"].coda.flush(ENGINE_FILES["ebmt"][0])
+    world.poll()
     for words in (4, 14, 30):
         translate(words)
 

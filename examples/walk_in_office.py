@@ -16,43 +16,26 @@ the warm-started fidelity registration.
 Run:  python examples/walk_in_office.py
 """
 
-from repro.apps import (
-    FULL_LM_BYTES,
-    FULL_LM_PATH,
-    JanusService,
-    REDUCED_LM_BYTES,
-    REDUCED_LM_PATH,
-    SpeechApplication,
-    SpeechWorkload,
-)
+from repro.apps import SpeechWorkload
 from repro.discovery import DirectoryService, start_advertising, start_discovery
-from repro.scenarios import canned_spec, compile_scenario
-from repro.testbeds import ItsyTestbed
+from repro.scenarios import canned_spec, compile_scenario, itsy_testbed
 
 
 def learn_at_home() -> str:
     """Session 1 (yesterday, at home): train on the serial-link testbed
     and export what was learned."""
-    bed = ItsyTestbed()
-    bed.fileserver.create_file(FULL_LM_PATH, FULL_LM_BYTES)
-    bed.fileserver.create_file(REDUCED_LM_PATH, REDUCED_LM_BYTES)
-    for coda in (bed.itsy.coda, bed.t20.coda):
-        coda.warm(FULL_LM_PATH)
-        coda.warm(REDUCED_LM_PATH)
-    bed.itsy.register_service(JanusService())
-    bed.t20.register_service(JanusService())
-    bed.poll()
-    app = SpeechApplication(bed.client)
-    bed.sim.run_process(app.register())
+    world = compile_scenario(itsy_testbed())
+    client = world.clients[0].client
+    app = world.clients[0].app
     alternatives = app.spec.alternatives(["t20"])
     for i, length in enumerate(SpeechWorkload().training(15)):
-        bed.sim.run_process(
+        world.sim.run_process(
             app.recognize(length, force=alternatives[i % len(alternatives)])
         )
     print(f"  trained on 15 utterances; exporting "
-          f"{len(bed.client.operation(app.spec.name).predictor.log)} "
+          f"{len(client.operation(app.spec.name).predictor.log)} "
           "usage samples")
-    return bed.client.export_usage_log(app.spec.name)
+    return client.export_usage_log(app.spec.name)
 
 
 def walk_into_office(learned: str) -> None:

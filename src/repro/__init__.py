@@ -23,7 +23,8 @@ Package map
 ``repro.core``      the Spectra client/server and Figure-1 API
 ``repro.apps``      Janus / Latex / Pangloss-Lite workload models
 ``repro.baselines`` comparison policies (always-local, RPF, oracle...)
-``repro.testbeds``  the paper's two hardware testbeds, prewired
+``repro.scenarios`` declarative worlds: the one world builder, the
+                    paper's two testbeds as specs, seeded traffic
 ``repro.experiments`` harness regenerating every table and figure
 ==================  ====================================================
 """

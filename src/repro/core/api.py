@@ -3,7 +3,7 @@
 Building a full Spectra machine takes five substrates in the right order
 (host → Coda client → Spectra server → Spectra client).  The
 :class:`SpectraNode` builder does that wiring once, correctly, and is
-what testbeds, examples, and most tests use.
+what the scenario compiler and most tests use.
 """
 
 from __future__ import annotations

@@ -62,16 +62,17 @@ def ablate_utility_form() -> AblationOutcome:
     baseline = speech_exp.run_speech_scenario("energy")
     rel_mult = baseline.relative_utility(spec)
 
-    bed, app = speech_exp._build("energy")
-    bed.client.utility_factory = (
+    world, app = speech_exp._build("energy")
+    itsy = world.nodes["itsy"]
+    itsy.client.utility_factory = (
         lambda s, c: AdditiveUtility(s, c, energy_weight=5.0)
     )
-    e0 = bed.itsy.host.energy_consumed_joules()
+    e0 = itsy.host.energy_consumed_joules()
     probe = SpeechWorkload().probes(1)[0]
-    report = bed.sim.run_process(app.recognize(probe))
+    report = world.sim.run_process(app.recognize(probe))
     achieved = utility_of(
         spec, speech_exp.ENERGY_SCENARIO_C, report.elapsed_s,
-        bed.itsy.host.energy_consumed_joules() - e0, report.alternative,
+        itsy.host.energy_consumed_joules() - e0, report.alternative,
     )
     _best, oracle = best_measurement(
         spec, speech_exp.ENERGY_SCENARIO_C, baseline.measurements
@@ -89,18 +90,20 @@ def ablate_recency_weighting() -> AblationOutcome:
     prediction over the post-drift operations — lower is better.
     """
     def run(decay: float) -> float:
-        bed, app = speech_exp._build("baseline")
-        bed.client.predictor_decay = decay
+        world, app = speech_exp._build("baseline")
+        itsy = world.nodes["itsy"]
+        client = itsy.client
+        client.predictor_decay = decay
         # Re-register under the new decay: fresh models, same training.
-        del bed.client._operations[app.spec.name]
+        del client._operations[app.spec.name]
         app._registered = False
-        bed.sim.run_process(app.register())
+        world.sim.run_process(app.register())
         alternatives = app.spec.alternatives(["t20"])
         local_full = alternatives[0]
         for length in SpeechWorkload().training(10):
-            bed.sim.run_process(app.recognize(length, force=local_full))
+            world.sim.run_process(app.recognize(length, force=local_full))
         # Drift: recognition becomes 2x more expensive (a model upgrade).
-        bed.itsy.server._services["janus"].model = (
+        itsy.server._services["janus"].model = (
             app.model.__class__(recognize_cycles_per_s=1600e6)
         )
         errors = []
@@ -108,19 +111,19 @@ def ablate_recency_weighting() -> AblationOutcome:
             handle_box = {}
 
             def op():
-                handle = yield from bed.client.begin_fidelity_op(
+                handle = yield from client.begin_fidelity_op(
                     app.spec.name,
                     params={"utterance_length": length},
                     force=local_full,
                 )
                 handle_box["h"] = handle
-                yield from bed.client.do_local_op(
+                yield from client.do_local_op(
                     handle, "janus", "full",
                     params={"utterance_length": length, "vocab": "full"},
                 )
-                return (yield from bed.client.end_fidelity_op(handle))
+                return (yield from client.end_fidelity_op(handle))
 
-            report = bed.sim.run_process(op())
+            report = world.sim.run_process(op())
             prediction = handle_box["h"].prediction
             if prediction is not None and report.elapsed_s > 0:
                 errors.append(
@@ -152,7 +155,7 @@ def ablate_data_specific_models() -> AblationOutcome:
         warm_document,
     )
     from ..apps.latex import LARGE_DOCUMENT, SMALL_DOCUMENT
-    from ..testbeds import ThinkpadTestbed
+    from ..scenarios import compile_scenario, thinkpad_testbed
 
     medium = Document(
         name="medium",
@@ -165,21 +168,23 @@ def ablate_data_specific_models() -> AblationOutcome:
                  "medium": medium}
 
     def run(use_data_objects: bool) -> float:
-        bed = ThinkpadTestbed()
-        for doc in documents.values():
-            install_document(bed.fileserver, doc)
-            for node in (bed.thinkpad, bed.server_a, bed.server_b):
-                warm_document(node.coda, doc, outputs=True)
-        for node in (bed.thinkpad, bed.server_a, bed.server_b):
+        # The two-document Latex world, plus the medium document and a
+        # service that knows all three.
+        world = compile_scenario(thinkpad_testbed(latex_exp.LATEX_APP),
+                                 register_apps=False)
+        install_document(world.fileserver, medium)
+        for node in world.nodes.values():
+            warm_document(node.coda, medium, outputs=True)
             node.register_service(LatexService(documents))
-        bed.poll()
-        app = LatexApplication(bed.client, documents,
+        world.poll()
+        client = world.nodes["560x"].client
+        app = LatexApplication(client, documents,
                                use_data_objects=use_data_objects)
-        bed.sim.run_process(app.register())
+        world.sim.run_process(app.register())
         local = app.spec.alternatives([])[0]
         for _round in range(4):
             for name in ("small", "medium", "large"):
-                bed.sim.run_process(app.format(name, force=local))
+                world.sim.run_process(app.format(name, force=local))
 
         errors = []
         for name in ("small", "medium", "large"):
@@ -187,18 +192,18 @@ def ablate_data_specific_models() -> AblationOutcome:
 
             def probe():
                 doc = app.documents[name]
-                handle = yield from bed.client.begin_fidelity_op(
+                handle = yield from client.begin_fidelity_op(
                     app.spec.name, params={"pages": float(doc.pages)},
                     data_object=(doc.main_input if use_data_objects else None),
                     force=local,
                 )
                 handle_box["h"] = handle
-                yield from bed.client.do_local_op(
+                yield from client.do_local_op(
                     handle, "latex", "format", params={"document": name},
                 )
-                return (yield from bed.client.end_fidelity_op(handle))
+                return (yield from client.end_fidelity_op(handle))
 
-            report = bed.sim.run_process(probe())
+            report = world.sim.run_process(probe())
             predicted = handle_box["h"].prediction.demand.get("cpu:local", 0.0)
             measured = report.usage.get("cpu:local", 0.0)
             if measured > 0:
@@ -258,10 +263,9 @@ def ablate_reintegration_policy() -> AblationOutcome:
     """
     baseline = latex_exp.run_latex_scenario("reintegrate", "large")
 
-    bed, app = latex_exp._build("reintegrate")
-    bed.client.always_reintegrate = True
-    e0 = bed.thinkpad.host.energy_consumed_joules()
-    report = bed.sim.run_process(app.format("large"))
+    world, app = latex_exp._build("reintegrate")
+    world.nodes["560x"].client.always_reintegrate = True
+    report = world.sim.run_process(app.format("large"))
     ablated_time = report.elapsed_s
 
     return AblationOutcome(
@@ -292,17 +296,17 @@ def ablate_monitor_freshness() -> AblationOutcome:
     # Stale variant: identical world, but the scenario changes happen
     # AFTER the last poll and the client does not re-poll before the
     # probe (its proxies still describe the old world).
-    bed, app = pangloss_exp._build("baseline")
-    if bed.server_b.coda.is_cached(pangloss_exp.EBMT_CORPUS):
-        bed.server_b.coda.flush(pangloss_exp.EBMT_CORPUS)
-    bed.load_server_cpu("server-a", nprocesses=2)
-    bed.sim.advance(10.0)  # the load persists; no poll happens
-    e0 = bed.thinkpad.host.energy_consumed_joules()
-    report = bed.sim.run_process(app.translate(words))
+    world, app = pangloss_exp._build("baseline")
+    pangloss_exp._evict_corpus(world)
+    world.nodes["server-a"].host.start_background_load(2)
+    world.sim.advance(10.0)  # the load persists; no poll happens
+    host = world.nodes["560x"].host
+    e0 = host.energy_consumed_joules()
+    report = world.sim.run_process(app.translate(words))
     stale = SpectraMeasurement(
         choice=report.alternative,
         time_s=report.elapsed_s,
-        energy_j=bed.thinkpad.host.energy_consumed_joules() - e0,
+        energy_j=host.energy_consumed_joules() - e0,
     )
     # Score the stale run against the fresh run's measured oracle (the
     # two worlds are identical by construction).

@@ -39,14 +39,15 @@ class PolicyOutcome:
 
 
 def _policy_choice_run(policy: PlacementPolicy, scenario: str):
-    """Fresh testbed; feed the policy history; execute its choice."""
-    bed, app = speech_exp._build(scenario)
+    """Fresh world; feed the policy history; execute its choice."""
+    world, app = speech_exp._build(scenario)
+    itsy = world.nodes["itsy"]
     alternatives = app.spec.alternatives(
-        ["t20"] if bed.client.known_servers() else []
+        ["t20"] if itsy.client.known_servers() else []
     )
     # History-based policies see the same training regimen Spectra did:
     # the usage log holds time per (plan, fidelity); replay it.
-    registered = bed.client.operation(app.spec.name)
+    registered = itsy.client.operation(app.spec.name)
     by_context = {}
     for sample in registered.predictor.log:
         usage = sample.usage_dict()
@@ -61,12 +62,12 @@ def _policy_choice_run(policy: PlacementPolicy, scenario: str):
             policy.observe(alternative, time_s, energy_j)
 
     choice = policy.choose(alternatives)
-    e0 = bed.itsy.host.energy_consumed_joules()
+    e0 = itsy.host.energy_consumed_joules()
     probe = SpeechWorkload().probes(1)[0]
     try:
-        report = bed.sim.run_process(app.recognize(probe, force=choice))
+        report = world.sim.run_process(app.recognize(probe, force=choice))
         elapsed = report.elapsed_s
-        energy = bed.itsy.host.energy_consumed_joules() - e0
+        energy = itsy.host.energy_consumed_joules() - e0
     except Exception:
         elapsed, energy = float("inf"), float("inf")
     return choice, elapsed, energy

@@ -3,7 +3,7 @@
 Not a figure from the paper — a robustness experiment the paper's
 environment model demands: "the supply of resources ... may change
 dramatically during operation" (§1).  Each workload runs twice on fresh
-testbeds:
+compiled worlds:
 
 1. a **baseline** (fault-free) pass, which both provides the comparison
    point and calibrates *when* "mid-operation" is for each op, and
@@ -140,28 +140,22 @@ class ChaosReport:
 
 
 class _Harness:
-    """A fresh, trained testbed plus per-op drivers for one workload."""
+    """A fresh, trained world plus per-op drivers for one workload."""
 
     def __init__(self, workload: str, telemetry: Optional[Telemetry]):
         self.workload = workload
         if workload == "speech":
-            self.bed, self._app = speech_experiment._build(
+            self.world, self._app = speech_experiment._build(
                 "baseline", telemetry=telemetry
             )
             self._lengths = SpeechWorkload().probes(32)
-            self.servers = {"t20": self.bed.t20.server}
-            self._energy_host = self.bed.itsy.host
         elif workload == "latex":
-            self.bed, self._app = latex_experiment._build(
+            self.world, self._app = latex_experiment._build(
                 "baseline", telemetry=telemetry
             )
-            self.servers = {
-                "server-a": self.bed.server_a.server,
-                "server-b": self.bed.server_b.server,
-            }
-            self._energy_host = self.bed.thinkpad.host
         else:
             raise ValueError(f"unknown chaos workload {workload!r}")
+        self.client = self.world.clients[0].client
 
     def op(self, index: int):
         """The index-th operation as a fresh process generator."""
@@ -171,7 +165,7 @@ class _Harness:
         return self._app.format(document)
 
     def energy_joules(self) -> float:
-        return self._energy_host.energy_consumed_joules()
+        return self.client.host.energy_consumed_joules()
 
 
 def _run_pass(
@@ -179,24 +173,18 @@ def _run_pass(
     workload: str,
     baseline_elapsed: Optional[List[float]],
     telemetry: Optional[Telemetry],
-) -> "tuple[List[OpOutcome], Optional[FaultInjector]]":
+) -> "tuple[List[OpOutcome], FaultInjector]":
     """One pass over a workload; injects faults iff calibrated."""
     harness = _Harness(workload, telemetry)
-    client = harness.bed.client
-    client.retry_policy = default_retry_policy(profile.seed)
-
-    injector: Optional[FaultInjector] = None
-    if baseline_elapsed is not None:
-        injector = FaultInjector(
-            harness.bed.sim, harness.bed.network, harness.servers,
-            telemetry=telemetry,
-        )
+    world = harness.world
+    injector = world.injector
+    harness.client.retry_policy = default_retry_policy(profile.seed)
 
     outcomes: List[OpOutcome] = []
     for index in range(profile.ops_per_workload):
-        if injector is not None:
+        if baseline_elapsed is not None:
             for fault in profile.faults_for(workload, index):
-                at_s = (harness.bed.sim.now
+                at_s = (world.sim.now
                         + fault.fraction * baseline_elapsed[index])
                 injector.schedule(FaultEvent(
                     at_s, fault.action, fault.target, fault.value,
@@ -207,7 +195,7 @@ def _run_pass(
                         at_s + fault.recover_after_s, undo, fault.target,
                     ))
         e0 = harness.energy_joules()
-        report = harness.bed.sim.run_process(harness.op(index))
+        report = world.sim.run_process(harness.op(index))
         outcomes.append(OpOutcome(
             index=index,
             plan=report.alternative.plan.name,
@@ -217,9 +205,9 @@ def _run_pass(
             failed_over=report.failed_over,
         ))
     # Drain pending recoveries so the journal covers the whole schedule
-    # and the testbed ends healthy (run() without a deadline empties the
+    # and the world ends healthy (run() without a deadline empties the
     # queue; all remaining events are timers and recoveries).
-    harness.bed.sim.run()
+    world.sim.run()
     return outcomes, injector
 
 
@@ -239,7 +227,7 @@ def run_chaos_workload(profile: ChaosProfile,
         workload=workload,
         baseline=baseline,
         chaos=chaos,
-        fault_journal=injector.journal() if injector is not None else [],
+        fault_journal=injector.journal(),
         counters=counters,
     )
 

@@ -33,13 +33,13 @@ from ..scenarios.spec import (
     MediumSpec,
     ScenarioSpec,
 )
-from ..sim import AllOf, Timeout
-from ..testbeds import (
+from ..scenarios.library import (
     WIRED_BANDWIDTH_BPS,
     WIRED_LATENCY_S,
     WIRELESS_BANDWIDTH_BPS,
     WIRELESS_LATENCY_S,
 )
+from ..sim import AllOf, Timeout
 
 
 @dataclass

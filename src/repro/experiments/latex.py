@@ -27,12 +27,14 @@ from ..apps import (
     LARGE_DOCUMENT,
     SMALL_DOCUMENT,
     LatexApplication,
-    LatexService,
     LatexWorkload,
-    install_document,
-    warm_document,
 )
-from ..testbeds import ThinkpadTestbed
+from ..scenarios import (
+    AppSpec,
+    CompiledScenario,
+    compile_scenario,
+    thinkpad_testbed,
+)
 from .runner import (
     AltMeasurement,
     ScenarioResult,
@@ -52,32 +54,27 @@ ENERGY_SCENARIO_C = 0.6
 MODIFIED_INPUT_BYTES = 70 * 1024
 
 
-World = Tuple[ThinkpadTestbed, LatexApplication]
+#: The Latex app of the ThinkPad world, documents in :data:`DOCUMENTS`
+#: order.
+LATEX_APP = AppSpec(kind="latex", options={"documents": list(DOCUMENTS)})
+
+
+World = Tuple[CompiledScenario, LatexApplication]
 
 
 def _build(scenario: str, solver=None, telemetry=None) -> World:
-    """Fresh trained testbed with the scenario applied."""
-    bed, app = _train(solver=solver, telemetry=telemetry)
-    _apply_scenario(bed, app, scenario)
-    return bed, app
+    """Fresh trained world with the scenario applied."""
+    world, app = _train(solver=solver, telemetry=telemetry)
+    _apply_scenario(world, app, scenario)
+    return world, app
 
 
 def _train(solver=None, telemetry=None) -> World:
-    """Fresh testbed with documents installed, caches warm, and models
+    """Fresh world (documents installed, caches warm) with models
     trained."""
-    bed = ThinkpadTestbed(solver=solver, telemetry=telemetry)
-    documents = dict(DOCUMENTS)
-    for doc in documents.values():
-        install_document(bed.fileserver, doc)
-        for node in (bed.thinkpad, bed.server_a, bed.server_b):
-            warm_document(node.coda, doc, outputs=True)
-
-    for node in (bed.thinkpad, bed.server_a, bed.server_b):
-        node.register_service(LatexService(documents))
-
-    bed.poll()
-    app = LatexApplication(bed.client, documents)
-    bed.sim.run_process(app.register())
+    world = compile_scenario(thinkpad_testbed(LATEX_APP),
+                             telemetry=telemetry, solver=solver)
+    app = world.clients[0].app
 
     # Training: 20 runs alternating documents, forced round-robin over
     # the three placements so every bin and both data-specific models
@@ -85,45 +82,47 @@ def _train(solver=None, telemetry=None) -> World:
     placements = app.spec.alternatives(["server-a", "server-b"])
     for i, doc_name in enumerate(LatexWorkload().training(20)):
         forced = placements[i % len(placements)]
-        bed.sim.run_process(app.format(doc_name, force=forced))
+        world.sim.run_process(app.format(doc_name, force=forced))
     # Training runs at baseline connectivity: any outputs written remain
     # reintegrated (strong consistency), so the CML starts clean.
 
     # Let transient load estimates decay and refresh server status
     # before the scenario starts (the paper's phases were minutes
     # apart in wall-clock time).
-    bed.sim.advance(30.0)
-    bed.poll()
-    return bed, app
+    world.sim.advance(30.0)
+    world.poll()
+    return world, app
 
 
-def _apply_scenario(bed: ThinkpadTestbed, app: LatexApplication,
+def _apply_scenario(world: CompiledScenario, app: LatexApplication,
                     scenario: str) -> None:
     if scenario == "baseline":
         return
     if scenario == "filecache":
         # Server B loses every input file of both documents.
+        coda_b = world.nodes["server-b"].coda
         for doc in DOCUMENTS.values():
             for path, _size in doc.input_paths():
-                if bed.server_b.coda.is_cached(path):
-                    bed.server_b.coda.flush(path)
-        bed.poll()  # the client's proxy must see B's cold cache
+                if coda_b.is_cached(path):
+                    coda_b.flush(path)
+        world.poll()  # the client's proxy must see B's cold cache
         return
     if scenario in ("reintegrate", "energy"):
+        client = world.nodes["560x"]
         # Weak connectivity: stores now buffer in the CML.
-        bed.set_client_weakly_connected(True)
+        client.coda.weakly_connected = True
         # Earlier local runs left dirty outputs in the small volume...
         local = next(a for a in app.spec.alternatives([])
                      if a.plan.name == "local")
-        bed.sim.run_process(app.format("small", force=local))
+        world.sim.run_process(app.format("small", force=local))
         # ...and the user edits the 70 KB top-level input.
-        bed.sim.run_process(
-            bed.thinkpad.coda.modify(SMALL_DOCUMENT.main_input,
-                                     MODIFIED_INPUT_BYTES)
+        world.sim.run_process(
+            client.coda.modify(SMALL_DOCUMENT.main_input,
+                               MODIFIED_INPUT_BYTES)
         )
         if scenario == "energy":
-            bed.set_energy_importance(ENERGY_SCENARIO_C)
-        bed.poll()
+            client.host.goal_adaptation.set_importance(ENERGY_SCENARIO_C)
+        world.poll()
         return
     raise ValueError(f"unknown latex scenario {scenario!r}")
 
@@ -133,17 +132,19 @@ def scenario_energy_importance(scenario: str) -> float:
 
 
 def _scenario_clone(trained: World, scenario: str, solver) -> World:
-    bed, app = clone_world(trained, shared=(solver,))
-    _apply_scenario(bed, app, scenario)
-    return bed, app
+    world, app = clone_world(trained, shared=(solver,))
+    _apply_scenario(world, app, scenario)
+    return world, app
 
 
 def _measure_forced(trained: World, scenario: str, document: str,
                     alternative, solver) -> AltMeasurement:
-    bed, app = _scenario_clone(trained, scenario, solver)
-    e0 = bed.thinkpad.host.energy_consumed_joules()
+    world, app = _scenario_clone(trained, scenario, solver)
+    host = world.nodes["560x"].host
+    e0 = host.energy_consumed_joules()
     try:
-        report = bed.sim.run_process(app.format(document, force=alternative))
+        report = world.sim.run_process(app.format(document,
+                                                  force=alternative))
     except Exception:
         return AltMeasurement(
             alternative=alternative, time_s=float("inf"),
@@ -152,19 +153,20 @@ def _measure_forced(trained: World, scenario: str, document: str,
     return AltMeasurement(
         alternative=alternative,
         time_s=report.elapsed_s,
-        energy_j=bed.thinkpad.host.energy_consumed_joules() - e0,
+        energy_j=host.energy_consumed_joules() - e0,
     )
 
 
 def _measure_spectra(trained: World, scenario: str, document: str,
                      solver) -> SpectraMeasurement:
-    bed, app = _scenario_clone(trained, scenario, solver)
-    e0 = bed.thinkpad.host.energy_consumed_joules()
-    report = bed.sim.run_process(app.format(document))
+    world, app = _scenario_clone(trained, scenario, solver)
+    host = world.nodes["560x"].host
+    e0 = host.energy_consumed_joules()
+    report = world.sim.run_process(app.format(document))
     return SpectraMeasurement(
         choice=report.alternative,
         time_s=report.elapsed_s,
-        energy_j=bed.thinkpad.host.energy_consumed_joules() - e0,
+        energy_j=host.energy_consumed_joules() - e0,
         prediction=report.prediction,
     )
 
@@ -195,7 +197,7 @@ def run_latex_scenario(scenario: str, document: str,
 def run_latex_experiment(scenarios=SCENARIOS, documents=("small", "large"),
                          solver=None) -> Dict[Tuple[str, str], ScenarioResult]:
     """The full Figure 5/6/7 sweep: scenario × document, from one
-    trained testbed."""
+    trained world."""
     trained = _train(solver=solver)
     return {
         (scenario, document): _measure_cell(trained, scenario, document,

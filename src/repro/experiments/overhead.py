@@ -27,12 +27,16 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..apps import NullApplication
-from ..coda import FileServer
-from ..core import SpectraNode
-from ..hosts import IBM_560X, SERVER_B
-from ..network import Network, SharedMedium
-from ..rpc import NullService, RpcTransport
-from ..sim import Simulator
+from ..scenarios import compile_scenario
+from ..scenarios.library import WIRELESS_BANDWIDTH_BPS, WIRELESS_LATENCY_S
+from ..scenarios.spec import (
+    AppSpec,
+    ClientSpec,
+    HostSpec,
+    LinkSpec,
+    MediumSpec,
+    ScenarioSpec,
+)
 
 
 @dataclass
@@ -65,57 +69,46 @@ class OverheadRow:
         }
 
 
-def _build_null_testbed(n_servers: int, cached_files: int = 0,
-                        client_load: int = 0):
-    """A 560X-class client plus *n_servers* identical compute servers."""
-    sim = Simulator()
-    network = Network(sim)
-    transport = RpcTransport(sim, network)
-    fileserver = FileServer(sim, "fs")
-    network.register_host("fs")
-
-    client_node = SpectraNode(sim, network, transport, fileserver,
-                              "client", IBM_560X)
-    client_node.register_service(NullService())
-
-    medium = SharedMedium(sim, 250_000.0, default_latency_s=0.002)
-    network.connect("client", "fs", medium.attach())
-
-    servers = []
-    for i in range(n_servers):
-        name = f"server-{i}"
-        node = SpectraNode(sim, network, transport, fileserver, name,
-                           SERVER_B, with_client=False)
-        node.register_service(NullService())
-        network.connect("client", name, medium.attach())
-        servers.append(node)
-
-    # Optional cache population: file-cache prediction cost scales with
-    # the number of cached entries (the paper's 359.6 ms full-cache case).
-    for i in range(cached_files):
-        path = f"/junk/file{i}"
-        fileserver.create_file(path, 1024)
-        client_node.coda.warm(path)
-
-    client = client_node.require_client()
-    for node in servers:
-        client.add_server(node.name)
-    if n_servers:
-        sim.run_process(client.poll_servers())
-    if client_load:
-        client_node.host.start_background_load(client_load)
-        sim.advance(10.0)
-
-    return sim, client_node, client
+def _null_spec(n_servers: int) -> ScenarioSpec:
+    """A 560X-class client plus *n_servers* identical compute servers,
+    all on one wireless medium with the file server."""
+    servers = tuple(f"server-{i}" for i in range(n_servers))
+    return ScenarioSpec(
+        name=f"overhead-{n_servers}",
+        description="Figure 10's null-operation world",
+        duration_s=60.0,
+        hosts=((HostSpec(name="client", profile="ibm-560x", role="client"),)
+               + tuple(HostSpec(name=name, profile="server-b")
+                       for name in servers)),
+        media=(MediumSpec(name="wireless",
+                          bandwidth_bps=WIRELESS_BANDWIDTH_BPS,
+                          latency_s=WIRELESS_LATENCY_S),),
+        links=tuple(LinkSpec(a="client", b=peer, medium="wireless")
+                    for peer in ("fs",) + servers),
+        apps=(AppSpec(kind="null"),),
+        clients=(ClientSpec(host="client", app="null", servers=servers),),
+    )
 
 
 def measure_overhead(n_servers: int, cached_files: int = 0,
                      client_load: int = 0,
                      training_ops: int = 4) -> OverheadRow:
     """Run null operations and time each API phase (Figure 10)."""
-    sim, node, client = _build_null_testbed(
-        n_servers, cached_files=cached_files, client_load=client_load
-    )
+    world = compile_scenario(_null_spec(n_servers),
+                             connect_clients=bool(n_servers),
+                             register_apps=False)
+    sim = world.sim
+    node = world.nodes["client"]
+    client = node.client
+    # Optional cache population: file-cache prediction cost scales with
+    # the number of cached entries (the paper's 359.6 ms full-cache case).
+    for i in range(cached_files):
+        path = f"/junk/file{i}"
+        world.fileserver.create_file(path, 1024)
+        node.coda.warm(path)
+    if client_load:
+        node.host.start_background_load(client_load)
+        sim.advance(10.0)
     app = NullApplication(client, remote=n_servers > 0)
 
     t0 = sim.now

@@ -10,7 +10,7 @@ increasing length:
 
 Pangloss has ~90 alternatives per decision, so unlike the speech/Latex
 experiments each (scenario, sentence) cell runs on **one** deep copy of
-the trained testbed: Spectra's own choice is probed first, then every
+the trained world: Spectra's own choice is probed first, then every
 alternative is measured forced, with the scenario's cache state
 *restored* after each measurement (running an alternative that reads
 the evicted corpus would otherwise warm B's cache and corrupt the
@@ -26,15 +26,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..apps import (
-    ENGINE_FILES,
-    PanglossApplication,
-    PanglossService,
-    SentenceWorkload,
-    install_pangloss_files,
-    warm_pangloss_files,
+from ..apps import ENGINE_FILES, PanglossApplication, SentenceWorkload
+from ..scenarios import (
+    AppSpec,
+    CompiledScenario,
+    compile_scenario,
+    thinkpad_testbed,
 )
-from ..testbeds import ThinkpadTestbed
 from .runner import (
     AltMeasurement,
     ScenarioResult,
@@ -47,61 +45,60 @@ SCENARIOS = ("baseline", "filecache", "cpu")
 EBMT_CORPUS = ENGINE_FILES["ebmt"][0]
 
 
-World = Tuple[ThinkpadTestbed, PanglossApplication]
+World = Tuple[CompiledScenario, PanglossApplication]
 
 
 def _build(scenario: str, solver=None) -> World:
-    """Fresh trained testbed with the scenario applied."""
-    bed, app = _train(solver=solver)
-    _apply_scenario(bed, scenario)
-    return bed, app
+    """Fresh trained world with the scenario applied."""
+    world, app = _train(solver=solver)
+    _apply_scenario(world, scenario)
+    return world, app
 
 
 def _train(solver=None) -> World:
-    """Fresh testbed with knowledge bases installed, caches warm, and
-    models trained."""
-    bed = ThinkpadTestbed(solver=solver)
-    install_pangloss_files(bed.fileserver)
-    for node in (bed.thinkpad, bed.server_a, bed.server_b):
-        warm_pangloss_files(node.coda)
-        node.register_service(PanglossService())
-
-    bed.poll()
-    app = PanglossApplication(bed.client)
-    bed.sim.run_process(app.register())
+    """Fresh world (knowledge bases installed, caches warm) with models
+    trained."""
+    world = compile_scenario(thinkpad_testbed(AppSpec(kind="pangloss")),
+                             solver=solver)
+    app = world.clients[0].app
 
     # Training: the paper's 129 sentences, forced round-robin over the
     # whole alternative space so every (plan × fidelity) bin trains.
     alternatives = app.spec.alternatives(["server-a", "server-b"])
     for i, words in enumerate(SentenceWorkload().training(129)):
         forced = alternatives[i % len(alternatives)]
-        bed.sim.run_process(app.translate(words, force=forced))
+        world.sim.run_process(app.translate(words, force=forced))
 
-    bed.sim.advance(30.0)
-    bed.poll()
-    return bed, app
+    world.sim.advance(30.0)
+    world.poll()
+    return world, app
 
 
-def _apply_scenario(bed: ThinkpadTestbed, scenario: str) -> None:
+def _evict_corpus(world: CompiledScenario) -> None:
+    coda_b = world.nodes["server-b"].coda
+    if coda_b.is_cached(EBMT_CORPUS):
+        coda_b.flush(EBMT_CORPUS)
+
+
+def _apply_scenario(world: CompiledScenario, scenario: str) -> None:
     if scenario == "baseline":
         return
     if scenario in ("filecache", "cpu"):
-        if bed.server_b.coda.is_cached(EBMT_CORPUS):
-            bed.server_b.coda.flush(EBMT_CORPUS)
+        _evict_corpus(world)
         if scenario == "cpu":
-            bed.load_server_cpu("server-a", nprocesses=2)
-            bed.sim.advance(10.0)
-        bed.poll()
+            # Two competing CPU-intensive processes on server A.
+            world.nodes["server-a"].host.start_background_load(2)
+            world.sim.advance(10.0)
+        world.poll()
         return
     raise ValueError(f"unknown pangloss scenario {scenario!r}")
 
 
-def _restore_scenario(bed: ThinkpadTestbed, scenario: str) -> None:
+def _restore_scenario(world: CompiledScenario, scenario: str) -> None:
     """Re-establish the scenario invariants a measurement may have broken."""
     if scenario in ("filecache", "cpu"):
-        if bed.server_b.coda.is_cached(EBMT_CORPUS):
-            bed.server_b.coda.flush(EBMT_CORPUS)
-        bed.poll()
+        _evict_corpus(world)
+        world.poll()
 
 
 def run_pangloss_cell(scenario: str, words: int,
@@ -112,25 +109,26 @@ def run_pangloss_cell(scenario: str, words: int,
 
 def _measure_cell(trained: World, scenario: str, words: int,
                   solver) -> ScenarioResult:
-    bed, app = clone_world(trained, shared=(solver,))
-    _apply_scenario(bed, scenario)
+    world, app = clone_world(trained, shared=(solver,))
+    _apply_scenario(world, scenario)
+    host = world.nodes["560x"].host
 
     # Spectra's own decision first, at exactly the trained state.
-    e0 = bed.thinkpad.host.energy_consumed_joules()
-    report = bed.sim.run_process(app.translate(words))
+    e0 = host.energy_consumed_joules()
+    report = world.sim.run_process(app.translate(words))
     spectra = SpectraMeasurement(
         choice=report.alternative,
         time_s=report.elapsed_s,
-        energy_j=bed.thinkpad.host.energy_consumed_joules() - e0,
+        energy_j=host.energy_consumed_joules() - e0,
         prediction=report.prediction,
     )
-    _restore_scenario(bed, scenario)
+    _restore_scenario(world, scenario)
 
     measurements: List[AltMeasurement] = []
     for alternative in app.spec.alternatives(["server-a", "server-b"]):
-        e0 = bed.thinkpad.host.energy_consumed_joules()
+        e0 = host.energy_consumed_joules()
         try:
-            forced_report = bed.sim.run_process(
+            forced_report = world.sim.run_process(
                 app.translate(words, force=alternative)
             )
         except Exception:
@@ -138,14 +136,14 @@ def _measure_cell(trained: World, scenario: str, words: int,
                 alternative=alternative, time_s=float("inf"),
                 energy_j=float("inf"), feasible=False,
             ))
-            _restore_scenario(bed, scenario)
+            _restore_scenario(world, scenario)
             continue
         measurements.append(AltMeasurement(
             alternative=alternative,
             time_s=forced_report.elapsed_s,
-            energy_j=bed.thinkpad.host.energy_consumed_joules() - e0,
+            energy_j=host.energy_consumed_joules() - e0,
         ))
-        _restore_scenario(bed, scenario)
+        _restore_scenario(world, scenario)
 
     return ScenarioResult(
         scenario=scenario,
@@ -161,7 +159,7 @@ def run_pangloss_experiment(scenarios=SCENARIOS,
                             solver=None
                             ) -> Dict[Tuple[str, int], ScenarioResult]:
     """The full Figure 8/9 sweep: scenario × probe sentence, from one
-    trained testbed."""
+    trained world."""
     if sentences is None:
         sentences = SentenceWorkload().probes()
     trained = _train(solver=solver)

@@ -9,8 +9,9 @@ This experiment builds the configuration where that claim bites — two
 against the parallel-engines plan for the full-fidelity translation of
 each probe sentence.  With the paper's original unequal servers
 (933 vs 400 MHz) the parallel plan helps little, because an even split
-is gated by the slow machine; the experiment reports both testbeds so
-the crossover is visible.
+is gated by the slow machine; the experiment reports both worlds
+(:func:`~repro.scenarios.thinkpad_testbed` with and without ``twin``)
+so the crossover is visible.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..apps import (
-    PanglossApplication,
-    PanglossService,
-    SentenceWorkload,
-    install_pangloss_files,
-    warm_pangloss_files,
-)
-from ..hosts import SERVER_B
-from ..testbeds import ThinkpadTestbed
+from ..apps import SentenceWorkload
+from ..scenarios import AppSpec, compile_scenario, thinkpad_testbed
 
 
 @dataclass
@@ -44,44 +38,29 @@ class ParallelCell:
         return self.sequential_s / self.parallel_s
 
 
-class TwinServerTestbed(ThinkpadTestbed):
-    """The ThinkPad testbed with server A upgraded to match server B."""
-
-    def __init__(self, solver=None):
-        super().__init__(solver=solver)
-        # Swap A's processor for a B-class one: rebuild its fair-share
-        # capacity in place (the simulated equivalent of a hardware
-        # upgrade between experiments).
-        self.server_a.host.cpu._resource.set_capacity(
-            SERVER_B.cycles_per_second
-        )
+#: Pangloss with the parallel-engines plan on offer.
+PARALLEL_APP = AppSpec(kind="pangloss", options={"parallel": True})
 
 
 def _build(twin: bool, solver=None):
-    bed = TwinServerTestbed(solver=solver) if twin else ThinkpadTestbed(
-        solver=solver
-    )
-    install_pangloss_files(bed.fileserver)
-    for node in (bed.thinkpad, bed.server_a, bed.server_b):
-        warm_pangloss_files(node.coda)
-        node.register_service(PanglossService())
-    bed.poll()
-    app = PanglossApplication(bed.client, parallel=True)
-    bed.sim.run_process(app.register())
+    """A trained ThinkPad world; ``twin`` gives server A B's hardware."""
+    world = compile_scenario(thinkpad_testbed(PARALLEL_APP, twin=twin),
+                             solver=solver)
+    app = world.clients[0].app
     alternatives = app.spec.alternatives(["server-a", "server-b"])
     for i, words in enumerate(SentenceWorkload().training(129)):
-        bed.sim.run_process(
+        world.sim.run_process(
             app.translate(words, force=alternatives[i % len(alternatives)])
         )
-    bed.sim.advance(30.0)
-    bed.poll()
-    return bed, app
+    world.sim.advance(30.0)
+    world.poll()
+    return world, app
 
 
 def run_parallel_cell(words: int, twin: bool = True,
                       solver=None) -> ParallelCell:
     """Compare sequential vs parallel full-fidelity execution."""
-    bed, app = _build(twin, solver=solver)
+    world, app = _build(twin, solver=solver)
     full = {"ebmt": "on", "glossary": "on", "dictionary": "on"}
     alternatives = [
         a for a in app.spec.alternatives(["server-a", "server-b"])
@@ -92,14 +71,14 @@ def run_parallel_cell(words: int, twin: bool = True,
     parallel = [a for a in alternatives if a.plan.parallelism > 1]
 
     seq_best = min(
-        bed.sim.run_process(app.translate(words, force=a)).elapsed_s
+        world.sim.run_process(app.translate(words, force=a)).elapsed_s
         for a in sequential
     )
     par_best = min(
-        bed.sim.run_process(app.translate(words, force=a)).elapsed_s
+        world.sim.run_process(app.translate(words, force=a)).elapsed_s
         for a in parallel
     )
-    report = bed.sim.run_process(app.translate(words))
+    report = world.sim.run_process(app.translate(words))
     return ParallelCell(
         words=words,
         sequential_s=seq_best,

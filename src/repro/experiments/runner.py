@@ -12,10 +12,10 @@ time/energy; :func:`utility_of` scores measurements with the paper's
 utility; :func:`rank_percentile` reproduces the Figure-8 ranking.
 
 Training never depends on the scenario or on the alternative measured,
-so the figure experiments train one testbed per call and run each
-measurement on a :func:`clone_world` copy of it — the same starting
-state a freshly built and trained testbed would have, at the cost of
-one deep copy instead of a whole training run.
+so the figure experiments train one compiled world per call and run
+each measurement on a :func:`clone_world` copy of it — the same
+starting state a freshly compiled and trained world would have, at the
+cost of one deep copy instead of a whole training run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ WorldT = TypeVar("WorldT", bound=tuple)
 
 
 def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
-    """An independent deep copy of a quiescent ``(testbed, app)`` world.
+    """An independent deep copy of a quiescent ``(compiled world, app)``
+    pair (the world a :func:`~repro.scenarios.compile_scenario` call
+    built).
 
     Objects in *shared* (typically a solver handed to every measurement)
     are kept by reference in the copy; everything else reachable from
@@ -39,7 +41,7 @@ def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
 
     Raises :class:`ValueError` in the two states where a deep copy could
     still reach the original: callbacks queued on (or a drain running
-    in) the testbed's simulator — queued lambdas are copied by
+    in) the world's simulator — queued lambdas are copied by
     reference — and enabled telemetry, whose tracer clock is a closure
     over the original simulator.
     """

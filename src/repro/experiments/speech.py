@@ -11,9 +11,10 @@ Five scenarios on the Itsy/T20 testbed:
                reachable) and the 277 KB full-vocabulary language model
                flushed from the client's cache.
 
-The testbed is trained once.  For every scenario the harness then
+The world is compiled from :func:`~repro.scenarios.itsy_testbed` and
+trained once.  For every scenario the harness then
 measures all six alternatives (3 plans × 2 vocabularies) by forcing
-each on its own deep copy of the trained testbed with the scenario
+each on its own deep copy of the trained world with the scenario
 applied (so a measurement cannot perturb the next one's cache or model
 state), then lets Spectra choose on another copy — the "S"-labelled bar
 plus the final "Spectra" bar of Figure 3.
@@ -23,16 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..apps import (
-    FULL_LM_BYTES,
-    FULL_LM_PATH,
-    JanusService,
-    REDUCED_LM_BYTES,
-    REDUCED_LM_PATH,
-    SpeechApplication,
-    SpeechWorkload,
-)
-from ..testbeds import ItsyTestbed
+from ..apps import FULL_LM_PATH, SpeechApplication, SpeechWorkload
+from ..scenarios import CompiledScenario, compile_scenario, itsy_testbed
+from ..scenarios.library import SERIAL_BANDWIDTH_BPS
 from .runner import (
     AltMeasurement,
     ScenarioResult,
@@ -49,33 +43,21 @@ SCENARIOS = ("baseline", "energy", "network", "cpu", "filecache")
 ENERGY_SCENARIO_C = 0.15
 
 
-World = Tuple[ItsyTestbed, SpeechApplication]
+World = Tuple[CompiledScenario, SpeechApplication]
 
 
 def _build(scenario: str, solver=None, telemetry=None) -> World:
-    """Fresh trained testbed with the scenario applied."""
-    bed, app = _train(solver=solver, telemetry=telemetry)
-    _apply_scenario(bed, scenario)
-    return bed, app
+    """Fresh trained world with the scenario applied."""
+    world, app = _train(solver=solver, telemetry=telemetry)
+    _apply_scenario(world, scenario)
+    return world, app
 
 
 def _train(solver=None, telemetry=None) -> World:
-    """Fresh testbed with files installed, caches warm, and models trained."""
-    bed = ItsyTestbed(solver=solver, telemetry=telemetry)
-    fs = bed.fileserver
-    fs.create_file(FULL_LM_PATH, FULL_LM_BYTES)
-    fs.create_file(REDUCED_LM_PATH, REDUCED_LM_BYTES)
-    for coda in (bed.itsy.coda, bed.t20.coda):
-        coda.warm(FULL_LM_PATH)
-        coda.warm(REDUCED_LM_PATH)
-
-    service = JanusService()
-    bed.itsy.register_service(service)
-    bed.t20.register_service(JanusService())
-
-    bed.poll()
-    app = SpeechApplication(bed.client)
-    bed.sim.run_process(app.register())
+    """Fresh world (files installed, caches warm) with models trained."""
+    world = compile_scenario(itsy_testbed(), telemetry=telemetry,
+                             solver=solver)
+    app = world.clients[0].app
 
     # Training: 15 utterances, forced round-robin over all alternatives
     # so every (plan × vocabulary) bin gathers samples (§4.1: "We first
@@ -84,36 +66,40 @@ def _train(solver=None, telemetry=None) -> World:
     alternatives = app.spec.alternatives(["t20"])
     for i, length in enumerate(SpeechWorkload().training(15)):
         forced = alternatives[i % len(alternatives)]
-        bed.sim.run_process(app.recognize(length, force=forced))
+        world.sim.run_process(app.recognize(length, force=forced))
 
     # Let transient load estimates decay and refresh server status
     # before the scenario starts (the paper's phases were minutes
     # apart in wall-clock time).
-    bed.sim.advance(30.0)
-    bed.poll()
-    return bed, app
+    world.sim.advance(30.0)
+    world.poll()
+    return world, app
 
 
-def _apply_scenario(bed: ItsyTestbed, scenario: str) -> None:
+def _apply_scenario(world: CompiledScenario, scenario: str) -> None:
+    itsy = world.nodes["itsy"]
     if scenario == "baseline":
         pass
     elif scenario == "energy":
-        bed.set_energy_importance(ENERGY_SCENARIO_C)
+        itsy.host.goal_adaptation.set_importance(ENERGY_SCENARIO_C)
     elif scenario == "network":
-        bed.halve_bandwidth()
+        world.media["serial"].set_bandwidth(SERIAL_BANDWIDTH_BPS / 2.0)
         # Post-change traffic lets the passive network monitor observe
         # the new bandwidth (the periodic polls in a live deployment).
         for _ in range(3):
-            bed.poll()
+            world.poll()
     elif scenario == "cpu":
-        bed.load_client_cpu(nprocesses=4)
-        # Let the load register in the smoothed estimate.
-        bed.sim.advance(10.0)
-        bed.poll()
+        # A CPU-intensive background job on the Itsy; let the load
+        # register in the smoothed estimate.
+        itsy.host.start_background_load(4)
+        world.sim.advance(10.0)
+        world.poll()
     elif scenario == "filecache":
-        bed.client.coda.flush(FULL_LM_PATH)
-        bed.partition_spectra_server()
-        bed.poll()  # the failed poll marks the server unreachable
+        itsy.coda.flush(FULL_LM_PATH)
+        # Partition: the Spectra daemon on the T20 goes down while the
+        # file server stays reachable.
+        world.nodes["t20"].server.available = False
+        world.poll()  # the failed poll marks the server unreachable
     else:
         raise ValueError(f"unknown speech scenario {scenario!r}")
 
@@ -123,17 +109,18 @@ def scenario_energy_importance(scenario: str) -> float:
 
 
 def _scenario_clone(trained: World, scenario: str, solver) -> World:
-    bed, app = clone_world(trained, shared=(solver,))
-    _apply_scenario(bed, scenario)
-    return bed, app
+    world, app = clone_world(trained, shared=(solver,))
+    _apply_scenario(world, scenario)
+    return world, app
 
 
 def _measure_forced(trained: World, scenario: str, alternative,
                     probe_length_s: float, solver) -> AltMeasurement:
-    bed, app = _scenario_clone(trained, scenario, solver)
-    e0 = bed.itsy.host.energy_consumed_joules()
+    world, app = _scenario_clone(trained, scenario, solver)
+    host = world.nodes["itsy"].host
+    e0 = host.energy_consumed_joules()
     try:
-        report = bed.sim.run_process(
+        report = world.sim.run_process(
             app.recognize(probe_length_s, force=alternative)
         )
     except Exception:
@@ -144,19 +131,20 @@ def _measure_forced(trained: World, scenario: str, alternative,
     return AltMeasurement(
         alternative=alternative,
         time_s=report.elapsed_s,
-        energy_j=bed.itsy.host.energy_consumed_joules() - e0,
+        energy_j=host.energy_consumed_joules() - e0,
     )
 
 
 def _measure_spectra(trained: World, scenario: str, probe_length_s: float,
                      solver) -> SpectraMeasurement:
-    bed, app = _scenario_clone(trained, scenario, solver)
-    e0 = bed.itsy.host.energy_consumed_joules()
-    report = bed.sim.run_process(app.recognize(probe_length_s))
+    world, app = _scenario_clone(trained, scenario, solver)
+    host = world.nodes["itsy"].host
+    e0 = host.energy_consumed_joules()
+    report = world.sim.run_process(app.recognize(probe_length_s))
     return SpectraMeasurement(
         choice=report.alternative,
         time_s=report.elapsed_s,
-        energy_j=bed.itsy.host.energy_consumed_joules() - e0,
+        energy_j=host.energy_consumed_joules() - e0,
         prediction=report.prediction,
     )
 
@@ -193,7 +181,7 @@ def run_speech_scenario(scenario: str,
 
 def run_speech_experiment(scenarios=SCENARIOS, solver=None
                           ) -> Dict[str, ScenarioResult]:
-    """The full Figure 3/4 sweep, from one trained testbed."""
+    """The full Figure 3/4 sweep, from one trained world."""
     trained = _train(solver=solver)
     return {s: _measure_scenario(trained, s, None, solver)
             for s in scenarios}

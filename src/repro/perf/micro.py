@@ -13,7 +13,7 @@ Four phases dominate where the reproduction actually spends host CPU:
                    carries both numbers and their ratio.
 ``kernel_events``  raw event throughput of the discrete-event kernel
 
-Everything runs on a trained Pangloss-Lite testbed: with ~100
+Everything runs on a trained Pangloss-Lite world: with ~100
 alternatives per decision it is the paper's own worst case ("Overhead is
 dominated by the cost of choosing the best alternative", §4.4) and the
 workload the space cache was built for.  Simulated time stands still
@@ -25,19 +25,18 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..apps import (
-    PanglossApplication,
-    PanglossService,
-    SentenceWorkload,
-    install_pangloss_files,
-    warm_pangloss_files,
-)
+from ..apps import PanglossApplication, SentenceWorkload
 from ..core.client import RegisteredOperation, SpectraClient
 from ..core.estimate import DemandEstimator
 from ..core.utility import DefaultUtility
+from ..scenarios import (
+    AppSpec,
+    CompiledScenario,
+    compile_scenario,
+    thinkpad_testbed,
+)
 from ..sim import Simulator, Timeout
 from ..solver import HeuristicSolver, SearchSpace
-from ..testbeds import ThinkpadTestbed
 from .timing import Measurement, measure
 
 #: words in the probe sentence every decision benchmark evaluates
@@ -45,32 +44,25 @@ PROBE_WORDS = 20.0
 
 
 def build_decision_world(quick: bool = True
-                         ) -> Tuple[ThinkpadTestbed, PanglossApplication]:
-    """A trained Pangloss testbed ready to make steady-state decisions.
+                         ) -> Tuple[CompiledScenario, PanglossApplication]:
+    """A trained Pangloss world ready to make steady-state decisions.
 
     Training forces one operation through every (plan × fidelity) bin so
     the exploration phase is over and each benchmarked decision walks
     the full solver path.  ``quick`` trains each bin once; the full mode
     uses the paper's 129-sentence regimen.
     """
-    bed = ThinkpadTestbed()
-    install_pangloss_files(bed.fileserver)
-    for node in (bed.thinkpad, bed.server_a, bed.server_b):
-        warm_pangloss_files(node.coda)
-        node.register_service(PanglossService())
-    bed.poll()
-
-    app = PanglossApplication(bed.client)
-    bed.sim.run_process(app.register())
+    world = compile_scenario(thinkpad_testbed(AppSpec(kind="pangloss")))
+    app = world.clients[0].app
 
     alternatives = app.spec.alternatives(["server-a", "server-b"])
     n_training = len(alternatives) if quick else 129
     for i, words in enumerate(SentenceWorkload().training(n_training)):
         forced = alternatives[i % len(alternatives)]
-        bed.sim.run_process(app.translate(words, force=forced))
-    bed.sim.advance(30.0)
-    bed.poll()
-    return bed, app
+        world.sim.run_process(app.translate(words, force=forced))
+    world.sim.advance(30.0)
+    world.poll()
+    return world, app
 
 
 def _decide(client: SpectraClient, registered: RegisteredOperation,
@@ -225,8 +217,8 @@ def bench_kernel_events(*, number: int, repeats: int) -> Measurement:
 def run_micro_suite(quick: bool = True) -> Dict[str, object]:
     """All decision-path microbenchmarks; the ``BENCH_decision`` payload."""
     number, repeats = (3, 3) if quick else (10, 5)
-    bed, app = build_decision_world(quick=quick)
-    client = bed.client
+    world, app = build_decision_world(quick=quick)
+    client = world.clients[0].client
     registered = client.operation(app.spec.name)
     benchmarks: Dict[str, object] = {
         "snapshot": bench_snapshot(

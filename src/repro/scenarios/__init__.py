@@ -20,9 +20,10 @@ instead of code:
     :class:`~repro.faults.FaultSchedule` machinery.
 
 :mod:`~repro.scenarios.compiler`
-    :func:`compile_scenario` — spec to live testbed, reusing
+    :func:`compile_scenario` — spec to live world, reusing
     :class:`~repro.core.SpectraNode`, the network substrate, and the
-    per-app adapters.
+    per-app adapters.  It is the only place that builds worlds: the
+    figure experiments, benchmarks and examples compile specs too.
 
 :mod:`~repro.scenarios.runner`
     :func:`run_scenario` — train, arm the timeline, generate traffic,
@@ -30,8 +31,9 @@ instead of code:
 
 :mod:`~repro.scenarios.library`
     The canned scenarios (``walk-in-office``, ``flash-crowd``,
-    ``degraded-commute``, ``server-churn-day``) behind the
-    ``repro scenario`` CLI.
+    ``degraded-commute``, ``server-churn-day``, ``metro``) behind the
+    ``repro scenario`` CLI, plus the paper's two hardware set-ups as
+    spec factories (:func:`itsy_testbed`, :func:`thinkpad_testbed`).
 
 :mod:`~repro.scenarios.sweep`
     :func:`run_sweep` — seeded variants of one scenario fanned across
@@ -47,7 +49,7 @@ from .compiler import (
     CompiledScenario,
     compile_scenario,
 )
-from .library import SCENARIOS, canned_spec
+from .library import SCENARIOS, canned_spec, itsy_testbed, thinkpad_testbed
 from .runner import (
     OpRecord,
     ScenarioReport,
@@ -93,11 +95,13 @@ __all__ = [
     "compile_timeline",
     "derive_seed",
     "generate_arrivals",
+    "itsy_testbed",
     "render_report",
     "run_scenario",
     "run_sweep",
     "smoke_spec",
     "sweep_to_json",
+    "thinkpad_testbed",
     "think_time",
     "variant_seeds",
 ]

@@ -1,4 +1,4 @@
-"""Compile a validated :class:`ScenarioSpec` into a live testbed.
+"""Compile a validated :class:`ScenarioSpec` into a live world.
 
 The compiler is the bridge between the declarative world description
 and the existing substrates: it instantiates the simulator, network,
@@ -20,7 +20,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Mapping, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from ..apps import (
     FULL_LM_BYTES,
@@ -33,9 +42,14 @@ from ..apps import (
     LatexApplication,
     LatexService,
     NullApplication,
+    PanglossApplication,
+    PanglossService,
+    SentenceWorkload,
     SpeechApplication,
     install_document,
+    install_pangloss_files,
     warm_document,
+    warm_pangloss_files,
 )
 from ..coda import FileServer
 from ..core import SpectraNode
@@ -54,20 +68,65 @@ from .timeline import compile_timeline
 LATEX_DOCUMENTS = {"small": SMALL_DOCUMENT, "large": LARGE_DOCUMENT}
 
 
+# -- app option checks: each returns a problem message, or None -------------------
+
+
+def _number(value) -> Optional[str]:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"expected a number, got {value!r}"
+    return None
+
+
+def _flag(value) -> Optional[str]:
+    if not isinstance(value, bool):
+        return f"expected true or false, got {value!r}"
+    return None
+
+
+def _latex_documents(value) -> Optional[str]:
+    if (not isinstance(value, (list, tuple))
+            or not all(isinstance(name, str) for name in value)):
+        return f"expected a list of document names, got {value!r}"
+    unknown = [name for name in value if name not in LATEX_DOCUMENTS]
+    if unknown:
+        return (f"unknown latex document(s) {unknown!r} "
+                f"(known: {', '.join(sorted(LATEX_DOCUMENTS))})")
+    return None
+
+
 class AppAdapter:
     """How one application kind maps onto a compiled world.
 
     An adapter knows how to install the app's files on the Coda file
     server, which RPC service to register on hosts that run the app,
     how to warm a machine's cache, and how to drive operations through
-    a per-client application object.  ``options`` is the free-form
-    mapping from :class:`~repro.scenarios.spec.AppSpec`.
+    a per-client application object.  ``options`` is the mapping from
+    :class:`~repro.scenarios.spec.AppSpec`; :attr:`OPTIONS` names the
+    keys it may hold, each with its value check.
     """
 
     kind: str = ""
+    #: option key -> check returning a problem message (None when fine)
+    OPTIONS: Mapping[str, Callable[[Any], Optional[str]]] = {}
 
     def __init__(self, options: Optional[Mapping] = None):
         self.options: Dict[str, Any] = dict(options or {})
+
+    @classmethod
+    def option_problems(cls, options: Mapping) -> List[Tuple[str, str]]:
+        """``(key, message)`` for every unknown or ill-typed option."""
+        problems = []
+        for key in sorted(options):
+            check = cls.OPTIONS.get(key)
+            if check is None:
+                known = ", ".join(sorted(cls.OPTIONS)) or "none"
+                problems.append((key, f"unknown {cls.kind} option "
+                                      f"(known: {known})"))
+            else:
+                message = check(options[key])
+                if message is not None:
+                    problems.append((key, message))
+        return problems
 
     def install(self, fileserver: FileServer) -> None:
         """Create the app's files on the Coda file server."""
@@ -94,6 +153,8 @@ class SpeechAdapter(AppAdapter):
     ``spread_s``, ``min_length_s`` (utterance-length distribution)."""
 
     kind = "speech"
+    OPTIONS = {"mean_length_s": _number, "spread_s": _number,
+               "min_length_s": _number}
 
     def install(self, fileserver) -> None:
         for path, size in ((FULL_LM_PATH, FULL_LM_BYTES),
@@ -124,16 +185,11 @@ class LatexAdapter(AppAdapter):
     ``LATEX_DOCUMENTS``, default both) and ``warm_outputs``."""
 
     kind = "latex"
+    OPTIONS = {"documents": _latex_documents, "warm_outputs": _flag}
 
     def __init__(self, options: Optional[Mapping] = None):
         super().__init__(options)
         names = self.options.get("documents", sorted(LATEX_DOCUMENTS))
-        unknown = [n for n in names if n not in LATEX_DOCUMENTS]
-        if unknown:
-            raise ValueError(
-                f"unknown latex document(s) {unknown!r} "
-                f"(known: {', '.join(sorted(LATEX_DOCUMENTS))})"
-            )
         self.documents = {name: LATEX_DOCUMENTS[name] for name in names}
 
     def install(self, fileserver) -> None:
@@ -171,11 +227,39 @@ class NullAdapter(AppAdapter):
         return app.invoke(force=force)
 
 
+class PanglossAdapter(AppAdapter):
+    """Pangloss-Lite translation; option ``parallel`` offers the
+    parallel-engines plan.  Sentence lengths are drawn from
+    :class:`~repro.apps.SentenceWorkload`'s word range."""
+
+    kind = "pangloss"
+    OPTIONS = {"parallel": _flag}
+
+    def install(self, fileserver) -> None:
+        install_pangloss_files(fileserver)
+
+    def service(self):
+        return PanglossService()
+
+    def warm(self, coda) -> None:
+        warm_pangloss_files(coda)
+
+    def driver(self, client):
+        return PanglossApplication(
+            client, parallel=self.options.get("parallel", False))
+
+    def operation(self, app, rng, index, force=None) -> Generator:
+        sentences = SentenceWorkload()
+        words = rng.randint(sentences.min_words, sentences.max_words)
+        return app.translate(words, force=force)
+
+
 #: App kind -> adapter class; the spec validator checks against this.
 ADAPTERS = {
     "speech": SpeechAdapter,
     "latex": LatexAdapter,
     "null": NullAdapter,
+    "pangloss": PanglossAdapter,
 }
 
 
@@ -226,6 +310,12 @@ class CompiledScenario:
         self.injector.install(shifted)
         return shifted
 
+    def poll(self) -> None:
+        """Refresh every client's server status, in spec order."""
+        for compiled in self.clients:
+            if compiled.spec.servers:
+                self.sim.run_process(compiled.client.poll_servers())
+
 
 def compile_scenario(
     spec: ScenarioSpec,
@@ -233,6 +323,7 @@ def compile_scenario(
     connect_clients: bool = True,
     register_apps: bool = True,
     predictor_store: Optional[PredictorStore] = None,
+    solver=None,
 ) -> CompiledScenario:
     """Build the world *spec* describes and return every live piece.
 
@@ -242,7 +333,8 @@ def compile_scenario(
     (for callers that register with an imported usage log).
     ``predictor_store`` attaches a per-client scope of the given store
     to every Spectra client *before* registration runs, so operations
-    warm-start from any state a previous run persisted.
+    warm-start from any state a previous run persisted.  ``solver``
+    replaces the default heuristic solver on every client.
     """
     spec.validate()
 
@@ -265,6 +357,7 @@ def compile_scenario(
             battery_powered=host.battery_powered,
             battery_driver=host.battery_driver,
             with_client=(host.role == "client"),
+            solver=solver,
             telemetry=telemetry,
         )
         nodes[host.name] = node

@@ -37,6 +37,21 @@ validate, and run:
 
 Specs are built by zero-argument factories so every caller gets a fresh
 object, and registered in :data:`SCENARIOS` for the CLI.
+
+The paper's own two hardware set-ups are spec factories here too, but
+not canned scenarios — the figure experiments compile them and drive
+their own training and measurement loops:
+
+:func:`itsy_testbed` (§4.1)
+    A Compaq Itsy v2.2 client and an IBM T20 server on one serial wire,
+    which the Coda file server sits behind too (the Itsy has no PCMCIA
+    slot), so file and RPC traffic contend — and the file server stays
+    reachable when the Spectra daemon on the T20 goes down.
+
+:func:`thinkpad_testbed` (§4.2–4.3)
+    An IBM 560X client on a shared 2 Mb/s wireless LAN, compute servers
+    A (400 MHz PII) and B (933 MHz PIII), and the file server on a
+    wired backbone.
 """
 
 from __future__ import annotations
@@ -55,13 +70,22 @@ from .spec import (
     TimelineEventSpec,
 )
 
-#: Bandwidths mirror the prewired testbeds (see ``testbeds.builders``).
+#: Serial line between the Itsy and the T20: 115.2 kb/s, 5 ms latency.
+SERIAL_BANDWIDTH_BPS = 14_400.0
+SERIAL_LATENCY_S = 0.005
+#: The shared 2 Mb/s wireless LAN of the ThinkPad testbed.
 WIRELESS_BANDWIDTH_BPS = 250_000.0
 WIRELESS_LATENCY_S = 0.002
+#: Wired backbone between servers and the file server.
 WIRED_BANDWIDTH_BPS = 500_000.0
 WIRED_LATENCY_S = 0.001
 OFFICE_WLAN_BANDWIDTH_BPS = 1_400_000.0
 OFFICE_WLAN_LATENCY_S = 0.003
+
+
+def _wired(a: str, b: str) -> LinkSpec:
+    return LinkSpec(a=a, b=b, bandwidth_bps=WIRED_BANDWIDTH_BPS,
+                    latency_s=WIRED_LATENCY_S)
 
 
 def walk_in_office() -> ScenarioSpec:
@@ -118,8 +142,7 @@ def flash_crowd() -> ScenarioSpec:
     n_clients = 4
     client_names = [f"client-{i}" for i in range(n_clients)]
     links: List[LinkSpec] = [
-        LinkSpec(a="server", b="fs", bandwidth_bps=WIRED_BANDWIDTH_BPS,
-                 latency_s=WIRED_LATENCY_S),
+        _wired("server", "fs"),
     ]
     for name in client_names:
         links.append(LinkSpec(a=name, b="server", medium="wireless"))
@@ -184,9 +207,7 @@ def degraded_commute() -> ScenarioSpec:
         links=(
             LinkSpec(a="560x", b="server-b", medium="wireless"),
             LinkSpec(a="560x", b="fs", medium="wireless"),
-            LinkSpec(a="server-b", b="fs",
-                     bandwidth_bps=WIRED_BANDWIDTH_BPS,
-                     latency_s=WIRED_LATENCY_S),
+            _wired("server-b", "fs"),
         ),
         apps=(
             AppSpec(kind="speech",
@@ -239,15 +260,9 @@ def server_churn_day() -> ScenarioSpec:
             LinkSpec(a="560x", b="server-a", medium="wireless"),
             LinkSpec(a="560x", b="server-b", medium="wireless"),
             LinkSpec(a="560x", b="fs", medium="wireless"),
-            LinkSpec(a="server-a", b="fs",
-                     bandwidth_bps=WIRED_BANDWIDTH_BPS,
-                     latency_s=WIRED_LATENCY_S),
-            LinkSpec(a="server-b", b="fs",
-                     bandwidth_bps=WIRED_BANDWIDTH_BPS,
-                     latency_s=WIRED_LATENCY_S),
-            LinkSpec(a="server-a", b="server-b",
-                     bandwidth_bps=WIRED_BANDWIDTH_BPS,
-                     latency_s=WIRED_LATENCY_S),
+            _wired("server-a", "fs"),
+            _wired("server-b", "fs"),
+            _wired("server-a", "server-b"),
         ),
         apps=(
             AppSpec(kind="latex",
@@ -303,9 +318,7 @@ def metro() -> ScenarioSpec:
         media.append(MediumSpec(name=medium,
                                 bandwidth_bps=WIRELESS_BANDWIDTH_BPS,
                                 latency_s=WIRELESS_LATENCY_S))
-        links.append(LinkSpec(a=server, b="fs",
-                              bandwidth_bps=WIRED_BANDWIDTH_BPS,
-                              latency_s=WIRED_LATENCY_S))
+        links.append(_wired(server, "fs"))
         for i in range(METRO_CLIENTS_PER_CELL):
             name = f"m{cell}-{i}"
             hosts.append(HostSpec(name=name, profile="ibm-560x",
@@ -334,6 +347,73 @@ def metro() -> ScenarioSpec:
         links=tuple(links),
         apps=(AppSpec(kind="null"),),
         clients=tuple(clients),
+    )
+
+
+def itsy_testbed() -> ScenarioSpec:
+    """The §4.1 speech world: Itsy client, T20 server, one serial wire."""
+    return ScenarioSpec(
+        name="itsy-testbed",
+        description=(
+            "The paper's speech testbed: an Itsy client and a T20 server "
+            "sharing one serial wire with the file server."
+        ),
+        duration_s=60.0,
+        hosts=(
+            HostSpec(name="itsy", profile="itsy-v2.2", role="client",
+                     battery_powered=True, battery_driver="smart"),
+            HostSpec(name="t20", profile="ibm-t20"),
+        ),
+        media=(
+            MediumSpec(name="serial", bandwidth_bps=SERIAL_BANDWIDTH_BPS,
+                       latency_s=SERIAL_LATENCY_S),
+        ),
+        links=(
+            LinkSpec(a="itsy", b="t20", medium="serial"),
+            LinkSpec(a="itsy", b="fs", medium="serial"),
+            _wired("t20", "fs"),
+        ),
+        apps=(AppSpec(kind="speech"),),
+        clients=(ClientSpec(host="itsy", app="speech", servers=("t20",)),),
+    )
+
+
+def thinkpad_testbed(app: AppSpec, twin: bool = False) -> ScenarioSpec:
+    """The §4.2–4.3 world running *app*: 560X client, servers A and B.
+
+    ``twin=True`` gives server A server B's hardware (the parallel
+    extension's two comparable servers).
+    """
+    return ScenarioSpec(
+        name=f"thinkpad-testbed-{app.kind}",
+        description=(
+            "The paper's Latex/Pangloss testbed: a 560X client on a "
+            "2 Mb/s wireless LAN with servers A and B and a wired "
+            "backbone to the file server."
+        ),
+        duration_s=60.0,
+        hosts=(
+            HostSpec(name="560x", profile="ibm-560x", role="client",
+                     battery_powered=True, battery_driver="acpi"),
+            HostSpec(name="server-a",
+                     profile="server-b" if twin else "server-a"),
+            HostSpec(name="server-b", profile="server-b"),
+        ),
+        media=(
+            MediumSpec(name="wireless", bandwidth_bps=WIRELESS_BANDWIDTH_BPS,
+                       latency_s=WIRELESS_LATENCY_S),
+        ),
+        links=(
+            LinkSpec(a="560x", b="server-a", medium="wireless"),
+            LinkSpec(a="560x", b="server-b", medium="wireless"),
+            LinkSpec(a="560x", b="fs", medium="wireless"),
+            _wired("server-a", "fs"),
+            _wired("server-b", "fs"),
+            _wired("server-a", "server-b"),
+        ),
+        apps=(app,),
+        clients=(ClientSpec(host="560x", app=app.kind,
+                            servers=("server-a", "server-b")),),
     )
 
 

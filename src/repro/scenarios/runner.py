@@ -242,9 +242,7 @@ def _train(world: CompiledScenario) -> None:
             )
     if world.spec.settle_s > 0:
         sim.advance(world.spec.settle_s)
-    for compiled in world.clients:
-        if compiled.spec.servers:
-            sim.run_process(compiled.client.poll_servers())
+    world.poll()
 
 
 def _drive(world: CompiledScenario, compiled: CompiledClient,

@@ -435,6 +435,10 @@ class ScenarioSpec:
             if app.kind not in ADAPTERS:
                 err(f"{path}.kind: unknown app {app.kind!r} "
                     f"(known: {', '.join(sorted(ADAPTERS))})")
+            else:
+                for key, message in ADAPTERS[app.kind].option_problems(
+                        app.options):
+                    err(f"{path}.options.{key}: {message}")
             if app.kind in kinds:
                 err(f"{path}.kind: duplicate app {app.kind!r}")
             kinds.add(app.kind)

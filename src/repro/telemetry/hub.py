@@ -3,12 +3,11 @@
 Every instrumented component takes an optional ``telemetry`` argument;
 ``None`` means the shared :data:`NULL_TELEMETRY` — tracing and metrics
 both off, at zero cost.  To observe a run, build one enabled
-:class:`Telemetry`, hand it to the simulator and every node, and export
-at the end::
+:class:`Telemetry`, hand it to the world builder (which passes it to the
+simulator and every node), and export at the end::
 
     telemetry = Telemetry()
-    sim = Simulator(telemetry=telemetry)        # binds the sim clock
-    node = SpectraNode(..., telemetry=telemetry)
+    world = compile_scenario(spec, telemetry=telemetry)  # binds the clock
     ...
     telemetry.export_jsonl("run.jsonl")         # spans + metrics summary
 

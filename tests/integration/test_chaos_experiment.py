@@ -22,17 +22,18 @@ from repro.telemetry import Telemetry
 def crashed_speech_run(seed=7):
     """One unforced recognition with the T20 crashing mid-operation."""
     telemetry = Telemetry()
-    bed, app = speech_experiment._build("baseline", telemetry=telemetry)
-    client = bed.client
+    world, app = speech_experiment._build("baseline", telemetry=telemetry)
+    client = world.nodes["itsy"].client
     client.retry_policy = default_retry_policy(seed)
-    injector = FaultInjector(bed.sim, bed.network,
-                             {"t20": bed.t20.server}, telemetry=telemetry)
-    injector.schedule(FaultEvent(bed.sim.now + 2.0, "crash_server", "t20"))
-    injector.schedule(FaultEvent(bed.sim.now + 60.0, "restart_server",
+    injector = FaultInjector(world.sim, world.network,
+                             {"t20": world.nodes["t20"].server},
+                             telemetry=telemetry)
+    injector.schedule(FaultEvent(world.sim.now + 2.0, "crash_server", "t20"))
+    injector.schedule(FaultEvent(world.sim.now + 60.0, "restart_server",
                                  "t20"))
     length = SpeechWorkload().probes(1)[0]
-    report = bed.sim.run_process(app.recognize(length))
-    bed.sim.run()  # drain the restart event
+    report = world.sim.run_process(app.recognize(length))
+    world.sim.run()  # drain the restart event
     return report, telemetry, injector
 
 

@@ -1,6 +1,6 @@
 """Integration tests: train once, measure every alternative on a clone.
 
-The figure experiments train one testbed per call and run each
+The figure experiments train one compiled world per call and run each
 measurement on a :func:`~repro.experiments.runner.clone_world` copy of
 it.  These tests hold that to the old methodology:
 
@@ -42,16 +42,16 @@ def _pangloss_op(app, force=None):
     return app.translate(PANGLOSS_WORDS, force=force)
 
 
-#: experiment -> (module, op factory, client host attribute, servers,
-#: apply_scenario(bed, app, scenario))
+#: experiment -> (module, op factory, client host name, servers,
+#: apply_scenario(world, app, scenario))
 EXPERIMENTS = {
     "speech": (speech, _speech_op, "itsy", ["t20"],
-               lambda bed, _app, s: speech._apply_scenario(bed, s)),
-    "latex": (latex, _latex_op, "thinkpad", ["server-a", "server-b"],
+               lambda world, _app, s: speech._apply_scenario(world, s)),
+    "latex": (latex, _latex_op, "560x", ["server-a", "server-b"],
               latex._apply_scenario),
-    "pangloss": (pangloss, _pangloss_op, "thinkpad",
+    "pangloss": (pangloss, _pangloss_op, "560x",
                  ["server-a", "server-b"],
-                 lambda bed, _app, s: pangloss._apply_scenario(bed, s)),
+                 lambda world, _app, s: pangloss._apply_scenario(world, s)),
 }
 
 CASES = [(name, scenario)
@@ -69,20 +69,20 @@ def _trained(name):
 
 def _outcome(name, world, force=None):
     """(time, client energy, choice) of one operation on *world*."""
-    _module, op, host_attr, _servers, _apply = EXPERIMENTS[name]
-    bed, app = world
-    host = getattr(bed, host_attr).host
+    _module, op, host_name, _servers, _apply = EXPERIMENTS[name]
+    compiled, app = world
+    host = compiled.nodes[host_name].host
     e0 = host.energy_consumed_joules()
-    report = bed.sim.run_process(op(app, force=force))
+    report = compiled.sim.run_process(op(app, force=force))
     return (report.elapsed_s, host.energy_consumed_joules() - e0,
             report.alternative)
 
 
 def _clone_with_scenario(name, scenario):
     apply = EXPERIMENTS[name][4]
-    bed, app = clone_world(_trained(name))
-    apply(bed, app, scenario)
-    return bed, app
+    world, app = clone_world(_trained(name))
+    apply(world, app, scenario)
+    return world, app
 
 
 class TestEquivalence:
@@ -181,40 +181,41 @@ class TestIsolation:
 
     def test_running_a_clone_leaves_the_trained_world_unchanged(self):
         trained = _trained("pangloss")
-        bed, app = trained
-        predictor = bed.client.operation(app.spec.name).predictor
-        before = (bed.sim.now, bed.sim.events_processed, len(predictor.log),
-                  bed.thinkpad.host.energy_consumed_joules())
+        world, app = trained
+        client = world.nodes["560x"].client
+        predictor = client.operation(app.spec.name).predictor
+        before = (world.sim.now, world.sim.events_processed,
+                  len(predictor.log), client.host.energy_consumed_joules())
 
         result = pangloss._measure_cell(trained, "cpu", PANGLOSS_WORDS, None)
 
         assert len(result.measurements) > 1
-        after = (bed.sim.now, bed.sim.events_processed, len(predictor.log),
-                 bed.thinkpad.host.energy_consumed_joules())
+        after = (world.sim.now, world.sim.events_processed,
+                 len(predictor.log), client.host.energy_consumed_joules())
         assert after == before
-        assert bed.sim.pending == 0
+        assert world.sim.pending == 0
 
     def test_shared_solver_is_kept_by_reference(self):
         solver = HeuristicSolver()
         trained = speech._train(solver=solver)
-        clone_bed, _app = clone_world(trained, shared=(solver,))
-        assert clone_bed.client.solver is solver
-        assert trained[0].client.solver is solver
+        clone, _app = clone_world(trained, shared=(solver,))
+        assert clone.nodes["itsy"].client.solver is solver
+        assert trained[0].nodes["itsy"].client.solver is solver
         # Without sharing, the solver is copied like everything else.
-        unshared_bed, _app = clone_world(trained)
-        assert unshared_bed.client.solver is not solver
+        unshared, _app = clone_world(trained)
+        assert unshared.nodes["itsy"].client.solver is not solver
 
 
 class TestGuards:
     def test_refuses_a_world_with_queued_callbacks(self):
-        bed, app = speech._train()
-        bed.sim.call_in(1.0, lambda: None)
-        assert bed.sim.pending == 1
+        world, app = speech._train()
+        world.sim.call_in(1.0, lambda: None)
+        assert world.sim.pending == 1
         with pytest.raises(ValueError, match="queued"):
-            clone_world((bed, app))
-        bed.sim.run()
-        assert bed.sim.pending == 0
-        clone_world((bed, app))
+            clone_world((world, app))
+        world.sim.run()
+        assert world.sim.pending == 0
+        clone_world((world, app))
 
     def test_refuses_a_world_with_enabled_telemetry(self):
         world = speech._train(telemetry=Telemetry())
@@ -223,15 +224,15 @@ class TestGuards:
             clone_world(world)
 
     def test_refuses_a_running_simulator(self):
-        bed, app = speech._train()
+        world, app = speech._train()
         errors = []
 
         def attempt():
             try:
-                clone_world((bed, app))
+                clone_world((world, app))
             except ValueError as exc:
                 errors.append(exc)
 
-        bed.sim.call_in(1.0, attempt)
-        bed.sim.run()
+        world.sim.call_in(1.0, attempt)
+        world.sim.run()
         assert len(errors) == 1 and "running=True" in str(errors[0])

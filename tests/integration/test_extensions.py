@@ -178,25 +178,25 @@ class TestTrickleReintegration:
 class TestModelPersistence:
     def test_warm_start_skips_exploration(self):
         # Session 1: train, export the learned history.
-        bed1, app1 = build_speech("baseline")
-        exported = bed1.client.export_usage_log(app1.spec.name)
+        world1, app1 = build_speech("baseline")
+        exported = world1.nodes["itsy"].client.export_usage_log(app1.spec.name)
 
         # Session 2: a fresh world, models warm-started from the export.
-        bed2, app2 = build_speech("baseline")
-        del bed2.client._operations[app2.spec.name]
-        bed2.sim.run_process(bed2.client.register_fidelity(
+        world2, app2 = build_speech("baseline")
+        del world2.nodes["itsy"].client._operations[app2.spec.name]
+        world2.sim.run_process(world2.nodes["itsy"].client.register_fidelity(
             app2.spec, usage_log_json=exported,
         ))
         probe = SpeechWorkload().probes(1)[0]
-        report = bed2.sim.run_process(app2.recognize(probe))
+        report = world2.sim.run_process(app2.recognize(probe))
         # First operation of the new session: already solver-driven and
         # already correct (no exploration round).
         assert report.prediction is not None
         assert report.alternative.plan.name == "hybrid"
 
     def test_export_roundtrip_preserves_file_knowledge(self):
-        bed, app = build_speech("baseline")
-        exported = bed.client.export_usage_log(app.spec.name)
+        world, app = build_speech("baseline")
+        exported = world.nodes["itsy"].client.export_usage_log(app.spec.name)
         from repro.predictors import OperationDemandPredictor, UsageLog
 
         rebuilt = OperationDemandPredictor(
@@ -219,18 +219,18 @@ class TestHoardingEndToEnd:
         from repro.experiments.speech import _build
 
         # Without hoarding (the paper's outcome): reduced vocabulary.
-        bed, app = _build("filecache")
+        world, app = _build("filecache")
         probe = SpeechWorkload().probes(1)[0]
-        report = bed.sim.run_process(app.recognize(probe))
+        report = world.sim.run_process(app.recognize(probe))
         assert report.alternative.fidelity_dict()["vocab"] == "reduced"
 
         # With hoarding: same scenario, but the user hoarded the LM and
         # walked before the partition; the flush in the scenario setup
         # is undone by the walk.
-        bed, app = _build("filecache")
-        bed.client.coda.hoard(FULL_LM_PATH)
-        bed.sim.run_process(bed.client.coda.hoard_walk())
-        report = bed.sim.run_process(app.recognize(probe))
+        world, app = _build("filecache")
+        world.nodes["itsy"].client.coda.hoard(FULL_LM_PATH)
+        world.sim.run_process(world.nodes["itsy"].client.coda.hoard_walk())
+        report = world.sim.run_process(app.recognize(probe))
         assert report.alternative.fidelity_dict()["vocab"] == "full"
         assert report.alternative.plan.name == "local"
 
@@ -243,26 +243,26 @@ class TestFailureInjection:
         from repro.experiments.speech import _build
         from repro.rpc.messages import ServiceUnavailableError
 
-        bed, app = _build("baseline")
+        world, app = _build("baseline")
         probe = SpeechWorkload().probes(1)[0]
         remote = next(a for a in app.spec.alternatives(["t20"])
                       if a.plan.name == "remote")
 
         def doomed():
-            handle = yield from bed.client.begin_fidelity_op(
+            handle = yield from world.nodes["itsy"].client.begin_fidelity_op(
                 app.spec.name,
                 params={"utterance_length": probe},
                 force=remote,
             )
-            bed.t20.server.available = False  # crash mid-operation
-            yield from bed.client.do_remote_op(
+            world.nodes["t20"].server.available = False  # crash mid-operation
+            yield from world.nodes["itsy"].client.do_remote_op(
                 handle, "janus", "full",
                 indata_bytes=32_000,
                 params={"utterance_length": probe, "vocab": "full"},
             )
 
         with pytest.raises(ServiceUnavailableError):
-            bed.sim.run_process(doomed())
+            world.sim.run_process(doomed())
 
     def test_client_recovers_with_local_plan_after_crash(self):
         """After the failed attempt, the next decision routes around the
@@ -270,9 +270,9 @@ class TestFailureInjection:
         from repro.apps import SpeechWorkload
         from repro.experiments.speech import _build
 
-        bed, app = _build("baseline")
-        bed.t20.server.available = False
-        bed.poll()
+        world, app = _build("baseline")
+        world.nodes["t20"].server.available = False
+        world.poll()
         probe = SpeechWorkload().probes(1)[0]
-        report = bed.sim.run_process(app.recognize(probe))
+        report = world.sim.run_process(app.recognize(probe))
         assert not report.alternative.plan.uses_remote

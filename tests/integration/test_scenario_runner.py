@@ -4,13 +4,25 @@ Every canned scenario must run its smoke profile to completion — all
 generated operations complete (failing over or degrading to local
 execution under the timeline's faults, never erroring out) — with real
 traffic on the network.  Also pins the contention experiment to the
-scenario compiler: the refactor must not move the measured numbers.
+scenario compiler (the refactor must not move the measured numbers) and
+drives the Pangloss adapter through the runner.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.experiments.contention import run_contention_cell
-from repro.scenarios import SCENARIOS, canned_spec, run_scenario, smoke_spec
+from repro.scenarios import (
+    SCENARIOS,
+    AppSpec,
+    ArrivalSpec,
+    ClientSpec,
+    canned_spec,
+    run_scenario,
+    smoke_spec,
+    thinkpad_testbed,
+)
 from repro.telemetry import NULL_TRACER, Telemetry
 
 
@@ -76,3 +88,28 @@ class TestContentionViaCompiler:
         assert cell.always_remote_mean_s == pytest.approx(
             6.6274688435754, abs=1e-9)
         assert cell.spectra_local_count == 0
+
+
+class TestPanglossAdapter:
+    """The pangloss adapter's only end-to-end use: a one-client
+    Pangloss world on the paper's ThinkPad testbed, driven by arrivals
+    through the runner."""
+
+    @staticmethod
+    def _spec():
+        base = thinkpad_testbed(AppSpec(kind="pangloss"))
+        client = ClientSpec(
+            host="560x", app="pangloss", servers=("server-a", "server-b"),
+            arrivals=ArrivalSpec(kind="fixed", rate_ops_per_s=0.2, n_ops=4),
+            training_ops=6,
+        )
+        return dataclasses.replace(base, name="pangloss-batch",
+                                   duration_s=40.0, clients=(client,))
+
+    def test_runs_and_is_byte_deterministic(self):
+        first = run_scenario(self._spec())
+        second = run_scenario(self._spec())
+        assert first.completed
+        assert len(first.ops) == 4
+        assert first.bytes_transferred > 0
+        assert first.to_json() == second.to_json()

@@ -20,29 +20,29 @@ class TestDataConsistency:
     def test_remote_execution_sees_client_modifications(self, sim=None):
         """Spectra must reintegrate the edited input before running
         remotely: the service on the server reads the *new* version."""
-        bed, app = build_latex("reintegrate")
-        coda = bed.thinkpad.coda
+        world, app = build_latex("reintegrate")
+        coda = world.nodes["560x"].coda
         main = SMALL_DOCUMENT.main_input
         assert coda.has_pending_store(main)
-        version_before = bed.fileserver.lookup(main).version
+        version_before = world.fileserver.lookup(main).version
 
         # Force remote execution; begin_fidelity_op must reintegrate.
         remote_b = next(
             a for a in app.spec.alternatives(["server-a", "server-b"])
             if a.server == "server-b"
         )
-        bed.sim.run_process(app.format("small", force=remote_b))
+        world.sim.run_process(app.format("small", force=remote_b))
         # The buffered store committed: version bumped, CML drained.
-        assert bed.fileserver.lookup(main).version > version_before
+        assert world.fileserver.lookup(main).version > version_before
         assert not coda.has_pending_store(main)
 
     def test_local_execution_leaves_cml_untouched(self):
-        bed, app = build_latex("reintegrate")
+        world, app = build_latex("reintegrate")
         local = app.spec.alternatives([])[0]
-        pending_before = bed.thinkpad.coda.cml.total_pending_bytes()
-        bed.sim.run_process(app.format("small", force=local))
+        pending_before = world.nodes["560x"].coda.cml.total_pending_bytes()
+        world.sim.run_process(app.format("small", force=local))
         # Local run adds its own dirty outputs; nothing was flushed.
-        assert (bed.thinkpad.coda.cml.total_pending_bytes()
+        assert (world.nodes["560x"].coda.cml.total_pending_bytes()
                 >= pending_before)
 
 
@@ -50,8 +50,8 @@ class TestSelfTuning:
     def test_prediction_error_shrinks_with_training(self):
         """'the more an operation is executed, the more accurately its
         resource usage is predicted.'"""
-        bed, app = build_speech("baseline")
-        client = bed.client
+        world, app = build_speech("baseline")
+        client = world.nodes["itsy"].client
         probe = SpeechWorkload().probes(1)[0]
 
         def predicted_vs_actual():
@@ -81,7 +81,7 @@ class TestSelfTuning:
                         params=rpc_params)
                 return (yield from client.end_fidelity_op(handle))
 
-            report = bed.sim.run_process(op())
+            report = world.sim.run_process(op())
             prediction = box["handle"].prediction
             if prediction is None:
                 return None
@@ -103,21 +103,21 @@ class TestGoalDirectedAdaptationEndToEnd:
         """Drive c with the real controller instead of pinning: heavy
         drain against an ambitious goal pushes decisions to the
         energy-frugal remote plan."""
-        bed, app = build_speech("baseline")
+        world, app = build_speech("baseline")
         probe = SpeechWorkload().probes(1)[0]
-        report = bed.sim.run_process(app.recognize(probe))
+        report = world.sim.run_process(app.recognize(probe))
         assert report.alternative.plan.name == "hybrid"  # c == 0 baseline
 
         # An "ambitious battery lifetime goal": the Itsy battery cannot
         # possibly last 10 hours under load, so c climbs.
-        bed.itsy.host.set_lifetime_goal(10 * 3600.0)
-        bed.itsy.host.start_background_load(1)  # drain hard
-        bed.sim.advance(120.0)
-        bed.itsy.host.stop_background_load()
-        assert bed.client.host.energy_importance > 0.05
-        bed.sim.advance(30.0)
-        bed.poll()
-        report = bed.sim.run_process(app.recognize(probe))
+        world.nodes["itsy"].host.set_lifetime_goal(10 * 3600.0)
+        world.nodes["itsy"].host.start_background_load(1)  # drain hard
+        world.sim.advance(120.0)
+        world.nodes["itsy"].host.stop_background_load()
+        assert world.nodes["itsy"].client.host.energy_importance > 0.05
+        world.sim.advance(30.0)
+        world.poll()
+        report = world.sim.run_process(app.recognize(probe))
         # Energy matters now: hybrid (which burns client CPU) loses.
         assert report.alternative.plan.name == "remote"
 

@@ -6,12 +6,9 @@ from repro.experiments.contention import (
     ContentionCell,
     render_contention_table,
 )
-from repro.experiments.parallel import (
-    ParallelCell,
-    TwinServerTestbed,
-    render_parallel_table,
-)
+from repro.experiments.parallel import ParallelCell, render_parallel_table
 from repro.hosts import SERVER_B
+from repro.scenarios import AppSpec, compile_scenario, thinkpad_testbed
 
 
 class TestParallelCell:
@@ -30,13 +27,14 @@ class TestParallelCell:
         assert "1.50x" in text
 
 
-class TestTwinServerTestbed:
+class TestTwinServerWorld:
     def test_server_a_upgraded_to_b_class(self):
-        bed = TwinServerTestbed()
-        assert bed.server_a.host.cpu.cycles_per_second == (
+        world = compile_scenario(
+            thinkpad_testbed(AppSpec(kind="pangloss"), twin=True))
+        assert world.nodes["server-a"].host.cpu.cycles_per_second == (
             SERVER_B.cycles_per_second
         )
-        assert bed.server_b.host.cpu.cycles_per_second == (
+        assert world.nodes["server-b"].host.cpu.cycles_per_second == (
             SERVER_B.cycles_per_second
         )
 

@@ -4,8 +4,22 @@ import dataclasses
 
 import pytest
 
-from repro.scenarios import ScenarioError, ScenarioSpec, canned_spec
-from repro.scenarios.spec import ArrivalSpec, ClientSpec, TimelineEventSpec
+from repro.scenarios import (
+    SCENARIOS,
+    ScenarioError,
+    ScenarioSpec,
+    canned_spec,
+    compile_scenario,
+    itsy_testbed,
+    thinkpad_testbed,
+)
+from repro.scenarios.library import SERIAL_BANDWIDTH_BPS, WIRED_BANDWIDTH_BPS
+from repro.scenarios.spec import (
+    AppSpec,
+    ArrivalSpec,
+    ClientSpec,
+    TimelineEventSpec,
+)
 
 CANNED = ("walk-in-office", "flash-crowd", "degraded-commute",
           "server-churn-day", "metro")
@@ -143,6 +157,96 @@ class TestValidation:
                  until_s=2.0),
         ])
         assert spec.validate() is spec
+
+
+def app_spec(kind: str, options: dict) -> ScenarioSpec:
+    """small_spec running app *kind* with *options* on both hosts."""
+    return small_spec(apps=[dict(kind=kind, options=options)],
+                      clients=[dict(host="c", app=kind, servers=["s"])])
+
+
+class TestAppOptions:
+    def test_unknown_key_is_named_with_the_known_keys(self):
+        problems = problems_of(app_spec("speech", {"mean_len_s": 50}))
+        assert len(problems) == 1
+        assert problems[0].startswith("apps[0].options.mean_len_s:")
+        for known in ("mean_length_s", "min_length_s", "spread_s"):
+            assert known in problems[0]
+
+    def test_bad_value_fails_validation_not_the_run(self):
+        problems = problems_of(app_spec("speech", {"mean_length_s": "abc"}))
+        assert len(problems) == 1
+        assert problems[0].startswith("apps[0].options.mean_length_s:")
+        assert "expected a number" in problems[0]
+
+    def test_unknown_latex_document_fails_validation(self):
+        spec = app_spec("latex", {"documents": ["small", "thesis"]})
+        problems = problems_of(spec)
+        assert len(problems) == 1
+        assert problems[0].startswith("apps[0].options.documents:")
+        assert "thesis" in problems[0]
+        assert "large, small" in problems[0]
+        with pytest.raises(ScenarioError):
+            compile_scenario(spec)
+
+    def test_options_of_an_app_without_any(self):
+        problems = problems_of(app_spec("null", {"parallel": True}))
+        assert problems == ("apps[0].options.parallel: unknown null "
+                            "option (known: none)",)
+
+    @pytest.mark.parametrize("kind,options", [
+        ("speech", {"mean_length_s": 1.5, "spread_s": 0.5,
+                    "min_length_s": 1}),
+        ("latex", {"documents": ["small", "large"], "warm_outputs": False}),
+        ("pangloss", {"parallel": True}),
+        ("null", {}),
+    ])
+    def test_every_key_in_use_passes(self, kind, options):
+        spec = app_spec(kind, options)
+        assert spec.validate() is spec
+
+
+class TestPaperTestbeds:
+    SPECS = {
+        "itsy": itsy_testbed,
+        "thinkpad-latex": lambda: thinkpad_testbed(AppSpec(kind="latex")),
+        "thinkpad-twin-pangloss": lambda: thinkpad_testbed(
+            AppSpec(kind="pangloss", options={"parallel": True}), twin=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_validates_and_round_trips(self, name):
+        spec = self.SPECS[name]()
+        assert spec.validate() is spec
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    def test_not_registered_as_canned_scenarios(self):
+        names = {factory().name for factory in self.SPECS.values()}
+        assert names.isdisjoint(SCENARIOS)
+        assert itsy_testbed not in SCENARIOS.values()
+
+    def test_twin_gives_server_a_the_server_b_profile(self):
+        plain = thinkpad_testbed(AppSpec(kind="null"))
+        twin = thinkpad_testbed(AppSpec(kind="null"), twin=True)
+        assert [h.profile for h in plain.hosts] == [
+            "ibm-560x", "server-a", "server-b"]
+        assert [h.profile for h in twin.hosts] == [
+            "ibm-560x", "server-b", "server-b"]
+
+    def test_itsy_and_file_server_share_the_one_serial_wire(self):
+        world = compile_scenario(itsy_testbed())
+        assert list(world.media) == ["serial"]
+        serial = world.media["serial"]
+        assert serial.bandwidth_bps == SERIAL_BANDWIDTH_BPS == 14_400.0
+        to_t20 = world.network.link_between("itsy", "t20")
+        to_fs = world.network.link_between("itsy", "fs")
+        assert (to_t20.name, to_fs.name) == ("itsy-t20", "itsy-fs")
+        # One capacity pool: throttling either view throttles the wire.
+        to_t20.set_bandwidth(SERIAL_BANDWIDTH_BPS / 2.0)
+        assert to_fs.bandwidth_bps == serial.bandwidth_bps == 7_200.0
+        # The T20 reaches the file server over its own wired link.
+        t20_fs = world.network.link_between("t20", "fs")
+        assert t20_fs.bandwidth_bps == WIRED_BANDWIDTH_BPS
 
 
 class TestCannedLibrary:
