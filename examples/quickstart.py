@@ -11,8 +11,8 @@ operation, and shows the whole self-tuning loop:
 
 Run:  python examples/quickstart.py
 
-Pass ``--trace run.jsonl`` to record the whole run with the telemetry
-subsystem and export a JSONL trace; inspect it afterwards with
+Pass ``--trace run.jsonl`` to stream every span of the run to a JSONL
+trace; inspect it afterwards with
 ``python -m repro trace run.jsonl [--explain]``.
 """
 
@@ -25,7 +25,7 @@ from repro.network import Link, Network
 from repro.odyssey import FidelitySpec
 from repro.rpc import OpContext, OpResult, RpcTransport, Service
 from repro.sim import Simulator
-from repro.telemetry import Telemetry
+from repro.telemetry import jsonl_trace
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +44,23 @@ class ImageFilterService(Service):
 
 
 def main(trace_path=None) -> None:
+    if trace_path is None:
+        run()
+        return
+    with jsonl_trace(trace_path) as telemetry:
+        run(telemetry)
+    with open(trace_path) as fh:
+        lines = sum(1 for _ in fh)
+    print(f"telemetry: {lines} records written to {trace_path}; "
+          f"inspect with `python -m repro trace {trace_path}`")
+
+
+def run(telemetry=None) -> None:
     # -----------------------------------------------------------------------
     # 2. Build the world: simulator, network, hosts.  With --trace, one
     #    Telemetry object observes every layer; without it the shared
     #    null telemetry keeps the run bit-identical to seed behaviour.
     # -----------------------------------------------------------------------
-    telemetry = Telemetry() if trace_path else None
     sim = Simulator(telemetry=telemetry)
     network = Network(sim)
     transport = RpcTransport(sim, network, telemetry=telemetry)
@@ -146,14 +157,9 @@ def main(trace_path=None) -> None:
     remaining = handheld.host.battery.fraction_remaining
     print(f"\nHandheld battery remaining: {remaining:.1%}")
 
-    if telemetry is not None:
-        lines = telemetry.export_jsonl(trace_path)
-        print(f"telemetry: {lines} records written to {trace_path}; "
-              f"inspect with `python -m repro trace {trace_path}`")
-
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="export a telemetry JSONL trace of the run")
+                        help="stream a telemetry JSONL trace of the run")
     main(trace_path=parser.parse_args().trace)

@@ -230,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", parents=[common],
         help="decision forensics on an exported telemetry trace",
-        description="Replay a telemetry JSONL export (Telemetry."
-                    "export_jsonl) into per-operation/per-phase time & "
-                    "energy breakdowns and a prediction-vs-actual table.",
+        description="Replay a telemetry JSONL trace (jsonl_trace, or "
+                    "`repro scenario run --trace`) into per-operation/"
+                    "per-phase time & energy breakdowns and a "
+                    "prediction-vs-actual table.",
     )
     trace.add_argument("path", help="JSONL trace file")
     trace.add_argument("--explain", action="store_true",

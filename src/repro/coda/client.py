@@ -232,11 +232,10 @@ class CodaClient:
             wire_bytes=wire_bytes, elapsed_s=elapsed,
             conflicts=len(self.conflicts) - conflicts_before,
         )
-        if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            metrics.counter("coda.reintegrations").inc()
-            metrics.counter("coda.reintegrated_bytes").inc(nbytes)
-            metrics.histogram("coda.reintegrate_s").observe(elapsed)
+        metrics = self.telemetry.metrics
+        metrics.counter("coda.reintegrations").inc()
+        metrics.counter("coda.reintegrated_bytes").inc(nbytes)
+        metrics.histogram("coda.reintegrate_s").observe(elapsed)
         return elapsed
 
     def reintegrate_all(self) -> Generator:

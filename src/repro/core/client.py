@@ -177,11 +177,11 @@ class SpectraClient:
         self.telemetry = ensure_telemetry(telemetry)
         # Candidate diagnostics (SolverResult.evaluated) feed the trace
         # forensics; without a tracer nobody reads them, so the default
-        # solver only materializes them when telemetry is on.
+        # solver only materializes them when spans are recorded.
         self.solver = (solver if solver is not None
                        else HeuristicSolver(
                            telemetry=self.telemetry,
-                           collect_evaluated=self.telemetry.enabled))
+                           collect_evaluated=self.telemetry.tracer.enabled))
         self.overhead = overhead if overhead is not None else OverheadModel()
         #: recency decay for demand models (1.0 = unweighted; ablation)
         self.predictor_decay = predictor_decay
@@ -508,15 +508,14 @@ class SpectraClient:
             timings["consistency"] = self.sim.now - t_phase
 
             timings["total"] = self.sim.now - t_begin
+            # The Figure-10 dict: the phase spans share its clock reads,
+            # so a trace's phase:* durations equal these values exactly.
             handle.timings = timings
             if tracer.enabled:
                 self._trace_decision(op_span, handle)
-                # The Figure-10 dict becomes a literal view over the phase
-                # spans; span boundaries share the dict's clock reads, so
-                # the values are bit-identical either way.
-                handle.timings = op_span.phase_timings()
             else:
                 op_span.end()
+            self._count_decision(handle)
             # On success the recording stays live on purpose: it is
             # handed to the caller inside the handle, and stop_all is
             # end/abort_fidelity_op's job.  The in-function stop_all
@@ -534,13 +533,24 @@ class SpectraClient:
             op_span.end(error=type(exc).__name__)
             raise
 
+    @staticmethod
+    def _decision_mode(handle: OperationHandle) -> str:
+        if handle.forced:
+            return "forced"
+        return "explored" if handle.solver_result is None else "solver"
+
+    def _count_decision(self, handle: OperationHandle) -> None:
+        metrics = self.telemetry.metrics
+        metrics.counter("spectra.ops.begun").inc()
+        metrics.counter(f"spectra.ops.{self._decision_mode(handle)}").inc()
+        for phase, duration in handle.timings.items():
+            metrics.histogram(f"spectra.begin.{phase}_s").observe(duration)
+
     def _trace_decision(self, op_span, handle: OperationHandle) -> None:
         """Close the begin span with the decision's full context."""
         prediction = handle.prediction
         attrs: Dict[str, Any] = {
-            "mode": ("forced" if handle.forced
-                     else "explored" if handle.solver_result is None
-                     else "solver"),
+            "mode": self._decision_mode(handle),
             "alternative": handle.alternative.describe(),
             "plan": handle.plan_name,
             "server": handle.server,
@@ -575,12 +585,6 @@ class SpectraClient:
                 for p, utility in ranked[:5]
             ]
         op_span.end(**attrs)
-
-        metrics = self.telemetry.metrics
-        metrics.counter("spectra.ops.begun").inc()
-        metrics.counter(f"spectra.ops.{attrs['mode']}").inc()
-        for phase, duration in op_span.phase_timings().items():
-            metrics.histogram(f"spectra.begin.{phase}_s").observe(duration)
 
     def _note_concurrency(self, recording: OperationRecording) -> None:
         self._active.append(recording)
@@ -902,7 +906,7 @@ class SpectraClient:
         # mid-observation (the recording-leak end_fidelity_op avoids).
         self.monitors.stop_all(handle.recording)
         self._active = [r for r in self._active if r is not handle.recording]
-        if self.telemetry.enabled:
+        if self.telemetry.tracer.enabled:
             self.telemetry.tracer.start_span(
                 "abort_fidelity_op", operation=handle.spec.name,
                 opid=handle.opid, alternative=handle.alternative.describe(),
@@ -948,8 +952,9 @@ class SpectraClient:
                 data_object=handle.data_object,
                 concurrent=recording.concurrent,
             )
-        if self.telemetry.enabled:
+        if self.telemetry.tracer.enabled:
             self._trace_outcome(end_span, handle, usage, recording)
+        self._count_outcome(handle, usage, recording)
         return OperationReport(
             opid=handle.opid,
             operation=handle.spec.name,
@@ -981,6 +986,11 @@ class SpectraClient:
             attrs["predicted_energy_j"] = handle.prediction.energy_joules
         end_span.end(**attrs)
 
+    def _count_outcome(self, handle: OperationHandle,
+                       usage: Dict[str, float],
+                       recording: OperationRecording) -> None:
+        elapsed = recording.elapsed or 0.0
+        energy = usage.get("energy:client", 0.0)
         metrics = self.telemetry.metrics
         metrics.counter("spectra.ops.ended").inc()
         metrics.histogram("spectra.op.elapsed_s").observe(elapsed)

@@ -42,8 +42,9 @@ def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
     Raises :class:`ValueError` in the two states where a deep copy could
     still reach the original: callbacks queued on (or a drain running
     in) the world's simulator — queued lambdas are copied by
-    reference — and enabled telemetry, whose tracer clock is a closure
-    over the original simulator.
+    reference — and an enabled tracer, whose clock is a closure over the
+    original simulator.  Metrics-only telemetry clones: the copy gets
+    its own registry.
     """
     sim = world[0].sim
     if sim.pending or sim.running:
@@ -51,8 +52,8 @@ def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
             f"cannot clone a world with {sim.pending} queued callbacks "
             f"(running={sim.running}); clone it between operations"
         )
-    if sim.telemetry.enabled:
-        raise ValueError("cannot clone a world whose telemetry is enabled")
+    if sim.telemetry.tracer.enabled:
+        raise ValueError("cannot clone a world whose telemetry has a tracer")
     memo = {id(obj): obj for obj in shared}
     return copy.deepcopy(world, memo)
 

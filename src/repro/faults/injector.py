@@ -111,7 +111,7 @@ class FaultInjector:
             effective=effective,
         )
         self.applied.append(entry)
-        if self.telemetry.enabled:
+        if self.telemetry.tracer.enabled:
             self.telemetry.tracer.start_span(
                 "fault.inject", action=event.action,
                 target=str(event.target), value=event.value,

@@ -134,12 +134,11 @@ class MonitorSet:
             for monitor in ordered:
                 monitor.predict_avail(snapshot, server_name)
         span.end()
-        if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            metrics.counter("monitors.snapshots").inc()
-            metrics.counter("monitors.predictions").inc(
-                len(self._monitors) * (1 + len(server_names))
-            )
+        metrics = self.telemetry.metrics
+        metrics.counter("monitors.snapshots").inc()
+        metrics.counter("monitors.predictions").inc(
+            len(self._monitors) * (1 + len(server_names))
+        )
 
     def start_all(self, recording: OperationRecording) -> None:
         for monitor in self._monitors:

@@ -149,9 +149,7 @@ class PredictorStore:
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
         os.replace(tmp, path)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "spectra.predictors.store.saves").inc()
+        self.telemetry.metrics.counter("spectra.predictors.store.saves").inc()
         return digest
 
     # -- loading ---------------------------------------------------------------------
@@ -211,13 +209,10 @@ class PredictorStore:
                 digest=document["digest"],
             )
         except (PredictorStoreError, KeyError, TypeError, ValueError):
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "spectra.predictors.store.errors").inc()
-            return None
-        if self.telemetry.enabled:
             self.telemetry.metrics.counter(
-                "spectra.predictors.store.loads").inc()
+                "spectra.predictors.store.errors").inc()
+            return None
+        self.telemetry.metrics.counter("spectra.predictors.store.loads").inc()
         return stored
 
     def digest(self, operation: str) -> Optional[str]:

@@ -143,6 +143,7 @@ class RpcTransport:
         either succeeds or raises.
         """
         effective = policy if policy is not None else self.retry_policy
+        started = self._sim.now
         span = self.telemetry.tracer.start_span(
             "rpc.call", src=src_host, dst=dst_host,
             service=request.service, optype=request.optype,
@@ -186,12 +187,11 @@ class RpcTransport:
             local=src_host == dst_host,
             attempts=attempts,
         )
-        if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            metrics.counter("rpc.calls").inc()
-            metrics.counter("rpc.bytes_sent").inc(request.wire_bytes)
-            metrics.counter("rpc.bytes_received").inc(response.wire_bytes)
-            metrics.histogram("rpc.latency_s").observe(span.duration)
+        metrics = self.telemetry.metrics
+        metrics.counter("rpc.calls").inc()
+        metrics.counter("rpc.bytes_sent").inc(request.wire_bytes)
+        metrics.counter("rpc.bytes_received").inc(response.wire_bytes)
+        metrics.histogram("rpc.latency_s").observe(self._sim.now - started)
         return response
 
     def _attempt(self, src_host: str, dst_host: str, request: Request,

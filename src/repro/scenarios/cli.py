@@ -8,21 +8,25 @@
     validates the whole canned library.  Exits 1 on the first invalid
     spec, printing every path-qualified problem.
 
-``repro scenario run NAME-or-PATH [--seed N] [--profile full|smoke]``
+``repro scenario run NAME-or-PATH [--seed N] [--profile full|smoke] [--trace FILE]``
     Compile and run a scenario, print the summary, and write the
     deterministic JSON report to ``--output`` — the same spec and seed
-    produce a byte-identical report file on every run.
+    produce a byte-identical report file on every run.  ``--trace``
+    also streams every span to a JSONL file for ``repro trace``; the
+    report is the same bytes either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 import textwrap
 
 import dataclasses
 
+from ..telemetry import jsonl_trace
 from .library import SCENARIOS, canned_spec
 from .runner import PROFILES, render_report, run_scenario
 from .spec import ScenarioError, ScenarioSpec
@@ -62,6 +66,9 @@ def add_scenario_arguments(parser: argparse.ArgumentParser,
     run.add_argument("--save-predictors", action="store_true",
                      help="flush learned predictor state back to "
                           "--predictor-store after the run")
+    run.add_argument("--trace", default=None, metavar="FILE",
+                     help="stream the run's spans and metrics to this "
+                          "JSONL file (read it with `repro trace`)")
 
     sweep = sub.add_parser(
         "sweep", parents=[common],
@@ -159,10 +166,13 @@ def run_scenario_command(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        report = run_scenario(spec, profile=args.profile, seed=args.seed,
-                              predictor_store=args.predictor_store,
-                              save_predictors=args.save_predictors)
-    except (ScenarioError, ValueError) as exc:
+        with (jsonl_trace(args.trace) if args.trace
+              else contextlib.nullcontext()) as telemetry:
+            report = run_scenario(spec, profile=args.profile, seed=args.seed,
+                                  telemetry=telemetry,
+                                  predictor_store=args.predictor_store,
+                                  save_predictors=args.save_predictors)
+    except (ScenarioError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     output_dir = pathlib.Path(args.output)

@@ -295,8 +295,9 @@ def run_scenario(
     """Run *spec* to completion and return its report.
 
     ``seed`` overrides the spec's seed; ``profile="smoke"`` shrinks the
-    run to CI size first.  A fresh :class:`Telemetry` is created unless
-    one is passed in (pass your own to also export the trace).
+    run to CI size first.  A fresh metrics-only :class:`Telemetry` is
+    created unless one is passed in (pass a
+    :func:`~repro.telemetry.jsonl_trace` one to also stream the spans).
     ``space_cache=False`` disables every client's search-space cache —
     the reports must come out byte-identical either way (the
     equivalence tests run both); it exists for exactly that check and

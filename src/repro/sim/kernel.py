@@ -104,12 +104,7 @@ class Simulator:
         self._sequence = 0
         self._running = False
         self._processed = 0
-        # Cached counter instruments (None when telemetry is off) keep
-        # the per-event cost of the disabled path at one attribute test.
-        self._events_counter = None
-        self._spawns_counter = None
-        self.telemetry = ensure_telemetry(telemetry)
-        self.attach_telemetry(self.telemetry)
+        self.attach_telemetry(telemetry)
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Key *telemetry* to this simulator's clock and start counting.
@@ -124,14 +119,10 @@ class Simulator:
         """
         self.telemetry = ensure_telemetry(telemetry)
         self.telemetry.bind_clock(lambda: self._now)
-        if self.telemetry.enabled:
-            self._events_counter = self.telemetry.metrics.counter("sim.events")
-            self._spawns_counter = self.telemetry.metrics.counter(
-                "sim.processes"
-            )
-        else:
-            self._events_counter = None
-            self._spawns_counter = None
+        # Cached instruments: the null registry's are shared no-ops.
+        metrics = self.telemetry.metrics
+        self._events_counter = metrics.counter("sim.events")
+        self._spawns_counter = metrics.counter("sim.processes")
 
     # -- clock ---------------------------------------------------------------
 
@@ -208,8 +199,7 @@ class Simulator:
         """Start a new process from *generator*; it first runs 'now'."""
         process = Process(self, generator, name=name)
         self._schedule_now(process._start)
-        if self._spawns_counter is not None:
-            self._spawns_counter.inc()
+        self._spawns_counter.inc()
         return process
 
     # -- execution --------------------------------------------------------------
@@ -223,8 +213,7 @@ class Simulator:
             raise SimulationError("event queue time went backwards")
         self._now = max(self._now, when)
         self._processed += 1
-        if self._events_counter is not None:
-            self._events_counter.inc()
+        self._events_counter.inc()
         callback()
         return True
 
@@ -269,7 +258,7 @@ class Simulator:
                     self._now = until
         finally:
             self._processed += count
-            if self._events_counter is not None and count:
+            if count:
                 self._events_counter.inc(count)
             self._running = False
         return self._now
@@ -306,7 +295,7 @@ class Simulator:
                     )
         finally:
             self._processed += count
-            if self._events_counter is not None and count:
+            if count:
                 self._events_counter.inc(count)
         if not process.triggered:
             raise SimulationError(

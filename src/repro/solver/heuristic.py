@@ -125,14 +125,11 @@ class HeuristicSolver:
             best_utility=best_utility,
             trajectory=trajectory,
         )
-        if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            metrics.counter("solver.solves").inc()
-            metrics.counter("solver.visits").inc(result.visits)
-            metrics.counter("solver.evaluations").inc(result.evaluations)
-            metrics.counter("solver.pruned").inc(
-                result.visits - result.evaluations
-            )
+        metrics = self.telemetry.metrics
+        metrics.counter("solver.solves").inc()
+        metrics.counter("solver.visits").inc(result.visits)
+        metrics.counter("solver.evaluations").inc(result.evaluations)
+        metrics.counter("solver.pruned").inc(result.visits - result.evaluations)
         return result
 
     # -- internals --------------------------------------------------------------------

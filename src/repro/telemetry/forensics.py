@@ -1,6 +1,6 @@
 """Trace-driven decision forensics: replay a JSONL trace into answers.
 
-Given the JSONL export of a traced run (``Telemetry.export_jsonl``),
+Given the JSONL trace of a run (:func:`~repro.telemetry.hub.jsonl_trace`),
 this module reconstructs what the decision loop actually did:
 
 * **where the time went** — per-operation and aggregate breakdowns of

@@ -3,10 +3,11 @@
 Spectra's decision loop (snapshot → predict → solve → execute → learn)
 is only debuggable if every pass through it leaves a record.  The tracer
 captures that record as *spans*: named intervals of simulated time with
-attributes, linked parent→child, exported as JSONL for offline forensics
-(``repro trace``).
+attributes, linked parent→child.  Each finished span's record goes to
+a *sink* the moment the span ends — typically one JSONL line for offline
+forensics (``repro trace``; see :func:`~repro.telemetry.hub.jsonl_trace`).
 
-Two design constraints shape the implementation:
+Three design constraints shape the implementation:
 
 * **Simulated time, not wall time.**  Spans are stamped from a pluggable
   clock — normally ``Simulator.now`` — because the quantity under study
@@ -19,6 +20,11 @@ Two design constraints shape the implementation:
   clock reads happen, and an uninstrumented run's results are
   bit-identical to a run that never imported this module.
 
+* **Streaming, not retention.**  The tracer keeps no finished spans and
+  a span keeps no list of its children; a record leaves through the
+  sink when its span ends, so a long traced run holds only its open
+  spans in memory.
+
 Parenting is always *explicit* (``span.child(...)`` or the ``parent=``
 argument).  An ambient thread-local stack would mis-attribute spans
 here: simulation processes are generators whose execution interleaves
@@ -28,14 +34,10 @@ process's.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 Clock = Callable[[], float]
-
-#: Prefix for phase spans inside a ``begin_fidelity_op`` span; the
-#: Figure-10 ``timings`` view strips it (see :meth:`Span.phase_timings`).
-PHASE_PREFIX = "phase:"
+Sink = Callable[[Dict[str, Any]], None]
 
 
 class Span:
@@ -48,7 +50,7 @@ class Span:
     """
 
     __slots__ = ("name", "span_id", "parent_id", "start", "end_time",
-                 "attrs", "children", "_tracer")
+                 "attrs", "_tracer", "__weakref__")
 
     def __init__(self, tracer: "SpanTracer", name: str, span_id: int,
                  parent_id: Optional[int], start: float,
@@ -60,7 +62,6 @@ class Span:
         self.start = start
         self.end_time: Optional[float] = None
         self.attrs = attrs
-        self.children: List["Span"] = []
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -102,22 +103,6 @@ class Span:
 
     # -- views ---------------------------------------------------------------------
 
-    def phase_timings(self) -> Dict[str, float]:
-        """The Figure-10 breakdown as a view over this span's children.
-
-        Children named ``phase:<name>`` contribute ``<name> -> duration``
-        in creation order; the span's own duration lands under
-        ``total`` — the exact shape of the historical
-        ``OperationHandle.timings`` dict, now derived from spans.
-        """
-        timings = {
-            child.name[len(PHASE_PREFIX):]: child.duration
-            for child in self.children
-            if child.name.startswith(PHASE_PREFIX) and child.ended
-        }
-        timings["total"] = self.duration
-        return timings
-
     def to_record(self) -> Dict[str, Any]:
         """JSON-serializable export form of a finished span."""
         return {
@@ -137,22 +122,25 @@ class Span:
 
 
 class SpanTracer:
-    """Records spans against a simulated-time clock.
+    """Stamps spans against a simulated-time clock and streams them out.
+
+    Every span, when it ends, hands its :meth:`Span.to_record` dict to
+    *sink* — so records arrive in end order, children before their
+    parent.  The tracer itself retains nothing.
 
     The clock can be bound after construction (:meth:`bind_clock`), so a
     tracer can be created before the :class:`~repro.sim.kernel.Simulator`
-    it will observe — passing one ``Telemetry`` object through a testbed
+    it will observe — passing one ``Telemetry`` object through a world
     builder wires everything up in one step.
     """
 
     enabled = True
 
-    def __init__(self, clock: Optional[Clock] = None):
+    def __init__(self, sink: Sink, clock: Optional[Clock] = None):
+        self._sink = sink
         self._clock: Clock = clock if clock is not None else (lambda: 0.0)
         self._clock_bound = clock is not None
         self._next_id = 0
-        #: finished spans, in end order (the JSONL export order)
-        self.finished: List[Span] = []
 
     # -- clock ---------------------------------------------------------------------
 
@@ -176,14 +164,11 @@ class SpanTracer:
     def start_span(self, name: str, parent: Optional[Span] = None,
                    **attrs: Any) -> Span:
         self._next_id += 1
-        span = Span(
+        return Span(
             self, name, self._next_id,
             parent.span_id if parent is not None else None,
             self._clock(), attrs,
         )
-        if parent is not None:
-            parent.children.append(span)
-        return span
 
     def span(self, name: str, parent: Optional[Span] = None,
              **attrs: Any) -> Span:
@@ -191,28 +176,7 @@ class SpanTracer:
         return self.start_span(name, parent=parent, **attrs)
 
     def _record(self, span: Span) -> None:
-        self.finished.append(span)
-
-    # -- export ----------------------------------------------------------------------
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [span.to_record() for span in self.finished]
-
-    def jsonl_lines(self) -> Iterator[str]:
-        for record in self.records():
-            yield json.dumps(record, sort_keys=True)
-
-    def export_jsonl(self, path) -> int:
-        """Write one span record per line to *path*; returns the count."""
-        count = 0
-        with open(path, "w") as fh:
-            for line in self.jsonl_lines():
-                fh.write(line + "\n")
-                count += 1
-        return count
-
-    def __len__(self) -> int:
-        return len(self.finished)
+        self._sink(span.to_record())
 
 
 class _NullSpan(Span):
@@ -239,9 +203,6 @@ class _NullSpan(Span):
     def __exit__(self, exc_type, exc, tb) -> None:
         pass
 
-    def phase_timings(self) -> Dict[str, float]:
-        return {"total": 0.0}
-
     def __repr__(self) -> str:
         return "<NullSpan>"
 
@@ -264,18 +225,6 @@ class NullTracer:
     def span(self, name: str, parent: Optional[Span] = None,
              **attrs: Any) -> Span:
         return NULL_SPAN
-
-    def records(self) -> List[Dict[str, Any]]:
-        return []
-
-    def jsonl_lines(self) -> Iterator[str]:
-        return iter(())
-
-    def export_jsonl(self, path) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
 
 
 NULL_SPAN = _NullSpan()

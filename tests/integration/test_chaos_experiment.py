@@ -16,12 +16,13 @@ from repro.apps import SpeechWorkload
 from repro.experiments import speech as speech_experiment
 from repro.experiments.chaos import default_retry_policy, run_chaos_workload
 from repro.faults import FaultEvent, FaultInjector, PROFILES
-from repro.telemetry import Telemetry
+from repro.telemetry import SpanTracer, Telemetry
 
 
 def crashed_speech_run(seed=7):
     """One unforced recognition with the T20 crashing mid-operation."""
-    telemetry = Telemetry()
+    records = []
+    telemetry = Telemetry(tracer=SpanTracer(records.append))
     world, app = speech_experiment._build("baseline", telemetry=telemetry)
     client = world.nodes["itsy"].client
     client.retry_policy = default_retry_policy(seed)
@@ -34,12 +35,12 @@ def crashed_speech_run(seed=7):
     length = SpeechWorkload().probes(1)[0]
     report = world.sim.run_process(app.recognize(length))
     world.sim.run()  # drain the restart event
-    return report, telemetry, injector
+    return report, telemetry, injector, records
 
 
 class TestMidOpCrashFailover:
     def test_operation_completes_via_failover(self):
-        report, telemetry, injector = crashed_speech_run()
+        report, telemetry, injector, records = crashed_speech_run()
         # No exception reached the application, and the report records
         # the transparent re-placement.
         assert report.failed_over
@@ -49,14 +50,14 @@ class TestMidOpCrashFailover:
         assert counters.counter("spectra.ops.aborted").value >= 1
         assert counters.counter("faults.injected").value == 2
 
-        names = [span.name for span in telemetry.tracer.finished]
+        names = [record["name"] for record in records]
         assert "abort_fidelity_op" in names
         assert "spectra.failover" in names
         assert "fault.inject" in names
 
     def test_same_seed_and_schedule_reproduce_exactly(self):
-        first, tel_a, inj_a = crashed_speech_run(seed=7)
-        second, tel_b, inj_b = crashed_speech_run(seed=7)
+        first, tel_a, inj_a, _ = crashed_speech_run(seed=7)
+        second, tel_b, inj_b, _ = crashed_speech_run(seed=7)
         # Byte-identical decisions and timings: same placement, same
         # elapsed time and usage to the last bit, same fault journal.
         assert first.alternative.describe() == second.alternative.describe()

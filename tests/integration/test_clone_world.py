@@ -24,7 +24,7 @@ from repro.apps import SpeechWorkload
 from repro.experiments import latex, pangloss, speech
 from repro.experiments.runner import clone_world
 from repro.solver import HeuristicSolver
-from repro.telemetry import Telemetry
+from repro.telemetry import SpanTracer, Telemetry
 
 LATEX_DOCUMENT = "small"
 PANGLOSS_WORDS = 10
@@ -218,10 +218,28 @@ class TestGuards:
         clone_world((world, app))
 
     def test_refuses_a_world_with_enabled_telemetry(self):
-        world = speech._train(telemetry=Telemetry())
+        tracer = SpanTracer(lambda record: None)
+        world = speech._train(telemetry=Telemetry(tracer=tracer))
         assert world[0].sim.pending == 0
         with pytest.raises(ValueError, match="telemetry"):
             clone_world(world)
+
+    def test_clones_a_world_with_metrics_only_telemetry(self):
+        telemetry = Telemetry()
+        trained = speech._train(telemetry=telemetry)
+        before = telemetry.metrics.to_dict()
+        assert before["spectra.ops.begun"]["value"] > 0
+
+        clone, app = clone_world(trained)
+        cloned = clone.sim.telemetry
+        assert cloned is not telemetry
+        assert cloned.metrics is not telemetry.metrics
+        assert cloned.metrics.to_dict() == before
+        clone.sim.run_process(_speech_op(app))
+        # The clone counted its operation into its own registry only.
+        assert (cloned.metrics.counter("spectra.ops.begun").value
+                == before["spectra.ops.begun"]["value"] + 1)
+        assert telemetry.metrics.to_dict() == before
 
     def test_refuses_a_running_simulator(self):
         world, app = speech._train()

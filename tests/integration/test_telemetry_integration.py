@@ -1,12 +1,14 @@
 """Integration tests for the telemetry subsystem against a live system:
 
-* begin_fidelity_op phase spans reproduce ``OperationHandle.timings``
-  exactly (the Figure-10 view-over-spans refactor),
+* begin_fidelity_op's streamed phase records reproduce
+  ``OperationHandle.timings`` exactly (the Figure-10 view),
 * an uninstrumented run (telemetry=None) is bit-identical to an
   instrumented one — tracing observes, never perturbs,
+* metrics do not depend on the tracer: a scenario's registry snapshot
+  is the same with spans streamed or not,
 * abort_fidelity_op stops the monitors it started (the recording-leak
   fix),
-* JSONL export feeds the ``repro trace`` CLI end to end.
+* a JSONL trace feeds the ``repro trace`` CLI end to end.
 """
 
 import json
@@ -18,8 +20,16 @@ from repro.hosts import HostProfile
 from repro.network import Link, Network
 from repro.odyssey import FidelitySpec
 from repro.rpc import OpContext, OpResult, RpcTransport, Service
+from repro.scenarios import canned_spec, run_scenario
 from repro.sim import Simulator
-from repro.telemetry import Telemetry, collect_operations, split_records
+from repro.telemetry import (
+    NULL_TRACER,
+    SpanTracer,
+    Telemetry,
+    collect_operations,
+    jsonl_trace,
+    split_records,
+)
 
 
 class CruncherService(Service):
@@ -102,34 +112,46 @@ def run_workload(sim, client, sizes=(2.0, 3.0, 2.5, 4.0)):
     return handles, fingerprints
 
 
+def traced():
+    """A Telemetry whose tracer appends every finished record to a list."""
+    records = []
+    return Telemetry(tracer=SpanTracer(records.append)), records
+
+
 class TestPhaseSpansMatchTimings:
     def test_begin_span_phases_equal_handle_timings(self):
-        telemetry = Telemetry()
+        telemetry, records = traced()
         sim, client, _ = build(telemetry)
         handles, _ = run_workload(sim, client)
 
         begins = {
-            span.attrs["opid"]: span
-            for span in telemetry.tracer.finished
-            if span.name == "begin_fidelity_op"
+            record["attrs"]["opid"]: record
+            for record in records
+            if record["name"] == "begin_fidelity_op"
         }
         assert len(begins) == len(handles)
         for handle in handles:
-            span = begins[handle.opid]
-            # The timings dict IS the span view: exact float equality.
-            assert span.phase_timings() == handle.timings
+            record = begins[handle.opid]
+            phases = {
+                phase["name"][len("phase:"):]: phase["duration"]
+                for phase in records
+                if phase["parent_id"] == record["span_id"]
+                and phase["name"].startswith("phase:")
+            }
+            phases["total"] = record["duration"]
+            # The streamed phase records equal the timings dict exactly.
+            assert phases == handle.timings
             assert set(handle.timings) == {
                 "file_cache_prediction", "snapshot", "choosing",
                 "consistency", "total",
             }
-            assert handle.timings["total"] == span.duration
+            assert handle.timings["total"] == record["duration"]
 
     def test_exported_records_carry_the_same_phases(self, tmp_path):
-        telemetry = Telemetry()
-        sim, client, _ = build(telemetry)
-        handles, _ = run_workload(sim, client)
         path = tmp_path / "run.jsonl"
-        telemetry.export_jsonl(path)
+        with jsonl_trace(path) as telemetry:
+            sim, client, _ = build(telemetry)
+            handles, _ = run_workload(sim, client)
 
         records = [json.loads(line) for line in path.read_text().splitlines()]
         spans, _metrics = split_records(records)
@@ -146,12 +168,12 @@ class TestNullTelemetryBitIdentical:
         sim_off, client_off, node_off = build(telemetry=None)
         _, plain = run_workload(sim_off, client_off)
 
-        telemetry = Telemetry()
+        telemetry, _records = traced()
         sim_on, client_on, node_on = build(telemetry)
-        _, traced = run_workload(sim_on, client_on)
+        _, instrumented = run_workload(sim_on, client_on)
 
         # Bit-identical: same choices, same floats, same timings dicts.
-        assert plain == traced
+        assert plain == instrumented
         assert sim_off.now == sim_on.now
         assert (node_off.host.battery.remaining_joules
                 == node_on.host.battery.remaining_joules)
@@ -160,13 +182,29 @@ class TestNullTelemetryBitIdentical:
         sim, client, _ = build(telemetry=None)
         run_workload(sim, client)
         # Nothing accumulated anywhere: the run was uninstrumented.
-        from repro.telemetry import NULL_TELEMETRY
-        assert NULL_TELEMETRY.records() == []
+        from repro.telemetry import NULL_SPAN, NULL_TELEMETRY
+        assert NULL_TELEMETRY.metrics.to_dict() == {}
+        assert NULL_SPAN.attrs == {} and NULL_SPAN.end_time is None
+
+
+class TestMetricsIndependentOfTracer:
+    def test_flash_crowd_metrics_identical_with_tracer_on_and_off(self):
+        spec = canned_spec("flash-crowd")
+        snapshots = []
+        for tracer in (SpanTracer(lambda record: None), NULL_TRACER):
+            telemetry = Telemetry(tracer=tracer)
+            run_scenario(spec, profile="smoke", telemetry=telemetry)
+            snapshots.append(telemetry.metrics.to_dict())
+        on, off = snapshots
+        assert on == off
+        for name in ("sim.events", "spectra.ops.begun", "rpc.calls",
+                     "monitors.snapshots", "spectra.begin.total_s"):
+            assert name in off
 
 
 class TestAbortStopsMonitors:
     def test_abort_finishes_recording_and_stops_monitors(self):
-        telemetry = Telemetry()
+        telemetry, records = traced()
         sim, client, _ = build(telemetry)
 
         def begin_only():
@@ -184,8 +222,8 @@ class TestAbortStopsMonitors:
         assert handle.recording not in client._active
         # Idempotent, and visible in the trace.
         client.abort_fidelity_op(handle)
-        aborts = [span for span in telemetry.tracer.finished
-                  if span.name == "abort_fidelity_op"]
+        aborts = [record for record in records
+                  if record["name"] == "abort_fidelity_op"]
         assert len(aborts) == 1
         assert telemetry.metrics.counter("spectra.ops.aborted").value == 1.0
 
@@ -205,11 +243,11 @@ class TestAbortStopsMonitors:
 
 class TestTraceCli:
     def test_trace_subcommand_renders_report(self, tmp_path, capsys):
-        telemetry = Telemetry()
-        sim, client, _ = build(telemetry)
-        run_workload(sim, client)
         trace = tmp_path / "run.jsonl"
-        assert telemetry.export_jsonl(trace) > 0
+        with jsonl_trace(trace) as telemetry:
+            sim, client, _ = build(telemetry)
+            run_workload(sim, client)
+        assert len(trace.read_text().splitlines()) > 0
 
         out_dir = tmp_path / "results"
         code = cli_main(["trace", str(trace), "--explain",

@@ -38,7 +38,7 @@ from repro.rpc import (
 )
 from repro.sim import Interrupt, Simulator, Timeout
 from repro.solver.space import SearchSpace
-from repro.telemetry import Telemetry
+from repro.telemetry import SpanTracer, Telemetry
 
 
 @pytest.fixture
@@ -391,7 +391,8 @@ class TestMidBeginInterrupt:
         ``_active`` — poisoning every later operation's concurrency
         figure.  The generic unwind must stop the monitors, release the
         slot, and close the span before propagating."""
-        telemetry = Telemetry()
+        records = []
+        telemetry = Telemetry(tracer=SpanTracer(records.append))
         sim = Simulator(telemetry=telemetry)
         network = Network(sim)
         transport = RpcTransport(sim, network, telemetry=telemetry)
@@ -427,10 +428,10 @@ class TestMidBeginInterrupt:
 
         # Nothing half-open left behind.
         assert client._active == []
-        spans = [span for span in telemetry.tracer.finished
-                 if span.name == "begin_fidelity_op"]
+        spans = [record for record in records
+                 if record["name"] == "begin_fidelity_op"]
         assert len(spans) == 1
-        assert spans[0].attrs["error"] == "Interrupt"
+        assert spans[0]["attrs"]["error"] == "Interrupt"
 
         # A later clean operation starts monitors fresh and is not
         # marked concurrent by the dead recording.

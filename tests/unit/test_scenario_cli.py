@@ -59,6 +59,37 @@ class TestScenarioRun:
             (tmp_path / "out" / "scenario-tiny.json").read_text())
         assert report["totals"]["completed"] == report["totals"]["ops"] >= 1
 
+    def test_trace_streams_jsonl_and_keeps_the_report(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(small_spec().to_json())
+        outputs = []
+        for out, extra in (("plain", []),
+                           ("traced", ["--trace", str(tmp_path / "t.jsonl")])):
+            assert main(["scenario", "run", str(path),
+                         "--output", str(tmp_path / out), *extra]) == 0
+            stdout = capsys.readouterr().out.replace(str(tmp_path / out), "")
+            report = (tmp_path / out / "scenario-tiny.json").read_text()
+            outputs.append((stdout, report))
+        assert outputs[0] == outputs[1]
+
+        records = [json.loads(line) for line in
+                   (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert records[-1]["type"] == "metrics"
+        assert records[-1]["metrics"]["spectra.ops.begun"]["value"] >= 1
+        names = {r["name"] for r in records[:-1]}
+        assert {"begin_fidelity_op", "end_fidelity_op"} <= names
+        assert main(["trace", str(tmp_path / "t.jsonl"),
+                     "--output", str(tmp_path / "forensics"), "--quiet"]) == 0
+
+    def test_trace_to_a_missing_directory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(small_spec().to_json())
+        code = main(["scenario", "run", str(path),
+                     "--output", str(tmp_path / "out"), "--quiet",
+                     "--trace", str(tmp_path / "absent" / "t.jsonl")])
+        assert code == 2
+        assert "absent" in capsys.readouterr().err
+
 
 class TestTopLevelList:
     def test_repro_list_shows_scenarios_and_chaos_profiles(self, capsys):

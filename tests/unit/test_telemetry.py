@@ -1,6 +1,8 @@
 """Unit tests for the telemetry subsystem: tracer, metrics, forensics."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.telemetry import (
     Telemetry,
     collect_operations,
     ensure_telemetry,
+    jsonl_trace,
     load_jsonl,
     render_trace_report,
     split_records,
@@ -36,7 +39,8 @@ class FakeClock:
 class TestSpanTracer:
     def test_nesting_and_attributes(self):
         clock = FakeClock()
-        tracer = SpanTracer(clock)
+        records = []
+        tracer = SpanTracer(records.append, clock)
         root = tracer.start_span("op", kind="test")
         clock.t = 1.0
         child = root.child("phase:snapshot")
@@ -50,31 +54,65 @@ class TestSpanTracer:
         assert child.duration == 0.5
         assert root.duration == 2.0
         assert root.attrs == {"kind": "test", "outcome": "ok"}
-        # finished list is in *end* order: child first.
-        assert [s.name for s in tracer.finished] == ["op", "phase:snapshot"][::-1]
+        # records reach the sink in *end* order: child first.
+        assert [r["name"] for r in records] == ["op", "phase:snapshot"][::-1]
+
+    def test_sink_receives_records_in_end_order(self):
+        clock = FakeClock()
+        records = []
+        tracer = SpanTracer(records.append, clock)
+        first = tracer.start_span("first")
+        second = tracer.start_span("second")
+        third = first.child("third")
+        clock.t = 1.0
+        second.end()
+        assert [r["name"] for r in records] == ["second"]
+        clock.t = 2.0
+        third.end()
+        first.end()
+        assert [r["name"] for r in records] == ["second", "third", "first"]
+        assert [r["end"] for r in records] == [1.0, 2.0, 2.0]
+        assert records[1]["parent_id"] == records[2]["span_id"]
+
+    def test_tracer_retains_no_ended_span(self):
+        records = []
+        tracer = SpanTracer(records.append, FakeClock())
+        parent = tracer.start_span("parent")
+        child = parent.child("child", n=1)
+        child.end()
+        parent.end()
+        refs = [weakref.ref(parent), weakref.ref(child)]
+        del parent, child
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        # The records survive on their own, detached from the spans.
+        assert [r["name"] for r in records] == ["child", "parent"]
+        assert records[0]["attrs"] == {"n": 1}
 
     def test_end_is_idempotent(self):
         clock = FakeClock()
-        tracer = SpanTracer(clock)
+        records = []
+        tracer = SpanTracer(records.append, clock)
         span = tracer.start_span("once")
         clock.t = 1.0
         span.end()
         clock.t = 5.0
         span.end()
         assert span.end_time == 1.0
-        assert len(tracer.finished) == 1
+        assert len(records) == 1
 
     def test_context_manager_tags_errors(self):
-        tracer = SpanTracer(FakeClock())
+        tracer = SpanTracer(lambda record: None, FakeClock())
         with pytest.raises(ValueError):
             with tracer.span("boom") as span:
                 raise ValueError("no")
         assert span.ended
         assert span.attrs["error"] == "ValueError"
 
-    def test_phase_timings_matches_dict_shape(self):
+    def test_phase_records_match_dict_shape(self):
         clock = FakeClock()
-        tracer = SpanTracer(clock)
+        records = []
+        tracer = SpanTracer(records.append, clock)
         op = tracer.start_span("begin_fidelity_op")
         a = op.child("phase:snapshot")
         clock.t = 0.25
@@ -85,21 +123,30 @@ class TestSpanTracer:
         op.child("not_a_phase").end()
         clock.t = 1.0
         op.end()
-        assert op.phase_timings() == {
+        timings = {
+            r["name"][len("phase:"):]: r["duration"]
+            for r in records
+            if r["name"].startswith("phase:")
+            and r["parent_id"] == op.span_id
+        }
+        timings["total"] = records[-1]["duration"]
+        assert timings == {
             "snapshot": 0.25, "choosing": 0.5, "total": 1.0,
         }
 
     def test_export_round_trip(self, tmp_path):
         clock = FakeClock()
-        tracer = SpanTracer(clock)
-        root = tracer.start_span("outer", n=1)
-        clock.t = 2.0
-        root.child("inner").end()
-        root.end()
         path = tmp_path / "trace.jsonl"
-        assert tracer.export_jsonl(path) == 2
+        with jsonl_trace(path) as telemetry:
+            telemetry.bind_clock(clock)
+            root = telemetry.tracer.start_span("outer", n=1)
+            clock.t = 2.0
+            root.child("inner").end()
+            root.end()
 
-        records = [json.loads(line) for line in path.read_text().splitlines()]
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3  # two spans, then the metrics trailer
+        records = [json.loads(line) for line in lines[:-1]]
         by_name = {record["name"]: record for record in records}
         assert by_name["outer"]["attrs"] == {"n": 1}
         assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
@@ -107,7 +154,7 @@ class TestSpanTracer:
         assert all(record["type"] == "span" for record in records)
 
     def test_bind_clock_first_binder_wins(self):
-        tracer = SpanTracer()
+        tracer = SpanTracer(lambda record: None)
         first, second = FakeClock(1.0), FakeClock(9.0)
         assert tracer.bind_clock(first)
         assert not tracer.bind_clock(second)
@@ -124,17 +171,36 @@ class TestNullTracer:
         assert span.set(y=2) is span
         span.end(z=3)
         assert span.attrs == {}
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.records() == []
-        assert span.phase_timings() == {"total": 0.0}
+        assert span.end_time is None and span.duration == 0.0
+        # Nowhere to write: the null tracer holds no sink and no state.
+        assert not NULL_TRACER.__dict__
+        assert not NULL_TRACER.enabled
+
+    def test_null_tracer_writes_nothing(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with jsonl_trace(path) as traced:
+            telemetry = Telemetry(tracer=NULL_TRACER, metrics=traced.metrics)
+            telemetry.bind_clock(FakeClock(3.0))
+            with telemetry.tracer.span("anything") as span:
+                span.child("more").end()
+        (line,) = path.read_text().splitlines()
+        assert json.loads(line) == {"type": "metrics", "metrics": {}}
 
     def test_null_telemetry_shared_and_inert(self, tmp_path):
         assert ensure_telemetry(None) is NULL_TELEMETRY
         telemetry = Telemetry()
         assert ensure_telemetry(telemetry) is telemetry
-        assert not NULL_TELEMETRY.enabled
-        assert NULL_TELEMETRY.export_jsonl(tmp_path / "none.jsonl") == 0
-        assert not (tmp_path / "none.jsonl").exists()
+        assert not NULL_TELEMETRY.tracer.enabled
+        NULL_TELEMETRY.metrics.counter("ops").inc()
+        assert NULL_TELEMETRY.metrics.to_dict() == {}
+
+    def test_default_telemetry_is_metrics_only(self):
+        telemetry = Telemetry()
+        assert telemetry.tracer is NULL_TRACER
+        assert isinstance(telemetry.metrics, MetricsRegistry)
+        assert not isinstance(telemetry.metrics, NullMetricsRegistry)
+        telemetry.metrics.counter("ops").inc()
+        assert telemetry.metrics.to_dict()["ops"]["value"] == 1.0
 
 
 class TestMetrics:
@@ -213,12 +279,12 @@ class TestMetrics:
 class TestTelemetryHub:
     def test_export_appends_metrics_record(self, tmp_path):
         clock = FakeClock()
-        telemetry = Telemetry()
-        telemetry.bind_clock(clock)
-        telemetry.tracer.start_span("s").end()
-        telemetry.metrics.counter("ops").inc()
         path = tmp_path / "run.jsonl"
-        assert telemetry.export_jsonl(path) == 2
+        with jsonl_trace(path) as telemetry:
+            telemetry.bind_clock(clock)
+            telemetry.tracer.start_span("s").end()
+            telemetry.metrics.counter("ops").inc()
+        assert len(path.read_text().splitlines()) == 2
 
         records = load_jsonl(path)
         spans, metrics = split_records(records)
