@@ -21,13 +21,19 @@ passes through Spectra": the per-operation
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
-import numpy as np
-
-from ..network import Network, NoRouteError
+from ..network import Network, NoRouteError, TransferRecord
 from .base import OperationRecording, ResourceMonitor
 from .snapshot import NetworkEstimate, ResourceSnapshot
+
+#: Memo key of the machine-wide fallback window; remotes are host names,
+#: so it can never alias a pair's key.
+HOST_WIDE = None
+
+#: One memo entry: the fitted window's first record, last record, length,
+#: and the fit over it.
+_FitMemo = Tuple[TransferRecord, TransferRecord, int, Optional[NetworkEstimate]]
 
 
 class NetworkMonitor(ResourceMonitor):
@@ -44,8 +50,9 @@ class NetworkMonitor(ResourceMonitor):
         self._network = network
         self.window_s = window_s
         self.decay = decay
-        # Cached estimates per remote host, refreshed on demand.
-        self._estimates: Dict[str, NetworkEstimate] = {}
+        # The last fit per remote (and under HOST_WIDE), reused while the
+        # window it covered is unchanged.
+        self._fits: Dict[Hashable, _FitMemo] = {}
 
     # -- supply ---------------------------------------------------------------------
 
@@ -60,38 +67,83 @@ class NetworkMonitor(ResourceMonitor):
         bottleneck); failing that, the interface's nominal rate.
         """
         since = max(0.0, now - self.window_s)
-        records = self._network.log.recent(
-            since, endpoint=(self._host_name, remote)
-        )
-        estimate = self._fit(records)
+        log = self._network.log
+        estimate = self._memo_fit(
+            remote, log.recent(since, endpoint=(self._host_name, remote)))
         if estimate is None:
-            estimate = self._fit(
-                self._network.log.recent(since, host=self._host_name)
-            )
+            estimate = self._memo_fit(
+                HOST_WIDE, log.recent(since, host=self._host_name))
         if estimate is None:
             estimate = self._nominal(remote)
-        self._estimates[remote] = estimate
         return estimate
 
-    def _fit(self, records) -> Optional[NetworkEstimate]:
-        """Fit elapsed = L + n/B over recent records, recency weighted."""
-        if len(records) < 2:
+    def _memo_fit(self, key: Hashable,
+                  records: List[TransferRecord]) -> Optional[NetworkEstimate]:
+        """:meth:`_fit` over *records*, reusing the last fit under *key*
+        when it covered the same window.
+
+        Every window under one key is a suffix of one :class:`TransferLog`
+        index, which only grows at its end and trims at its start, and
+        holds each record once.  So two windows with the same first
+        record, last record (both by identity) and length hold the same
+        records in the same order.  Index positions would not do: a trim
+        shifts them.  A deep copy of the monitor together with its log
+        (``clone_world``) maps the memo's records onto the copy's, so the
+        key stays valid there too.
+        """
+        n = len(records)
+        if n < 2:
             return None
-        sizes = np.array([float(r.nbytes) for r in records])
-        elapsed = np.array([r.elapsed for r in records])
-        if np.ptp(sizes) <= 0:
-            # All the same size: can't separate latency from bandwidth.
+        first, last = records[0], records[-1]
+        memo = self._fits.get(key)
+        if memo is not None and memo[0] is first and memo[1] is last \
+                and memo[2] == n:
+            return memo[3]
+        estimate = self._fit(records)
+        self._fits[key] = (first, last, n, estimate)
+        return estimate
+
+    def _fit(self, records: List[TransferRecord]) -> Optional[NetworkEstimate]:
+        """Fit elapsed = L + n/B over *records*, recency weighted.
+
+        The newest record has weight 1 and each older one ``decay`` times
+        the next.  Recency is log position: :class:`TransferLog` rejects
+        out-of-order appends, so *records* (oldest first) are in finish
+        order, and records that finished at the same instant are weighted
+        in the order they were logged.  (An ``argsort`` over finish times
+        used to decide that order; numpy's default sort is not stable
+        beyond 16 elements, so tied records got arbitrary weights.)
+
+        Weighted least squares in closed form, centred on the weighted
+        means in a second pass.  ``None`` when fewer than two records,
+        when every size is equal (latency and bandwidth cannot be told
+        apart) or when the fitted time per byte is not positive.
+        """
+        n = len(records)
+        if n < 2:
             return None
-        order = np.argsort([r.finished_at for r in records])
-        weights = np.empty(len(records))
-        weights[order] = self.decay ** np.arange(len(records) - 1, -1, -1)
-        design = np.column_stack([np.ones_like(sizes), sizes])
-        sw = np.sqrt(weights)
-        coef, *_ = np.linalg.lstsq(design * sw[:, None], elapsed * sw, rcond=None)
-        latency, per_byte = float(coef[0]), float(coef[1])
+        sizes = [float(r.nbytes) for r in records]
+        if max(sizes) <= min(sizes):
+            return None
+        elapsed = [r.elapsed for r in records]
+        decay = self.decay
+        weights = [decay ** age for age in range(n - 1, -1, -1)]
+        total = sum(weights)
+        mean_size = sum(w * x for w, x in zip(weights, sizes)) / total
+        mean_elapsed = sum(w * y for w, y in zip(weights, elapsed)) / total
+        sxx = sxy = 0.0
+        for w, x, y in zip(weights, sizes, elapsed):
+            dx = x - mean_size
+            sxx += w * dx * dx
+            sxy += w * dx * (y - mean_elapsed)
+        if sxx <= 0.0:
+            # Only when the records that differ in size have weights
+            # that underflowed to zero: no usable spread.
+            return None
+        per_byte = sxy / sxx
         if per_byte <= 0:
             return None
-        latency = max(latency, 0.0)
+        latency = max(mean_elapsed - per_byte * mean_size, 0.0)
         return NetworkEstimate(
             bandwidth_bps=1.0 / per_byte, latency_s=latency, observed=True
         )

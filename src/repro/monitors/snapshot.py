@@ -14,9 +14,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkEstimate:
-    """Predicted connectivity between the client and one server."""
+    """Predicted connectivity between the client and one server.
+
+    Frozen: the network monitor's fit memo hands one instance to every
+    snapshot taken while the fitted window is unchanged.
+    """
 
     bandwidth_bps: float
     latency_s: float

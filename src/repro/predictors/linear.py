@@ -7,7 +7,9 @@ giving more recent samples a greater weight in its predictions"
 
 :class:`RecencyWeightedLinearModel` fits ``y ≈ a + Σ b_i · x_i`` by
 weighted least squares, with sample weights decaying geometrically in
-recency order.  Degenerate designs (no samples with a given feature
+recency order.  A feature-free model's least-squares fit is its
+weighted mean, computed in closed form; models with features solve
+with ``lstsq``.  Degenerate designs (no samples with a given feature
 spread, collinear features) fall back gracefully: a constant feature
 contributes through the intercept, and an empty model predicts the
 recency-weighted mean of whatever it has seen.
@@ -48,6 +50,7 @@ class RecencyWeightedLinearModel:
         self._xs: List[Tuple[float, ...]] = []
         self._ys: List[float] = []
         self._coef: Optional[np.ndarray] = None  # [intercept, b_1..b_k]
+        self._mean = 0.0  # the fit when there are no features
         self._constant: Tuple[bool, ...] = (False,) * len(self.feature_names)
         self._stale = True
 
@@ -75,11 +78,14 @@ class RecencyWeightedLinearModel:
         if not self._ys:
             raise ValueError("model has no observations")
         self._refit()
-        assert self._coef is not None
-        x = np.array(
-            [1.0] + [float(features.get(n, 0.0)) for n in self.feature_names]
-        )
-        prediction = float(x @ self._coef)
+        if not self.feature_names:
+            prediction = self._mean
+        else:
+            assert self._coef is not None
+            x = np.array(
+                [1.0] + [float(features.get(n, 0.0)) for n in self.feature_names]
+            )
+            prediction = float(x @ self._coef)
         # Resource usage is non-negative by construction; a regression
         # extrapolating below zero is lying.
         return max(prediction, 0.0)
@@ -110,8 +116,13 @@ class RecencyWeightedLinearModel:
         """Recency-weighted mean of observed values (feature-free view)."""
         if not self._ys:
             raise ValueError("model has no observations")
-        weights = self._weights()
-        return float(np.average(np.array(self._ys), weights=weights))
+        total = weighted = 0.0
+        weight = 1.0
+        for y in reversed(self._ys):
+            total += weight
+            weighted += weight * y
+            weight *= self.decay
+        return weighted / total
 
     # -- internals --------------------------------------------------------------------
 
@@ -122,6 +133,11 @@ class RecencyWeightedLinearModel:
 
     def _refit(self) -> None:
         if not self._stale:
+            return
+        if not self.feature_names:
+            # The intercept-only least-squares fit is the weighted mean.
+            self._mean = self.weighted_mean()
+            self._stale = False
             return
         n = len(self._ys)
         k = len(self.feature_names)

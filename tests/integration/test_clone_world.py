@@ -25,6 +25,7 @@ from repro.experiments import latex, pangloss, speech
 from repro.experiments.runner import clone_world
 from repro.solver import HeuristicSolver
 from repro.telemetry import SpanTracer, Telemetry
+from tests.unit.test_monitors import count_fits
 
 LATEX_DOCUMENT = "small"
 PANGLOSS_WORDS = 10
@@ -254,3 +255,29 @@ class TestGuards:
         world.sim.call_in(1.0, attempt)
         world.sim.run()
         assert len(errors) == 1 and "running=True" in str(errors[0])
+
+
+class TestNetworkFitMemo:
+    def test_clone_and_original_estimate_alike(self):
+        servers = EXPERIMENTS["latex"][3]
+        original, app = latex._train()
+        monitor = original.nodes["560x"].client.network_monitor
+        now = original.sim.now
+        expected = [monitor.estimate_to(server, now) for server in servers]
+        assert monitor._fits  # the trained world has fitted windows
+
+        clone, clone_app = clone_world((original, app))
+        clone_monitor = clone.nodes["560x"].client.network_monitor
+        fits = count_fits(clone_monitor)
+        # The memo was copied onto the clone's own log records, so the
+        # unchanged windows are not refitted.
+        assert [clone_monitor.estimate_to(s, now) for s in servers] == expected
+        assert fits == []
+
+        for world, world_app in ((original, app), (clone, clone_app)):
+            world.sim.run_process(_latex_op(world_app))
+        assert clone.sim.now == original.sim.now
+        later = original.sim.now
+        assert fits  # the operation's traffic changed the windows
+        assert ([clone_monitor.estimate_to(s, later) for s in servers]
+                == [monitor.estimate_to(s, later) for s in servers])

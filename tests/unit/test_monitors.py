@@ -18,7 +18,8 @@ from repro.monitors import (
     ServerStatus,
     SmartBatteryMonitor,
 )
-from repro.network import Link, Network
+from repro.monitors.network import HOST_WIDE
+from repro.network import Link, Network, TransferLog, TransferRecord
 
 
 def blank_snapshot(now=0.0, host="client"):
@@ -322,3 +323,112 @@ class TestMachineWideBandwidthFallback:
         # B has its own history: the estimate reflects B's faster link.
         estimate = monitor.estimate_to("b", now=sim.now)
         assert estimate.bandwidth_bps == pytest.approx(40_000.0, rel=0.15)
+
+
+def count_fits(monitor):
+    """Record the window length of every fit *monitor* runs from now on."""
+    fits = []
+    fit = monitor._fit
+
+    def counting(records):
+        fits.append(len(records))
+        return fit(records)
+
+    monitor._fit = counting
+    return fits
+
+
+class TestNetworkFitMemo:
+    """The monitor refits a window only when the window has changed."""
+
+    @pytest.fixture
+    def network(self, sim):
+        network = Network(sim)
+        for name in ("client", "a", "b"):
+            network.register_host(name)
+            if name != "client":
+                network.connect("client", name, Link(sim, 10_000.0, 0.01))
+        return network
+
+    @staticmethod
+    def log(network, peer, nbytes, at):
+        network.log.append(TransferRecord(
+            "client", peer, nbytes, started_at=at - 0.01 - nbytes / 10_000.0,
+            finished_at=at))
+
+    @staticmethod
+    def fresh_fit(network, peer, now):
+        """What a monitor with no memo estimates."""
+        return NetworkMonitor("client", network).estimate_to(peer, now)
+
+    def test_unchanged_window_reuses_the_fit(self, network):
+        self.log(network, "a", 200, 1.0)
+        self.log(network, "a", 5_000, 2.0)
+        monitor = NetworkMonitor("client", network)
+        fits = count_fits(monitor)
+        first = monitor.estimate_to("a", now=3.0)
+        again = monitor.estimate_to("a", now=50.0)
+        assert again is first
+        assert fits == [2]
+        assert first.observed
+
+    def test_append_refits(self, network):
+        self.log(network, "a", 200, 1.0)
+        self.log(network, "a", 5_000, 2.0)
+        monitor = NetworkMonitor("client", network)
+        fits = count_fits(monitor)
+        monitor.estimate_to("a", now=3.0)
+        self.log(network, "a", 2_000, 4.0)
+        estimate = monitor.estimate_to("a", now=5.0)
+        assert fits == [2, 3]
+        assert estimate == self.fresh_fit(network, "a", 5.0)
+
+    def test_window_start_sliding_past_a_record_refits(self, network):
+        for at, nbytes in ((0.0, 9_000), (10.0, 200), (20.0, 5_000)):
+            self.log(network, "a", nbytes, at)
+        monitor = NetworkMonitor("client", network)
+        fits = count_fits(monitor)
+        monitor.estimate_to("a", now=100.0)
+        # The window (120 s) now starts after the first record; the last
+        # record is the same one.
+        estimate = monitor.estimate_to("a", now=125.0)
+        assert fits == [3, 2]
+        assert estimate == self.fresh_fit(network, "a", 125.0)
+
+    def test_trimmed_index_refits(self, network):
+        network.log = TransferLog(max_records=4)
+        sizes = (200, 5_000, 2_000, 800)
+        for i, nbytes in enumerate(sizes):
+            self.log(network, "a", nbytes, float(i))
+        monitor = NetworkMonitor("client", network)
+        fits = count_fits(monitor)
+        monitor.estimate_to("a", now=10.0)
+        # The fifth record trims the pair's index to its newest three.
+        self.log(network, "a", 3_000, 4.0)
+        held = network.log.recent(0.0, endpoint=("client", "a"))
+        assert len(held) == 3
+        estimate = monitor.estimate_to("a", now=10.0)
+        assert fits == [4, 3]
+        assert estimate == self.fresh_fit(network, "a", 10.0)
+        assert monitor.estimate_to("a", now=11.0) is estimate
+        assert fits == [4, 3]
+
+    def test_pair_and_host_wide_windows_keep_separate_entries(self, network):
+        self.log(network, "a", 200, 1.0)
+        self.log(network, "a", 5_000, 2.0)
+        self.log(network, "b", 2_000, 3.0)
+        monitor = NetworkMonitor("client", network)
+        fits = count_fits(monitor)
+        # b has one record of its own, so it falls back to the host-wide
+        # window (all three); a fits its own pair (two).
+        to_b = monitor.estimate_to("b", now=4.0)
+        to_a = monitor.estimate_to("a", now=4.0)
+        assert fits == [3, 2]
+        assert set(monitor._fits) == {"a", HOST_WIDE}
+        assert to_a != to_b
+        # Alternating between them refits neither.
+        assert monitor.estimate_to("b", now=5.0) is to_b
+        assert monitor.estimate_to("a", now=5.0) is to_a
+        assert fits == [3, 2]
+        assert to_b == self.fresh_fit(network, "b", 4.0)
+        assert to_a == self.fresh_fit(network, "a", 4.0)
