@@ -273,11 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="wall-clock benchmarks (BENCH_*.json)",
-        description="Run the decision-path microbenchmarks and the "
-                    "scenario throughput macrobenchmarks, writing "
-                    "versioned spectra-bench/1 JSON documents; or "
-                    "validate existing BENCH files with --check.",
+        help="kernel wall-clock benchmark (BENCH_kernel.json)",
+        description="Run the kernel suite (event throughput, timer "
+                    "churn, contended fair-share scheduling), writing "
+                    "a versioned spectra-bench/1 JSON document and "
+                    "optionally gating it with --ratchet; or validate "
+                    "existing BENCH files with --check.",
     )
     add_bench_arguments(bench)
 

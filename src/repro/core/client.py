@@ -223,11 +223,6 @@ class SpectraClient:
         #: memoized SearchSpace per (operation, reachable-servers) key;
         #: invalidated on discovery (add_server) and mid-op failover.
         self._space_cache = SpaceCache()
-        #: escape hatch for A/B measurement and equivalence tests: when
-        #: False, every decision rebuilds its SearchSpace from scratch
-        #: (the pre-cache behaviour).  Decisions are identical either
-        #: way; only the decision latency differs (see `repro bench`).
-        self.space_cache_enabled = True
         self._operations: Dict[str, RegisteredOperation] = {}
         self._active: List[OperationRecording] = []
         self._polling = False
@@ -635,13 +630,10 @@ class SpectraClient:
                Optional[SolverResult]]:
         spec = registered.spec
         reachable = [s.name for s in snapshot.reachable_servers()]
-        if self.space_cache_enabled:
-            # Reachability is part of the key, so poll-driven churn
-            # self-invalidates; the cached space keeps its decode and
-            # decision-context memos warm across operations.
-            space = self._space_cache.get(spec, reachable)
-        else:
-            space = SearchSpace(spec, reachable)
+        # Reachability is part of the key, so poll-driven churn
+        # self-invalidates; the cached space keeps its decode and
+        # decision-context memos warm across operations.
+        space = self._space_cache.get(spec, reachable)
 
         # Exploration: a (plan × fidelity) bin that has never executed
         # has no demand model, so the solver would see it as infeasible

@@ -1,22 +1,21 @@
 """Wall-clock performance layer: the ``repro bench`` harness.
 
 The simulation's *results* are functions of simulated time and fully
-deterministic; how much **host** CPU it burns producing them is not, and
-that cost decides how much scenario coverage a CI run or a parameter
-sweep can afford.  This package measures it:
+deterministic; how much **host** CPU it burns producing them is not.
+End-to-end and per-layer costs are measured by the repository benchmark
+(``bench/``).  This package keeps the one gate that benchmark does not
+give: the ``kernel`` suite and its ratchet on the virtual-time
+fair-share scheduler.
 
 * :mod:`.timing` — best-of-N ``perf_counter`` primitives (the one
   module in ``src/repro`` exempt from the SPC001 wall-clock lint);
-* :mod:`.micro` — decision-path microbenchmarks (snapshot, predict,
-  solve, the baseline-vs-cached full decision, kernel throughput);
-* :mod:`.macro` — whole-scenario throughput in ops per wall second;
+* :mod:`.kernel` — event-loop, timer and contended-scheduler
+  throughput, the legacy scheduler timed against the shipping one;
 * :mod:`.schema` — the versioned ``spectra-bench/1`` document format
   CI validates (shape is gated, timings never are);
-* :mod:`.cli` — the ``repro bench`` command.
+* :mod:`.cli` — the ``repro bench`` command and the kernel ratchet.
 """
 
-from .macro import bench_scenario, run_macro_suite
-from .micro import build_decision_world, run_micro_suite
 from .schema import (
     SCHEMA,
     BenchSchemaError,
@@ -29,11 +28,7 @@ __all__ = [
     "SCHEMA",
     "BenchSchemaError",
     "Measurement",
-    "bench_scenario",
-    "build_decision_world",
     "measure",
-    "run_macro_suite",
-    "run_micro_suite",
     "stopwatch",
     "validate_bench_doc",
     "validate_bench_file",

@@ -1,28 +1,30 @@
-"""The ``repro bench`` command: run suites, write and validate BENCH files.
+"""The ``repro bench`` command: run the kernel suite, write and validate
+``BENCH_kernel.json``.
 
 ``repro bench``
-    Run both suites and write ``BENCH_decision.json`` and
-    ``BENCH_scenarios.json`` to ``--output`` (default: the repository
-    root, where they are committed and diffed PR-over-PR).
+    Run the kernel suite and write ``BENCH_kernel.json`` to ``--output``
+    (default: the repository root, where it is committed and diffed
+    PR-over-PR).
 
 ``repro bench --quick``
-    CI-sized run: fewer repeats, minimal training.  Same schema.
-
-``repro bench --suite decision``
-    One suite only.
+    CI-sized run: fewer repeats.  Same schema.
 
 ``repro bench --check FILE [FILE ...]``
     Validate existing BENCH files against the ``spectra-bench/1``
     schema without running anything; exits 1 on the first bad file.
     This is what CI gates on — schema drift fails, timing noise never.
 
-``repro bench --suite kernel --ratchet BENCH_kernel.json``
-    Run the kernel suite and gate the fresh results against the
-    committed document.  The ratchet is deliberately host-portable: the
-    hard gates are *dimensionless* (the contended-medium speedup ratio,
-    which divides out the host), while absolute events/sec — which vary
-    several-fold across CI runners — only fail on an order-of-magnitude
-    collapse.  See :data:`RATCHET_MIN_SPEEDUP`.
+``repro bench --ratchet BENCH_kernel.json``
+    Gate the fresh results against the committed document.  The
+    committed document is read and validated before the suite runs,
+    and the fresh one is written only when the gate passes, so
+    ``--output`` may name the ratchet's own directory without the run
+    gating against (or overwriting the floor with) its own output.
+    The ratchet is deliberately host-portable: the hard gates are
+    *dimensionless* (the contended-medium speedup ratio, which divides
+    out the host), while absolute events/sec — which vary several-fold
+    across CI runners — only fail on an order-of-magnitude collapse.
+    See :data:`RATCHET_MIN_SPEEDUP`.
 """
 
 from __future__ import annotations
@@ -34,12 +36,8 @@ import sys
 from typing import Any, Dict, List
 
 from .kernel import run_kernel_suite
-from .macro import run_macro_suite
-from .micro import run_micro_suite
 from .schema import SCHEMA, BenchSchemaError, validate_bench_doc, \
     validate_bench_file
-
-SUITES = ("decision", "scenarios", "kernel")
 
 #: the contended-medium speedup any host must clear — below this the
 #: virtual-time scheduler has regressed toward the legacy O(n²) path
@@ -54,13 +52,10 @@ RATCHET_RATE_SLIP = 0.10
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--suite", choices=SUITES + ("all",),
-                        default="all",
-                        help="which suite to run (default: all)")
     parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run: fewer repeats, less training")
+                        help="CI-sized run: fewer repeats")
     parser.add_argument("--output", default=".",
-                        help="directory for BENCH_*.json files "
+                        help="directory for BENCH_kernel.json "
                              "(default: repository root)")
     parser.add_argument("--quiet", action="store_true",
                         help="write files without printing the summary")
@@ -69,16 +64,15 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="validate existing bench files and exit; "
                              "runs nothing")
     parser.add_argument("--ratchet", metavar="FILE", default=None,
-                        help="after running the kernel suite, gate fresh "
-                             "results against this committed "
-                             "BENCH_kernel.json (exit 1 on regression)")
+                        help="gate fresh results against this committed "
+                             "BENCH_kernel.json (exit 1 on regression; "
+                             "nothing is written then)")
 
 
-def _document(suite: str, quick: bool,
-              benchmarks: Dict[str, Any]) -> Dict[str, Any]:
+def _document(quick: bool, benchmarks: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "schema": SCHEMA,
-        "suite": suite,
+        "suite": "kernel",
         "quick": quick,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "platform": sys.platform,
@@ -126,10 +120,10 @@ def ratchet_kernel(fresh: Dict[str, Any],
     return failures
 
 
-def _summarize(suite: str, doc: Dict[str, Any]) -> str:
-    lines = [f"suite {suite!r}:"]
+def _summarize(doc: Dict[str, Any]) -> str:
+    lines = ["suite 'kernel':"]
     for name, entry in sorted(doc["benchmarks"].items()):
-        if suite == "kernel" and name == "contended_medium":
+        if name == "contended_medium":
             lines.append(
                 f"  {name:18s} baseline {entry['baseline']['best_s']:8.4f} s  "
                 f"optimized {entry['optimized']['best_s']:8.4f} s  "
@@ -137,30 +131,10 @@ def _summarize(suite: str, doc: Dict[str, Any]) -> str:
                 f"({entry['jobs']:.0f} jobs, same_results="
                 f"{entry['same_results']})"
             )
-        elif suite == "kernel":
+        else:
             lines.append(
                 f"  {name:18s} best {entry['best_s'] * 1e3:9.3f} ms  "
                 f"{entry['events_per_s']:12,.0f} events/s"
-            )
-        elif suite == "decision" and name == "decision":
-            base = entry["baseline"]["best_s"]
-            opt = entry["optimized"]["best_s"]
-            lines.append(
-                f"  {name:14s} baseline {base * 1e3:8.3f} ms  "
-                f"optimized {opt * 1e3:8.3f} ms  "
-                f"speedup {entry['speedup']:.2f}x"
-            )
-        elif suite == "decision":
-            lines.append(
-                f"  {name:14s} best {entry['best_s'] * 1e6:10.2f} us  "
-                f"mean {entry['mean_s'] * 1e6:10.2f} us"
-            )
-        else:
-            lines.append(
-                f"  {name:22s} {entry['wall_s']:6.2f} s wall, "
-                f"{entry['completed']}/{entry['ops']} ops, "
-                f"{entry['ops_per_s']:6.2f} ops/s, "
-                f"{entry['sim_s_per_wall_s']:8.1f} sim-s/wall-s"
             )
     return "\n".join(lines)
 
@@ -177,45 +151,42 @@ def run_bench_command(args: argparse.Namespace) -> int:
                 print(f"{path}: ok ({suite})")
         return 0
 
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    output_dir = pathlib.Path(args.output)
-    output_dir.mkdir(parents=True, exist_ok=True)
-
-    for suite in suites:
-        if suite == "decision":
-            benchmarks = run_micro_suite(quick=args.quick)
-        elif suite == "kernel":
-            benchmarks = run_kernel_suite(quick=args.quick)
-        else:
-            benchmarks = run_macro_suite(quick=args.quick)
-        doc = _document(suite, args.quick, benchmarks)
-        # Self-check before writing: a malformed document must fail the
-        # producing run, not the consuming CI job three PRs later.
+    # Read the floor before anything runs or is written: --output may
+    # be the ratchet's own directory.
+    committed = None
+    if args.ratchet:
         try:
-            validate_bench_doc(doc)
-        except BenchSchemaError as exc:
-            print(f"BENCH_{suite}.json failed self-validation:\n{exc}",
+            with open(args.ratchet) as handle:
+                committed = json.load(handle)
+            validate_bench_doc(committed)
+        except (OSError, ValueError) as exc:
+            print(f"ratchet: cannot use {args.ratchet}: {exc}",
                   file=sys.stderr)
             return 1
-        path = output_dir / f"BENCH_{suite}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    doc = _document(args.quick, run_kernel_suite(quick=args.quick))
+    # Self-check before writing: a malformed document must fail the
+    # producing run, not the consuming CI job three PRs later.
+    try:
+        validate_bench_doc(doc)
+    except BenchSchemaError as exc:
+        print(f"BENCH_kernel.json failed self-validation:\n{exc}",
+              file=sys.stderr)
+        return 1
+    if not args.quiet:
+        print(_summarize(doc))
+    if committed is not None:
+        failures = ratchet_kernel(doc, committed)
+        if failures:
+            for failure in failures:
+                print(f"ratchet: {failure}", file=sys.stderr)
+            return 1
         if not args.quiet:
-            print(_summarize(suite, doc))
-            print(f"[written to {path}]\n")
-        if suite == "kernel" and getattr(args, "ratchet", None):
-            try:
-                validate_bench_file(args.ratchet)
-                with open(args.ratchet) as handle:
-                    committed = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print(f"ratchet: cannot use {args.ratchet}: {exc}",
-                      file=sys.stderr)
-                return 1
-            failures = ratchet_kernel(doc, committed)
-            if failures:
-                for failure in failures:
-                    print(f"ratchet: {failure}", file=sys.stderr)
-                return 1
-            if not args.quiet:
-                print(f"[ratchet vs {args.ratchet}: ok]\n")
+            print(f"[ratchet vs {args.ratchet}: ok]")
+    output_dir = pathlib.Path(args.output)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    path = output_dir / "BENCH_kernel.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if not args.quiet:
+        print(f"[written to {path}]")
     return 0

@@ -1,17 +1,16 @@
 """The ``spectra-bench/1`` document schema and its validator.
 
-``repro bench`` emits one JSON document per suite —
-``BENCH_decision.json`` (microbenchmarks) and ``BENCH_scenarios.json``
-(scenario throughput) — committed at the repository root so the numbers
-are diffable PR-over-PR.  Timings drift with the host; the *shape* must
+``repro bench`` emits one JSON document, ``BENCH_kernel.json`` (the
+``kernel`` suite), committed at the repository root so the numbers are
+diffable PR-over-PR.  Timings drift with the host; the *shape* must
 not.  CI therefore validates structure only: a missing key, a wrong
-type, or an unknown schema tag fails the build, a slow machine never
-does.
+type, an unknown suite or an unknown schema tag fails the build, a slow
+machine never does.
 
 Validation is hand-rolled (no jsonschema dependency) and reports every
 problem path-qualified, e.g.::
 
-    benchmarks.decision.speedup: expected number, got str
+    benchmarks.contended_medium.speedup: expected number, got str
 """
 
 from __future__ import annotations
@@ -23,14 +22,6 @@ SCHEMA = "spectra-bench/1"
 
 #: keys every best-of-N measurement dict must carry
 MEASUREMENT_KEYS = ("number", "repeats", "best_s", "mean_s", "worst_s")
-
-#: microbenchmark names BENCH_decision must contain
-DECISION_BENCHMARKS = ("snapshot", "predict", "solve", "decision",
-                       "kernel_events")
-
-#: per-scenario keys BENCH_scenarios must carry
-SCENARIO_KEYS = ("profile", "repeats", "wall_s", "ops", "completed",
-                 "ops_per_s", "sim_time_s", "sim_s_per_wall_s")
 
 #: benchmark names BENCH_kernel must contain
 KERNEL_BENCHMARKS = ("event_throughput", "timer_churn", "contended_medium")
@@ -86,82 +77,6 @@ def _check_header(doc: Dict[str, Any], suite: str,
                         f"got {type(doc.get('python')).__name__}")
 
 
-def validate_decision_doc(doc: Any) -> None:
-    """Raise :class:`BenchSchemaError` unless *doc* is a valid
-    ``BENCH_decision`` document."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        raise BenchSchemaError(f"document: expected object, "
-                               f"got {type(doc).__name__}")
-    _check_header(doc, "decision", problems)
-    benchmarks = doc.get("benchmarks")
-    if not isinstance(benchmarks, dict):
-        problems.append("benchmarks: expected object, "
-                        f"got {type(benchmarks).__name__}")
-        _fail(problems)
-        return
-    for name in DECISION_BENCHMARKS:
-        if name not in benchmarks:
-            problems.append(f"benchmarks.{name}: missing")
-    for name, entry in benchmarks.items():
-        path = f"benchmarks.{name}"
-        if name == "decision":
-            if not isinstance(entry, dict):
-                problems.append(f"{path}: expected object, "
-                                f"got {type(entry).__name__}")
-                continue
-            _check_measurement(entry.get("baseline"),
-                               f"{path}.baseline", problems)
-            _check_measurement(entry.get("optimized"),
-                               f"{path}.optimized", problems)
-            _check_number(entry, path, "speedup", problems)
-            if not isinstance(entry.get("same_choice"), bool):
-                problems.append(f"{path}.same_choice: expected bool, "
-                                f"got {type(entry.get('same_choice')).__name__}")
-            elif not entry["same_choice"]:
-                # Not a schema nicety: the cache must be semantically
-                # invisible, so a divergent pick is a correctness bug.
-                problems.append(f"{path}.same_choice: baseline and "
-                                "optimized picked different alternatives")
-        else:
-            _check_measurement(entry, path, problems)
-    _fail(problems)
-
-
-def validate_scenarios_doc(doc: Any) -> None:
-    """Raise :class:`BenchSchemaError` unless *doc* is a valid
-    ``BENCH_scenarios`` document."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        raise BenchSchemaError(f"document: expected object, "
-                               f"got {type(doc).__name__}")
-    _check_header(doc, "scenarios", problems)
-    benchmarks = doc.get("benchmarks")
-    if not isinstance(benchmarks, dict):
-        problems.append("benchmarks: expected object, "
-                        f"got {type(benchmarks).__name__}")
-        _fail(problems)
-        return
-    if not benchmarks:
-        problems.append("benchmarks: empty — at least one scenario required")
-    for name, entry in benchmarks.items():
-        path = f"benchmarks.{name}"
-        if not isinstance(entry, dict):
-            problems.append(f"{path}: expected object, "
-                            f"got {type(entry).__name__}")
-            continue
-        for key in SCENARIO_KEYS:
-            if key not in entry:
-                problems.append(f"{path}.{key}: missing")
-            elif key == "profile":
-                if not isinstance(entry[key], str):
-                    problems.append(f"{path}.{key}: expected str, "
-                                    f"got {type(entry[key]).__name__}")
-            else:
-                _check_number(entry, path, key, problems)
-    _fail(problems)
-
-
 def validate_kernel_doc(doc: Any) -> None:
     """Raise :class:`BenchSchemaError` unless *doc* is a valid
     ``BENCH_kernel`` document."""
@@ -210,27 +125,13 @@ def validate_kernel_doc(doc: Any) -> None:
     _fail(problems)
 
 
-VALIDATORS = {
-    "decision": validate_decision_doc,
-    "scenarios": validate_scenarios_doc,
-    "kernel": validate_kernel_doc,
-}
-
-
 def validate_bench_doc(doc: Any) -> str:
     """Validate any bench document; returns its suite name."""
-    if not isinstance(doc, dict):
-        raise BenchSchemaError(f"document: expected object, "
-                               f"got {type(doc).__name__}")
-    suite = doc.get("suite")
-    validator = VALIDATORS.get(suite)
-    if validator is None:
+    if isinstance(doc, dict) and doc.get("suite") != "kernel":
         raise BenchSchemaError(
-            f"suite: unknown {suite!r}; known: "
-            f"{', '.join(sorted(VALIDATORS))}"
-        )
-    validator(doc)
-    return suite
+            f"suite: unknown {doc.get('suite')!r}; known: kernel")
+    validate_kernel_doc(doc)
+    return "kernel"
 
 
 def validate_bench_file(path: str) -> str:

@@ -4,15 +4,15 @@ This is the **only** module in ``src/repro`` allowed to read the host
 clock: every simulated figure the reproduction reports comes from
 ``Simulator.now``, and the SPC001 lint rule bans ``time.*`` everywhere
 else.  The bench harness is the deliberate exception — its whole point
-is to measure how much *host* CPU the decision path burns — so SPC001
-carves out exactly this file (see
+is to measure how much *host* CPU the kernel and its schedulers burn —
+so SPC001 carves out exactly this file (see
 ``repro.analysis.rules.wallclock.WallClockRule.default_exclude``).
 
 Methodology: ``best-of-R × N`` in the ``timeit`` tradition.  Each
 *repeat* times ``number`` back-to-back calls and the suite reports the
 **best** repeat — the run least disturbed by scheduler noise, GC, and
 frequency scaling.  Mean-of-repeats is also recorded for honesty about
-spread, but comparisons (and the speedup figures in ``BENCH_*.json``)
+spread, but comparisons (and the speedup in ``BENCH_kernel.json``)
 use the best, which is the stablest estimator of intrinsic cost.
 """
 
@@ -84,8 +84,8 @@ def measure(name: str, fn: Callable[[], object], *, number: int = 10,
 def stopwatch() -> Callable[[], float]:
     """A started stopwatch: call the returned function for elapsed seconds.
 
-    For one-shot macro timings (a whole scenario run) where the
-    repeat-N-take-best protocol is too expensive.
+    For one-shot timings where the repeat-N-take-best protocol is too
+    expensive.
     """
     t0 = time.perf_counter()
     return lambda: time.perf_counter() - t0

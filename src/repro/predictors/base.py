@@ -69,11 +69,6 @@ class OperationDemandPredictor:
         # hits instead of bin lookups + regression evaluations.
         self._version = 0
         self._predict_cache: Dict[tuple, Any] = {}
-        #: set False to evaluate every prediction from the models (the
-        #: pre-memo behavior); ``repro bench`` uses this for its
-        #: baseline leg, and it doubles as an escape hatch for a custom
-        #: model that cannot honor the purity contract.
-        self.memoize = True
         # Rebuild in-memory models from an inherited log ("each predictor
         # reads the logged resource usage data").
         for sample in self.log:
@@ -167,14 +162,13 @@ class OperationDemandPredictor:
                 continuous: Dict[str, float],
                 data_object: Optional[str] = None) -> float:
         """Predicted demand for *resource* under the given context."""
-        if self.memoize:
-            key = (resource, discrete_key(discrete),
-                   tuple(sorted(continuous.items())), data_object)
-            cached = self._predict_cache.get(key)
-            if cached is not None:
-                if type(cached) is float:
-                    return cached
-                raise NoModelError(cached[0])
+        key = (resource, discrete_key(discrete),
+               tuple(sorted(continuous.items())), data_object)
+        cached = self._predict_cache.get(key)
+        if cached is not None:
+            if type(cached) is float:
+                return cached
+            raise NoModelError(cached[0])
         model = self._custom.get(resource) or self._models.get(resource)
         if model is None:
             # A never-observed resource stays model-less until observe()
@@ -182,28 +176,24 @@ class OperationDemandPredictor:
             # miss too, or every solver search point rebuilds the
             # exception from scratch.
             message = f"no demand model for resource {resource!r} yet"
-            if self.memoize:
-                if len(self._predict_cache) >= self.PREDICT_CACHE_MAX:
-                    self._predict_cache.clear()
-                self._predict_cache[key] = (message,)
+            self._remember(key, (message,))
             raise NoModelError(message)
         try:
             value = float(
                 model.predict(discrete, continuous, data_object=data_object)
             )
         except ValueError as exc:
-            if self.memoize:
-                # An untrained bin stays untrained until observe() fills
-                # it, which invalidates the memo — cache the miss too.
-                if len(self._predict_cache) >= self.PREDICT_CACHE_MAX:
-                    self._predict_cache.clear()
-                self._predict_cache[key] = (str(exc),)
+            # An untrained bin stays untrained until observe() fills it,
+            # which invalidates the memo — cache the miss too.
+            self._remember(key, (str(exc),))
             raise NoModelError(str(exc)) from exc
-        if self.memoize:
-            if len(self._predict_cache) >= self.PREDICT_CACHE_MAX:
-                self._predict_cache.clear()
-            self._predict_cache[key] = value
+        self._remember(key, value)
         return value
+
+    def _remember(self, key: tuple, entry: Any) -> None:
+        if len(self._predict_cache) >= self.PREDICT_CACHE_MAX:
+            self._predict_cache.clear()
+        self._predict_cache[key] = entry
 
     def has_bin(self, resource: str, discrete: Dict[str, Any]) -> bool:
         """Has *resource* been observed under this exact discrete context?"""

@@ -288,7 +288,6 @@ def run_scenario(
     profile: str = "full",
     seed: Optional[int] = None,
     telemetry: Optional[Telemetry] = None,
-    space_cache: bool = True,
     predictor_store=None,
     save_predictors: bool = False,
 ) -> ScenarioReport:
@@ -298,10 +297,6 @@ def run_scenario(
     run to CI size first.  A fresh metrics-only :class:`Telemetry` is
     created unless one is passed in (pass a
     :func:`~repro.telemetry.jsonl_trace` one to also stream the spans).
-    ``space_cache=False`` disables every client's search-space cache —
-    the reports must come out byte-identical either way (the
-    equivalence tests run both); it exists for exactly that check and
-    for bisecting a suspected cache bug.
 
     ``predictor_store`` (a directory path or
     :class:`~repro.predictors.store.PredictorStore`) warm-starts every
@@ -330,10 +325,6 @@ def run_scenario(
     world = compile_scenario(spec, telemetry=telemetry,
                              predictor_store=store)
     sim = world.sim
-    if not space_cache:
-        for compiled in world.clients:
-            compiled.client.space_cache_enabled = False
-
     _train(world)
 
     # Arm recovery machinery only when the environment will misbehave:

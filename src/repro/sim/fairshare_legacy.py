@@ -18,8 +18,8 @@ assumed:
   (``tests/property/test_fairshare_equivalence.py``) drives both
   schedulers through randomized submit/abort/capacity-change schedules
   and compares outcomes, and
-* the ``contended_medium`` macro benchmark (``repro bench --suite
-  kernel``) runs a 500-job contention storm through both, reports the
+* the ``contended_medium`` macro benchmark (``repro bench``'s kernel
+  suite) runs a 500-job contention storm through both, reports the
   speedup in ``BENCH_kernel.json``, and sets its ``same_results`` flag
   only when the completion sequences match.
 

@@ -1,36 +1,48 @@
 """Integration tests for the decision-path performance layer.
 
-The acceptance bar this PR must clear, end to end:
+The acceptance bar, end to end:
 
 * every canned scenario produces a **byte-identical** report with the
-  search-space cache on and off — caching must be invisible at the
-  system level, not just per-solve;
+  hot-path caches (the search-space cache and the demand-prediction
+  memo) and without them — caching must be invisible at the system
+  level, not just per-solve;
 * reports do not depend on ``PYTHONHASHSEED`` (checked in fresh
   subprocesses with different hash seeds);
-* ``repro bench --quick`` writes ``BENCH_*.json`` files that pass
-  their own schema validator, and ``repro bench --check`` agrees;
 * a multiprocess sweep merges to the same bytes as the in-process one.
 """
 
-import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-from repro.perf.schema import validate_bench_file
+from repro.predictors.base import OperationDemandPredictor
 from repro.scenarios import SCENARIOS, canned_spec, run_scenario
 from repro.scenarios.sweep import run_sweep, sweep_to_json
+from repro.solver import SearchSpace, SpaceCache
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_cached_reports_byte_identical_to_uncached(name):
+def test_cached_reports_byte_identical_to_uncached(name, monkeypatch):
     spec = canned_spec(name)
-    cached = run_scenario(spec, profile="smoke", space_cache=True)
-    uncached = run_scenario(spec, profile="smoke", space_cache=False)
+    cached = run_scenario(spec, profile="smoke")
+
+    # The uncached leg: every decision builds a fresh SearchSpace, and
+    # every demand prediction is evaluated from the models.
+    monkeypatch.setattr(SpaceCache, "get",
+                        lambda self, spec, servers: SearchSpace(spec, servers))
+    memoized_predict = OperationDemandPredictor.predict
+
+    def predict_from_models(self, *args, **kwargs):
+        self._predict_cache.clear()
+        return memoized_predict(self, *args, **kwargs)
+
+    monkeypatch.setattr(OperationDemandPredictor, "predict",
+                        predict_from_models)
+    uncached = run_scenario(spec, profile="smoke")
     assert cached.to_json() == uncached.to_json()
 
 
@@ -62,46 +74,3 @@ def test_sweep_jobs_do_not_change_bytes():
     serial = run_sweep(spec, variants=3, jobs=1, profile="smoke")
     fanned = run_sweep(spec, variants=3, jobs=2, profile="smoke")
     assert sweep_to_json(serial) == sweep_to_json(fanned)
-
-
-class TestBenchCliEndToEnd:
-    @pytest.fixture(scope="class")
-    def bench_dir(self, tmp_path_factory):
-        """One quick bench run shared by every assertion below."""
-        from repro.cli import main
-        out = tmp_path_factory.mktemp("bench")
-        code = main(["bench", "--quick", "--suite", "all",
-                     "--output", str(out), "--quiet"])
-        assert code == 0
-        return out
-
-    def test_emits_both_documents(self, bench_dir):
-        assert (bench_dir / "BENCH_decision.json").is_file()
-        assert (bench_dir / "BENCH_scenarios.json").is_file()
-
-    def test_documents_pass_their_own_validator(self, bench_dir):
-        assert validate_bench_file(
-            str(bench_dir / "BENCH_decision.json")) == "decision"
-        assert validate_bench_file(
-            str(bench_dir / "BENCH_scenarios.json")) == "scenarios"
-
-    def test_check_subcommand_agrees(self, bench_dir):
-        from repro.cli import main
-        assert main(["bench", "--check",
-                     str(bench_dir / "BENCH_decision.json"),
-                     str(bench_dir / "BENCH_scenarios.json")]) == 0
-
-    def test_decision_doc_reports_baseline_and_optimized(self, bench_dir):
-        doc = json.loads((bench_dir / "BENCH_decision.json").read_text())
-        decision = doc["benchmarks"]["decision"]
-        # Both legs present so speedup is auditable PR-over-PR, and the
-        # caches never changed the chosen alternative.
-        assert decision["baseline"]["best_s"] > 0
-        assert decision["optimized"]["best_s"] > 0
-        assert decision["same_choice"] is True
-        assert decision["speedup"] == pytest.approx(
-            decision["baseline"]["best_s"] / decision["optimized"]["best_s"])
-
-    def test_scenarios_doc_covers_the_whole_library(self, bench_dir):
-        doc = json.loads((bench_dir / "BENCH_scenarios.json").read_text())
-        assert sorted(doc["benchmarks"]) == sorted(SCENARIOS)

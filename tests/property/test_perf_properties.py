@@ -2,9 +2,10 @@
 
 Two invariants the perf work must never bend:
 
-* the bench document schema is *stable* — any suite the harness can
-  emit round-trips through the validator, and random corruptions of a
-  valid document are rejected (so CI's schema gate has teeth);
+* the bench document schema is *stable* — any kernel document the
+  harness can emit round-trips through the validator, and random
+  deletions or corruptions of a valid document are rejected (so CI's
+  schema gate has teeth);
 * caching is *semantically invisible* — a solve through a
   :class:`SpaceCache`-shared :class:`SearchSpace` picks the identical
   alternative, at the identical utility, as a solve on a freshly built
@@ -109,61 +110,77 @@ def measurement_strategy():
     })
 
 
-def decision_doc_strategy():
+def rate_measurement_strategy():
+    rate = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+    return measurement_strategy().flatmap(
+        lambda m: rate.map(lambda r: {**m, "events_per_s": r}))
+
+
+def kernel_doc_strategy():
+    nonnegative = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
     return st.fixed_dictionaries({
         "schema": st.just(SCHEMA),
-        "suite": st.just("decision"),
+        "suite": st.just("kernel"),
         "quick": st.booleans(),
         "python": st.just("3.11.0"),
         "platform": st.just("linux"),
         "benchmarks": st.fixed_dictionaries({
-            "snapshot": measurement_strategy(),
-            "predict": measurement_strategy(),
-            "solve": measurement_strategy(),
-            "kernel_events": measurement_strategy(),
-            "decision": st.fixed_dictionaries({
+            "event_throughput": rate_measurement_strategy(),
+            "timer_churn": rate_measurement_strategy(),
+            "contended_medium": st.fixed_dictionaries({
                 "baseline": measurement_strategy(),
                 "optimized": measurement_strategy(),
-                "speedup": st.floats(min_value=0.0, max_value=100.0,
-                                     allow_nan=False),
-                "same_choice": st.just(True),
+                "speedup": nonnegative,
+                "jobs": st.integers(min_value=1, max_value=1000),
+                "events_per_s": nonnegative,
+                "same_results": st.just(True),
             }),
         }),
     })
 
 
-@given(doc=decision_doc_strategy())
+@given(doc=kernel_doc_strategy())
 @settings(max_examples=40, deadline=None)
 def test_schema_accepts_any_well_formed_document(doc):
-    assert validate_bench_doc(doc) == "decision"
+    assert validate_bench_doc(doc) == "kernel"
     # Schema stability: the JSON round-trip validates identically.
-    assert validate_bench_doc(json.loads(json.dumps(doc))) == "decision"
+    assert validate_bench_doc(json.loads(json.dumps(doc))) == "kernel"
 
 
 @given(
-    doc=decision_doc_strategy(),
+    doc=kernel_doc_strategy(),
     path=st.sampled_from([
-        ("schema",), ("suite",), ("benchmarks",),
-        ("benchmarks", "snapshot"), ("benchmarks", "predict"),
-        ("benchmarks", "solve"), ("benchmarks", "kernel_events"),
-        ("benchmarks", "decision"),
-        ("benchmarks", "snapshot", "best_s"),
-        ("benchmarks", "decision", "speedup"),
-        ("benchmarks", "decision", "same_choice"),
+        ("schema",), ("suite",), ("quick",), ("python",), ("benchmarks",),
+        ("benchmarks", "event_throughput"), ("benchmarks", "timer_churn"),
+        ("benchmarks", "contended_medium"),
+        ("benchmarks", "event_throughput", "best_s"),
+        ("benchmarks", "timer_churn", "events_per_s"),
+        ("benchmarks", "contended_medium", "baseline"),
+        ("benchmarks", "contended_medium", "optimized", "worst_s"),
+        ("benchmarks", "contended_medium", "speedup"),
+        ("benchmarks", "contended_medium", "jobs"),
+        ("benchmarks", "contended_medium", "events_per_s"),
+        ("benchmarks", "contended_medium", "same_results"),
     ]),
+    corrupt=st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
-def test_schema_rejects_any_deleted_or_corrupted_field(doc, path):
+@settings(max_examples=80, deadline=None)
+def test_schema_rejects_any_deleted_or_corrupted_field(doc, path, corrupt):
     target = doc
     for key in path[:-1]:
         target = target[key]
-    del target[path[-1]]
+    if corrupt:
+        # A list is the wrong type for every field of the document.
+        target[path[-1]] = ["corrupt"]
+    else:
+        del target[path[-1]]
     try:
         validate_bench_doc(doc)
     except BenchSchemaError:
         pass
     else:
-        raise AssertionError(f"deleting {'.'.join(path)} went unnoticed")
+        action = "corrupting" if corrupt else "deleting"
+        raise AssertionError(f"{action} {'.'.join(path)} went unnoticed")
 
 
 @given(

@@ -11,6 +11,8 @@ from repro.predictors import (
     FileAccessPredictor,
     RecencyWeightedLinearModel,
 )
+from repro.predictors.base import NoModelError, OperationDemandPredictor
+from repro.predictors.datamodel import DataSpecificPredictor
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -114,3 +116,93 @@ def test_expected_fetch_bounded_by_total_uncached_size(rounds, cached):
     max_possible = sum(size for path, size in sizes.items()
                        if path not in cached)
     assert 0.0 <= fetch <= max_possible + 1e-9
+
+
+class MeanModel:
+    """A pure custom model: untrained (ValueError) until first observed."""
+
+    def __init__(self, scale):
+        self.scale = scale
+        self.total = 0.0
+        self.n = 0
+
+    def observe(self, discrete, continuous, value, data_object=None):
+        self.total += value
+        self.n += 1
+
+    def predict(self, discrete, continuous, data_object=None):
+        if not self.n:
+            raise ValueError("custom model has no observations")
+        return self.scale * self.total / self.n + continuous["x"]
+
+
+RESOURCES = ("cpu", "net", "disk")
+PLANS = st.sampled_from(["local", "remote"])
+XS = st.sampled_from([1.0, 2.0, 4.0])
+OBJECTS = st.sampled_from([None, "doc"])
+
+predictor_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), PLANS, XS, OBJECTS,
+                  st.dictionaries(st.sampled_from(RESOURCES), positive,
+                                  max_size=3)),
+        st.tuples(st.just("custom"), st.sampled_from(RESOURCES),
+                  st.floats(min_value=0.5, max_value=2.0)),
+        st.tuples(st.just("predict"), st.sampled_from(RESOURCES + ("gpu",)),
+                  PLANS, XS, OBJECTS),
+    ),
+    max_size=40,
+)
+
+
+@given(steps=predictor_steps)
+@settings(max_examples=80, deadline=None)
+def test_memoized_predict_equals_model_prediction(steps):
+    """The predict memo is invisible: every answer, hit or miss, is what
+    the underlying model says, and a model-less or untrained resource
+    raises NoModelError with the model's own message."""
+    predictor = OperationDemandPredictor(feature_names=["x"])
+    # An independent copy of the model registry, fed the same history.
+    builtin = {}
+    custom = {}
+
+    def expected(resource, discrete, continuous, data_object):
+        model = custom.get(resource) or builtin.get(resource)
+        if model is None:
+            return f"no demand model for resource {resource!r} yet"
+        try:
+            return float(model.predict(discrete, continuous,
+                                       data_object=data_object))
+        except ValueError as exc:
+            return str(exc)
+
+    for timestamp, step in enumerate(steps):
+        if step[0] == "observe":
+            _, plan, x, data_object, usage = step
+            predictor.observe_operation(
+                timestamp=float(timestamp), discrete={"plan": plan},
+                continuous={"x": x}, usage=usage, data_object=data_object,
+            )
+            for resource, value in usage.items():
+                if resource not in custom:
+                    model = builtin.setdefault(
+                        resource, DataSpecificPredictor(["x"]))
+                    model.observe({"plan": plan}, {"x": x}, value,
+                                  data_object=data_object)
+        elif step[0] == "custom":
+            _, resource, scale = step
+            model = MeanModel(scale)
+            custom[resource] = model
+            predictor.set_custom_predictor(resource, model)
+        else:
+            _, resource, plan, x, data_object = step
+            discrete, continuous = {"plan": plan}, {"x": x}
+            want = expected(resource, discrete, continuous, data_object)
+            # Twice: a miss that fills the memo, then a hit.
+            for _ in range(2):
+                try:
+                    got = predictor.predict(resource, discrete, continuous,
+                                            data_object=data_object)
+                except NoModelError as exc:
+                    got = str(exc)
+                assert got == want

@@ -15,9 +15,7 @@ from repro.perf.schema import (
     BenchSchemaError,
     validate_bench_doc,
     validate_bench_file,
-    validate_decision_doc,
     validate_kernel_doc,
-    validate_scenarios_doc,
 )
 from repro.perf.timing import Measurement, measure, stopwatch
 
@@ -61,45 +59,6 @@ def measurement_dict():
             "worst_s": 0.003}
 
 
-def decision_doc():
-    return {
-        "schema": SCHEMA,
-        "suite": "decision",
-        "quick": True,
-        "python": "3.11.0",
-        "platform": "linux",
-        "benchmarks": {
-            "snapshot": measurement_dict(),
-            "predict": measurement_dict(),
-            "solve": measurement_dict(),
-            "kernel_events": measurement_dict(),
-            "decision": {
-                "baseline": measurement_dict(),
-                "optimized": measurement_dict(),
-                "speedup": 2.0,
-                "same_choice": True,
-            },
-        },
-    }
-
-
-def scenarios_doc():
-    return {
-        "schema": SCHEMA,
-        "suite": "scenarios",
-        "quick": True,
-        "python": "3.11.0",
-        "platform": "linux",
-        "benchmarks": {
-            "walk-in-office": {
-                "profile": "smoke", "repeats": 1, "wall_s": 1.5,
-                "ops": 2, "completed": 2, "ops_per_s": 1.33,
-                "sim_time_s": 40.0, "sim_s_per_wall_s": 26.7,
-            },
-        },
-    }
-
-
 def rate_measurement_dict():
     doc = measurement_dict()
     doc["events_per_s"] = 500_000.0
@@ -130,59 +89,43 @@ def kernel_doc():
 
 class TestSchema:
     def test_valid_docs_pass(self):
-        validate_decision_doc(decision_doc())
-        validate_scenarios_doc(scenarios_doc())
         validate_kernel_doc(kernel_doc())
-        assert validate_bench_doc(decision_doc()) == "decision"
-        assert validate_bench_doc(scenarios_doc()) == "scenarios"
         assert validate_bench_doc(kernel_doc()) == "kernel"
 
     def test_wrong_schema_tag_fails(self):
-        doc = decision_doc()
+        doc = kernel_doc()
         doc["schema"] = "spectra-bench/999"
         with pytest.raises(BenchSchemaError, match="schema"):
-            validate_decision_doc(doc)
+            validate_kernel_doc(doc)
 
     def test_missing_benchmark_fails(self):
-        doc = decision_doc()
-        del doc["benchmarks"]["solve"]
-        with pytest.raises(BenchSchemaError, match="benchmarks.solve"):
-            validate_decision_doc(doc)
+        doc = kernel_doc()
+        del doc["benchmarks"]["timer_churn"]
+        with pytest.raises(BenchSchemaError, match="benchmarks.timer_churn"):
+            validate_kernel_doc(doc)
 
     def test_non_numeric_timing_fails_path_qualified(self):
-        doc = decision_doc()
-        doc["benchmarks"]["snapshot"]["best_s"] = "fast"
+        doc = kernel_doc()
+        doc["benchmarks"]["event_throughput"]["best_s"] = "fast"
         with pytest.raises(BenchSchemaError,
-                           match=r"benchmarks.snapshot.best_s"):
-            validate_decision_doc(doc)
+                           match=r"benchmarks.event_throughput.best_s"):
+            validate_kernel_doc(doc)
 
     def test_nan_and_negative_rejected(self):
-        doc = decision_doc()
-        doc["benchmarks"]["solve"]["mean_s"] = float("nan")
+        doc = kernel_doc()
+        doc["benchmarks"]["timer_churn"]["mean_s"] = float("nan")
         with pytest.raises(BenchSchemaError, match="finite"):
-            validate_decision_doc(doc)
-        doc = decision_doc()
-        doc["benchmarks"]["solve"]["mean_s"] = -1.0
+            validate_kernel_doc(doc)
+        doc = kernel_doc()
+        doc["benchmarks"]["timer_churn"]["mean_s"] = -1.0
         with pytest.raises(BenchSchemaError, match=">= 0"):
-            validate_decision_doc(doc)
-
-    def test_divergent_choice_is_a_schema_error(self):
-        doc = decision_doc()
-        doc["benchmarks"]["decision"]["same_choice"] = False
-        with pytest.raises(BenchSchemaError, match="different alternatives"):
-            validate_decision_doc(doc)
+            validate_kernel_doc(doc)
 
     def test_bool_is_not_a_number(self):
-        doc = decision_doc()
-        doc["benchmarks"]["decision"]["speedup"] = True
+        doc = kernel_doc()
+        doc["benchmarks"]["contended_medium"]["speedup"] = True
         with pytest.raises(BenchSchemaError, match="speedup"):
-            validate_decision_doc(doc)
-
-    def test_scenarios_empty_benchmarks_fails(self):
-        doc = scenarios_doc()
-        doc["benchmarks"] = {}
-        with pytest.raises(BenchSchemaError, match="empty"):
-            validate_scenarios_doc(doc)
+            validate_kernel_doc(doc)
 
     def test_kernel_divergent_results_is_a_schema_error(self):
         doc = kernel_doc()
@@ -205,26 +148,29 @@ class TestSchema:
             validate_kernel_doc(doc)
 
     def test_unknown_suite_fails(self):
-        doc = decision_doc()
-        doc["suite"] = "mystery"
-        with pytest.raises(BenchSchemaError, match="unknown"):
-            validate_bench_doc(doc)
+        # "decision" and "scenarios" were suites once; they are unknown
+        # now, like any other name.
+        for suite in ("mystery", "decision", "scenarios"):
+            doc = kernel_doc()
+            doc["suite"] = suite
+            with pytest.raises(BenchSchemaError, match="unknown"):
+                validate_bench_doc(doc)
 
     def test_every_problem_reported_not_just_first(self):
-        doc = decision_doc()
-        doc["benchmarks"]["snapshot"]["best_s"] = "fast"
-        doc["benchmarks"]["solve"]["mean_s"] = -1.0
+        doc = kernel_doc()
+        doc["benchmarks"]["event_throughput"]["best_s"] = "fast"
+        doc["benchmarks"]["timer_churn"]["mean_s"] = -1.0
         with pytest.raises(BenchSchemaError) as excinfo:
-            validate_decision_doc(doc)
+            validate_kernel_doc(doc)
         message = str(excinfo.value)
-        assert "snapshot" in message and "solve" in message
+        assert "event_throughput" in message and "timer_churn" in message
 
 
 class TestValidateFile:
     def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "BENCH_decision.json"
-        path.write_text(json.dumps(decision_doc()))
-        assert validate_bench_file(str(path)) == "decision"
+        path = tmp_path / "BENCH_kernel.json"
+        path.write_text(json.dumps(kernel_doc()))
+        assert validate_bench_file(str(path)) == "kernel"
 
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -240,19 +186,23 @@ class TestValidateFile:
 class TestBenchCli:
     def test_check_flags_bad_file(self, tmp_path, capsys):
         from repro.cli import main
-        bad = tmp_path / "BENCH_decision.json"
-        doc = decision_doc()
-        del doc["benchmarks"]["predict"]
+        bad = tmp_path / "BENCH_kernel.json"
+        doc = kernel_doc()
+        del doc["benchmarks"]["timer_churn"]
         bad.write_text(json.dumps(doc))
         assert main(["bench", "--check", str(bad)]) == 1
         assert "SCHEMA ERROR" in capsys.readouterr().err
 
     def test_check_passes_good_files(self, tmp_path, capsys):
         from repro.cli import main
-        good = tmp_path / "BENCH_scenarios.json"
-        good.write_text(json.dumps(scenarios_doc()))
-        assert main(["bench", "--check", str(good)]) == 0
-        assert "ok (scenarios)" in capsys.readouterr().out
+        paths = []
+        for name in ("a", "b"):
+            good = tmp_path / f"{name}.json"
+            good.write_text(json.dumps(kernel_doc()))
+            paths.append(str(good))
+        assert main(["bench", "--check"] + paths) == 0
+        out = capsys.readouterr().out
+        assert all(f"{path}: ok (kernel)" in out for path in paths)
 
     def test_check_accepts_kernel_doc(self, tmp_path, capsys):
         from repro.cli import main
@@ -263,7 +213,7 @@ class TestBenchCli:
 
 
 class TestKernelRatchet:
-    """The regression gates `repro bench --suite kernel --ratchet` applies.
+    """The regression gates `repro bench --ratchet` applies.
 
     All dimensionless or order-of-magnitude — a slower CI runner must
     never fail the ratchet, a scheduler regression always should.
@@ -306,27 +256,62 @@ class TestKernelRatchet:
         failures = ratchet_kernel(fresh, kernel_doc())
         assert any("diverged" in f for f in failures)
 
-    def test_cli_ratchet_round_trip(self, tmp_path, capsys, monkeypatch):
-        # A real quick kernel run gated against its own output must pass.
-        from repro.cli import main
+    @pytest.fixture
+    def tiny_kernel(self, monkeypatch):
+        """Shrink the workloads and neutralize the speedup floors.
+
+        The CLI round trips are about plumbing, not timing fidelity (the
+        gates themselves are unit-tested above), and tiny workloads have
+        noisy speedups.
+        """
         import repro.perf.cli as cli_mod
         import repro.perf.kernel as kernel_mod
-        # Shrink the workloads and neutralize the speedup floors: the
-        # CLI round-trip is about plumbing, not timing fidelity (the
-        # gates themselves are unit-tested above), and tiny workloads
-        # have noisy speedups.
         monkeypatch.setattr(kernel_mod, "DRAIN_EVENTS", 200)
         monkeypatch.setattr(kernel_mod, "CHURN_TIMERS", 200)
         monkeypatch.setattr(kernel_mod, "CONTENDED_JOBS", 40)
         monkeypatch.setattr(cli_mod, "RATCHET_MIN_SPEEDUP", 0.0)
         monkeypatch.setattr(cli_mod, "RATCHET_SPEEDUP_SLIP", 0.0)
         monkeypatch.setattr(cli_mod, "RATCHET_RATE_SLIP", 0.0)
+
+    def test_cli_ratchet_round_trip(self, tmp_path, tiny_kernel):
+        # A real quick kernel run gated against its own output must pass.
+        from repro.cli import main
         out = tmp_path / "out"
-        assert main(["bench", "--suite", "kernel", "--quick",
-                     "--output", str(out), "--quiet"]) == 0
+        assert main(["bench", "--quick", "--output", str(out),
+                     "--quiet"]) == 0
         committed = out / "BENCH_kernel.json"
         assert validate_bench_file(str(committed)) == "kernel"
         out2 = tmp_path / "out2"
-        assert main(["bench", "--suite", "kernel", "--quick",
-                     "--output", str(out2), "--quiet",
+        assert main(["bench", "--quick", "--output", str(out2), "--quiet",
                      "--ratchet", str(committed)]) == 0
+        assert validate_bench_file(str(out2 / "BENCH_kernel.json")) == \
+            "kernel"
+
+    def test_ratchet_reads_floor_before_output_overwrites_it(
+            self, tmp_path, monkeypatch, tiny_kernel, capsys):
+        # The ratchet file lives in the output directory: the run must
+        # gate against the committed floor, not against its own fresh
+        # output, and a failing run must leave the floor untouched.
+        import repro.perf.cli as cli_mod
+        from repro.cli import main
+        monkeypatch.setattr(cli_mod, "RATCHET_SPEEDUP_SLIP", 0.35)
+        committed = kernel_doc()
+        committed["benchmarks"]["contended_medium"]["speedup"] = 1e6
+        floor = tmp_path / "BENCH_kernel.json"
+        floor.write_text(json.dumps(committed, indent=2))
+        before = floor.read_bytes()
+        assert main(["bench", "--quick", "--output", str(tmp_path),
+                     "--quiet", "--ratchet", str(floor)]) == 1
+        assert "of the committed" in capsys.readouterr().err
+        assert floor.read_bytes() == before
+
+    def test_ratchet_rejects_a_non_kernel_document(self, tmp_path, capsys):
+        from repro.cli import main
+        doc = kernel_doc()
+        doc["suite"] = "decision"
+        other = tmp_path / "BENCH_decision.json"
+        other.write_text(json.dumps(doc))
+        assert main(["bench", "--quick", "--output", str(tmp_path / "out"),
+                     "--quiet", "--ratchet", str(other)]) == 1
+        assert f"ratchet: cannot use {other}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

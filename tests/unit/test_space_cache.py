@@ -204,8 +204,9 @@ class TestClientSpaceCache:
     def test_cached_decision_equals_uncached(self, sim, three_server_world):
         client, _nodes = three_server_world
         self.make_registered(sim, client)
-        # Train every bin, then compare the chosen alternative with the
-        # cache on and off at identical client state.
+        # Train every bin, then compare the alternative chosen through
+        # the warm cache with one chosen from a freshly built space at
+        # identical client state.
         for _ in range(4):
             run_op(sim, client)
         registered = client.operation("nullop")
@@ -213,8 +214,11 @@ class TestClientSpaceCache:
         estimator = DemandEstimator(
             registered.spec, registered.predictor, snapshot, {}, None,
         )
-        client.space_cache_enabled = True
+        hits = client._space_cache.hits
         cached_pick = client._choose(registered, estimator, snapshot)[0]
-        client.space_cache_enabled = False
+        assert client._space_cache.hits == hits + 1
+        client._space_cache.invalidate()
+        misses = client._space_cache.misses
         uncached_pick = client._choose(registered, estimator, snapshot)[0]
+        assert client._space_cache.misses == misses + 1
         assert cached_pick == uncached_pick
