@@ -40,6 +40,10 @@ class FileAccess:
     size: int
     hit: bool
 
+    def __deepcopy__(self, memo: dict) -> "FileAccess":
+        # Frozen, and every field is immutable: a copy may share it.
+        return self
+
 
 #: Size of a version-validation RPC (metadata only), bytes.
 _VALIDATE_RPC_BYTES = 128

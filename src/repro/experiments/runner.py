@@ -38,6 +38,10 @@ def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
     Objects in *shared* (typically a solver handed to every measurement)
     are kept by reference in the copy; everything else reachable from
     *world* is copied, so running the clone cannot disturb the original.
+    Frozen records (logged transfers, usage samples, file accesses,
+    network estimates) never change, so the copy shares them: their
+    ``__deepcopy__`` hooks return them as they are, and the logs that
+    hold them copy their lists one level deep (:mod:`repro.copying`).
 
     Raises :class:`ValueError` in the two states where a deep copy could
     still reach the original: callbacks queued on (or a drain running

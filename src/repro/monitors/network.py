@@ -88,8 +88,9 @@ class NetworkMonitor(ResourceMonitor):
         record, last record (both by identity) and length hold the same
         records in the same order.  Index positions would not do: a trim
         shifts them.  A deep copy of the monitor together with its log
-        (``clone_world``) maps the memo's records onto the copy's, so the
-        key stays valid there too.
+        (``clone_world``) shares the log's records, which are frozen and
+        deep-copy to themselves, so the memo's records are the copy's own
+        and the key stays valid there too.
         """
         n = len(records)
         if n < 2:

@@ -34,6 +34,10 @@ class NetworkEstimate:
             return float("inf")
         return nbytes / self.bandwidth_bps + nrpcs * 2.0 * self.latency_s
 
+    def __deepcopy__(self, memo: dict) -> "NetworkEstimate":
+        # Frozen, and every field is immutable: a copy may share it.
+        return self
+
 
 @dataclass
 class CacheStateEstimate:

@@ -14,6 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from ..copying import deepcopy_state
+
 
 @dataclass(frozen=True)
 class TransferRecord:
@@ -41,6 +43,10 @@ class TransferRecord:
         if self.elapsed <= 0:
             return 0.0
         return self.nbytes / self.elapsed
+
+    def __deepcopy__(self, memo: dict) -> "TransferRecord":
+        # Frozen, and every field is immutable: a copy may share it.
+        return self
 
 
 #: One index: records in append order and, in parallel, their finish times.
@@ -109,6 +115,12 @@ class TransferLog:
         """Records held; each sits in exactly one host-pair index."""
         return self._held
 
+    def __deepcopy__(self, memo: dict) -> "TransferLog":
+        # Records are frozen and keys are strings: a copy needs its own
+        # index lists, not its own records.
+        return deepcopy_state(self, memo, _by_pair=_copy_indexes,
+                              _by_host=_copy_indexes)
+
     def recent(self, since: float, endpoint: Optional[Tuple[str, str]] = None,
                host: Optional[str] = None) -> List[TransferRecord]:
         """Records finishing at or after *since*, oldest first.
@@ -131,3 +143,8 @@ class TransferLog:
 
 def _pair(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
+
+
+def _copy_indexes(indexes: Dict[Hashable, _Index]) -> Dict[Hashable, _Index]:
+    return {key: (list(records), list(times))
+            for key, (records, times) in indexes.items()}

@@ -16,8 +16,10 @@ generic fallback model trained on everything.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, Sequence, Tuple
 
+from ..copying import deepcopy_state
 from .linear import RecencyWeightedLinearModel
 from .logs import canonical_discrete_value
 
@@ -114,6 +116,12 @@ class BinnedLinearPredictor:
     @property
     def n_bins(self) -> int:
         return len(self._bins)
+
+    def __deepcopy__(self, memo: dict) -> "BinnedLinearPredictor":
+        # Bin keys are tuples of primitives: share them, copy the models.
+        return deepcopy_state(self, memo, _bins=lambda bins: {
+            key: copy.deepcopy(model, memo) for key, model in bins.items()
+        })
 
     def __repr__(self) -> str:
         return (f"<BinnedLinearPredictor bins={self.n_bins} "

@@ -17,9 +17,12 @@ recency-weighted mean of whatever it has seen.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..copying import deepcopy_state
 
 
 class RecencyWeightedLinearModel:
@@ -70,6 +73,12 @@ class RecencyWeightedLinearModel:
     @property
     def n_samples(self) -> int:
         return len(self._ys)
+
+    def __deepcopy__(self, memo: dict) -> "RecencyWeightedLinearModel":
+        # Samples are float tuples and floats: a copy needs its own lists
+        # and coefficients, not its own samples.
+        return deepcopy_state(self, memo, _xs=list, _ys=list,
+                              _coef=copy.copy)
 
     # -- predicting ------------------------------------------------------------------
 

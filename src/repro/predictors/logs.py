@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..copying import deepcopy_state
+
 #: discrete values that survive a JSON round trip unchanged
 _JSON_PRIMITIVES = (str, int, float, bool, type(None))
 
@@ -101,6 +103,10 @@ class UsageSample:
     def usage_dict(self) -> Dict[str, float]:
         return dict(self.usage)
 
+    def __deepcopy__(self, memo: dict) -> "UsageSample":
+        # Frozen, and every field is immutable: a copy may share it.
+        return self
+
 
 class UsageLog:
     """Append-only, bounded log of :class:`UsageSample` records."""
@@ -122,6 +128,11 @@ class UsageLog:
 
     def samples(self) -> List[UsageSample]:
         return list(self._samples)
+
+    def __deepcopy__(self, memo: dict) -> "UsageLog":
+        # The samples are frozen: a copy needs its own list, not its own
+        # samples.
+        return deepcopy_state(self, memo, _samples=list)
 
     # -- persistence ---------------------------------------------------------------
 

@@ -10,9 +10,13 @@ it.  These tests hold that to the old methodology:
 * isolation — the clone shares no mutable object with the trained world
   except what the caller asked to share, and running it leaves the
   trained world untouched;
+* sharing — the clone does share the trained world's frozen log
+  records, and its own logs and models grow without touching the
+  original's;
 * the guards — worlds a deep copy cannot reproduce exactly are refused.
 """
 
+import dataclasses
 import enum
 import re
 import types
@@ -23,6 +27,7 @@ import pytest
 from repro.apps import SpeechWorkload
 from repro.experiments import latex, pangloss, speech
 from repro.experiments.runner import clone_world
+from repro.network import TransferRecord
 from repro.solver import HeuristicSolver
 from repro.telemetry import SpanTracer, Telemetry
 from tests.unit.test_monitors import count_fits
@@ -53,6 +58,17 @@ EXPERIMENTS = {
     "pangloss": (pangloss, _pangloss_op, "560x",
                  ["server-a", "server-b"],
                  lambda world, _app, s: pangloss._apply_scenario(world, s)),
+}
+
+#: experiment -> measure(trained world): one scenario's full set of
+#: measurements, every one on a clone of *trained*
+MEASURE_ONE_SCENARIO = {
+    "speech": lambda trained: speech._measure_scenario(
+        trained, "network", None, None),
+    "latex": lambda trained: latex._measure_cell(
+        trained, "reintegrate", LATEX_DOCUMENT, None),
+    "pangloss": lambda trained: pangloss._measure_cell(
+        trained, "cpu", PANGLOSS_WORDS, None),
 }
 
 CASES = [(name, scenario)
@@ -111,6 +127,17 @@ _IMMUTABLE = (type(None), bool, int, float, complex, str, bytes, range,
               type(Ellipsis), type(NotImplemented))
 
 
+def _immutable(obj):
+    """Is *obj* itself unchangeable?  A frozen dataclass instance counts;
+    :func:`_reachable` still walks into its fields, so a mutable field
+    value it shares is still reported on its own."""
+    if isinstance(obj, _IMMUTABLE):
+        return True
+    params = getattr(obj, "__dataclass_params__", None)
+    return (dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+            and params.frozen)
+
+
 def _children(obj):
     """Objects *obj* refers to, not descending into modules, classes,
     code objects or function globals."""
@@ -166,9 +193,10 @@ def _reachable(root, stop=()):
 
 
 class TestIsolation:
-    def test_clone_shares_only_immutables_and_shared(self):
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_clone_shares_only_immutables_and_shared(self, name):
         solver = HeuristicSolver()
-        trained = pangloss._train(solver=solver)
+        trained = EXPERIMENTS[name][0]._train(solver=solver)
         clone = clone_world(trained, shared=(solver,))
         original = _reachable(trained, stop=(solver,))
         assert len(original) > 1000  # the walk really saw the world
@@ -176,24 +204,38 @@ class TestIsolation:
             type(obj).__qualname__
             for key, obj in _reachable(clone, stop=(solver,)).items()
             if key in original and obj is not solver
-            and not isinstance(obj, _IMMUTABLE)
+            and not _immutable(obj)
         })
         assert offenders == []
 
-    def test_running_a_clone_leaves_the_trained_world_unchanged(self):
-        trained = _trained("pangloss")
-        world, app = trained
-        client = world.nodes["560x"].client
-        predictor = client.operation(app.spec.name).predictor
-        before = (world.sim.now, world.sim.events_processed,
-                  len(predictor.log), client.host.energy_consumed_joules())
+    def test_a_frozen_record_with_a_mutable_field_is_still_reported(self):
+        @dataclasses.dataclass(frozen=True)
+        class Box:
+            items: list
 
-        result = pangloss._measure_cell(trained, "cpu", PANGLOSS_WORDS, None)
+        box = Box([1])
+        assert _immutable(box) and not _immutable(box.items)
+        assert id(box.items) in _reachable(box)
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_running_a_clone_leaves_the_trained_world_unchanged(self, name):
+        trained = _trained(name)
+        world, app = trained
+        client = world.nodes[EXPERIMENTS[name][2]].client
+        predictor = client.operation(app.spec.name).predictor
+        log = world.network.log
+
+        def state():
+            return (world.sim.now, world.sim.events_processed,
+                    len(predictor.log), len(log),
+                    log.transfers, log.bytes,
+                    client.host.energy_consumed_joules())
+
+        before = state()
+        result = MEASURE_ONE_SCENARIO[name](trained)
 
         assert len(result.measurements) > 1
-        after = (world.sim.now, world.sim.events_processed,
-                 len(predictor.log), client.host.energy_consumed_joules())
-        assert after == before
+        assert state() == before
         assert world.sim.pending == 0
 
     def test_shared_solver_is_kept_by_reference(self):
@@ -205,6 +247,71 @@ class TestIsolation:
         # Without sharing, the solver is copied like everything else.
         unshared, _app = clone_world(trained)
         assert unshared.nodes["itsy"].client.solver is not solver
+
+
+def _predictor(world, app, name):
+    client = world.nodes[EXPERIMENTS[name][2]].client
+    return client.operation(app.spec.name).predictor
+
+
+class TestSharing:
+    """A clone shares the trained world's frozen records and copies only
+    the lists that hold them."""
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_clone_shares_the_logged_records(self, name):
+        _module, _op, host, servers, _apply = EXPERIMENTS[name]
+        original, app = _trained(name)
+        clone, clone_app = clone_world((original, app))
+        windows = [dict(host=host)] + [dict(endpoint=(host, server))
+                                       for server in servers]
+        for window in windows:
+            records = original.network.log.recent(0.0, **window)
+            cloned = clone.network.log.recent(0.0, **window)
+            assert len(cloned) == len(records)
+            assert all(a is b for a, b in zip(cloned, records))
+        assert original.network.log.recent(0.0, host=host)
+
+        samples = list(_predictor(original, app, name).log)
+        cloned = list(_predictor(clone, clone_app, name).log)
+        assert samples and len(cloned) == len(samples)
+        assert all(a is b for a, b in zip(cloned, samples))
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_appending_to_a_clone_leaves_the_original_unchanged(self, name):
+        _module, _op, host, servers, _apply = EXPERIMENTS[name]
+        original, app = _trained(name)
+        clone, clone_app = clone_world((original, app))
+        sample = _predictor(original, app, name).log.samples()[-1]
+
+        def state(world, world_app):
+            log = world.network.log
+            predictor = _predictor(world, world_app, name)
+            models = predictor._models
+            return (len(log), log.transfers, log.bytes,
+                    log.recent(0.0, host=host), list(predictor.log),
+                    {resource: (model._general.n_samples, model.predict(
+                        sample.discrete_dict(), sample.continuous_dict(),
+                        data_object=sample.data_object))
+                     for resource, model in models.items()})
+
+        before = state(original, app)
+        assert state(clone, clone_app) == before
+
+        now = clone.sim.now
+        clone.network.log.append(
+            TransferRecord(host, servers[0], 12_345, now, now + 1.0))
+        predictor = _predictor(clone, clone_app, name)
+        for _ in range(5):
+            predictor.observe_operation(
+                now, sample.discrete_dict(), sample.continuous_dict(),
+                {resource: 10.0 * value + 1.0
+                 for resource, value in sample.usage},
+                data_object=sample.data_object)
+
+        changed = state(clone, clone_app)
+        assert all(a != b for a, b in zip(changed, before))
+        assert state(original, app) == before
 
 
 class TestGuards:
@@ -269,8 +376,9 @@ class TestNetworkFitMemo:
         clone, clone_app = clone_world((original, app))
         clone_monitor = clone.nodes["560x"].client.network_monitor
         fits = count_fits(clone_monitor)
-        # The memo was copied onto the clone's own log records, so the
-        # unchanged windows are not refitted.
+        # The clone shares the trained world's frozen log records, so the
+        # memo's records are the clone's own and the unchanged windows are
+        # not refitted.
         assert [clone_monitor.estimate_to(s, now) for s in servers] == expected
         assert fits == []
 
