@@ -8,7 +8,7 @@ found, ``2`` usage error.  Examples::
     python -m repro lint src/repro tests --deep \\
         --baseline check                                  # the CI gate
     python -m repro lint src/repro --format sarif         # code scanning
-    python -m repro lint src --select SPC001,SPC003
+    python -m repro lint src --select SPC001,SPC004
     python -m repro lint --list-rules
 """
 

@@ -10,7 +10,8 @@ edges (:mod:`.cfg`) — and runs interprocedural passes over it:
 | SPC101 | no decision-path entry point transitively reaches a           |
 |        | nondeterminism source (wall clock, global RNG, environment)   |
 | SPC102 | span/monitor begins end on *every* CFG path, exception        |
-|        | edges included (the leak-on-raise shape SPC003 cannot see)    |
+|        | edges included; never-ended and dropped spans, and            |
+|        | `start_all` with no `stop_all`                                |
 | SPC103 | acquire/release-style resource pairs close on every CFG path  |
 | SPC104 | telemetry counter/span names at call sites resolve against    |
 |        | the registered-name contract (`repro.telemetry.names`)        |

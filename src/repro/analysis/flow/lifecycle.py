@@ -1,27 +1,36 @@
 """SPC102/SPC103 — lifecycle pairing as a CFG path property.
 
-SPC003 pairs begins with ends *lexically*: an end anywhere after the
-begin, or in any ``finally``, satisfies it.  The shape it structurally
-cannot see is the mid-operation failure: a span is opened, the function
-``yield``s on a simulated event, the event fails, and the exception
-edge leaves the function with the span still open.  In this codebase
-that is not a corner case — it is the *normal* failure mode (every
+The class of bug behind the ``abort_fidelity_op`` leak: a monitor set
+is started (``monitors.start_all(recording)``) or a telemetry span
+opened (``tracer.start_span(...)`` / ``span.child(...)``), and some
+exit path leaves it running — the next operation is then forever
+marked concurrent, or the trace carries a phantom open interval.  The
+shape a lexical check structurally cannot see is the mid-operation
+failure: a span is opened, the function ``yield``s on a simulated
+event, the event fails, and the exception edge leaves the function
+with the span still open.  In this codebase that is not a corner case —
+it is the *normal* failure mode (every
 ``yield from self.network.transfer(...)`` is a potential abort) — so
-these passes re-check the same invariants as reachability over the
-:mod:`.cfg` exception-edge CFG:
+these passes check pairing as reachability over the :mod:`.cfg`
+exception-edge CFG:
 
 * **SPC102** — a span begun (``start_span``/``child``/``span``) or a
   monitor recording started (``start_all``) must be closed on every
   path from the begin to any function exit, exception edges included.
+  A span that is never ended, a span result that is dropped, and a
+  ``start_all(name)`` with no ``stop_all`` at all are reported without
+  a path search.
 * **SPC103** — receiver-paired resource verbs (``acquire``/``release``,
   ``apply``/``revert``) must close on every path.  Pairs whose close
   half lives in another function (cross-function protocols like the
   fault journal's scenario-scoped revert) are skipped, not guessed at.
 
-Both reuse SPC003's escape analysis: an object that leaves the function
-(returned, stored on ``self``, passed to a callee) is somebody else's
-responsibility.  Findings report the *witness line* — the statement on
-the offending path where the un-closed exit happens.
+Both share one escape scan (:class:`_FunctionScan`): an object that
+leaves the function (returned, stored on ``self``, passed to a callee)
+is somebody else's responsibility, and a begin used as a ``with``
+context manager is paired by construction.  Path findings report the
+*witness line* — the statement on the offending path where the
+un-closed exit happens.
 """
 
 from __future__ import annotations
@@ -37,9 +46,11 @@ from ..core import (
     register_rule,
     resolve_call_path,
 )
-from ..rules.lifecycle import SPAN_BEGINS, _FunctionScan
 from .cfg import EXIT_RAISE, CFG, _own_expressions, build_cfg
 from .project import FunctionInfo, ProjectIndex
+
+#: begin methods whose *receiver-call result* is the tracked span
+SPAN_BEGINS = frozenset({"start_span", "child", "span"})
 
 #: SPC103 verb pairs: open attribute -> accepted close attributes.
 RESOURCE_PAIRS: Dict[str, Tuple[str, ...]] = {
@@ -50,6 +61,113 @@ RESOURCE_PAIRS: Dict[str, Tuple[str, ...]] = {
 #: Open verbs that are flagged even with no close call in the function
 #: (strict same-scope protocols); others are assumed cross-function.
 STRICT_OPENS = frozenset({"acquire"})
+
+
+def _call_attr(node: ast.Call) -> Optional[str]:
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+class _FunctionScan:
+    """Single pass over one function body collecting lifecycle facts."""
+
+    def __init__(self, func: ast.AST):
+        #: (name, node) of begin calls assigned to a simple name
+        self.begins: List[Tuple[str, ast.Call]] = []
+        #: begin calls used as bare expression statements (dropped result)
+        self.dropped: List[ast.Call] = []
+        #: start_all calls: (first-arg-name-or-None, node)
+        self.start_alls: List[Tuple[Optional[str], ast.Call]] = []
+        #: names receiving a `<name>.end(...)` call
+        self.ended: Set[str] = set()
+        #: whether any `.stop_all(...)` call appears
+        self.stops_all = False
+        #: names that escape the function (caller takes ownership)
+        self.escaped: Set[str] = set()
+        #: names whose begin call is a `with` context expression
+        self.with_managed: Set[str] = set()
+        #: call nodes appearing directly as `with <call>:` items, or
+        #: chained straight into `.end()`
+        self.with_calls: Set[ast.Call] = set()
+        self._walk(func)
+
+    def _walk(self, node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            # Nested function/class bodies are separate scopes; their
+            # begins are scanned in their own _FunctionScan pass.
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef, ast.Lambda)):
+                continue
+            self._visit(child)
+            self._walk(child)
+
+    def _visit(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Return) and node.value is not None:
+            self._mark_escapes(node.value)
+        elif isinstance(node, ast.Assign):
+            self._note_assign(node)
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            # e.g. `tracer.start_span(...)` with its result dropped; a
+            # chained `.end()` marks the call self-paired instead.
+            if _call_attr(node.value) in SPAN_BEGINS:
+                self.dropped.append(node.value)
+        elif isinstance(node, ast.Call):
+            self._note_call(node)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                expr = item.context_expr
+                if isinstance(expr, ast.Call):
+                    self.with_calls.add(expr)
+                elif isinstance(expr, ast.Name):
+                    self.with_managed.add(expr.id)
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value:
+            self._mark_escapes(node.value)
+
+    def _note_assign(self, node: ast.Assign) -> None:
+        value = node.value
+        # Storing a name onto an attribute/container (self.x = span,
+        # spans[k] = span) hands ownership elsewhere — escapes.
+        if any(isinstance(t, (ast.Attribute, ast.Subscript))
+               for t in node.targets):
+            self._mark_escapes(value)
+        if isinstance(value, ast.Call) and _call_attr(value) in SPAN_BEGINS:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self.begins.append((target.id, value))
+
+    def _note_call(self, call: ast.Call) -> None:
+        attr = _call_attr(call)
+        if attr == "start_all":
+            arg = call.args[0] if call.args else None
+            name = arg.id if isinstance(arg, ast.Name) else None
+            self.start_alls.append((name, call))
+        elif attr == "stop_all":
+            self.stops_all = True
+        elif attr == "end" and isinstance(call.func, ast.Attribute):
+            receiver = call.func.value
+            if isinstance(receiver, ast.Name):
+                self.ended.add(receiver.id)
+            elif isinstance(receiver, ast.Call):
+                # chained `tracer.start_span(...).end()` — begin+end in
+                # one expression; mark the inner call as self-paired.
+                self.with_calls.add(receiver)
+        # Any name passed into a call other than the lifecycle verbs
+        # escapes: the callee may own the end (e.g. _trace_decision).
+        if attr not in ("start_all", "stop_all"):
+            for arg in list(call.args) + [kw.value for kw in call.keywords]:
+                self._mark_escapes(arg)
+
+    def _mark_escapes(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Name):
+            self.escaped.add(node.id)
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            for element in node.elts:
+                self._mark_escapes(element)
+        elif isinstance(node, ast.Dict):
+            for value in node.values:
+                if value is not None:
+                    self._mark_escapes(value)
 
 
 def _stmt_id(cfg: CFG, source: SourceFile,
@@ -221,18 +339,40 @@ class SpanPathRule(_FlowLifecycleBase):
     def check_function(self, fn: FunctionInfo, index: ProjectIndex,
                        raising: bool) -> Iterator[Violation]:
         scan = _FunctionScan(fn.node)
-        span_work = [
-            (name, call) for name, _line, call in scan.begins
-            if call not in scan.with_calls
-            and name not in scan.with_managed
-            and name not in scan.escaped
-            and scan.end_calls.get(name)     # never-ended: SPC003's finding
-        ]
-        monitor_work = [
-            call for arg_name, call in scan.start_alls
-            if scan.stop_alls
-            and (arg_name is None or arg_name not in scan.escaped)
-        ]
+        for call in scan.dropped:
+            if call not in scan.with_calls:
+                yield self.violation(
+                    fn.source, call,
+                    f"span from .{_call_attr(call)}(...) in {fn.qname} is "
+                    f"dropped without .end() — bind it, chain .end(), or "
+                    f"use `with`",
+                )
+        span_work: List[Tuple[str, ast.Call]] = []
+        for name, call in scan.begins:
+            if (call in scan.with_calls or name in scan.with_managed
+                    or name in scan.escaped):
+                continue
+            if name in scan.ended:
+                span_work.append((name, call))
+                continue
+            yield self.violation(
+                fn.source, call,
+                f"span {name!r} in {fn.qname} is started but never "
+                f".end()ed and never leaves this function",
+            )
+        monitor_work: List[ast.Call] = []
+        for arg_name, call in scan.start_alls:
+            if arg_name is not None and arg_name in scan.escaped:
+                continue
+            if scan.stops_all:
+                monitor_work.append(call)
+            elif arg_name is not None:
+                # A recording held in an attribute is owned elsewhere.
+                yield self.violation(
+                    fn.source, call,
+                    f"start_all({arg_name}) in {fn.qname} has no matching "
+                    f"stop_all on any path out of this function",
+                )
         if not span_work and not monitor_work:
             return
         checker = _PathChecker(fn, index, raising)

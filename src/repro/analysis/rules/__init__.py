@@ -9,20 +9,19 @@ line here.
 |--------|------------------------------------------------------------|
 | SPC001 | no wall-clock reads / real sleeps in simulated code        |
 | SPC002 | no module-level (unseeded, global-state) randomness        |
-| SPC003 | monitor/span begins paired with ends on every exit path    |
 | SPC004 | no exact float ==/!= on utility/energy/time values         |
 | SPC005 | no private attributes assigned in __init__ but never read  |
 | SPC006 | no bare excepts; no silent broad excepts on hot paths      |
 
 The whole-program SPC1xx pack (``repro lint --deep``) lives in
-:mod:`repro.analysis.flow` and registers through the same registry.
+:mod:`repro.analysis.flow` and registers through the same registry;
+monitor/span lifecycle pairing is its SPC102.
 """
 
 from . import (  # noqa: F401  (imported for registration side effect)
     deadattrs,
     exceptions,
     floatcmp,
-    lifecycle,
     randomness,
     wallclock,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "deadattrs",
     "exceptions",
     "floatcmp",
-    "lifecycle",
     "randomness",
     "wallclock",
 ]

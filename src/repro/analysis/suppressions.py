@@ -2,7 +2,7 @@
 
 Suppressions are *scoped by construction*: a bare ``# spectra: noqa``
 silences every rule on its line, while ``# spectra: noqa[SPC004]`` (or a
-comma list, ``# spectra: noqa[SPC003,SPC006]``) silences only the named
+comma list, ``# spectra: noqa[SPC004,SPC006]``) silences only the named
 rules.  The reviewer-facing convention is to always name the rule and
 append a justification after an em-dash::
 

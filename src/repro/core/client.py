@@ -515,7 +515,7 @@ class SpectraClient:
             # handed to the caller inside the handle, and stop_all is
             # end/abort_fidelity_op's job.  The in-function stop_all
             # below is only the failure unwind.
-            return handle  # spectra: noqa[SPC003] -- recording stopped by end/abort_fidelity_op
+            return handle  # recording stopped by end/abort_fidelity_op
         except BaseException as exc:
             # Any mid-operation failure — no feasible alternative, an
             # aborted reintegration transfer at a yield, the process

@@ -21,10 +21,11 @@
     ``--output`` may name the ratchet's own directory without the run
     gating against (or overwriting the floor with) its own output.
     The ratchet is deliberately host-portable: the hard gates are
-    *dimensionless* (the contended-medium speedup ratio, which divides
+    *dimensionless* (the contended-medium cost ratio, seconds per
+    contended job over seconds per plain kernel event, which divides
     out the host), while absolute events/sec — which vary several-fold
     across CI runners — only fail on an order-of-magnitude collapse.
-    See :data:`RATCHET_MIN_SPEEDUP`.
+    See :data:`RATCHET_MAX_COST_RATIO`.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ from .kernel import run_kernel_suite
 from .schema import SCHEMA, BenchSchemaError, validate_bench_doc, \
     validate_bench_file
 
-#: the contended-medium speedup any host must clear — below this the
-#: virtual-time scheduler has regressed toward the legacy O(n²) path
-RATCHET_MIN_SPEEDUP = 3.0
+#: the contended-medium cost ratio no host may exceed — the
+#: virtual-time scheduler sits near 4, the legacy O(n²) one near 200
+RATCHET_MAX_COST_RATIO = 25.0
 
-#: fresh speedup may not fall below this fraction of the committed one
-RATCHET_SPEEDUP_SLIP = 0.35
+#: fresh cost ratio may not exceed this multiple of the committed one
+RATCHET_COST_SLIP = 3.0
 
 #: fresh events/sec may not fall below this fraction of the committed
 #: figure — loose on purpose: it catches collapse, not host variance
@@ -84,30 +85,24 @@ def ratchet_kernel(fresh: Dict[str, Any],
                    committed: Dict[str, Any]) -> List[str]:
     """Regression gates for the kernel suite; returns failure messages.
 
-    The committed document is the floor the optimization must hold.
-    Speedup is the primary gate because it is a ratio of two timings on
-    the *same* host, so runner speed divides out; raw events/sec is
-    gated only against collapse.
+    The committed document is the floor the scheduler must hold.  The
+    cost ratio is the primary gate because it divides two timings from
+    the *same* host, so runner speed cancels; raw events/sec is gated
+    only against collapse.
     """
     failures: List[str] = []
-    fresh_cm = fresh["benchmarks"]["contended_medium"]
-    committed_cm = committed["benchmarks"]["contended_medium"]
-    speedup = fresh_cm["speedup"]
-    if speedup < RATCHET_MIN_SPEEDUP:
+    ratio = fresh["benchmarks"]["contended_medium"]["cost_ratio"]
+    committed_ratio = committed["benchmarks"]["contended_medium"]["cost_ratio"]
+    if ratio > RATCHET_MAX_COST_RATIO:
         failures.append(
-            f"contended_medium speedup {speedup:.2f}x below the "
-            f"absolute floor {RATCHET_MIN_SPEEDUP:.1f}x"
+            f"contended_medium cost ratio {ratio:.2f} above the "
+            f"absolute ceiling {RATCHET_MAX_COST_RATIO:.1f}"
         )
-    floor = RATCHET_SPEEDUP_SLIP * committed_cm["speedup"]
-    if speedup < floor:
+    if ratio > RATCHET_COST_SLIP * committed_ratio:
         failures.append(
-            f"contended_medium speedup {speedup:.2f}x below "
-            f"{RATCHET_SPEEDUP_SLIP:.0%} of the committed "
-            f"{committed_cm['speedup']:.2f}x"
+            f"contended_medium cost ratio {ratio:.2f} above "
+            f"{RATCHET_COST_SLIP:.1f}x the committed {committed_ratio:.2f}"
         )
-    if not fresh_cm["same_results"]:
-        failures.append("contended_medium same_results is false — "
-                        "schedulers diverged")
     for name in ("event_throughput", "timer_churn", "contended_medium"):
         fresh_rate = fresh["benchmarks"][name]["events_per_s"]
         committed_rate = committed["benchmarks"][name]["events_per_s"]
@@ -123,19 +118,12 @@ def ratchet_kernel(fresh: Dict[str, Any],
 def _summarize(doc: Dict[str, Any]) -> str:
     lines = ["suite 'kernel':"]
     for name, entry in sorted(doc["benchmarks"].items()):
+        line = (f"  {name:18s} best {entry['best_s'] * 1e3:9.3f} ms  "
+                f"{entry['events_per_s']:12,.0f} events/s")
         if name == "contended_medium":
-            lines.append(
-                f"  {name:18s} baseline {entry['baseline']['best_s']:8.4f} s  "
-                f"optimized {entry['optimized']['best_s']:8.4f} s  "
-                f"speedup {entry['speedup']:5.2f}x  "
-                f"({entry['jobs']:.0f} jobs, same_results="
-                f"{entry['same_results']})"
-            )
-        else:
-            lines.append(
-                f"  {name:18s} best {entry['best_s'] * 1e3:9.3f} ms  "
-                f"{entry['events_per_s']:12,.0f} events/s"
-            )
+            line += (f"  cost ratio {entry['cost_ratio']:5.2f} "
+                     f"({entry['jobs']:.0f} jobs)")
+        lines.append(line)
     return "\n".join(lines)
 
 

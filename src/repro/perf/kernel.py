@@ -15,16 +15,14 @@ Three benchmarks, written to ``BENCH_kernel.json``:
 ``contended_medium``
     The macro benchmark the virtual-time scheduler exists for: hundreds
     of weighted jobs contending for one :class:`FairShareResource` in a
-    single burst.  It is timed twice — once through the legacy
-    settle-and-rescan scheduler
-    (:class:`~repro.sim.fairshare_legacy.LegacyFairShareResource`,
-    O(n²) per burst) and once through the shipping virtual-time
-    scheduler (O(n log n)) — and the entry records the speedup plus a
-    ``same_results`` flag that is True only when both schedulers
-    produced the **identical completion sequence** (same order, same
-    finish times).  The flag is load-bearing: schema validation rejects
-    a document where it is false, because the optimization must be
-    invisible to simulation results.
+    single burst.  Besides its timing, the entry records ``cost_ratio``:
+    the best seconds per contended job divided by the best seconds per
+    ``event_throughput`` event.  Both timings come from the same host
+    in the same run, so host speed divides out; the O(n log n)
+    scheduler keeps the ratio in single digits, while an O(n²) one
+    (the legacy settle-and-rescan scheduler the equivalence tests keep
+    as their oracle) lands in the hundreds.  The ratchet in
+    :mod:`.cli` gates on it.
 
 All workloads are closed-form deterministic (amounts and weights are
 arithmetic in the job index) — no RNG, so the completion sequences are
@@ -35,9 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from ..sim import Simulator, Timeout
-from ..sim.fairshare_legacy import LegacyFairShareResource
-from ..sim.resources import FairShareResource
+from ..sim import FairShareResource, Simulator, Timeout
 from .timing import measure
 
 #: callbacks per timed event-throughput run
@@ -129,64 +125,36 @@ def _contention_storm(factory: Callable[[Simulator], object],
     return completions, sim.events_processed
 
 
-def _sequences_match(a: List[Tuple[int, float]],
-                     b: List[Tuple[int, float]]) -> bool:
-    """Same completion order and (to float dust) same completion times."""
-    if len(a) != len(b):
-        return False
-    for (idx_a, t_a), (idx_b, t_b) in zip(a, b):
-        if idx_a != idx_b:
-            return False
-        if abs(t_a - t_b) > 1e-6 * max(1.0, abs(t_a)):
-            return False
-    return True
-
-
 def bench_contended_medium(*, repeats: int,
                            jobs: int = CONTENDED_JOBS) -> Dict[str, object]:
-    """Legacy-vs-virtual-time timing of a *jobs*-way contention storm."""
-    def legacy_storm():
+    """Timing of a *jobs*-way contention storm on the shipping scheduler."""
+    def storm():
         return _contention_storm(
-            lambda sim: LegacyFairShareResource(sim, CONTENDED_CAPACITY),
-            jobs,
-        )
+            lambda sim: FairShareResource(sim, CONTENDED_CAPACITY), jobs)
 
-    def optimized_storm():
-        return _contention_storm(
-            lambda sim: FairShareResource(sim, CONTENDED_CAPACITY),
-            jobs,
-        )
-
-    legacy_completions, _ = legacy_storm()
-    optimized_completions, optimized_events = optimized_storm()
-
-    baseline = measure("contended_medium/baseline", legacy_storm,
-                       number=1, repeats=repeats)
-    optimized = measure("contended_medium/optimized", optimized_storm,
-                        number=1, repeats=repeats)
-    return {
-        "baseline": baseline.to_dict(),
-        "optimized": optimized.to_dict(),
-        "speedup": baseline.best_s / optimized.best_s,
-        "jobs": jobs,
-        "events_per_s": optimized_events / optimized.best_s,
-        "same_results": _sequences_match(legacy_completions,
-                                         optimized_completions),
-    }
+    _, events = storm()
+    doc = _with_rate(measure("contended_medium", storm, number=1,
+                             repeats=repeats), events)
+    doc["jobs"] = jobs
+    return doc
 
 
 def run_kernel_suite(quick: bool = True) -> Dict[str, object]:
     """All kernel benchmarks; the ``BENCH_kernel`` payload.
 
     The contention storm always runs the full :data:`CONTENDED_JOBS`
-    jobs, even under ``--quick`` — the acceptance criterion (≥5× at 500
-    concurrent jobs) is only meaningful at that scale, and one storm is
-    cheap enough for CI.  ``quick`` trims repeats only.
+    jobs, even under ``--quick``: the cost ratio only separates
+    O(n log n) from O(n²) at that scale, and one storm is cheap enough
+    for CI.  ``quick`` trims repeats only.
     """
     repeats = 2 if quick else 5
+    throughput = bench_event_throughput(repeats=repeats)
+    contended = bench_contended_medium(repeats=repeats, jobs=CONTENDED_JOBS)
+    # seconds per contended job / seconds per plain kernel event
+    contended["cost_ratio"] = (contended["best_s"] / contended["jobs"]
+                               * throughput["events_per_s"])
     return {
-        "event_throughput": bench_event_throughput(repeats=repeats),
+        "event_throughput": throughput,
         "timer_churn": bench_timer_churn(repeats=repeats),
-        "contended_medium": bench_contended_medium(repeats=repeats,
-                                                   jobs=CONTENDED_JOBS),
+        "contended_medium": contended,
     }

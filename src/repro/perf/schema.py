@@ -10,7 +10,7 @@ machine never does.
 Validation is hand-rolled (no jsonschema dependency) and reports every
 problem path-qualified, e.g.::
 
-    benchmarks.contended_medium.speedup: expected number, got str
+    benchmarks.contended_medium.cost_ratio: expected number, got str
 """
 
 from __future__ import annotations
@@ -96,32 +96,13 @@ def validate_kernel_doc(doc: Any) -> None:
             problems.append(f"benchmarks.{name}: missing")
     for name, entry in benchmarks.items():
         path = f"benchmarks.{name}"
+        _check_measurement(entry, path, problems)
+        if not isinstance(entry, dict):
+            continue
+        _check_number(entry, path, "events_per_s", problems)
         if name == "contended_medium":
-            if not isinstance(entry, dict):
-                problems.append(f"{path}: expected object, "
-                                f"got {type(entry).__name__}")
-                continue
-            _check_measurement(entry.get("baseline"),
-                               f"{path}.baseline", problems)
-            _check_measurement(entry.get("optimized"),
-                               f"{path}.optimized", problems)
-            _check_number(entry, path, "speedup", problems)
             _check_number(entry, path, "jobs", problems)
-            _check_number(entry, path, "events_per_s", problems)
-            if not isinstance(entry.get("same_results"), bool):
-                problems.append(
-                    f"{path}.same_results: expected bool, "
-                    f"got {type(entry.get('same_results')).__name__}")
-            elif not entry["same_results"]:
-                # Not a schema nicety: the virtual-time scheduler must be
-                # behaviorally invisible, so a divergent completion
-                # sequence is a correctness bug, not a slow host.
-                problems.append(f"{path}.same_results: legacy and "
-                                "virtual-time completion sequences differ")
-        else:
-            _check_measurement(entry, path, problems)
-            if isinstance(entry, dict):
-                _check_number(entry, path, "events_per_s", problems)
+            _check_number(entry, path, "cost_ratio", problems)
     _fail(problems)
 
 

@@ -12,7 +12,7 @@ Methodology: ``best-of-R × N`` in the ``timeit`` tradition.  Each
 *repeat* times ``number`` back-to-back calls and the suite reports the
 **best** repeat — the run least disturbed by scheduler noise, GC, and
 frequency scaling.  Mean-of-repeats is also recorded for honesty about
-spread, but comparisons (and the speedup in ``BENCH_kernel.json``)
+spread, but comparisons (and the cost ratio in ``BENCH_kernel.json``)
 use the best, which is the stablest estimator of intrinsic cost.
 """
 

@@ -15,7 +15,6 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .fairshare_legacy import LegacyFairShareResource
 from .kernel import Simulator, TimerHandle
 from .process import Process
 from .resources import FairShareJob, FairShareResource, Mutex, Store
@@ -28,7 +27,6 @@ __all__ = [
     "FairShareJob",
     "FairShareResource",
     "Interrupt",
-    "LegacyFairShareResource",
     "Mutex",
     "Process",
     "SimulationError",

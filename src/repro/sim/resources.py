@@ -32,9 +32,8 @@ tombstones and are discarded when they surface — the same lazy-cancel
 protocol the completion timer uses via
 :class:`~repro.sim.kernel.TimerHandle`.  See DESIGN.md §15 for the
 invariants and the equivalence argument against the legacy
-settle-and-rescan scheduler
-(:mod:`repro.sim.fairshare_legacy`), which is kept as the reference
-model for the property suite and the kernel bench.
+settle-and-rescan scheduler, which the test suite keeps as the oracle
+for its equivalence tests.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ class FairShareResource:
     Costs: submit/abort/capacity change are O(1) (amortized — a
     completion timer is re-armed only when the next completion moves
     earlier), each completion is O(log n) heap maintenance.  The legacy
-    scheduler this replaces (:mod:`repro.sim.fairshare_legacy`) paid
-    O(n) per change and O(n²) per contention burst.
+    scheduler this replaces (now a test oracle) paid O(n) per change
+    and O(n²) per contention burst.
 
     An optional ``on_utilization_change`` callback receives
     ``(now, busy: bool, active_jobs: int)`` on every membership or capacity

@@ -18,24 +18,24 @@ assumed:
   (``tests/property/test_fairshare_equivalence.py``) drives both
   schedulers through randomized submit/abort/capacity-change schedules
   and compares outcomes, and
-* the ``contended_medium`` macro benchmark (``repro bench``'s kernel
-  suite) runs a 500-job contention storm through both, reports the
-  speedup in ``BENCH_kernel.json``, and sets its ``same_results`` flag
-  only when the completion sequences match.
+* ``tests/unit/test_sim_resources.py`` runs the 500-job
+  ``contended_medium`` contention storm of ``repro bench``'s kernel
+  suite through both and requires the identical completion sequence.
+
+It lives under ``tests/`` because nothing in the shipping package
+uses it: it is an oracle, not an alternative.
 
 Keep this implementation boring and unoptimized — its value is being
 obviously correct.  It shares :class:`~repro.sim.resources.FairShareJob`
-with the shipping scheduler so callers (and the bench) can treat the
-two interchangeably.
+with the shipping scheduler so the tests can treat the two
+interchangeably.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional
 
-from .events import SimulationError
-from .kernel import Simulator
-from .resources import FairShareJob
+from repro.sim import FairShareJob, SimulationError, Simulator
 
 
 class LegacyFairShareResource:

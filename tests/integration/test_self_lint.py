@@ -9,10 +9,15 @@ invocations must exit 0 on the tree as committed:
   --baseline check`` (the whole-program SPC1xx pack behind the
   committed-baseline ratchet).
 
-Any new wall-clock call, unseeded RNG, unpaired lifecycle (lexical or
-path-sensitive), float equality on a measurement, dead attribute,
-swallowed exception, call-graph determinism leak, telemetry-name typo,
-or stale suppression fails this test before it reaches CI.
+Any new wall-clock call, unseeded RNG, unpaired lifecycle, float
+equality on a measurement, dead attribute, swallowed exception,
+call-graph determinism leak, telemetry-name typo, or stale suppression
+fails this test before it reaches CI.
+
+The in-process checks share one deep sweep of the tree (its findings
+are a superset of the per-file pass's), the plain and SARIF CLI checks
+run :func:`repro.analysis.cli.main` in-process, and only the exact CI
+ratchet invocation pays for a subprocess.
 """
 
 import json
@@ -21,8 +26,12 @@ import pathlib
 import subprocess
 import sys
 
-from repro.analysis import LintConfig, analyze_paths
+import pytest
+
+from repro.analysis import RULE_REGISTRY, LintConfig, analyze_paths
 from repro.analysis.baseline import DEFAULT_BASELINE_FILE, load_baseline
+from repro.analysis.cli import main as lint_main
+from repro.analysis.core import is_project_rule
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 LINT_TARGETS = ["src/repro", "tests"]
@@ -37,26 +46,33 @@ def run_cli(*argv):
     )
 
 
-def test_repo_is_clean_in_process(monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    violations = analyze_paths(LINT_TARGETS, LintConfig())
+@pytest.fixture(scope="session")
+def deep_findings():
+    """Every finding of one in-process deep sweep of the CI targets."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO_ROOT)
+        return analyze_paths(LINT_TARGETS, LintConfig(), deep=True)
+
+
+def test_repo_is_clean_in_process(deep_findings):
+    """The per-file pack's share of the deep sweep is empty."""
+    violations = [v for v in deep_findings
+                  if not is_project_rule(RULE_REGISTRY.get(v.rule))]
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
-def test_repo_is_deep_clean_in_process(monkeypatch):
+def test_repo_is_deep_clean_in_process(deep_findings):
     """The whole-program pack has zero un-baselined findings — and the
     committed baseline is empty, so it has zero findings, full stop."""
+    assert deep_findings == [], "\n".join(v.render() for v in deep_findings)
+
+
+def test_repo_is_clean_via_cli(monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
-    violations = analyze_paths(LINT_TARGETS, LintConfig(), deep=True)
-    assert violations == [], "\n".join(v.render() for v in violations)
-
-
-def test_repo_is_clean_via_cli():
-    result = run_cli(*LINT_TARGETS)
-    assert result.returncode == 0, (
-        f"repro lint found violations:\n{result.stdout}{result.stderr}"
-    )
-    assert "clean" in result.stdout
+    code = lint_main(LINT_TARGETS)
+    out, err = capsys.readouterr()
+    assert code == 0, f"repro lint found violations:\n{out}{err}"
+    assert "clean" in out
 
 
 def test_deep_baseline_check_via_cli():
@@ -80,11 +96,13 @@ def test_committed_baseline_is_empty():
     )
 
 
-def test_sarif_export_via_cli():
+def test_sarif_export_via_cli(monkeypatch, capsys):
     """The CI artifact invocation produces a valid, empty SARIF run."""
-    result = run_cli(*LINT_TARGETS, "--deep", "--format", "sarif")
-    assert result.returncode == 0, result.stdout + result.stderr
-    payload = json.loads(result.stdout)
+    monkeypatch.chdir(REPO_ROOT)
+    code = lint_main([*LINT_TARGETS, "--deep", "--format", "sarif"])
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
+    payload = json.loads(out)
     assert payload["version"] == "2.1.0"
     assert payload["runs"][0]["results"] == []
 

@@ -10,19 +10,17 @@ stalls to zero) and compare per-job outcomes.
 
 Outcomes are compared per job rather than as an ordered completion log:
 two jobs finishing within float dust of each other may legitimately
-complete in one legacy timer batch but two virtual-time batches.  The
-kernel bench's ``contended_medium`` entry separately checks exact
-sequence order on a structured workload.
+complete in one legacy timer batch but two virtual-time batches.
+``tests/unit/test_sim_resources.py`` separately checks the exact
+completion sequence of the kernel bench's 500-job ``contended_medium``
+storm, a structured workload.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (
-    FairShareResource,
-    LegacyFairShareResource,
-    Simulator,
-)
+from repro.sim import FairShareResource, Simulator
+from tests.fairshare_legacy import LegacyFairShareResource
 
 #: (arrival_s, amount, weight, abort_after_s or None)
 job_schedules = st.lists(

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.cli import main as lint_main
 
 #: A span leaking over the exception edge of its yield — SPC102's
-#: canonical finding, invisible to the lexical SPC003.
+#: canonical finding, invisible to a lexical begin/end check.
 LEAKY = (
     "def leaky(tracer, network):\n"
     "    span = tracer.start_span('op')\n"

@@ -38,9 +38,9 @@ class TestLintConfig:
         assert {r.code for r in config.active_rules()} == {"SPC001", "SPC004"}
 
     def test_ignore_removes_rules(self):
-        config = LintConfig(ignore=["SPC003"])
+        config = LintConfig(ignore=["SPC005"])
         active = {r.code for r in config.active_rules()}
-        assert "SPC003" not in active
+        assert "SPC005" not in active
         assert "SPC001" in active
 
     def test_unknown_select_code_raises(self):
@@ -234,8 +234,8 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SPC001", "SPC002", "SPC003",
-                     "SPC004", "SPC005", "SPC006"):
+        for code in ("SPC001", "SPC002", "SPC004",
+                     "SPC005", "SPC006", "SPC102"):
             assert code in out
         assert "spectra: noqa" in out
 

@@ -5,7 +5,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis import LintConfig, analyze_source
+from repro.analysis import LintConfig, analyze_paths, analyze_source
+from repro.analysis.cache import ParseCache
 
 #: Path under the default scope of every rule.
 SRC = "src/repro/sim/fixture.py"
@@ -18,6 +19,15 @@ def lint(code, path=SRC, **config_kwargs):
 
 def codes(violations):
     return [v.rule for v in violations]
+
+
+def deep_lint(tmp_path, code):
+    """Deep-sweep *code* as the only file of a tree, SPC102 alone."""
+    target = tmp_path / SRC
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(textwrap.dedent(code))
+    return analyze_paths([str(tmp_path)], LintConfig(select=["SPC102"]),
+                         deep=True, cache=ParseCache())
 
 
 # -- SPC001: wall clock --------------------------------------------------------------
@@ -132,59 +142,66 @@ class TestUnseededRandomness:
         assert found == []
 
 
-# -- SPC003: lifecycle pairing -------------------------------------------------------
+# -- SPC102: lifecycle pairing ------------------------------------------------------
 
 
 class TestLifecyclePairing:
-    def test_detects_span_never_ended(self):
-        found = lint("""
+    """The lexical pairing cases, checked by the deep pass's SPC102.
+
+    SPC102 runs only over a whole tree, so each snippet is written to a
+    fixture file under the rule's default scope and swept with
+    ``deep=True``.
+    """
+
+    def test_detects_span_never_ended(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def work(tracer):
                 span = tracer.start_span("work")
                 compute()
-        """, select=["SPC003"])
-        assert codes(found) == ["SPC003"]
+        """)
+        assert codes(found) == ["SPC102"]
         assert "never .end()ed" in found[0].message
 
-    def test_detects_dropped_span_result(self):
-        found = lint("""
+    def test_detects_dropped_span_result(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def work(tracer):
                 tracer.start_span("work")
-        """, select=["SPC003"])
-        assert codes(found) == ["SPC003"]
+        """)
+        assert codes(found) == ["SPC102"]
         assert "dropped" in found[0].message
 
-    def test_detects_early_return_leak(self):
-        found = lint("""
+    def test_detects_early_return_leak(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def work(tracer, fast):
                 span = tracer.start_span("work")
                 if fast:
                     return None
                 compute()
                 span.end()
-        """, select=["SPC003"])
-        assert codes(found) == ["SPC003"]
+        """)
+        assert codes(found) == ["SPC102"]
         assert "leak" in found[0].message
 
-    def test_detects_start_all_without_stop_all(self):
-        found = lint("""
+    def test_detects_start_all_without_stop_all(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def run(monitors):
                 recording = Recording()
                 monitors.start_all(recording)
                 compute()
-        """, select=["SPC003"])
-        assert codes(found) == ["SPC003"]
+        """)
+        assert codes(found) == ["SPC102"]
 
-    def test_paired_span_passes(self):
-        found = lint("""
+    def test_paired_span_passes(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def work(tracer):
                 span = tracer.start_span("work")
                 compute()
                 span.end()
-        """, select=["SPC003"])
+        """)
         assert found == []
 
-    def test_end_in_finally_passes(self):
-        found = lint("""
+    def test_end_in_finally_passes(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def work(tracer, fast):
                 span = tracer.start_span("work")
                 try:
@@ -193,51 +210,51 @@ class TestLifecyclePairing:
                     compute()
                 finally:
                     span.end()
-        """, select=["SPC003"])
+        """)
         assert found == []
 
-    def test_with_statement_passes(self):
-        found = lint("""
+    def test_with_statement_passes(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def work(tracer):
                 with tracer.span("work"):
                     compute()
-        """, select=["SPC003"])
+        """)
         assert found == []
 
-    def test_chained_end_passes(self):
-        found = lint("""
+    def test_chained_end_passes(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def mark(tracer):
                 tracer.start_span("tick").end()
-        """, select=["SPC003"])
+        """)
         assert found == []
 
-    def test_escaping_span_passes(self):
-        found = lint("""
+    def test_escaping_span_passes(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def begin(tracer):
                 span = tracer.start_span("op")
                 return span
-        """, select=["SPC003"])
+        """)
         assert found == []
 
-    def test_span_passed_to_helper_passes(self):
-        found = lint("""
+    def test_span_passed_to_helper_passes(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def begin(tracer):
                 span = tracer.start_span("op")
                 finish_later(span)
-        """, select=["SPC003"])
+        """)
         assert found == []
 
-    def test_escaping_recording_passes(self):
-        found = lint("""
+    def test_escaping_recording_passes(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def begin(monitors):
                 recording = Recording()
                 monitors.start_all(recording)
                 return Handle(recording=recording)
-        """, select=["SPC003"])
+        """)
         assert found == []
 
-    def test_end_before_early_exit_passes(self):
-        found = lint("""
+    def test_end_before_early_exit_passes(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def work(tracer, bad):
                 span = tracer.start_span("work")
                 if bad:
@@ -245,15 +262,15 @@ class TestLifecyclePairing:
                     raise RuntimeError("bad")
                 compute()
                 span.end()
-        """, select=["SPC003"])
+        """)
         assert found == []
 
-    def test_suppressed(self):
-        found = lint("""
+    def test_suppressed(self, tmp_path):
+        found = deep_lint(tmp_path, """
             def work(tracer):
-                span = tracer.start_span("work")  # spectra: noqa[SPC003]
+                span = tracer.start_span("work")  # spectra: noqa[SPC102]
                 compute()
-        """, select=["SPC003"])
+        """)
         assert found == []
 
 
@@ -487,8 +504,8 @@ class TestSuppressionForms:
         assert codes(found) == ["SPC001"]
 
 
-@pytest.mark.parametrize("rule_code", ["SPC001", "SPC002", "SPC003",
-                                       "SPC004", "SPC005", "SPC006"])
+@pytest.mark.parametrize("rule_code", ["SPC001", "SPC002", "SPC004",
+                                       "SPC005", "SPC006", "SPC102"])
 def test_every_rule_is_registered(rule_code):
     from repro.analysis import RULE_REGISTRY
     assert rule_code in RULE_REGISTRY

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.sim import FairShareResource, Mutex, SimulationError, Store, Timeout
+from repro.sim import (
+    FairShareResource,
+    Mutex,
+    SimulationError,
+    Simulator,
+    Store,
+    Timeout,
+)
+from tests.fairshare_legacy import LegacyFairShareResource
 
 
 class TestFairShareBasics:
@@ -289,10 +297,10 @@ class TestVirtualTimeInternals:
 
 
 class TestLegacyReferenceModel:
-    """The legacy scheduler stays import-light and API-compatible."""
+    """The legacy scheduler (the test oracle in ``tests/``) stays
+    API-compatible with, and behaviorally equal to, the shipping one."""
 
     def test_same_api_surface_smoke(self, sim):
-        from repro.sim import LegacyFairShareResource
         resource = LegacyFairShareResource(sim, capacity=10.0)
         job = resource.submit(20.0, weight=2.0)
         assert resource.rate_for_new_job(2.0) == pytest.approx(5.0)
@@ -302,9 +310,6 @@ class TestLegacyReferenceModel:
         assert resource.total_served == pytest.approx(20.0)
 
     def test_legacy_and_new_agree_on_staggered_weights(self, sim):
-        from repro.sim import LegacyFairShareResource
-        from repro.sim import Simulator
-
         def run_with(factory):
             local = Simulator()
             resource = factory(local, 10.0)
@@ -322,3 +327,26 @@ class TestLegacyReferenceModel:
         assert run_with(FairShareResource) == run_with(
             LegacyFairShareResource
         )
+
+    def test_contended_medium_storm_gives_identical_sequence(self):
+        # The kernel bench's 500-job contention storm: the same jobs
+        # finish in the same order at the same simulated times (to
+        # float dust: the two schedulers sum service differently).
+        from repro.perf.kernel import (
+            CONTENDED_CAPACITY,
+            CONTENDED_JOBS,
+            _contention_storm,
+        )
+
+        def storm(resource_cls):
+            completions, _events = _contention_storm(
+                lambda sim: resource_cls(sim, CONTENDED_CAPACITY),
+                CONTENDED_JOBS)
+            return completions
+
+        shipping = storm(FairShareResource)
+        oracle = storm(LegacyFairShareResource)
+        assert len(shipping) == CONTENDED_JOBS
+        assert [i for i, _ in shipping] == [i for i, _ in oracle]
+        assert [t for _, t in shipping] == pytest.approx(
+            [t for _, t in oracle], rel=1e-6, abs=1e-6)
