@@ -4,10 +4,9 @@ Exit codes follow linter convention: ``0`` clean, ``1`` violations
 found, ``2`` usage error.  Examples::
 
     python -m repro lint src/repro tests                  # per-file rules
-    python -m repro lint src/repro tests --deep           # + SPC1xx pack
-    python -m repro lint src/repro tests --deep \\
-        --baseline check                                  # the CI gate
-    python -m repro lint src/repro --format sarif         # code scanning
+    python -m repro lint src/repro tests benchmarks examples \\
+        --deep                                            # the CI gate
+    python -m repro lint src/repro --format json          # machine-readable
     python -m repro lint src --select SPC001,SPC004
     python -m repro lint --list-rules
 """
@@ -16,20 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_FILE,
-    check_baseline,
-    write_baseline,
-)
-from .core import SourceFile, all_rules, is_project_rule
-from .engine import (
-    _SHARED_CACHE,
-    LintConfig,
-    analyze_paths,
-    iter_python_files,
-)
+from .core import all_rules, is_project_rule
+from .engine import LintConfig, analyze_paths, iter_python_files
 from .reporters import REPORTERS
 
 
@@ -55,17 +44,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="additionally run the whole-program SPC1xx "
                              "pack (call-graph taint, CFG lifecycle "
                              "paths, telemetry contract)")
-    parser.add_argument("--baseline", choices=("write", "check"),
-                        help="write: snapshot current findings as the "
-                             "grandfathered baseline; check: fail only "
-                             "on findings not in the baseline")
-    parser.add_argument("--baseline-file", metavar="PATH",
-                        default=DEFAULT_BASELINE_FILE,
-                        help=f"baseline location (default: "
-                             f"{DEFAULT_BASELINE_FILE})")
-    parser.add_argument("--no-scope", action="store_true",
-                        help="ignore per-rule path scopes and run every "
-                             "rule on every file")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe the rule pack and exit")
 
@@ -81,17 +59,6 @@ def list_rules() -> str:
     lines.append("")
     lines.append("suppress inline with: # spectra: noqa[CODE] -- justification")
     return "\n".join(lines)
-
-
-def _loaded_sources(files: List[str]) -> Dict[str, SourceFile]:
-    """Parsed sources for baseline fingerprinting — all cache hits,
-    since analyze_paths just loaded every one of them."""
-    sources: Dict[str, SourceFile] = {}
-    for path in files:
-        source, _ = _SHARED_CACHE.load(path)
-        if source is not None:
-            sources[path] = source
-    return sources
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -115,11 +82,6 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"repro lint: {codes} are whole-program rules; add --deep",
               file=sys.stderr)
         return 2
-    if args.no_scope:
-        for rule in all_rules():
-            rule_config = config.rule_config(rule.code)
-            rule_config.scope = ()
-            rule_config.exclude = ()
 
     files = list(iter_python_files(args.paths))
     if not files:
@@ -127,36 +89,6 @@ def run_lint(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     violations = analyze_paths(args.paths, config, deep=args.deep)
-
-    if args.baseline == "write":
-        sources = _loaded_sources(files)
-        count = write_baseline(args.baseline_file, violations, sources)
-        skipped = len(violations) - count
-        note = f" ({skipped} unbaselinable)" if skipped else ""
-        print(f"baseline written: {count} grandfathered finding"
-              f"{'s' if count != 1 else ''}{note} -> {args.baseline_file}")
-        return 0
-
-    if args.baseline == "check":
-        sources = _loaded_sources(files)
-        result = check_baseline(args.baseline_file, violations, sources)
-        if result is None:
-            print(f"repro lint: cannot read baseline "
-                  f"{args.baseline_file!r} — run --baseline write first",
-                  file=sys.stderr)
-            return 2
-        print(REPORTERS[args.format](result.new, files_checked=len(files)))
-        if result.grandfathered:
-            print(f"{len(result.grandfathered)} grandfathered finding"
-                  f"{'s' if len(result.grandfathered) != 1 else ''} "
-                  f"suppressed by baseline", file=sys.stderr)
-        if result.stale:
-            print(f"{len(result.stale)} stale baseline entr"
-                  f"{'ies' if len(result.stale) != 1 else 'y'} — "
-                  f"rewrite the baseline to ratchet down",
-                  file=sys.stderr)
-        return 1 if result.new else 0
-
     print(REPORTERS[args.format](violations, files_checked=len(files)))
     return 1 if violations else 0
 

@@ -83,7 +83,6 @@ class SourceFile:
         #: POSIX-ish form used for scope matching.
         self.posix_path = path.replace("\\", "/")
         self.text = text
-        self.lines = text.splitlines()
         self.tree = tree
         self._aliases: Optional[Dict[str, str]] = None
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
@@ -110,12 +109,6 @@ class SourceFile:
             from .suppressions import suppressed_lines
             self._suppressions = suppressed_lines(self.text)
         return self._suppressions
-
-    def line_text(self, lineno: int) -> str:
-        """Stripped text of a 1-based line ('' when out of range)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def __repr__(self) -> str:
         return f"<SourceFile {self.path!r}>"

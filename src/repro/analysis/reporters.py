@@ -1,4 +1,4 @@
-"""Violation reporters: text for humans, JSON and SARIF for machines.
+"""Violation reporters: text for humans, JSON for machines.
 
 Both render the same :class:`~repro.analysis.core.Violation` list; the
 JSON form is stable (sorted keys, schema documented here) so CI and
@@ -10,7 +10,8 @@ editor integrations can parse it without guessing:
       "violations": [{"rule": "...", "path": "...", "line": 1,
                       "col": 0, "message": "..."}],
       "counts": {"SPC001": 2},
-      "total": 2
+      "total": 2,
+      "files_checked": 40
     }
 """
 
@@ -51,70 +52,7 @@ def render_json(violations: List[Violation], files_checked: int = 0) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_sarif(violations: List[Violation], files_checked: int = 0) -> str:
-    """SARIF 2.1.0, the interchange format code-scanning UIs ingest.
-
-    One run, one driver (``spectra-lint``); the rule table carries every
-    registered rule that fired plus the reserved engine codes, so a
-    viewer can show name/description without out-of-band docs.  Only
-    line/column locations are emitted — the minimal valid subset.
-    """
-    from .core import INTERNAL_CODE, RULE_REGISTRY, SYNTAX_CODE
-
-    fired = sorted({violation.rule for violation in violations})
-    rules = []
-    for code in fired:
-        rule = RULE_REGISTRY.get(code)
-        if rule is not None:
-            name, description = rule.name, rule.description
-        elif code == INTERNAL_CODE:
-            name, description = "internal-error", \
-                "the lint engine or a rule crashed"
-        elif code == SYNTAX_CODE:
-            name, description = "syntax-error", "file does not parse"
-        else:
-            name, description = code.lower(), ""
-        rules.append({
-            "id": code,
-            "name": name,
-            "shortDescription": {"text": description or name},
-        })
-
-    results = [{
-        "ruleId": violation.rule,
-        "level": "error",
-        "message": {"text": violation.message},
-        "locations": [{
-            "physicalLocation": {
-                "artifactLocation": {
-                    "uri": violation.path.replace("\\", "/"),
-                },
-                "region": {
-                    "startLine": violation.line,
-                    "startColumn": violation.col + 1,
-                },
-            },
-        }],
-    } for violation in violations]
-
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "spectra-lint",
-                "informationUri":
-                    "https://github.com/spectra/repro#sim-safety-lint",
-                "rules": rules,
-            }},
-            "results": results,
-        }],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 REPORTERS = {
     "text": render_text,
     "json": render_json,
-    "sarif": render_sarif,
 }

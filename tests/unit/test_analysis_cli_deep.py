@@ -1,12 +1,9 @@
-"""CLI surface of the deep pass and the baseline ratchet.
+"""CLI surface of the deep pass, the repo's one lint gate.
 
 Exercises exactly what CI runs: ``repro lint --deep`` over a tree,
-``--baseline write`` / ``--baseline check`` as the ratchet, SARIF as
-the code-scanning artifact, and the usage guards that keep a typoed
-invocation from silently linting nothing.
+failing on whole-program and per-file findings alike, and the usage
+guards that keep a typoed invocation from silently linting nothing.
 """
-
-import json
 
 import pytest
 
@@ -21,20 +18,18 @@ LEAKY = (
     "    span.end()\n"
 )
 
-FIXED = (
-    "def leaky(tracer, network):\n"
-    "    with tracer.start_span('op'):\n"
-    "        yield from network.transfer(1)\n"
-)
-
-CLEAN = "def add(a, b):\n    return a + b\n"
+#: Trees whose only finding comes from the per-file pass: a wall-clock
+#: read (SPC001) and a file that does not parse (SPC999).
+PER_FILE_ONLY = [
+    ("SPC001", "import time\n\ndef stamp():\n    return time.time()\n"),
+    ("SPC999", "def broken(:\n"),
+]
 
 
 def tree_with(tmp_path, text):
     target = tmp_path / "src" / "repro" / "sim" / "fixture.py"
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text)
-    return target
 
 
 class TestDeepFlag:
@@ -58,67 +53,17 @@ class TestDeepFlag:
         assert lint_main(["--select", "SPC102", "--deep",
                           str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("code,text", PER_FILE_ONLY,
+                             ids=[code for code, _ in PER_FILE_ONLY])
+    def test_deep_fails_on_per_file_findings(self, tmp_path, capsys,
+                                             code, text):
+        tree_with(tmp_path, text)
+        assert lint_main(["--deep", str(tmp_path)]) == 1
+        assert f"1 violation ({code}×1)" in capsys.readouterr().out
+
     def test_list_rules_marks_deep_pack(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("SPC101", "SPC102", "SPC103", "SPC104", "SPC105"):
             assert code in out
         assert "[--deep]" in out
-
-
-class TestBaselineRatchet:
-    def baseline_args(self, tmp_path, mode):
-        return ["--deep", "--baseline", mode,
-                "--baseline-file", str(tmp_path / "baseline.json"),
-                str(tmp_path)]
-
-    def test_write_then_check_is_green(self, tmp_path, capsys):
-        tree_with(tmp_path, LEAKY)
-        assert lint_main(self.baseline_args(tmp_path, "write")) == 0
-        assert "1 grandfathered finding" in capsys.readouterr().out
-        assert lint_main(self.baseline_args(tmp_path, "check")) == 0
-        err = capsys.readouterr().err
-        assert "1 grandfathered finding" in err
-
-    def test_new_finding_fails_the_check(self, tmp_path, capsys):
-        target = tree_with(tmp_path, LEAKY)
-        assert lint_main(self.baseline_args(tmp_path, "write")) == 0
-        capsys.readouterr()
-        # A second, new leak appears: only it fails the gate.
-        target.write_text(LEAKY + "\n\n" + LEAKY.replace("leaky", "worse"))
-        assert lint_main(self.baseline_args(tmp_path, "check")) == 1
-        out = capsys.readouterr().out
-        assert "worse" in out and "SPC102" in out
-
-    def test_fixing_the_finding_reports_stale(self, tmp_path, capsys):
-        target = tree_with(tmp_path, LEAKY)
-        assert lint_main(self.baseline_args(tmp_path, "write")) == 0
-        capsys.readouterr()
-        target.write_text(FIXED)
-        assert lint_main(self.baseline_args(tmp_path, "check")) == 0
-        assert "stale baseline" in capsys.readouterr().err
-
-    def test_check_without_baseline_is_a_usage_error(self, tmp_path,
-                                                     capsys):
-        tree_with(tmp_path, CLEAN)
-        assert lint_main(self.baseline_args(tmp_path, "check")) == 2
-        assert "baseline write" in capsys.readouterr().err
-
-
-class TestSarifOutput:
-    def test_deep_findings_render_as_sarif(self, tmp_path, capsys):
-        tree_with(tmp_path, LEAKY)
-        assert lint_main(["--deep", "--format", "sarif",
-                          str(tmp_path)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        (run,) = payload["runs"]
-        assert run["tool"]["driver"]["name"] == "spectra-lint"
-        assert any(r["ruleId"] == "SPC102" for r in run["results"])
-
-    def test_clean_tree_renders_empty_sarif(self, tmp_path, capsys):
-        tree_with(tmp_path, CLEAN)
-        assert lint_main(["--deep", "--format", "sarif",
-                          str(tmp_path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"][0]["results"] == []

@@ -245,10 +245,9 @@ class TestCli:
         target.write_text(DIRTY)
         assert lint_main(["--ignore", "SPC001", str(tmp_path)]) == 0
 
-    def test_no_scope_flag_widens_rules(self, tmp_path):
+    def test_default_scope_skips_files_outside_src(self, tmp_path):
         (tmp_path / "tool.py").write_text(DIRTY)
         assert lint_main([str(tmp_path)]) == 0
-        assert lint_main(["--no-scope", str(tmp_path)]) == 1
 
     def test_module_entry_point(self, tmp_path):
         """`python -m repro lint` is the documented CI invocation."""
