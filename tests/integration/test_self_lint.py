@@ -63,3 +63,10 @@ def test_repo_is_deep_clean_via_cli(monkeypatch, capsys):
     code = lint_main([*LINT_TARGETS, "--deep"])
     out, err = capsys.readouterr()
     assert code == 0, f"deep lint found violations:\n{out}{err}"
+
+
+def test_benchmarks_are_clean_too(monkeypatch):
+    """A deep sweep of the benchmarks on their own stays clean."""
+    monkeypatch.chdir(REPO_ROOT)
+    violations = analyze_paths(["benchmarks"], LintConfig(), deep=True)
+    assert violations == [], "\n".join(v.render() for v in violations)
