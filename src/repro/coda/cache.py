@@ -67,9 +67,6 @@ class FileCache:
     def cached_paths(self) -> List[str]:
         return list(self._entries.keys())
 
-    def dirty_entries(self) -> List[CacheEntry]:
-        return [e for e in self._entries.values() if e.dirty]
-
     # -- mutation ------------------------------------------------------------------
 
     def insert(self, path: str, size: int, version: int,

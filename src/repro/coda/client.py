@@ -349,10 +349,6 @@ class CodaClient:
         self.cache.insert(path, authoritative.size, authoritative.version)
         self.server.grant_callback(path, self.name)
 
-    def warm_all(self, paths) -> None:
-        for path in paths:
-            self.warm(path)
-
     # -- server -> client callback channel ------------------------------------------------
 
     def _callback_broken(self, path: str) -> None:

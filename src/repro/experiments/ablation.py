@@ -30,7 +30,7 @@ from ..solver import ExhaustiveSolver, HeuristicSolver
 from . import latex as latex_exp
 from . import pangloss as pangloss_exp
 from . import speech as speech_exp
-from .runner import best_measurement, score_measurement, utility_of
+from .runner import measure_spectra, relative_utility, score_measurement
 
 
 @dataclass
@@ -63,21 +63,15 @@ def ablate_utility_form() -> AblationOutcome:
     rel_mult = baseline.relative_utility(spec)
 
     world, app = speech_exp._build("energy")
-    itsy = world.nodes["itsy"]
-    itsy.client.utility_factory = (
+    world.nodes["itsy"].client.utility_factory = (
         lambda s, c: AdditiveUtility(s, c, energy_weight=5.0)
     )
-    e0 = itsy.host.energy_consumed_joules()
     probe = SpeechWorkload().probes(1)[0]
-    report = world.sim.run_process(app.recognize(probe))
-    achieved = utility_of(
-        spec, speech_exp.ENERGY_SCENARIO_C, report.elapsed_s,
-        itsy.host.energy_consumed_joules() - e0, report.alternative,
+    additive = measure_spectra(
+        world, "itsy", lambda force: app.recognize(probe, force=force)
     )
-    _best, oracle = best_measurement(
-        spec, speech_exp.ENERGY_SCENARIO_C, baseline.measurements
-    )
-    rel_add = achieved / oracle if oracle > 0 else 0.0
+    rel_add = relative_utility(spec, speech_exp.ENERGY_SCENARIO_C,
+                               baseline.measurements, additive)
     return AblationOutcome("utility-form (multiplicative vs additive)",
                            rel_mult, rel_add, "relative utility")
 
@@ -285,7 +279,6 @@ def ablate_monitor_freshness() -> AblationOutcome:
     utility — higher is better.
     """
     from ..apps import make_pangloss_spec
-    from .runner import SpectraMeasurement
 
     spec = make_pangloss_spec()
     words = 10
@@ -300,35 +293,17 @@ def ablate_monitor_freshness() -> AblationOutcome:
     pangloss_exp._evict_corpus(world)
     world.nodes["server-a"].host.start_background_load(2)
     world.sim.advance(10.0)  # the load persists; no poll happens
-    host = world.nodes["560x"].host
-    e0 = host.energy_consumed_joules()
-    report = world.sim.run_process(app.translate(words))
-    stale = SpectraMeasurement(
-        choice=report.alternative,
-        time_s=report.elapsed_s,
-        energy_j=host.energy_consumed_joules() - e0,
-    )
+    stale = measure_spectra(
+        world, "560x", lambda force: app.translate(words, force=force))
     # Score the stale run against the fresh run's measured oracle (the
     # two worlds are identical by construction).
-    stale_rel = relative_utility_vs(spec, fresh, stale)
+    stale_rel = relative_utility(spec, fresh.energy_importance,
+                                 fresh.measurements, stale)
 
     return AblationOutcome(
         "monitor freshness (re-poll after change vs stale status)",
         fresh_rel, stale_rel, "relative utility",
     )
-
-
-def relative_utility_vs(spec, scenario_result, spectra_measurement) -> float:
-    """Score a measurement against another result's measured oracle."""
-    from .runner import best_measurement as _best, utility_of as _u
-
-    _m, oracle = _best(spec, scenario_result.energy_importance,
-                       scenario_result.measurements)
-    achieved = _u(spec, scenario_result.energy_importance,
-                  spectra_measurement.time_s,
-                  spectra_measurement.energy_j,
-                  spectra_measurement.choice)
-    return achieved / oracle if oracle > 0 else 0.0
 
 
 def run_all_ablations() -> List[AblationOutcome]:

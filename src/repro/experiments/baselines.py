@@ -23,7 +23,7 @@ from ..baselines import (
     RPFPolicy,
 )
 from . import speech as speech_exp
-from .runner import best_measurement, utility_of
+from .runner import best_measurement, measure_forced, utility_of
 
 
 @dataclass
@@ -62,15 +62,10 @@ def _policy_choice_run(policy: PlacementPolicy, scenario: str):
             policy.observe(alternative, time_s, energy_j)
 
     choice = policy.choose(alternatives)
-    e0 = itsy.host.energy_consumed_joules()
     probe = SpeechWorkload().probes(1)[0]
-    try:
-        report = world.sim.run_process(app.recognize(probe, force=choice))
-        elapsed = report.elapsed_s
-        energy = itsy.host.energy_consumed_joules() - e0
-    except Exception:
-        elapsed, energy = float("inf"), float("inf")
-    return choice, elapsed, energy
+    measured = measure_forced(
+        world, "itsy", lambda force: app.recognize(probe, force=force), choice)
+    return choice, measured.time_s, measured.energy_j
 
 
 def run_policy_comparison(scenarios=speech_exp.SCENARIOS

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..scenarios import compile_scenario
+from ..apps import LatexApplication
 from ..scenarios.spec import (
     AppSpec,
     ClientSpec,
@@ -40,6 +40,7 @@ from ..scenarios.library import (
     WIRELESS_LATENCY_S,
 )
 from ..sim import AllOf, Timeout
+from .runner import train_world
 
 
 @dataclass
@@ -100,21 +101,11 @@ def _contention_spec(n_clients: int) -> ScenarioSpec:
 
 
 def _build_world(n_clients: int):
-    world = compile_scenario(_contention_spec(n_clients))
-    sim = world.sim
-    clients = [(c.node, c.client, c.app) for c in world.clients]
-
-    # Train each client (staggered so training does not overlap — the
-    # paper's regimen, per client).
-    for _node, client, app in clients:
-        placements = app.spec.alternatives(["server"])
-        for i in range(8):
-            sim.run_process(app.format("small",
-                                       force=placements[i % len(placements)]))
-    sim.advance(30.0)
-    for _node, client, _app in clients:
-        sim.run_process(client.poll_servers())
-    return sim, clients
+    """The trained N-client world: each client trains in turn (so
+    training does not overlap — the paper's regimen, per client)."""
+    world = train_world(_contention_spec(n_clients), ["small"] * 8,
+                        LatexApplication.format)
+    return world.sim, [(c.node, c.client, c.app) for c in world.clients]
 
 
 #: Arrival stagger between clients, seconds.  Real users do not hit

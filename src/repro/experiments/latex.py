@@ -29,18 +29,8 @@ from ..apps import (
     LatexApplication,
     LatexWorkload,
 )
-from ..scenarios import (
-    AppSpec,
-    CompiledScenario,
-    compile_scenario,
-    thinkpad_testbed,
-)
-from .runner import (
-    AltMeasurement,
-    ScenarioResult,
-    SpectraMeasurement,
-    clone_world,
-)
+from ..scenarios import AppSpec, CompiledScenario, thinkpad_testbed
+from .runner import ScenarioResult, measure_on_clones, train_world
 
 SCENARIOS = ("baseline", "filecache", "reintegrate", "energy")
 DOCUMENTS = {"small": SMALL_DOCUMENT, "large": LARGE_DOCUMENT}
@@ -71,27 +61,14 @@ def _build(scenario: str, solver=None, telemetry=None) -> World:
 
 def _train(solver=None, telemetry=None) -> World:
     """Fresh world (documents installed, caches warm) with models
-    trained."""
-    world = compile_scenario(thinkpad_testbed(LATEX_APP),
-                             telemetry=telemetry, solver=solver)
-    app = world.clients[0].app
-
-    # Training: 20 runs alternating documents, forced round-robin over
-    # the three placements so every bin and both data-specific models
-    # gather samples ("We first executed Latex 20 times...").
-    placements = app.spec.alternatives(["server-a", "server-b"])
-    for i, doc_name in enumerate(LatexWorkload().training(20)):
-        forced = placements[i % len(placements)]
-        world.sim.run_process(app.format(doc_name, force=forced))
-    # Training runs at baseline connectivity: any outputs written remain
-    # reintegrated (strong consistency), so the CML starts clean.
-
-    # Let transient load estimates decay and refresh server status
-    # before the scenario starts (the paper's phases were minutes
-    # apart in wall-clock time).
-    world.sim.advance(30.0)
-    world.poll()
-    return world, app
+    trained ("We first executed Latex 20 times..."): the runs alternate
+    documents, so both data-specific models gather samples.  Training
+    runs at baseline connectivity: any outputs written remain
+    reintegrated (strong consistency), so the CML starts clean."""
+    world = train_world(thinkpad_testbed(LATEX_APP),
+                        LatexWorkload().training(20), LatexApplication.format,
+                        solver=solver, telemetry=telemetry)
+    return world, world.clients[0].app
 
 
 def _apply_scenario(world: CompiledScenario, app: LatexApplication,
@@ -131,58 +108,12 @@ def scenario_energy_importance(scenario: str) -> float:
     return ENERGY_SCENARIO_C if scenario == "energy" else 0.0
 
 
-def _scenario_clone(trained: World, scenario: str, solver) -> World:
-    world, app = clone_world(trained, shared=(solver,))
-    _apply_scenario(world, app, scenario)
-    return world, app
-
-
-def _measure_forced(trained: World, scenario: str, document: str,
-                    alternative, solver) -> AltMeasurement:
-    world, app = _scenario_clone(trained, scenario, solver)
-    host = world.nodes["560x"].host
-    e0 = host.energy_consumed_joules()
-    try:
-        report = world.sim.run_process(app.format(document,
-                                                  force=alternative))
-    except Exception:
-        return AltMeasurement(
-            alternative=alternative, time_s=float("inf"),
-            energy_j=float("inf"), feasible=False,
-        )
-    return AltMeasurement(
-        alternative=alternative,
-        time_s=report.elapsed_s,
-        energy_j=host.energy_consumed_joules() - e0,
-    )
-
-
-def _measure_spectra(trained: World, scenario: str, document: str,
-                     solver) -> SpectraMeasurement:
-    world, app = _scenario_clone(trained, scenario, solver)
-    host = world.nodes["560x"].host
-    e0 = host.energy_consumed_joules()
-    report = world.sim.run_process(app.format(document))
-    return SpectraMeasurement(
-        choice=report.alternative,
-        time_s=report.elapsed_s,
-        energy_j=host.energy_consumed_joules() - e0,
-        prediction=report.prediction,
-    )
-
-
 def _measure_cell(trained: World, scenario: str, document: str,
                   solver) -> ScenarioResult:
-    measurements = [
-        _measure_forced(trained, scenario, document, alternative, solver)
-        for alternative in trained[1].spec.alternatives(
-            ["server-a", "server-b"]
-        )
-    ]
     return ScenarioResult(
-        scenario=scenario,
-        measurements=measurements,
-        spectra=_measure_spectra(trained, scenario, document, solver),
+        scenario, *measure_on_clones(
+            trained, lambda world, app: _apply_scenario(world, app, scenario),
+            "560x", LatexApplication.format, document, solver),
         energy_importance=scenario_energy_importance(scenario),
         meta={"document": document},
     )

@@ -27,17 +27,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..apps import ENGINE_FILES, PanglossApplication, SentenceWorkload
-from ..scenarios import (
-    AppSpec,
-    CompiledScenario,
-    compile_scenario,
-    thinkpad_testbed,
-)
+from ..scenarios import AppSpec, CompiledScenario, thinkpad_testbed
 from .runner import (
-    AltMeasurement,
     ScenarioResult,
-    SpectraMeasurement,
     clone_world,
+    measure_forced,
+    measure_spectra,
+    train_world,
 )
 
 SCENARIOS = ("baseline", "filecache", "cpu")
@@ -57,21 +53,11 @@ def _build(scenario: str, solver=None) -> World:
 
 def _train(solver=None) -> World:
     """Fresh world (knowledge bases installed, caches warm) with models
-    trained."""
-    world = compile_scenario(thinkpad_testbed(AppSpec(kind="pangloss")),
-                             solver=solver)
-    app = world.clients[0].app
-
-    # Training: the paper's 129 sentences, forced round-robin over the
-    # whole alternative space so every (plan × fidelity) bin trains.
-    alternatives = app.spec.alternatives(["server-a", "server-b"])
-    for i, words in enumerate(SentenceWorkload().training(129)):
-        forced = alternatives[i % len(alternatives)]
-        world.sim.run_process(app.translate(words, force=forced))
-
-    world.sim.advance(30.0)
-    world.poll()
-    return world, app
+    trained on the paper's 129 sentences."""
+    world = train_world(thinkpad_testbed(AppSpec(kind="pangloss")),
+                        SentenceWorkload().training(129),
+                        PanglossApplication.translate, solver=solver)
+    return world, world.clients[0].app
 
 
 def _evict_corpus(world: CompiledScenario) -> None:
@@ -111,38 +97,16 @@ def _measure_cell(trained: World, scenario: str, words: int,
                   solver) -> ScenarioResult:
     world, app = clone_world(trained, shared=(solver,))
     _apply_scenario(world, scenario)
-    host = world.nodes["560x"].host
+
+    def op(force):
+        return app.translate(words, force=force)
 
     # Spectra's own decision first, at exactly the trained state.
-    e0 = host.energy_consumed_joules()
-    report = world.sim.run_process(app.translate(words))
-    spectra = SpectraMeasurement(
-        choice=report.alternative,
-        time_s=report.elapsed_s,
-        energy_j=host.energy_consumed_joules() - e0,
-        prediction=report.prediction,
-    )
+    spectra = measure_spectra(world, "560x", op)
     _restore_scenario(world, scenario)
-
-    measurements: List[AltMeasurement] = []
+    measurements = []
     for alternative in app.spec.alternatives(["server-a", "server-b"]):
-        e0 = host.energy_consumed_joules()
-        try:
-            forced_report = world.sim.run_process(
-                app.translate(words, force=alternative)
-            )
-        except Exception:
-            measurements.append(AltMeasurement(
-                alternative=alternative, time_s=float("inf"),
-                energy_j=float("inf"), feasible=False,
-            ))
-            _restore_scenario(world, scenario)
-            continue
-        measurements.append(AltMeasurement(
-            alternative=alternative,
-            time_s=forced_report.elapsed_s,
-            energy_j=host.energy_consumed_joules() - e0,
-        ))
+        measurements.append(measure_forced(world, "560x", op, alternative))
         _restore_scenario(world, scenario)
 
     return ScenarioResult(

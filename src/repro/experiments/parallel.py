@@ -12,6 +12,9 @@ each probe sentence.  With the paper's original unequal servers
 is gated by the slow machine; the experiment reports both worlds
 (:func:`~repro.scenarios.thinkpad_testbed` with and without ``twin``)
 so the crossover is visible.
+
+Each call trains one world and measures every sentence on a
+:func:`~repro.experiments.runner.clone_world` copy of it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..apps import SentenceWorkload
-from ..scenarios import AppSpec, compile_scenario, thinkpad_testbed
+from ..apps import PanglossApplication, SentenceWorkload
+from ..scenarios import AppSpec, thinkpad_testbed
+from .runner import clone_world, train_world
 
 
 @dataclass
@@ -44,23 +48,16 @@ PARALLEL_APP = AppSpec(kind="pangloss", options={"parallel": True})
 
 def _build(twin: bool, solver=None):
     """A trained ThinkPad world; ``twin`` gives server A B's hardware."""
-    world = compile_scenario(thinkpad_testbed(PARALLEL_APP, twin=twin),
-                             solver=solver)
-    app = world.clients[0].app
-    alternatives = app.spec.alternatives(["server-a", "server-b"])
-    for i, words in enumerate(SentenceWorkload().training(129)):
-        world.sim.run_process(
-            app.translate(words, force=alternatives[i % len(alternatives)])
-        )
-    world.sim.advance(30.0)
-    world.poll()
-    return world, app
+    world = train_world(thinkpad_testbed(PARALLEL_APP, twin=twin),
+                        SentenceWorkload().training(129),
+                        PanglossApplication.translate, solver=solver)
+    return world, world.clients[0].app
 
 
-def run_parallel_cell(words: int, twin: bool = True,
-                      solver=None) -> ParallelCell:
-    """Compare sequential vs parallel full-fidelity execution."""
-    world, app = _build(twin, solver=solver)
+def _measure_cell(trained, words: int, solver) -> ParallelCell:
+    """Sequential vs parallel full-fidelity execution, on a clone of
+    *trained*."""
+    world, app = clone_world(trained, shared=(solver,))
     full = {"ebmt": "on", "glossary": "on", "dictionary": "on"}
     alternatives = [
         a for a in app.spec.alternatives(["server-a", "server-b"])
@@ -88,10 +85,18 @@ def run_parallel_cell(words: int, twin: bool = True,
     )
 
 
+def run_parallel_cell(words: int, twin: bool = True,
+                      solver=None) -> ParallelCell:
+    """Compare sequential vs parallel full-fidelity execution on a
+    freshly trained world."""
+    return _measure_cell(_build(twin, solver=solver), words, solver)
+
+
 def run_parallel_experiment(sentences=(8, 18, 27), twin: bool = True,
                             solver=None) -> List[ParallelCell]:
-    return [run_parallel_cell(words, twin=twin, solver=solver)
-            for words in sentences]
+    """One cell per sentence, all from one trained world."""
+    trained = _build(twin, solver=solver)
+    return [_measure_cell(trained, words, solver) for words in sentences]
 
 
 def render_parallel_table(twin_cells: List[ParallelCell],

@@ -7,27 +7,68 @@ The validation methodology of the paper's §4, mechanized:
     remote server.  We also asked Spectra to choose one of the possible
     alternatives for application execution."
 
-:func:`measure_alternatives` runs every alternative *forced* and records
-time/energy; :func:`utility_of` scores measurements with the paper's
-utility; :func:`rank_percentile` reproduces the Figure-8 ranking.
+Every experiment module runs that method through the helpers here:
+
+* :func:`train_world` compiles a world and trains each client on a
+  fixed workload ("we first recognized 15 phrases…");
+* :func:`measure_forced` and :func:`measure_spectra` run one operation,
+  forced or with Spectra choosing, and record its time and energy;
+* :func:`measure_on_clones` measures every alternative, then Spectra's
+  pick, each on its own :func:`clone_world` copy of a trained world.
 
 Training never depends on the scenario or on the alternative measured,
-so the figure experiments train one compiled world per call and run
-each measurement on a :func:`clone_world` copy of it — the same
-starting state a freshly compiled and trained world would have, at the
-cost of one deep copy instead of a whole training run.
+so a clone starts from the state a freshly trained world would have, at
+the cost of one deep copy instead of a whole training run.
+:func:`utility_of`, :func:`rank_percentile` and
+:func:`relative_utility` score the measurements (Figures 8 and 9).
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from ..core import Alternative, DefaultUtility, OperationSpec
 from ..core.utility import AlternativePrediction
+from ..scenarios import CompiledScenario, ScenarioSpec, compile_scenario
 
 WorldT = TypeVar("WorldT", bound=tuple)
+
+#: ``run(app, item, force)`` is the process running one workload item on
+#: *app*, forced to *force* (``None``: Spectra chooses); an app's unbound
+#: operation method such as ``SpeechApplication.recognize`` is one.
+#: ``op(force)`` is the process of the one operation being measured.
+Run = Callable[[Any, Any, Optional[Alternative]], Generator]
+Op = Callable[[Optional[Alternative]], Generator]
+
+#: Simulated seconds between training and measurement, for transient
+#: load estimates to decay (the paper's phases were minutes apart).
+SETTLE_S = 30.0
+
+
+def train_world(spec: ScenarioSpec, workload: Sequence[Any], run: Run,
+                solver=None, telemetry=None) -> CompiledScenario:
+    """Compile *spec* and train every client on *workload*, one client
+    after the other.
+
+    Item *i* runs forced to the client's alternative *i* modulo their
+    number (over the servers its spec names), so every (plan ×
+    fidelity) bin gathers samples.  The world then settles for
+    :data:`SETTLE_S` and polls its servers.
+    """
+    world = compile_scenario(spec, telemetry=telemetry, solver=solver)
+    for compiled in world.clients:
+        alternatives = compiled.app.spec.alternatives(
+            list(compiled.spec.servers))
+        for i, item in enumerate(workload):
+            world.sim.run_process(
+                run(compiled.app, item, alternatives[i % len(alternatives)])
+            )
+    world.sim.advance(SETTLE_S)
+    world.poll()
+    return world
 
 
 def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
@@ -88,6 +129,65 @@ class SpectraMeasurement:
     @property
     def label(self) -> str:
         return self.choice.describe()
+
+
+def measure_forced(world: CompiledScenario, host: str, op: Op,
+                   alternative: Alternative) -> AltMeasurement:
+    """Run ``op(alternative)`` on *world*; time and *host*'s energy.
+
+    An operation that fails marks the alternative infeasible.
+    """
+    meter = world.nodes[host].host
+    e0 = meter.energy_consumed_joules()
+    try:
+        report = world.sim.run_process(op(alternative))
+    except Exception:
+        return AltMeasurement(alternative, float("inf"), float("inf"),
+                              feasible=False)
+    return AltMeasurement(alternative, report.elapsed_s,
+                          meter.energy_consumed_joules() - e0)
+
+
+def measure_spectra(world: CompiledScenario, host: str,
+                    op: Op) -> SpectraMeasurement:
+    """Run ``op(None)`` on *world*, Spectra choosing; its pick, time
+    and *host*'s energy."""
+    meter = world.nodes[host].host
+    e0 = meter.energy_consumed_joules()
+    report = world.sim.run_process(op(None))
+    return SpectraMeasurement(
+        choice=report.alternative,
+        time_s=report.elapsed_s,
+        energy_j=meter.energy_consumed_joules() - e0,
+        prediction=report.prediction,
+    )
+
+
+def measure_on_clones(trained: Tuple[CompiledScenario, Any],
+                      apply: Callable[[CompiledScenario, Any], None],
+                      host: str, run: Run, item: Any, solver
+                      ) -> Tuple[List[AltMeasurement], SpectraMeasurement]:
+    """Every alternative of the trained ``(world, app)`` pair measured
+    forced on *item*, then Spectra's own pick, each on a fresh clone
+    with ``apply(world, app)`` setting up the scenario.
+
+    A clone per measurement means no run can perturb the next one's
+    cache or model state.  The alternatives span the servers of the
+    world's first client (the figure worlds have one).  *solver* is
+    shared by every clone.
+    """
+    def scenario_clone():
+        world, app = clone_world(trained, shared=(solver,))
+        apply(world, app)
+        return world, lambda force: run(app, item, force)
+
+    servers = list(trained[0].clients[0].spec.servers)
+    measurements = []
+    for alternative in trained[1].spec.alternatives(servers):
+        world, op = scenario_clone()
+        measurements.append(measure_forced(world, host, op, alternative))
+    world, op = scenario_clone()
+    return measurements, measure_spectra(world, host, op)
 
 
 def utility_of(spec: OperationSpec, c: float, time_s: float,

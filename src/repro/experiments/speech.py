@@ -25,14 +25,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..apps import FULL_LM_PATH, SpeechApplication, SpeechWorkload
-from ..scenarios import CompiledScenario, compile_scenario, itsy_testbed
+from ..scenarios import CompiledScenario, itsy_testbed
 from ..scenarios.library import SERIAL_BANDWIDTH_BPS
-from .runner import (
-    AltMeasurement,
-    ScenarioResult,
-    SpectraMeasurement,
-    clone_world,
-)
+from .runner import ScenarioResult, measure_on_clones, train_world
 
 SCENARIOS = ("baseline", "energy", "network", "cpu", "filecache")
 
@@ -54,26 +49,13 @@ def _build(scenario: str, solver=None, telemetry=None) -> World:
 
 
 def _train(solver=None, telemetry=None) -> World:
-    """Fresh world (files installed, caches warm) with models trained."""
-    world = compile_scenario(itsy_testbed(), telemetry=telemetry,
-                             solver=solver)
-    app = world.clients[0].app
-
-    # Training: 15 utterances, forced round-robin over all alternatives
-    # so every (plan × vocabulary) bin gathers samples (§4.1: "We first
-    # recognized 15 phrases so that Spectra could learn the
-    # application's resource requirements").
-    alternatives = app.spec.alternatives(["t20"])
-    for i, length in enumerate(SpeechWorkload().training(15)):
-        forced = alternatives[i % len(alternatives)]
-        world.sim.run_process(app.recognize(length, force=forced))
-
-    # Let transient load estimates decay and refresh server status
-    # before the scenario starts (the paper's phases were minutes
-    # apart in wall-clock time).
-    world.sim.advance(30.0)
-    world.poll()
-    return world, app
+    """Fresh world (files installed, caches warm) with models trained
+    (§4.1: "We first recognized 15 phrases so that Spectra could learn
+    the application's resource requirements")."""
+    world = train_world(itsy_testbed(), SpeechWorkload().training(15),
+                        SpeechApplication.recognize, solver=solver,
+                        telemetry=telemetry)
+    return world, world.clients[0].app
 
 
 def _apply_scenario(world: CompiledScenario, scenario: str) -> None:
@@ -108,47 +90,6 @@ def scenario_energy_importance(scenario: str) -> float:
     return ENERGY_SCENARIO_C if scenario == "energy" else 0.0
 
 
-def _scenario_clone(trained: World, scenario: str, solver) -> World:
-    world, app = clone_world(trained, shared=(solver,))
-    _apply_scenario(world, scenario)
-    return world, app
-
-
-def _measure_forced(trained: World, scenario: str, alternative,
-                    probe_length_s: float, solver) -> AltMeasurement:
-    world, app = _scenario_clone(trained, scenario, solver)
-    host = world.nodes["itsy"].host
-    e0 = host.energy_consumed_joules()
-    try:
-        report = world.sim.run_process(
-            app.recognize(probe_length_s, force=alternative)
-        )
-    except Exception:
-        return AltMeasurement(
-            alternative=alternative, time_s=float("inf"),
-            energy_j=float("inf"), feasible=False,
-        )
-    return AltMeasurement(
-        alternative=alternative,
-        time_s=report.elapsed_s,
-        energy_j=host.energy_consumed_joules() - e0,
-    )
-
-
-def _measure_spectra(trained: World, scenario: str, probe_length_s: float,
-                     solver) -> SpectraMeasurement:
-    world, app = _scenario_clone(trained, scenario, solver)
-    host = world.nodes["itsy"].host
-    e0 = host.energy_consumed_joules()
-    report = world.sim.run_process(app.recognize(probe_length_s))
-    return SpectraMeasurement(
-        choice=report.alternative,
-        time_s=report.elapsed_s,
-        energy_j=host.energy_consumed_joules() - e0,
-        prediction=report.prediction,
-    )
-
-
 def _measure_scenario(trained: World, scenario: str,
                       probe_length_s: Optional[float],
                       solver) -> ScenarioResult:
@@ -157,15 +98,10 @@ def _measure_scenario(trained: World, scenario: str,
 
     # Which alternatives exist depends on the scenario (no server in the
     # file-cache partition), but we measure all six and mark infeasible.
-    measurements = [
-        _measure_forced(trained, scenario, alternative, probe_length_s,
-                        solver)
-        for alternative in trained[1].spec.alternatives(["t20"])
-    ]
     return ScenarioResult(
-        scenario=scenario,
-        measurements=measurements,
-        spectra=_measure_spectra(trained, scenario, probe_length_s, solver),
+        scenario, *measure_on_clones(
+            trained, lambda world, _app: _apply_scenario(world, scenario),
+            "itsy", SpeechApplication.recognize, probe_length_s, solver),
         energy_importance=scenario_energy_importance(scenario),
         meta={"probe_length_s": probe_length_s},
     )

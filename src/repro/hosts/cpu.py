@@ -180,11 +180,6 @@ class CPU:
         )
         return self._finished_cycles.get(owner, 0.0) + in_flight
 
-    def total_cycles_served(self) -> float:
-        """Cumulative cycles served to all owners."""
-        self._resource._settle()
-        return self._resource.total_served
-
     # -- internals ---------------------------------------------------------------
 
     def _retire(self, owner: str, job: FairShareJob) -> None:

@@ -14,9 +14,9 @@ Each monitor implements a common interface:
     Bracket one operation's execution, measuring its local resource
     consumption into the recording.
 
-``add_usage(recording, report)``
-    Fold in resource consumption reported by a remote Spectra server
-    (delivered on the RPC response; see the proxy monitors).
+Resource consumption a remote Spectra server reports on its RPC response
+is folded into the recording by the client itself
+(``SpectraClient._merge_usage``), not by a monitor hook.
 
 The :class:`OperationRecording` is the shared blackboard one operation's
 measurements accumulate on; the Spectra client turns a finished recording
@@ -76,10 +76,6 @@ class ResourceMonitor:
 
     def stop_op(self, recording: OperationRecording) -> None:
         """Finish observing; write measured usage into the recording."""
-
-    def add_usage(self, recording: OperationRecording,
-                  report: Dict[str, float]) -> None:
-        """Fold in a remote server's usage report for this operation."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -147,8 +143,3 @@ class MonitorSet:
     def stop_all(self, recording: OperationRecording) -> None:
         for monitor in self._monitors:
             monitor.stop_op(recording)
-
-    def add_usage_all(self, recording: OperationRecording,
-                      report: Dict[str, float]) -> None:
-        for monitor in self._monitors:
-            monitor.add_usage(recording, report)

@@ -10,6 +10,10 @@ When Spectra executes a RPC, server monitors observe resource usage and
 report the total resource consumption as part of the RPC response.  The
 Spectra client passes this data to proxy monitors by calling the
 ``add_usage`` function."
+
+Here the proxy monitors carry only the polled status.  The client folds
+a server's reported usage into the operation's recording itself
+(``SpectraClient._merge_usage``), so no proxy hook is involved.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .base import OperationRecording, ResourceMonitor
+from .base import ResourceMonitor
 from .snapshot import (
     CacheStateEstimate,
     NetworkEstimate,
@@ -106,21 +110,3 @@ class RemoteProxyMonitor(ResourceMonitor):
             reachable=True,
             staleness_s=max(snapshot.taken_at - self._status.taken_at, 0.0),
         )
-
-    # -- demand ----------------------------------------------------------------------
-
-    def add_usage(self, recording: OperationRecording,
-                  report: Dict[str, float]) -> None:
-        """Accumulate a server-reported usage dict into the recording.
-
-        Reports use the same resource keys as local measurement
-        (``cpu:remote`` etc.); values add across multiple RPCs of one
-        operation.
-        """
-        server_tag = report.get("_server")
-        if server_tag is not None and server_tag != self.server_name:
-            return
-        for resource, value in report.items():
-            if resource.startswith("_"):
-                continue
-            recording.usage[resource] = recording.usage.get(resource, 0.0) + value

@@ -28,12 +28,6 @@ class NetworkEstimate:
     #: from observed traffic (diagnostics; predictions use it either way).
     observed: bool = True
 
-    def transfer_time(self, nbytes: float, nrpcs: int = 0) -> float:
-        """Predicted time to move *nbytes* with *nrpcs* round trips."""
-        if self.bandwidth_bps <= 0:
-            return float("inf")
-        return nbytes / self.bandwidth_bps + nrpcs * 2.0 * self.latency_s
-
     def __deepcopy__(self, memo: dict) -> "NetworkEstimate":
         # Frozen, and every field is immutable: a copy may share it.
         return self

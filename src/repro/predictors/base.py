@@ -205,12 +205,5 @@ class OperationDemandPredictor:
             return True  # custom models without bin tracking: assume yes
         return bool(has_bin(discrete))
 
-    def can_predict(self, resource: str) -> bool:
-        model = self._custom.get(resource) or self._models.get(resource)
-        if model is None:
-            return False
-        has_any = getattr(model, "has_any_model", None)
-        return bool(has_any()) if has_any is not None else True
-
     def resources(self) -> List[str]:
         return sorted(set(self._models) | set(self._custom))

@@ -67,9 +67,6 @@ class DataSpecificPredictor:
                 return model.predict(discrete, continuous)
         return self._general.predict(discrete, continuous)
 
-    def has_any_model(self) -> bool:
-        return self._general.n_samples > 0
-
     def has_bin(self, discrete: Dict[str, Any]) -> bool:
         """Has this exact discrete combination been observed?"""
         return self._general.has_bin(discrete)

@@ -39,8 +39,8 @@ Specs are built by zero-argument factories so every caller gets a fresh
 object, and registered in :data:`SCENARIOS` for the CLI.
 
 The paper's own two hardware set-ups are spec factories here too, but
-not canned scenarios — the figure experiments compile them and drive
-their own training and measurement loops:
+not canned scenarios — the figure experiments train and measure them
+through the §4 harness in :mod:`repro.experiments.runner`:
 
 :func:`itsy_testbed` (§4.1)
     A Compaq Itsy v2.2 client and an IBM T20 server on one serial wire,

@@ -26,10 +26,6 @@ def fmt_joules(value: float) -> str:
     return f"{value:.2f}J"
 
 
-def fmt_percent(value: float) -> str:
-    return f"{value * 100:.1f}%"
-
-
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
                  indent: str = "  ") -> List[str]:
     """Left-align the first column, right-align the rest."""

@@ -12,7 +12,11 @@ from repro.apps import SpeechWorkload
 from repro.coda import FileServer
 from repro.core import OperationSpec, SpectraNode, local_plan, remote_plan
 from repro.discovery import DirectoryService, start_advertising, start_discovery
-from repro.experiments.parallel import run_parallel_cell
+from repro.experiments import parallel
+from repro.experiments.parallel import (
+    run_parallel_cell,
+    run_parallel_experiment,
+)
 from repro.experiments.speech import _build as build_speech
 from repro.hosts import IBM_560X, SERVER_B
 from repro.network import Link, Network, SharedMedium
@@ -28,6 +32,22 @@ class TestParallelExecution:
     @pytest.fixture(scope="class")
     def unequal_cell(self):
         return run_parallel_cell(18, twin=False)
+
+    def test_one_trained_world_measures_like_fresh_worlds(self, twin_cell,
+                                                          monkeypatch):
+        """The sweep trains once and measures each sentence on a clone;
+        every cell must equal a freshly trained world's."""
+        fresh = [twin_cell, run_parallel_cell(27, twin=True)]
+        trainings = []
+        train_world = parallel.train_world
+
+        def counting(*args, **kwargs):
+            trainings.append(args[0])
+            return train_world(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "train_world", counting)
+        assert run_parallel_experiment(sentences=(18, 27), twin=True) == fresh
+        assert len(trainings) == 1
 
     def test_parallel_beats_sequential_on_twin_servers(self, twin_cell):
         """'the three engines could be executed in parallel on different

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import OperationSpec, local_plan, remote_plan
 from repro.core.plans import Alternative
+from repro.experiments.contention import _contention_spec
 from repro.experiments.report import (
     render_bar_figure,
     render_overhead_table,
@@ -18,6 +19,7 @@ from repro.experiments.runner import (
     rank_percentile,
     relative_utility,
     score_measurement,
+    train_world,
     utility_of,
 )
 from repro.odyssey import FidelitySpec
@@ -108,6 +110,36 @@ class TestScenarioResult:
         assert result.percentile(spec) == pytest.approx(99.0)
         assert result.relative_utility(spec) == pytest.approx(1 / 1.05,
                                                               rel=1e-6)
+
+
+class TestTrainWorld:
+    def test_trains_every_client_in_turn_round_robin(self):
+        calls = []
+
+        def run(app, item, force):
+            calls.append((app, item, force))
+            return app.format(item, force=force)
+
+        workload = ["small"] * 5
+        world = train_world(_contention_spec(2), workload, run)
+
+        assert len(world.clients) == 2
+        assert world.sim.pending == 0
+        # Client 0 runs its whole workload before client 1 starts.
+        assert [app for app, _item, _force in calls] == (
+            [world.clients[0].app] * 5 + [world.clients[1].app] * 5)
+        for compiled in world.clients:
+            alternatives = compiled.app.spec.alternatives(
+                list(compiled.spec.servers))
+            assert len(alternatives) == 2
+            forced = [force for app, _item, force in calls
+                      if app is compiled.app]
+            assert forced == [alternatives[i % 2] for i in range(5)]
+            log = compiled.client.operation(
+                compiled.app.spec.name).predictor.log
+            # One usage sample per workload item, from the forced plan.
+            assert [s.discrete_dict()["plan"] for s in log] == [
+                a.plan.name for a in forced]
 
 
 class TestRenderers:

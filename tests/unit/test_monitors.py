@@ -202,13 +202,6 @@ class TestRemoteProxyMonitor:
         proxy.mark_unreachable()
         assert proxy.status is None
 
-    def test_add_usage_filters_by_server_tag(self):
-        proxy = RemoteProxyMonitor("server-b")
-        recording = OperationRecording(owner="op")
-        proxy.add_usage(recording, {"cpu:remote": 100.0, "_server": "server-b"})
-        proxy.add_usage(recording, {"cpu:remote": 999.0, "_server": "other"})
-        assert recording.usage["cpu:remote"] == 100.0
-
     def test_ignores_other_servers_in_snapshot(self):
         proxy = RemoteProxyMonitor("server-b")
         snapshot = blank_snapshot()
