@@ -48,6 +48,9 @@ class CPU:
             on_utilization_change=self._on_change,
         )
         self._active: List[Tuple[str, FairShareJob]] = []
+        # The jobs of _active whose owner is external, in _active order
+        # (so summing it adds the same weights in the same order).
+        self._external_active: List[FairShareJob] = []
         self._finished_cycles: Dict[str, float] = {}
         self._external_owners: set = set()
         # Exponentially smoothed *external* load (total fair-share weight
@@ -89,9 +92,7 @@ class CPU:
     def _external_weight(self) -> float:
         """Weight of currently running *external* (background) jobs."""
         return sum(
-            job.weight
-            for owner, job in self._active
-            if job.remaining > 0 and owner in self._external_owners
+            job.weight for job in self._external_active if job.remaining > 0
         )
 
     def smoothed_load(self) -> float:
@@ -141,11 +142,18 @@ class CPU:
         an operation's own burst must not be projected forward as if it
         were persistent background load.
         """
-        if external:
+        if external and owner not in self._external_owners:
             self._external_owners.add(owner)
+            # Jobs the owner already has running now count as external.
+            self._external_active = [
+                job for job_owner, job in self._active
+                if job_owner in self._external_owners
+            ]
         job = self._resource.submit(cycles, weight=weight)
         if job.remaining > 0:
             self._active.append((owner, job))
+            if owner in self._external_owners:
+                self._external_active.append(job)
             job.done.add_callback(lambda _ev: self._retire(owner, job))
         else:
             self._finished_cycles[owner] = (
@@ -163,7 +171,7 @@ class CPU:
     def cancel(self, job: FairShareJob) -> None:
         """Abort a queued/in-flight job (used by background load control)."""
         self._resource.cancel(job)
-        self._active = [(o, j) for o, j in self._active if j is not job]
+        self._drop(job)
         self._resync_external()
 
     def cycles_used_by(self, owner: str) -> float:
@@ -182,8 +190,15 @@ class CPU:
 
     # -- internals ---------------------------------------------------------------
 
-    def _retire(self, owner: str, job: FairShareJob) -> None:
+    def _drop(self, job: FairShareJob) -> None:
         self._active = [(o, j) for o, j in self._active if j is not job]
+        if self._external_active:
+            self._external_active = [
+                j for j in self._external_active if j is not job
+            ]
+
+    def _retire(self, owner: str, job: FairShareJob) -> None:
+        self._drop(job)
         self._finished_cycles[owner] = (
             self._finished_cycles.get(owner, 0.0) + (job.amount - job.remaining)
         )

@@ -7,12 +7,19 @@ giving more recent samples a greater weight in its predictions"
 
 :class:`RecencyWeightedLinearModel` fits ``y ≈ a + Σ b_i · x_i`` by
 weighted least squares, with sample weights decaying geometrically in
-recency order.  A feature-free model's least-squares fit is its
-weighted mean, computed in closed form; models with features solve
-with ``lstsq``.  Degenerate designs (no samples with a given feature
-spread, collinear features) fall back gracefully: a constant feature
-contributes through the intercept, and an empty model predicts the
-recency-weighted mean of whatever it has seen.
+recency order.  A refit takes one of three paths:
+
+* **k = 0** (no features): the least-squares fit is the weighted mean,
+  computed in closed form.
+* **Flat window** (every feature held one value over the whole
+  window): each feature's column carries no information and routes
+  through the intercept, so the fit is again the weighted mean, and
+  the model predicts it at any input.  ``observe`` keeps, per
+  feature, the length of the trailing run of samples equal to the
+  newest value, so telling a flat window costs no array.
+* **Varying window**: ``lstsq``, with the columns of features that
+  held one value zeroed.  Collinear features fall back to the
+  minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -52,9 +59,12 @@ class RecencyWeightedLinearModel:
         self.window = window
         self._xs: List[Tuple[float, ...]] = []
         self._ys: List[float] = []
-        self._coef: Optional[np.ndarray] = None  # [intercept, b_1..b_k]
-        self._mean = 0.0  # the fit when there are no features
-        self._constant: Tuple[bool, ...] = (False,) * len(self.feature_names)
+        # [intercept, b_1..b_k]; None when the fit is the weighted mean
+        self._coef: Optional[np.ndarray] = None
+        self._mean = 0.0  # the fit of a flat window
+        # Per feature, how many of the newest samples share the newest
+        # value; the feature is constant iff its run covers the window.
+        self._runs: Tuple[int, ...] = (0,) * len(self.feature_names)
         self._stale = True
 
     # -- updating -------------------------------------------------------------------
@@ -62,6 +72,10 @@ class RecencyWeightedLinearModel:
     def observe(self, features: Dict[str, float], value: float) -> None:
         """Add one (features → value) observation."""
         x = tuple(float(features.get(name, 0.0)) for name in self.feature_names)
+        if x:
+            last = self._xs[-1] if self._xs else x
+            self._runs = tuple(run + 1 if new == old else 1
+                               for new, old, run in zip(x, last, self._runs))
         self._xs.append(x)
         self._ys.append(float(value))
         if len(self._ys) > self.window:
@@ -87,10 +101,9 @@ class RecencyWeightedLinearModel:
         if not self._ys:
             raise ValueError("model has no observations")
         self._refit()
-        if not self.feature_names:
+        if self._coef is None:
             prediction = self._mean
         else:
-            assert self._coef is not None
             x = np.array(
                 [1.0] + [float(features.get(n, 0.0)) for n in self.feature_names]
             )
@@ -109,11 +122,11 @@ class RecencyWeightedLinearModel:
         better-trained sibling model (the binned predictor's generic
         model) use this to know which directions to borrow.
         """
-        if not self._ys or not self.feature_names:
+        n = len(self._ys)
+        if not n:
             return ()
-        self._refit()
-        return tuple(name for name, flat
-                     in zip(self.feature_names, self._constant) if flat)
+        return tuple(name for name, run
+                     in zip(self.feature_names, self._runs) if run >= n)
 
     def feature_value(self, name: str) -> float:
         """The most recent observed value of feature *name*."""
@@ -143,29 +156,30 @@ class RecencyWeightedLinearModel:
     def _refit(self) -> None:
         if not self._stale:
             return
-        if not self.feature_names:
-            # The intercept-only least-squares fit is the weighted mean.
+        n = len(self._ys)
+        # k = 0 and flat windows: with every feature column zeroed (see
+        # below), the intercept-only least-squares fit is the weighted
+        # mean.  A window is flat when its shortest run covers it.
+        if not self._runs or min(self._runs) >= n:
             self._mean = self.weighted_mean()
+            self._coef = None
             self._stale = False
             return
-        n = len(self._ys)
+        # Varying window.  Columns with no variance carry no information;
+        # zero them so their whole effect routes through the intercept.
+        # Left in, the min-norm pseudo-inverse would split weight between
+        # the constant column and the intercept, and a prediction at any
+        # *other* value of that feature would extrapolate along a slope
+        # the data never witnessed.
         k = len(self.feature_names)
         y = np.array(self._ys)
         weights = self._weights()
         design = np.ones((n, k + 1))
-        if k:
-            xs = np.array(self._xs, dtype=float).reshape(n, k)
-            # Columns with no variance carry no information; zero them so
-            # their whole effect routes through the intercept.  Left in,
-            # the min-norm pseudo-inverse would split weight between the
-            # constant column and the intercept, and a prediction at any
-            # *other* value of that feature would extrapolate along a
-            # slope the data never witnessed.
-            constant = xs.max(axis=0) == xs.min(axis=0)
-            self._constant = tuple(bool(flag) for flag in constant)
-            if constant.any():
-                xs = np.where(constant[None, :], 0.0, xs)
-            design[:, 1:] = xs
+        xs = np.array(self._xs, dtype=float).reshape(n, k)
+        constant = np.array([run >= n for run in self._runs])
+        if constant.any():
+            xs = np.where(constant[None, :], 0.0, xs)
+        design[:, 1:] = xs
         sw = np.sqrt(weights)
         weighted_design = design * sw[:, None]
         weighted_y = y * sw

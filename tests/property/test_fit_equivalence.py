@@ -1,10 +1,15 @@
 """Closed-form-vs-``lstsq`` fit equivalence (hypothesis).
 
 The network monitor fits ``elapsed = L + n/B`` by recency-weighted least
-squares, and a feature-free demand model's fit is a weighted mean.  Both
-used to go through ``np.linalg.lstsq``; both are now solved in closed
-form over Python floats purely for speed.  The oracles below are those
-old solvers.
+squares, and a demand model whose window is flat (no features, or every
+feature held one value over the window) fits the weighted mean.  All of
+these used to go through ``np.linalg.lstsq``; they are now solved in
+closed form over Python floats purely for speed.  The oracles below are
+those old solvers, the old ``RecencyWeightedLinearModel._refit`` among
+them.  Demand models tell a flat window from run lengths kept as they
+observe, checked here against the old ``max == min`` test over the
+window; a window where some feature varies still solves with ``lstsq``,
+and its coefficients must equal the old refit's bit for bit.
 
 The closed form rounds differently, so the estimates agree within a
 relative-plus-absolute bound rather than bit for bit; whether there *is*
@@ -15,6 +20,8 @@ finish times, so records that finished at the same instant got arbitrary
 weights.  The log appends in finish order, and the oracle, like the new
 fit, weights by log position.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -60,6 +67,30 @@ def lstsq_mean(ys, decay):
     coef, *_ = np.linalg.lstsq(np.ones((n, 1)) * sw[:, None],
                                np.array(ys) * sw, rcond=None)
     return max(float(coef[0]), 0.0)
+
+
+def constant_columns(arr):
+    """The old constancy test: per feature, ``max == min`` over the window."""
+    return arr.max(axis=0) == arr.min(axis=0)
+
+
+def lstsq_refit(xs, ys, decay):
+    """The old k >= 1 refit: ``lstsq`` with constant columns zeroed.
+
+    Returns the coefficients and, per feature, whether it held one value
+    over the window.
+    """
+    n, k = len(ys), len(xs[0])
+    arr = np.array(xs, dtype=float).reshape(n, k)
+    constant = constant_columns(arr)
+    if constant.any():
+        arr = np.where(constant[None, :], 0.0, arr)
+    design = np.ones((n, k + 1))
+    design[:, 1:] = arr
+    sw = np.sqrt(decay ** np.arange(n - 1, -1, -1, dtype=float))
+    coef, *_ = np.linalg.lstsq(design * sw[:, None], np.array(ys) * sw,
+                               rcond=None)
+    return coef, tuple(bool(flag) for flag in constant)
 
 
 def close(got, want, scale):
@@ -122,3 +153,81 @@ def test_feature_free_model_is_its_weighted_mean(ys, decay):
         model.observe({}, y)
     assert model.predict({}) == model.weighted_mean()
     assert close(model.predict({}), lstsq_mean(ys, decay), max(ys))
+
+
+NAMES = ("a", "b", "c")
+
+
+@st.composite
+def demand_runs(draw):
+    """Observations whose features come from a 2-3 value alphabet, so
+    runs of equal values start and break, over windows of 2-8 samples,
+    so trims happen.  A repeated tail lets trims reach a flat window
+    from a varying one.  ``more`` continues a copy taken at ``split``."""
+    k = draw(st.integers(1, 3))
+    alphabet = draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=3,
+                             unique=True))
+    row = st.tuples(*[st.sampled_from(alphabet)] * k)
+    rows = draw(st.lists(row, min_size=1, max_size=25))
+    rows += [rows[-1]] * draw(st.integers(0, 10))
+    more = draw(st.lists(row, max_size=15))
+    values = st.floats(0.0, 1e6)
+    return dict(
+        names=NAMES[:k], window=draw(st.integers(2, 8)),
+        decay=draw(st.sampled_from([0.5, 0.9, 0.95, 1.0])),
+        rows=rows, ys=draw(st.lists(values, min_size=len(rows),
+                                    max_size=len(rows))),
+        more=more, more_ys=draw(st.lists(values, min_size=len(more),
+                                         max_size=len(more))),
+        split=draw(st.integers(0, len(rows))),
+        probe=draw(st.tuples(*[st.floats(-1e6, 1e6)] * k)))
+
+
+def observe_all(model, run, history, rows, ys, check):
+    """Feed *rows* and *ys* to *model*, appending each to *history*, and
+    after each call *check(model, xs, ys)* with the last ``window``
+    entries of *history*: the window the model should retain."""
+    for x, y in zip(rows, ys):
+        model.observe(dict(zip(run["names"], x)), y)
+        history.append((x, y))
+        window = history[-run["window"]:]
+        check(model, [x for x, _ in window], [y for _, y in window])
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=demand_runs())
+def test_run_length_constancy_matches_max_equals_min(run):
+    def check(model, xs, _ys):
+        constant = constant_columns(np.array(xs, dtype=float))
+        assert model.unidentified_features() == tuple(
+            name for name, flag in zip(run["names"], constant) if flag)
+
+    model = RecencyWeightedLinearModel(run["names"], decay=run["decay"],
+                                       window=run["window"])
+    split, history = run["split"], []
+    observe_all(model, run, history, run["rows"][:split], run["ys"][:split],
+                check)
+    clone, clone_history = copy.deepcopy(model), list(history)
+    observe_all(model, run, history, run["rows"][split:], run["ys"][split:],
+                check)
+    observe_all(clone, run, clone_history, run["more"], run["more_ys"], check)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=demand_runs())
+def test_flat_windows_fit_the_weighted_mean_varying_ones_lstsq(run):
+    def check(model, xs, ys):
+        want, constant = lstsq_refit(xs, ys, run["decay"])
+        got = model.predict(probe)
+        if all(constant):
+            assert model._coef is None
+            assert got == model.weighted_mean()
+            oracle = max(float(np.array([1.0, *run["probe"]]) @ want), 0.0)
+            assert close(got, oracle, max(ys))
+        else:
+            assert model._coef.tobytes() == want.tobytes()
+
+    probe = dict(zip(run["names"], run["probe"]))
+    model = RecencyWeightedLinearModel(run["names"], decay=run["decay"],
+                                       window=run["window"])
+    observe_all(model, run, [], run["rows"], run["ys"], check)

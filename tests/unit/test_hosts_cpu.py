@@ -1,5 +1,7 @@
 """Unit tests for the CPU model (repro.hosts.cpu)."""
 
+import random
+
 import pytest
 
 from repro.hosts import CPU, BackgroundLoad
@@ -121,3 +123,63 @@ class TestCancel:
         # Cancelled job keeps its partial cycles attributed.
         assert cpu.cycles_used_by("op") == pytest.approx(100e6)
         assert cpu.active_jobs == 0
+
+
+def rescanned_external_weight(cpu):
+    """The O(n) rescan ``CPU._external_weight`` used to make."""
+    return sum(
+        job.weight
+        for owner, job in cpu._active
+        if job.remaining > 0 and owner in cpu._external_owners
+    )
+
+
+class TestExternalWeight:
+    """The kept list of external jobs sums like a rescan of every job."""
+
+    def _check(self, cpu):
+        assert cpu._external_weight() == rescanned_external_weight(cpu)
+        assert cpu._last_external_weight == rescanned_external_weight(cpu)
+
+    def test_submit_cancel_retire_and_a_late_external_owner(self, sim, cpu):
+        op = cpu.submit(50e6, owner="op")
+        background = cpu.submit(1e9, owner="bg", weight=2.0, external=True)
+        self._check(cpu)
+        assert cpu._external_weight() == 2.0
+        # "late" runs a plain job first, then turns external: the job it
+        # already has running counts from then on, as the rescan counts it.
+        early = cpu.submit(1e9, owner="late", weight=0.5)
+        self._check(cpu)
+        assert cpu._external_weight() == 2.0
+        cpu.submit(20e6, owner="late", weight=1.5, external=True)
+        self._check(cpu)
+        assert cpu._external_weight() == 4.0
+        sim.advance(5.0)  # the op and the late external job retire
+        assert op.finished_at is not None
+        self._check(cpu)
+        assert cpu._external_weight() == 2.5
+        cpu.cancel(background)
+        self._check(cpu)
+        cpu.cancel(early)
+        self._check(cpu)
+        assert cpu._external_weight() == 0.0
+        assert cpu.active_jobs == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_interleaving_matches_rescan(self, sim, cpu, seed):
+        rng = random.Random(seed)
+        owners = ("a", "b", "c", "d")
+        jobs = []
+        for _ in range(60):
+            action = rng.random()
+            if action < 0.5:
+                jobs.append(cpu.submit(
+                    rng.choice((0.0, 5e6, 50e6, 1e9)),
+                    owner=rng.choice(owners),
+                    weight=rng.choice((0.5, 1.0, 3.0)),
+                    external=rng.random() < 0.3))
+            elif action < 0.7 and jobs:
+                cpu.cancel(jobs.pop(rng.randrange(len(jobs))))
+            else:
+                sim.advance(rng.choice((0.01, 0.1, 1.0)))
+            self._check(cpu)

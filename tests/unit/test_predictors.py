@@ -1,5 +1,6 @@
 """Unit tests for the self-tuning predictors (repro.predictors)."""
 
+import numpy as np
 import pytest
 
 from repro.predictors import (
@@ -67,6 +68,57 @@ class TestLinearModel:
             RecencyWeightedLinearModel([], decay=0.0)
         with pytest.raises(ValueError):
             RecencyWeightedLinearModel([], window=1)
+
+
+class TestFlatWindowFit:
+    """A window where every feature held one value fits its weighted
+    mean without ``lstsq``; a window where some feature varies solves."""
+
+    @pytest.fixture
+    def lstsq_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        return calls
+
+    @staticmethod
+    def _refuse_lstsq(monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("lstsq called on a flat window")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+
+    @pytest.mark.parametrize("names", [("x",), ("x", "y")])
+    def test_flat_window_predicts_without_lstsq(self, monkeypatch, names):
+        self._refuse_lstsq(monkeypatch)
+        model = RecencyWeightedLinearModel(names, decay=0.5)
+        for value in (1.0, 2.0, 4.0):
+            model.observe({name: 5.0 for name in names}, value)
+        mean = model.weighted_mean()
+        assert model.predict({name: 5.0 for name in names}) == mean
+        assert model.predict({name: 50.0 for name in names}) == mean
+        assert model.unidentified_features() == names
+
+    def test_window_trimmed_to_flat_predicts_without_lstsq(self, monkeypatch):
+        model = RecencyWeightedLinearModel(["x", "y"], window=3)
+        for x in (1.0, 2.0, 3.0, 3.0, 3.0):
+            model.observe({"x": x, "y": 7.0}, 10.0 * x)
+        self._refuse_lstsq(monkeypatch)
+        assert model.predict({"x": 9.0, "y": 0.0}) == pytest.approx(30.0)
+
+    @pytest.mark.parametrize("ys", [(1.0, 5.0), (5.0, 5.0)])
+    def test_varying_window_solves_with_lstsq(self, lstsq_calls, ys):
+        model = RecencyWeightedLinearModel(["x", "y"])
+        model.observe({"x": 1.0, "y": ys[0]}, 3.0)
+        model.observe({"x": 2.0, "y": ys[1]}, 5.0)
+        model.predict({"x": 3.0, "y": ys[1]})
+        assert model._coef is not None
+        assert len(lstsq_calls) == 1
 
 
 class TestEWMA:
