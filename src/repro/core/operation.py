@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
 from ..odyssey import FidelitySpec
+from ..predictors import DiscreteContext
 from .plans import Alternative, ExecutionPlan
 
 LatencyDesirability = Callable[[float], float]
@@ -82,15 +83,17 @@ class OperationSpec:
         """Split an alternative into (discrete, continuous) demand context.
 
         Discrete: the plan name plus categorical fidelity values (the
-        binning key of §3.4).  Continuous: numeric fidelity values,
-        merged with the operation's input parameters as regression
-        features.
+        binning key of §3.4), as a
+        :class:`~repro.predictors.DiscreteContext` that carries its bin
+        key.  Continuous: numeric fidelity values, merged with the
+        operation's input parameters as regression features.
 
         The split is memoized on the alternative itself (it is a pure
         function of the alternative for the spec that built it), because
         the solver consults it on every prediction — the Pangloss hot
-        path calls this hundreds of times per decision.  Callers must
-        treat the returned dicts as read-only.
+        path calls this hundreds of times per decision — and so the bin
+        key is built once per alternative, here.  Callers must treat the
+        returned dicts as read-only.
         """
         cached = alternative._context
         if cached is not None:
@@ -104,7 +107,7 @@ class OperationSpec:
                 continuous[dim.name] = float(value)
             else:
                 discrete[dim.name] = value
-        context = (discrete, continuous)
+        context = (DiscreteContext(discrete), continuous)
         # Frozen dataclass: bypass the immutability guard for the memo
         # slot only; the value-identity fields stay untouched.
         object.__setattr__(alternative, "_context", context)

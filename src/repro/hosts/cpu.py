@@ -222,7 +222,13 @@ class CPU:
     def _resync_external(self) -> None:
         """Close the current smoothing interval and re-snapshot the
         external competing weight (called whenever membership changes —
-        crucially *after* the active-job list reflects the change)."""
+        crucially *after* the active-job list reflects the change).
+
+        Until an external owner first submits, the smoothed load is 0.0
+        and folding in an external weight of 0.0 keeps it exactly 0.0,
+        so there is nothing to do."""
+        if not self._external_owners:
+            return
         self._sample_utilization()
         self._last_external_weight = self._external_weight()
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..network import Network, NoRouteError, TransferRecord
+from ..predictors.linear import weighted_line
 from .base import OperationRecording, ResourceMonitor
 from .snapshot import NetworkEstimate, ResourceSnapshot
 
@@ -115,39 +116,27 @@ class NetworkMonitor(ResourceMonitor):
         used to decide that order; numpy's default sort is not stable
         beyond 16 elements, so tied records got arbitrary weights.)
 
-        Weighted least squares in closed form, centred on the weighted
-        means in a second pass.  ``None`` when fewer than two records,
-        when every size is equal (latency and bandwidth cannot be told
-        apart) or when the fitted time per byte is not positive.
+        Weighted least squares in closed form
+        (:func:`~repro.predictors.linear.weighted_line`).  ``None`` when
+        fewer than two records, when every size is equal (latency and
+        bandwidth cannot be told apart) or when the fitted time per byte
+        is not positive.
         """
-        n = len(records)
-        if n < 2:
+        if len(records) < 2:
             return None
         sizes = [float(r.nbytes) for r in records]
         if max(sizes) <= min(sizes):
             return None
-        elapsed = [r.elapsed for r in records]
-        decay = self.decay
-        weights = [decay ** age for age in range(n - 1, -1, -1)]
-        total = sum(weights)
-        mean_size = sum(w * x for w, x in zip(weights, sizes)) / total
-        mean_elapsed = sum(w * y for w, y in zip(weights, elapsed)) / total
-        sxx = sxy = 0.0
-        for w, x, y in zip(weights, sizes, elapsed):
-            dx = x - mean_size
-            sxx += w * dx * dx
-            sxy += w * dx * (y - mean_elapsed)
-        if sxx <= 0.0:
+        line = weighted_line(sizes, [r.elapsed for r in records], self.decay)
+        if line is None:
             # Only when the records that differ in size have weights
             # that underflowed to zero: no usable spread.
             return None
-        per_byte = sxy / sxx
+        latency, per_byte = line
         if per_byte <= 0:
             return None
-        latency = max(mean_elapsed - per_byte * mean_size, 0.0)
-        return NetworkEstimate(
-            bandwidth_bps=1.0 / per_byte, latency_s=latency, observed=True
-        )
+        return NetworkEstimate(bandwidth_bps=1.0 / per_byte,
+                               latency_s=max(latency, 0.0), observed=True)
 
     def _nominal(self, remote: str) -> NetworkEstimate:
         """Fallback before any traffic has been observed.

@@ -1,11 +1,17 @@
 """Self-tuning demand prediction: logs, models, and the predictor stack."""
 
 from .base import DemandModel, NoModelError, OperationDemandPredictor
-from .binned import BinnedLinearPredictor, discrete_key
+from .binned import BinnedLinearPredictor
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
 from .linear import EWMAModel, RecencyWeightedLinearModel
-from .logs import UsageLog, UsageSample, canonical_discrete_value
+from .logs import (
+    DiscreteContext,
+    UsageLog,
+    UsageSample,
+    canonical_discrete_value,
+    discrete_key,
+)
 from .store import (
     STORE_SCHEMA,
     PredictorStore,
@@ -20,6 +26,7 @@ __all__ = [
     "BinnedLinearPredictor",
     "DataSpecificPredictor",
     "DemandModel",
+    "DiscreteContext",
     "EWMAModel",
     "FileAccessPredictor",
     "NoModelError",

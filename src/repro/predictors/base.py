@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Protocol, Sequence
 
-from .binned import discrete_key
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
-from .logs import UsageLog, UsageSample
+from .logs import UsageLog, UsageSample, discrete_key
 
 
 class DemandModel(Protocol):

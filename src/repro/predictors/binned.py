@@ -12,32 +12,23 @@ combination of discrete variables has not yet been encountered"
 the tuple of discrete values (fidelity point + execution plan), each
 regressing the resource on the continuous input parameters, plus one
 generic fallback model trained on everything.
+
+Bins are keyed by :func:`~repro.predictors.logs.discrete_key`.  The
+contexts the predictor stack passes down are
+:class:`~repro.predictors.logs.DiscreteContext` mappings that carry
+their key, built once per alternative or per logged sample, so a bin
+lookup reads the key instead of canonicalizing and sorting the mapping
+on every observation and prediction.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Sequence
 
 from ..copying import deepcopy_state
 from .linear import RecencyWeightedLinearModel
-from .logs import canonical_discrete_value
-
-DiscreteKey = Tuple[Tuple[str, Any], ...]
-
-
-def discrete_key(discrete: Dict[str, Any]) -> DiscreteKey:
-    """Canonical hashable key for a discrete-variable assignment.
-
-    Values are normalized through
-    :func:`~repro.predictors.logs.canonical_discrete_value`, so a key
-    built from live (possibly tuple-valued) fidelity values equals the
-    key rebuilt from the JSON usage log — the bins a predictor relearns
-    from disk are the same bins it trained in memory.
-    """
-    return tuple(sorted(
-        (k, canonical_discrete_value(v)) for k, v in discrete.items()
-    ))
+from .logs import DiscreteKey, discrete_key
 
 
 class BinnedLinearPredictor:

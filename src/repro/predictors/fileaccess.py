@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from .binned import DiscreteKey, discrete_key
 from .linear import EWMAModel
+from .logs import DiscreteKey, discrete_key
 
 
 class _AccessModel:

@@ -7,19 +7,24 @@ giving more recent samples a greater weight in its predictions"
 
 :class:`RecencyWeightedLinearModel` fits ``y ≈ a + Σ b_i · x_i`` by
 weighted least squares, with sample weights decaying geometrically in
-recency order.  A refit takes one of three paths:
+recency order.  A feature that held one value over the whole window
+carries no information: its column is zeroed and its effect routes
+through the intercept.  ``observe`` keeps, per feature, the length of
+the trailing run of samples equal to the newest value, so telling
+which features varied costs no array.  A refit then takes one of three
+paths:
 
-* **k = 0** (no features): the least-squares fit is the weighted mean,
-  computed in closed form.
-* **Flat window** (every feature held one value over the whole
-  window): each feature's column carries no information and routes
-  through the intercept, so the fit is again the weighted mean, and
-  the model predicts it at any input.  ``observe`` keeps, per
-  feature, the length of the trailing run of samples equal to the
-  newest value, so telling a flat window costs no array.
-* **Varying window**: ``lstsq``, with the columns of features that
-  held one value zeroed.  Collinear features fall back to the
-  minimum-norm solution.
+* **No feature varied** (k = 0, or a flat window): the least-squares
+  fit is the weighted mean, and the model predicts it at any input.
+* **One feature varied**: a weighted straight line in that feature,
+  solved in closed form by :func:`weighted_line` over Python floats;
+  the model predicts ``intercept + slope * x``.
+* **Two or more varied** (or the one varying feature's spread lost to
+  weight underflow): ``lstsq`` on the design with the constant
+  columns zeroed.  Collinear features fall back to the minimum-norm
+  solution.
+
+The first two paths store floats and predict without numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +35,33 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..copying import deepcopy_state
+
+
+def weighted_line(xs: Sequence[float], ys: Sequence[float],
+                  decay: float) -> Optional[Tuple[float, float]]:
+    """Recency-weighted least-squares line ``y = intercept + slope * x``.
+
+    The newest (last) point has weight 1 and each older one ``decay``
+    times the next.  Closed form over Python floats: the first pass
+    takes the weighted means, the second the centred sums
+    ``Sxx = Σ w·dx²`` and ``Sxy = Σ w·dx·dy``; then ``slope = Sxy/Sxx``
+    and ``intercept = ȳ − slope·x̄``.  Returns ``(intercept, slope)``, or
+    ``None`` when ``Sxx`` is not positive: every *x* equal, or the
+    points that differ weighted down to nothing by underflow.
+    """
+    weights = [decay ** age for age in range(len(ys) - 1, -1, -1)]
+    total = sum(weights)
+    mean_x = sum(w * x for w, x in zip(weights, xs)) / total
+    mean_y = sum(w * y for w, y in zip(weights, ys)) / total
+    sxx = sxy = 0.0
+    for w, x, y in zip(weights, xs, ys):
+        dx = x - mean_x
+        sxx += w * dx * dx
+        sxy += w * dx * (y - mean_y)
+    if sxx <= 0.0:
+        return None
+    slope = sxy / sxx
+    return mean_y - slope * mean_x, slope
 
 
 class RecencyWeightedLinearModel:
@@ -59,9 +91,13 @@ class RecencyWeightedLinearModel:
         self.window = window
         self._xs: List[Tuple[float, ...]] = []
         self._ys: List[float] = []
-        # [intercept, b_1..b_k]; None when the fit is the weighted mean
+        # The fit: intercept + slope * the one varying feature, or just
+        # the intercept (the weighted mean) when no feature varied ...
+        self._intercept = 0.0
+        self._slope = 0.0
+        self._varying: Optional[str] = None
+        # ... or [intercept, b_1..b_k] from lstsq, None on the paths above
         self._coef: Optional[np.ndarray] = None
-        self._mean = 0.0  # the fit of a flat window
         # Per feature, how many of the newest samples share the newest
         # value; the feature is constant iff its run covers the window.
         self._runs: Tuple[int, ...] = (0,) * len(self.feature_names)
@@ -101,13 +137,16 @@ class RecencyWeightedLinearModel:
         if not self._ys:
             raise ValueError("model has no observations")
         self._refit()
-        if self._coef is None:
-            prediction = self._mean
-        else:
+        if self._coef is not None:
             x = np.array(
                 [1.0] + [float(features.get(n, 0.0)) for n in self.feature_names]
             )
             prediction = float(x @ self._coef)
+        elif self._varying is None:
+            prediction = self._intercept
+        else:
+            prediction = self._intercept + self._slope * float(
+                features.get(self._varying, 0.0))
         # Resource usage is non-negative by construction; a regression
         # extrapolating below zero is lying.
         return max(prediction, 0.0)
@@ -156,21 +195,31 @@ class RecencyWeightedLinearModel:
     def _refit(self) -> None:
         if not self._stale:
             return
+        self._coef = None
         n = len(self._ys)
-        # k = 0 and flat windows: with every feature column zeroed (see
-        # below), the intercept-only least-squares fit is the weighted
-        # mean.  A window is flat when its shortest run covers it.
-        if not self._runs or min(self._runs) >= n:
-            self._mean = self.weighted_mean()
-            self._coef = None
+        # A feature varied iff its run is shorter than the window.
+        varying = [i for i, run in enumerate(self._runs) if run < n]
+        if not varying:
+            # With every feature column zeroed (see below), the
+            # intercept-only least-squares fit is the weighted mean.
+            self._intercept, self._varying = self.weighted_mean(), None
             self._stale = False
             return
-        # Varying window.  Columns with no variance carry no information;
-        # zero them so their whole effect routes through the intercept.
-        # Left in, the min-norm pseudo-inverse would split weight between
-        # the constant column and the intercept, and a prediction at any
-        # *other* value of that feature would extrapolate along a slope
-        # the data never witnessed.
+        if len(varying) == 1:
+            index = varying[0]
+            line = weighted_line([x[index] for x in self._xs], self._ys,
+                                 self.decay)
+            if line is not None:
+                self._intercept, self._slope = line
+                self._varying = self.feature_names[index]
+                self._stale = False
+                return
+        # Columns with no variance carry no information; zero them so
+        # their whole effect routes through the intercept.  Left in, the
+        # min-norm pseudo-inverse would split weight between the constant
+        # column and the intercept, and a prediction at any *other* value
+        # of that feature would extrapolate along a slope the data never
+        # witnessed.
         k = len(self.feature_names)
         y = np.array(self._ys)
         weights = self._weights()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..copying import deepcopy_state
 
@@ -44,11 +44,52 @@ def canonical_discrete_value(value: Any) -> Any:
     return str(value)
 
 
+DiscreteKey = Tuple[Tuple[str, Any], ...]
+
+
+def discrete_key(discrete: Mapping[str, Any]) -> DiscreteKey:
+    """Canonical hashable key for a discrete-variable assignment.
+
+    Values are normalized through :func:`canonical_discrete_value`, so
+    a key built from live (possibly tuple-valued) fidelity values equals
+    the key rebuilt from the JSON usage log — the bins a predictor
+    relearns from disk are the same bins it trained in memory.  A
+    :class:`DiscreteContext` hands back the key it carries.
+    """
+    if type(discrete) is DiscreteContext:
+        return discrete.key
+    return tuple(sorted(
+        (k, canonical_discrete_value(v)) for k, v in discrete.items()
+    ))
+
+
+class DiscreteContext(dict):
+    """A discrete-variable assignment that carries its bin key.
+
+    Demand prediction looks bins up by :func:`discrete_key` many times
+    per decision; a context built once per alternative
+    (``OperationSpec.decision_context``) or per logged sample
+    (:meth:`UsageSample.discrete_dict`) canonicalizes and sorts once,
+    here, and every lookup reads :attr:`key`.  Still a plain mapping to
+    everything else (custom demand models receive it as one), and, like
+    the dicts it replaces, read-only by contract: mutating it would
+    leave :attr:`key` stale.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, discrete: Union[Mapping[str, Any], DiscreteKey],
+                 key: Optional[DiscreteKey] = None):
+        super().__init__(discrete)
+        self.key: DiscreteKey = discrete_key(discrete) if key is None else key
+
+
 @dataclass(frozen=True)
 class UsageSample:
     """One operation execution's context and measured resource usage.
 
-    ``discrete`` — binning variables (fidelity values, plan name, ...).
+    ``discrete`` — binning variables (fidelity values, plan name, ...),
+    as their :func:`discrete_key`.
     ``continuous`` — regression variables (input parameters).
     ``usage`` — measured resource consumption, e.g. ``{"cpu:local":
     2.1e8, "net:bytes": 14000, "energy:client": 3.4}``.
@@ -59,7 +100,7 @@ class UsageSample:
     """
 
     timestamp: float
-    discrete: Tuple[Tuple[str, Any], ...]
+    discrete: DiscreteKey
     continuous: Tuple[Tuple[str, float], ...]
     usage: Tuple[Tuple[str, float], ...]
     data_object: Optional[str] = None
@@ -81,9 +122,7 @@ class UsageSample:
     ) -> "UsageSample":
         return cls(
             timestamp=timestamp,
-            discrete=tuple(sorted(
-                (k, canonical_discrete_value(v)) for k, v in discrete.items()
-            )),
+            discrete=discrete_key(discrete),
             continuous=tuple(sorted((k, float(v)) for k, v in continuous.items())),
             usage=tuple(sorted((k, float(v)) for k, v in usage.items())),
             data_object=data_object,
@@ -94,8 +133,8 @@ class UsageSample:
     def file_accesses_dict(self) -> Dict[str, int]:
         return dict(self.file_accesses)
 
-    def discrete_dict(self) -> Dict[str, Any]:
-        return dict(self.discrete)
+    def discrete_dict(self) -> DiscreteContext:
+        return DiscreteContext(self.discrete, key=self.discrete)
 
     def continuous_dict(self) -> Dict[str, float]:
         return dict(self.continuous)
@@ -175,10 +214,7 @@ def sample_from_payload(raw: Dict[str, Any]) -> UsageSample:
     """One :class:`UsageSample` from its JSON dict form."""
     return UsageSample(
         timestamp=raw["timestamp"],
-        discrete=tuple(
-            (k, canonical_discrete_value(v))
-            for k, v in raw["discrete"]
-        ),
+        discrete=discrete_key(dict(raw["discrete"])),
         continuous=tuple((k, float(v)) for k, v in raw["continuous"]),
         usage=tuple((k, float(v)) for k, v in raw["usage"]),
         data_object=raw.get("data_object"),

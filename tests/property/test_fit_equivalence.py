@@ -1,15 +1,17 @@
 """Closed-form-vs-``lstsq`` fit equivalence (hypothesis).
 
 The network monitor fits ``elapsed = L + n/B`` by recency-weighted least
-squares, and a demand model whose window is flat (no features, or every
-feature held one value over the window) fits the weighted mean.  All of
-these used to go through ``np.linalg.lstsq``; they are now solved in
-closed form over Python floats purely for speed.  The oracles below are
-those old solvers, the old ``RecencyWeightedLinearModel._refit`` among
-them.  Demand models tell a flat window from run lengths kept as they
-observe, checked here against the old ``max == min`` test over the
-window; a window where some feature varies still solves with ``lstsq``,
-and its coefficients must equal the old refit's bit for bit.
+squares.  A demand model whose window is flat (no features, or every
+feature held one value over the window) fits the weighted mean, and
+one whose window varied in exactly one feature fits a weighted line in
+it.  All of these used to go through ``np.linalg.lstsq``; they are now
+solved in closed form over Python floats purely for speed.  The oracles
+below are those old solvers, the old
+``RecencyWeightedLinearModel._refit`` among them.  Demand models tell
+which features varied from run lengths kept as they observe, checked
+here against the old ``max == min`` test over the window; a window where
+two or more features vary still solves with ``lstsq``, and its
+coefficients must equal the old refit's bit for bit.
 
 The closed form rounds differently, so the estimates agree within a
 relative-plus-absolute bound rather than bit for bit; whether there *is*
@@ -22,6 +24,7 @@ fit, weights by log position.
 """
 
 import copy
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -93,8 +96,17 @@ def lstsq_refit(xs, ys, decay):
     return coef, tuple(bool(flag) for flag in constant)
 
 
+def tolerance(want, scale):
+    return REL * abs(want) + ABS * scale
+
+
 def close(got, want, scale):
-    return abs(got - want) <= REL * abs(want) + ABS * scale
+    return abs(got - want) <= tolerance(want, scale)
+
+
+def counting_lstsq():
+    """Patch ``np.linalg.lstsq`` with a call-counting wrapper."""
+    return mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq)
 
 
 def records_from(rows):
@@ -218,16 +230,117 @@ def test_run_length_constancy_matches_max_equals_min(run):
 def test_flat_windows_fit_the_weighted_mean_varying_ones_lstsq(run):
     def check(model, xs, ys):
         want, constant = lstsq_refit(xs, ys, run["decay"])
-        got = model.predict(probe)
-        if all(constant):
-            assert model._coef is None
+        with counting_lstsq() as lstsq:
+            got = model.predict(probe)
+        varying = [name for name, flag in zip(run["names"], constant)
+                   if not flag]
+        if not varying:
+            assert model._coef is None and model._varying is None
             assert got == model.weighted_mean()
             oracle = max(float(np.array([1.0, *run["probe"]]) @ want), 0.0)
             assert close(got, oracle, max(ys))
+        elif len(varying) == 1 and lstsq.call_count == 0:
+            # The closed-form line; its accuracy against the oracle is
+            # test_one_varying_feature_fits_a_line_without_lstsq's job.
+            assert model._coef is None and model._varying == varying[0]
         else:
+            # Two or more varied, or one varied but its spread
+            # underflowed: the old lstsq refit, bit for bit.
             assert model._coef.tobytes() == want.tobytes()
 
     probe = dict(zip(run["names"], run["probe"]))
     model = RecencyWeightedLinearModel(run["names"], decay=run["decay"],
                                        window=run["window"])
     observe_all(model, run, [], run["rows"], run["ys"], check)
+
+
+@st.composite
+def line_runs(draw):
+    """Windows where one feature varies over a few input sizes (integers
+    scaled by a power of two) and the others hold a value."""
+    k = draw(st.integers(1, 3))
+    scale = 2.0 ** draw(st.integers(-6, 10))
+    sizes = draw(st.lists(st.integers(0, 1000), min_size=2, max_size=4,
+                          unique=True))
+    held = draw(st.tuples(*[st.floats(-1e3, 1e3)] * k))
+    varying = draw(st.integers(0, k - 1))
+
+    def row(size):
+        x = list(held)
+        x[varying] = size * scale
+        return tuple(x)
+
+    rows = [row(size) for size in draw(st.lists(st.sampled_from(sizes),
+                                                min_size=2, max_size=40))]
+    return dict(
+        names=NAMES[:k], varying=varying,
+        window=draw(st.integers(2, 40)),
+        decay=draw(st.sampled_from([0.5, 0.9, 0.95, 1.0])),
+        rows=rows, ys=draw(st.lists(st.floats(0.0, 1e6), min_size=len(rows),
+                                    max_size=len(rows))),
+        probe=draw(st.tuples(*[st.floats(-1e6, 1e6)] * k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=line_runs())
+def test_one_varying_feature_fits_a_line_without_lstsq(run):
+    """The closed-form line matches the oracle's coefficients, and so its
+    predictions, within ``REL`` and ``ABS`` times each coefficient's
+    scale and the condition number of the oracle's weighted design.
+    The oracle solves that design uncentred, so its own rounding grows
+    with the condition number (a window holding only 999 and 1000 makes
+    it ~2e6); the centred closed form's does not.  These draws stay
+    within about ``4 * eps * cond * scale`` of the oracle."""
+    def check(model, xs, ys):
+        want, constant = lstsq_refit(xs, ys, run["decay"])
+        with counting_lstsq() as lstsq:
+            got = model.predict(probe)
+        assert lstsq.call_count == 0
+        if all(constant):
+            assert got == model.weighted_mean()
+            return
+        assert model._coef is None
+        assert model._varying == run["names"][run["varying"]]
+        sizes = [x[run["varying"]] for x in xs]
+        root_weights = np.sqrt(
+            run["decay"] ** np.arange(len(ys) - 1, -1, -1, dtype=float))
+        cond = np.linalg.cond(
+            np.column_stack([np.ones(len(ys)), sizes]) * root_weights[:, None])
+        # Scales: rise over run across the window for the slope, the
+        # larger term of mean_y - slope * mean_x for the intercept.
+        intercept, slope = want[0], want[1 + run["varying"]]
+        slope_scale = cond * max(ys) / (max(sizes) - min(sizes))
+        intercept_scale = cond * (max(ys) + abs(slope) * max(map(abs, sizes)))
+        assert close(model._intercept, intercept, intercept_scale)
+        assert close(model._slope, slope, slope_scale)
+        x = run["probe"][run["varying"]]
+        assert abs(got - max(intercept + slope * x, 0.0)) <= (
+            tolerance(intercept, intercept_scale)
+            + tolerance(slope, slope_scale) * abs(x))
+
+    probe = dict(zip(run["names"], run["probe"]))
+    model = RecencyWeightedLinearModel(run["names"], decay=run["decay"],
+                                       window=run["window"])
+    observe_all(model, run, [], run["rows"], run["ys"], check)
+
+
+def test_underflowed_spread_falls_back_to_lstsq():
+    """``Sxx <= 0`` although the feature varied: the one sample that
+    differs has a weight that underflowed to zero (``0.5**1099``).  The
+    fit goes to the oracle, which sees no spread either and predicts the
+    weighted mean of the others."""
+    n = 1100
+    xs = [(1.0,)] + [(0.0,)] * (n - 1)
+    ys = [1e6] + [5.0] * (n - 1)
+    model = RecencyWeightedLinearModel(("a",), decay=0.5, window=n)
+    for x, y in zip(xs, ys):
+        model.observe({"a": x[0]}, y)
+    assert model.unidentified_features() == ()
+    with counting_lstsq() as lstsq:
+        got = model.predict({"a": 3.0})
+    assert lstsq.call_count == 1
+    want, constant = lstsq_refit(xs, ys, 0.5)
+    assert constant == (False,)
+    assert model._coef.tobytes() == want.tobytes()
+    assert got == max(float(np.array([1.0, 3.0]) @ want), 0.0)
+    assert close(got, 5.0, 1e6)

@@ -144,13 +144,17 @@ class TestModels:
         assert model.predict({"x": 10.0}) == expected
 
     def test_refitting_the_copy_leaves_the_original_coefficients(self):
-        model = self._model()
-        model.predict({"x": 0.0})
+        # Two varying features: the fit is an lstsq coefficient array
+        # (one varying feature fits floats, which nothing can share).
+        model = RecencyWeightedLinearModel(("x", "y"), decay=0.9, window=5)
+        for x in range(4):
+            model.observe({"x": float(x), "y": float(x % 2)}, 2.0 * x + 1.0)
+        model.predict({"x": 0.0, "y": 0.0})
         coef = model._coef.copy()
         clone = copy.deepcopy(model)
         assert clone._coef is not model._coef
-        clone.observe({"x": 9.0}, 0.0)
-        clone.predict({"x": 0.0})
+        clone.observe({"x": 9.0, "y": 0.0}, 0.0)
+        clone.predict({"x": 0.0, "y": 0.0})
         assert (model._coef == coef).all()
 
     def test_binned_copy_shares_keys_and_copies_models(self):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.hosts import CPU, BackgroundLoad
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -134,6 +135,15 @@ def rescanned_external_weight(cpu):
     )
 
 
+class AlwaysResyncCPU(CPU):
+    """A CPU whose ``_resync_external`` never skips, as before it learned
+    to return at once while no owner has ever been external."""
+
+    def _resync_external(self):
+        self._sample_utilization()
+        self._last_external_weight = self._external_weight()
+
+
 class TestExternalWeight:
     """The kept list of external jobs sums like a rescan of every job."""
 
@@ -183,3 +193,55 @@ class TestExternalWeight:
             else:
                 sim.advance(rng.choice((0.01, 0.1, 1.0)))
             self._check(cpu)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_skipped_resyncs_match_a_cpu_that_always_resyncs(self, seed):
+        """Until an owner turns external the smoothed load is 0.0 and
+        resyncing keeps it 0.0; the first external job arrives late, after
+        plain jobs have come and gone, and from then on both CPUs resync
+        alike.  Their supply predictions stay equal throughout."""
+        rng = random.Random(seed)
+        sims = (Simulator(), Simulator())
+        cpus = (CPU(sims[0], cycles_per_second=100e6),
+                AlwaysResyncCPU(sims[1], cycles_per_second=100e6))
+        jobs = ([], [])
+
+        def check():
+            fast, always = cpus
+            assert fast.smoothed_load() == always.smoothed_load()
+            for owner in (None, "a"):
+                assert (fast.predicted_rate_for_new_job(owner)
+                        == always.predicted_rate_for_new_job(owner))
+
+        def advance(dt):
+            for clock in sims:
+                clock.advance(dt)
+
+        late = rng.randrange(10, 40)
+        for step in range(80):
+            action = rng.random()
+            if action < 0.5:
+                submit = dict(
+                    cycles=rng.choice((0.0, 5e6, 50e6, 1e9)),
+                    owner=rng.choice(("a", "b", "c")),
+                    weight=rng.choice((0.5, 1.0, 3.0)),
+                    external=step >= late and rng.random() < 0.3)
+                for cpu, held in zip(cpus, jobs):
+                    held.append(cpu.submit(**submit))
+            elif action < 0.7 and jobs[0]:
+                index = rng.randrange(len(jobs[0]))
+                for cpu, held in zip(cpus, jobs):
+                    cpu.cancel(held.pop(index))
+            else:
+                advance(rng.choice((0.01, 0.1, 1.0)))
+            check()
+        assert cpus[0]._external_owners, "no owner ever turned external"
+        assert cpus[0].smoothed_load() > 0.0
+        # The external load goes away: the smoothed load decays alike.
+        while jobs[0]:
+            for cpu, held in zip(cpus, jobs):
+                cpu.cancel(held.pop())
+            check()
+        for _ in range(5):
+            advance(1.0)
+            check()
