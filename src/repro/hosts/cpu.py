@@ -14,7 +14,7 @@ utilization estimate on top of :class:`~repro.sim.resources.FairShareResource`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, Optional
 
 from ..sim import FairShareJob, FairShareResource, Simulator
 
@@ -30,6 +30,9 @@ class CPU:
     ``on_utilization_change(now, busy, active_jobs)`` fires on every
     scheduling change so power meters can track CPU-active time.
     """
+
+    #: smoothing horizon in seconds (recent load matters most)
+    SMOOTHING_HORIZON = 5.0
 
     def __init__(
         self,
@@ -47,10 +50,8 @@ class CPU:
             name=f"{name}.cycles",
             on_utilization_change=self._on_change,
         )
-        self._active: List[Tuple[str, FairShareJob]] = []
-        # The jobs of _active whose owner is external, in _active order
-        # (so summing it adds the same weights in the same order).
-        self._external_active: List[FairShareJob] = []
+        # In-flight job -> owner, in submission order.
+        self._active: Dict[FairShareJob, str] = {}
         self._finished_cycles: Dict[str, float] = {}
         self._external_owners: set = set()
         # Exponentially smoothed *external* load (total fair-share weight
@@ -59,8 +60,6 @@ class CPU:
         self._smooth_load = 0.0
         self._last_util_sample = sim.now
         self._last_external_weight = 0.0
-        #: smoothing horizon in seconds (recent load matters most)
-        self.smoothing_horizon = 5.0
 
     # -- supply side ------------------------------------------------------------
 
@@ -85,14 +84,16 @@ class CPU:
         """
         return sum(
             job.weight
-            for owner, job in self._active
+            for job, owner in self._active.items()
             if job.remaining > 0 and owner != exclude_owner
         )
 
     def _external_weight(self) -> float:
         """Weight of currently running *external* (background) jobs."""
         return sum(
-            job.weight for job in self._external_active if job.remaining > 0
+            job.weight
+            for job, owner in self._active.items()
+            if job.remaining > 0 and owner in self._external_owners
         )
 
     def smoothed_load(self) -> float:
@@ -120,14 +121,10 @@ class CPU:
         # Blend instantaneous competition with history.  When there is no
         # current competition but recent history shows load, be slightly
         # pessimistic; when there is competition, trust it.
-        historical = self._smoothed_competition()
+        # The smoothed external load *is* the predicted competing weight.
+        historical = self.smoothed_load()
         effective = max(competing, historical)
         return self.cycles_per_second / (effective + 1.0)
-
-    def _smoothed_competition(self) -> float:
-        """The smoothed external load *is* the predicted competing weight."""
-        self._sample_utilization()
-        return self._smooth_load
 
     # -- demand side --------------------------------------------------------------
 
@@ -142,18 +139,12 @@ class CPU:
         an operation's own burst must not be projected forward as if it
         were persistent background load.
         """
-        if external and owner not in self._external_owners:
-            self._external_owners.add(owner)
+        if external:
             # Jobs the owner already has running now count as external.
-            self._external_active = [
-                job for job_owner, job in self._active
-                if job_owner in self._external_owners
-            ]
+            self._external_owners.add(owner)
         job = self._resource.submit(cycles, weight=weight)
         if job.remaining > 0:
-            self._active.append((owner, job))
-            if owner in self._external_owners:
-                self._external_active.append(job)
+            self._active[job] = owner
             job.done.add_callback(lambda _ev: self._retire(owner, job))
         else:
             self._finished_cycles[owner] = (
@@ -169,10 +160,14 @@ class CPU:
         return job
 
     def cancel(self, job: FairShareJob) -> None:
-        """Abort a queued/in-flight job (used by background load control)."""
+        """Abort a queued/in-flight job (used by background load control).
+
+        Failing the job's ``done`` event retires it at once, charging its
+        partial cycles to its owner, and the resource's change
+        notification then resyncs the external load.  A finished job is
+        left alone.
+        """
         self._resource.cancel(job)
-        self._drop(job)
-        self._resync_external()
 
     def cycles_used_by(self, owner: str) -> float:
         """Cumulative cycles served to *owner* — the ``/proc`` equivalent.
@@ -183,22 +178,15 @@ class CPU:
         self._resource._settle()
         in_flight = sum(
             job.amount - job.remaining
-            for job_owner, job in self._active
+            for job, job_owner in self._active.items()
             if job_owner == owner
         )
         return self._finished_cycles.get(owner, 0.0) + in_flight
 
     # -- internals ---------------------------------------------------------------
 
-    def _drop(self, job: FairShareJob) -> None:
-        self._active = [(o, j) for o, j in self._active if j is not job]
-        if self._external_active:
-            self._external_active = [
-                j for j in self._external_active if j is not job
-            ]
-
     def _retire(self, owner: str, job: FairShareJob) -> None:
-        self._drop(job)
+        self._active.pop(job)
         self._finished_cycles[owner] = (
             self._finished_cycles.get(owner, 0.0) + (job.amount - job.remaining)
         )
@@ -215,14 +203,14 @@ class CPU:
         elapsed = now - self._last_util_sample
         if elapsed <= 0:
             return
-        alpha = min(1.0, elapsed / self.smoothing_horizon)
+        alpha = min(1.0, elapsed / self.SMOOTHING_HORIZON)
         self._smooth_load += alpha * (self._last_external_weight - self._smooth_load)
         self._last_util_sample = now
 
     def _resync_external(self) -> None:
         """Close the current smoothing interval and re-snapshot the
         external competing weight (called whenever membership changes —
-        crucially *after* the active-job list reflects the change).
+        crucially *after* the in-flight map reflects the change).
 
         Until an external owner first submits, the smoothed load is 0.0
         and folding in an external weight of 0.0 keeps it exactly 0.0,

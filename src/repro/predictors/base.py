@@ -18,6 +18,11 @@ model in addition to logging resource usage" (paper §3.4).
 Applications may override any resource's model via
 :meth:`set_custom_predictor` — the paper's "interface through which
 application-specific predictors may be specified."
+
+Every operation updates the models, so :meth:`~OperationDemandPredictor.predict`
+keeps no memo of its own: it asks the model each time.  The solver's
+per-solve table (``solver/heuristic.py``) is the one prediction memo on
+the decision path.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence
 
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
-from .logs import UsageLog, UsageSample, discrete_key
+from .logs import UsageLog, UsageSample
 
 
 class DemandModel(Protocol):
@@ -46,10 +51,6 @@ class NoModelError(LookupError):
 class OperationDemandPredictor:
     """All demand models for one registered operation."""
 
-    #: prediction-memo entries before the cache is wholesale dropped —
-    #: a guard against unbounded feature-value diversity, not an LRU.
-    PREDICT_CACHE_MAX = 4096
-
     def __init__(self, feature_names: Sequence[str] = (),
                  decay: float = 0.95, window: int = 200,
                  log: Optional[UsageLog] = None):
@@ -60,14 +61,6 @@ class OperationDemandPredictor:
         self._models: Dict[str, DemandModel] = {}
         self._custom: Dict[str, DemandModel] = {}
         self.files = FileAccessPredictor()
-        # Demand is a pure function of (model state, context): models
-        # change only through observe_operation / set_custom_predictor,
-        # both of which bump _version and drop this memo.  The solver
-        # asks for the same handful of (resource, bin, features) demands
-        # on every decision, so steady-state predictions become dict
-        # hits instead of bin lookups + regression evaluations.
-        self._version = 0
-        self._predict_cache: Dict[tuple, Any] = {}
         # Rebuild in-memory models from an inherited log ("each predictor
         # reads the logged resource usage data").
         for sample in self.log:
@@ -78,22 +71,21 @@ class OperationDemandPredictor:
     def set_custom_predictor(self, resource: str, model: DemandModel) -> None:
         """Install an application-specific model for *resource*.
 
-        Like the built-in models, a custom model's ``predict`` must be a
-        pure function of its ``observe`` history — predictions are
-        memoized between observations.
+        From now on it receives every observation of *resource* and
+        answers every prediction for it, in place of the built-in
+        model.  ``predict`` is asked afresh on every call; a
+        ``ValueError`` it raises (an untrained bin, say) reaches the
+        caller as :class:`NoModelError`.
         """
         self._custom[resource] = model
-        self._invalidate_predictions()
 
-    def _invalidate_predictions(self) -> None:
-        self._version += 1
-        if self._predict_cache:
-            self._predict_cache.clear()
+    def _model(self, resource: str) -> Optional[DemandModel]:
+        """The custom model for *resource*, else the built-in one, if any."""
+        model = self._custom.get(resource)
+        return self._models.get(resource) if model is None else model
 
     def _model_for(self, resource: str) -> DemandModel:
-        if resource in self._custom:
-            return self._custom[resource]
-        model = self._models.get(resource)
+        model = self._model(resource)
         if model is None:
             model = DataSpecificPredictor(
                 self.feature_names, decay=self.decay, window=self.window
@@ -139,7 +131,6 @@ class OperationDemandPredictor:
 
     def _absorb(self, sample: UsageSample, record: bool,
                 skip_energy_when_concurrent: bool = True) -> None:
-        self._invalidate_predictions()
         discrete = sample.discrete_dict()
         continuous = sample.continuous_dict()
         for resource, value in sample.usage_dict().items():
@@ -161,42 +152,19 @@ class OperationDemandPredictor:
                 continuous: Dict[str, float],
                 data_object: Optional[str] = None) -> float:
         """Predicted demand for *resource* under the given context."""
-        key = (resource, discrete_key(discrete),
-               tuple(sorted(continuous.items())), data_object)
-        cached = self._predict_cache.get(key)
-        if cached is not None:
-            if type(cached) is float:
-                return cached
-            raise NoModelError(cached[0])
-        model = self._custom.get(resource) or self._models.get(resource)
+        model = self._model(resource)
         if model is None:
-            # A never-observed resource stays model-less until observe()
-            # creates its model, which invalidates the memo — cache this
-            # miss too, or every solver search point rebuilds the
-            # exception from scratch.
-            message = f"no demand model for resource {resource!r} yet"
-            self._remember(key, (message,))
-            raise NoModelError(message)
+            raise NoModelError(f"no demand model for resource {resource!r} yet")
         try:
-            value = float(
+            return float(
                 model.predict(discrete, continuous, data_object=data_object)
             )
         except ValueError as exc:
-            # An untrained bin stays untrained until observe() fills it,
-            # which invalidates the memo — cache the miss too.
-            self._remember(key, (str(exc),))
             raise NoModelError(str(exc)) from exc
-        self._remember(key, value)
-        return value
-
-    def _remember(self, key: tuple, entry: Any) -> None:
-        if len(self._predict_cache) >= self.PREDICT_CACHE_MAX:
-            self._predict_cache.clear()
-        self._predict_cache[key] = entry
 
     def has_bin(self, resource: str, discrete: Dict[str, Any]) -> bool:
         """Has *resource* been observed under this exact discrete context?"""
-        model = self._custom.get(resource) or self._models.get(resource)
+        model = self._model(resource)
         if model is None:
             return False
         has_bin = getattr(model, "has_bin", None)

@@ -3,9 +3,8 @@
 The acceptance bar, end to end:
 
 * every canned scenario produces a **byte-identical** report with the
-  hot-path caches (the search-space cache and the demand-prediction
-  memo) and without them — caching must be invisible at the system
-  level, not just per-solve;
+  search-space cache and without it — caching must be invisible at the
+  system level, not just per-solve;
 * reports do not depend on ``PYTHONHASHSEED`` (checked in fresh
   subprocesses with different hash seeds);
 * a multiprocess sweep merges to the same bytes as the in-process one.
@@ -17,7 +16,6 @@ import sys
 
 import pytest
 
-from repro.predictors.base import OperationDemandPredictor
 from repro.scenarios import SCENARIOS, canned_spec, run_scenario
 from repro.scenarios.sweep import run_sweep, sweep_to_json
 from repro.solver import SearchSpace, SpaceCache
@@ -30,18 +28,9 @@ def test_cached_reports_byte_identical_to_uncached(name, monkeypatch):
     spec = canned_spec(name)
     cached = run_scenario(spec, profile="smoke")
 
-    # The uncached leg: every decision builds a fresh SearchSpace, and
-    # every demand prediction is evaluated from the models.
+    # The uncached leg: every decision builds a fresh SearchSpace.
     monkeypatch.setattr(SpaceCache, "get",
                         lambda self, spec, servers: SearchSpace(spec, servers))
-    memoized_predict = OperationDemandPredictor.predict
-
-    def predict_from_models(self, *args, **kwargs):
-        self._predict_cache.clear()
-        return memoized_predict(self, *args, **kwargs)
-
-    monkeypatch.setattr(OperationDemandPredictor, "predict",
-                        predict_from_models)
     uncached = run_scenario(spec, profile="smoke")
     assert cached.to_json() == uncached.to_json()
 

@@ -157,17 +157,20 @@ predictor_steps = st.lists(
 
 @given(steps=predictor_steps)
 @settings(max_examples=80, deadline=None)
-def test_memoized_predict_equals_model_prediction(steps):
-    """The predict memo is invisible: every answer, hit or miss, is what
-    the underlying model says, and a model-less or untrained resource
-    raises NoModelError with the model's own message."""
+def test_predict_equals_model_prediction(steps):
+    """Across interleaved observations, custom models and predictions,
+    every answer is what an independent registry's model says, asked
+    twice, and a model-less or untrained resource raises NoModelError
+    with the model's own message."""
     predictor = OperationDemandPredictor(feature_names=["x"])
     # An independent copy of the model registry, fed the same history.
     builtin = {}
     custom = {}
 
     def expected(resource, discrete, continuous, data_object):
-        model = custom.get(resource) or builtin.get(resource)
+        model = custom.get(resource)
+        if model is None:
+            model = builtin.get(resource)
         if model is None:
             return f"no demand model for resource {resource!r} yet"
         try:
@@ -198,7 +201,7 @@ def test_memoized_predict_equals_model_prediction(steps):
             _, resource, plan, x, data_object = step
             discrete, continuous = {"plan": plan}, {"x": x}
             want = expected(resource, discrete, continuous, data_object)
-            # Twice: a miss that fills the memo, then a hit.
+            # Twice: asking changes nothing the next answer depends on.
             for _ in range(2):
                 try:
                     got = predictor.predict(resource, discrete, continuous,

@@ -125,12 +125,34 @@ class TestCancel:
         assert cpu.cycles_used_by("op") == pytest.approx(100e6)
         assert cpu.active_jobs == 0
 
+    @pytest.mark.parametrize("cycles, charged", [
+        (1e9, 100e6),   # still in flight at the cancel
+        (50e6, 50e6),   # finished before the cancel
+        (0.0, 0.0),     # zero cycles: never in flight
+    ], ids=["in-flight", "finished", "zero-cycle"])
+    def test_cancel_charges_the_owner_once(self, sim, cpu, cycles, charged):
+        """``cancel`` only asks the resource to cancel: failing ``done``
+        retires the job synchronously, so by the time ``cancel`` returns
+        the partial cycles are charged and nothing is left in flight.  A
+        second cancel of the same job changes nothing."""
+        job = cpu.submit(cycles, owner="op")
+        sim.advance(1.0)
+        for _ in range(2):
+            cpu.cancel(job)
+            assert not cpu._active
+            assert cpu.active_jobs == 0
+            assert cpu.instantaneous_competition() == 0.0
+            assert cpu.cycles_used_by("op") == job.amount - job.remaining
+            assert cpu.cycles_used_by("op") == pytest.approx(charged)
+        sim.advance(1.0)
+        assert cpu.cycles_used_by("op") == pytest.approx(charged)
+
 
 def rescanned_external_weight(cpu):
-    """The O(n) rescan ``CPU._external_weight`` used to make."""
+    """An independent O(n) rescan of the in-flight jobs' external weight."""
     return sum(
         job.weight
-        for owner, job in cpu._active
+        for job, owner in cpu._active.items()
         if job.remaining > 0 and owner in cpu._external_owners
     )
 
@@ -145,7 +167,8 @@ class AlwaysResyncCPU(CPU):
 
 
 class TestExternalWeight:
-    """The kept list of external jobs sums like a rescan of every job."""
+    """The external weight, and the one last resynced, sum like a rescan
+    of every in-flight job."""
 
     def _check(self, cpu):
         assert cpu._external_weight() == rescanned_external_weight(cpu)

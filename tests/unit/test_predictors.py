@@ -6,6 +6,7 @@ import pytest
 from repro.predictors import (
     BinnedLinearPredictor,
     DataSpecificPredictor,
+    DiscreteContext,
     EWMAModel,
     FileAccessPredictor,
     NoModelError,
@@ -281,6 +282,34 @@ class TestOperationDemandPredictor:
         predictor.set_custom_predictor("cpu:local", Fixed())
         assert predictor.predict("cpu:local", {}, {}) == 42.0
 
+    def test_falsy_custom_model_is_not_bypassed(self):
+        """A custom model that is falsy (it counts no samples yet) still
+        answers for its resource, not the built-in model behind it."""
+        class Counting:
+            def __init__(self):
+                self.samples = []
+
+            def __len__(self):
+                return len(self.samples)
+
+            def observe(self, discrete, continuous, value, data_object=None):
+                self.samples.append(value)
+
+            def predict(self, discrete, continuous, data_object=None):
+                return 42.0
+
+            def has_bin(self, discrete):
+                return True
+
+        predictor = OperationDemandPredictor()
+        predictor.observe_operation(timestamp=0.0, discrete={},
+                                    continuous={}, usage={"cpu:local": 5.0})
+        custom = Counting()
+        predictor.set_custom_predictor("cpu:local", custom)
+        assert not custom
+        assert predictor.predict("cpu:local", {}, {}) == 42.0
+        assert predictor.has_bin("cpu:local", {"plan": "unseen"})
+
     def test_rebuild_from_log(self):
         log = UsageLog()
         log.append(UsageSample.build(
@@ -391,17 +420,19 @@ class TestZeroVarianceColumns:
             23.0, rel=1e-6)
 
 
-class TestPredictMemo:
-    def test_model_none_miss_is_memoized(self):
-        predictor = OperationDemandPredictor(feature_names=[])
-        with pytest.raises(NoModelError):
-            predictor.predict("never-seen", {}, {})
-        key = ("never-seen", (), (), None)
-        assert key in predictor._predict_cache
-        with pytest.raises(NoModelError):
-            predictor.predict("never-seen", {}, {})
+class TestPredictFromModels:
+    """``predict`` keeps no memo: every call asks the current model."""
 
-    def test_observe_invalidates_model_none_miss(self):
+    def test_never_observed_resource_raises_the_same_error_every_call(self):
+        predictor = OperationDemandPredictor(feature_names=[])
+        messages = []
+        for _ in range(3):
+            with pytest.raises(NoModelError) as excinfo:
+                predictor.predict("never-seen", {}, {})
+            messages.append(str(excinfo.value))
+        assert messages == ["no demand model for resource 'never-seen' yet"] * 3
+
+    def test_first_observation_makes_the_resource_predictable(self):
         predictor = OperationDemandPredictor(feature_names=[])
         with pytest.raises(NoModelError):
             predictor.predict("cpu:local", {}, {})
@@ -410,6 +441,23 @@ class TestPredictMemo:
             usage={"cpu:local": 5.0},
         )
         assert predictor.predict("cpu:local", {}, {}) == pytest.approx(5.0)
+
+    def test_alternatives_sharing_a_bin_get_identical_floats(self):
+        predictor = OperationDemandPredictor(feature_names=["n"])
+        for n, cycles in ((1.0, 10.0), (2.0, 21.0), (4.0, 39.0)):
+            predictor.observe_operation(
+                timestamp=n, discrete={"plan": "remote"},
+                continuous={"n": n}, usage={"cpu:remote": cycles},
+            )
+        # remote@A and remote@B each carry their own context, but the
+        # server is not part of the bin: both ask the same question.
+        answers = [
+            predictor.predict("cpu:remote", DiscreteContext({"plan": "remote"}),
+                              {"n": 3.0})
+            for _server in ("A", "B")
+        ]
+        assert type(answers[0]) is float
+        assert answers[0] == answers[1]
 
 
 class TestEWMACounts:
