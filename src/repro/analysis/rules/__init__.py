@@ -12,6 +12,7 @@ line here.
 | SPC004 | no exact float ==/!= on utility/energy/time values         |
 | SPC005 | no private attributes assigned in __init__ but never read  |
 | SPC006 | no bare excepts; no silent broad excepts on hot paths      |
+| SPC007 | no import-time numpy: import it where it is used           |
 
 The whole-program SPC1xx pack (``repro lint --deep``) lives in
 :mod:`repro.analysis.flow` and registers through the same registry;
@@ -22,6 +23,7 @@ from . import (  # noqa: F401  (imported for registration side effect)
     deadattrs,
     exceptions,
     floatcmp,
+    imports,
     randomness,
     wallclock,
 )
@@ -30,6 +32,7 @@ __all__ = [
     "deadattrs",
     "exceptions",
     "floatcmp",
+    "imports",
     "randomness",
     "wallclock",
 ]

@@ -24,17 +24,21 @@ paths:
   columns zeroed.  Collinear features fall back to the minimum-norm
   solution.
 
-The first two paths store floats and predict without numpy.
+The first two paths store floats and predict without numpy.  numpy is
+imported only by the third: its solve and the predictions that follow
+it.  No shipped application has two varying continuous inputs, so no
+shipped workload loads numpy at all.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..copying import deepcopy_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def weighted_line(xs: Sequence[float], ys: Sequence[float],
@@ -138,6 +142,8 @@ class RecencyWeightedLinearModel:
             raise ValueError("model has no observations")
         self._refit()
         if self._coef is not None:
+            import numpy as np
+
             x = np.array(
                 [1.0] + [float(features.get(n, 0.0)) for n in self.feature_names]
             )
@@ -187,11 +193,6 @@ class RecencyWeightedLinearModel:
 
     # -- internals --------------------------------------------------------------------
 
-    def _weights(self) -> np.ndarray:
-        n = len(self._ys)
-        # newest (index n-1) gets weight 1; oldest gets decay**(n-1)
-        return self.decay ** np.arange(n - 1, -1, -1, dtype=float)
-
     def _refit(self) -> None:
         if not self._stale:
             return
@@ -220,9 +221,12 @@ class RecencyWeightedLinearModel:
         # column and the intercept, and a prediction at any *other* value
         # of that feature would extrapolate along a slope the data never
         # witnessed.
+        import numpy as np
+
         k = len(self.feature_names)
         y = np.array(self._ys)
-        weights = self._weights()
+        # newest (index n-1) gets weight 1; oldest gets decay**(n-1)
+        weights = self.decay ** np.arange(n - 1, -1, -1, dtype=float)
         design = np.ones((n, k + 1))
         xs = np.array(self._xs, dtype=float).reshape(n, k)
         constant = np.array([run >= n for run in self._runs])

@@ -132,13 +132,17 @@ class ScenarioReport:
     def completed(self) -> bool:
         return all(op.completed for op in self.ops)
 
-    def latencies(self, client: Optional[str] = None) -> List[float]:
-        return [op.elapsed_s for op in self.ops
-                if op.completed and (client is None or op.client == client)]
+    def latencies(self) -> List[float]:
+        return [op.elapsed_s for op in self.ops if op.completed]
 
     def to_dict(self) -> Dict[str, Any]:
-        clients = sorted({op.client for op in self.ops})
-        per_client = {name: self._client_section(name) for name in clients}
+        # One pass groups the ops by client, keeping each client's ops
+        # in run order; every section is built from its own group.
+        by_client: Dict[str, List[OpRecord]] = {}
+        for op in self.ops:
+            by_client.setdefault(op.client, []).append(op)
+        per_client = {name: self._client_section(name, by_client[name])
+                      for name in sorted(by_client)}
         data = {
             "scenario": self.scenario,
             "seed": self.seed,
@@ -166,8 +170,8 @@ class ScenarioReport:
             ))
         return data
 
-    def _client_section(self, name: str) -> Dict[str, Any]:
-        ops = [op for op in self.ops if op.client == name]
+    def _client_section(self, name: str,
+                        ops: List[OpRecord]) -> Dict[str, Any]:
         mix: Dict[str, int] = {}
         for op in ops:
             if not op.completed:
@@ -182,7 +186,8 @@ class ScenarioReport:
             "completed": sum(1 for op in ops if op.completed),
             "failed": sum(1 for op in ops if not op.completed),
             "failovers": sum(1 for op in ops if op.failed_over),
-            "latency": _latency_stats(self.latencies(name)),
+            "latency": _latency_stats(
+                [op.elapsed_s for op in ops if op.completed]),
             "energy_j": _round(self.energy_j.get(name, 0.0)),
             "mix": dict(sorted(mix.items())),
             "errors": sorted({op.error for op in ops if op.error}),

@@ -461,6 +461,60 @@ class TestSwallowedExcept:
         assert found == []
 
 
+# -- SPC007: import-time numpy -------------------------------------------------------
+
+
+class TestImportTimeNumpy:
+    def test_detects_module_level_imports(self):
+        found = lint("""
+            import numpy as np
+            from numpy.linalg import lstsq
+        """, select=["SPC007"])
+        assert codes(found) == ["SPC007", "SPC007"]
+        assert [v.line for v in found] == [2, 3]
+
+    def test_detects_imports_that_run_at_import_time(self):
+        found = lint("""
+            from typing import TYPE_CHECKING
+
+            if TYPE_CHECKING:
+                import numpy
+            else:
+                import numpy.linalg
+
+            class Model:
+                import numpy
+        """, select=["SPC007"])
+        assert [v.line for v in found] == [7, 10]
+
+    def test_deferred_imports_pass(self):
+        found = lint("""
+            import typing
+
+            if typing.TYPE_CHECKING:
+                import numpy as np
+
+            def solve(x):
+                import numpy as np
+                return np.asarray(x)
+
+            square = lambda x: __import__("numpy").square(x)
+        """, select=["SPC007"])
+        assert found == []
+
+    def test_out_of_scope_file_passes(self):
+        found = lint("""
+            import numpy as np
+        """, path="tests/unit/fixture.py", select=["SPC007"])
+        assert found == []
+
+    def test_suppressed(self):
+        found = lint("""
+            import numpy as np  # spectra: noqa[SPC007]
+        """, select=["SPC007"])
+        assert found == []
+
+
 # -- cross-rule: suppression forms ---------------------------------------------------
 
 
@@ -505,7 +559,8 @@ class TestSuppressionForms:
 
 
 @pytest.mark.parametrize("rule_code", ["SPC001", "SPC002", "SPC004",
-                                       "SPC005", "SPC006", "SPC102"])
+                                       "SPC005", "SPC006", "SPC007",
+                                       "SPC102"])
 def test_every_rule_is_registered(rule_code):
     from repro.analysis import RULE_REGISTRY
     assert rule_code in RULE_REGISTRY
