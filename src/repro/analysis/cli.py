@@ -43,7 +43,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--deep", action="store_true",
                         help="additionally run the whole-program SPC1xx "
                              "pack (call-graph taint, CFG lifecycle "
-                             "paths, telemetry contract)")
+                             "paths, stale waivers)")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe the rule pack and exit")
 

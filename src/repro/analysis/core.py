@@ -158,7 +158,7 @@ class ProjectRule(Rule):
     Where :class:`Rule` sees one file at a time, a project rule sees the
     whole parsed project at once — the shared AST cache, the module
     index, resolved call edges — and can therefore check interprocedural
-    invariants (taint reachability, cross-module name contracts).
+    invariants (taint reachability, paths through the whole CFG).
 
     ``check_project`` receives a ``Project`` (see
     :mod:`repro.analysis.engine`) and yields violations anywhere in it;

@@ -13,8 +13,6 @@ edges (:mod:`.cfg`) — and runs interprocedural passes over it:
 |        | edges included; never-ended and dropped spans, and            |
 |        | `start_all` with no `stop_all`                                |
 | SPC103 | acquire/release-style resource pairs close on every CFG path  |
-| SPC104 | telemetry counter/span names at call sites resolve against    |
-|        | the registered-name contract (`repro.telemetry.names`)        |
 | SPC105 | `# spectra: noqa[CODE]` waivers that suppress nothing are     |
 |        | themselves findings (dead waivers can't accumulate)           |
 
@@ -23,7 +21,6 @@ registry; the rules only run under ``repro lint --deep``.
 """
 
 from . import (  # noqa: F401  (imported for registration side effect)
-    contracts,
     lifecycle,
     suppress,
     taint,
@@ -37,7 +34,6 @@ __all__ = [
     "ModuleInfo",
     "ProjectIndex",
     "build_cfg",
-    "contracts",
     "lifecycle",
     "suppress",
     "taint",

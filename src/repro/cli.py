@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "determinism and lifecycle invariants; exits 1 on "
                     "any violation.  --deep adds the whole-program "
                     "SPC1xx passes (call-graph taint, CFG lifecycle "
-                    "paths, telemetry contract) to the per-file rules; "
+                    "paths, stale waivers) to the per-file rules; "
                     "it is the CI gate.",
     )
     add_lint_arguments(lint)

@@ -21,6 +21,12 @@ from typing import Generator, List, Optional, Tuple
 from ..network import Network
 from ..sim import Simulator, Timeout
 from ..telemetry import Telemetry, ensure_telemetry
+from ..telemetry.names import (
+    CODA_REINTEGRATED_BYTES,
+    CODA_REINTEGRATE_S,
+    CODA_REINTEGRATIONS,
+    SPAN_CODA_REINTEGRATE,
+)
 from .cache import FileCache
 from .objects import volume_of
 from .reintegration import REINTEGRATION_EFFICIENCY, ChangeLog, Conflict
@@ -196,7 +202,7 @@ class CodaClient:
         if nbytes == 0:
             return 0.0
         span = self.telemetry.tracer.start_span(
-            "coda.reintegrate", host=self.host_name, volume=volume,
+            SPAN_CODA_REINTEGRATE, host=self.host_name, volume=volume,
             bytes=nbytes,
         )
         try:
@@ -237,9 +243,9 @@ class CodaClient:
             conflicts=len(self.conflicts) - conflicts_before,
         )
         metrics = self.telemetry.metrics
-        metrics.counter("coda.reintegrations").inc()
-        metrics.counter("coda.reintegrated_bytes").inc(nbytes)
-        metrics.histogram("coda.reintegrate_s").observe(elapsed)
+        metrics.counter(CODA_REINTEGRATIONS).inc()
+        metrics.counter(CODA_REINTEGRATED_BYTES).inc(nbytes)
+        metrics.histogram(CODA_REINTEGRATE_S).observe(elapsed)
         return elapsed
 
     def reintegrate_all(self) -> Generator:

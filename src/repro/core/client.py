@@ -59,6 +59,26 @@ from ..sim import Timeout
 from ..solver.heuristic import HeuristicSolver
 from ..solver.space import SearchSpace, SolverResult, SpaceCache
 from ..telemetry import Telemetry, ensure_telemetry
+from ..telemetry.names import (
+    OP_ELAPSED_S,
+    OP_ENERGY_J,
+    PREDICT_TIME_ABS_REL_ERR,
+    SPAN_ABORT_OP,
+    SPAN_BEGIN_OP,
+    SPAN_END_OP,
+    SPAN_FAILOVER,
+    SPAN_PHASE_CHOOSING,
+    SPAN_PHASE_CONSISTENCY,
+    SPAN_PHASE_FILE_CACHE,
+    SPAN_PHASE_SNAPSHOT,
+    SPECTRA_FAILOVERS,
+    SPECTRA_OPS_ABORTED,
+    SPECTRA_OPS_BEGUN,
+    SPECTRA_OPS_ENDED,
+    SPECTRA_POLL_ERRORS,
+    begin_phase_s,
+    ops_by_mode,
+)
 from .estimate import DemandEstimator
 from .operation import OperationSpec
 from .overhead import OverheadModel
@@ -304,7 +324,7 @@ class SpectraClient:
         return None
 
     def _count_poll_error(self, server_name: str) -> None:
-        self.telemetry.metrics.counter("spectra.poll.errors").inc()
+        self.telemetry.metrics.counter(SPECTRA_POLL_ERRORS).inc()
 
     def start_polling(self, interval_s: float = 5.0) -> None:
         """Begin periodic background polling of all servers."""
@@ -420,7 +440,7 @@ class SpectraClient:
 
         tracer = self.telemetry.tracer
         op_span = tracer.start_span(
-            "begin_fidelity_op", operation=operation, opid=opid,
+            SPAN_BEGIN_OP, operation=operation, opid=opid,
         )
         timings: Dict[str, float] = {}
         t_begin = self.sim.now
@@ -434,7 +454,7 @@ class SpectraClient:
             # entries (the Coda temp-file interface the paper calls out
             # in §4.4).
             t_phase = self.sim.now
-            with op_span.child("phase:file_cache_prediction") as phase_span:
+            with op_span.child(SPAN_PHASE_FILE_CACHE) as phase_span:
                 cached_entries = len(self.coda.cache)
                 yield from self.host.cpu.run(
                     self.overhead.cache_predict_base_cycles
@@ -446,7 +466,7 @@ class SpectraClient:
             timings["file_cache_prediction"] = self.sim.now - t_phase
 
             t_phase = self.sim.now
-            with op_span.child("phase:snapshot") as phase_span:
+            with op_span.child(SPAN_PHASE_SNAPSHOT) as phase_span:
                 snapshot = self._take_snapshot()
                 yield from self.host.cpu.run(
                     self.overhead.snapshot_per_server_cycles
@@ -462,7 +482,7 @@ class SpectraClient:
             )
 
             t_phase = self.sim.now
-            with op_span.child("phase:choosing") as phase_span:
+            with op_span.child(SPAN_PHASE_CHOOSING) as phase_span:
                 solver_result: Optional[SolverResult] = None
                 if force is not None:
                     alternative = force
@@ -496,7 +516,7 @@ class SpectraClient:
             # Consistency: flush dirty volumes the remote execution
             # will read.
             t_phase = self.sim.now
-            with op_span.child("phase:consistency") as phase_span:
+            with op_span.child(SPAN_PHASE_CONSISTENCY) as phase_span:
                 for volume in estimator.reintegration_volumes(alternative):
                     yield from self.coda.reintegrate_volume(volume)
                 phase_span.end()
@@ -536,10 +556,10 @@ class SpectraClient:
 
     def _count_decision(self, handle: OperationHandle) -> None:
         metrics = self.telemetry.metrics
-        metrics.counter("spectra.ops.begun").inc()
-        metrics.counter(f"spectra.ops.{self._decision_mode(handle)}").inc()
+        metrics.counter(SPECTRA_OPS_BEGUN).inc()
+        metrics.counter(ops_by_mode(self._decision_mode(handle))).inc()
         for phase, duration in handle.timings.items():
-            metrics.histogram(f"spectra.begin.{phase}_s").observe(duration)
+            metrics.histogram(begin_phase_s(phase)).observe(duration)
 
     def _trace_decision(self, op_span, handle: OperationHandle) -> None:
         """Close the begin span with the decision's full context."""
@@ -765,7 +785,7 @@ class SpectraClient:
         failed.
         """
         span = self.telemetry.tracer.start_span(
-            "spectra.failover", operation=handle.spec.name,
+            SPAN_FAILOVER, operation=handle.spec.name,
             opid=handle.opid, failed_server=failed_server,
             error=type(cause).__name__,
         )
@@ -798,7 +818,7 @@ class SpectraClient:
         handle.recording = recording
         self._note_concurrency(recording)
         self.monitors.start_all(recording)
-        self.telemetry.metrics.counter("spectra.failovers").inc()
+        self.telemetry.metrics.counter(SPECTRA_FAILOVERS).inc()
         span.end(outcome="replaced", alternative=alternative.describe())
 
         # Re-choosing costs decision time, like any choose phase.
@@ -900,10 +920,10 @@ class SpectraClient:
         self._active = [r for r in self._active if r is not handle.recording]
         if self.telemetry.tracer.enabled:
             self.telemetry.tracer.start_span(
-                "abort_fidelity_op", operation=handle.spec.name,
+                SPAN_ABORT_OP, operation=handle.spec.name,
                 opid=handle.opid, alternative=handle.alternative.describe(),
             ).end()
-        self.telemetry.metrics.counter("spectra.ops.aborted").inc()
+        self.telemetry.metrics.counter(SPECTRA_OPS_ABORTED).inc()
 
     def end_fidelity_op(self, handle: OperationHandle) -> Generator:
         """Process: finish the operation, update models, return a report."""
@@ -913,7 +933,7 @@ class SpectraClient:
             )
         handle.finished = True
         end_span = self.telemetry.tracer.start_span(
-            "end_fidelity_op", operation=handle.spec.name, opid=handle.opid,
+            SPAN_END_OP, operation=handle.spec.name, opid=handle.opid,
         )
         yield from self.host.cpu.run(
             self.overhead.end_cycles, owner=handle.recording.owner
@@ -984,9 +1004,9 @@ class SpectraClient:
         elapsed = recording.elapsed or 0.0
         energy = usage.get("energy:client", 0.0)
         metrics = self.telemetry.metrics
-        metrics.counter("spectra.ops.ended").inc()
-        metrics.histogram("spectra.op.elapsed_s").observe(elapsed)
-        metrics.histogram("spectra.op.energy_j").observe(energy)
+        metrics.counter(SPECTRA_OPS_ENDED).inc()
+        metrics.histogram(OP_ELAPSED_S).observe(elapsed)
+        metrics.histogram(OP_ENERGY_J).observe(energy)
         if handle.prediction is not None and elapsed > 0:
             error = abs(handle.prediction.total_time_s - elapsed) / elapsed
-            metrics.histogram("spectra.predict.time_abs_rel_err").observe(error)
+            metrics.histogram(PREDICT_TIME_ABS_REL_ERR).observe(error)

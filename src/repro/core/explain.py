@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry import fmt_rate, fmt_seconds
+from ..telemetry.names import SPAN_BEGIN_OP
 from .client import OperationHandle
 from .utility import AlternativePrediction
 
@@ -218,7 +219,7 @@ def explain_trace(spans: Sequence[Dict[str, Any]], top: int = 5,
     """
     decisions = [
         record for record in spans
-        if record.get("name") == "begin_fidelity_op"
+        if record.get("name") == SPAN_BEGIN_OP
         and (operation is None
              or record.get("attrs", {}).get("operation") == operation)
     ]

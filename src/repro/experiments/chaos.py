@@ -29,6 +29,7 @@ from ..faults import ChaosProfile, FaultInjector, PROFILES
 from ..faults.schedule import FaultEvent, recovery_action
 from ..rpc import RetryPolicy
 from ..telemetry import Telemetry
+from ..telemetry.names import REPORT_COUNTERS, SPECTRA_FAILOVERS
 from . import latex as latex_experiment
 from . import speech as speech_experiment
 
@@ -41,16 +42,6 @@ def default_retry_policy(seed: int) -> RetryPolicy:
         jitter=0.1, seed=seed,
     )
 
-
-#: Counters surfaced in the report (0.0 when never incremented).
-REPORT_COUNTERS = (
-    "spectra.failovers",
-    "spectra.ops.aborted",
-    "spectra.poll.errors",
-    "rpc.retries",
-    "rpc.failures",
-    "faults.injected",
-)
 
 #: Document rotation for the latex workload's chaos ops.
 LATEX_DOCUMENTS = ("small", "large")
@@ -115,7 +106,7 @@ class WorkloadChaosResult:
 
     @property
     def failovers(self) -> float:
-        return self.counters.get("spectra.failovers", 0.0)
+        return self.counters.get(SPECTRA_FAILOVERS, 0.0)
 
     @property
     def completed(self) -> bool:

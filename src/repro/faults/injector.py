@@ -39,6 +39,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..network import Network
 from ..sim import Simulator
 from ..telemetry import Telemetry, ensure_telemetry
+from ..telemetry.names import FAULTS_INJECTED, SPAN_FAULT_INJECT
 from .schedule import FaultEvent, FaultSchedule, Target
 
 
@@ -113,11 +114,11 @@ class FaultInjector:
         self.applied.append(entry)
         if self.telemetry.tracer.enabled:
             self.telemetry.tracer.start_span(
-                "fault.inject", action=event.action,
+                SPAN_FAULT_INJECT, action=event.action,
                 target=str(event.target), value=event.value,
                 aborted_transfers=aborted, effective=effective,
             ).end()
-        self.telemetry.metrics.counter("faults.injected").inc()
+        self.telemetry.metrics.counter(FAULTS_INJECTED).inc()
         return entry
 
     # -- server faults ------------------------------------------------------------

@@ -30,6 +30,11 @@ from typing import Any, Dict, List, Optional
 
 from ..rpc import ExchangeStats
 from ..telemetry import Telemetry, ensure_telemetry
+from ..telemetry.names import (
+    MONITORS_PREDICTIONS,
+    MONITORS_SNAPSHOTS,
+    SPAN_PREDICT_ALL,
+)
 from .snapshot import ResourceSnapshot
 
 
@@ -120,7 +125,7 @@ class MonitorSet:
                     server_names: List[str]) -> None:
         """Assemble the snapshot: global predictions, then per server."""
         span = self.telemetry.tracer.start_span(
-            "monitors.predict_all", monitors=len(self._monitors),
+            SPAN_PREDICT_ALL, monitors=len(self._monitors),
             servers=len(server_names),
         )
         for monitor in self._monitors:
@@ -131,8 +136,8 @@ class MonitorSet:
                 monitor.predict_avail(snapshot, server_name)
         span.end()
         metrics = self.telemetry.metrics
-        metrics.counter("monitors.snapshots").inc()
-        metrics.counter("monitors.predictions").inc(
+        metrics.counter(MONITORS_SNAPSHOTS).inc()
+        metrics.counter(MONITORS_PREDICTIONS).inc(
             len(self._monitors) * (1 + len(server_names))
         )
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..telemetry import Telemetry, ensure_telemetry
+from ..telemetry.names import STORE_ERRORS, STORE_LOADS, STORE_SAVES
 from .logs import UsageLog
 
 #: current document schema; anything else degrades to cold start
@@ -149,7 +150,7 @@ class PredictorStore:
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
         os.replace(tmp, path)
-        self.telemetry.metrics.counter("spectra.predictors.store.saves").inc()
+        self.telemetry.metrics.counter(STORE_SAVES).inc()
         return digest
 
     # -- loading ---------------------------------------------------------------------
@@ -209,10 +210,9 @@ class PredictorStore:
                 digest=document["digest"],
             )
         except (PredictorStoreError, KeyError, TypeError, ValueError):
-            self.telemetry.metrics.counter(
-                "spectra.predictors.store.errors").inc()
+            self.telemetry.metrics.counter(STORE_ERRORS).inc()
             return None
-        self.telemetry.metrics.counter("spectra.predictors.store.loads").inc()
+        self.telemetry.metrics.counter(STORE_LOADS).inc()
         return stored
 
     def digest(self, operation: str) -> Optional[str]:

@@ -28,6 +28,15 @@ from ..network import Network
 from ..sim import AnyOf, Simulator
 from ..sim.events import Timeout
 from ..telemetry import Telemetry, ensure_telemetry
+from ..telemetry.names import (
+    RPC_BYTES_RECEIVED,
+    RPC_BYTES_SENT,
+    RPC_CALLS,
+    RPC_FAILURES,
+    RPC_LATENCY_S,
+    RPC_RETRIES,
+    SPAN_RPC_CALL,
+)
 from .messages import (
     Request,
     Response,
@@ -145,7 +154,7 @@ class RpcTransport:
         effective = policy if policy is not None else self.retry_policy
         started = self._sim.now
         span = self.telemetry.tracer.start_span(
-            "rpc.call", src=src_host, dst=dst_host,
+            SPAN_RPC_CALL, src=src_host, dst=dst_host,
             service=request.service, optype=request.optype,
             opid=request.opid,
         )
@@ -162,9 +171,9 @@ class RpcTransport:
                                 and attempts < effective.max_attempts)
                 if not retries_left or not is_retryable(exc):
                     span.end(error=type(exc).__name__, attempts=attempts)
-                    self.telemetry.metrics.counter("rpc.failures").inc()
+                    self.telemetry.metrics.counter(RPC_FAILURES).inc()
                     raise
-                self.telemetry.metrics.counter("rpc.retries").inc()
+                self.telemetry.metrics.counter(RPC_RETRIES).inc()
                 try:
                     yield Timeout(effective.backoff_s(attempts))
                 except BaseException as backoff_exc:
@@ -188,10 +197,10 @@ class RpcTransport:
             attempts=attempts,
         )
         metrics = self.telemetry.metrics
-        metrics.counter("rpc.calls").inc()
-        metrics.counter("rpc.bytes_sent").inc(request.wire_bytes)
-        metrics.counter("rpc.bytes_received").inc(response.wire_bytes)
-        metrics.histogram("rpc.latency_s").observe(self._sim.now - started)
+        metrics.counter(RPC_CALLS).inc()
+        metrics.counter(RPC_BYTES_SENT).inc(request.wire_bytes)
+        metrics.counter(RPC_BYTES_RECEIVED).inc(response.wire_bytes)
+        metrics.histogram(RPC_LATENCY_S).observe(self._sim.now - started)
         return response
 
     def _attempt(self, src_host: str, dst_host: str, request: Request,

@@ -34,6 +34,7 @@ from ..predictors.store import PredictorStore
 from ..rpc import RetryPolicy, RpcError
 from ..sim import AllOf, Timeout
 from ..telemetry import Telemetry
+from ..telemetry.names import REPORT_COUNTERS
 from .arrivals import derive_seed, generate_arrivals, think_time
 from .compiler import CompiledClient, CompiledScenario, compile_scenario
 from .spec import ScenarioSpec
@@ -41,16 +42,6 @@ from .spec import ScenarioSpec
 #: Run profiles: ``full`` runs the spec as written; ``smoke`` shrinks it
 #: to CI size (short duration, few ops, little training).
 PROFILES = ("full", "smoke")
-
-#: Telemetry counters surfaced in every report (0 when never touched).
-REPORT_COUNTERS = (
-    "spectra.failovers",
-    "spectra.ops.aborted",
-    "spectra.poll.errors",
-    "rpc.retries",
-    "rpc.failures",
-    "faults.injected",
-)
 
 #: Measured-phase retry policy, derived from the scenario seed; armed
 #: only when the scenario has an environment timeline to survive.

@@ -34,6 +34,7 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..telemetry import Telemetry, ensure_telemetry
+from ..telemetry.names import SIM_EVENTS, SIM_PROCESSES
 from .events import Event, SimulationError, Timeout
 from .process import Process
 
@@ -121,8 +122,8 @@ class Simulator:
         self.telemetry.bind_clock(lambda: self._now)
         # Cached instruments: the null registry's are shared no-ops.
         metrics = self.telemetry.metrics
-        self._events_counter = metrics.counter("sim.events")
-        self._spawns_counter = metrics.counter("sim.processes")
+        self._events_counter = metrics.counter(SIM_EVENTS)
+        self._spawns_counter = metrics.counter(SIM_PROCESSES)
 
     # -- clock ---------------------------------------------------------------
 

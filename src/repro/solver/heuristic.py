@@ -31,6 +31,13 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry import Telemetry, ensure_telemetry
+from ..telemetry.names import (
+    SOLVER_EVALUATIONS,
+    SOLVER_PRUNED,
+    SOLVER_SOLVES,
+    SOLVER_VISITS,
+    SPAN_SOLVER_SOLVE,
+)
 from .space import PredictFn, SearchSpace, SolverResult, UtilityFn
 
 
@@ -71,7 +78,7 @@ class HeuristicSolver:
             return SolverResult(best=None, utility=float("-inf"), evaluations=0)
 
         span = self.telemetry.tracer.start_span(
-            "solver.solve", space_size=size, restarts=self.restarts,
+            SPAN_SOLVER_SOLVE, space_size=size, restarts=self.restarts,
         )
         cache: Dict[Tuple[int, ...], Tuple] = {}
         collect = self.collect_evaluated
@@ -126,10 +133,10 @@ class HeuristicSolver:
             trajectory=trajectory,
         )
         metrics = self.telemetry.metrics
-        metrics.counter("solver.solves").inc()
-        metrics.counter("solver.visits").inc(result.visits)
-        metrics.counter("solver.evaluations").inc(result.evaluations)
-        metrics.counter("solver.pruned").inc(result.visits - result.evaluations)
+        metrics.counter(SOLVER_SOLVES).inc()
+        metrics.counter(SOLVER_VISITS).inc(result.visits)
+        metrics.counter(SOLVER_EVALUATIONS).inc(result.evaluations)
+        metrics.counter(SOLVER_PRUNED).inc(result.visits - result.evaluations)
         return result
 
     # -- internals --------------------------------------------------------------------

@@ -11,6 +11,9 @@ The observability subsystem for the Spectra reproduction.  Three parts:
   trace into time/energy breakdowns and prediction-error tables
   (the ``repro trace`` CLI).
 
+Every counter, histogram and span name is a constant in
+:mod:`~repro.telemetry.names`, imported by each writer and reader.
+
 Entry points: a plain :class:`Telemetry` is metrics-only;
 :func:`jsonl_trace` yields one that also streams every finished span to
 a JSONL file.  Pass either to the world builder.  Components that

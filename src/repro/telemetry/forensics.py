@@ -25,6 +25,18 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .formatting import fmt_seconds, render_table
+from .names import (
+    PHASE_SPAN_PREFIX,
+    SIM_EVENTS,
+    SIM_PROCESSES,
+    SPAN_ABORT_OP,
+    SPAN_BEGIN_OP,
+    SPAN_CODA_REINTEGRATE,
+    SPAN_END_OP,
+    SPAN_PREDICT_ALL,
+    SPAN_RPC_CALL,
+    SPAN_SOLVER_SOLVE,
+)
 
 #: begin-phase rendering order (matches OperationHandle.timings)
 PHASES = ("file_cache_prediction", "snapshot", "choosing", "consistency")
@@ -137,16 +149,16 @@ def collect_operations(
     begin_ids: Dict[int, int] = {}  # begin span_id -> opid
     for record in spans:
         name = record["name"]
-        if name == "begin_fidelity_op":
+        if name == SPAN_BEGIN_OP:
             entry = op_for(record)
             if entry is not None:
                 entry.begin = record
                 begin_ids[record["span_id"]] = entry.opid
-        elif name == "end_fidelity_op":
+        elif name == SPAN_END_OP:
             entry = op_for(record)
             if entry is not None:
                 entry.end = record
-        elif name == "abort_fidelity_op":
+        elif name == SPAN_ABORT_OP:
             entry = op_for(record)
             if entry is not None:
                 entry.aborted = True
@@ -157,14 +169,14 @@ def collect_operations(
     # linkage — they carry no opid of their own.
     for record in spans:
         name = record["name"]
-        if name == "rpc.call":
+        if name == SPAN_RPC_CALL:
             opid = record["attrs"].get("opid")
             if opid in ops:
                 ops[opid].rpcs.append(record)
-        elif name.startswith("phase:"):
+        elif name.startswith(PHASE_SPAN_PREFIX):
             opid = begin_ids.get(record.get("parent_id"))
             if opid is not None:
-                phase = name.split(":", 1)[1]
+                phase = name[len(PHASE_SPAN_PREFIX):]
                 ops[opid].phases[phase] = record["duration"]
 
     return [ops[opid] for opid in sorted(ops)]
@@ -302,7 +314,7 @@ def render_subsystems(spans: Sequence[Dict[str, Any]],
                       metrics: Dict[str, Any]) -> List[str]:
     """Aggregate what the RPC, solver, and Coda layers reported."""
     lines = ["Subsystems:"]
-    rpcs = [s for s in spans if s["name"] == "rpc.call"]
+    rpcs = [s for s in spans if s["name"] == SPAN_RPC_CALL]
     if rpcs:
         failed = sum(1 for s in rpcs if "error" in s["attrs"])
         sent = sum(s["attrs"].get("bytes_sent", 0) for s in rpcs)
@@ -313,7 +325,7 @@ def render_subsystems(spans: Sequence[Dict[str, Any]],
             f"{sent / 1024:.1f} KB sent / {received / 1024:.1f} KB received, "
             f"{fmt_seconds(busy)} on the wire"
         )
-    solves = [s for s in spans if s["name"] == "solver.solve"]
+    solves = [s for s in spans if s["name"] == SPAN_SOLVER_SOLVE]
     if solves:
         visits = sum(s["attrs"].get("visits", 0) for s in solves)
         evaluations = sum(s["attrs"].get("evaluations", 0) for s in solves)
@@ -322,7 +334,7 @@ def render_subsystems(spans: Sequence[Dict[str, Any]],
             f"  solver: {len(solves)} solves, {visits} visits, "
             f"{evaluations} evaluations ({pruned} pruned by the memo table)"
         )
-    reintegrations = [s for s in spans if s["name"] == "coda.reintegrate"]
+    reintegrations = [s for s in spans if s["name"] == SPAN_CODA_REINTEGRATE]
     if reintegrations:
         nbytes = sum(s["attrs"].get("bytes", 0) for s in reintegrations)
         busy = sum(s["duration"] for s in reintegrations)
@@ -330,10 +342,10 @@ def render_subsystems(spans: Sequence[Dict[str, Any]],
             f"  coda: {len(reintegrations)} reintegration passes, "
             f"{nbytes / 1024:.1f} KB of CML drained in {fmt_seconds(busy)}"
         )
-    snapshots = [s for s in spans if s["name"] == "monitors.predict_all"]
+    snapshots = [s for s in spans if s["name"] == SPAN_PREDICT_ALL]
     if snapshots:
         lines.append(f"  monitors: {len(snapshots)} snapshot assemblies")
-    for name in ("sim.events", "sim.processes"):
+    for name in (SIM_EVENTS, SIM_PROCESSES):
         entry = metrics.get(name)
         if entry is not None:
             lines.append(f"  {name}: {entry.get('value', 0):.0f}")

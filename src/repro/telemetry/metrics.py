@@ -4,8 +4,8 @@ Where spans answer "what happened during *this* operation", metrics
 answer "what is the system doing in aggregate": RPCs issued, bytes
 moved, solver states visited, reintegration passes.  Any component can
 grab an instrument by name from the shared :class:`MetricsRegistry`;
-names are get-or-create, so instrumentation sites need no central
-declaration list.
+instruments are get-or-create, and every name is a constant imported
+from :mod:`~repro.telemetry.names`.
 
 Histograms use **fixed buckets**: observation cost is one bisect plus
 three adds, independent of how many samples arrive — the right trade

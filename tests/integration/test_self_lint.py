@@ -9,8 +9,9 @@ invocation must exit 0 on the tree as committed:
 
 Any new wall-clock call, unseeded RNG, unpaired lifecycle, float
 equality on a measurement, dead attribute, swallowed exception,
-call-graph determinism leak, telemetry-name typo, or stale suppression
-fails this test before it reaches CI.
+call-graph determinism leak, or stale suppression fails this test
+before it reaches CI.  (Telemetry-name typos are import errors; see
+``tests/unit/test_telemetry_names.py``.)
 
 The in-process checks share one deep sweep of the tree (its findings
 are a superset of the per-file pass's), and the plain and deep CLI

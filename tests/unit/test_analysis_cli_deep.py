@@ -64,6 +64,6 @@ class TestDeepFlag:
     def test_list_rules_marks_deep_pack(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SPC101", "SPC102", "SPC103", "SPC104", "SPC105"):
+        for code in ("SPC101", "SPC102", "SPC103", "SPC105"):
             assert code in out
         assert "[--deep]" in out

@@ -558,9 +558,17 @@ class TestSuppressionForms:
         assert codes(found) == ["SPC001"]
 
 
-@pytest.mark.parametrize("rule_code", ["SPC001", "SPC002", "SPC004",
-                                       "SPC005", "SPC006", "SPC007",
-                                       "SPC102"])
+#: The whole rule pack.  Adding or removing a rule is an edit here.
+EXPECTED_RULES = ("SPC001", "SPC002", "SPC004", "SPC005", "SPC006",
+                  "SPC007", "SPC101", "SPC102", "SPC103", "SPC105")
+
+
+def test_registry_holds_exactly_the_expected_rules():
+    from repro.analysis import RULE_REGISTRY
+    assert sorted(RULE_REGISTRY) == list(EXPECTED_RULES)
+
+
+@pytest.mark.parametrize("rule_code", EXPECTED_RULES)
 def test_every_rule_is_registered(rule_code):
     from repro.analysis import RULE_REGISTRY
     assert rule_code in RULE_REGISTRY

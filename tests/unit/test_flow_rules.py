@@ -282,100 +282,6 @@ class TestSPC103ResourcePairs:
         assert deep_lint(root, ["SPC103"]) == []
 
 
-class TestSPC104TelemetryContract:
-    REGISTRY = """\
-        COUNTER_NAMES = frozenset({
-            "rpc.calls",
-            "rpc.retries",
-        })
-        GAUGE_NAMES = frozenset()
-        HISTOGRAM_NAMES = frozenset({"rpc.latency_s"})
-        METRIC_PATTERNS = frozenset({"phase.*_s"})
-        SPAN_NAMES = frozenset({"rpc.call"})
-        SPAN_PREFIXES = frozenset({"phase:"})
-    """
-
-    def contract(self, tmp_path, writer_source):
-        root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/names.py": self.REGISTRY,
-            "pkg/writer.py": writer_source,
-        })
-        return deep_lint(root, ["SPC104"],
-                         options={"registry_module": "pkg.names"})
-
-    def test_registered_names_are_clean(self, tmp_path):
-        found = self.contract(tmp_path, """\
-            def observe(metrics, tracer, which):
-                metrics.counter("rpc.calls").inc()
-                metrics.counter("rpc.retries").inc()
-                metrics.histogram("rpc.latency_s").observe(0.1)
-                metrics.histogram("phase.setup_s").observe(0.2)
-                with tracer.span("rpc.call"):
-                    pass
-                with tracer.span("phase:" + which):
-                    pass
-        """)
-        assert found == []
-
-    def test_typo_in_counter_name_reported(self, tmp_path):
-        found = self.contract(tmp_path, """\
-            def observe(metrics):
-                metrics.counter("rpc.cals").inc()
-                metrics.counter("rpc.retries").inc()
-                metrics.histogram("rpc.latency_s").observe(0.1)
-        """)
-        typos = [v for v in found if "rpc.cals" in v.message]
-        assert len(typos) == 1
-        assert "not registered" in typos[0].message
-
-    def test_kind_mismatch_hint(self, tmp_path):
-        found = self.contract(tmp_path, """\
-            def observe(metrics):
-                metrics.counter("rpc.latency_s").inc()
-                metrics.counter("rpc.calls").inc()
-                metrics.counter("rpc.retries").inc()
-                metrics.histogram("rpc.latency_s").observe(0.1)
-        """)
-        mismatch = [v for v in found
-                    if "registered as a histogram" in v.message]
-        assert len(mismatch) == 1
-
-    def test_reader_comparison_typo_in_namespace(self, tmp_path):
-        found = self.contract(tmp_path, """\
-            def readers(records, metrics):
-                metrics.counter("rpc.calls").inc()
-                metrics.counter("rpc.retries").inc()
-                metrics.histogram("rpc.latency_s").observe(0.1)
-                return [r for r in records if r["name"] == "rpc.retrys"]
-        """)
-        typos = [v for v in found if "rpc.retrys" in v.message]
-        assert len(typos) == 1
-        assert "reader will never match a writer" in typos[0].message
-
-    def test_declared_but_unused_names_reported(self, tmp_path):
-        found = self.contract(tmp_path, """\
-            def observe(metrics):
-                metrics.counter("rpc.calls").inc()
-                metrics.histogram("rpc.latency_s").observe(0.1)
-        """)
-        unused = [v for v in found if "rpc.retries" in v.message]
-        assert len(unused) == 1
-        assert unused[0].path.endswith("names.py")
-
-    def test_missing_registry_is_a_noop(self, tmp_path):
-        root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/writer.py": """\
-                def observe(metrics):
-                    metrics.counter("anything.at.all").inc()
-            """,
-        })
-        found = deep_lint(root, ["SPC104"],
-                          options={"registry_module": "pkg.names"})
-        assert found == []
-
-
 class TestSPC105UnusedSuppressions:
     def test_stale_waiver_reported(self, tmp_path):
         root = write_fixture(tmp_path, {
