@@ -22,7 +22,8 @@ the dirty small-document volume is not needed, so no reintegration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Generator, Optional, Tuple
 
 from ..coda import CodaClient, FileServer
 from ..core import OperationSpec, SpectraClient, local_plan, remote_plan
@@ -49,19 +50,26 @@ class Document:
     def volume(self) -> str:
         return f"latex-{self.name}"
 
-    @property
+    # Every operation on a document reads and writes the same paths, and
+    # its file-access records and usage samples keep them: build each
+    # path string once per document, not once per call.
+
+    @cached_property
     def main_input(self) -> str:
         """Path of the top-level input file (the data-object key)."""
-        return f"/{self.volume}/{self.inputs[0][0]}"
+        return self.input_paths[0][0]
 
-    def input_paths(self) -> List[Tuple[str, int]]:
-        return [(f"/{self.volume}/{name}", size) for name, size in self.inputs]
+    @cached_property
+    def input_paths(self) -> Tuple[Tuple[str, int], ...]:
+        return tuple((f"/{self.volume}/{name}", size)
+                     for name, size in self.inputs)
 
-    def output_paths(self) -> List[Tuple[str, int]]:
-        return [
+    @cached_property
+    def output_paths(self) -> Tuple[Tuple[str, int], ...]:
+        return (
             (f"/{self.volume}/{self.name}.dvi", self.dvi_bytes),
             (f"/{self.volume}/{self.name}.aux", self.aux_bytes),
-        ]
+        )
 
 
 #: The paper's two evaluation documents: 14 and 123 pages.  Input sizes
@@ -123,12 +131,12 @@ class LatexService(Service):
         if ctx.optype != "format":
             raise ValueError(f"latex: unknown optype {ctx.optype!r}")
         doc = self.documents[ctx.params["document"]]
-        for path, _size in doc.input_paths():
+        for path, _size in doc.input_paths:
             yield from ctx.access(path)
         yield from ctx.compute(self.model.cycles(doc.pages, doc.complexity),
                                fp_fraction=self.model.fp_fraction)
         if ctx.coda is not None:
-            for path, size in doc.output_paths():
+            for path, size in doc.output_paths:
                 yield from ctx.coda.modify(path, size)
         return OpResult(outdata_bytes=256,
                         result=f"<dvi for {doc.name}: {doc.pages} pages>")
@@ -192,10 +200,10 @@ class LatexApplication:
 
 def install_document(fileserver: FileServer, document: Document) -> None:
     """Create a document's files on the Coda file server."""
-    for path, size in document.input_paths():
+    for path, size in document.input_paths:
         if not fileserver.exists(path):
             fileserver.create_file(path, size)
-    for path, size in document.output_paths():
+    for path, size in document.output_paths:
         if not fileserver.exists(path):
             fileserver.create_file(path, size)
 
@@ -203,8 +211,8 @@ def install_document(fileserver: FileServer, document: Document) -> None:
 def warm_document(coda: CodaClient, document: Document,
                   outputs: bool = False) -> None:
     """Populate a machine's cache with a document's inputs (and outputs)."""
-    for path, _size in document.input_paths():
+    for path, _size in document.input_paths:
         coda.warm(path)
     if outputs:
-        for path, _size in document.output_paths():
+        for path, _size in document.output_paths:
             coda.warm(path)

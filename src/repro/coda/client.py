@@ -9,14 +9,14 @@ cached" is a statement about server B's Coda client).  The client:
 * buffers writes in a client modify log (CML) when *weakly connected*,
   or reintegrates them immediately when strongly connected;
 * exposes the observation hooks Spectra's file-cache-state monitor needs:
-  the list of cached files, a fetch-rate estimate, and a per-operation
-  access log.
+  the list of cached files, a fetch-rate estimate, and the accesses
+  since a mark taken when an operation starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..network import Network
 from ..sim import Simulator, Timeout
@@ -37,7 +37,7 @@ class DisconnectedError(RuntimeError):
     """Raised when an uncached file is accessed with no path to the server."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileAccess:
     """One observed file access (the monitor's raw material)."""
 
@@ -92,7 +92,12 @@ class CodaClient:
         self.cache = FileCache(cache_capacity_bytes)
         self.cml = ChangeLog()
         self.weakly_connected = weakly_connected
-        self.access_log: List[FileAccess] = []
+        # The accesses since the oldest open mark (access_log_mark), the
+        # first of them numbered _log_start; empty while no mark is open.
+        self._access_log: List[FileAccess] = []
+        self._log_start = 0
+        # Open mark -> how many holders; insertion order is mark order.
+        self._open_marks: Dict[int, int] = {}
         self._trickling = False
         #: update/update conflicts detected at reintegration
         self.conflicts: List[Conflict] = []
@@ -117,7 +122,7 @@ class CodaClient:
         entry = self.cache.get(path)
         if entry is not None and (entry.has_callback or entry.dirty):
             record = FileAccess(self._sim.now, path, entry.size, hit=True)
-            self.access_log.append(record)
+            self._log_access(record)
             return record
 
         if entry is not None and not entry.has_callback:
@@ -132,7 +137,7 @@ class CodaClient:
                 entry.has_callback = True
                 self.server.grant_callback(path, self.name)
                 record = FileAccess(self._sim.now, path, entry.size, hit=True)
-                self.access_log.append(record)
+                self._log_access(record)
                 return record
             self.cache.evict(path)
 
@@ -146,7 +151,7 @@ class CodaClient:
         self.cache.insert(path, authoritative.size, authoritative.version)
         self.server.grant_callback(path, self.name)
         record = FileAccess(self._sim.now, path, authoritative.size, hit=False)
-        self.access_log.append(record)
+        self._log_access(record)
         return record
 
     def _require_connection(self, path: str) -> Generator:
@@ -310,11 +315,38 @@ class CodaClient:
         return probe / elapsed if elapsed > 0 else 0.0
 
     def access_log_mark(self) -> int:
-        """Bookmark for slicing per-operation accesses (monitor start_op)."""
-        return len(self.access_log)
+        """Open a mark: :meth:`accesses_since` it lists every access from
+        now on, in order, until :meth:`release_access_mark`.
+
+        A monitor takes one per operation (``start_op``), a server one
+        per request.  Only accesses an open mark can still see are kept.
+        """
+        mark = self._log_start + len(self._access_log)
+        self._open_marks[mark] = self._open_marks.get(mark, 0) + 1
+        return mark
 
     def accesses_since(self, mark: int) -> List[FileAccess]:
-        return self.access_log[mark:]
+        if mark not in self._open_marks:
+            raise ValueError(f"{self.name}: access mark {mark} is not open")
+        return self._access_log[mark - self._log_start:]
+
+    def release_access_mark(self, mark: int) -> None:
+        """Close *mark*, and drop the accesses no open mark can see."""
+        holders = self._open_marks.get(mark)
+        if holders is None:
+            raise ValueError(f"{self.name}: access mark {mark} is not open")
+        if holders > 1:
+            self._open_marks[mark] = holders - 1
+            return
+        del self._open_marks[mark]
+        oldest = next(iter(self._open_marks),
+                      self._log_start + len(self._access_log))
+        del self._access_log[:oldest - self._log_start]
+        self._log_start = oldest
+
+    def _log_access(self, record: FileAccess) -> None:
+        if self._open_marks:
+            self._access_log.append(record)
 
     # -- hoarding ---------------------------------------------------------------------
 

@@ -53,6 +53,11 @@ class SpectraServer:
         self.overhead = overhead if overhead is not None else OverheadModel()
         self._services: Dict[str, Service] = {}
         self._active_operations = 0
+        # Requests in progress per CPU owner.  Concurrent requests of one
+        # operation share its owner (Pangloss's parallel engines landing
+        # on one server), and each reads the owner's total; the owner is
+        # released when the last of them ends.
+        self._requests_by_owner: Dict[str, int] = {}
         #: The paper's "network partition in which the Spectra server is
         #: unavailable [but] the file servers remain accessible": flip
         #: this False and the daemon stops answering while the host's
@@ -120,14 +125,18 @@ class SpectraServer:
             )
         owner = f"{request.service}#{request.opid}@{self.host.name}"
         self._active_operations += 1
+        self._requests_by_owner[owner] = (
+            self._requests_by_owner.get(owner, 0) + 1
+        )
+        coda_mark: Optional[int] = None
         try:
             # Server-side dispatch overhead (context switch, unmarshal).
             yield from self.host.cpu.run(
                 self.overhead.rpc_server_cycles, owner=owner
             )
             cycles_before = self.host.cpu.cycles_used_by(owner)
-            coda_mark = (self.coda.access_log_mark()
-                         if self.coda is not None else 0)
+            if self.coda is not None:
+                coda_mark = self.coda.access_log_mark()
 
             ctx = OpContext(self.host, self.coda, request, owner)
             try:
@@ -147,7 +156,7 @@ class SpectraServer:
 
             cycles_used = self.host.cpu.cycles_used_by(owner) - cycles_before
             file_accesses: Dict[str, int] = {}
-            if self.coda is not None:
+            if coda_mark is not None:
                 for access in self.coda.accesses_since(coda_mark):
                     file_accesses[access.path] = access.size
             return Response(
@@ -161,4 +170,12 @@ class SpectraServer:
                 file_accesses=file_accesses,
             )
         finally:
+            # The request's last reads are done, on success or failure.
             self._active_operations -= 1
+            others = self._requests_by_owner.pop(owner) - 1
+            if others:
+                self._requests_by_owner[owner] = others
+            else:
+                self.host.cpu.release(owner)
+            if coda_mark is not None:
+                self.coda.release_access_mark(coda_mark)

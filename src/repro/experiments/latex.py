@@ -79,7 +79,7 @@ def _apply_scenario(world: CompiledScenario, app: LatexApplication,
         # Server B loses every input file of both documents.
         coda_b = world.nodes["server-b"].coda
         for doc in DOCUMENTS.values():
-            for path, _size in doc.input_paths():
+            for path, _size in doc.input_paths:
                 if coda_b.is_cached(path):
                     coda_b.flush(path)
         world.poll()  # the client's proxy must see B's cold cache

@@ -52,6 +52,8 @@ class CPU:
         )
         # In-flight job -> owner, in submission order.
         self._active: Dict[FairShareJob, str] = {}
+        # Cycles of each owner's finished jobs, kept from the owner's
+        # first submit or read until :meth:`release`.
         self._finished_cycles: Dict[str, float] = {}
         self._external_owners: set = set()
         # Exponentially smoothed *external* load (total fair-share weight
@@ -144,6 +146,7 @@ class CPU:
             self._external_owners.add(owner)
         job = self._resource.submit(cycles, weight=weight)
         if job.remaining > 0:
+            self._finished_cycles.setdefault(owner, 0.0)
             self._active[job] = owner
             job.done.add_callback(lambda _ev: self._retire(owner, job))
         else:
@@ -174,6 +177,10 @@ class CPU:
 
         Includes partially served in-flight jobs, so sampling before and
         after an operation yields exactly the cycles the operation burned.
+        A read opens *owner*'s ledger entry, like a submit, until
+        :meth:`release`: whoever reads an operation's owner must release
+        it after its last read, or the ledger keeps one entry per
+        operation again.
         """
         self._resource._settle()
         in_flight = sum(
@@ -181,15 +188,35 @@ class CPU:
             for job, job_owner in self._active.items()
             if job_owner == owner
         )
-        return self._finished_cycles.get(owner, 0.0) + in_flight
+        return self._finished_cycles.setdefault(owner, 0.0) + in_flight
+
+    def release(self, owner: str) -> None:
+        """Forget *owner*'s cycles: its last :meth:`cycles_used_by` read is done.
+
+        Operation owners are unique per operation, so every reader of
+        one (the CPU monitors' ``stop_op``, the Spectra server when its
+        requests of the operation end) calls this after its last read;
+        without it the ledger grows by one entry per operation.  The
+        caller must also be the owner's last open reader: a release under
+        another reader drops cycles that reader is still measuring.
+
+        A job of *owner* still in flight runs on; when it finishes, its
+        cycles are charged only if *owner* was read or submitted to
+        again since the release.  A reader that starts after that job
+        finished never sees its cycles, so nothing reads a difference
+        that includes them.
+        """
+        self._finished_cycles.pop(owner, None)
 
     # -- internals ---------------------------------------------------------------
 
     def _retire(self, owner: str, job: FairShareJob) -> None:
         self._active.pop(job)
-        self._finished_cycles[owner] = (
-            self._finished_cycles.get(owner, 0.0) + (job.amount - job.remaining)
-        )
+        finished = self._finished_cycles.get(owner)
+        if finished is not None:  # None: released, and not read since
+            self._finished_cycles[owner] = (
+                finished + (job.amount - job.remaining)
+            )
         self._resync_external()
 
     def _sample_utilization(self) -> None:

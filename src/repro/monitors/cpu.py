@@ -48,6 +48,7 @@ class LocalCPUMonitor(ResourceMonitor):
         if start is None:
             raise RuntimeError("cpu monitor stop_op without start_op")
         used = self._host.cpu.cycles_used_by(recording.owner) - start
+        self._host.cpu.release(recording.owner)
         recording.usage[self.RESOURCE] = recording.usage.get(self.RESOURCE, 0.0) + used
 
 
@@ -80,4 +81,5 @@ class ServerCPUMonitor(ResourceMonitor):
         if start is None:
             raise RuntimeError("server cpu monitor stop_op without start_op")
         used = self._host.cpu.cycles_used_by(recording.owner) - start
+        self._host.cpu.release(recording.owner)
         recording.usage[self.RESOURCE] = recording.usage.get(self.RESOURCE, 0.0) + used

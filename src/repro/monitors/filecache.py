@@ -52,3 +52,4 @@ class FileCacheMonitor(ResourceMonitor):
             raise RuntimeError("filecache monitor stop_op without start_op")
         for access in self._coda.accesses_since(mark):
             recording.file_accesses[access.path] = access.size
+        self._coda.release_access_mark(mark)

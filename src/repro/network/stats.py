@@ -17,7 +17,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from ..copying import deepcopy_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferRecord:
     """One logged network transfer.
 

@@ -7,6 +7,7 @@ from .fileaccess import FileAccessPredictor
 from .linear import EWMAModel, RecencyWeightedLinearModel
 from .logs import (
     DiscreteContext,
+    FeatureContext,
     UsageLog,
     UsageSample,
     canonical_discrete_value,
@@ -28,6 +29,7 @@ __all__ = [
     "DemandModel",
     "DiscreteContext",
     "EWMAModel",
+    "FeatureContext",
     "FileAccessPredictor",
     "NoModelError",
     "OperationDemandPredictor",

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence
 
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
-from .logs import UsageLog, UsageSample
+from .logs import FeatureContext, UsageLog, UsageSample
 
 
 class DemandModel(Protocol):
@@ -132,7 +132,9 @@ class OperationDemandPredictor:
     def _absorb(self, sample: UsageSample, record: bool,
                 skip_energy_when_concurrent: bool = True) -> None:
         discrete = sample.discrete_dict()
-        continuous = sample.continuous_dict()
+        # One feature row per sample, kept by every model that observes it.
+        continuous = FeatureContext(sample.continuous_dict(),
+                                    self.feature_names)
         for resource, value in sample.usage_dict().items():
             if (sample.concurrent and skip_energy_when_concurrent
                     and resource.startswith("energy")):

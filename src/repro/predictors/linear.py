@@ -33,12 +33,50 @@ shipped workload loads numpy at all.
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+import sys
+from math import ldexp
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..copying import deepcopy_state
+from .logs import FeatureRow, feature_row
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+#: Below the smallest normal float, every product and quotient rounds to
+#: a multiple of 2**-1074, so a weighted sum over subnormal values rounds
+#: once per term and the division rounds again.  Lifted by 2**1074, the
+#: smallest subnormal becomes 1.0 and the largest stays below 2**52: the
+#: sums round at full precision, and lowering the result rounds once.
+_MIN_NORMAL = sys.float_info.min
+_SUBNORMAL_LIFT = 1074
+
+
+def _subnormal_lift(ys: Sequence[float]) -> int:
+    """The power of two to lift *ys* by: ``_SUBNORMAL_LIFT`` when every
+    value is subnormal or zero and one is not zero, else 0."""
+    if not any(ys):
+        return 0
+    return _SUBNORMAL_LIFT if max(map(abs, ys)) < _MIN_NORMAL else 0
+
+
+def recency_mean(ys: Sequence[float], decay: float) -> float:
+    """Recency-weighted mean: the newest (last) value has weight 1 and
+    each older one ``decay`` times the next."""
+    total = weighted = 0.0
+    weight = 1.0
+    for y in reversed(ys):
+        total += weight
+        weighted += weight * y
+        weight *= decay
+    mean = weighted / total
+    if abs(mean) < _MIN_NORMAL:
+        lift = _subnormal_lift(ys)
+        if lift:
+            return ldexp(recency_mean([ldexp(y, lift) for y in ys], decay),
+                         -lift)
+    return mean
 
 
 def weighted_line(xs: Sequence[float], ys: Sequence[float],
@@ -51,12 +89,19 @@ def weighted_line(xs: Sequence[float], ys: Sequence[float],
     ``Sxx = Σ w·dx²`` and ``Sxy = Σ w·dx·dy``; then ``slope = Sxy/Sxx``
     and ``intercept = ȳ − slope·x̄``.  Returns ``(intercept, slope)``, or
     ``None`` when ``Sxx`` is not positive: every *x* equal, or the
-    points that differ weighted down to nothing by underflow.
+    points that differ weighted down to nothing by underflow.  Both
+    coefficients are linear in *y*, so a window of subnormal values is
+    solved lifted into the normal range and the coefficients lowered.
     """
     weights = [decay ** age for age in range(len(ys) - 1, -1, -1)]
     total = sum(weights)
     mean_x = sum(w * x for w, x in zip(weights, xs)) / total
     mean_y = sum(w * y for w, y in zip(weights, ys)) / total
+    # A window of subnormal values has a subnormal mean.
+    lift = _subnormal_lift(ys) if abs(mean_y) < _MIN_NORMAL else 0
+    if lift:
+        ys = [ldexp(y, lift) for y in ys]
+        mean_y = sum(w * y for w, y in zip(weights, ys)) / total
     sxx = sxy = 0.0
     for w, x, y in zip(weights, xs, ys):
         dx = x - mean_x
@@ -65,7 +110,10 @@ def weighted_line(xs: Sequence[float], ys: Sequence[float],
     if sxx <= 0.0:
         return None
     slope = sxy / sxx
-    return mean_y - slope * mean_x, slope
+    intercept = mean_y - slope * mean_x
+    if lift:
+        return ldexp(intercept, -lift), ldexp(slope, -lift)
+    return intercept, slope
 
 
 class RecencyWeightedLinearModel:
@@ -93,7 +141,7 @@ class RecencyWeightedLinearModel:
         self.feature_names: Tuple[str, ...] = tuple(feature_names)
         self.decay = decay
         self.window = window
-        self._xs: List[Tuple[float, ...]] = []
+        self._xs: List[FeatureRow] = []
         self._ys: List[float] = []
         # The fit: intercept + slope * the one varying feature, or just
         # the intercept (the weighted mean) when no feature varied ...
@@ -109,9 +157,14 @@ class RecencyWeightedLinearModel:
 
     # -- updating -------------------------------------------------------------------
 
-    def observe(self, features: Dict[str, float], value: float) -> None:
-        """Add one (features → value) observation."""
-        x = tuple(float(features.get(name, 0.0)) for name in self.feature_names)
+    def observe(self, features: Mapping[str, float], value: float) -> None:
+        """Add one (features → value) observation.
+
+        The model keeps the row :func:`~repro.predictors.logs.feature_row`
+        returns: a :class:`~repro.predictors.logs.FeatureContext` built
+        for this model's features hands over the row it carries.
+        """
+        x = feature_row(features, self.feature_names)
         if x:
             last = self._xs[-1] if self._xs else x
             self._runs = tuple(run + 1 if new == old else 1
@@ -183,13 +236,7 @@ class RecencyWeightedLinearModel:
         """Recency-weighted mean of observed values (feature-free view)."""
         if not self._ys:
             raise ValueError("model has no observations")
-        total = weighted = 0.0
-        weight = 1.0
-        for y in reversed(self._ys):
-            total += weight
-            weighted += weight * y
-            weight *= self.decay
-        return weighted / total
+        return recency_mean(self._ys, self.decay)
 
     # -- internals --------------------------------------------------------------------
 

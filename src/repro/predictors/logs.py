@@ -84,7 +84,45 @@ class DiscreteContext(dict):
         self.key: DiscreteKey = discrete_key(discrete) if key is None else key
 
 
-@dataclass(frozen=True)
+FeatureRow = Tuple[float, ...]
+
+
+def feature_row(continuous: Mapping[str, float],
+                names: Tuple[str, ...]) -> FeatureRow:
+    """The values of *names* in *continuous*, as floats (0.0 if absent).
+
+    This is the row a demand model stores per sample.  A
+    :class:`FeatureContext` built for the same *names* hands back the
+    row it carries, so every model that observes one sample holds one
+    row object.
+    """
+    if type(continuous) is FeatureContext and continuous.names == names:
+        return continuous.row
+    return tuple(float(continuous.get(name, 0.0)) for name in names)
+
+
+class FeatureContext(dict):
+    """Continuous inputs that carry their feature row.
+
+    One logged sample is observed by every demand model of its
+    operation: each resource's general model, its data-object model,
+    and the bin and generic regressions inside each.  A context built
+    once per sample (``OperationDemandPredictor._absorb``) builds the
+    row once, and each model keeps that row instead of its own copy.
+    Like :class:`DiscreteContext` it is a plain mapping to everything
+    else, and read-only by contract.
+    """
+
+    __slots__ = ("names", "row")
+
+    def __init__(self, continuous: Mapping[str, float],
+                 names: Tuple[str, ...]):
+        super().__init__(continuous)
+        self.names = names
+        self.row: FeatureRow = feature_row(continuous, names)
+
+
+@dataclass(frozen=True, slots=True)
 class UsageSample:
     """One operation execution's context and measured resource usage.
 

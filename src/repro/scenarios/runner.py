@@ -75,7 +75,7 @@ def smoke_spec(spec: ScenarioSpec) -> ScenarioSpec:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     """One measured operation as the runner saw it."""
 

@@ -1,0 +1,181 @@
+"""Per-operation state is held once and released when the operation ends.
+
+After a drained run:
+
+* no host's CPU ledger holds a finished operation's owner: it holds
+  only owners with jobs in flight, external (background) owners, and
+  the Spectra daemon's own ``"spectra"`` owner;
+* every Coda client's access log is empty, with no mark left open;
+* the built-in demand models that observed one logged sample hold one
+  feature row object between them.
+
+The runs are the benchmark's two scenario workloads in their
+``small=True`` shape (``bench/workloads.py``): the Latex crowd's server
+outages, RPC retries and failover on a shared medium, and the metro
+cells' null operations.  A ``clone_world`` copy of a trained Latex world
+must hold the same, before and after it runs an operation, and so must
+a Pangloss world whose parallel engines share the one server left up.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from repro.experiments import latex
+from repro.experiments.parallel import PARALLEL_APP
+from repro.experiments.runner import clone_world
+from repro.scenarios import compile_scenario, runner
+from repro.scenarios.library import thinkpad_testbed
+from repro.telemetry.names import SPECTRA_FAILOVERS
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
+
+#: the owner ``SpectraClient.register_fidelity`` charges: the daemon's
+#: own, not an operation's
+DAEMON_OWNER = "spectra"
+
+
+def _drained_workload_world(monkeypatch, workload):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    worlds = []
+    compile_scenario = runner.compile_scenario
+
+    def capture(*args, **kwargs):
+        worlds.append(compile_scenario(*args, **kwargs))
+        return worlds[-1]
+
+    monkeypatch.setattr(runner, "compile_scenario", capture)
+    report = runner.run_scenario(
+        workloads.scenario_spec(workload, seed=1, small=True))
+    (world,) = worlds
+    assert not world.sim.pending
+    return world, report
+
+
+def assert_ledgers_bounded(world):
+    for node in world.nodes.values():
+        cpu = node.host.cpu
+        allowed = (set(cpu._active.values()) | cpu._external_owners
+                   | {DAEMON_OWNER})
+        assert set(cpu._finished_cycles) <= allowed, node.name
+
+
+def assert_access_logs_empty(world):
+    for node in world.nodes.values():
+        assert node.coda._access_log == [], node.name
+        assert node.coda._open_marks == {}, node.name
+
+
+def _last_sample_rows(predictor):
+    """The newest row of every built-in model that observed the
+    predictor's newest logged sample."""
+    sample = predictor.log.samples()[-1]
+    rows = []
+    for resource, _value in sample.usage:
+        if sample.concurrent and resource.startswith("energy"):
+            continue  # energy models skip concurrent samples
+        model = predictor._models[resource]
+        binned = [model._general]
+        if sample.data_object in model._per_object:
+            binned.append(model._per_object[sample.data_object])
+        for models in binned:
+            rows.append(models._generic._xs[-1])
+            rows.append(models._bins[sample.discrete]._xs[-1])
+    return sample, rows
+
+
+def _linear_models(predictor):
+    for model in predictor._models.values():
+        for binned in (model._general, *model._per_object.values()):
+            yield binned._generic
+            yield from binned._bins.values()
+
+
+def assert_rows_shared(world):
+    checked = 0
+    for compiled in world.clients:
+        for registered in compiled.client._operations.values():
+            predictor = registered.predictor
+            sample, rows = _last_sample_rows(predictor)
+            assert len(rows) >= 4
+            assert all(row is rows[0] for row in rows)
+            assert rows[0] == tuple(dict(sample.continuous)[name]
+                                    for name in predictor.feature_names)
+            # Every row any model keeps is one sample's row: at most one
+            # row object per logged sample.
+            held = {id(row) for model in _linear_models(predictor)
+                    for row in model._xs}
+            assert len(held) <= len(predictor.log)
+            checked += 1
+    assert checked
+
+
+def test_drained_latex_crowd_holds_no_finished_operation(monkeypatch):
+    world, report = _drained_workload_world(monkeypatch, "latex-crowd")
+    assert report.counters[SPECTRA_FAILOVERS] > 0
+    assert_ledgers_bounded(world)
+    assert_access_logs_empty(world)
+    assert_rows_shared(world)
+
+
+def test_drained_metro_holds_no_finished_operation(monkeypatch):
+    world, _report = _drained_workload_world(monkeypatch, "metro")
+    assert_ledgers_bounded(world)
+    assert_access_logs_empty(world)
+    assert_rows_shared(world)
+
+
+def test_parallel_engines_on_one_server_hold_no_finished_operation():
+    # With server-b down, the parallel-engines plan runs EBMT and the
+    # glossary on server-a at once: two overlapping requests of one
+    # operation, sharing one CPU owner there.
+    world = compile_scenario(thinkpad_testbed(PARALLEL_APP))
+    app, client = world.clients[0].app, world.clients[0].client
+    world.nodes["server-b"].server.available = False
+    world.sim.run_process(client.poll_servers())
+    assert client.known_servers() == ["server-a"]
+    full = {"ebmt": "on", "glossary": "on", "dictionary": "on"}
+    (parallel,) = [a for a in app.spec.alternatives(["server-a"])
+                   if a.plan.parallelism > 1 and a.fidelity_dict() == full]
+
+    server = world.nodes["server-a"]
+    submitted = []
+    run = server.host.cpu.run
+
+    def spy(cycles, owner, **kwargs):
+        submitted.append(cycles)
+        return run(cycles, owner=owner, **kwargs)
+
+    server.host.cpu.run = spy
+    report = world.sim.run_process(app.translate(18, force=parallel))
+    world.sim.run()
+    # Each request reports at least its own service cycles (its window
+    # may also hold the other's): everything server-a ran but the two
+    # dispatch overheads.
+    services = sum(submitted) - 2 * server.server.overhead.rpc_server_cycles
+    assert services > 0
+    assert report.usage["cpu:remote"] >= services
+    assert_ledgers_bounded(world)
+    assert_access_logs_empty(world)
+
+
+@pytest.fixture(scope="module")
+def trained_latex():
+    return latex._train()
+
+
+def test_clone_of_a_trained_world_holds_no_finished_operation(trained_latex):
+    clone = clone_world(trained_latex)
+    for world, _app in (trained_latex, clone):
+        assert_ledgers_bounded(world)
+        assert_access_logs_empty(world)
+        assert_rows_shared(world)
+    world, app = clone
+    world.sim.run_process(app.format("large"))
+    world.sim.run()
+    assert_ledgers_bounded(world)
+    assert_access_logs_empty(world)
+    assert_rows_shared(world)

@@ -27,7 +27,7 @@ import copy
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.monitors import NetworkMonitor
 from repro.monitors.snapshot import NetworkEstimate
@@ -225,8 +225,18 @@ def test_run_length_constancy_matches_max_equals_min(run):
     observe_all(clone, run, clone_history, run["more"], run["more_ys"], check)
 
 
+#: A flat window of subnormal values: the exact weighted mean,
+#: 0.9 * 5e-324 / 1.9, is under half the smallest subnormal, so it rounds
+#: to 0.0, as lstsq's does.  Summed unlifted, the product and the division
+#: each rounded up, to 5e-324.
+SUBNORMAL_FLAT_WINDOW = dict(
+    names=("a",), window=2, decay=0.9, rows=[(0.0,), (0.0,)],
+    ys=[5e-324, 0.0], more=[], more_ys=[], split=2, probe=(0.0,))
+
+
 @settings(max_examples=300, deadline=None)
 @given(run=demand_runs())
+@example(run=SUBNORMAL_FLAT_WINDOW)
 def test_flat_windows_fit_the_weighted_mean_varying_ones_lstsq(run):
     def check(model, xs, ys):
         want, constant = lstsq_refit(xs, ys, run["decay"])
@@ -281,8 +291,17 @@ def line_runs(draw):
         probe=draw(st.tuples(*[st.floats(-1e6, 1e6)] * k)))
 
 
+#: A line through (0, 0.0) and (1, 5e-324): the intercept is 0.0, as
+#: lstsq's is.  Unlifted, ``Sxy`` rounded to 0.0 and the intercept came
+#: out as the rounded-up mean, 5e-324.
+SUBNORMAL_LINE_WINDOW = dict(
+    names=("a",), varying=0, window=2, decay=0.5, rows=[(0.0,), (1.0,)],
+    ys=[0.0, 5e-324], probe=(0.0,))
+
+
 @settings(max_examples=300, deadline=None)
 @given(run=line_runs())
+@example(run=SUBNORMAL_LINE_WINDOW)
 def test_one_varying_feature_fits_a_line_without_lstsq(run):
     """The closed-form line matches the oracle's coefficients, and so its
     predictions, within ``REL`` and ``ABS`` times each coefficient's

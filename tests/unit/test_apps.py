@@ -71,15 +71,15 @@ class TestLatexModel:
 
     def test_documents_live_in_separate_volumes(self):
         assert SMALL_DOCUMENT.volume != LARGE_DOCUMENT.volume
-        small_paths = {p for p, _s in SMALL_DOCUMENT.input_paths()}
-        large_paths = {p for p, _s in LARGE_DOCUMENT.input_paths()}
+        small_paths = {p for p, _s in SMALL_DOCUMENT.input_paths}
+        large_paths = {p for p, _s in LARGE_DOCUMENT.input_paths}
         assert not small_paths & large_paths
 
     def test_main_input_is_data_object_key(self):
         assert SMALL_DOCUMENT.main_input == "/latex-small/main.tex"
 
     def test_output_paths(self):
-        outputs = dict(SMALL_DOCUMENT.output_paths())
+        outputs = dict(SMALL_DOCUMENT.output_paths)
         assert "/latex-small/small.dvi" in outputs
         assert outputs["/latex-small/small.dvi"] == SMALL_DOCUMENT.dvi_bytes
 

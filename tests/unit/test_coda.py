@@ -306,6 +306,56 @@ class TestCodaClient:
         accesses = client.accesses_since(mark)
         assert [a.path for a in accesses] == ["/vol/data"]
 
+    def test_overlapping_marks(self, sim, coda_setup):
+        """Each open mark sees every access since it was taken, in order;
+        releasing the oldest trims what only it could see, and with no
+        mark open nothing is kept."""
+        _net, _server, client = coda_setup
+        for path in ("/vol/a", "/vol/b", "/vol/c"):
+            client.server.create_file(path, 100)
+            client.warm(path)
+
+        def read(path):
+            sim.run_process(client.access(path))
+
+        read("/vol/data")  # no mark open: not kept
+        assert client._access_log == []
+        first = client.access_log_mark()
+        read("/vol/a")
+        second = client.access_log_mark()
+        read("/vol/b")
+        assert [a.path for a in client.accesses_since(first)] == [
+            "/vol/a", "/vol/b"]
+        assert [a.path for a in client.accesses_since(second)] == ["/vol/b"]
+        client.release_access_mark(first)
+        assert [a.path for a in client._access_log] == ["/vol/b"]
+        read("/vol/c")
+        assert [a.path for a in client.accesses_since(second)] == [
+            "/vol/b", "/vol/c"]
+        with pytest.raises(ValueError):
+            client.accesses_since(first)
+        client.release_access_mark(second)
+        assert client._access_log == [] and client._open_marks == {}
+        with pytest.raises(ValueError):
+            client.release_access_mark(second)
+
+    def test_marks_released_newest_first(self, sim, coda_setup):
+        _net, _server, client = coda_setup
+        client.warm("/vol/data")
+        first = client.access_log_mark()
+        sim.run_process(client.access("/vol/data"))
+        second = client.access_log_mark()
+        twin = client.access_log_mark()  # same position, two holders
+        assert twin == second
+        client.release_access_mark(second)
+        sim.run_process(client.access("/vol/data"))
+        assert len(client.accesses_since(twin)) == 1
+        assert len(client.accesses_since(first)) == 2
+        client.release_access_mark(twin)
+        assert len(client._access_log) == 2
+        client.release_access_mark(first)
+        assert client._access_log == []
+
     def test_flush(self, sim, coda_setup):
         _net, _server, client = coda_setup
         client.warm("/vol/data")

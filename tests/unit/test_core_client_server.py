@@ -14,7 +14,14 @@ from repro.core import (
 from repro.network import Link, Network, SharedMedium
 from repro.odyssey import FidelitySpec
 from repro.hosts import IBM_560X, SERVER_B
-from repro.rpc import NullService, Request, RpcTransport, next_opid
+from repro.rpc import (
+    FunctionService,
+    NullService,
+    OpResult,
+    Request,
+    RpcTransport,
+    next_opid,
+)
 from repro.rpc.messages import ServiceUnavailableError
 
 
@@ -207,6 +214,43 @@ class TestServerSide:
         bad.name = CONTROL_SERVICE
         with pytest.raises(ValueError):
             server_node.register_service(bad)
+
+    def test_overlapping_requests_of_one_operation_share_its_cycles(
+            self, sim, testbed):
+        # Two requests of one operation on one server (parallel engines
+        # in a single-server world) share a CPU owner.  Each reports
+        # every cycle that owner burned while it ran, and the owner stays
+        # in the ledger until the later one ends.
+        _net, _cn, server_node, _client = testbed
+        server = server_node.server
+        cpu = server_node.host.cpu
+
+        def burn(ctx):
+            yield from ctx.compute(ctx.params["cycles"])
+            return OpResult()
+
+        server.register_service(FunctionService("burn", burn))
+        opid = next_opid()
+        owner = f"burn#{opid}@srv"
+        responses = {}
+
+        def request(cycles):
+            response = yield from server._dispatch(
+                Request("burn", "burn", opid=opid,
+                        params={"cycles": cycles}))
+            responses[cycles] = response.usage["cpu:remote"]
+            assert (owner in cpu._finished_cycles) == (len(responses) == 1)
+
+        short, long = 4e6, 10e6
+        sim.spawn(request(short))
+        sim.spawn(request(long))
+        sim.run()
+        # Both dispatch overheads end together; then the two services
+        # share the otherwise idle CPU until the short one ends, and the
+        # long one runs on alone.
+        assert responses[short] == pytest.approx(2 * short)
+        assert responses[long] == pytest.approx(short + long)
+        assert owner not in cpu._finished_cycles
 
     def test_local_host_not_addable_as_server(self, sim, testbed):
         _net, _cn, _sn, client = testbed

@@ -148,6 +148,59 @@ class TestCancel:
         assert cpu.cycles_used_by("op") == pytest.approx(charged)
 
 
+class TestRelease:
+    """``release`` drops a finished owner's ledger entry once its last
+    reader is done; what a live reader measures does not change."""
+
+    def test_release_forgets_a_finished_owner(self, sim, cpu):
+        cpu.submit(50e6, owner="op#1")
+        sim.run()
+        assert cpu.cycles_used_by("op#1") == pytest.approx(50e6)
+        cpu.release("op#1")
+        assert "op#1" not in cpu._finished_cycles
+        cpu.release("op#1")  # a second release is a no-op
+        assert cpu.cycles_used_by("op#1") == 0.0
+
+    def test_release_with_a_job_in_flight(self, sim, cpu):
+        """The abort path: the operation's last read and release happen
+        while a job of its owner still runs.  The job finishes, and the
+        ledger holds nothing for the owner."""
+        job = cpu.submit(100e6, owner="op#1")
+        sim.run(until=0.25)
+        assert cpu.cycles_used_by("op#1") == pytest.approx(25e6)
+        cpu.release("op#1")
+        sim.run()
+        assert job.finished_at == pytest.approx(1.0)
+        assert not cpu._active
+        assert cpu._finished_cycles == {}
+
+    def test_reader_after_release_sees_the_in_flight_job(self, sim, cpu):
+        """A failover restarts the same owner: a reader opened after the
+        release while a job still runs measures the rest of that job."""
+        cpu.submit(100e6, owner="op#1")
+        sim.run(until=0.25)
+        cpu.release("op#1")
+        start = cpu.cycles_used_by("op#1")
+        assert start == pytest.approx(25e6)
+        sim.run()
+        cpu.submit(10e6, owner="op#1")
+        sim.run()
+        assert cpu.cycles_used_by("op#1") - start == pytest.approx(85e6)
+        cpu.release("op#1")
+        assert cpu._finished_cycles == {}
+
+    def test_other_owners_read_as_before(self, sim, cpu):
+        load = BackgroundLoad(sim, cpu, nprocesses=1)
+        load.start()
+        cpu.submit(50e6, owner="op#1")
+        cpu.submit(50e6, owner="op#2")
+        sim.advance(2.0)
+        cpu.release("op#1")
+        assert cpu.cycles_used_by("op#2") == pytest.approx(50e6)
+        assert set(cpu._finished_cycles) == {"background", "op#2"}
+        load.stop()
+
+
 def rescanned_external_weight(cpu):
     """An independent O(n) rescan of the in-flight jobs' external weight."""
     return sum(
