@@ -25,6 +25,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.client import OperationReport
 from ..predictors.store import PredictorStore
 from ..scenarios import canned_spec
 from ..scenarios.runner import run_scenario
@@ -82,17 +83,18 @@ def _median(values: List[float]) -> float:
     return (ordered[middle - 1] + ordered[middle]) / 2.0
 
 
-def _relative_errors(report) -> List[Tuple[str, float]]:
-    """Every (resource, relative error) pair of a report's operations."""
+def _relative_errors(
+        op: OperationReport) -> Optional[List[Tuple[str, float]]]:
+    """Every (resource, relative error) pair of one completed operation,
+    or ``None`` when the solver predicted nothing for it (it explored)."""
+    if op.prediction is None or not op.prediction.demand:
+        return None
     errors: List[Tuple[str, float]] = []
-    for op in report.ops:
-        if not op.completed or not op.predicted:
+    for resource, predicted in sorted(op.prediction.demand.items()):
+        actual = op.usage.get(resource, 0.0)
+        if actual <= _TINY:
             continue
-        for resource, predicted in sorted(op.predicted.items()):
-            actual = op.usage.get(resource, 0.0)
-            if actual <= _TINY:
-                continue
-            errors.append((resource, abs(predicted - actual) / actual))
+        errors.append((resource, abs(predicted - actual) / actual))
     return errors
 
 
@@ -140,18 +142,25 @@ def run_accuracy_experiment(
         store = PredictorStore(root)
         for index in range(rounds):
             prior = _stored_samples(store)
-            report = run_scenario(spec, profile=profile,
-                                  predictor_store=store,
-                                  save_predictors=True)
-            errors = _relative_errors(report)
+            # Each operation is scored as it completes: the report keeps
+            # neither its measured usage nor its prediction.
+            scored: List[List[Tuple[str, float]]] = []
+
+            def score(op: OperationReport) -> None:
+                errors = _relative_errors(op)
+                if errors is not None:
+                    scored.append(errors)
+
+            run_scenario(spec, profile=profile, predictor_store=store,
+                         save_predictors=True, on_op=score)
+            errors = [pair for op_errors in scored for pair in op_errors]
             by_resource: Dict[str, List[float]] = {}
             for resource, error in errors:
                 by_resource.setdefault(resource, []).append(error)
             result.rounds.append(RoundAccuracy(
                 round=index,
                 prior_samples=prior,
-                predicted_ops=sum(1 for op in report.ops
-                                  if op.completed and op.predicted),
+                predicted_ops=len(scored),
                 per_resource={resource: _median(values)
                               for resource, values
                               in sorted(by_resource.items())},

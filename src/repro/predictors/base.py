@@ -135,7 +135,7 @@ class OperationDemandPredictor:
         # One feature row per sample, kept by every model that observes it.
         continuous = FeatureContext(sample.continuous_dict(),
                                     self.feature_names)
-        for resource, value in sample.usage_dict().items():
+        for resource, value in zip(sample.usage_names, sample.usage_values):
             if (sample.concurrent and skip_energy_when_concurrent
                     and resource.startswith("energy")):
                 continue

@@ -169,7 +169,9 @@ class RecencyWeightedLinearModel:
             last = self._xs[-1] if self._xs else x
             self._runs = tuple(run + 1 if new == old else 1
                                for new, old, run in zip(x, last, self._runs))
-        self._xs.append(x)
+            # Without features the fit is the weighted mean of the
+            # values: the model keeps no rows.
+            self._xs.append(x)
         self._ys.append(float(value))
         if len(self._ys) > self.window:
             drop = len(self._ys) - self.window
@@ -228,9 +230,10 @@ class RecencyWeightedLinearModel:
 
     def feature_value(self, name: str) -> float:
         """The most recent observed value of feature *name*."""
+        column = self.feature_names.index(name)
         if not self._xs:
             raise ValueError("model has no observations")
-        return self._xs[-1][self.feature_names.index(name)]
+        return self._xs[-1][column]
 
     def weighted_mean(self) -> float:
         """Recency-weighted mean of observed values (feature-free view)."""

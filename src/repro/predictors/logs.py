@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Tuple, Union)
 
 from ..copying import deepcopy_state
 
@@ -122,6 +123,11 @@ class FeatureContext(dict):
         self.row: FeatureRow = feature_row(continuous, names)
 
 
+#: one tuple per distinct resource-name set: samples of one operation
+#: measure the same resources, so their ``usage_names`` are one object
+_USAGE_NAMES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
 @dataclass(frozen=True, slots=True)
 class UsageSample:
     """One operation execution's context and measured resource usage.
@@ -129,23 +135,56 @@ class UsageSample:
     ``discrete`` — binning variables (fidelity values, plan name, ...),
     as their :func:`discrete_key`.
     ``continuous`` — regression variables (input parameters).
-    ``usage`` — measured resource consumption, e.g. ``{"cpu:local":
-    2.1e8, "net:bytes": 14000, "energy:client": 3.4}``.
+    ``usage_names`` / ``usage_values`` — measured resource consumption,
+    e.g. ``("cpu:local", "energy:client", "net:bytes")`` and
+    ``(2.1e8, 3.4, 14000.0)``; :attr:`usage` pairs them up.
     ``data_object`` — optional name of the datum operated on (the Latex
     document), enabling data-specific models.
     ``concurrent`` — True when other operations overlapped this one;
     energy models skip such samples (§3.3.3).
+
+    Build samples with :meth:`build` or :func:`sample_from_payload`:
+    both go through :meth:`of`, which interns ``usage_names`` so every
+    sample with one resource set shares one names tuple.  Only the
+    names are interned: the values stay each sample's own, because
+    ``0.0 == -0.0`` would let a shared float tuple change a persisted
+    value.
     """
 
     timestamp: float
     discrete: DiscreteKey
     continuous: Tuple[Tuple[str, float], ...]
-    usage: Tuple[Tuple[str, float], ...]
+    usage_names: Tuple[str, ...]
+    usage_values: Tuple[float, ...]
     data_object: Optional[str] = None
     concurrent: bool = False
     #: files the operation read: (path, size) pairs — persisted so the
     #: file-access predictor can be rebuilt from the log
     file_accesses: Tuple[Tuple[str, int], ...] = ()
+
+    @classmethod
+    def of(
+        cls,
+        timestamp: float,
+        discrete: DiscreteKey,
+        continuous: Iterable[Tuple[str, float]],
+        usage_names: Tuple[str, ...],
+        usage_values: Iterable[float],
+        data_object: Optional[str],
+        concurrent: bool,
+        file_accesses: Iterable[Tuple[str, int]],
+    ) -> "UsageSample":
+        """The one constructor; it interns *usage_names*."""
+        return cls(
+            timestamp=timestamp,
+            discrete=discrete,
+            continuous=tuple(continuous),
+            usage_names=_USAGE_NAMES.setdefault(usage_names, usage_names),
+            usage_values=tuple(usage_values),
+            data_object=data_object,
+            concurrent=concurrent,
+            file_accesses=tuple(file_accesses),
+        )
 
     @classmethod
     def build(
@@ -158,15 +197,22 @@ class UsageSample:
         concurrent: bool = False,
         file_accesses: Optional[Dict[str, int]] = None,
     ) -> "UsageSample":
-        return cls(
-            timestamp=timestamp,
-            discrete=discrete_key(discrete),
-            continuous=tuple(sorted((k, float(v)) for k, v in continuous.items())),
-            usage=tuple(sorted((k, float(v)) for k, v in usage.items())),
-            data_object=data_object,
-            concurrent=concurrent,
-            file_accesses=tuple(sorted((file_accesses or {}).items())),
+        names = tuple(sorted(usage))
+        return cls.of(
+            timestamp,
+            discrete_key(discrete),
+            sorted((k, float(v)) for k, v in continuous.items()),
+            names,
+            (float(usage[name]) for name in names),
+            data_object,
+            concurrent,
+            sorted((file_accesses or {}).items()),
         )
+
+    @property
+    def usage(self) -> Tuple[Tuple[str, float], ...]:
+        """The measured usage as sorted (resource, value) pairs."""
+        return tuple(zip(self.usage_names, self.usage_values))
 
     def file_accesses_dict(self) -> Dict[str, int]:
         return dict(self.file_accesses)
@@ -178,7 +224,20 @@ class UsageSample:
         return dict(self.continuous)
 
     def usage_dict(self) -> Dict[str, float]:
-        return dict(self.usage)
+        return dict(zip(self.usage_names, self.usage_values))
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The sample as a JSON-ready dict (:func:`sample_from_payload`
+        reads it back)."""
+        return {
+            "timestamp": self.timestamp,
+            "discrete": list(map(list, self.discrete)),
+            "continuous": list(map(list, self.continuous)),
+            "usage": list(map(list, zip(self.usage_names, self.usage_values))),
+            "data_object": self.data_object,
+            "concurrent": self.concurrent,
+            "file_accesses": list(map(list, self.file_accesses)),
+        }
 
     def __deepcopy__(self, memo: dict) -> "UsageSample":
         # Frozen, and every field is immutable: a copy may share it.
@@ -215,19 +274,8 @@ class UsageLog:
 
     def to_payload(self) -> Dict[str, Any]:
         """The log as a JSON-ready dict (embedded by the predictor store)."""
-        samples = [
-            {
-                "timestamp": s.timestamp,
-                "discrete": list(map(list, s.discrete)),
-                "continuous": list(map(list, s.continuous)),
-                "usage": list(map(list, s.usage)),
-                "data_object": s.data_object,
-                "concurrent": s.concurrent,
-                "file_accesses": list(map(list, s.file_accesses)),
-            }
-            for s in self._samples
-        ]
-        return {"version": 1, "samples": samples}
+        return {"version": 1,
+                "samples": [s.to_payload() for s in self._samples]}
 
     @classmethod
     def from_payload(cls, blob: Dict[str, Any],
@@ -250,15 +298,13 @@ class UsageLog:
 
 def sample_from_payload(raw: Dict[str, Any]) -> UsageSample:
     """One :class:`UsageSample` from its JSON dict form."""
-    return UsageSample(
-        timestamp=raw["timestamp"],
-        discrete=discrete_key(dict(raw["discrete"])),
-        continuous=tuple((k, float(v)) for k, v in raw["continuous"]),
-        usage=tuple((k, float(v)) for k, v in raw["usage"]),
-        data_object=raw.get("data_object"),
-        concurrent=raw.get("concurrent", False),
-        file_accesses=tuple(
-            (path, int(size))
-            for path, size in raw.get("file_accesses", [])
-        ),
+    return UsageSample.of(
+        raw["timestamp"],
+        discrete_key(dict(raw["discrete"])),
+        ((k, float(v)) for k, v in raw["continuous"]),
+        tuple(name for name, _value in raw["usage"]),
+        (float(value) for _name, value in raw["usage"]),
+        raw.get("data_object"),
+        raw.get("concurrent", False),
+        ((path, int(size)) for path, size in raw.get("file_accesses", [])),
     )

@@ -284,15 +284,7 @@ def merge_logs(a: UsageLog, b: UsageLog,
     seen = set()
     union = []
     for sample in list(a) + list(b):
-        key = _canonical({
-            "timestamp": sample.timestamp,
-            "discrete": list(map(list, sample.discrete)),
-            "continuous": list(map(list, sample.continuous)),
-            "usage": list(map(list, sample.usage)),
-            "data_object": sample.data_object,
-            "concurrent": sample.concurrent,
-            "file_accesses": list(map(list, sample.file_accesses)),
-        })
+        key = _canonical(sample.to_payload())
         if key in seen:
             continue
         seen.add(key)

@@ -26,10 +26,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.client import NoFeasibleAlternativeError
+from ..core.client import NoFeasibleAlternativeError, OperationReport
+from ..core.plans import Alternative
 from ..predictors.store import PredictorStore
 from ..rpc import RetryPolicy, RpcError
 from ..sim import AllOf, Timeout
@@ -42,6 +43,9 @@ from .spec import ScenarioSpec
 #: Run profiles: ``full`` runs the spec as written; ``smoke`` shrinks it
 #: to CI size (short duration, few ops, little training).
 PROFILES = ("full", "smoke")
+
+#: Called with each completed measured operation's report.
+OpHook = Callable[[OperationReport], None]
 
 #: Measured-phase retry policy, derived from the scenario seed; armed
 #: only when the scenario has an environment timeline to survive.
@@ -77,24 +81,38 @@ def smoke_spec(spec: ScenarioSpec) -> ScenarioSpec:
 
 @dataclass(slots=True)
 class OpRecord:
-    """One measured operation as the runner saw it."""
+    """One measured operation as the runner saw it.
+
+    A completed operation holds the :class:`~repro.core.plans.Alternative`
+    it ran and reads its plan, server and fidelity off it; a failed one
+    has none.  The runner keeps one object per distinct choice, so every
+    record of that choice holds the same one.  The record keeps only
+    what the report prints: an operation's measured usage and its
+    solver-time prediction reach the ``on_op`` hook of
+    :func:`run_scenario` and are not kept here.
+    """
 
     client: str
     index: int
     issued_at_s: float
     elapsed_s: float = 0.0
-    plan: str = ""
-    server: Optional[str] = None
-    fidelity: Dict[str, Any] = field(default_factory=dict)
+    alternative: Optional[Alternative] = None
     failed_over: bool = False
     completed: bool = False
     error: str = ""
-    #: solver-time per-resource demand prediction (empty for explored /
-    #: forced ops) and the measured usage — consumed by the accuracy
-    #: convergence experiment; deliberately NOT part of the JSON report.
-    predicted: Dict[str, float] = field(default_factory=dict)
-    usage: Dict[str, float] = field(default_factory=dict)
-    predicted_time_s: Optional[float] = None
+
+    @property
+    def plan(self) -> str:
+        return "" if self.alternative is None else self.alternative.plan.name
+
+    @property
+    def server(self) -> Optional[str]:
+        return None if self.alternative is None else self.alternative.server
+
+    @property
+    def fidelity(self) -> Tuple[Tuple[str, Any], ...]:
+        """The fidelity as sorted (dimension, value) pairs."""
+        return () if self.alternative is None else self.alternative.fidelity
 
 
 @dataclass
@@ -168,8 +186,7 @@ class ScenarioReport:
             if not op.completed:
                 continue
             where = f"@{op.server}" if op.server else ""
-            fidelity = ",".join(f"{k}={v}"
-                                for k, v in sorted(op.fidelity.items()))
+            fidelity = ",".join(f"{k}={v}" for k, v in sorted(op.fidelity))
             key = op.plan + where + (f" [{fidelity}]" if fidelity else "")
             mix[key] = mix.get(key, 0) + 1
         return {
@@ -242,8 +259,15 @@ def _train(world: CompiledScenario) -> None:
 
 
 def _drive(world: CompiledScenario, compiled: CompiledClient,
-           t0: float, records: List[OpRecord]):
-    """Process: one client's measured phase (arrivals + think times)."""
+           t0: float, records: List[OpRecord],
+           choices: Dict[Alternative, Alternative],
+           on_op: Optional[OpHook]):
+    """Process: one client's measured phase (arrivals + think times).
+
+    *choices* maps each alternative chosen so far to the one object the
+    records hold for it: each client's solver builds its own, and
+    builds them again when its reachable servers change.
+    """
     sim = world.sim
     spec = world.spec
     arrival_rng = random.Random(derive_seed(spec.seed, "arrivals",
@@ -265,15 +289,12 @@ def _drive(world: CompiledScenario, compiled: CompiledClient,
             record.error = f"{type(exc).__name__}: {exc}"
         else:
             record.elapsed_s = report.elapsed_s
-            record.plan = report.alternative.plan.name
-            record.server = report.alternative.server
-            record.fidelity = dict(report.alternative.fidelity_dict())
+            record.alternative = choices.setdefault(report.alternative,
+                                                    report.alternative)
             record.failed_over = report.failed_over
             record.completed = True
-            record.usage = dict(report.usage)
-            if report.prediction is not None:
-                record.predicted = dict(report.prediction.demand)
-                record.predicted_time_s = report.prediction.total_time_s
+            if on_op is not None:
+                on_op(report)
         pause = think_time(compiled.spec.think, think_rng)
         if pause > 0:
             yield Timeout(pause)
@@ -286,6 +307,7 @@ def run_scenario(
     telemetry: Optional[Telemetry] = None,
     predictor_store=None,
     save_predictors: bool = False,
+    on_op: Optional[OpHook] = None,
 ) -> ScenarioReport:
     """Run *spec* to completion and return its report.
 
@@ -300,6 +322,12 @@ def run_scenario(
     ``save_predictors=True`` flushes learned state back after the run.
     A store-backed report carries a per-client ``predictor_state``
     digest; store-less reports are byte-identical to earlier builds.
+
+    ``on_op`` is called with the
+    :class:`~repro.core.client.OperationReport` of every measured
+    operation that completes, as it completes: its measured usage and
+    the solver's prediction, which the report does not keep.  It must
+    not block or touch the world.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
@@ -334,10 +362,11 @@ def run_scenario(
     world.install_timeline(offset_s=t0)
 
     records: List[OpRecord] = []
+    choices: Dict[Alternative, Alternative] = {}
     e0 = {compiled.name: compiled.node.host.energy_consumed_joules()
           for compiled in world.clients}
     processes = [
-        sim.spawn(_drive(world, compiled, t0, records),
+        sim.spawn(_drive(world, compiled, t0, records, choices, on_op),
                   name=f"scenario@{compiled.name}")
         for compiled in world.clients
     ]

@@ -7,7 +7,12 @@ After a drained run:
   the Spectra daemon's own ``"spectra"`` owner;
 * every Coda client's access log is empty, with no mark left open;
 * the built-in demand models that observed one logged sample hold one
-  feature row object between them.
+  feature row object between them, and a model without features holds
+  no rows at all;
+* the logged samples of one operation that measured the same resources
+  share one ``usage_names`` tuple;
+* the report's records hold no dict, and operations that made the same
+  choice hold one ``Alternative`` object between them.
 
 The runs are the benchmark's two scenario workloads in their
 ``small=True`` shape (``bench/workloads.py``): the Latex crowd's server
@@ -17,6 +22,7 @@ must hold the same, before and after it runs an operation, and so must
 a Pangloss world whose parallel engines share the one server left up.
 """
 
+import dataclasses
 import importlib.util
 import pathlib
 
@@ -99,6 +105,11 @@ def assert_rows_shared(world):
     for compiled in world.clients:
         for registered in compiled.client._operations.values():
             predictor = registered.predictor
+            if not predictor.feature_names:
+                assert all(model._xs == [] and model.n_samples
+                           for model in _linear_models(predictor))
+                checked += 1
+                continue
             sample, rows = _last_sample_rows(predictor)
             assert len(rows) >= 4
             assert all(row is rows[0] for row in rows)
@@ -113,19 +124,49 @@ def assert_rows_shared(world):
     assert checked
 
 
+def assert_usage_names_shared(world):
+    for compiled in world.clients:
+        for registered in compiled.client._operations.values():
+            by_names = {}
+            for sample in registered.predictor.log:
+                first = by_names.setdefault(sample.usage_names,
+                                            sample.usage_names)
+                assert sample.usage_names is first
+            assert by_names
+
+
+def assert_records_share_choices(report):
+    by_choice = {}
+    for op in report.ops:
+        for field in dataclasses.fields(op):
+            assert not isinstance(getattr(op, field.name), dict), field.name
+        if op.alternative is None:
+            assert not op.completed
+            assert (op.plan, op.server, op.fidelity) == ("", None, ())
+            continue
+        first = by_choice.setdefault(op.alternative, op.alternative)
+        assert op.alternative is first
+    # Many more operations than choices: the records share them.
+    assert len(by_choice) < sum(1 for op in report.ops if op.completed)
+
+
 def test_drained_latex_crowd_holds_no_finished_operation(monkeypatch):
     world, report = _drained_workload_world(monkeypatch, "latex-crowd")
     assert report.counters[SPECTRA_FAILOVERS] > 0
     assert_ledgers_bounded(world)
     assert_access_logs_empty(world)
     assert_rows_shared(world)
+    assert_usage_names_shared(world)
+    assert_records_share_choices(report)
 
 
 def test_drained_metro_holds_no_finished_operation(monkeypatch):
-    world, _report = _drained_workload_world(monkeypatch, "metro")
+    world, report = _drained_workload_world(monkeypatch, "metro")
     assert_ledgers_bounded(world)
     assert_access_logs_empty(world)
     assert_rows_shared(world)
+    assert_usage_names_shared(world)
+    assert_records_share_choices(report)
 
 
 def test_parallel_engines_on_one_server_hold_no_finished_operation():

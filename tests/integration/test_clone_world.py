@@ -199,7 +199,14 @@ class TestIsolation:
         trained = EXPERIMENTS[name][0]._train(solver=solver)
         clone = clone_world(trained, shared=(solver,))
         original = _reachable(trained, stop=(solver,))
-        assert len(original) > 1000  # the walk really saw the world
+        # The walk really saw the world: the simulator, every node, and
+        # every sample in the client's usage logs.
+        world, app = trained
+        deep = [world.sim, *world.nodes.values(),
+                *(sample for registered in app.client._operations.values()
+                  for sample in registered.predictor.log)]
+        assert len(deep) > 1 + len(world.nodes)
+        assert all(id(obj) in original for obj in deep)
         offenders = sorted({
             type(obj).__qualname__
             for key, obj in _reachable(clone, stop=(solver,)).items()

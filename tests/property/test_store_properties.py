@@ -6,7 +6,9 @@ samples, same bin keys, same predictions — no matter what discrete
 values, operation names, or merge orders the workload produced.
 """
 
-from hypothesis import given, settings, strategies as st
+import json
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.predictors import (
     OperationDemandPredictor,
@@ -121,3 +123,41 @@ def test_merge_logs_commutative_and_idempotent(raw_a, raw_b):
     assert ab.samples() == ba.samples()
     assert merge_logs(ab, ab).samples() == ab.samples()
     assert merge_logs(a, a).samples() == a.samples()
+
+
+#: measured usage over arbitrary resource names, with signed zeros and
+#: ints among the values: ``0.0 == -0.0``, yet they persist differently
+usage_dicts = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(finite, st.sampled_from([0.0, -0.0]), st.integers(-5, 5)),
+    max_size=4,
+)
+
+
+@given(usage=usage_dicts)
+@settings(max_examples=80, deadline=None)
+def test_sample_usage_is_its_sorted_float_pairs(usage):
+    sample = UsageSample.build(timestamp=0.0, discrete={}, continuous={},
+                               usage=usage)
+    expected = tuple(sorted((k, float(v)) for k, v in usage.items()))
+    # repr tells -0.0 from 0.0 and an int from a float; == does not
+    assert repr(sample.usage) == repr(expected)
+    assert repr(sample.usage_dict()) == repr(dict(expected))
+
+
+@given(usages=st.lists(usage_dicts, min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+@example(usages=[{"r": 0.0}, {"r": -0.0}, {"r": 0}])
+def test_usage_log_payload_roundtrip_keeps_signed_zeros(usages):
+    log = UsageLog()
+    for index, usage in enumerate(usages):
+        log.append(UsageSample.build(timestamp=float(index), discrete={},
+                                     continuous={}, usage=usage))
+    payload = log.to_payload()
+    # every sample persists its own values, the signs of zeros included
+    assert json.dumps([sample["usage"] for sample in payload["samples"]]) \
+        == json.dumps([[[k, float(v)] for k, v in sorted(usage.items())]
+                       for usage in usages])
+    restored = UsageLog.from_payload(payload).to_payload()
+    assert restored == payload
+    assert json.dumps(restored) == json.dumps(payload)

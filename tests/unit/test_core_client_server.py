@@ -19,6 +19,8 @@ from repro.rpc import (
     NullService,
     OpResult,
     Request,
+    RetryPolicy,
+    RpcTimeoutError,
     RpcTransport,
     next_opid,
 )
@@ -251,6 +253,37 @@ class TestServerSide:
         assert responses[short] == pytest.approx(2 * short)
         assert responses[long] == pytest.approx(short + long)
         assert owner not in cpu._finished_cycles
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "an abandoned dispatch leaves its service's CPU job running; "
+        "cancelling it moves the scenario report digests"))
+    def test_abandoned_dispatch_stops_its_service_job(self, sim, testbed):
+        # The caller's RPC timeout interrupts the dispatch mid-service:
+        # nobody will read the result, so nothing should still run for it.
+        _net, _cn, server_node, client = testbed
+        cpu = server_node.host.cpu
+
+        def burn(ctx):
+            yield from ctx.compute(ctx.params["cycles"])
+            return OpResult()
+
+        server_node.server.register_service(FunctionService("burn", burn))
+        opid = next_opid()
+        owner = f"burn#{opid}@srv"
+        policy = RetryPolicy(max_attempts=1, timeout_s=1.0)
+
+        def call():
+            # 10 s of work on the 933 MHz server, abandoned after 1 s.
+            request = Request("burn", "burn", opid=opid,
+                              params={"cycles": 9.33e9})
+            with pytest.raises(RpcTimeoutError):
+                yield from client.transport.call("client", "srv", request,
+                                                 policy=policy)
+
+        sim.run_process(call())
+        sim.advance(0.5)  # the interrupt has reached the dispatch
+        assert owner not in server_node.server._requests_by_owner
+        assert owner not in cpu._active.values()
 
     def test_local_host_not_addable_as_server(self, sim, testbed):
         _net, _cn, _sn, client = testbed
