@@ -16,7 +16,8 @@ deliberately calibrated to this codebase's failure model rather than
   failure enters a function: the event being waited on fails (an
   aborted transfer, a crashed server) and the exception materializes
   *at the yield*, or the process is killed and ``GeneratorExit`` does;
-* optionally (``raising_calls``), any statement whose call resolves —
+* when the builder is given the project's can-raise predicate (the
+  lifecycle passes always give it), any statement whose call resolves —
   through the project call graph — to a function that transitively
   contains a ``raise``.
 

@@ -227,21 +227,20 @@ def _witness(cfg: CFG, path: List[int]) -> Tuple[str, int]:
 class _PathChecker:
     """Shared machinery: build one CFG per function, answer leak queries."""
 
-    def __init__(self, fn: FunctionInfo, index: ProjectIndex,
-                 raising_calls: bool):
+    def __init__(self, fn: FunctionInfo, index: ProjectIndex):
         self.fn = fn
         self.source = fn.source
-        predicate: Optional[Callable[[ast.Call], bool]] = None
-        if raising_calls:
-            can_raise = index.can_raise()
-            aliases = fn.source.aliases
+        can_raise = index.can_raise()
+        aliases = fn.source.aliases
 
-            def predicate(call: ast.Call) -> bool:
-                path = resolve_call_path(call.func, aliases)
-                if path is None:
-                    return False
-                resolved = index.resolve(fn, path)
-                return resolved is not None and resolved in can_raise
+        # A call into a project function that can raise is an exception
+        # source, like a raise or a yield.
+        def predicate(call: ast.Call) -> bool:
+            path = resolve_call_path(call.func, aliases)
+            if path is None:
+                return False
+            resolved = index.resolve(fn, path)
+            return resolved is not None and resolved in can_raise
 
         self.cfg = build_cfg(fn.node, predicate)
 
@@ -310,7 +309,6 @@ class _FlowLifecycleBase(ProjectRule):
     def check_project(self, project, config: RuleConfig,
                       ) -> Iterator[Violation]:
         index: ProjectIndex = project.index
-        raising = bool(config.options.get("raising_calls", False))
         checked: Set[str] = set()
         for qname in sorted(index.functions):
             fn = index.functions[qname]
@@ -322,10 +320,10 @@ class _FlowLifecycleBase(ProjectRule):
             if key in checked:
                 continue
             checked.add(key)
-            yield from self.check_function(fn, index, raising)
+            yield from self.check_function(fn, index)
 
-    def check_function(self, fn: FunctionInfo, index: ProjectIndex,
-                       raising: bool) -> Iterator[Violation]:
+    def check_function(self, fn: FunctionInfo,
+                       index: ProjectIndex) -> Iterator[Violation]:
         raise NotImplementedError
 
 
@@ -336,8 +334,8 @@ class SpanPathRule(_FlowLifecycleBase):
     description = ("spans and monitor recordings must close on every "
                    "CFG path, exception edges included")
 
-    def check_function(self, fn: FunctionInfo, index: ProjectIndex,
-                       raising: bool) -> Iterator[Violation]:
+    def check_function(self, fn: FunctionInfo,
+                       index: ProjectIndex) -> Iterator[Violation]:
         scan = _FunctionScan(fn.node)
         for call in scan.dropped:
             if call not in scan.with_calls:
@@ -375,7 +373,7 @@ class SpanPathRule(_FlowLifecycleBase):
                 )
         if not span_work and not monitor_work:
             return
-        checker = _PathChecker(fn, index, raising)
+        checker = _PathChecker(fn, index)
         for name, call in span_work:
             path = checker.leak_path(call, _closes_span(name))
             if path is None:
@@ -406,8 +404,8 @@ class ResourcePairPathRule(_FlowLifecycleBase):
     description = ("acquire/release-style resource pairs must close on "
                    "every CFG path")
 
-    def check_function(self, fn: FunctionInfo, index: ProjectIndex,
-                       raising: bool) -> Iterator[Violation]:
+    def check_function(self, fn: FunctionInfo,
+                       index: ProjectIndex) -> Iterator[Violation]:
         pairs: Dict[str, Tuple[str, ...]] = dict(RESOURCE_PAIRS)
         scan: Optional[_FunctionScan] = None
         opens: List[Tuple[str, str, ast.Call]] = []
@@ -439,7 +437,7 @@ class ResourcePairPathRule(_FlowLifecycleBase):
                     )
                 continue
             if checker is None:
-                checker = _PathChecker(fn, index, raising)
+                checker = _PathChecker(fn, index)
             path = checker.leak_path(call, _closes_pair(receiver,
                                                         pairs[attr]))
             if path is None:

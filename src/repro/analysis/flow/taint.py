@@ -9,13 +9,10 @@ read, a global-state RNG draw, an environment read — and propagates the
 mark backward over the resolved project call graph.  Any **entry
 point** (public function of a decision-path package: the simulator, the
 solver, the client) that ends up tainted is a finding, reported with
-the shortest call chain from the entry point to the source.
-
-Declared **taint boundaries** stop propagation: ``repro.perf.timing``
-exists to measure host CPU, so calls into it are sanctioned and do not
-taint their callers.  Additional boundaries can be declared per-run via
-the ``boundary_modules`` option (and entry packages via
-``entry_packages``) — the mechanism is policy-free.
+the shortest call chain from the entry point to the source.  The
+entry packages can be set per run with the ``entry_packages`` option.
+No module in ``src/repro`` may read the host clock, so there are no
+sanctioned sources: host timing lives in ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -50,9 +47,6 @@ ENTROPY_PREFIXES = ("secrets.",)
 #: Default decision-path packages: anything publicly callable here must
 #: be replay-deterministic.
 DEFAULT_ENTRY_PACKAGES = ("repro.sim", "repro.solver", "repro.core")
-
-#: Default sanctioned host-time readers (see module docstring).
-DEFAULT_BOUNDARY_MODULES = ("repro.perf.timing",)
 
 
 def _describe_source(fn: FunctionInfo) -> Optional[Tuple[str, int]]:
@@ -98,21 +92,11 @@ class DeterminismTaintRule(ProjectRule):
         index: ProjectIndex = project.index
         entry_packages = tuple(config.options.get(
             "entry_packages", DEFAULT_ENTRY_PACKAGES))
-        boundaries = tuple(config.options.get(
-            "boundary_modules", DEFAULT_BOUNDARY_MODULES))
-
-        def in_boundary(fn: FunctionInfo) -> bool:
-            return any(fn.module == b or fn.module.startswith(b + ".")
-                       for b in boundaries)
 
         # 1. Direct taint: functions whose own body contains a source.
-        #    Boundary modules are sanctioned — never tainted, and taint
-        #    never flows through them.
         taint: Dict[str, Tuple[Optional[str], str, int]] = {}
         frontier: List[str] = []
         for qname, fn in index.functions.items():
-            if in_boundary(fn):
-                continue
             described = _describe_source(fn)
             if described is not None:
                 description, line = described
@@ -127,10 +111,7 @@ class DeterminismTaintRule(ProjectRule):
         while queue:
             callee = queue.pop(0)
             for caller in callers.get(callee, ()):
-                if caller in taint:
-                    continue
-                fn = index.functions.get(caller)
-                if fn is None or in_boundary(fn):
+                if caller in taint or caller not in index.functions:
                     continue
                 _, description, line = taint[callee]
                 taint[caller] = (callee, description, line)

@@ -66,9 +66,8 @@ class SwallowedExceptRule(Rule):
 
     def check(self, source: SourceFile,
               config: RuleConfig) -> Iterator[Violation]:
-        hot_paths = tuple(config.options.get("hot_paths", self.HOT_PATHS))
         in_hot_path = any(fragment in source.posix_path
-                          for fragment in hot_paths)
+                          for fragment in self.HOT_PATHS)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue

@@ -14,8 +14,7 @@ a ``float(...)`` construction, or where both sides are *measurement
 names* (identifiers matching the utility/energy/time vocabulary).
 Integer-literal comparisons never fire — ints are exact, and sentinel
 compares like ``retries == 0`` are fine.  ``assert`` statements are
-exempt by default (tests pin exact expected values on purpose); set
-``options={"check_asserts": True}`` to include them.
+exempt (tests pin exact expected values on purpose).
 """
 
 from __future__ import annotations
@@ -80,8 +79,6 @@ class FloatEqualityRule(Rule):
 
     def check(self, source: SourceFile,
               config: RuleConfig) -> Iterator[Violation]:
-        check_asserts = bool(config.options.get("check_asserts", False))
-        parents = None if check_asserts else source.parents
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -93,7 +90,7 @@ class FloatEqualityRule(Rule):
             measured = [op for op in operands if _is_measurement(op)]
             if not floats and len(measured) < 2:
                 continue
-            if not check_asserts and self._in_assert(node, parents):
+            if self._in_assert(node, source.parents):
                 continue
             subject = (_name_hint(measured[0]) if measured
                        else _name_hint(operands[0])) or "value"

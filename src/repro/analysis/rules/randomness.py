@@ -49,13 +49,12 @@ class UnseededRandomnessRule(Rule):
 
     def check(self, source: SourceFile,
               config: RuleConfig) -> Iterator[Violation]:
-        allowed = frozenset(config.options.get("allowed", ALLOWED))
         aliases = source.aliases
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
             path = resolve_call_path(node.func, aliases)
-            if path is None or path in allowed:
+            if path is None or path in ALLOWED:
                 continue
             if any(path.startswith(prefix) for prefix in BANNED_PREFIXES):
                 yield self.violation(

@@ -42,13 +42,10 @@ class WallClockRule(Rule):
     description = ("wall-clock reads and real sleeps are banned in "
                    "simulated code; use the sim kernel clock")
     default_scope = ("src/repro",)
-    # perf/timing.py is the bench harness's clock: measuring host CPU is
-    # its purpose, so it is the one sanctioned wall-clock reader.
-    default_exclude = ("src/repro/analysis", "src/repro/perf/timing")
+    default_exclude = ("src/repro/analysis",)
 
     def check(self, source: SourceFile,
               config: RuleConfig) -> Iterator[Violation]:
-        banned = frozenset(config.options.get("banned", BANNED_CALLS))
         aliases = source.aliases
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
@@ -59,7 +56,7 @@ class WallClockRule(Rule):
             # `from datetime import datetime` resolves bare
             # `datetime.now` through the alias map already; also catch
             # the method spelled on an un-aliased import.
-            if path in banned:
+            if path in BANNED_CALLS:
                 yield self.violation(
                     source, node,
                     f"wall-clock call {path}() — all time must come "

@@ -42,7 +42,6 @@ from .experiments import (
     summarize,
 )
 from .core.explain import explain_trace
-from .perf.cli import add_bench_arguments, run_bench_command
 from .predictors.cli import add_predictor_arguments, run_predictors_command
 from .experiments.ablation import ablate_solver
 from .experiments.chaos import render_chaos_report, run_chaos_experiment
@@ -271,17 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_lint_arguments(lint)
 
-    bench = sub.add_parser(
-        "bench",
-        help="kernel wall-clock benchmark (BENCH_kernel.json)",
-        description="Run the kernel suite (event throughput, timer "
-                    "churn, contended fair-share scheduling), writing "
-                    "a versioned spectra-bench/1 JSON document and "
-                    "optionally gating it with --ratchet; or validate "
-                    "existing BENCH files with --check.",
-    )
-    add_bench_arguments(bench)
-
     predictors = sub.add_parser(
         "predictors",
         help="persisted predictor stores: inspect, export, merge",
@@ -319,9 +307,6 @@ def main(argv: List[str] = None) -> int:
 
     if args.command == "lint":
         return run_lint(args)
-
-    if args.command == "bench":
-        return run_bench_command(args)
 
     if args.command == "predictors":
         return run_predictors_command(args)

@@ -803,6 +803,10 @@ class SpectraClient:
         except NoFeasibleAlternativeError:
             span.end(outcome="exhausted")
             raise
+        except BaseException as exc:
+            # A user utility factory or a predictor failed mid-choice.
+            span.end(outcome="error", raised=type(exc).__name__)
+            raise
 
         # Revive the handle in place: the application keeps driving the
         # same handle (its next do_remote_op, its end_fidelity_op), so

@@ -15,7 +15,7 @@ every ``begin_fidelity_op``, but between polls the reachable-server set
 rarely changes, so :class:`SpaceCache` memoizes whole spaces per
 ``(operation, servers)`` key.  A cached space keeps its own decode and
 neighbor memos warm across solves, which is where most of the per-
-decision allocation cost used to go (see ``repro bench``).
+decision allocation cost used to go.
 """
 
 from __future__ import annotations

@@ -17,10 +17,13 @@ assumed:
 * the hypothesis equivalence suite
   (``tests/property/test_fairshare_equivalence.py``) drives both
   schedulers through randomized submit/abort/capacity-change schedules
-  and compares outcomes, and
+  and compares outcomes,
 * ``tests/unit/test_sim_resources.py`` runs the 500-job
-  ``contended_medium`` contention storm of ``repro bench``'s kernel
-  suite through both and requires the identical completion sequence.
+  ``contended_medium`` contention storm of the kernel suite
+  (``benchmarks/kernel.py``) through both and requires the identical
+  completion sequence, and
+* ``tests/unit/test_kernel_ratchet.py`` times the storm on this
+  scheduler and requires the kernel ratchet to fail on it.
 
 It lives under ``tests/`` because nothing in the shipping package
 uses it: it is an oracle, not an alternative.

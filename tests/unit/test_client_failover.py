@@ -39,6 +39,7 @@ from repro.rpc import (
 from repro.sim import Interrupt, Simulator, Timeout
 from repro.solver.space import SearchSpace
 from repro.telemetry import SpanTracer, Telemetry
+from repro.telemetry.names import SPAN_FAILOVER
 
 
 @pytest.fixture
@@ -71,6 +72,36 @@ def null_spec():
 
 def remote_only_spec():
     return OperationSpec("remoteonly", (remote_plan(),), FidelitySpec.fixed())
+
+
+def traced_testbed(records, server_names):
+    """Client + servers + file server sharing a span-recording tracer.
+
+    Returns ``(sim, client, {name: server node})``.
+    """
+    telemetry = Telemetry(tracer=SpanTracer(records.append))
+    sim = Simulator(telemetry=telemetry)
+    network = Network(sim)
+    transport = RpcTransport(sim, network, telemetry=telemetry)
+    fileserver = FileServer(sim, "fs")
+    network.register_host("fs")
+    client_node = SpectraNode(sim, network, transport, fileserver,
+                              "client", IBM_560X, telemetry=telemetry)
+    medium = SharedMedium(sim, 250_000.0, default_latency_s=0.002)
+    network.connect("client", "fs", medium.attach())
+    client_node.register_service(NullService())
+    client = client_node.require_client()
+    servers = {}
+    for name in server_names:
+        servers[name] = SpectraNode(sim, network, transport, fileserver,
+                                    name, SERVER_B, with_client=False,
+                                    telemetry=telemetry)
+        network.connect("client", name, medium.attach())
+        network.connect(name, "fs", Link(sim, 500_000.0, 0.001))
+        servers[name].register_service(NullService())
+        client.add_server(name)
+    sim.run_process(client.poll_servers())
+    return sim, client, servers
 
 
 def run_null_op(sim, client, force=None):
@@ -352,6 +383,47 @@ class TestFailover:
         assert client._active == []
 
 
+class TestFailoverSpan:
+    def test_span_ends_when_rechoosing_raises(self):
+        """Regression (found by SPC102 once calls into can-raise
+        functions count as exception sources): an error other than
+        :class:`NoFeasibleAlternativeError` while re-choosing, here from
+        a user utility factory, used to leave the failover span open."""
+        records = []
+        sim, client, servers = traced_testbed(records, ("srv", "srv2"))
+        sim.run_process(client.register_fidelity(null_spec()))
+
+        class UtilityDown(RuntimeError):
+            pass
+
+        armed = []
+
+        def utility_factory(spec, importance):
+            if armed:
+                raise UtilityDown("no utility during failover")
+            return DefaultUtility(spec, importance)
+
+        client.utility_factory = utility_factory
+        handle, _report = run_null_op(sim, client)   # explores local
+        assert handle.plan_name == "local"
+
+        def op():
+            handle = yield from client.begin_fidelity_op("nullop")
+            assert handle.plan_name == "remote"
+            servers[handle.alternative.server].server.available = False
+            armed.append(True)
+            yield from client.do_remote_op(handle, "null", "null")
+
+        with pytest.raises(UtilityDown):
+            sim.run_process(op())
+        spans = [record for record in records
+                 if record["name"] == SPAN_FAILOVER]
+        assert len(spans) == 1
+        assert spans[0]["attrs"]["outcome"] == "error"
+        assert spans[0]["attrs"]["raised"] == "UtilityDown"
+        assert client._active == []
+
+
 class TestZeroBandwidthInfeasible:
     def test_zero_bandwidth_server_scores_infeasible(self, sim, testbed):
         """Satellite of the estimate_transfer_time fix: a zero-bandwidth
@@ -392,26 +464,7 @@ class TestMidBeginInterrupt:
         figure.  The generic unwind must stop the monitors, release the
         slot, and close the span before propagating."""
         records = []
-        telemetry = Telemetry(tracer=SpanTracer(records.append))
-        sim = Simulator(telemetry=telemetry)
-        network = Network(sim)
-        transport = RpcTransport(sim, network, telemetry=telemetry)
-        fileserver = FileServer(sim, "fs")
-        network.register_host("fs")
-        client_node = SpectraNode(sim, network, transport, fileserver,
-                                  "client", IBM_560X, telemetry=telemetry)
-        server_node = SpectraNode(sim, network, transport, fileserver,
-                                  "srv", SERVER_B, with_client=False,
-                                  telemetry=telemetry)
-        medium = SharedMedium(sim, 250_000.0, default_latency_s=0.002)
-        network.connect("client", "srv", medium.attach())
-        network.connect("client", "fs", medium.attach())
-        network.connect("srv", "fs", Link(sim, 500_000.0, 0.001))
-        for node in (client_node, server_node):
-            node.register_service(NullService())
-        client = client_node.require_client()
-        client.add_server("srv")
-        sim.run_process(client.poll_servers())
+        sim, client, _servers = traced_testbed(records, ("srv",))
         sim.run_process(client.register_fidelity(null_spec()))
 
         process = sim.spawn(client.begin_fidelity_op("nullop"))

@@ -332,16 +332,15 @@ class TestLegacyReferenceModel:
         # The kernel bench's 500-job contention storm: the same jobs
         # finish in the same order at the same simulated times (to
         # float dust: the two schedulers sum service differently).
-        from repro.perf.kernel import (
+        from benchmarks.kernel import (
             CONTENDED_CAPACITY,
             CONTENDED_JOBS,
-            _contention_storm,
+            contention_storm,
         )
 
         def storm(resource_cls):
-            completions, _events = _contention_storm(
-                lambda sim: resource_cls(sim, CONTENDED_CAPACITY),
-                CONTENDED_JOBS)
+            completions, _events = contention_storm(
+                lambda sim: resource_cls(sim, CONTENDED_CAPACITY))
             return completions
 
         shipping = storm(FairShareResource)
