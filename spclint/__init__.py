@@ -3,14 +3,16 @@
 Spectra's results are trustworthy only if every run is deterministic —
 all time from the simulated kernel clock, all randomness from seeded
 generators, every monitor/span lifecycle closed on every path.  This
-package mechanically enforces those invariants with a small AST rule
-engine (:mod:`.engine`), a registry of SPC rules (:mod:`.rules`), and a
-``repro lint`` CLI (:mod:`.cli`).
+stdlib-only package, kept outside the ``repro`` system it guards,
+mechanically enforces those invariants with a small AST rule engine
+(:mod:`.engine`), a registry of per-file SPC rules (:mod:`.rules`), a
+whole-program SPC1xx pack (:mod:`.flow`), and the ``python -m spclint``
+gate (:mod:`.cli`).
 
 Typical embedding::
 
-    from repro.analysis import LintConfig, analyze_paths
-    violations = analyze_paths(["src/repro", "tests"], LintConfig())
+    from spclint import analyze_paths
+    violations = analyze_paths()          # the gate's targets
 
 Inline suppression::
 
@@ -22,38 +24,29 @@ from .core import (
     RULE_REGISTRY,
     SYNTAX_CODE,
     Rule,
-    RuleConfig,
     Violation,
     all_rules,
     register_rule,
 )
 from .engine import (
-    LintConfig,
     Project,
-    analyze_file,
     analyze_paths,
     analyze_source,
     iter_python_files,
 )
-from .reporters import render_json, render_text
 from . import rules  # noqa: F401  (registers the SPC rule pack)
-from . import flow  # noqa: F401  (registers the SPC1xx deep pack)
+from . import flow  # noqa: F401  (registers the SPC1xx whole-program pack)
 
 __all__ = [
     "INTERNAL_CODE",
     "RULE_REGISTRY",
     "SYNTAX_CODE",
     "Rule",
-    "RuleConfig",
     "Violation",
     "all_rules",
     "register_rule",
-    "LintConfig",
     "Project",
-    "analyze_file",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",
-    "render_json",
-    "render_text",
 ]

@@ -1,10 +1,10 @@
 """The shared parse cache: one ``ast.parse`` per file per process.
 
 Every consumer of a parsed module — the per-file SPC rule pack, the
-whole-program ``--deep`` passes, the self-lint test suite — goes through
-one :class:`ParseCache`, so a file read and parsed for the shallow pass
-is reused verbatim by the project index instead of being re-read and
-re-parsed.  Entries are keyed by path and invalidated on
+whole-program SPC1xx passes, the self-lint test suite — goes through
+one :class:`ParseCache`, so a file read and parsed for the per-file
+rules is reused verbatim by the project index instead of being re-read
+and re-parsed.  Entries are keyed by path and invalidated on
 ``(mtime_ns, size)`` change, which makes the cache safe to keep alive
 across repeated sweeps inside one process (watch loops, test suites).
 

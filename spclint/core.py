@@ -1,10 +1,11 @@
 """Core types of the sim-safety analysis engine.
 
 The engine is deliberately small: a :class:`Rule` visits one parsed
-source file and yields :class:`Violation` records; a :class:`RuleConfig`
-scopes and parameterizes it; the module-level registry maps rule codes
-to singleton rule instances so the CLI, the test suite, and the engine
-all agree on what "the rule pack" is.
+source file and yields :class:`Violation` records; the module-level
+registry maps rule codes to singleton rule instances so the CLI, the
+test suite, and the engine all agree on what "the rule pack" is.  Each
+rule carries its own scope and constants; there is no per-run
+configuration.
 
 Rules are *advisory by construction*: every rule is a heuristic over
 the AST, so every violation can be silenced in place with an inline
@@ -17,14 +18,14 @@ bugs, surfacing them as ``SPC000`` violations instead of crashing).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 #: Reserved code for engine-internal failures (rule crashes, unreadable
 #: files).  Never registered as a real rule; never suppressible.
 INTERNAL_CODE = "SPC000"
 
-#: Reserved code for files that do not parse.  ``repro lint`` treats it
+#: Reserved code for files that do not parse.  The gate treats it
 #: like any other violation, so a syntax error fails the build too.
 SYNTAX_CODE = "SPC999"
 
@@ -39,33 +40,8 @@ class Violation:
     col: int                  # 0-based column offset
     message: str              # human-readable diagnosis
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
-
-
-@dataclass
-class RuleConfig:
-    """Per-rule knobs: on/off, path scoping, and free-form options.
-
-    ``scope`` and ``exclude`` are sequences of path fragments matched
-    against the POSIX form of the file path (substring match) — the
-    pragmatic unit for a repo linted from its root.  ``None`` defers to
-    the rule's ``default_scope`` / ``default_exclude``.
-    """
-
-    enabled: bool = True
-    scope: Optional[Sequence[str]] = None
-    exclude: Optional[Sequence[str]] = None
-    options: Dict[str, Any] = field(default_factory=dict)
 
 
 class SourceFile:
@@ -74,8 +50,8 @@ class SourceFile:
     Derived views of the tree that more than one consumer needs —
     import aliases, the child→parent map, inline suppressions — are
     computed once on first access and memoized here, so N rules (and
-    the whole-program passes of ``--deep`` mode) share one walk instead
-    of each re-deriving it.
+    the whole-program passes) share one walk instead of each
+    re-deriving it.
     """
 
     def __init__(self, path: str, text: str, tree: ast.AST):
@@ -118,28 +94,21 @@ class Rule:
     """Base class for one invariant check.
 
     Subclasses set the class attributes and implement :meth:`check`,
-    yielding violations.  ``default_scope`` limits where the rule runs
-    (empty tuple = everywhere); ``default_exclude`` carves exceptions
-    out of that scope.
+    yielding violations.  ``scope`` limits where the rule runs: path
+    fragments matched against the POSIX form of the file path
+    (substring match), empty tuple = everywhere.
     """
 
     code: str = INTERNAL_CODE
     name: str = "unnamed"
     description: str = ""
-    default_scope: Tuple[str, ...] = ()
-    default_exclude: Tuple[str, ...] = ()
+    scope: Tuple[str, ...] = ()
 
-    def applies_to(self, source: SourceFile, config: RuleConfig) -> bool:
-        scope = config.scope if config.scope is not None else self.default_scope
-        exclude = (config.exclude if config.exclude is not None
-                   else self.default_exclude)
-        path = source.posix_path
-        if scope and not any(fragment in path for fragment in scope):
-            return False
-        return not any(fragment in path for fragment in exclude)
+    def applies_to(self, source: SourceFile) -> bool:
+        return not self.scope or any(fragment in source.posix_path
+                                     for fragment in self.scope)
 
-    def check(self, source: SourceFile,
-              config: RuleConfig) -> Iterator[Violation]:
+    def check(self, source: SourceFile) -> Iterator[Violation]:
         raise NotImplementedError
 
     def violation(self, source: SourceFile, node: ast.AST,
@@ -153,34 +122,25 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """Base class for a whole-program pass (the ``--deep`` SPC1xx pack).
+    """Base class for a whole-program pass (the SPC1xx pack).
 
     Where :class:`Rule` sees one file at a time, a project rule sees the
     whole parsed project at once — the shared AST cache, the module
     index, resolved call edges — and can therefore check interprocedural
     invariants (taint reachability, paths through the whole CFG).
 
-    ``check_project`` receives a ``Project`` (see
-    :mod:`repro.analysis.engine`) and yields violations anywhere in it;
-    ``applies_to`` is still honored — it scopes which *files'* contents
-    the rule collects findings from, via :meth:`in_scope`.
+    ``check_project`` receives a ``Project`` (see :mod:`spclint.engine`)
+    and yields violations anywhere in it; ``applies_to`` still scopes
+    which *files'* contents the rule reports findings against.
     """
 
-    whole_program = True
-
-    def check(self, source: SourceFile,
-              config: RuleConfig) -> Iterator[Violation]:
+    def check(self, source: SourceFile) -> Iterator[Violation]:
         # Project rules never run per-file; the engine routes them
         # through check_project instead.
         return iter(())
 
-    def check_project(self, project: Any,
-                      config: RuleConfig) -> Iterator[Violation]:
+    def check_project(self, project: Any) -> Iterator[Violation]:
         raise NotImplementedError
-
-    def in_scope(self, source: SourceFile, config: RuleConfig) -> bool:
-        """Whether findings may be reported against *source*."""
-        return self.applies_to(source, config)
 
 
 #: code -> rule instance; populated by :func:`register_rule` decorators
@@ -201,10 +161,6 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> List[Rule]:
     """The registered rule pack, in code order."""
     return [RULE_REGISTRY[code] for code in sorted(RULE_REGISTRY)]
-
-
-def is_project_rule(rule: Rule) -> bool:
-    return bool(getattr(rule, "whole_program", False))
 
 
 # -- shared AST helpers ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Whole-program flow analysis: the ``--deep`` layer of ``repro lint``.
+"""Whole-program flow analysis: the SPC1xx half of every sweep.
 
 Where the SPC0xx pack checks one file at a time, this package builds a
 project-wide view — a module/def/call-edge index
@@ -17,7 +17,8 @@ edges (:mod:`.cfg`) — and runs interprocedural passes over it:
 |        | themselves findings (dead waivers can't accumulate)           |
 
 Importing this package registers the pack with the shared rule
-registry; the rules only run under ``repro lint --deep``.
+registry; every :func:`~spclint.engine.analyze_paths` sweep runs it
+after the per-file rules, over the same parse of every file.
 """
 
 from . import (  # noqa: F401  (imported for registration side effect)

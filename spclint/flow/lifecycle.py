@@ -40,7 +40,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core import (
     ProjectRule,
-    RuleConfig,
     SourceFile,
     Violation,
     register_rule,
@@ -303,16 +302,14 @@ def _closes_pair(receiver: str,
 class _FlowLifecycleBase(ProjectRule):
     """Common iteration: scoped index functions -> per-function check."""
 
-    default_scope = ("src/repro",)
-    default_exclude = ("src/repro/analysis",)
+    scope = ("src/repro",)
 
-    def check_project(self, project, config: RuleConfig,
-                      ) -> Iterator[Violation]:
+    def check_project(self, project) -> Iterator[Violation]:
         index: ProjectIndex = project.index
         checked: Set[str] = set()
         for qname in sorted(index.functions):
             fn = index.functions[qname]
-            if not self.in_scope(fn.source, config):
+            if not self.applies_to(fn.source):
                 continue
             # A def indexed under two qnames (first-wins collisions)
             # still only gets checked once per AST node.

@@ -1,7 +1,7 @@
 """The project index: modules, defs, and resolved call edges.
 
-Built once per deep sweep from the already-parsed
-:class:`~repro.analysis.core.SourceFile` set (no re-reads, no
+Built once per sweep from the already-parsed
+:class:`~spclint.core.SourceFile` set (no re-reads, no
 re-parses), the index answers the questions the interprocedural passes
 ask:
 

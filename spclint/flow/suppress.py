@@ -4,24 +4,24 @@ An inline ``# spectra: noqa[CODE]`` is a reviewed, justified exception
 to a rule.  Exceptions rot: the flagged code gets refactored away, the
 waiver stays, and a later (possibly unrelated, possibly real) finding
 on that line is silently swallowed by a comment nobody remembers.  This
-pass runs *last* in the deep pack and checks every waiver against the
-full pre-suppression finding stream of the run: a waiver that names a
-rule which produced no finding on its line — or a blanket ``noqa``
-covering a line with no findings at all — is itself reported.
+pass runs *last* in the whole-program pack and checks every waiver
+against the full pre-suppression finding stream of the run: a waiver
+that names a rule which produced no finding on its line — or a blanket
+``noqa`` covering a line with no findings at all — is itself reported.
 
 Judgments are only made about rules that actually ran: a waiver for a
-rule deselected in this run is left alone (it may well suppress
-something in the full configuration), and waivers naming this rule's
-own code are skipped (waiving the audit is a contradiction, not a dead
-waiver).  Unknown rule codes in a waiver are always findings — they
-suppress nothing under any configuration.
+rule a test's ``select`` left out is left alone (it may well suppress
+something in the full sweep), and waivers naming this rule's own code
+are skipped (waiving the audit is a contradiction, not a dead waiver).
+Unknown rule codes in a waiver are always findings — they suppress
+nothing under any selection.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Set, Tuple
 
-from ..core import RULE_REGISTRY, ProjectRule, RuleConfig, Violation, register_rule
+from ..core import RULE_REGISTRY, ProjectRule, Violation, register_rule
 from ..suppressions import ALL_RULES
 
 
@@ -31,14 +31,9 @@ class UnusedSuppressionRule(ProjectRule):
     name = "unused-suppression"
     description = ("# spectra: noqa[CODE] waivers that suppress no "
                    "finding of this run are dead and must go")
-    default_scope = ()
-    default_exclude = ()
 
-    def check_project(self, project, config: RuleConfig,
-                      ) -> Iterator[Violation]:
-        active = {rule.code
-                  for rule in (project.config.active_rules()
-                               + project.config.active_project_rules())}
+    def check_project(self, project) -> Iterator[Violation]:
+        active = {rule.code for rule in project.rules}
         any_judgeable = bool(active - {self.code})
         #: (path, line) -> rule codes that fired there, pre-suppression
         fired: Dict[Tuple[str, int], Set[str]] = {}
@@ -47,7 +42,7 @@ class UnusedSuppressionRule(ProjectRule):
                              set()).add(violation.rule)
 
         for source in project.sources():
-            if not self.in_scope(source, config):
+            if not self.applies_to(source):
                 continue
             for line in sorted(source.suppressions):
                 codes = source.suppressions[line]
@@ -55,7 +50,7 @@ class UnusedSuppressionRule(ProjectRule):
                 if codes is ALL_RULES or "*" in codes:
                     # A blanket waiver is only judged when some other
                     # rule ran at all — otherwise "no findings" is a
-                    # fact about the run config, not about the waiver.
+                    # fact about the selection, not about the waiver.
                     if any_judgeable and not at_line:
                         yield Violation(
                             rule=self.code, path=source.path,

@@ -9,18 +9,16 @@ read, a global-state RNG draw, an environment read — and propagates the
 mark backward over the resolved project call graph.  Any **entry
 point** (public function of a decision-path package: the simulator, the
 solver, the client) that ends up tainted is a finding, reported with
-the shortest call chain from the entry point to the source.  The
-entry packages can be set per run with the ``entry_packages`` option.
+the shortest call chain from the entry point to the source.
 No module in ``src/repro`` may read the host clock, so there are no
 sanctioned sources: host timing lives in ``benchmarks/``.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core import ProjectRule, RuleConfig, Violation, register_rule
+from ..core import ProjectRule, Violation, register_rule
 from ..rules.randomness import ALLOWED as _RNG_ALLOWED
 from ..rules.randomness import BANNED_PREFIXES as _RNG_PREFIXES
 from ..rules.wallclock import BANNED_CALLS as _WALL_CLOCK
@@ -84,14 +82,10 @@ class DeterminismTaintRule(ProjectRule):
     name = "determinism-taint"
     description = ("decision-path entry points must not transitively "
                    "reach wall-clock/RNG/environment sources")
-    default_scope = ("src/repro",)
-    default_exclude = ("src/repro/analysis",)
+    scope = ("src/repro",)
 
-    def check_project(self, project, config: RuleConfig,
-                      ) -> Iterator[Violation]:
+    def check_project(self, project) -> Iterator[Violation]:
         index: ProjectIndex = project.index
-        entry_packages = tuple(config.options.get(
-            "entry_packages", DEFAULT_ENTRY_PACKAGES))
 
         # 1. Direct taint: functions whose own body contains a source.
         taint: Dict[str, Tuple[Optional[str], str, int]] = {}
@@ -123,9 +117,9 @@ class DeterminismTaintRule(ProjectRule):
             if not fn.is_public:
                 continue
             if not any(fn.module == p or fn.module.startswith(p + ".")
-                       for p in entry_packages):
+                       for p in DEFAULT_ENTRY_PACKAGES):
                 continue
-            if not self.in_scope(fn.source, config):
+            if not self.applies_to(fn.source):
                 continue
             chain = self._chain(taint, qname)
             _, description, line = taint[self._chain_tail(taint, qname)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from ..core import Rule, RuleConfig, SourceFile, Violation, register_rule
+from ..core import Rule, SourceFile, Violation, register_rule
 
 
 def _init_self_assigns(cls: ast.ClassDef) -> List[Tuple[str, ast.AST]]:
@@ -69,11 +69,9 @@ class DeadAttributeRule(Rule):
     name = "no-dead-attributes"
     description = ("private attributes assigned in __init__ but never "
                    "read anywhere in the module")
-    default_scope = ("src/repro",)
-    default_exclude = ("src/repro/analysis",)
+    scope = ("src/repro",)
 
-    def check(self, source: SourceFile,
-              config: RuleConfig) -> Iterator[Violation]:
+    def check(self, source: SourceFile) -> Iterator[Violation]:
         reads = _module_reads(source.tree)
         for cls in ast.walk(source.tree):
             if not isinstance(cls, ast.ClassDef):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..core import Rule, RuleConfig, SourceFile, Violation, register_rule
+from ..core import Rule, SourceFile, Violation, register_rule
 
 BROAD = {"Exception", "BaseException"}
 
@@ -58,14 +58,12 @@ class SwallowedExceptRule(Rule):
     name = "no-swallowed-except"
     description = ("bare excepts anywhere; broad except Exception that "
                    "neither re-raises nor uses the exception on hot paths")
-    default_scope = ("src/repro",)
-    default_exclude = ("src/repro/analysis",)
+    scope = ("src/repro",)
     #: packages where broad-and-silent catches are additionally banned
     HOT_PATHS = ("src/repro/solver", "src/repro/rpc", "src/repro/sim",
                  "src/repro/core", "src/repro/monitors")
 
-    def check(self, source: SourceFile,
-              config: RuleConfig) -> Iterator[Violation]:
+    def check(self, source: SourceFile) -> Iterator[Violation]:
         in_hot_path = any(fragment in source.posix_path
                           for fragment in self.HOT_PATHS)
         for node in ast.walk(source.tree):

@@ -25,7 +25,6 @@ from typing import Iterator, Optional
 
 from ..core import (
     Rule,
-    RuleConfig,
     SourceFile,
     Violation,
     register_rule,
@@ -74,11 +73,9 @@ class FloatEqualityRule(Rule):
     name = "no-float-equality"
     description = ("exact ==/!= on utility/energy/time floats; use "
                    "math.isclose, ordering, or isinf/isnan")
-    default_scope = ("src/repro",)
-    default_exclude = ("src/repro/analysis",)
+    scope = ("src/repro",)
 
-    def check(self, source: SourceFile,
-              config: RuleConfig) -> Iterator[Violation]:
+    def check(self, source: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Compare):
                 continue

@@ -18,7 +18,6 @@ from typing import Iterator
 
 from ..core import (
     Rule,
-    RuleConfig,
     SourceFile,
     Violation,
     register_rule,
@@ -44,11 +43,9 @@ class UnseededRandomnessRule(Rule):
     name = "no-unseeded-randomness"
     description = ("module-level random.* / numpy.random.* calls are "
                    "banned; draw from an explicitly seeded generator")
-    default_scope = ()          # global state is poison everywhere
-    default_exclude = ("src/repro/analysis",)
+    scope = ()          # global state is poison everywhere
 
-    def check(self, source: SourceFile,
-              config: RuleConfig) -> Iterator[Violation]:
+    def check(self, source: SourceFile) -> Iterator[Violation]:
         aliases = source.aliases
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):

@@ -16,7 +16,6 @@ from typing import Iterator
 
 from ..core import (
     Rule,
-    RuleConfig,
     SourceFile,
     Violation,
     register_rule,
@@ -41,11 +40,9 @@ class WallClockRule(Rule):
     name = "no-wall-clock"
     description = ("wall-clock reads and real sleeps are banned in "
                    "simulated code; use the sim kernel clock")
-    default_scope = ("src/repro",)
-    default_exclude = ("src/repro/analysis",)
+    scope = ("src/repro",)
 
-    def check(self, source: SourceFile,
-              config: RuleConfig) -> Iterator[Violation]:
+    def check(self, source: SourceFile) -> Iterator[Violation]:
         aliases = source.aliases
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):

@@ -8,7 +8,6 @@ Examples::
     python -m repro baselines                # Spectra vs static/RPF policies
     python -m repro parallel                 # the parallel-plans extension
     python -m repro trace run.jsonl          # forensics on a telemetry trace
-    python -m repro lint src/repro tests     # sim-safety static analysis
     python -m repro list                     # what can be generated
 
 Rendered tables are printed and written to ``--output`` (default
@@ -22,7 +21,6 @@ import pathlib
 import sys
 from typing import Callable, Dict, List
 
-from .analysis.cli import add_lint_arguments, run_lint
 from .apps import make_latex_spec, make_pangloss_spec, make_speech_spec
 from .experiments import (
     full_cache_prediction_ms,
@@ -258,18 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=None,
                        help="override the profile's fault/jitter seed")
 
-    lint = sub.add_parser(
-        "lint",
-        help="sim-safety static analysis (the SPC rule pack)",
-        description="Run the AST rule engine that enforces Spectra's "
-                    "determinism and lifecycle invariants; exits 1 on "
-                    "any violation.  --deep adds the whole-program "
-                    "SPC1xx passes (call-graph taint, CFG lifecycle "
-                    "paths, stale waivers) to the per-file rules; "
-                    "it is the CI gate.",
-    )
-    add_lint_arguments(lint)
-
     predictors = sub.add_parser(
         "predictors",
         help="persisted predictor stores: inspect, export, merge",
@@ -304,9 +290,6 @@ def main(argv: List[str] = None) -> int:
         print("scenarios:", " ".join(sorted(SCENARIOS)))
         print("chaos profiles:", " ".join(sorted(CHAOS_PROFILES)))
         return 0
-
-    if args.command == "lint":
-        return run_lint(args)
 
     if args.command == "predictors":
         return run_predictors_command(args)

@@ -2,9 +2,10 @@
 
 The engine's contract is that :func:`analyze_source` returns a list of
 violations for *any* input text — syntax errors, null bytes, weird
-unicode — and :func:`analyze_file` does the same for any path.  The
-sweep below pins that on every real file in the repo; the hypothesis
-test pins it on adversarial text.
+unicode — and :func:`analyze_paths` does the same for any path, its
+whole-program pack included.  The sweep below pins that on every real
+file in the repo, the engine's own included; the hypothesis test pins
+it on adversarial text.
 """
 
 import pathlib
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import LintConfig, Violation, analyze_file, analyze_source
+from spclint import Violation, analyze_paths, analyze_source
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 ALL_SOURCE_FILES = sorted(
-    path for root in ("src", "tests", "benchmarks")
+    path for root in ("src", "tests", "benchmarks", "spclint")
     for path in (REPO_ROOT / root).rglob("*.py")
     if "__pycache__" not in path.parts
 )
@@ -29,7 +30,7 @@ ALL_SOURCE_FILES = sorted(
     ids=[str(p.relative_to(REPO_ROOT)) for p in ALL_SOURCE_FILES],
 )
 def test_engine_never_crashes_on_repo_file(path):
-    violations = analyze_file(str(path), LintConfig())
+    violations = analyze_paths([str(path)])
     assert isinstance(violations, list)
     for violation in violations:
         assert isinstance(violation, Violation)
@@ -41,7 +42,7 @@ def test_engine_never_crashes_on_repo_file(path):
 @settings(max_examples=200, deadline=None)
 @given(text=st.text(max_size=400))
 def test_engine_never_crashes_on_arbitrary_text(text):
-    violations = analyze_source("src/repro/fuzz.py", text, LintConfig())
+    violations = analyze_source("src/repro/fuzz.py", text)
     assert isinstance(violations, list)
     assert all(isinstance(v, Violation) for v in violations)
 
@@ -55,7 +56,7 @@ def test_engine_never_crashes_on_arbitrary_text(text):
 )
 def test_engine_never_crashes_on_python_shaped_text(body):
     """Denser coverage of text that often *does* parse."""
-    violations = analyze_source("src/repro/fuzz.py", body, LintConfig())
+    violations = analyze_source("src/repro/fuzz.py", body)
     assert isinstance(violations, list)
 
 

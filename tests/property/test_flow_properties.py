@@ -18,9 +18,9 @@ import ast
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.core import SourceFile
-from repro.analysis.flow.cfg import EXIT_RAISE, EXIT_RETURN, build_cfg
-from repro.analysis.flow.project import ProjectIndex
+from spclint.core import SourceFile
+from spclint.flow.cfg import EXIT_RAISE, EXIT_RETURN, build_cfg
+from spclint.flow.project import ProjectIndex
 
 # ---------------------------------------------------------------------------
 # random module graphs

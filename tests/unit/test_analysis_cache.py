@@ -1,4 +1,4 @@
-"""Unit tests for the shared parse cache (repro.analysis.cache).
+"""Unit tests for the shared parse cache (spclint.cache).
 
 The cache's contract: one ``ast.parse`` per file per process, identity
 reuse across consumers, ``(mtime_ns, size)`` invalidation, and negative
@@ -8,9 +8,9 @@ never-raise guarantee.
 
 import os
 
-from repro.analysis.cache import ParseCache
-from repro.analysis.core import INTERNAL_CODE, SYNTAX_CODE
-from repro.analysis.engine import LintConfig, analyze_paths
+from spclint.cache import ParseCache
+from spclint.core import INTERNAL_CODE, SYNTAX_CODE
+from spclint.engine import analyze_paths
 
 
 class TestHitsAndIdentity:
@@ -23,17 +23,16 @@ class TestHitsAndIdentity:
         assert first is second
         assert cache.misses == 1 and cache.hits == 1
 
-    def test_shallow_and_deep_sweeps_share_one_parse(self, tmp_path):
+    def test_repeat_sweep_reuses_every_parse(self, tmp_path):
         (tmp_path / "mod.py").write_text("def f():\n    return 1\n")
         cache = ParseCache()
-        analyze_paths([str(tmp_path)], LintConfig(), cache=cache)
-        misses_after_first = cache.misses
-        analyze_paths([str(tmp_path)], LintConfig(), deep=True,
-                      cache=cache)
+        analyze_paths([str(tmp_path)], cache=cache)
+        assert cache.misses == 1
+        analyze_paths([str(tmp_path)], cache=cache)
         # The second sweep — per-file rules AND the project pass — found
         # everything already parsed.
-        assert cache.misses == misses_after_first
-        assert cache.hits >= 1
+        assert cache.misses == 1
+        assert cache.hits == 1
 
 
 class TestInvalidation:
@@ -87,7 +86,7 @@ class TestNegativeCaching:
     def test_insert_preseeds_for_in_memory_sources(self, tmp_path):
         import ast
 
-        from repro.analysis.core import SourceFile
+        from spclint.core import SourceFile
 
         text = "x = 1\n"
         source = SourceFile("virtual/mod.py", text, ast.parse(text))

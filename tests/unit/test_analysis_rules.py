@@ -5,29 +5,28 @@ import textwrap
 
 import pytest
 
-from repro.analysis import LintConfig, analyze_paths, analyze_source
-from repro.analysis.cache import ParseCache
+from spclint import analyze_paths, analyze_source
+from spclint.cache import ParseCache
 
 #: Path under the default scope of every rule.
 SRC = "src/repro/sim/fixture.py"
 
 
-def lint(code, path=SRC, **config_kwargs):
-    return analyze_source(path, textwrap.dedent(code),
-                          LintConfig(**config_kwargs))
+def lint(code, path=SRC, select=None):
+    return analyze_source(path, textwrap.dedent(code), select=select)
 
 
 def codes(violations):
     return [v.rule for v in violations]
 
 
-def deep_lint(tmp_path, code):
-    """Deep-sweep *code* as the only file of a tree, SPC102 alone."""
+def sweep(tmp_path, code):
+    """Sweep *code* as the only file of a tree, SPC102 alone."""
     target = tmp_path / SRC
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(code))
-    return analyze_paths([str(tmp_path)], LintConfig(select=["SPC102"]),
-                         deep=True, cache=ParseCache())
+    return analyze_paths([str(tmp_path)], select=["SPC102"],
+                         cache=ParseCache())
 
 
 # -- SPC001: wall clock --------------------------------------------------------------
@@ -146,15 +145,15 @@ class TestUnseededRandomness:
 
 
 class TestLifecyclePairing:
-    """The lexical pairing cases, checked by the deep pass's SPC102.
+    """The lexical pairing cases, checked by the whole-program SPC102.
 
     SPC102 runs only over a whole tree, so each snippet is written to a
-    fixture file under the rule's default scope and swept with
-    ``deep=True``.
+    fixture file under the rule's scope and swept with
+    :func:`analyze_paths`.
     """
 
     def test_detects_span_never_ended(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def work(tracer):
                 span = tracer.start_span("work")
                 compute()
@@ -163,7 +162,7 @@ class TestLifecyclePairing:
         assert "never .end()ed" in found[0].message
 
     def test_detects_dropped_span_result(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def work(tracer):
                 tracer.start_span("work")
         """)
@@ -171,7 +170,7 @@ class TestLifecyclePairing:
         assert "dropped" in found[0].message
 
     def test_detects_early_return_leak(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def work(tracer, fast):
                 span = tracer.start_span("work")
                 if fast:
@@ -183,7 +182,7 @@ class TestLifecyclePairing:
         assert "leak" in found[0].message
 
     def test_detects_start_all_without_stop_all(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def run(monitors):
                 recording = Recording()
                 monitors.start_all(recording)
@@ -192,7 +191,7 @@ class TestLifecyclePairing:
         assert codes(found) == ["SPC102"]
 
     def test_paired_span_passes(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def work(tracer):
                 span = tracer.start_span("work")
                 compute()
@@ -201,7 +200,7 @@ class TestLifecyclePairing:
         assert found == []
 
     def test_end_in_finally_passes(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def work(tracer, fast):
                 span = tracer.start_span("work")
                 try:
@@ -214,7 +213,7 @@ class TestLifecyclePairing:
         assert found == []
 
     def test_with_statement_passes(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def work(tracer):
                 with tracer.span("work"):
                     compute()
@@ -222,14 +221,14 @@ class TestLifecyclePairing:
         assert found == []
 
     def test_chained_end_passes(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def mark(tracer):
                 tracer.start_span("tick").end()
         """)
         assert found == []
 
     def test_escaping_span_passes(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def begin(tracer):
                 span = tracer.start_span("op")
                 return span
@@ -237,7 +236,7 @@ class TestLifecyclePairing:
         assert found == []
 
     def test_span_passed_to_helper_passes(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def begin(tracer):
                 span = tracer.start_span("op")
                 finish_later(span)
@@ -245,7 +244,7 @@ class TestLifecyclePairing:
         assert found == []
 
     def test_escaping_recording_passes(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def begin(monitors):
                 recording = Recording()
                 monitors.start_all(recording)
@@ -254,7 +253,7 @@ class TestLifecyclePairing:
         assert found == []
 
     def test_end_before_early_exit_passes(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def work(tracer, bad):
                 span = tracer.start_span("work")
                 if bad:
@@ -266,7 +265,7 @@ class TestLifecyclePairing:
         assert found == []
 
     def test_suppressed(self, tmp_path):
-        found = deep_lint(tmp_path, """
+        found = sweep(tmp_path, """
             def work(tracer):
                 span = tracer.start_span("work")  # spectra: noqa[SPC102]
                 compute()
@@ -461,60 +460,6 @@ class TestSwallowedExcept:
         assert found == []
 
 
-# -- SPC007: import-time numpy -------------------------------------------------------
-
-
-class TestImportTimeNumpy:
-    def test_detects_module_level_imports(self):
-        found = lint("""
-            import numpy as np
-            from numpy.linalg import lstsq
-        """, select=["SPC007"])
-        assert codes(found) == ["SPC007", "SPC007"]
-        assert [v.line for v in found] == [2, 3]
-
-    def test_detects_imports_that_run_at_import_time(self):
-        found = lint("""
-            from typing import TYPE_CHECKING
-
-            if TYPE_CHECKING:
-                import numpy
-            else:
-                import numpy.linalg
-
-            class Model:
-                import numpy
-        """, select=["SPC007"])
-        assert [v.line for v in found] == [7, 10]
-
-    def test_deferred_imports_pass(self):
-        found = lint("""
-            import typing
-
-            if typing.TYPE_CHECKING:
-                import numpy as np
-
-            def solve(x):
-                import numpy as np
-                return np.asarray(x)
-
-            square = lambda x: __import__("numpy").square(x)
-        """, select=["SPC007"])
-        assert found == []
-
-    def test_out_of_scope_file_passes(self):
-        found = lint("""
-            import numpy as np
-        """, path="tests/unit/fixture.py", select=["SPC007"])
-        assert found == []
-
-    def test_suppressed(self):
-        found = lint("""
-            import numpy as np  # spectra: noqa[SPC007]
-        """, select=["SPC007"])
-        assert found == []
-
-
 # -- cross-rule: suppression forms ---------------------------------------------------
 
 
@@ -560,17 +505,17 @@ class TestSuppressionForms:
 
 #: The whole rule pack.  Adding or removing a rule is an edit here.
 EXPECTED_RULES = ("SPC001", "SPC002", "SPC004", "SPC005", "SPC006",
-                  "SPC007", "SPC101", "SPC102", "SPC103", "SPC105")
+                  "SPC101", "SPC102", "SPC103", "SPC105")
 
 
 def test_registry_holds_exactly_the_expected_rules():
-    from repro.analysis import RULE_REGISTRY
+    from spclint import RULE_REGISTRY
     assert sorted(RULE_REGISTRY) == list(EXPECTED_RULES)
 
 
 @pytest.mark.parametrize("rule_code", EXPECTED_RULES)
 def test_every_rule_is_registered(rule_code):
-    from repro.analysis import RULE_REGISTRY
+    from spclint import RULE_REGISTRY
     assert rule_code in RULE_REGISTRY
     rule = RULE_REGISTRY[rule_code]
     assert rule.code == rule_code

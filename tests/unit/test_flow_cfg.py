@@ -1,4 +1,4 @@
-"""Unit tests for the per-function CFG (repro.analysis.flow.cfg).
+"""Unit tests for the per-function CFG (spclint.flow.cfg).
 
 The graph's contract, relied on by the SPC102/103 path checks:
 
@@ -12,9 +12,7 @@ The graph's contract, relied on by the SPC102/103 path checks:
 
 import ast
 
-import pytest
-
-from repro.analysis.flow.cfg import EXIT_RAISE, EXIT_RETURN, build_cfg
+from spclint.flow.cfg import EXIT_RAISE, EXIT_RETURN, build_cfg
 
 
 def cfg_of(source, raising_call=None):

@@ -1,4 +1,4 @@
-"""Unit tests for the whole-program index (repro.analysis.flow.project).
+"""Unit tests for the whole-program index (spclint.flow.project).
 
 Covers module naming from package structure, function/method indexing,
 call resolution (bare names, ``self.``/``cls.`` through base classes,
@@ -9,8 +9,8 @@ call resolution (bare names, ``self.``/``cls.`` through base classes,
 import ast
 import textwrap
 
-from repro.analysis.core import SourceFile
-from repro.analysis.flow.project import ProjectIndex, module_name_for
+from spclint.core import SourceFile
+from spclint.flow.project import ProjectIndex, module_name_for
 
 
 def parse(files):

@@ -1,7 +1,7 @@
 """Golden tests for the whole-program SPC1xx pack.
 
 Each test lays out a small fixture package on disk (``tmp_path``), runs
-the deep sweep over it with a private parse cache, and asserts the
+the sweep over it with a private parse cache, and asserts the
 exact findings — both the positives (the planted defect is reported,
 once, at the right place) and the negatives (the clean twin of the
 same shape stays silent).  Fixture sources live in this module as
@@ -12,37 +12,38 @@ show up in it.
 
 import textwrap
 
-import pytest
-
-from repro.analysis.cache import ParseCache
-from repro.analysis.engine import LintConfig, analyze_paths
-from repro.analysis.core import RuleConfig
+from spclint.cache import ParseCache
+from spclint.engine import analyze_paths
 
 
 def write_fixture(tmp_path, files):
-    """Materialize {relpath: source} as a package tree; returns root."""
+    """Materialize {path under src/repro: source} as a package tree.
+
+    Every directory becomes a package, so the fixture indexes as
+    ``repro.*`` modules: each rule's ``src/repro`` scope and SPC101's
+    entry packages (``repro.sim``, ``repro.core``) apply unchanged.
+    Returns the tree's root.
+    """
+    package = tmp_path / "src" / "repro"
     for rel, text in files.items():
-        full = tmp_path / rel
+        full = package / rel
         full.parent.mkdir(parents=True, exist_ok=True)
         full.write_text(textwrap.dedent(text))
+    for directory in [package, *package.rglob("*")]:
+        init = directory / "__init__.py"
+        if directory.is_dir() and not init.exists():
+            init.write_text("")
     return tmp_path
 
 
-def deep_lint(root, select, options=None, scope=(), exclude=()):
-    """Deep-sweep *root* with only *select* active, scoped everywhere."""
-    config = LintConfig(select=list(select))
-    for code in select:
-        config.rules[code] = RuleConfig(
-            scope=scope, exclude=exclude, options=dict(options or {}),
-        )
-    return analyze_paths([str(root)], config, deep=True,
-                         cache=ParseCache())
+def sweep(root, select):
+    """Sweep *root* with only the *select*-ed rules active."""
+    return analyze_paths([str(root)], select=select, cache=ParseCache())
 
 
 class TestSPC101DeterminismTaint:
     FILES = {
-        "pkg/__init__.py": "",
-        "pkg/util.py": """\
+        "core/util.py": """\
             import time
 
 
@@ -53,8 +54,8 @@ class TestSPC101DeterminismTaint:
             def pure_add(a, b):
                 return a + b
         """,
-        "pkg/middle.py": """\
-            from pkg.util import pure_add, read_clock
+        "core/middle.py": """\
+            from repro.core.util import pure_add, read_clock
 
 
             def helper():
@@ -64,8 +65,8 @@ class TestSPC101DeterminismTaint:
             def clean_helper(x):
                 return pure_add(x, 1)
         """,
-        "pkg/entry.py": """\
-            from pkg.middle import clean_helper, helper
+        "sim/entry.py": """\
+            from repro.core.middle import clean_helper, helper
 
 
             def run_decision():
@@ -85,16 +86,15 @@ class TestSPC101DeterminismTaint:
         files = dict(self.FILES)
         files.update(extra or {})
         root = write_fixture(tmp_path, files)
-        return deep_lint(root, ["SPC101"],
-                         options={"entry_packages": ("pkg",)})
+        return sweep(root, ["SPC101"])
 
     def test_tainted_public_entry_points_reported(self, tmp_path):
         found = self.taint(tmp_path)
         messages = {v.message for v in found}
         # The public entry points are flagged...
-        assert any("pkg.entry.run_decision" in m for m in messages)
-        assert any("pkg.util.read_clock" in m for m in messages)
-        assert any("pkg.middle.helper" in m for m in messages)
+        assert any("repro.sim.entry.run_decision" in m for m in messages)
+        assert any("repro.core.util.read_clock" in m for m in messages)
+        assert any("repro.core.middle.helper" in m for m in messages)
         # ...with the chain and the source call spelled out.
         decision = next(m for m in messages if "run_decision" in m)
         assert "wall-clock call time.time()" in decision
@@ -108,7 +108,7 @@ class TestSPC101DeterminismTaint:
 
     def test_env_and_rng_sources_detected(self, tmp_path):
         found = self.taint(tmp_path, extra={
-            "pkg/other.py": """\
+            "core/other.py": """\
                 import os
                 import random
 
@@ -130,15 +130,14 @@ class TestSPC101DeterminismTaint:
 class TestSPC102SpanPaths:
     def test_span_leaking_on_exception_edge(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/leaky.py": """\
+            "sim/leaky.py": """\
                 def leaky(tracer, network):
                     span = tracer.start_span("op")
                     yield from network.transfer(100)
                     span.end()
             """,
         })
-        found = deep_lint(root, ["SPC102"])
+        found = sweep(root, ["SPC102"])
         assert len(found) == 1
         assert found[0].rule == "SPC102"
         assert "span 'span'" in found[0].message
@@ -146,8 +145,7 @@ class TestSPC102SpanPaths:
 
     def test_try_finally_and_with_are_clean(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/clean.py": """\
+            "sim/clean.py": """\
                 def closed_in_finally(tracer, network):
                     span = tracer.start_span("op")
                     try:
@@ -161,12 +159,11 @@ class TestSPC102SpanPaths:
                         yield from network.transfer(100)
             """,
         })
-        assert deep_lint(root, ["SPC102"]) == []
+        assert sweep(root, ["SPC102"]) == []
 
     def test_branch_closing_only_one_arm_leaks(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/branchy.py": """\
+            "sim/branchy.py": """\
                 def half_closed(tracer, flag):
                     span = tracer.start_span("op")
                     if flag:
@@ -174,28 +171,26 @@ class TestSPC102SpanPaths:
                     return flag
             """,
         })
-        found = deep_lint(root, ["SPC102"])
+        found = sweep(root, ["SPC102"])
         assert len(found) == 1
         assert "return or fall-through" in found[0].message
 
     def test_monitor_recording_leak_on_exception(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/monitors.py": """\
+            "sim/monitors.py": """\
                 def observed(monitors, network, recording):
                     monitors.start_all(recording)
                     yield from network.transfer(100)
                     monitors.stop_all(recording)
             """,
         })
-        found = deep_lint(root, ["SPC102"])
+        found = sweep(root, ["SPC102"])
         assert len(found) == 1
         assert "monitor recording" in found[0].message
 
     def test_interprocedural_raise_via_raising_calls(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/deep.py": """\
+            "sim/deep.py": """\
                 def may_fail(x):
                     if x < 0:
                         raise ValueError(x)
@@ -211,7 +206,7 @@ class TestSPC102SpanPaths:
         })
         # The plain call is not a raise or a yield, but its callee can
         # raise: the exception edge out of it leaks the span.
-        found = deep_lint(root, ["SPC102"])
+        found = sweep(root, ["SPC102"])
         assert len(found) == 1
         assert "span 'span'" in found[0].message
         assert "exception escaping at line 9" in found[0].message
@@ -220,8 +215,7 @@ class TestSPC102SpanPaths:
 class TestSPC103ResourcePairs:
     def test_acquire_release_leak_and_clean(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """\
+            "sim/locks.py": """\
                 def leaky(lock, network):
                     lock.acquire()
                     yield from network.transfer(100)
@@ -236,28 +230,26 @@ class TestSPC103ResourcePairs:
                         lock.release()
             """,
         })
-        found = deep_lint(root, ["SPC103"])
+        found = sweep(root, ["SPC103"])
         assert len(found) == 1
         assert "lock.acquire()" in found[0].message
-        assert "pkg.locks.leaky" in found[0].message
+        assert "repro.sim.locks.leaky" in found[0].message
 
     def test_strict_open_without_any_close(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/noclose.py": """\
+            "sim/noclose.py": """\
                 def forgot(lock):
                     lock.acquire()
                     return 1
             """,
         })
-        found = deep_lint(root, ["SPC103"])
+        found = sweep(root, ["SPC103"])
         assert len(found) == 1
         assert "no matching release()" in found[0].message
 
     def test_cross_function_protocol_skipped(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/journal.py": """\
+            "sim/journal.py": """\
                 def start(self, fault):
                     self.journal.apply(fault)
 
@@ -268,27 +260,25 @@ class TestSPC103ResourcePairs:
         })
         # apply/revert split across functions: assumed cross-function,
         # not guessed at.
-        assert deep_lint(root, ["SPC103"]) == []
+        assert sweep(root, ["SPC103"]) == []
 
 
 class TestSPC105UnusedSuppressions:
     def test_stale_waiver_reported(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/stale.py": """\
+            "sim/stale.py": """\
                 def add(a, b):
                     return a + b  # spectra: noqa[SPC001]
             """,
         })
-        found = deep_lint(root, ["SPC001", "SPC105"])
+        found = sweep(root, ["SPC001", "SPC105"])
         assert len(found) == 1
         assert found[0].rule == "SPC105"
         assert "SPC001" in found[0].message
 
     def test_active_waiver_is_clean(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/active.py": """\
+            "sim/active.py": """\
                 import time
 
 
@@ -296,26 +286,24 @@ class TestSPC105UnusedSuppressions:
                     return time.time()  # spectra: noqa[SPC001]
             """,
         })
-        found = deep_lint(root, ["SPC001", "SPC105"])
+        found = sweep(root, ["SPC001", "SPC105"])
         # The waiver suppresses the SPC001 finding and is itself used.
         assert found == []
 
     def test_unknown_code_always_flagged(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/unknown.py": """\
+            "sim/unknown.py": """\
                 def add(a, b):
                     return a + b  # spectra: noqa[SPC987]
             """,
         })
-        found = deep_lint(root, ["SPC105"])
+        found = sweep(root, ["SPC105"])
         assert len(found) == 1
         assert "unknown rule code" in found[0].message
 
     def test_waiver_for_inactive_rule_skipped(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/inactive.py": """\
+            "sim/inactive.py": """\
                 import time
 
 
@@ -325,35 +313,33 @@ class TestSPC105UnusedSuppressions:
         })
         # SPC001 did not run this sweep: the audit cannot judge the
         # waiver and must stay silent rather than cry stale.
-        assert deep_lint(root, ["SPC105"]) == []
+        assert sweep(root, ["SPC105"]) == []
 
 
 class TestDeepSweepRobustness:
     def test_syntax_error_file_does_not_break_deep_pass(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/broken.py": "def broken(:\n",
-            "pkg/leaky.py": """\
+            "sim/broken.py": "def broken(:\n",
+            "sim/leaky.py": """\
                 def leaky(tracer, network):
                     span = tracer.start_span("op")
                     yield from network.transfer(100)
                     span.end()
             """,
         })
-        found = deep_lint(root, ["SPC102"])
+        found = sweep(root, ["SPC102"])
         rules = sorted(v.rule for v in found)
         # The unparseable file is its own finding; the parseable one is
-        # still deep-checked.
+        # still checked by the whole-program pack.
         assert rules == ["SPC102", "SPC999"]
 
     def test_inline_suppression_silences_deep_finding(self, tmp_path):
         root = write_fixture(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/waived.py": """\
+            "sim/waived.py": """\
                 def leaky(tracer, network):
                     span = tracer.start_span("op")  # spectra: noqa[SPC102]
                     yield from network.transfer(100)
                     span.end()
             """,
         })
-        assert deep_lint(root, ["SPC102"]) == []
+        assert sweep(root, ["SPC102"]) == []
