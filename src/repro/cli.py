@@ -8,6 +8,8 @@ Examples::
     python -m repro baselines                # Spectra vs static/RPF policies
     python -m repro parallel                 # the parallel-plans extension
     python -m repro trace run.jsonl          # forensics on a telemetry trace
+    python -m repro scenario run metro       # a canned scenario, JSON report
+    python -m repro scenario run chaos-speech  # a server crash mid-operation
     python -m repro list                     # what can be generated
 
 Rendered tables are printed and written to ``--output`` (default
@@ -42,8 +44,6 @@ from .experiments import (
 from .core.explain import explain_trace
 from .predictors.cli import add_predictor_arguments, run_predictors_command
 from .experiments.ablation import ablate_solver
-from .experiments.chaos import render_chaos_report, run_chaos_experiment
-from .faults import PROFILES as CHAOS_PROFILES
 from .scenarios import SCENARIOS
 from .scenarios.cli import add_scenario_arguments, run_scenario_command
 from .telemetry import load_jsonl, render_trace_report, split_records
@@ -240,22 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="candidates per decision with --explain "
                             "(default: 5)")
 
-    chaos = sub.add_parser(
-        "chaos", parents=[common],
-        help="run workloads under deterministic fault injection",
-        description="Run the chaos experiment: a fault-free baseline "
-                    "pass, then the same workload with mid-operation "
-                    "server crashes, partitions, and bandwidth faults; "
-                    "reports time/energy degradation and the "
-                    "retry/failover counters. Exits 1 if any operation "
-                    "failed to complete.",
-    )
-    chaos.add_argument("--profile", default="smoke",
-                       choices=sorted(CHAOS_PROFILES),
-                       help="chaos profile (default: smoke)")
-    chaos.add_argument("--seed", type=int, default=None,
-                       help="override the profile's fault/jitter seed")
-
     predictors = sub.add_parser(
         "predictors",
         help="persisted predictor stores: inspect, export, merge",
@@ -288,7 +272,6 @@ def main(argv: List[str] = None) -> int:
         print("figures:", " ".join(FIGURES))
         print("extras:", " ".join(EXTRAS))
         print("scenarios:", " ".join(sorted(SCENARIOS)))
-        print("chaos profiles:", " ".join(sorted(CHAOS_PROFILES)))
         return 0
 
     if args.command == "predictors":
@@ -298,12 +281,6 @@ def main(argv: List[str] = None) -> int:
         return run_scenario_command(args)
 
     output_dir = pathlib.Path(args.output)
-
-    if args.command == "chaos":
-        report = run_chaos_experiment(args.profile, seed=args.seed)
-        _write(output_dir, f"chaos-{args.profile}",
-               render_chaos_report(report), quiet=args.quiet)
-        return 0 if report.completed else 1
 
     if args.command == "trace":
         try:

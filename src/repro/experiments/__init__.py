@@ -9,14 +9,6 @@ from .accuracy import (
     run_accuracy_experiment,
 )
 from .baselines import PolicyOutcome, run_policy_comparison, summarize
-from .chaos import (
-    ChaosReport,
-    OpOutcome,
-    WorkloadChaosResult,
-    render_chaos_report,
-    run_chaos_experiment,
-    run_chaos_workload,
-)
 from .contention import (
     ContentionCell,
     render_contention_table,
@@ -54,10 +46,7 @@ __all__ = [
     "AblationOutcome",
     "AccuracyResult",
     "AltMeasurement",
-    "ChaosReport",
     "ContentionCell",
-    "OpOutcome",
-    "WorkloadChaosResult",
     "OverheadRow",
     "ParallelCell",
     "PolicyOutcome",
@@ -72,15 +61,12 @@ __all__ = [
     "relative_utility",
     "render_accuracy_table",
     "render_bar_figure",
-    "render_chaos_report",
     "render_contention_table",
     "render_overhead_table",
     "render_parallel_table",
     "render_rank_figure",
     "run_accuracy_experiment",
     "run_all_ablations",
-    "run_chaos_experiment",
-    "run_chaos_workload",
     "run_contention_cell",
     "run_contention_experiment",
     "run_latex_experiment",

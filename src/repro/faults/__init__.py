@@ -10,28 +10,23 @@ degradation measured reproducibly.
 
 :mod:`~repro.faults.schedule`
     :class:`FaultEvent` / :class:`FaultSchedule` — the declarative
-    what/when, plus :func:`random_schedule` for seeded fuzzing.
+    what/when.
 
 :mod:`~repro.faults.injector`
     :class:`FaultInjector` — applies events to a live
     :class:`~repro.network.Network` and its Spectra servers, tracking
     enough state to undo each fault (restart, heal, restore).
 
-:mod:`~repro.faults.profiles`
-    Named chaos configurations the ``repro chaos`` experiment runs.
+Scenario timelines (:mod:`repro.scenarios.timeline`) compile onto this
+pair, including events anchored inside a measured operation.
 """
 
 from .injector import AppliedFault, FaultInjector
-from .profiles import PROFILES, ChaosProfile, MidOpFault
-from .schedule import FaultEvent, FaultSchedule, random_schedule
+from .schedule import FaultEvent, FaultSchedule
 
 __all__ = [
     "AppliedFault",
-    "ChaosProfile",
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
-    "MidOpFault",
-    "PROFILES",
-    "random_schedule",
 ]

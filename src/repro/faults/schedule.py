@@ -2,32 +2,25 @@
 
 A schedule is pure data — no clocks, no randomness at apply time — so the
 same schedule applied to the same simulation produces byte-identical
-traces.  :func:`random_schedule` generates schedules from an explicit
-seed for fuzz-style chaos runs; the generator is consulted only at
-construction, never during the run.
+traces.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 #: target is a host name for server faults, an (a, b) host pair for link
 #: faults.
 Target = Union[str, Tuple[str, str]]
 
-#: fault actions and the action that undoes each (None = self-contained)
-ACTIONS = {
-    "crash_server": "restart_server",
-    "restart_server": None,
-    "partition": "heal",
-    "heal": None,
-    "degrade_bandwidth": "restore_bandwidth",
-    "restore_bandwidth": None,
-    "spike_latency": "restore_latency",
-    "restore_latency": None,
-}
+#: every fault action the injector knows
+ACTIONS = frozenset({
+    "crash_server", "restart_server",
+    "partition", "heal",
+    "degrade_bandwidth", "restore_bandwidth",
+    "spike_latency", "restore_latency",
+})
 
 #: actions that take an (a, b) pair target rather than a host name
 PAIR_ACTIONS = frozenset({
@@ -35,14 +28,6 @@ PAIR_ACTIONS = frozenset({
     "degrade_bandwidth", "restore_bandwidth",
     "spike_latency", "restore_latency",
 })
-
-
-def recovery_action(action: str) -> Optional[str]:
-    """The action that undoes *action*, or None if it needs no undo."""
-    try:
-        return ACTIONS[action]
-    except KeyError:
-        raise ValueError(f"unknown fault action {action!r}") from None
 
 
 @dataclass(frozen=True)
@@ -84,12 +69,6 @@ class FaultEvent:
                     f"{self.value!r}"
                 )
 
-    def describe(self) -> str:
-        target = ("<->".join(self.target) if isinstance(self.target, tuple)
-                  else self.target)
-        suffix = f" value={self.value}" if self.value is not None else ""
-        return f"t={self.at_s:.3f}s {self.action} {target}{suffix}"
-
 
 class FaultSchedule:
     """An ordered, immutable sequence of :class:`FaultEvent`."""
@@ -99,19 +78,11 @@ class FaultSchedule:
             sorted(events, key=lambda e: (e.at_s, e.action, str(e.target)))
         )
 
-    @property
-    def events(self) -> Tuple[FaultEvent, ...]:
-        return self._events
-
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self._events)
 
     def __len__(self) -> int:
         return len(self._events)
-
-    @property
-    def duration_s(self) -> float:
-        return self._events[-1].at_s if self._events else 0.0
 
     def shifted(self, offset_s: float) -> "FaultSchedule":
         """The same schedule, every event *offset_s* later."""
@@ -119,55 +90,3 @@ class FaultSchedule:
             FaultEvent(e.at_s + offset_s, e.action, e.target, e.value)
             for e in self._events
         ])
-
-    def describe(self) -> str:
-        return "\n".join(e.describe() for e in self._events)
-
-
-def random_schedule(
-    seed: int,
-    duration_s: float,
-    server_hosts: Sequence[str] = (),
-    link_pairs: Sequence[Tuple[str, str]] = (),
-    n_faults: int = 4,
-    min_outage_s: float = 1.0,
-    max_outage_s: float = 30.0,
-) -> FaultSchedule:
-    """A seeded schedule of paired inject/recover faults.
-
-    Every injected fault recovers before ``duration_s`` (crashed servers
-    restart, partitions heal, degraded links restore), so a run under a
-    random schedule always ends in a healthy environment.  The same seed
-    and arguments produce the same schedule on every run.
-    """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive: {duration_s}")
-    if max_outage_s < min_outage_s:
-        raise ValueError("max_outage_s < min_outage_s")
-    rng = random.Random(seed)
-    menu: List[Tuple[str, Target, Optional[float]]] = []
-    for host in server_hosts:
-        menu.append(("crash_server", host, None))
-    for pair in link_pairs:
-        menu.append(("partition", tuple(pair), None))
-        menu.append(("degrade_bandwidth", tuple(pair), None))
-        menu.append(("spike_latency", tuple(pair), None))
-    if not menu:
-        raise ValueError("no servers or link pairs to inject faults into")
-
-    events: List[FaultEvent] = []
-    for _ in range(n_faults):
-        action, target, _ = menu[rng.randrange(len(menu))]
-        start = rng.uniform(0.0, max(duration_s - min_outage_s, 0.0))
-        outage = min(rng.uniform(min_outage_s, max_outage_s),
-                     duration_s - start)
-        value: Optional[float] = None
-        if action == "degrade_bandwidth":
-            value = rng.uniform(0.0, 0.5)
-        elif action == "spike_latency":
-            value = rng.uniform(0.05, 1.0)
-        events.append(FaultEvent(start, action, target, value))
-        undo = recovery_action(action)
-        if undo is not None:
-            events.append(FaultEvent(start + outage, undo, target))
-    return FaultSchedule(events)

@@ -27,11 +27,14 @@ instead of code:
 
 :mod:`~repro.scenarios.runner`
     :func:`run_scenario` — train, arm the timeline, generate traffic,
-    and emit a deterministic JSON :class:`ScenarioReport`.
+    and emit a deterministic JSON :class:`ScenarioReport`; a spec with
+    events anchored inside an operation first runs fault-free to
+    place them and to serve as the report's baseline.
 
 :mod:`~repro.scenarios.library`
     The canned scenarios (``walk-in-office``, ``flash-crowd``,
-    ``degraded-commute``, ``server-churn-day``, ``metro``) behind the
+    ``degraded-commute``, ``server-churn-day``, ``metro``, and the
+    chaos runs ``chaos-speech`` and ``chaos-latex``) behind the
     ``repro scenario`` CLI, plus the paper's two hardware set-ups as
     spec factories (:func:`itsy_testbed`, :func:`thinkpad_testbed`).
 
@@ -58,6 +61,7 @@ from .runner import (
     smoke_spec,
 )
 from .spec import (
+    AnchorSpec,
     AppSpec,
     ArrivalSpec,
     ClientSpec,
@@ -74,6 +78,7 @@ from .timeline import compile_timeline
 
 __all__ = [
     "ADAPTERS",
+    "AnchorSpec",
     "AppAdapter",
     "AppSpec",
     "ArrivalSpec",

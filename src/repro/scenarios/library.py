@@ -56,9 +56,11 @@ through the §4 harness in :mod:`repro.experiments.runner`:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List
 
 from .spec import (
+    AnchorSpec,
     AppSpec,
     ArrivalSpec,
     ClientSpec,
@@ -417,6 +419,73 @@ def thinkpad_testbed(app: AppSpec, twin: bool = False) -> ScenarioSpec:
     )
 
 
+def _back_to_back(spec: ScenarioSpec, n_ops: int,
+                  training_ops: int) -> ClientSpec:
+    """*spec*'s one client, issuing *n_ops* operations back to back."""
+    return dataclasses.replace(
+        spec.clients[0], training_ops=training_ops,
+        arrivals=ArrivalSpec(kind="trace", times=(0.0,) * n_ops),
+    )
+
+
+def chaos_speech() -> ScenarioSpec:
+    """The Itsy testbed with its server crashing inside an operation."""
+    base = itsy_testbed()
+    return dataclasses.replace(
+        base,
+        name="chaos-speech",
+        description=(
+            "The paper's speech testbed under mid-operation faults: the "
+            "T20 crashes halfway through the second utterance and "
+            "restarts 20 s later, then the serial wire drops to a "
+            "quarter of its bandwidth during the third; every "
+            "utterance must complete, the second by failing over."
+        ),
+        seed=7,
+        clients=(_back_to_back(base, n_ops=4, training_ops=15),),
+        timeline=(
+            TimelineEventSpec(
+                at_s=0.0, kind="server_down", target="t20",
+                anchor=AnchorSpec(client="itsy", op=1, fraction=0.5,
+                                  recover_after_s=20.0)),
+            TimelineEventSpec(
+                at_s=0.0, kind="bandwidth", target=("itsy", "t20"),
+                value=0.25,
+                anchor=AnchorSpec(client="itsy", op=2, fraction=0.3,
+                                  recover_after_s=60.0)),
+        ),
+    )
+
+
+def chaos_latex() -> ScenarioSpec:
+    """The ThinkPad testbed running Latex through a crash and a
+    partition, each inside an operation."""
+    base = thinkpad_testbed(AppSpec(kind="latex"))
+    return dataclasses.replace(
+        base,
+        name="chaos-latex",
+        description=(
+            "The paper's Latex testbed under mid-operation faults: "
+            "server B crashes halfway through the second document and "
+            "restarts 45 s later, then the client's link to server A "
+            "is cut during the third; every document must complete, "
+            "the second by failing over."
+        ),
+        seed=11,
+        clients=(_back_to_back(base, n_ops=4, training_ops=20),),
+        timeline=(
+            TimelineEventSpec(
+                at_s=0.0, kind="server_down", target="server-b",
+                anchor=AnchorSpec(client="560x", op=1, fraction=0.5,
+                                  recover_after_s=45.0)),
+            TimelineEventSpec(
+                at_s=0.0, kind="partition", target=("560x", "server-a"),
+                anchor=AnchorSpec(client="560x", op=2, fraction=0.4,
+                                  recover_after_s=30.0)),
+        ),
+    )
+
+
 def _full_mesh(names: List[str]) -> List[tuple]:
     return [(names[i], names[j])
             for i in range(len(names)) for j in range(i + 1, len(names))]
@@ -429,6 +498,8 @@ SCENARIOS: Dict[str, Callable[[], ScenarioSpec]] = {
     "degraded-commute": degraded_commute,
     "server-churn-day": server_churn_day,
     "metro": metro,
+    "chaos-speech": chaos_speech,
+    "chaos-latex": chaos_latex,
 }
 
 

@@ -16,6 +16,11 @@ Running a scenario has four phases, all on the simulation clock:
    bytes moved over the network, assembled into a JSON-stable
    :class:`ScenarioReport`.
 
+A timeline event may instead be anchored inside one measured operation.
+A spec with such events runs twice on fresh worlds: fault-free first,
+which places each anchored event and is the report's ``baseline``, then
+with every fault armed.
+
 Same spec + same seed ⇒ byte-identical report JSON: the simulator is
 deterministic, every random draw comes from a seeded generator derived
 from the scenario seed, and the report serializer sorts every key.
@@ -38,7 +43,8 @@ from ..telemetry import Telemetry
 from ..telemetry.names import REPORT_COUNTERS
 from .arrivals import derive_seed, generate_arrivals, think_time
 from .compiler import CompiledClient, CompiledScenario, compile_scenario
-from .spec import ScenarioSpec
+from .spec import ScenarioError, ScenarioSpec, TimelineEventSpec
+from .timeline import event_faults
 
 #: Run profiles: ``full`` runs the spec as written; ``smoke`` shrinks it
 #: to CI size (short duration, few ops, little training).
@@ -59,23 +65,29 @@ def _retry_policy(seed: int) -> RetryPolicy:
 
 def smoke_spec(spec: ScenarioSpec) -> ScenarioSpec:
     """A CI-sized version of *spec*: same world, much less traffic."""
+    ops = 2
     clients = tuple(
         dataclasses.replace(
             client,
             training_ops=min(client.training_ops, 4),
             arrivals=dataclasses.replace(
                 client.arrivals,
-                n_ops=min(client.arrivals.n_ops or 2, 2),
+                n_ops=min(client.arrivals.n_ops or ops, ops),
             ),
         )
         for client in spec.clients
     )
+    # An anchor on an operation past the shrunk n_ops goes with it (an
+    # anchor past a client's own smaller n_ops is an error either way).
     return dataclasses.replace(
         spec,
         duration_s=min(spec.duration_s, 30.0),
         settle_s=min(spec.settle_s, 10.0),
         clients=clients,
-        timeline=tuple(e for e in spec.timeline if e.at_s < 30.0),
+        timeline=tuple(
+            e for e in spec.timeline
+            if e.at_s < 30.0 and (e.anchor is None or e.anchor.op < ops)
+        ),
     )
 
 
@@ -134,6 +146,9 @@ class ScenarioReport:
     #: the run used a predictor store (reports without one stay
     #: byte-identical to pre-store builds)
     predictor_state: Optional[Dict[str, str]] = None
+    #: the fault-free run of the same spec; present only when the spec
+    #: has anchored timeline events
+    baseline: Optional["ScenarioReport"] = None
 
     # -- derived views -------------------------------------------------------------
 
@@ -177,7 +192,28 @@ class ScenarioReport:
             data["predictor_state"] = dict(sorted(
                 self.predictor_state.items()
             ))
+        if self.baseline is not None:
+            data["baseline"] = self._baseline_section()
         return data
+
+    def _baseline_section(self) -> Dict[str, Any]:
+        """Each client's fault-free latency and energy, and this run's
+        total op time and energy as multiples of the fault-free ones."""
+        clients = self.baseline.to_dict()["clients"]
+        time_s = sum(self.baseline.latencies())
+        energy_j = sum(self.baseline.energy_j.values())
+        return {
+            "clients": {name: {"latency": section["latency"],
+                               "energy_j": section["energy_j"]}
+                        for name, section in clients.items()},
+            "time_s": _round(time_s),
+            "energy_j": _round(energy_j),
+            "time_degradation": _round(
+                sum(self.latencies()) / time_s if time_s > 0 else 1.0),
+            "energy_degradation": _round(
+                sum(self.energy_j.values()) / energy_j
+                if energy_j > 0 else 1.0),
+        }
 
     def _client_section(self, name: str,
                         ops: List[OpRecord]) -> Dict[str, Any]:
@@ -258,10 +294,15 @@ def _train(world: CompiledScenario) -> None:
     world.poll()
 
 
+#: Per measured-op index: the anchored timeline entries to place when
+#: that operation is issued, each with its delay after the op's start.
+OpAnchors = Dict[int, List[Tuple[TimelineEventSpec, float]]]
+
+
 def _drive(world: CompiledScenario, compiled: CompiledClient,
            t0: float, records: List[OpRecord],
            choices: Dict[Alternative, Alternative],
-           on_op: Optional[OpHook]):
+           on_op: Optional[OpHook], anchors: Optional[OpAnchors]):
     """Process: one client's measured phase (arrivals + think times).
 
     *choices* maps each alternative chosen so far to the one object the
@@ -283,6 +324,8 @@ def _drive(world: CompiledScenario, compiled: CompiledClient,
         record = OpRecord(client=compiled.name, index=index,
                           issued_at_s=sim.now - t0)
         records.append(record)
+        if anchors is not None:
+            _place(world, anchors.get(index, ()))
         try:
             report = yield from compiled.operation(index)
         except (NoFeasibleAlternativeError, RpcError) as exc:
@@ -328,6 +371,11 @@ def run_scenario(
     operation that completes, as it completes: its measured usage and
     the solver's prediction, which the report does not keep.  It must
     not block or touch the world.
+
+    A spec with anchored timeline events first runs fault-free on a
+    fresh world of its own (own metrics-only telemetry, no hook, no
+    predictor save).  That pass says where each anchored event lands
+    and is the report's ``baseline``.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
@@ -346,6 +394,65 @@ def run_scenario(
     elif save_predictors:
         raise ValueError("save_predictors=True requires a predictor_store")
 
+    if not any(event.anchor is not None for event in spec.timeline):
+        return _run_pass(spec, profile, telemetry, store, save_predictors,
+                         on_op, {})
+    calibration = Telemetry()
+    baseline = _run_pass(
+        dataclasses.replace(spec, timeline=()), profile, calibration,
+        None if store is None else PredictorStore(store.root,
+                                                  telemetry=calibration),
+        False, None, {},
+    )
+    report = _run_pass(spec, profile, telemetry, store, save_predictors,
+                       on_op, _anchors(spec, baseline))
+    report.baseline = baseline
+    return report
+
+
+def _anchors(spec: ScenarioSpec,
+             baseline: ScenarioReport) -> Dict[str, OpAnchors]:
+    """Each anchored event with its delay after its operation's start,
+    read off the fault-free *baseline* run of *spec*."""
+    ops = {(op.client, op.index): op for op in baseline.ops}
+    anchors: Dict[str, OpAnchors] = {}
+    for i, event in enumerate(spec.timeline):
+        anchor = event.anchor
+        if anchor is None:
+            continue
+        op = ops.get((anchor.client, anchor.op))
+        if op is None:
+            raise ScenarioError([
+                f"timeline[{i}].anchor.op: {anchor.client!r} never "
+                f"issues measured operation {anchor.op}"
+            ])
+        if not op.completed:
+            raise ScenarioError([
+                f"timeline[{i}].anchor.op: {anchor.client!r}'s "
+                f"operation {anchor.op} fails without faults ({op.error})"
+            ])
+        anchors.setdefault(anchor.client, {}).setdefault(
+            anchor.op, []).append((event, anchor.fraction * op.elapsed_s))
+    return anchors
+
+
+def _place(world: CompiledScenario,
+           entries: List[Tuple[TimelineEventSpec, float]]) -> None:
+    """Arm anchored *entries* for an operation starting now."""
+    for event, delay_s in entries:
+        at_s = world.sim.now + delay_s
+        recover = event.anchor.recover_after_s
+        for fault in event_faults(
+                event, at_s, None if recover is None else at_s + recover):
+            world.injector.schedule(fault)
+
+
+def _run_pass(spec: ScenarioSpec, profile: str, telemetry: Telemetry,
+              store: Optional[PredictorStore], save_predictors: bool,
+              on_op: Optional[OpHook],
+              anchors: Dict[str, OpAnchors]) -> ScenarioReport:
+    """Compile, train and measure *spec* once; the body of
+    :func:`run_scenario`."""
     world = compile_scenario(spec, telemetry=telemetry,
                              predictor_store=store)
     sim = world.sim
@@ -353,7 +460,7 @@ def run_scenario(
 
     # Arm recovery machinery only when the environment will misbehave:
     # a fault-free scenario keeps the paper's single-attempt transport.
-    if len(world.schedule):
+    if spec.timeline:
         policy = _retry_policy(spec.seed)
         for compiled in world.clients:
             compiled.client.retry_policy = policy
@@ -366,7 +473,8 @@ def run_scenario(
     e0 = {compiled.name: compiled.node.host.energy_consumed_joules()
           for compiled in world.clients}
     processes = [
-        sim.spawn(_drive(world, compiled, t0, records, choices, on_op),
+        sim.spawn(_drive(world, compiled, t0, records, choices, on_op,
+                         anchors.get(compiled.name)),
                   name=f"scenario@{compiled.name}")
         for compiled in world.clients
     ]
@@ -456,6 +564,14 @@ def render_report(report: ScenarioReport) -> str:
         lines.append("faults:")
         for entry in data["faults"]:
             lines.append(f"  {entry}")
+    if "baseline" in data:
+        baseline = data["baseline"]
+        lines.append(
+            f"fault-free baseline: {baseline['time_s']:.2f}s, "
+            f"{baseline['energy_j']:.2f} J; degradation: time "
+            f"x{baseline['time_degradation']:.2f}, energy "
+            f"x{baseline['energy_degradation']:.2f}"
+        )
     status = "completed" if report.completed else "INCOMPLETE"
     lines.append(f"\nall operations {status}")
     return "\n".join(lines)

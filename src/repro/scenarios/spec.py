@@ -232,6 +232,28 @@ class ClientSpec:
 
 
 @dataclass(frozen=True)
+class AnchorSpec:
+    """Where inside one measured operation a timeline event fires.
+
+    The event fires at the start of ``client``'s measured operation
+    ``op`` (0-based) plus ``fraction`` of that operation's fault-free
+    elapsed time, so it lands while the operation is in flight.  When
+    ``recover_after_s`` is set, the matching recovery follows that many
+    seconds after the injection.
+    """
+
+    client: str
+    op: int
+    fraction: float
+    recover_after_s: Optional[float] = None
+
+    @classmethod
+    def from_dict(cls, data: Mapping, path: str) -> "AnchorSpec":
+        _check_mapping(data, path, _field_names(cls))
+        return cls(**data)
+
+
+@dataclass(frozen=True)
 class TimelineEventSpec:
     """One environment change: what happens, to what, when, until when.
 
@@ -242,6 +264,10 @@ class TimelineEventSpec:
 
     ``until_s`` schedules the matching recovery; ``None`` makes the
     change permanent for the rest of the run.
+
+    An ``anchor`` ties the event to a measured operation instead of the
+    clock (:class:`AnchorSpec`); ``at_s`` is then 0 and the anchor's
+    ``recover_after_s`` replaces ``until_s``.
     """
 
     at_s: float
@@ -249,6 +275,7 @@ class TimelineEventSpec:
     target: Any  # host name, or [a, b] link pair
     value: Optional[float] = None
     until_s: Optional[float] = None
+    anchor: Optional[AnchorSpec] = None
 
     @property
     def pair_target(self) -> Optional[Tuple[str, str]]:
@@ -263,6 +290,9 @@ class TimelineEventSpec:
         target = data.get("target")
         if isinstance(target, (list, tuple)):
             data["target"] = tuple(target)
+        if data.get("anchor") is not None:
+            data["anchor"] = AnchorSpec.from_dict(data["anchor"],
+                                                  f"{path}.anchor")
         return cls(**data)
 
 
@@ -299,6 +329,8 @@ class ScenarioSpec:
         for event in data["timeline"]:
             if isinstance(event["target"], tuple):
                 event["target"] = list(event["target"])
+            if event["anchor"] is None:
+                del event["anchor"]
         return data
 
     def to_json(self, indent: int = 2) -> str:
@@ -549,3 +581,33 @@ class ScenarioSpec:
                 if event.value is None or event.value <= 0:
                     err(f"{path}.value: latency needs positive added "
                         f"seconds, got {event.value!r}")
+            if event.anchor is not None:
+                self._validate_anchor(err, path, event)
+
+    def _validate_anchor(self, err, path: str,
+                         event: TimelineEventSpec) -> None:
+        anchor = event.anchor
+        if event.at_s != 0:
+            err(f"{path}.at_s: an anchored event fires by its anchor, "
+                f"so at_s must be 0, got {event.at_s}")
+        if event.until_s is not None:
+            err(f"{path}.until_s: an anchored event recovers by "
+                f"anchor.recover_after_s, not until_s")
+        path = f"{path}.anchor"
+        hosts_by_name = {h.name: h for h in self.hosts}
+        host = hosts_by_name.get(anchor.client)
+        if host is None:
+            err(f"{path}.client: unknown host {anchor.client!r}")
+        elif not any(c.host == anchor.client for c in self.clients):
+            err(f"{path}.client: {anchor.client!r} has role "
+                f"{host.role!r} and drives no client")
+        if (not isinstance(anchor.op, int) or isinstance(anchor.op, bool)
+                or anchor.op < 0):
+            err(f"{path}.op: must be a non-negative integer, "
+                f"got {anchor.op!r}")
+        if not 0.0 < anchor.fraction < 1.0:
+            err(f"{path}.fraction: must be inside (0, 1), "
+                f"got {anchor.fraction}")
+        if anchor.recover_after_s is not None and anchor.recover_after_s <= 0:
+            err(f"{path}.recover_after_s: must be positive, "
+                f"got {anchor.recover_after_s}")

@@ -35,7 +35,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..telemetry import Telemetry, ensure_telemetry
 from ..telemetry.names import SIM_EVENTS, SIM_PROCESSES
-from .events import Event, SimulationError, Timeout
+from .events import Event, SimulationError
 from .process import Process
 
 #: Events scheduled "now" still run after the current callback returns —

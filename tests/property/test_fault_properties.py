@@ -6,7 +6,6 @@ slot left in the client's active set, no byte job still consuming link
 bandwidth, and the next (fault-free) operation runs non-concurrent.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coda import FileServer

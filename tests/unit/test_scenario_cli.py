@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 from .test_scenario_spec import CANNED, small_spec
@@ -93,9 +95,18 @@ class TestScenarioRun:
 
 class TestTopLevelList:
     def test_repro_list_shows_scenarios_and_chaos_profiles(self, capsys):
+        # The chaos runs are canned scenarios, listed with the rest.
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "scenarios:" in out
+        scenarios = next(line for line in out.splitlines()
+                         if line.startswith("scenarios:"))
         for name in CANNED:
-            assert name in out
-        assert "chaos profiles:" in out
+            assert name in scenarios.split()
+        assert "chaos-speech" in CANNED and "chaos-latex" in CANNED
+        assert "chaos profiles:" not in out
+
+    def test_chaos_is_no_longer_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'chaos'" in capsys.readouterr().err

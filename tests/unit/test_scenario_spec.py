@@ -22,7 +22,7 @@ from repro.scenarios.spec import (
 )
 
 CANNED = ("walk-in-office", "flash-crowd", "degraded-commute",
-          "server-churn-day", "metro")
+          "server-churn-day", "metro", "chaos-speech", "chaos-latex")
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -157,6 +157,58 @@ class TestValidation:
                  until_s=2.0),
         ])
         assert spec.validate() is spec
+
+
+def anchored(**anchor) -> ScenarioSpec:
+    """small_spec crashing server ``s`` inside one of ``c``'s ops."""
+    event = dict(at_s=0.0, kind="server_down", target="s",
+                 anchor=dict(dict(client="c", op=0, fraction=0.5), **anchor))
+    return small_spec(timeline=[event])
+
+
+class TestAnchoredEvents:
+    def test_valid_anchor_round_trips(self):
+        spec = anchored(recover_after_s=5.0)
+        assert spec.validate() is spec
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert spec.timeline[0].anchor.recover_after_s == 5.0
+
+    def test_unanchored_events_serialize_without_an_anchor_key(self):
+        spec = small_spec(timeline=[
+            dict(at_s=1.0, kind="server_down", target="s", until_s=2.0),
+        ])
+        assert "anchor" not in spec.to_dict()["timeline"][0]
+
+    def test_fraction_bounds(self):
+        for fraction in (0.0, 1.0, 1.5):
+            assert any("timeline[0].anchor.fraction" in p
+                       for p in problems_of(anchored(fraction=fraction)))
+
+    def test_negative_op_index(self):
+        assert any("timeline[0].anchor.op" in p
+                   for p in problems_of(anchored(op=-1)))
+
+    def test_unknown_or_non_client_host(self):
+        assert any("timeline[0].anchor.client" in p and "ghost" in p
+                   for p in problems_of(anchored(client="ghost")))
+        assert any("timeline[0].anchor.client" in p and "drives no" in p
+                   for p in problems_of(anchored(client="s")))
+
+    def test_recovery_is_a_positive_delay(self):
+        spec = dataclasses.replace(anchored(), timeline=(
+            dataclasses.replace(anchored().timeline[0], until_s=5.0),))
+        assert any("timeline[0].until_s" in p for p in problems_of(spec))
+        assert any("timeline[0].anchor.recover_after_s" in p
+                   for p in problems_of(anchored(recover_after_s=0.0)))
+
+    def test_anchored_event_keeps_at_s_zero(self):
+        spec = dataclasses.replace(anchored(), timeline=(
+            dataclasses.replace(anchored().timeline[0], at_s=3.0),))
+        assert any("timeline[0].at_s" in p for p in problems_of(spec))
+
+    def test_unknown_anchor_key_rejected_with_path(self):
+        with pytest.raises(ScenarioError, match=r"timeline\[0\]\.anchor"):
+            anchored(when=1)
 
 
 def app_spec(kind: str, options: dict) -> ScenarioSpec:
