@@ -30,7 +30,12 @@ from ..apps import (
     LatexWorkload,
 )
 from ..scenarios import AppSpec, CompiledScenario, thinkpad_testbed
-from .runner import ScenarioResult, measure_on_clones, train_world
+from .runner import (
+    ScenarioResult,
+    measure_cells,
+    measure_on_clones,
+    train_world,
+)
 
 SCENARIOS = ("baseline", "filecache", "reintegrate", "energy")
 DOCUMENTS = {"small": SMALL_DOCUMENT, "large": LARGE_DOCUMENT}
@@ -108,12 +113,12 @@ def scenario_energy_importance(scenario: str) -> float:
     return ENERGY_SCENARIO_C if scenario == "energy" else 0.0
 
 
-def _measure_cell(trained: World, scenario: str, document: str,
-                  solver) -> ScenarioResult:
+def _measure_cell(trained: World, scenario: str,
+                  document: str) -> ScenarioResult:
     return ScenarioResult(
         scenario, *measure_on_clones(
             trained, lambda world, app: _apply_scenario(world, app, scenario),
-            "560x", LatexApplication.format, document, solver),
+            "560x", LatexApplication.format, document),
         energy_importance=scenario_energy_importance(scenario),
         meta={"document": document},
     )
@@ -122,17 +127,13 @@ def _measure_cell(trained: World, scenario: str, document: str,
 def run_latex_scenario(scenario: str, document: str,
                        solver=None) -> ScenarioResult:
     """Measure the three placements + Spectra's pick for one cell."""
-    return _measure_cell(_train(solver=solver), scenario, document, solver)
+    return _measure_cell(_train(solver=solver), scenario, document)
 
 
 def run_latex_experiment(scenarios=SCENARIOS, documents=("small", "large"),
                          solver=None) -> Dict[Tuple[str, str], ScenarioResult]:
     """The full Figure 5/6/7 sweep: scenario × document, from one
     trained world."""
-    trained = _train(solver=solver)
-    return {
-        (scenario, document): _measure_cell(trained, scenario, document,
-                                            solver)
-        for scenario in scenarios
-        for document in documents
-    }
+    cells = [(scenario, document) for scenario in scenarios
+             for document in documents]
+    return measure_cells(_train(solver=solver), cells, _measure_cell)

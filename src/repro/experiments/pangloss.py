@@ -31,6 +31,7 @@ from ..scenarios import AppSpec, CompiledScenario, thinkpad_testbed
 from .runner import (
     ScenarioResult,
     clone_world,
+    measure_cells,
     measure_forced,
     measure_spectra,
     train_world,
@@ -90,12 +91,12 @@ def _restore_scenario(world: CompiledScenario, scenario: str) -> None:
 def run_pangloss_cell(scenario: str, words: int,
                       solver=None) -> ScenarioResult:
     """One (scenario, sentence) cell: Spectra's pick + the full sweep."""
-    return _measure_cell(_train(solver=solver), scenario, words, solver)
+    return _measure_cell(_train(solver=solver), scenario, words)
 
 
-def _measure_cell(trained: World, scenario: str, words: int,
-                  solver) -> ScenarioResult:
-    world, app = clone_world(trained, shared=(solver,))
+def _measure_cell(trained: World, scenario: str,
+                  words: int) -> ScenarioResult:
+    world, app = clone_world(trained)
     _apply_scenario(world, scenario)
 
     def op(force):
@@ -126,9 +127,6 @@ def run_pangloss_experiment(scenarios=SCENARIOS,
     trained world."""
     if sentences is None:
         sentences = SentenceWorkload().probes()
-    trained = _train(solver=solver)
-    return {
-        (scenario, words): _measure_cell(trained, scenario, words, solver)
-        for scenario in scenarios
-        for words in sentences
-    }
+    cells = [(scenario, words) for scenario in scenarios
+             for words in sentences]
+    return measure_cells(_train(solver=solver), cells, _measure_cell)

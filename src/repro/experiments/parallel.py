@@ -24,7 +24,7 @@ from typing import List
 
 from ..apps import PanglossApplication, SentenceWorkload
 from ..scenarios import AppSpec, thinkpad_testbed
-from .runner import clone_world, train_world
+from .runner import clone_world, measure_cells, train_world
 
 
 @dataclass
@@ -54,10 +54,10 @@ def _build(twin: bool, solver=None):
     return world, world.clients[0].app
 
 
-def _measure_cell(trained, words: int, solver) -> ParallelCell:
+def _measure_cell(trained, words: int) -> ParallelCell:
     """Sequential vs parallel full-fidelity execution, on a clone of
     *trained*."""
-    world, app = clone_world(trained, shared=(solver,))
+    world, app = clone_world(trained)
     full = {"ebmt": "on", "glossary": "on", "dictionary": "on"}
     alternatives = [
         a for a in app.spec.alternatives(["server-a", "server-b"])
@@ -89,14 +89,15 @@ def run_parallel_cell(words: int, twin: bool = True,
                       solver=None) -> ParallelCell:
     """Compare sequential vs parallel full-fidelity execution on a
     freshly trained world."""
-    return _measure_cell(_build(twin, solver=solver), words, solver)
+    return _measure_cell(_build(twin, solver=solver), words)
 
 
 def run_parallel_experiment(sentences=(8, 18, 27), twin: bool = True,
                             solver=None) -> List[ParallelCell]:
     """One cell per sentence, all from one trained world."""
-    trained = _build(twin, solver=solver)
-    return [_measure_cell(trained, words, solver) for words in sentences]
+    results = measure_cells(_build(twin, solver=solver),
+                            [(words,) for words in sentences], _measure_cell)
+    return [results[(words,)] for words in sentences]
 
 
 def render_parallel_table(twin_cells: List[ParallelCell],

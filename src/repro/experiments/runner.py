@@ -14,7 +14,10 @@ Every experiment module runs that method through the helpers here:
 * :func:`measure_forced` and :func:`measure_spectra` run one operation,
   forced or with Spectra choosing, and record its time and energy;
 * :func:`measure_on_clones` measures every alternative, then Spectra's
-  pick, each on its own :func:`clone_world` copy of a trained world.
+  pick, each on its own :func:`clone_world` copy of a trained world;
+* :func:`measure_cells` measures every (scenario, input) cell of a
+  figure from one trained world, on forked workers when more than one
+  CPU is available.
 
 Training never depends on the scenario or on the alternative measured,
 so a clone starts from the state a freshly trained world would have, at
@@ -26,6 +29,8 @@ the cost of one deep copy instead of a whole training run.
 from __future__ import annotations
 
 import copy
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
                     Sequence, Tuple, TypeVar)
@@ -35,6 +40,7 @@ from ..core.utility import AlternativePrediction
 from ..scenarios import CompiledScenario, ScenarioSpec, compile_scenario
 
 WorldT = TypeVar("WorldT", bound=tuple)
+ResultT = TypeVar("ResultT")
 
 #: ``run(app, item, force)`` is the process running one workload item on
 #: *app*, forced to *force* (``None``: Spectra chooses); an app's unbound
@@ -91,6 +97,14 @@ def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
     original simulator.  Metrics-only telemetry clones: the copy gets
     its own registry.
     """
+    _check_cloneable(world)
+    memo = {id(obj): obj for obj in shared}
+    return copy.deepcopy(world, memo)
+
+
+def _check_cloneable(world: tuple) -> None:
+    """:func:`clone_world`'s guard, on its own so that
+    :func:`measure_cells` can run it before forking."""
     sim = world[0].sim
     if sim.pending or sim.running:
         raise ValueError(
@@ -99,8 +113,6 @@ def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
         )
     if sim.telemetry.tracer.enabled:
         raise ValueError("cannot clone a world whose telemetry has a tracer")
-    memo = {id(obj): obj for obj in shared}
-    return copy.deepcopy(world, memo)
 
 
 @dataclass
@@ -165,19 +177,18 @@ def measure_spectra(world: CompiledScenario, host: str,
 
 def measure_on_clones(trained: Tuple[CompiledScenario, Any],
                       apply: Callable[[CompiledScenario, Any], None],
-                      host: str, run: Run, item: Any, solver
+                      host: str, run: Run, item: Any
                       ) -> Tuple[List[AltMeasurement], SpectraMeasurement]:
     """Every alternative of the trained ``(world, app)`` pair measured
     forced on *item*, then Spectra's own pick, each on a fresh clone
     with ``apply(world, app)`` setting up the scenario.
 
     A clone per measurement means no run can perturb the next one's
-    cache or model state.  The alternatives span the servers of the
-    world's first client (the figure worlds have one).  *solver* is
-    shared by every clone.
+    cache, model or solver state.  The alternatives span the servers of
+    the world's first client (the figure worlds have one).
     """
     def scenario_clone():
-        world, app = clone_world(trained, shared=(solver,))
+        world, app = clone_world(trained)
         apply(world, app)
         return world, lambda force: run(app, item, force)
 
@@ -188,6 +199,61 @@ def measure_on_clones(trained: Tuple[CompiledScenario, Any],
         measurements.append(measure_forced(world, host, op, alternative))
     world, op = scenario_clone()
     return measurements, measure_spectra(world, host, op)
+
+
+#: ``(trained, measure)`` of the :func:`measure_cells` call whose pool
+#: is open.  Forked workers inherit it, so neither is pickled.
+_FORKED: Optional[Tuple[Any, Callable[..., Any]]] = None
+
+
+def _measure_forked(cell: tuple) -> Any:
+    """Worker entry point: one cell, on the world the fork inherited."""
+    trained, measure = _FORKED
+    return measure(trained, *cell)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (1 where the platform cannot say)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def measure_cells(trained: WorldT, cells: Sequence[tuple],
+                  measure: Callable[..., ResultT],
+                  jobs: Optional[int] = None) -> Dict[tuple, ResultT]:
+    """``{cell: measure(trained, *cell)}`` for every cell, in cell order.
+
+    Each cell is a pure function of the trained world and the cell:
+    *measure* takes its own :func:`clone_world` copy, so no cell sees
+    another's state.  The cells therefore run on a ``fork`` pool, one
+    worker per CPU available to the process (*jobs*, for tests, overrides
+    that count), and merge by cell index, so the result is the same
+    whatever the worker count.  Fork, not spawn: the Latex and Pangloss
+    worlds do not pickle (their desirability functions are closures),
+    and a forked worker inherits the quiescent world instead of
+    re-importing and retraining.  Only the cells and their results
+    travel pickled.
+
+    Runs in-process for one worker, one cell, or a platform without
+    ``fork``.  A world :func:`clone_world` would refuse is refused with
+    :class:`ValueError` before any worker starts; an exception raised in
+    a cell reaches the caller.
+    """
+    _check_cloneable(trained)
+    if jobs is None:
+        jobs = _available_cpus()
+    jobs = min(jobs, len(cells))
+    if jobs <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return {cell: measure(trained, *cell) for cell in cells}
+    global _FORKED
+    _FORKED = (trained, measure)
+    try:
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            results = pool.map(_measure_forked, cells, chunksize=1)
+    finally:
+        _FORKED = None
+    return dict(zip(cells, results))
 
 
 def utility_of(spec: OperationSpec, c: float, time_s: float,

@@ -27,7 +27,12 @@ from typing import Dict, Optional, Tuple
 from ..apps import FULL_LM_PATH, SpeechApplication, SpeechWorkload
 from ..scenarios import CompiledScenario, itsy_testbed
 from ..scenarios.library import SERIAL_BANDWIDTH_BPS
-from .runner import ScenarioResult, measure_on_clones, train_world
+from .runner import (
+    ScenarioResult,
+    measure_cells,
+    measure_on_clones,
+    train_world,
+)
 
 SCENARIOS = ("baseline", "energy", "network", "cpu", "filecache")
 
@@ -91,8 +96,8 @@ def scenario_energy_importance(scenario: str) -> float:
 
 
 def _measure_scenario(trained: World, scenario: str,
-                      probe_length_s: Optional[float],
-                      solver) -> ScenarioResult:
+                      probe_length_s: Optional[float] = None
+                      ) -> ScenarioResult:
     if probe_length_s is None:
         probe_length_s = SpeechWorkload().probes(1)[0]
 
@@ -101,7 +106,7 @@ def _measure_scenario(trained: World, scenario: str,
     return ScenarioResult(
         scenario, *measure_on_clones(
             trained, lambda world, _app: _apply_scenario(world, scenario),
-            "itsy", SpeechApplication.recognize, probe_length_s, solver),
+            "itsy", SpeechApplication.recognize, probe_length_s),
         energy_importance=scenario_energy_importance(scenario),
         meta={"probe_length_s": probe_length_s},
     )
@@ -112,12 +117,12 @@ def run_speech_scenario(scenario: str,
                         solver=None) -> ScenarioResult:
     """Measure all alternatives + Spectra's choice for one scenario."""
     return _measure_scenario(_train(solver=solver), scenario,
-                             probe_length_s, solver)
+                             probe_length_s)
 
 
 def run_speech_experiment(scenarios=SCENARIOS, solver=None
                           ) -> Dict[str, ScenarioResult]:
     """The full Figure 3/4 sweep, from one trained world."""
-    trained = _train(solver=solver)
-    return {s: _measure_scenario(trained, s, None, solver)
-            for s in scenarios}
+    results = measure_cells(_train(solver=solver),
+                            [(s,) for s in scenarios], _measure_scenario)
+    return {s: result for (s,), result in results.items()}

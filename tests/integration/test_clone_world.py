@@ -63,12 +63,11 @@ EXPERIMENTS = {
 #: experiment -> measure(trained world): one scenario's full set of
 #: measurements, every one on a clone of *trained*
 MEASURE_ONE_SCENARIO = {
-    "speech": lambda trained: speech._measure_scenario(
-        trained, "network", None, None),
+    "speech": lambda trained: speech._measure_scenario(trained, "network"),
     "latex": lambda trained: latex._measure_cell(
-        trained, "reintegrate", LATEX_DOCUMENT, None),
+        trained, "reintegrate", LATEX_DOCUMENT),
     "pangloss": lambda trained: pangloss._measure_cell(
-        trained, "cpu", PANGLOSS_WORDS, None),
+        trained, "cpu", PANGLOSS_WORDS),
 }
 
 CASES = [(name, scenario)
