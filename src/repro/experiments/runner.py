@@ -82,9 +82,10 @@ def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
     pair (the world a :func:`~repro.scenarios.compile_scenario` call
     built).
 
-    Objects in *shared* (typically a solver handed to every measurement)
-    are kept by reference in the copy; everything else reachable from
-    *world* is copied, so running the clone cannot disturb the original.
+    Objects in *shared* are kept by reference in the copy (the
+    experiments share nothing, so that no cell depends on another);
+    everything else reachable from *world* is copied, so running the
+    clone cannot disturb the original.
     Frozen records (logged transfers, usage samples, file accesses,
     network estimates) never change, so the copy shares them: their
     ``__deepcopy__`` hooks return them as they are, and the logs that
@@ -220,16 +221,14 @@ def _available_cpus() -> int:
 
 
 def measure_cells(trained: WorldT, cells: Sequence[tuple],
-                  measure: Callable[..., ResultT],
-                  jobs: Optional[int] = None) -> Dict[tuple, ResultT]:
+                  measure: Callable[..., ResultT]) -> Dict[tuple, ResultT]:
     """``{cell: measure(trained, *cell)}`` for every cell, in cell order.
 
     Each cell is a pure function of the trained world and the cell:
     *measure* takes its own :func:`clone_world` copy, so no cell sees
     another's state.  The cells therefore run on a ``fork`` pool, one
-    worker per CPU available to the process (*jobs*, for tests, overrides
-    that count), and merge by cell index, so the result is the same
-    whatever the worker count.  Fork, not spawn: the Latex and Pangloss
+    worker per CPU available to the process, and merge by cell index, so
+    the result is the same whatever the worker count.  Fork, not spawn: the Latex and Pangloss
     worlds do not pickle (their desirability functions are closures),
     and a forked worker inherits the quiescent world instead of
     re-importing and retraining.  Only the cells and their results
@@ -241,9 +240,7 @@ def measure_cells(trained: WorldT, cells: Sequence[tuple],
     a cell reaches the caller.
     """
     _check_cloneable(trained)
-    if jobs is None:
-        jobs = _available_cpus()
-    jobs = min(jobs, len(cells))
+    jobs = min(_available_cpus(), len(cells))
     if jobs <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return {cell: measure(trained, *cell) for cell in cells}
     global _FORKED

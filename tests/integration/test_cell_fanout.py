@@ -85,38 +85,42 @@ def test_a_stateful_solver_gives_every_cell_the_trained_state(cpus):
     assert forked == in_process
 
 
-def test_two_jobs_run_the_cells_in_other_processes(trained_speech):
+def test_two_cpus_run_the_cells_in_other_processes(cpus, trained_speech):
+    cpus(2)
     cells = [(index,) for index in range(4)]
     pids = measure_cells(trained_speech, cells,
-                         lambda _trained, _index: os.getpid(), jobs=2)
+                         lambda _trained, _index: os.getpid())
     assert list(pids) == cells
     assert os.getpid() not in pids.values()
     assert multiprocessing.active_children() == []
 
 
-def test_results_merge_in_cell_order(trained_speech):
+def test_results_merge_in_cell_order(cpus, trained_speech):
+    cpus(2)
     cells = [(index,) for index in (3, 1, 2, 0)]
     results = measure_cells(trained_speech, cells,
-                            lambda _trained, index: index * index, jobs=2)
+                            lambda _trained, index: index * index)
     assert list(results.items()) == [((3,), 9), ((1,), 1), ((2,), 4),
                                       ((0,), 0)]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_a_cell_exception_reaches_the_caller(trained_speech, jobs):
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_cell_exception_reaches_the_caller(cpus, trained_speech, count):
+    cpus(count)
+
     def measure(_trained, index):
         if index == 2:
             raise CellError(f"cell {index}")
         return index
 
     with pytest.raises(CellError, match="cell 2"):
-        measure_cells(trained_speech, [(i,) for i in range(4)], measure,
-                      jobs=jobs)
+        measure_cells(trained_speech, [(i,) for i in range(4)], measure)
     assert multiprocessing.active_children() == []
 
 
 def test_a_world_with_a_queued_callback_is_refused_before_forking(
-        monkeypatch):
+        cpus, monkeypatch):
+    cpus(2)
     world, app = speech._train()
     world.sim.call_in(1.0, lambda: None)
 
@@ -126,4 +130,4 @@ def test_a_world_with_a_queued_callback_is_refused_before_forking(
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     with pytest.raises(ValueError, match="queued"):
         measure_cells((world, app), [(1,), (2,)],
-                      lambda _trained, index: index, jobs=2)
+                      lambda _trained, index: index)
