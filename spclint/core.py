@@ -127,7 +127,8 @@ class ProjectRule(Rule):
     Where :class:`Rule` sees one file at a time, a project rule sees the
     whole parsed project at once — the shared AST cache, the module
     index, resolved call edges — and can therefore check interprocedural
-    invariants (taint reachability, paths through the whole CFG).
+    invariants (paths through a CFG whose exception edges include calls
+    that can raise) and audit the whole run's findings.
 
     ``check_project`` receives a ``Project`` (see :mod:`spclint.engine`)
     and yields violations anywhere in it; ``applies_to`` still scopes

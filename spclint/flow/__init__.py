@@ -3,16 +3,14 @@
 Where the SPC0xx pack checks one file at a time, this package builds a
 project-wide view — a module/def/call-edge index
 (:mod:`.project`), per-function control-flow graphs with exception
-edges (:mod:`.cfg`) — and runs interprocedural passes over it:
+edges (:mod:`.cfg`) — and runs two passes over it:
 
 | Code   | Invariant                                                     |
 |--------|---------------------------------------------------------------|
-| SPC101 | no decision-path entry point transitively reaches a           |
-|        | nondeterminism source (wall clock, global RNG, environment)   |
 | SPC102 | span/monitor begins end on *every* CFG path, exception        |
-|        | edges included; never-ended and dropped spans, and            |
+|        | edges included (a call into a project function that can       |
+|        | raise is one); never-ended and dropped spans, and             |
 |        | `start_all` with no `stop_all`                                |
-| SPC103 | acquire/release-style resource pairs close on every CFG path  |
 | SPC105 | `# spectra: noqa[CODE]` waivers that suppress nothing are     |
 |        | themselves findings (dead waivers can't accumulate)           |
 
@@ -24,7 +22,6 @@ after the per-file rules, over the same parse of every file.
 from . import (  # noqa: F401  (imported for registration side effect)
     lifecycle,
     suppress,
-    taint,
 )
 from .cfg import CFG, build_cfg
 from .project import FunctionInfo, ModuleInfo, ProjectIndex
@@ -37,5 +34,4 @@ __all__ = [
     "build_cfg",
     "lifecycle",
     "suppress",
-    "taint",
 ]

@@ -1,4 +1,4 @@
-"""SPC102/SPC103 — lifecycle pairing as a CFG path property.
+"""SPC102 — lifecycle pairing as a CFG path property.
 
 The class of bug behind the ``abort_fidelity_op`` leak: a monitor set
 is started (``monitors.start_all(recording)``) or a telemetry span
@@ -11,32 +11,26 @@ event, the event fails, and the exception edge leaves the function
 with the span still open.  In this codebase that is not a corner case —
 it is the *normal* failure mode (every
 ``yield from self.network.transfer(...)`` is a potential abort) — so
-these passes check pairing as reachability over the :mod:`.cfg`
-exception-edge CFG:
+SPC102 checks pairing as reachability over the :mod:`.cfg`
+exception-edge CFG: a span begun (``start_span``/``child``/``span``)
+or a monitor recording started (``start_all``) must be closed on every
+path from the begin to any function exit, exception edges included.
+A span that is never ended, a span result that is dropped, and a
+``start_all(name)`` with no ``stop_all`` at all are reported without
+a path search.
 
-* **SPC102** — a span begun (``start_span``/``child``/``span``) or a
-  monitor recording started (``start_all``) must be closed on every
-  path from the begin to any function exit, exception edges included.
-  A span that is never ended, a span result that is dropped, and a
-  ``start_all(name)`` with no ``stop_all`` at all are reported without
-  a path search.
-* **SPC103** — receiver-paired resource verbs (``acquire``/``release``,
-  ``apply``/``revert``) must close on every path.  Pairs whose close
-  half lives in another function (cross-function protocols like the
-  fault journal's scenario-scoped revert) are skipped, not guessed at.
-
-Both share one escape scan (:class:`_FunctionScan`): an object that
-leaves the function (returned, stored on ``self``, passed to a callee)
-is somebody else's responsibility, and a begin used as a ``with``
-context manager is paired by construction.  Path findings report the
-*witness line* — the statement on the offending path where the
-un-closed exit happens.
+One escape scan (:class:`_FunctionScan`) decides what is the
+function's to close: an object that leaves the function (returned,
+stored on ``self``, passed to a callee) is somebody else's
+responsibility, and a begin used as a ``with`` context manager is
+paired by construction.  Path findings report the *witness line* — the
+statement on the offending path where the un-closed exit happens.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from ..core import (
     ProjectRule,
@@ -50,16 +44,6 @@ from .project import FunctionInfo, ProjectIndex
 
 #: begin methods whose *receiver-call result* is the tracked span
 SPAN_BEGINS = frozenset({"start_span", "child", "span"})
-
-#: SPC103 verb pairs: open attribute -> accepted close attributes.
-RESOURCE_PAIRS: Dict[str, Tuple[str, ...]] = {
-    "acquire": ("release",),
-    "apply": ("revert",),
-}
-
-#: Open verbs that are flagged even with no close call in the function
-#: (strict same-scope protocols); others are assumed cross-function.
-STRICT_OPENS = frozenset({"acquire"})
 
 
 def _call_attr(node: ast.Call) -> Optional[str]:
@@ -181,34 +165,6 @@ def _stmt_id(cfg: CFG, source: SourceFile,
     return None
 
 
-def _attr_calls(func: ast.AST) -> Iterator[Tuple[str, str, ast.Call]]:
-    """(receiver_dotted, attr, call) for method calls in *func*,
-    excluding nested function/class bodies (separate scopes)."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call) and isinstance(node.func,
-                                                     ast.Attribute):
-            receiver = _dotted(node.func.value)
-            if receiver is not None:
-                yield receiver, node.func.attr, node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _witness(cfg: CFG, path: List[int]) -> Tuple[str, int]:
     """(exit kind description, witness line) for a leaking path."""
     exit_node = path[-1]
@@ -289,19 +245,12 @@ def _closes_stop_all(stmt: ast.stmt) -> bool:
         and call.func.attr == "stop_all"))
 
 
-def _closes_pair(receiver: str,
-                 close_attrs: Tuple[str, ...]) -> Callable[[ast.stmt], bool]:
-    def check(stmt: ast.stmt) -> bool:
-        return _stmt_contains(stmt, lambda call: (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in close_attrs
-            and _dotted(call.func.value) == receiver))
-    return check
-
-
-class _FlowLifecycleBase(ProjectRule):
-    """Common iteration: scoped index functions -> per-function check."""
-
+@register_rule
+class SpanPathRule(ProjectRule):
+    code = "SPC102"
+    name = "span-path-pairing"
+    description = ("spans and monitor recordings must close on every "
+                   "CFG path, exception edges included")
     scope = ("src/repro",)
 
     def check_project(self, project) -> Iterator[Violation]:
@@ -318,18 +267,6 @@ class _FlowLifecycleBase(ProjectRule):
                 continue
             checked.add(key)
             yield from self.check_function(fn, index)
-
-    def check_function(self, fn: FunctionInfo,
-                       index: ProjectIndex) -> Iterator[Violation]:
-        raise NotImplementedError
-
-
-@register_rule
-class SpanPathRule(_FlowLifecycleBase):
-    code = "SPC102"
-    name = "span-path-pairing"
-    description = ("spans and monitor recordings must close on every "
-                   "CFG path, exception edges included")
 
     def check_function(self, fn: FunctionInfo,
                        index: ProjectIndex) -> Iterator[Violation]:
@@ -391,58 +328,4 @@ class SpanPathRule(_FlowLifecycleBase):
                 fn.source, call,
                 f"monitor recording in {fn.qname} leaks: {kind} at "
                 f"line {line} exits without stop_all()",
-            )
-
-
-@register_rule
-class ResourcePairPathRule(_FlowLifecycleBase):
-    code = "SPC103"
-    name = "resource-pair-path"
-    description = ("acquire/release-style resource pairs must close on "
-                   "every CFG path")
-
-    def check_function(self, fn: FunctionInfo,
-                       index: ProjectIndex) -> Iterator[Violation]:
-        pairs: Dict[str, Tuple[str, ...]] = dict(RESOURCE_PAIRS)
-        scan: Optional[_FunctionScan] = None
-        opens: List[Tuple[str, str, ast.Call]] = []
-        close_seen: Set[str] = set()
-        for receiver, attr, call in _attr_calls(fn.node):
-            if attr in pairs:
-                opens.append((receiver, attr, call))
-            for open_attr, closes in pairs.items():
-                if attr in closes:
-                    close_seen.add(open_attr)
-        if not opens:
-            return
-        checker: Optional[_PathChecker] = None
-        for receiver, attr, call in opens:
-            if attr not in close_seen:
-                # No close verb anywhere in the function: either a
-                # cross-function protocol (skip) or, for strict verbs on
-                # a plain local, an outright leak.
-                if attr in STRICT_OPENS and "." not in receiver:
-                    if scan is None:
-                        scan = _FunctionScan(fn.node)
-                    if receiver in scan.escaped:
-                        continue
-                    yield self.violation(
-                        fn.source, call,
-                        f"{receiver}.{attr}() in {fn.qname} has no "
-                        f"matching {'/'.join(pairs[attr])}() in this "
-                        f"function",
-                    )
-                continue
-            if checker is None:
-                checker = _PathChecker(fn, index)
-            path = checker.leak_path(call, _closes_pair(receiver,
-                                                        pairs[attr]))
-            if path is None:
-                continue
-            kind, line = _witness(checker.cfg, path)
-            yield self.violation(
-                fn.source, call,
-                f"{receiver}.{attr}() in {fn.qname} leaks: {kind} at "
-                f"line {line} exits without "
-                f"{receiver}.{'/'.join(pairs[attr])}()",
             )

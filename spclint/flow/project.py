@@ -2,13 +2,12 @@
 
 Built once per sweep from the already-parsed
 :class:`~spclint.core.SourceFile` set (no re-reads, no
-re-parses), the index answers the questions the interprocedural passes
-ask:
+re-parses), the index answers the questions SPC102's path search
+asks:
 
 * what module does this file define, and what functions live in it?
 * which known function does this call site resolve to?
-* which external dotted path (``time.time``, ``random.random``) does an
-  unresolved call name, after import-alias resolution?
+* which functions can raise, themselves or through a call?
 
 Resolution is deliberately *best-effort static*: bare names resolve to
 module-level defs (local, imported, or star-imported), ``self.m()`` and
@@ -16,9 +15,8 @@ module-level defs (local, imported, or star-imported), ``self.m()`` and
 bases, ``module.func()`` resolves through the alias map, and
 ``ClassName()`` resolves to ``ClassName.__init__``.  Anything dynamic
 (``fns[i]()``, attribute chains through instance fields) stays
-unresolved — the passes treat unresolved calls conservatively for
-*their* invariant, which keeps the whole layer never-crash and the
-false-positive rate bounded.
+unresolved, and SPC102 does not count an unresolved call as an
+exception source, which keeps its false-positive rate bounded.
 
 Module names derive from package structure: a file's module path is its
 dotted path relative to the nearest ancestor directory that is **not**
@@ -32,21 +30,9 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..core import SourceFile, dotted_name, resolve_call_path
-
-
-@dataclass
-class CallSite:
-    """One call (or source-attribute read) inside a function body."""
-
-    #: alias-resolved dotted path of the target, e.g. ``time.time`` or
-    #: ``self.coda.reintegrate_volume``; None for dynamic targets
-    path: Optional[str]
-    node: ast.AST
-    #: qualified name of the project function this resolved to, if any
-    resolved: Optional[str] = None
 
 
 @dataclass
@@ -59,21 +45,15 @@ class FunctionInfo:
     class_name: Optional[str]        # enclosing class, if a method
     node: ast.AST                    # the FunctionDef/AsyncFunctionDef
     source: SourceFile
-    calls: List[CallSite] = field(default_factory=list)
-    #: dotted attribute reads that are nondeterminism sources (os.environ)
-    attr_reads: List[Tuple[str, ast.AST]] = field(default_factory=list)
+    #: alias-resolved dotted paths of the body's calls, e.g.
+    #: ``self.coda.reintegrate_volume``; dynamic targets are left out
+    calls: List[str] = field(default_factory=list)
     contains_raise: bool = False
-    contains_yield: bool = False
-
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_") or (
-            self.name.startswith("__") and self.name.endswith("__"))
 
 
 @dataclass
 class ModuleInfo:
-    """One parsed module: its defs, classes, and import surface."""
+    """One parsed module: its classes and import surface."""
 
     name: str
     source: SourceFile
@@ -81,8 +61,6 @@ class ModuleInfo:
     classes: Dict[str, List[str]] = field(default_factory=dict)
     #: modules star-imported (``from x import *``)
     star_imports: List[str] = field(default_factory=list)
-    #: local function qnames defined here (in definition order)
-    functions: List[str] = field(default_factory=list)
 
 
 def module_name_for(path: str, known_files: Set[str]) -> str:
@@ -113,7 +91,7 @@ def module_name_for(path: str, known_files: Set[str]) -> str:
 
 
 class _FunctionCollector:
-    """Collect calls/raises/yields of one function body.
+    """Collect the calls and raises of one function body.
 
     Nested function and lambda bodies are folded into the enclosing
     function (a conservative over-approximation: a helper defined here
@@ -141,19 +119,10 @@ class _FunctionCollector:
     def _visit(self, node: ast.AST) -> None:
         if isinstance(node, ast.Call):
             path = resolve_call_path(node.func, self.aliases)
-            self.info.calls.append(CallSite(path=path, node=node))
+            if path is not None:
+                self.info.calls.append(path)
         elif isinstance(node, ast.Raise):
             self.info.contains_raise = True
-        elif isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-            self.info.contains_yield = True
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            dotted = dotted_name(node)
-            if dotted is not None:
-                head, _, rest = dotted.partition(".")
-                resolved = self.aliases.get(head)
-                if resolved is not None and rest:
-                    dotted = f"{resolved}.{rest}"
-                self.info.attr_reads.append((dotted, node))
 
 
 class ProjectIndex:
@@ -210,7 +179,6 @@ class ProjectIndex:
                 )
                 _FunctionCollector(fn, aliases).walk(node)
                 self.functions[qname] = fn
-                info.functions.append(qname)
             elif isinstance(node, ast.ClassDef):
                 bases = [b for b in (dotted_name(base) for base in node.bases)
                          if b is not None]
@@ -297,11 +265,8 @@ class ProjectIndex:
             edges: Dict[str, List[str]] = {}
             for fn in self.functions.values():
                 targets: Set[str] = set()
-                for site in fn.calls:
-                    if site.path is None:
-                        continue
-                    resolved = self.resolve(fn, site.path)
-                    site.resolved = resolved
+                for path in fn.calls:
+                    resolved = self.resolve(fn, path)
                     if resolved is not None and resolved != fn.qname:
                         targets.add(resolved)
                 edges[fn.qname] = sorted(targets)

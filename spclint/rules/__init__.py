@@ -7,11 +7,13 @@ line here.
 
 | Code   | Invariant                                                  |
 |--------|------------------------------------------------------------|
-| SPC001 | no wall-clock reads / real sleeps in simulated code        |
+| SPC001 | no host reads in simulated code: wall clock, sleeps,       |
+|        | environment, host identity, secret-grade entropy           |
 | SPC002 | no module-level (unseeded, global-state) randomness        |
 | SPC004 | no exact float ==/!= on utility/energy/time values         |
 | SPC005 | no private attributes assigned in __init__ but never read  |
-| SPC006 | no bare excepts; no silent broad excepts on hot paths      |
+| SPC006 | no silent broad excepts on hot paths (bare excepts are     |
+|        | ruff's E722)                                               |
 
 The whole-program SPC1xx pack lives in :mod:`spclint.flow` and
 registers through the same registry;

@@ -32,8 +32,8 @@ import copy
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
-                    Sequence, Tuple, TypeVar)
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from ..core import Alternative, DefaultUtility, OperationSpec
 from ..core.utility import AlternativePrediction
@@ -77,15 +77,14 @@ def train_world(spec: ScenarioSpec, workload: Sequence[Any], run: Run,
     return world
 
 
-def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
+def clone_world(world: WorldT) -> WorldT:
     """An independent deep copy of a quiescent ``(compiled world, app)``
     pair (the world a :func:`~repro.scenarios.compile_scenario` call
     built).
 
-    Objects in *shared* are kept by reference in the copy (the
-    experiments share nothing, so that no cell depends on another);
-    everything else reachable from *world* is copied, so running the
-    clone cannot disturb the original.
+    Every mutable object reachable from *world* is copied, so running
+    the clone cannot disturb the original and no cell depends on
+    another.
     Frozen records (logged transfers, usage samples, file accesses,
     network estimates) never change, so the copy shares them: their
     ``__deepcopy__`` hooks return them as they are, and the logs that
@@ -99,8 +98,7 @@ def clone_world(world: WorldT, shared: Iterable[Any] = ()) -> WorldT:
     its own registry.
     """
     _check_cloneable(world)
-    memo = {id(obj): obj for obj in shared}
-    return copy.deepcopy(world, memo)
+    return copy.deepcopy(world)
 
 
 def _check_cloneable(world: tuple) -> None:

@@ -9,7 +9,6 @@ all advance through simulated seconds scheduled on one
 from .events import (
     AllOf,
     AnyOf,
-    Condition,
     Event,
     Interrupt,
     SimulationError,
@@ -17,21 +16,18 @@ from .events import (
 )
 from .kernel import Simulator, TimerHandle
 from .process import Process
-from .resources import FairShareJob, FairShareResource, Mutex, Store
+from .resources import FairShareJob, FairShareResource
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Condition",
     "Event",
     "FairShareJob",
     "FairShareResource",
     "Interrupt",
-    "Mutex",
     "Process",
     "SimulationError",
     "Simulator",
-    "Store",
     "TimerHandle",
     "Timeout",
 ]

@@ -22,7 +22,7 @@ instead, so simulated failures propagate exactly like real ones.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 
 class SimulationError(Exception):
@@ -190,43 +190,3 @@ class AnyOf(Event):
                 self.fail(child.value)
 
         return on_child
-
-
-class Condition:
-    """A level-triggered, re-armable waiting point.
-
-    Unlike :class:`Event`, a condition may be signalled many times.  Each
-    :meth:`wait` call returns a fresh one-shot :class:`Event` that the next
-    :meth:`signal` triggers.  Useful for queues and server loops.
-    """
-
-    __slots__ = ("_waiters",)
-
-    def __init__(self) -> None:
-        self._waiters: List[Event] = []
-
-    def wait(self) -> Event:
-        """Return a fresh event triggered by the next :meth:`signal`."""
-        event = Event()
-        self._waiters.append(event)
-        return event
-
-    def signal(self, value: Any = None) -> int:
-        """Trigger all currently waiting events; returns how many."""
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter.succeed(value)
-        return len(waiters)
-
-    def signal_one(self, value: Any = None) -> Optional[Event]:
-        """Trigger only the oldest waiter, FIFO; returns it or None."""
-        if not self._waiters:
-            return None
-        waiter = self._waiters.pop(0)
-        waiter.succeed(value)
-        return waiter
-
-    @property
-    def waiting(self) -> int:
-        """Number of processes currently blocked on this condition."""
-        return len(self._waiters)

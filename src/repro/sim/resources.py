@@ -1,6 +1,7 @@
 """Shared-resource primitives built on the kernel.
 
-These are generic building blocks used by higher substrates:
+The one primitive here is shared by every substrate that divides a
+capacity among concurrent users — hosts' CPUs and the network media:
 
 :class:`FairShareResource`
     Models a capacity (CPU cycles/s, link bytes/s) divided among active
@@ -9,13 +10,6 @@ These are generic building blocks used by higher substrates:
     a contended wireless medium.  Accounting is **virtual-time (GPS)**:
     membership changes are O(1), completions O(log n), so hundreds of
     concurrent jobs cost what tens used to.
-
-:class:`Mutex`
-    FIFO mutual exclusion for processes.
-
-:class:`Store`
-    An unbounded FIFO queue of items with blocking ``get``; used for RPC
-    request queues on Spectra servers.
 
 Virtual-time accounting, in brief.  Let ``V(t)`` be the cumulative
 service delivered *per unit weight* since the resource was created:
@@ -403,81 +397,3 @@ class FairShareResource:
     def _notify(self) -> None:
         if self._on_utilization_change is not None:
             self._on_utilization_change(self._sim.now, self.busy, self._active)
-
-
-class Mutex:
-    """FIFO mutual exclusion for simulated processes.
-
-    Usage inside a process::
-
-        yield mutex.acquire()
-        try:
-            ...
-        finally:
-            mutex.release()
-    """
-
-    __slots__ = ("_sim", "name", "_locked", "_waiters")
-
-    def __init__(self, sim: Simulator, name: str = "mutex"):
-        self._sim = sim
-        self.name = name
-        self._locked = False
-        self._waiters: List[Event] = []
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        """Return an event that fires once the lock is held by the caller."""
-        event = Event()
-        if not self._locked:
-            self._locked = True
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimulationError(f"release of unlocked mutex {self.name!r}")
-        if self._waiters:
-            nxt = self._waiters.pop(0)
-            nxt.succeed(self)
-        else:
-            self._locked = False
-
-
-class Store:
-    """Unbounded FIFO of items with blocking get.
-
-    ``put`` never blocks.  ``get`` returns an event that fires with the
-    oldest item — immediately if one is buffered, else when one arrives.
-    """
-
-    __slots__ = ("_sim", "name", "_items", "_getters")
-
-    def __init__(self, sim: Simulator, name: str = "store"):
-        self._sim = sim
-        self.name = name
-        self._items: List[Any] = []
-        self._getters: List[Event] = []
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event()
-        if self._items:
-            event.succeed(self._items.pop(0))
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._items)

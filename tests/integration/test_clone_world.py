@@ -7,9 +7,8 @@ it.  These tests hold that to the old methodology:
 * equivalence — a clone of the trained world with the scenario applied
   measures exactly what a freshly built ``_build(scenario)`` world
   measures (forced alternative and Spectra's own choice);
-* isolation — the clone shares no mutable object with the trained world
-  except what the caller asked to share, and running it leaves the
-  trained world untouched;
+* isolation — the clone shares no mutable object with the trained world,
+  and running it leaves the trained world untouched;
 * sharing — the clone does share the trained world's frozen log
   records, and its own logs and models grow without touching the
   original's;
@@ -28,7 +27,6 @@ from repro.apps import SpeechWorkload
 from repro.experiments import latex, pangloss, speech
 from repro.experiments.runner import clone_world
 from repro.network import TransferRecord
-from repro.solver import HeuristicSolver
 from repro.telemetry import SpanTracer, Telemetry
 from tests.unit.test_monitors import count_fits
 
@@ -174,10 +172,8 @@ def _children(obj):
                 pass
 
 
-def _reachable(root, stop=()):
-    """id -> object for everything reachable from *root*, not walking
-    into the objects in *stop*."""
-    stop_ids = {id(o) for o in stop}
+def _reachable(root):
+    """id -> object for everything reachable from *root*."""
     seen = {}
     stack = [root]
     while stack:
@@ -185,32 +181,28 @@ def _reachable(root, stop=()):
         if id(obj) in seen:
             continue
         seen[id(obj)] = obj
-        if id(obj) in stop_ids:
-            continue
         stack.extend(_children(obj))
     return seen
 
 
 class TestIsolation:
     @pytest.mark.parametrize("name", list(EXPERIMENTS))
-    def test_clone_shares_only_immutables_and_shared(self, name):
-        solver = HeuristicSolver()
-        trained = EXPERIMENTS[name][0]._train(solver=solver)
-        clone = clone_world(trained, shared=(solver,))
-        original = _reachable(trained, stop=(solver,))
-        # The walk really saw the world: the simulator, every node, and
-        # every sample in the client's usage logs.
+    def test_clone_shares_only_immutables(self, name):
+        trained = _trained(name)
+        clone = clone_world(trained)
+        original = _reachable(trained)
+        # The walk really saw the world: the simulator, the client's
+        # solver, every node, and every sample in the client's usage logs.
         world, app = trained
-        deep = [world.sim, *world.nodes.values(),
+        deep = [world.sim, app.client.solver, *world.nodes.values(),
                 *(sample for registered in app.client._operations.values()
                   for sample in registered.predictor.log)]
-        assert len(deep) > 1 + len(world.nodes)
+        assert len(deep) > 2 + len(world.nodes)
         assert all(id(obj) in original for obj in deep)
         offenders = sorted({
             type(obj).__qualname__
-            for key, obj in _reachable(clone, stop=(solver,)).items()
-            if key in original and obj is not solver
-            and not _immutable(obj)
+            for key, obj in _reachable(clone).items()
+            if key in original and not _immutable(obj)
         })
         assert offenders == []
 
@@ -243,16 +235,6 @@ class TestIsolation:
         assert len(result.measurements) > 1
         assert state() == before
         assert world.sim.pending == 0
-
-    def test_shared_solver_is_kept_by_reference(self):
-        solver = HeuristicSolver()
-        trained = speech._train(solver=solver)
-        clone, _app = clone_world(trained, shared=(solver,))
-        assert clone.nodes["itsy"].client.solver is solver
-        assert trained[0].nodes["itsy"].client.solver is solver
-        # Without sharing, the solver is copied like everything else.
-        unshared, _app = clone_world(trained)
-        assert unshared.nodes["itsy"].client.solver is not solver
 
 
 def _predictor(world, app, name):

@@ -7,10 +7,10 @@ invocation must exit 0 on the tree as committed:
   per-file rules plus the whole-program SPC1xx pack over ``src/repro
   tests benchmarks examples spclint``; any finding fails.
 
-Any new wall-clock call, unseeded RNG, unpaired lifecycle, float
-equality on a measurement, dead attribute, swallowed exception,
-call-graph determinism leak, or stale suppression fails this test
-before it reaches CI.  (Telemetry-name typos are import errors; see
+Any new wall-clock, environment or entropy read, unseeded RNG,
+unpaired lifecycle, float equality on a measurement, dead attribute,
+swallowed exception, or stale suppression fails this test before it
+reaches CI.  (Telemetry-name typos are import errors; see
 ``tests/unit/test_telemetry_names.py``.)
 
 The in-process checks share one sweep of the gate's targets, and the

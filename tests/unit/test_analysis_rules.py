@@ -29,7 +29,7 @@ def sweep(tmp_path, code):
                          cache=ParseCache())
 
 
-# -- SPC001: wall clock --------------------------------------------------------------
+# -- SPC001: host reads -------------------------------------------------------------
 
 
 class TestWallClock:
@@ -85,6 +85,43 @@ class TestWallClock:
             def stamp():
                 return time.time()  # spectra: noqa[SPC001] -- host profiling
         """, select=["SPC001"])
+        assert found == []
+
+    ENV_AND_ENTROPY = """
+        import os
+        import secrets
+        import uuid
+
+        def host_inputs():
+            user = os.getenv("USER")
+            home = os.environ["HOME"]
+            return user, home, uuid.uuid4(), secrets.token_hex(8)
+    """
+
+    def test_detects_env_and_entropy_reads(self):
+        found = lint(self.ENV_AND_ENTROPY, select=["SPC001"])
+        assert codes(found) == ["SPC001"] * 4
+        messages = sorted(v.message.split(" — ")[0] for v in found)
+        assert messages == [
+            "entropy call secrets.token_hex()",
+            "environment read os.environ",
+            "environment read os.getenv()",
+            "environment read uuid.uuid4()",
+        ]
+
+    def test_detects_from_imported_environ(self):
+        found = lint("""
+            from os import environ
+
+            def home():
+                return environ.get("HOME")
+        """, select=["SPC001"])
+        assert codes(found) == ["SPC001"]
+        assert "os.environ" in found[0].message
+
+    def test_env_and_entropy_out_of_scope_pass(self):
+        found = lint(self.ENV_AND_ENTROPY, path="tools/script.py",
+                     select=["SPC001"])
         assert found == []
 
 
@@ -387,17 +424,6 @@ class TestDeadAttributes:
 
 
 class TestSwallowedExcept:
-    def test_detects_bare_except(self):
-        found = lint("""
-            def run(job):
-                try:
-                    job()
-                except:
-                    pass
-        """, select=["SPC006"])
-        assert codes(found) == ["SPC006"]
-        assert "bare except" in found[0].message
-
     def test_detects_silent_broad_except_on_hot_path(self):
         found = lint("""
             def dispatch(handler):
@@ -505,7 +531,7 @@ class TestSuppressionForms:
 
 #: The whole rule pack.  Adding or removing a rule is an edit here.
 EXPECTED_RULES = ("SPC001", "SPC002", "SPC004", "SPC005", "SPC006",
-                  "SPC101", "SPC102", "SPC103", "SPC105")
+                  "SPC102", "SPC105")
 
 
 def test_registry_holds_exactly_the_expected_rules():

@@ -20,9 +20,8 @@ def write_fixture(tmp_path, files):
     """Materialize {path under src/repro: source} as a package tree.
 
     Every directory becomes a package, so the fixture indexes as
-    ``repro.*`` modules: each rule's ``src/repro`` scope and SPC101's
-    entry packages (``repro.sim``, ``repro.core``) apply unchanged.
-    Returns the tree's root.
+    ``repro.*`` modules and each rule's ``src/repro`` scope applies
+    unchanged.  Returns the tree's root.
     """
     package = tmp_path / "src" / "repro"
     for rel, text in files.items():
@@ -39,92 +38,6 @@ def write_fixture(tmp_path, files):
 def sweep(root, select):
     """Sweep *root* with only the *select*-ed rules active."""
     return analyze_paths([str(root)], select=select, cache=ParseCache())
-
-
-class TestSPC101DeterminismTaint:
-    FILES = {
-        "core/util.py": """\
-            import time
-
-
-            def read_clock():
-                return time.time()
-
-
-            def pure_add(a, b):
-                return a + b
-        """,
-        "core/middle.py": """\
-            from repro.core.util import pure_add, read_clock
-
-
-            def helper():
-                return read_clock() + 1.0
-
-
-            def clean_helper(x):
-                return pure_add(x, 1)
-        """,
-        "sim/entry.py": """\
-            from repro.core.middle import clean_helper, helper
-
-
-            def run_decision():
-                return helper()
-
-
-            def run_clean():
-                return clean_helper(2)
-
-
-            def _private_reaches_clock():
-                return helper()
-        """,
-    }
-
-    def taint(self, tmp_path, extra=None):
-        files = dict(self.FILES)
-        files.update(extra or {})
-        root = write_fixture(tmp_path, files)
-        return sweep(root, ["SPC101"])
-
-    def test_tainted_public_entry_points_reported(self, tmp_path):
-        found = self.taint(tmp_path)
-        messages = {v.message for v in found}
-        # The public entry points are flagged...
-        assert any("repro.sim.entry.run_decision" in m for m in messages)
-        assert any("repro.core.util.read_clock" in m for m in messages)
-        assert any("repro.core.middle.helper" in m for m in messages)
-        # ...with the chain and the source call spelled out.
-        decision = next(m for m in messages if "run_decision" in m)
-        assert "wall-clock call time.time()" in decision
-        assert " -> " in decision
-
-    def test_clean_paths_and_private_helpers_silent(self, tmp_path):
-        found = self.taint(tmp_path)
-        messages = {v.message for v in found}
-        assert not any("run_clean" in m for m in messages)
-        assert not any("_private_reaches_clock" in m for m in messages)
-
-    def test_env_and_rng_sources_detected(self, tmp_path):
-        found = self.taint(tmp_path, extra={
-            "core/other.py": """\
-                import os
-                import random
-
-
-                def dice():
-                    return random.random()
-
-
-                def whoami():
-                    return os.environ["USER"]
-            """,
-        })
-        messages = {v.message for v in found}
-        assert any("global-state RNG call random.random()" in m
-                   for m in messages)
-        assert any("environment read os.environ" in m for m in messages)
 
 
 class TestSPC102SpanPaths:
@@ -210,57 +123,6 @@ class TestSPC102SpanPaths:
         assert len(found) == 1
         assert "span 'span'" in found[0].message
         assert "exception escaping at line 9" in found[0].message
-
-
-class TestSPC103ResourcePairs:
-    def test_acquire_release_leak_and_clean(self, tmp_path):
-        root = write_fixture(tmp_path, {
-            "sim/locks.py": """\
-                def leaky(lock, network):
-                    lock.acquire()
-                    yield from network.transfer(100)
-                    lock.release()
-
-
-                def clean(lock, network):
-                    lock.acquire()
-                    try:
-                        yield from network.transfer(100)
-                    finally:
-                        lock.release()
-            """,
-        })
-        found = sweep(root, ["SPC103"])
-        assert len(found) == 1
-        assert "lock.acquire()" in found[0].message
-        assert "repro.sim.locks.leaky" in found[0].message
-
-    def test_strict_open_without_any_close(self, tmp_path):
-        root = write_fixture(tmp_path, {
-            "sim/noclose.py": """\
-                def forgot(lock):
-                    lock.acquire()
-                    return 1
-            """,
-        })
-        found = sweep(root, ["SPC103"])
-        assert len(found) == 1
-        assert "no matching release()" in found[0].message
-
-    def test_cross_function_protocol_skipped(self, tmp_path):
-        root = write_fixture(tmp_path, {
-            "sim/journal.py": """\
-                def start(self, fault):
-                    self.journal.apply(fault)
-
-
-                def stop(self, fault):
-                    self.journal.revert(fault)
-            """,
-        })
-        # apply/revert split across functions: assumed cross-function,
-        # not guessed at.
-        assert sweep(root, ["SPC103"]) == []
 
 
 class TestSPC105UnusedSuppressions:

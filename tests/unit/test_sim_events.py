@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Condition, Event, SimulationError, Timeout
+from repro.sim import AllOf, AnyOf, Event, SimulationError, Timeout
 
 
 class TestEvent:
@@ -113,31 +113,3 @@ class TestAnyOf:
         error = RuntimeError("x")
         a.fail(error)
         assert not combo.ok and combo.value is error
-
-
-class TestCondition:
-    def test_signal_wakes_all_waiters(self):
-        cond = Condition()
-        w1, w2 = cond.wait(), cond.wait()
-        assert cond.waiting == 2
-        assert cond.signal("v") == 2
-        assert w1.value == "v" and w2.value == "v"
-        assert cond.waiting == 0
-
-    def test_signal_one_is_fifo(self):
-        cond = Condition()
-        w1, w2 = cond.wait(), cond.wait()
-        woken = cond.signal_one("first")
-        assert woken is w1 and w1.triggered and not w2.triggered
-
-    def test_signal_one_empty_returns_none(self):
-        assert Condition().signal_one() is None
-
-    def test_rearmable(self):
-        cond = Condition()
-        w1 = cond.wait()
-        cond.signal()
-        w2 = cond.wait()
-        assert w1.triggered and not w2.triggered
-        cond.signal()
-        assert w2.triggered

@@ -1,15 +1,8 @@
-"""Unit tests for fair-share resources, mutexes, and stores."""
+"""Unit tests for fair-share resources."""
 
 import pytest
 
-from repro.sim import (
-    FairShareResource,
-    Mutex,
-    SimulationError,
-    Simulator,
-    Store,
-    Timeout,
-)
+from repro.sim import FairShareResource, SimulationError, Simulator
 from tests.fairshare_legacy import LegacyFairShareResource
 
 
@@ -127,61 +120,6 @@ class TestFairShareDynamics:
         resource.submit(50.0)
         sim.run()
         assert resource.total_served == pytest.approx(80.0)
-
-
-class TestMutex:
-    def test_fifo_exclusion(self, sim):
-        mutex = Mutex(sim)
-        order = []
-
-        def worker(tag, hold):
-            yield mutex.acquire()
-            order.append(f"{tag}+")
-            yield Timeout(hold)
-            order.append(f"{tag}-")
-            mutex.release()
-
-        sim.spawn(worker("a", 1.0))
-        sim.spawn(worker("b", 1.0))
-        sim.run()
-        assert order == ["a+", "a-", "b+", "b-"]
-
-    def test_release_unlocked_raises(self, sim):
-        with pytest.raises(SimulationError):
-            Mutex(sim).release()
-
-    def test_uncontended_acquire_is_immediate(self, sim):
-        mutex = Mutex(sim)
-        event = mutex.acquire()
-        assert event.triggered and mutex.locked
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("x")
-        event = store.get()
-        assert event.triggered and event.value == "x"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        sim.spawn(consumer())
-        sim.call_in(2.0, lambda: store.put("late"))
-        sim.run()
-        assert got == [(2.0, "late")]
-
-    def test_fifo_ordering(self, sim):
-        store = Store(sim)
-        for i in range(3):
-            store.put(i)
-        assert [store.get().value for _ in range(3)] == [0, 1, 2]
-        assert len(store) == 0
 
 
 class TestAbortAndZeroCapacity:
