@@ -183,6 +183,7 @@ def import_aliases(tree: ast.AST) -> Dict[str, str]:
     """Map local names to the full dotted path they import.
 
     ``import numpy as np`` -> ``{"np": "numpy"}``;
+    ``import os.path`` -> ``{"os": "os"}`` (it binds the package ``os``);
     ``from time import perf_counter as pc`` -> ``{"pc": "time.perf_counter"}``.
     Relative imports map to their bare module path (level dots dropped) —
     good enough for matching third-party modules like ``time``.
@@ -191,7 +192,11 @@ def import_aliases(tree: ast.AST) -> Dict[str, str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = alias.name
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    first = alias.name.split(".")[0]
+                    aliases[first] = first
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             for alias in node.names:

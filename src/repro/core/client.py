@@ -98,7 +98,7 @@ class NoFeasibleAlternativeError(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationHandle:
     """Live state of one operation between begin and end."""
 
@@ -137,7 +137,7 @@ class OperationHandle:
         return self.alternative.fidelity_dict()
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationReport:
     """What end_fidelity_op returns: the operation's measured outcome."""
 
@@ -362,9 +362,9 @@ class SpectraClient:
         the log instead — cross-run warm start.  A missing, corrupt, or
         wrong-version document degrades to a cold start.
         """
-        yield from self.host.cpu.run(
+        yield self.host.cpu.submit(
             self.overhead.register_cycles, owner="spectra"
-        )
+        ).done
         if spec.name in self._operations:
             raise ValueError(f"operation {spec.name!r} already registered")
         log = (UsageLog.from_json(usage_log_json)
@@ -447,8 +447,8 @@ class SpectraClient:
 
         try:
             # Fixed begin overhead.
-            yield from self.host.cpu.run(self.overhead.begin_base_cycles,
-                                         owner=owner)
+            yield self.host.cpu.submit(self.overhead.begin_base_cycles,
+                                       owner=owner).done
 
             # File-cache prediction: scales with the number of cached
             # entries (the Coda temp-file interface the paper calls out
@@ -456,23 +456,23 @@ class SpectraClient:
             t_phase = self.sim.now
             with op_span.child(SPAN_PHASE_FILE_CACHE) as phase_span:
                 cached_entries = len(self.coda.cache)
-                yield from self.host.cpu.run(
+                yield self.host.cpu.submit(
                     self.overhead.cache_predict_base_cycles
                     + self.overhead.cache_predict_per_entry_cycles
                     * cached_entries,
                     owner=owner,
-                )
+                ).done
                 phase_span.end(cached_entries=cached_entries)
             timings["file_cache_prediction"] = self.sim.now - t_phase
 
             t_phase = self.sim.now
             with op_span.child(SPAN_PHASE_SNAPSHOT) as phase_span:
                 snapshot = self._take_snapshot()
-                yield from self.host.cpu.run(
+                yield self.host.cpu.submit(
                     self.overhead.snapshot_per_server_cycles
                     * len(snapshot.servers),
                     owner=owner,
-                )
+                ).done
                 phase_span.end(servers=len(snapshot.servers))
             timings["snapshot"] = self.sim.now - t_phase
 
@@ -492,11 +492,11 @@ class SpectraClient:
                         registered, estimator, snapshot
                     )
                     if solver_result is not None:
-                        yield from self.host.cpu.run(
+                        yield self.host.cpu.submit(
                             self.overhead.choose_per_eval_cycles
                             * solver_result.visits,
                             owner=owner,
-                        )
+                        ).done
                 phase_span.end()
             timings["choosing"] = self.sim.now - t_phase
 
@@ -696,9 +696,9 @@ class SpectraClient:
                     optype: str, indata_bytes: int = 0,
                     params: Optional[Dict[str, Any]] = None) -> Generator:
         """Process: RPC to the local Spectra server."""
-        return (yield from self._do_op(
+        return self._do_op(
             handle, self.host.name, service, optype, indata_bytes, params
-        ))
+        )
 
     def do_remote_op(self, handle: OperationHandle, service: str,
                      optype: str, indata_bytes: int = 0,
@@ -724,9 +724,9 @@ class SpectraClient:
                optype: str, indata_bytes: int,
                params: Optional[Dict[str, Any]]) -> Generator:
         # Client-side RPC issue overhead.
-        yield from self.host.cpu.run(
+        yield self.host.cpu.submit(
             self.overhead.rpc_client_cycles, owner=handle.recording.owner
-        )
+        ).done
         request = Request(
             service=service, optype=optype, opid=handle.opid,
             indata_bytes=indata_bytes, params=dict(params or {}),
@@ -826,12 +826,12 @@ class SpectraClient:
         span.end(outcome="replaced", alternative=alternative.describe())
 
         # Re-choosing costs decision time, like any choose phase.
-        yield from self.host.cpu.run(
+        yield self.host.cpu.submit(
             self.overhead.snapshot_per_server_cycles
             * len(self.server_names())
             + self.overhead.choose_per_eval_cycles,
             owner=recording.owner,
-        )
+        ).done
         target = (alternative.server if alternative.plan.uses_remote
                   else self.host.name)
         return (yield from self._do_op(
@@ -939,9 +939,9 @@ class SpectraClient:
         end_span = self.telemetry.tracer.start_span(
             SPAN_END_OP, operation=handle.spec.name, opid=handle.opid,
         )
-        yield from self.host.cpu.run(
+        yield self.host.cpu.submit(
             self.overhead.end_cycles, owner=handle.recording.owner
-        )
+        ).done
         recording = handle.recording
         recording.finished_at = self.sim.now
         self.monitors.stop_all(recording)

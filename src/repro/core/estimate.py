@@ -86,12 +86,13 @@ class DemandEstimator:
         plan = alternative.plan
         components: Dict[str, float] = {}
         demand: Dict[str, float] = {}
-        features = dict(self.params)
-        if continuous_fid:
-            features.update(continuous_fid)
+        features = ({**self.params, **continuous_fid} if continuous_fid
+                    else self.params)
+        predict = self.predictor.predict
+        data_object = self.data_object
 
         # --- local CPU ---------------------------------------------------------
-        local_cycles = self._demand("cpu:local", discrete, features)
+        local_cycles = predict("cpu:local", discrete, features, data_object)
         demand["cpu:local"] = local_cycles
         local_rate = max(self.snapshot.local_cpu_rate_cps, 1.0)
         components["local_cpu"] = local_cycles / local_rate
@@ -106,7 +107,8 @@ class DemandEstimator:
                     feasible=False,
                     infeasible_reason=f"server {alternative.server!r} unreachable",
                 )
-            remote_cycles = self._demand("cpu:remote", discrete, features)
+            remote_cycles = predict("cpu:remote", discrete, features,
+                                    data_object)
             demand["cpu:remote"] = remote_cycles
             remote_rate = max(server.cpu_rate_cps, 1.0)
             # Parallel plans spread remote cycles over up to `parallelism`
@@ -130,8 +132,8 @@ class DemandEstimator:
                     bottleneck_rate = max(min([remote_rate] + extra), 1.0)
             components["remote_cpu"] = remote_cycles / (bottleneck_rate * degree)
 
-            net_bytes = self._demand("net:bytes", discrete, features)
-            net_rpcs = self._demand("net:rpcs", discrete, features)
+            net_bytes = predict("net:bytes", discrete, features, data_object)
+            net_rpcs = predict("net:rpcs", discrete, features, data_object)
             demand["net:bytes"] = net_bytes
             demand["net:rpcs"] = net_rpcs
             if server.network.bandwidth_bps <= 0:
@@ -179,7 +181,12 @@ class DemandEstimator:
         total_time = sum(components.values())
 
         # --- energy -----------------------------------------------------------------
-        energy = self._energy(discrete, features)
+        try:
+            energy = predict("energy:client", discrete, features, data_object)
+        except NoModelError:
+            # Energy may be unmeasured on wall-only platforms; treat as
+            # "free" — with c == 0 it cannot affect utility anyway.
+            energy = 0.0
         demand["energy:client"] = energy
 
         return AlternativePrediction(
@@ -191,23 +198,6 @@ class DemandEstimator:
         )
 
     # -- pieces ------------------------------------------------------------------------
-
-    def _demand(self, resource: str, discrete: Dict[str, Any],
-                features: Optional[Dict[str, float]] = None) -> float:
-        return self.predictor.predict(
-            resource, discrete,
-            features if features is not None else self.params,
-            data_object=self.data_object,
-        )
-
-    def _energy(self, discrete: Dict[str, Any],
-                features: Optional[Dict[str, float]] = None) -> float:
-        try:
-            return self._demand("energy:client", discrete, features)
-        except NoModelError:
-            # Energy may be unmeasured on wall-only platforms; treat as
-            # "free" — with c == 0 it cannot affect utility anyway.
-            return 0.0
 
     def reintegration_volumes(self, alternative: Alternative) -> List[str]:
         """Dirty volumes a remote execution must flush first (§3.5).

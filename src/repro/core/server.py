@@ -94,14 +94,17 @@ class SpectraServer:
     # -- dispatch ----------------------------------------------------------------------
 
     def _dispatch(self, request: Request) -> Generator:
-        """Process: handle one inbound RPC; returns a Response."""
+        """Process: handle one inbound RPC; returns a Response.
+
+        Checks availability when called, then hands back the handler's
+        own generator."""
         if not self.available:
             raise ServiceUnavailableError(
                 f"Spectra server on {self.host.name!r} is down"
             )
         if request.service == CONTROL_SERVICE:
-            return (yield from self._dispatch_control(request))
-        return (yield from self._dispatch_service(request))
+            return self._dispatch_control(request)
+        return self._dispatch_service(request)
 
     def _dispatch_control(self, request: Request) -> Generator:
         if request.optype == "_status":
@@ -131,9 +134,9 @@ class SpectraServer:
         coda_mark: Optional[int] = None
         try:
             # Server-side dispatch overhead (context switch, unmarshal).
-            yield from self.host.cpu.run(
+            yield self.host.cpu.submit(
                 self.overhead.rpc_server_cycles, owner=owner
-            )
+            ).done
             cycles_before = self.host.cpu.cycles_used_by(owner)
             if self.coda is not None:
                 coda_mark = self.coda.access_log_mark()

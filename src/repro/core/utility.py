@@ -31,7 +31,7 @@ from .plans import Alternative
 ENERGY_EXPONENT_K = 10.0
 
 
-@dataclass
+@dataclass(slots=True)
 class AlternativePrediction:
     """Everything predicted about executing one alternative.
 

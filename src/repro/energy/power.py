@@ -40,7 +40,8 @@ class PowerMeter:
         """Set a named draw component to *watts* (>= 0) from now on."""
         if watts < 0:
             raise ValueError(f"negative power for {component!r}: {watts}")
-        self._settle()
+        if self._sim.now > self._last_settle:  # else _settle is a no-op
+            self._settle()
         if watts <= 0.0:
             self._components.pop(component, None)
         else:
@@ -76,7 +77,7 @@ class PowerMeter:
         elapsed = now - self._last_settle
         if elapsed <= 0:
             return
-        delta = self.power_watts * elapsed
+        delta = sum(self._components.values()) * elapsed  # = power_watts
         self._energy_joules += delta
         self._last_settle = now
         if delta > 0:

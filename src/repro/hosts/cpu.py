@@ -43,12 +43,14 @@ class CPU:
     ):
         self._sim = sim
         self.name = name
-        self._external_hook = on_utilization_change
+        # The power hook goes straight to the resource: membership
+        # changes resync the external load in submit and _retire, and
+        # the cycle rate never changes after construction.
         self._resource = FairShareResource(
             sim,
             cycles_per_second,
             name=f"{name}.cycles",
-            on_utilization_change=self._on_change,
+            on_utilization_change=on_utilization_change,
         )
         # In-flight job -> owner, in submission order.
         self._active: Dict[FairShareJob, str] = {}
@@ -145,15 +147,17 @@ class CPU:
             # Jobs the owner already has running now count as external.
             self._external_owners.add(owner)
         job = self._resource.submit(cycles, weight=weight)
-        if job.remaining > 0:
-            self._finished_cycles.setdefault(owner, 0.0)
+        if job.finished_at is None:  # in service, not an empty job
+            if owner not in self._finished_cycles:
+                self._finished_cycles[owner] = 0.0
             self._active[job] = owner
             job.done.add_callback(lambda _ev: self._retire(owner, job))
         else:
             self._finished_cycles[owner] = (
                 self._finished_cycles.get(owner, 0.0) + job.amount
             )
-        self._resync_external()
+        if self._external_owners:
+            self._resync_external()
         return job
 
     def run(self, cycles: float, owner: str = "anon", weight: float = 1.0) -> Generator:
@@ -217,7 +221,8 @@ class CPU:
             self._finished_cycles[owner] = (
                 finished + (job.amount - job.remaining)
             )
-        self._resync_external()
+        if self._external_owners:
+            self._resync_external()
 
     def _sample_utilization(self) -> None:
         """Fold the interval since the last sample into the smoothed estimate.
@@ -239,18 +244,11 @@ class CPU:
         external competing weight (called whenever membership changes —
         crucially *after* the in-flight map reflects the change).
 
-        Until an external owner first submits, the smoothed load is 0.0
-        and folding in an external weight of 0.0 keeps it exactly 0.0,
-        so there is nothing to do."""
-        if not self._external_owners:
-            return
+        Callers skip it until an external owner first submits: until
+        then the smoothed load is 0.0, and folding in an external weight
+        of 0.0 would keep it exactly 0.0."""
         self._sample_utilization()
         self._last_external_weight = self._external_weight()
-
-    def _on_change(self, now: float, busy: bool, active: int) -> None:
-        self._resync_external()
-        if self._external_hook is not None:
-            self._external_hook(now, busy, active)
 
 
 class BackgroundLoad:

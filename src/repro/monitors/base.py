@@ -38,7 +38,7 @@ from ..telemetry.names import (
 from .snapshot import ResourceSnapshot
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationRecording:
     """Measurement context for one in-flight operation."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkEstimate:
     """Predicted connectivity between the client and one server.
 
@@ -33,7 +33,7 @@ class NetworkEstimate:
         return self
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheStateEstimate:
     """Predicted file-cache state of one machine."""
 
@@ -49,7 +49,7 @@ class CacheStateEstimate:
         return expected_fetch_bytes / self.fetch_rate_bps
 
 
-@dataclass
+@dataclass(slots=True)
 class BatteryEstimate:
     """Battery availability plus the goal-directed importance of energy."""
 
@@ -57,7 +57,7 @@ class BatteryEstimate:
     importance: float                  # the parameter c in [0, 1]
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerEstimate:
     """Everything predicted about one candidate server."""
 
@@ -70,7 +70,7 @@ class ServerEstimate:
     staleness_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ResourceSnapshot:
     """The full supply-side picture for one placement decision."""
 

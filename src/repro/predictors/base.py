@@ -81,7 +81,7 @@ class OperationDemandPredictor:
 
     def _model(self, resource: str) -> Optional[DemandModel]:
         """The custom model for *resource*, else the built-in one, if any."""
-        model = self._custom.get(resource)
+        model = self._custom.get(resource) if self._custom else None
         return self._models.get(resource) if model is None else model
 
     def _model_for(self, resource: str) -> DemandModel:

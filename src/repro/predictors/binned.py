@@ -81,11 +81,12 @@ class BinnedLinearPredictor:
         caller (the Spectra client) treats that as "no model yet" and
         falls back to exploration.
         """
+        # A bin exists once observed, so its model has samples.
         model = self._bins.get(discrete_key(discrete))
-        if model is None or model.n_samples == 0:
+        if model is None:
             return self._generic.predict(continuous)
         prediction = model.predict(continuous)
-        blind = model.unidentified_features()
+        blind = model.unidentified_features() if self.feature_names else ()
         if blind:
             reference = dict(continuous)
             for name in blind:
@@ -97,8 +98,7 @@ class BinnedLinearPredictor:
         return prediction
 
     def has_bin(self, discrete: Dict[str, Any]) -> bool:
-        model = self._bins.get(discrete_key(discrete))
-        return model is not None and model.n_samples > 0
+        return discrete_key(discrete) in self._bins
 
     @property
     def n_samples(self) -> int:

@@ -164,8 +164,8 @@ class RecencyWeightedLinearModel:
         returns: a :class:`~repro.predictors.logs.FeatureContext` built
         for this model's features hands over the row it carries.
         """
-        x = feature_row(features, self.feature_names)
-        if x:
+        if self.feature_names:
+            x = feature_row(features, self.feature_names)
             last = self._xs[-1] if self._xs else x
             self._runs = tuple(run + 1 if new == old else 1
                                for new, old, run in zip(x, last, self._runs))
@@ -195,7 +195,8 @@ class RecencyWeightedLinearModel:
         """Predict the value at *features*; raises if never trained."""
         if not self._ys:
             raise ValueError("model has no observations")
-        self._refit()
+        if self._stale:
+            self._refit()
         if self._coef is not None:
             import numpy as np
 
@@ -209,8 +210,9 @@ class RecencyWeightedLinearModel:
             prediction = self._intercept + self._slope * float(
                 features.get(self._varying, 0.0))
         # Resource usage is non-negative by construction; a regression
-        # extrapolating below zero is lying.
-        return max(prediction, 0.0)
+        # extrapolating below zero is lying.  (max(prediction, 0.0),
+        # keeping its -0.0 and NaN, without the call.)
+        return 0.0 if prediction < 0.0 else prediction
 
     def unidentified_features(self) -> Tuple[str, ...]:
         """Features whose slope this data cannot pin down.
@@ -244,8 +246,7 @@ class RecencyWeightedLinearModel:
     # -- internals --------------------------------------------------------------------
 
     def _refit(self) -> None:
-        if not self._stale:
-            return
+        """Fit the window; :meth:`predict` calls it when it is stale."""
         self._coef = None
         n = len(self._ys)
         # A feature varied iff its run is shorter than the window.

@@ -203,7 +203,7 @@ class UsageSample:
             discrete_key(discrete),
             sorted((k, float(v)) for k, v in continuous.items()),
             names,
-            (float(usage[name]) for name in names),
+            [float(usage[name]) for name in names],
             data_object,
             concurrent,
             sorted((file_accesses or {}).items()),

@@ -25,7 +25,7 @@ def next_opid() -> int:
     return next(_opid_counter)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """A service invocation travelling client → server.
 
@@ -45,7 +45,7 @@ class Request:
         return HEADER_BYTES + self.indata_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Response:
     """A service result travelling server → client.
 

@@ -51,7 +51,7 @@ from .messages import (
 Dispatcher = Callable[[Request], Generator]
 
 
-@dataclass
+@dataclass(slots=True)
 class ExchangeStats:
     """Byte/RPC accounting for a sequence of exchanges (one operation)."""
 

@@ -11,11 +11,11 @@ from .events import (
     AnyOf,
     Event,
     Interrupt,
+    Process,
     SimulationError,
     Timeout,
 )
 from .kernel import Simulator, TimerHandle
-from .process import Process
 from .resources import FairShareJob, FairShareResource
 
 __all__ = [

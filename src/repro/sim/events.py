@@ -1,4 +1,4 @@
-"""Event primitives for the discrete-event simulation kernel.
+"""Events and processes for the discrete-event simulation kernel.
 
 The kernel (:mod:`repro.sim.kernel`) executes *processes* — Python
 generators that ``yield`` event objects to suspend themselves.  The event
@@ -14,6 +14,12 @@ types defined here are the vocabulary processes use to talk to the kernel:
 ``AllOf`` / ``AnyOf``
     Composite events built from other events.
 
+``Process``
+    A running generator; itself an event that triggers when the
+    generator returns, so a parent can ``yield`` a child to wait for it.
+    It lives beside :class:`Event` because resuming a process reads the
+    event's outcome on every step of every process.
+
 Events carry an optional *value*, delivered to waiting processes as the
 result of their ``yield`` expression.  A failed event (see
 :meth:`Event.fail`) raises its exception inside each waiting process
@@ -22,7 +28,10 @@ instead, so simulated failures propagate exactly like real ones.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .kernel import Simulator
 
 
 class SimulationError(Exception):
@@ -33,7 +42,7 @@ class Interrupt(SimulationError):
     """Raised inside a process that another process interrupted.
 
     The ``cause`` attribute carries the value supplied to
-    :meth:`repro.sim.process.Process.interrupt`.
+    :meth:`Process.interrupt`.
     """
 
     def __init__(self, cause: Any = None):
@@ -82,7 +91,9 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self._dispatch()
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -94,7 +105,9 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self._dispatch()
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -107,11 +120,6 @@ class Event:
             callback(self)
         else:
             self._callbacks.append(callback)
-
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
 
 
 class Timeout:
@@ -190,3 +198,104 @@ class AnyOf(Event):
                 self.fail(child.value)
 
         return on_child
+
+
+class Process(Event):
+    """A running simulated activity: a generator the kernel steps.
+
+    Each time the generator yields a :class:`Timeout`, an :class:`Event`
+    or another :class:`Process`, the process suspends until that object
+    resolves, then resumes with its value.  Created via
+    :meth:`repro.sim.kernel.Simulator.spawn`; not constructed directly by
+    user code.  As an :class:`Event`, it triggers when the underlying
+    generator finishes, with the generator's return value.
+    """
+
+    __slots__ = ("_sim", "_generator", "_waiting_on", "name")
+
+    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
+        super().__init__()
+        if not hasattr(generator, "send"):
+            raise TypeError(
+                f"Process requires a generator, got {type(generator).__name__}"
+            )
+        self._sim = sim
+        self._generator = generator
+        self._waiting_on: Optional[Event] = None
+        self.name = name or getattr(generator, "__name__", "process")
+
+    @property
+    def alive(self) -> bool:
+        """True while the underlying generator has not finished."""
+        return not self.triggered
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Raise :class:`Interrupt` inside the process at its yield point.
+
+        Interrupting a finished process is a no-op (mirrors POSIX signal
+        semantics: the race between completion and interruption is benign).
+        """
+        if self.triggered:
+            return
+        waited = self._waiting_on
+        self._waiting_on = None
+        if waited is not None:
+            # Detach: the event's eventual trigger must no longer resume us.
+            detached = waited
+            detached._callbacks = [
+                cb for cb in detached._callbacks if getattr(cb, "__self__", None) is not self
+            ]
+        self._sim._schedule_now(lambda: self._step(False, Interrupt(cause)))
+
+    # -- kernel-facing machinery -------------------------------------------
+
+    def _start(self) -> None:
+        self._step(True, None)
+
+    def _step(self, ok: bool, value: Any) -> None:
+        """Send *value* into the generator, or throw it unless *ok*, and
+        wait for what it yields next."""
+        try:
+            if ok:
+                target = self._generator.send(value)
+            else:
+                target = self._generator.throw(value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        except Exception as exc:  # noqa: BLE001 - propagate as failure
+            # An interrupt the process did not handle fails it too.
+            self.fail(exc)
+            return
+        # Events first: they are nearly every yield.  Subscribing and
+        # resuming touch the event's slots directly (the hottest path in
+        # the simulator); add_callback's late-subscriber rule holds.
+        if isinstance(target, Event):
+            event = target
+        elif isinstance(target, Timeout):
+            event = Event()
+            sim = self._sim
+            sim._schedule_at(sim.now + target.delay,
+                             lambda: event.succeed(target.value))
+        else:
+            self.fail(
+                SimulationError(
+                    f"process {self.name!r} yielded non-event {target!r}"
+                )
+            )
+            return
+        self._waiting_on = event
+        if event._triggered:
+            self._resume(event)
+        else:
+            event._callbacks.append(self._resume)
+
+    def _resume(self, event: Event) -> None:
+        if self._waiting_on is not event:
+            return  # stale wake-up after interrupt
+        self._waiting_on = None
+        self._step(event._ok, event._value)
+
+    def __repr__(self) -> str:
+        state = "done" if self.triggered else "alive"
+        return f"<Process {self.name} {state}>"

@@ -35,8 +35,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..telemetry import Telemetry, ensure_telemetry
 from ..telemetry.names import SIM_EVENTS, SIM_PROCESSES
-from .events import Event, SimulationError
-from .process import Process
+from .events import Event, Process, SimulationError
 
 #: Events scheduled "now" still run after the current callback returns —
 #: the kernel never re-enters user code.
@@ -95,12 +94,17 @@ class Simulator:
       control flow (RPC exchanges, reintegration, application operations).
     """
 
-    __slots__ = ("_now", "_queue", "_sequence", "_running", "_processed",
+    __slots__ = ("now", "_queue", "_sequence", "_running", "_processed",
                  "_events_counter", "_spawns_counter", "telemetry")
 
     def __init__(self, start_time: float = 0.0,
                  telemetry: Optional[Telemetry] = None):
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  Read-only to everything
+        #: outside this module: only the kernel's drain loops advance it
+        #: (``tests/unit/test_clock_writes.py`` checks that no other
+        #: module assigns it).  A plain slot, not a property, because it
+        #: is read several times per event.
+        self.now = float(start_time)
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._sequence = 0
         self._running = False
@@ -119,18 +123,13 @@ class Simulator:
         :attr:`events_processed` by the current drain's batch.
         """
         self.telemetry = ensure_telemetry(telemetry)
-        self.telemetry.bind_clock(lambda: self._now)
+        self.telemetry.bind_clock(lambda: self.now)
         # Cached instruments: the null registry's are shared no-ops.
         metrics = self.telemetry.metrics
         self._events_counter = metrics.counter(SIM_EVENTS)
         self._spawns_counter = metrics.counter(SIM_PROCESSES)
 
     # -- clock ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -151,17 +150,17 @@ class Simulator:
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run *callback* at absolute simulated time *when*."""
-        if when < self._now - 1e-12:
+        if when < self.now - 1e-12:
             raise SimulationError(
-                f"cannot schedule in the past: {when} < {self._now}"
+                f"cannot schedule in the past: {when} < {self.now}"
             )
-        self._schedule_at(max(when, self._now), callback)
+        self._schedule_at(max(when, self.now), callback)
 
     def call_in(self, delay: float, callback: Callable[[], None]) -> None:
         """Run *callback* after *delay* seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self._schedule_at(self._now + delay, callback)
+        self._schedule_at(self.now + delay, callback)
 
     def timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule *callback* after *delay* seconds; returns a handle.
@@ -173,8 +172,11 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        handle = TimerHandle(self._now + delay, callback)
-        self._schedule_at(handle.when, handle)
+        # _schedule_at inlined: every fair-share completion comes this way.
+        when = self.now + delay
+        handle = TimerHandle(when, callback)
+        self._sequence += 1
+        heapq.heappush(self._queue, (when, self._sequence, handle))
         return handle
 
     def _schedule_at(self, when: float, callback: Callable[[], None]) -> None:
@@ -182,7 +184,7 @@ class Simulator:
         heapq.heappush(self._queue, (when, self._sequence, callback))
 
     def _schedule_now(self, callback: Callable[[], None]) -> None:
-        self._schedule_at(self._now, callback)
+        self._schedule_at(self.now, callback)
 
     # -- events & processes ---------------------------------------------------
 
@@ -210,9 +212,9 @@ class Simulator:
         if not self._queue:
             return False
         when, _seq, callback = heapq.heappop(self._queue)
-        if when < self._now - 1e-12:
+        if when < self.now - 1e-12:
             raise SimulationError("event queue time went backwards")
-        self._now = max(self._now, when)
+        self.now = max(self.now, when)
         self._processed += 1
         self._events_counter.inc()
         callback()
@@ -243,11 +245,11 @@ class Simulator:
             while queue:
                 when = queue[0][0]
                 if until is not None and when > until:
-                    self._now = until
+                    self.now = until
                     break
                 when, _seq, callback = pop(queue)
-                if when > self._now:
-                    self._now = when
+                if when > self.now:
+                    self.now = when
                 count += 1
                 callback()
                 if count > max_events:
@@ -255,14 +257,14 @@ class Simulator:
                         f"exceeded {max_events} events; likely a livelock"
                     )
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._processed += count
             if count:
                 self._events_counter.inc(count)
             self._running = False
-        return self._now
+        return self.now
 
     def run_process(self, generator: Generator, name: str = "",
                     max_events: int = 50_000_000) -> Any:
@@ -279,15 +281,19 @@ class Simulator:
         process = self.spawn(generator, name=name)
         # Same inlined event loop as run(): run_process drives every
         # application operation, so it shares the hot path, including
-        # the drain-point counter sync and the livelock guard.
+        # the drain-point counter sync and the livelock guard.  The
+        # process's own first callback marks it finished, so the loop
+        # tests a local list instead of a property per event.
+        finished: List[Process] = []
+        process.add_callback(finished.append)
         queue = self._queue
         pop = heapq.heappop
         count = 0
         try:
-            while not process.triggered and queue:
+            while not finished and queue:
                 when, _seq, callback = pop(queue)
-                if when > self._now:
-                    self._now = when
+                if when > self.now:
+                    self.now = when
                 count += 1
                 callback()
                 if count > max_events:
@@ -312,7 +318,7 @@ class Simulator:
         Equivalent to ``run(until=now + delay)``; used to let background
         activity (polling, battery drain) progress between operations.
         """
-        return self.run(until=self._now + delay)
+        return self.run(until=self.now + delay)
 
     def __repr__(self) -> str:
-        return f"<Simulator t={self._now:.6f} pending={len(self._queue)}>"
+        return f"<Simulator t={self.now:.6f} pending={len(self._queue)}>"

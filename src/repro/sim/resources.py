@@ -194,7 +194,8 @@ class FairShareResource:
         self._heap_seq += 1
         heapq.heappush(self._heap, (job._finish_tag, self._heap_seq, job))
         self._reschedule()
-        self._notify()
+        if self._on_utilization_change is not None:
+            self._on_utilization_change(now, True, self._active)
         return job
 
     def cancel(self, job: FairShareJob) -> None:
@@ -321,37 +322,36 @@ class FairShareResource:
             heapq.heapify(self._heap)
             self._heap_dead = 0
 
-    def _pop_tombstones(self) -> None:
+    def _reschedule(self) -> None:
+        """Arm (or keep) the completion timer for the earliest finish tag.
+
+        Tombstones on top of the heap are discarded first.  The armed
+        timer is *kept* when it already fires at or before the next
+        completion — it will simply find nothing to complete and re-arm
+        — and lazily cancelled otherwise, so membership churn does not
+        pile stale timers into the kernel heap the way the legacy
+        token-check protocol did.  ``self._timer`` is never a cancelled
+        handle: every cancel here drops it, and a firing timer clears it
+        in :meth:`_on_timer` before anything else runs.
+        """
         heap = self._heap
         while heap and heap[0][2]._resource is not self:
             heapq.heappop(heap)
             self._heap_dead -= 1
-
-    def _reschedule(self) -> None:
-        """Arm (or keep) the completion timer for the earliest finish tag.
-
-        The armed timer is *kept* when it already fires at or before the
-        next completion — it will simply find nothing to complete and
-        re-arm — and lazily cancelled otherwise, so membership churn
-        does not pile stale timers into the kernel heap the way the
-        legacy token-check protocol did.
-        """
-        self._pop_tombstones()
         timer = self._timer
-        if not self._heap or self._capacity <= 0.0:
+        if not heap or self._capacity <= 0.0:
             # Idle or stalled: no completion in sight.  The next submit
             # or set_capacity() re-arms.
             if timer is not None:
                 timer.cancel()
                 self._timer = None
             return
-        now = self._sim.now
-        delay = ((self._heap[0][0] - self._virtual)
+        delay = ((heap[0][0] - self._virtual)
                  * self._weight_total / self._capacity)
         if delay < 0.0:
             delay = 0.0
-        if timer is not None and not timer.cancelled:
-            if timer.when <= now + delay:
+        if timer is not None:
+            if timer.when <= self._sim.now + delay:
                 return  # existing timer fires in time; keep it
             timer.cancel()
         self._timer = self._sim.timer(delay, self._on_timer)
@@ -365,8 +365,10 @@ class FairShareResource:
         # A job whose residual service is below the clock's float
         # resolution can never finish by integration (now + dt == now);
         # treat anything under a picosecond of service as done — the
-        # same tolerance the legacy scheduler used.
-        tolerance = max(1e-9, 1e-12 * self._capacity)
+        # same tolerance the legacy scheduler used (max(1e-9, ...)).
+        tolerance = 1e-12 * self._capacity
+        if tolerance < 1e-9:
+            tolerance = 1e-9
         finished: List[FairShareJob] = []
         while heap:
             tag, _seq, job = heap[0]
@@ -391,9 +393,10 @@ class FairShareResource:
         for job in finished:
             job.done.succeed(job)
         self._reschedule()
-        if finished:
-            self._notify()
+        if finished and self._on_utilization_change is not None:
+            self._on_utilization_change(now, self._active > 0, self._active)
 
     def _notify(self) -> None:
         if self._on_utilization_change is not None:
-            self._on_utilization_change(self._sim.now, self.busy, self._active)
+            self._on_utilization_change(self._sim.now, self._active > 0,
+                                        self._active)

@@ -38,7 +38,7 @@ from ..telemetry.names import (
     SOLVER_VISITS,
     SPAN_SOLVER_SOLVE,
 )
-from .space import PredictFn, SearchSpace, SolverResult, UtilityFn
+from .space import NO_UTILITY, PredictFn, SearchSpace, SolverResult, UtilityFn
 
 
 class HeuristicSolver:
@@ -75,7 +75,7 @@ class HeuristicSolver:
               utility: UtilityFn) -> SolverResult:
         size = space.size()
         if size == 0:
-            return SolverResult(best=None, utility=float("-inf"), evaluations=0)
+            return SolverResult(best=None, utility=NO_UTILITY, evaluations=0)
 
         span = self.telemetry.tracer.start_span(
             SPAN_SOLVER_SOLVE, space_size=size, restarts=self.restarts,
@@ -83,35 +83,40 @@ class HeuristicSolver:
         cache: Dict[Tuple[int, ...], Tuple] = {}
         collect = self.collect_evaluated
         evaluated: List[Tuple] = []
-        visits = [0]
 
-        def score(state: Tuple[int, ...]):
-            visits[0] += 1
-            hit = cache.get(state)
-            if hit is None:
-                prediction = predict(space.decode(state))
-                value = utility(prediction)
-                # Rank key: utility first, then lower predicted time.
-                # The time tie-break lets the ascent walk off plateaus
-                # where every alternative scores 0 (e.g. everything is
-                # past a latency-ramp cutoff) toward the feasible region.
-                key = (value, -prediction.total_time_s)
-                hit = (prediction, value, key)
-                cache[state] = hit
-                if collect:
-                    evaluated.append((prediction, value))
+        def evaluate(state: Tuple[int, ...]):
+            """Score a state not yet in ``cache`` and remember it."""
+            prediction = predict(space.decode(state))
+            value = utility(prediction)
+            # Rank key: utility first, then lower predicted time.
+            # The time tie-break lets the ascent walk off plateaus
+            # where every alternative scores 0 (e.g. everything is
+            # past a latency-ramp cutoff) toward the feasible region.
+            key = (value, -prediction.total_time_s)
+            hit = cache[state] = (prediction, value, key)
+            if collect:
+                evaluated.append((prediction, value))
             return hit
 
         rng = random.Random(self._solve_seed())
         starts = self._starting_states(space, rng)
 
         best_prediction = None
-        best_utility = float("-inf")
+        best_utility = NO_UTILITY
         best_key = None
+        visits = 0
         #: best utility seen after each restart — the convergence story
         trajectory: List[float] = []
+        # A restart from a start already climbed in this solve climbs the
+        # same path: every score it reads is fixed in the cache.
+        climbs: Dict[Tuple[int, ...], Tuple] = {}
         for start in starts:
-            prediction, value, key = self._ascend(space, start, score)
+            climb = climbs.get(start)
+            if climb is None:
+                climb = climbs[start] = self._ascend(space, start, cache,
+                                                     evaluate)
+            (prediction, value, key), steps = climb
+            visits += steps
             if best_key is None or key > best_key:
                 best_prediction, best_utility, best_key = prediction, value, key
             trajectory.append(best_utility)
@@ -120,7 +125,7 @@ class HeuristicSolver:
             best=best_prediction,
             utility=best_utility,
             evaluations=len(cache),
-            visits=visits[0],
+            visits=visits,
             evaluated=evaluated,
         )
         # end() is a no-op on the null tracer's spans, so the span
@@ -149,27 +154,34 @@ class HeuristicSolver:
         paper's applications this is the local plan at the first
         fidelity, which is always feasible), plus random states.
         """
-        alternatives = space.all_alternatives()
-        starts = [space.encode(alternatives[0])]
+        starts = [space.first_state]
         sizes = space.coordinate_sizes()
         for _ in range(self.restarts - 1):
-            starts.append(tuple(rng.randrange(s) for s in sizes))
+            # One draw per coordinate, size-1 ones included: the draws
+            # set the starting points, and so the visits charged as CPU.
+            starts.append(tuple([rng.randrange(s) for s in sizes]))
         return starts
 
-    def _ascend(self, space: SearchSpace, start: Tuple[int, ...], score):
+    def _ascend(self, space: SearchSpace, start: Tuple[int, ...],
+                cache: Dict[Tuple[int, ...], Tuple], evaluate):
+        """Climb from *start*; returns the peak's score and the visits.
+
+        A score is ``(prediction, utility, rank key)``.  Every state
+        looked at is a visit, whether *cache* already holds its score or
+        *evaluate* computes it.
+        """
         state = start
-        prediction, value, key = score(state)
+        hit = cache[state] if state in cache else evaluate(state)
+        visits = 1
         for _ in range(self.max_steps):
-            improved = False
-            best_neighbor = None
-            best_neighbor_key = key
+            best_key, climb = hit[2], None
             for neighbor in space.neighbors(state):
-                n_prediction, n_value, n_key = score(neighbor)
-                if n_key > best_neighbor_key:
-                    best_neighbor = (neighbor, n_prediction, n_value, n_key)
-                    best_neighbor_key = n_key
-                    improved = True
-            if not improved:
+                n_hit = (cache[neighbor] if neighbor in cache
+                         else evaluate(neighbor))
+                visits += 1
+                if n_hit[2] > best_key:
+                    best_key, climb = n_hit[2], (neighbor, n_hit)
+            if climb is None:
                 break
-            state, prediction, value, key = best_neighbor
-        return prediction, value, key
+            state, hit = climb
+        return hit, visits

@@ -31,8 +31,11 @@ from ..core.utility import AlternativePrediction
 PredictFn = Callable[[Alternative], AlternativePrediction]
 UtilityFn = Callable[[AlternativePrediction], float]
 
+#: the utility of no alternative at all
+NO_UTILITY = float("-inf")
 
-@dataclass
+
+@dataclass(slots=True)
 class SolverResult:
     """Outcome of one search."""
 
@@ -55,7 +58,7 @@ class SolverResult:
 
     @property
     def found(self) -> bool:
-        return self.best is not None and self.utility > float("-inf")
+        return self.best is not None and self.utility > NO_UTILITY
 
 
 class SearchSpace:
@@ -84,6 +87,9 @@ class SearchSpace:
         self._sizes: Optional[Tuple[int, ...]] = None
         self._decoded: Dict[Tuple[int, ...], Alternative] = {}
         self._neighbors: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
+        #: the first alternative's state, where every solve starts
+        self.first_state = (self.encode(self._alternatives[0])
+                            if self._alternatives else None)
 
     def all_alternatives(self) -> Tuple[Alternative, ...]:
         return self._alternatives

@@ -124,28 +124,38 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: Dict[str, Any] = {}
+        #: the same instruments under ``(kind, name)``
+        self._by_kind: Dict[Tuple[type, str], Any] = {}
 
-    def _get(self, name: str, cls, factory):
+    def _get(self, name: str, cls, *args):
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = factory()
-            self._instruments[name] = instrument
+            instrument = self._instruments[name] = cls(name, *args)
         elif not isinstance(instrument, cls):
             raise TypeError(
                 f"metric {name!r} already registered as "
                 f"{type(instrument).__name__}, not {cls.__name__}"
             )
+        self._by_kind[cls, name] = instrument
         return instrument
 
+    # Counters and histograms sit on hot paths: a hit is one lookup.
+
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, lambda: Counter(name))
+        try:
+            return self._by_kind[Counter, name]
+        except KeyError:
+            return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name))
+        return self._get(name, Gauge)
 
     def histogram(self, name: str,
                   buckets: Optional[Sequence[float]] = None) -> Histogram:
-        return self._get(name, Histogram, lambda: Histogram(name, buckets))
+        try:
+            return self._by_kind[Histogram, name]
+        except KeyError:
+            return self._get(name, Histogram, buckets)
 
     def names(self) -> List[str]:
         return sorted(self._instruments)

@@ -37,11 +37,16 @@ from repro.predictors import RecencyWeightedLinearModel
 DECAY = 0.9
 
 #: |got - want| <= REL * |want| + ABS * scale, with *scale* the largest
-#: value fitted (see :func:`close`).  These draws reach ~1e-12 relative;
-#: the seed-1 benchmark scenarios' windows reach 2e-15 on bandwidth and
-#: 8.3e-10 on latency, a latency near zero where the ABS term applies.
+#: value fitted (see :func:`close`), times the condition number of the
+#: oracle's weighted design where the oracle solves a line.  These draws
+#: reach ~1e-12 relative; the seed-1 benchmark scenarios' windows reach
+#: 2e-15 on bandwidth and 8.3e-10 on latency, a latency near zero where
+#: the ABS term applies.
 REL = 1e-9
 ABS = 1e-12
+
+#: The smallest subnormal: the least a float result can be off by.
+SUBNORMAL_STEP = 5e-324
 
 
 def lstsq_fit(records, decay=DECAY):
@@ -96,12 +101,31 @@ def lstsq_refit(xs, ys, decay):
     return coef, tuple(bool(flag) for flag in constant)
 
 
-def tolerance(want, scale):
-    return REL * abs(want) + ABS * scale
+def tolerance(want, scale, floor=0.0):
+    return max(REL * abs(want) + ABS * scale, floor)
 
 
-def close(got, want, scale):
-    return abs(got - want) <= tolerance(want, scale)
+def close(got, want, scale, floor=0.0):
+    return abs(got - want) <= tolerance(want, scale, floor)
+
+
+def line_scales(sizes, ys, decay, slope):
+    """The condition-aware scales of a weighted line's coefficients.
+
+    The oracle solves the weighted design ``[1, x]`` uncentred, so its
+    own rounding grows with the design's condition number (a window
+    holding only 999 and 1000 makes it ~2e6); the centred closed form's
+    does not.  Returns ``(intercept_scale, slope_scale)``: the condition
+    number times the larger term of ``mean_y - slope * mean_x`` for the
+    intercept, and times the rise over run across the window for the
+    slope.
+    """
+    root_weights = np.sqrt(decay ** np.arange(len(ys) - 1, -1, -1,
+                                              dtype=float))
+    cond = np.linalg.cond(
+        np.column_stack([np.ones(len(ys)), sizes]) * root_weights[:, None])
+    return (cond * (max(ys) + abs(slope) * max(map(abs, sizes))),
+            cond * max(ys) / (max(sizes) - min(sizes)))
 
 
 def counting_lstsq():
@@ -142,17 +166,33 @@ def windows(draw):
                          for n, e, gap in rows])
 
 
+#: Two bulk records finishing together, 0 and 1 bytes, 10 ns apart in
+#: elapsed time.  The closed form's 99999999.49752407 B/s is exact; the
+#: oracle's 99999999.61044079 is 1.13e-9 off, its own conditioning.
+TWO_BULK_RECORDS = [
+    TransferRecord("c", "s", 0, started_at=-0.5, finished_at=0.0),
+    TransferRecord("c", "s", 1, started_at=-0.50000001, finished_at=0.0),
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(records=windows())
+@example(records=TWO_BULK_RECORDS)
 def test_closed_form_fit_matches_lstsq(records):
+    """The fit matches the oracle's within ``REL`` and ``ABS`` times each
+    coefficient's condition-aware scale (:func:`line_scales`).  The time
+    per byte is compared, not the bandwidth, its reciprocal."""
     got = NetworkMonitor("c", network=None, decay=DECAY)._fit(records)
     want = lstsq_fit(records)
     assert (got is None) == (want is None)
     if want is None:
         return
-    assert close(got.bandwidth_bps, want.bandwidth_bps, 0.0)
-    assert close(got.latency_s, want.latency_s,
-                 max(r.elapsed for r in records))
+    per_byte = 1.0 / want.bandwidth_bps
+    latency_scale, per_byte_scale = line_scales(
+        [float(r.nbytes) for r in records], [r.elapsed for r in records],
+        DECAY, per_byte)
+    assert close(1.0 / got.bandwidth_bps, per_byte, per_byte_scale)
+    assert close(got.latency_s, want.latency_s, latency_scale)
     assert got.observed
 
 
@@ -298,18 +338,29 @@ SUBNORMAL_LINE_WINDOW = dict(
     names=("a",), varying=0, window=2, decay=0.5, rows=[(0.0,), (1.0,)],
     ys=[0.0, 5e-324], probe=(0.0,))
 
+#: Two all-subnormal lines where the closed form is exact and lstsq is one
+#: subnormal step off: the intercept 1e-323 against lstsq's 1.5e-323, and
+#: the slope 0.0 (the exact 2.47e-324, rounded to even) against 5e-324.
+SUBNORMAL_INTERCEPT_WINDOW = dict(
+    names=("a",), varying=0, window=2, decay=0.5, rows=[(1.0,), (2.0,)],
+    ys=[5e-324, 0.0], probe=(0.0,))
+SUBNORMAL_SLOPE_WINDOW = dict(
+    names=("a",), varying=0, window=2, decay=0.5, rows=[(0.0,), (2.0,)],
+    ys=[0.0, 5e-324], probe=(0.0,))
+
 
 @settings(max_examples=300, deadline=None)
 @given(run=line_runs())
 @example(run=SUBNORMAL_LINE_WINDOW)
+@example(run=SUBNORMAL_INTERCEPT_WINDOW)
+@example(run=SUBNORMAL_SLOPE_WINDOW)
 def test_one_varying_feature_fits_a_line_without_lstsq(run):
     """The closed-form line matches the oracle's coefficients, and so its
     predictions, within ``REL`` and ``ABS`` times each coefficient's
-    scale and the condition number of the oracle's weighted design.
-    The oracle solves that design uncentred, so its own rounding grows
-    with the condition number (a window holding only 999 and 1000 makes
-    it ~2e6); the centred closed form's does not.  These draws stay
-    within about ``4 * eps * cond * scale`` of the oracle."""
+    condition-aware scale (:func:`line_scales`), and never closer than
+    one subnormal step: below that no float result can be nearer.
+    These draws stay within about ``4 * eps * cond * scale`` of the
+    oracle."""
     def check(model, xs, ys):
         want, constant = lstsq_refit(xs, ys, run["decay"])
         with counting_lstsq() as lstsq:
@@ -321,21 +372,16 @@ def test_one_varying_feature_fits_a_line_without_lstsq(run):
         assert model._coef is None
         assert model._varying == run["names"][run["varying"]]
         sizes = [x[run["varying"]] for x in xs]
-        root_weights = np.sqrt(
-            run["decay"] ** np.arange(len(ys) - 1, -1, -1, dtype=float))
-        cond = np.linalg.cond(
-            np.column_stack([np.ones(len(ys)), sizes]) * root_weights[:, None])
-        # Scales: rise over run across the window for the slope, the
-        # larger term of mean_y - slope * mean_x for the intercept.
         intercept, slope = want[0], want[1 + run["varying"]]
-        slope_scale = cond * max(ys) / (max(sizes) - min(sizes))
-        intercept_scale = cond * (max(ys) + abs(slope) * max(map(abs, sizes)))
-        assert close(model._intercept, intercept, intercept_scale)
-        assert close(model._slope, slope, slope_scale)
+        intercept_scale, slope_scale = line_scales(sizes, ys, run["decay"],
+                                                   slope)
+        step = SUBNORMAL_STEP
+        assert close(model._intercept, intercept, intercept_scale, step)
+        assert close(model._slope, slope, slope_scale, step)
         x = run["probe"][run["varying"]]
         assert abs(got - max(intercept + slope * x, 0.0)) <= (
-            tolerance(intercept, intercept_scale)
-            + tolerance(slope, slope_scale) * abs(x))
+            tolerance(intercept, intercept_scale, step)
+            + tolerance(slope, slope_scale, step) * abs(x))
 
     probe = dict(zip(run["names"], run["probe"]))
     model = RecencyWeightedLinearModel(run["names"], decay=run["decay"],

@@ -119,6 +119,18 @@ class TestWallClock:
         assert codes(found) == ["SPC001"]
         assert "os.environ" in found[0].message
 
+    def test_dotted_import_binds_the_package(self):
+        """``import os.path`` binds ``os``, so ``os.getenv`` is still a
+        host read, as it is after ``import os``."""
+        found = lint("""
+            import os.path
+
+            def user():
+                return os.getenv("X")
+        """, select=["SPC001"])
+        assert codes(found) == ["SPC001"]
+        assert "os.getenv" in found[0].message
+
     def test_env_and_entropy_out_of_scope_pass(self):
         found = lint(self.ENV_AND_ENTROPY, path="tools/script.py",
                      select=["SPC001"])

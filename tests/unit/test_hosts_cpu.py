@@ -211,12 +211,19 @@ def rescanned_external_weight(cpu):
 
 
 class AlwaysResyncCPU(CPU):
-    """A CPU whose ``_resync_external`` never skips, as before it learned
-    to return at once while no owner has ever been external."""
+    """A CPU that resyncs its external weight at every membership change,
+    as before it learned to skip the resync while no owner has ever been
+    external.  A second resync at the same instant folds no interval, so
+    the ones the base class still makes change nothing."""
 
-    def _resync_external(self):
-        self._sample_utilization()
-        self._last_external_weight = self._external_weight()
+    def submit(self, *args, **kwargs):
+        job = super().submit(*args, **kwargs)
+        self._resync_external()
+        return job
+
+    def _retire(self, owner, job):
+        super()._retire(owner, job)
+        self._resync_external()
 
 
 class TestExternalWeight:

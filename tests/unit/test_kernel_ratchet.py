@@ -11,6 +11,7 @@ import json
 import pytest
 
 from benchmarks import kernel
+from repro.scenarios import run_scenario
 
 
 def measurement_dict():
@@ -31,6 +32,12 @@ def kernel_doc():
                 "jobs": 500,
                 "events_per_s": 250_000.0,
                 "cost_ratio": 5.0,
+            },
+            "null_op": {
+                **measurement_dict(),
+                "ops": 200,
+                "events_per_s": 3_000.0,
+                "cost_ratio": 150.0,
             },
         },
     }
@@ -64,6 +71,14 @@ class TestRatchet:
         failures = kernel.ratchet(fresh, committed)
         assert len(failures) == 1 and "the committed" in failures[0]
 
+    def test_null_op_cost_ratio_slip_vs_committed_fails(self):
+        # A null operation costing four times the kernel events it did.
+        fresh = kernel_doc()
+        fresh["benchmarks"]["null_op"]["cost_ratio"] = 600.0
+        failures = kernel.ratchet(fresh, kernel_doc())
+        assert failures == ["null_op cost ratio 600.00 above 3.0x the "
+                            "committed 150.00"]
+
     def test_host_speed_variation_passes(self):
         # Same cost ratio, 4x slower absolute timings: a slow runner,
         # not a regression.
@@ -82,6 +97,7 @@ class TestRatchet:
     @pytest.mark.parametrize("side", ["fresh", "committed"])
     @pytest.mark.parametrize("name,key", [
         ("contended_medium", "cost_ratio"),
+        ("null_op", "cost_ratio"),
         ("timer_churn", "events_per_s"),
     ])
     @pytest.mark.parametrize("bad", [
@@ -102,7 +118,13 @@ class TestRatchet:
 
     @pytest.mark.parametrize("committed", [None, {}, {"benchmarks": []}])
     def test_unreadable_floor_fails(self, committed):
-        assert len(kernel.ratchet(kernel_doc(), committed)) == 4
+        # Two cost ratios and four rates, each missing.
+        assert len(kernel.ratchet(kernel_doc(), committed)) == 6
+
+    def test_null_op_spec_runs_every_operation(self):
+        report = run_scenario(kernel.null_op_spec())
+        assert len(report.ops) == kernel.NULL_OP_CLIENTS * kernel.NULL_OP_OPS
+        assert report.completed
 
     def test_oracle_scheduler_fails(self, monkeypatch):
         # The O(n²) settle-and-rescan scheduler, timed by the real
