@@ -2,12 +2,12 @@
 
 Spectra's results are trustworthy only if every run is deterministic —
 all time from the simulated kernel clock, all randomness from seeded
-generators, every monitor/span lifecycle closed on every path.  This
+generators, every monitor/span lifecycle closed by construction.  This
 stdlib-only package, kept outside the ``repro`` system it guards,
 mechanically enforces those invariants with a small AST rule engine
-(:mod:`.engine`), a registry of per-file SPC rules (:mod:`.rules`), a
-whole-program SPC1xx pack (:mod:`.flow`), and the ``python -m spclint``
-gate (:mod:`.cli`).
+(:mod:`.engine`), a registry of SPC rules that each check one file at
+a time (:mod:`.rules`), and the ``python -m spclint`` gate
+(:mod:`.cli`).
 
 Typical embedding::
 
@@ -29,13 +29,11 @@ from .core import (
     register_rule,
 )
 from .engine import (
-    Project,
     analyze_paths,
     analyze_source,
     iter_python_files,
 )
 from . import rules  # noqa: F401  (registers the SPC rule pack)
-from . import flow  # noqa: F401  (registers the SPC1xx whole-program pack)
 
 __all__ = [
     "INTERNAL_CODE",
@@ -45,7 +43,6 @@ __all__ = [
     "Violation",
     "all_rules",
     "register_rule",
-    "Project",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",

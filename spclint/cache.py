@@ -1,12 +1,12 @@
 """The shared parse cache: one ``ast.parse`` per file per process.
 
-Every consumer of a parsed module — the per-file SPC rule pack, the
-whole-program SPC1xx passes, the self-lint test suite — goes through
-one :class:`ParseCache`, so a file read and parsed for the per-file
-rules is reused verbatim by the project index instead of being re-read
-and re-parsed.  Entries are keyed by path and invalidated on
-``(mtime_ns, size)`` change, which makes the cache safe to keep alive
-across repeated sweeps inside one process (watch loops, test suites).
+Every sweep — the ``python -m spclint`` gate, the self-lint and lint
+property tests — goes through one :class:`ParseCache`, so a file read
+and parsed once is reused verbatim by the next sweep in the same
+process instead of being re-read and re-parsed.  Entries are keyed by
+path and invalidated on ``(mtime_ns, size)`` change, which makes the
+cache safe to keep alive across repeated sweeps inside one process
+(watch loops, test suites).
 
 Files that cannot be read or parsed are *negatively* cached as the
 violation list they produce (``SPC000`` / ``SPC999``), preserving the
@@ -84,15 +84,22 @@ class ParseCache:
                 rule=INTERNAL_CODE, path=path, line=1, col=0,
                 message=f"cannot read file: {exc}",
             )]
-        try:
-            tree = ast.parse(text, filename=path)
-        except (SyntaxError, ValueError) as exc:
-            # ValueError: source with null bytes.
-            line = getattr(exc, "lineno", None) or 1
-            col = (getattr(exc, "offset", None) or 1) - 1
-            return None, [Violation(
-                rule=SYNTAX_CODE, path=path, line=line, col=max(col, 0),
-                message=(f"file does not parse: "
-                         f"{exc.__class__.__name__}: {exc}"),
-            )]
-        return SourceFile(path, text, tree), []
+        return parse_text(path, text)
+
+
+def parse_text(path: str,
+               text: str) -> Tuple[Optional[SourceFile], List[Violation]]:
+    """Parse *text* as the file *path*: ``(source, [])``, or ``None``
+    and the ``SPC999`` finding when it does not parse.  Never raises."""
+    try:
+        tree = ast.parse(text, filename=path)
+    except (SyntaxError, ValueError) as exc:
+        # ValueError: source with null bytes.
+        line = getattr(exc, "lineno", None) or 1
+        col = (getattr(exc, "offset", None) or 1) - 1
+        return None, [Violation(
+            rule=SYNTAX_CODE, path=path, line=line, col=max(col, 0),
+            message=(f"file does not parse: "
+                     f"{exc.__class__.__name__}: {exc}"),
+        )]
+    return SourceFile(path, text, tree), []

@@ -1,9 +1,8 @@
 """``python -m spclint`` — the sim-safety gate, run from the repo root.
 
 With no arguments it sweeps :data:`~spclint.engine.DEFAULT_TARGETS`
-(``src/repro tests benchmarks examples spclint``): the per-file rules
-and the whole-program SPC1xx pack over one parse of every file.  That
-invocation *is* the CI gate.  Positional paths narrow the sweep; there
+(``src/repro tests benchmarks examples spclint``): every rule over one
+parse of every file.  That invocation *is* the CI gate.  Positional paths narrow the sweep; there
 are no options.
 
 Exit codes follow linter convention: ``0`` clean, ``1`` violations

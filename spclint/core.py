@@ -49,9 +49,8 @@ class SourceFile:
 
     Derived views of the tree that more than one consumer needs —
     import aliases, the child→parent map, inline suppressions — are
-    computed once on first access and memoized here, so N rules (and
-    the whole-program passes) share one walk instead of each
-    re-deriving it.
+    computed once on first access and memoized here, so N rules share
+    one walk instead of each re-deriving it.
     """
 
     def __init__(self, path: str, text: str, tree: ast.AST):
@@ -119,29 +118,6 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             message=message,
         )
-
-
-class ProjectRule(Rule):
-    """Base class for a whole-program pass (the SPC1xx pack).
-
-    Where :class:`Rule` sees one file at a time, a project rule sees the
-    whole parsed project at once — the shared AST cache, the module
-    index, resolved call edges — and can therefore check interprocedural
-    invariants (paths through a CFG whose exception edges include calls
-    that can raise) and audit the whole run's findings.
-
-    ``check_project`` receives a ``Project`` (see :mod:`spclint.engine`)
-    and yields violations anywhere in it; ``applies_to`` still scopes
-    which *files'* contents the rule reports findings against.
-    """
-
-    def check(self, source: SourceFile) -> Iterator[Violation]:
-        # Project rules never run per-file; the engine routes them
-        # through check_project instead.
-        return iter(())
-
-    def check_project(self, project: Any) -> Iterator[Violation]:
-        raise NotImplementedError
 
 
 #: code -> rule instance; populated by :func:`register_rule` decorators

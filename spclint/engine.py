@@ -2,16 +2,15 @@
 
 * :func:`analyze_paths` — the sweep: expand the targets to ``*.py``
   files, read each once through the shared
-  :class:`~spclint.cache.ParseCache`, run the per-file rule pack on
-  every parsed file, then collect them all into one :class:`Project`
-  and run the whole-program SPC1xx pack over it.  Unreadable or
-  unparseable files become violations (``SPC000`` / ``SPC999``), and
-  every rule's findings are suppression-filtered per file.  The
-  per-file rules and the whole-program pack share one parse of every
-  file.
-* :func:`analyze_source` — the per-file rule pack over one source
-  string: the unit tests' way to exercise a single rule without a tree
-  on disk.
+  :class:`~spclint.cache.ParseCache`, and run the rule pack on every
+  parsed file.  Unreadable or unparseable files become violations
+  (``SPC000`` / ``SPC999``).
+* :func:`analyze_source` — the rule pack over one source string: the
+  unit tests' way to exercise a single rule without a tree on disk.
+
+Every rule sees one file at a time.  On each file the suppression
+audit (SPC105) runs last, over the other rules' findings on that file
+before suppression; then every finding is suppression-filtered.
 
 Both take two keyword seams for tests: ``select`` (which rules run)
 and, for :func:`analyze_paths`, ``cache`` (a private parse cache).
@@ -24,21 +23,19 @@ rule-pack bug fails the lint run loudly without taking the tool down.
 
 from __future__ import annotations
 
-import ast
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
-from .cache import ParseCache
+from .cache import ParseCache, parse_text
 from .core import (
     INTERNAL_CODE,
     RULE_REGISTRY,
-    SYNTAX_CODE,
-    ProjectRule,
     Rule,
     SourceFile,
     Violation,
     all_rules,
 )
+from .rules.suppress import UnusedSuppressionRule
 from .suppressions import is_suppressed
 
 #: What the gate sweeps, relative to the repository root: the system,
@@ -70,91 +67,55 @@ def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:
     return [rule for rule in all_rules() if rule.code in codes]
 
 
-class Project:
-    """Every successfully parsed file of one sweep, plus context.
-
-    Project rules read four things from here: the parsed
-    :attr:`files`, the :attr:`rules` this sweep runs, the lazily built
-    :attr:`index` (modules, defs, resolved call edges — see
-    :mod:`spclint.flow.project`), and :attr:`raw_findings` — every
-    violation produced so far *before* suppression filtering, which is
-    what the unused-suppression audit (SPC105) means by "would this
-    waiver have suppressed anything".
-    """
-
-    def __init__(self, files: Dict[str, SourceFile], rules: List[Rule]):
-        self.files = files
-        self.rules = rules
-        #: pre-suppression findings from every rule that already ran,
-        #: grown as the whole-program pass proceeds (code order).
-        self.raw_findings: List[Violation] = []
-        self._index = None
-
-    @property
-    def index(self):
-        """The whole-program index, built once on first use."""
-        if self._index is None:
-            from .flow.project import ProjectIndex
-            self._index = ProjectIndex.build(self.files)
-        return self._index
-
-    def sources(self) -> List[SourceFile]:
-        return [self.files[path] for path in sorted(self.files)]
+def _run(rule: Rule, source: SourceFile,
+         check: Callable[[], Iterable[Violation]]) -> List[Violation]:
+    """*check*'s findings, or one SPC000 finding if the rule crashed."""
+    try:
+        return list(check())
+    except Exception as exc:
+        # A rule bug must fail the lint run visibly, not crash it.
+        return [Violation(
+            rule=INTERNAL_CODE, path=source.path, line=1, col=0,
+            message=(f"rule {rule.code} ({rule.name}) crashed: "
+                     f"{exc.__class__.__name__}: {exc}"),
+        )]
 
 
 def _check_file(source: SourceFile,
                 rules: List[Rule]) -> List[Violation]:
-    """Run the per-file rules on one parsed source; pre-suppression."""
-    violations: List[Violation] = []
+    """Run *rules* on one parsed source, the suppression audit last.
+
+    Returns the findings that no inline waiver suppresses.
+    """
+    found: List[Violation] = []
+    audit = None
     for rule in rules:
-        if isinstance(rule, ProjectRule) or not rule.applies_to(source):
-            continue
-        try:
-            violations.extend(rule.check(source))
-        except Exception as exc:
-            # A rule bug must fail the lint run visibly, not crash it.
-            violations.append(Violation(
-                rule=INTERNAL_CODE, path=source.path, line=1, col=0,
-                message=(f"rule {rule.code} ({rule.name}) crashed: "
-                         f"{exc.__class__.__name__}: {exc}"),
-            ))
-    return violations
-
-
-def _filter_suppressed(violations: Iterable[Violation],
-                       files: Dict[str, SourceFile]) -> List[Violation]:
-    kept = []
-    for violation in violations:
-        source = files.get(violation.path)
-        if source is not None and is_suppressed(
-                source.suppressions, violation.line, violation.rule):
-            continue
-        kept.append(violation)
-    return kept
+        if isinstance(rule, UnusedSuppressionRule):
+            audit = rule
+        elif rule.applies_to(source):
+            found.extend(_run(rule, source, lambda: rule.check(source)))
+    if audit is not None and audit.applies_to(source):
+        active = {rule.code for rule in rules}
+        found.extend(_run(audit, source,
+                          lambda: audit.audit(source, found, active)))
+    return [violation for violation in found
+            if not is_suppressed(source.suppressions, violation.line,
+                                 violation.rule)]
 
 
 def analyze_source(path: str, text: str, *,
                    select: Optional[Sequence[str]] = None,
                    ) -> List[Violation]:
-    """Run the per-file rules over one source string.
+    """Run the rule pack over one source string.
 
     Never raises on any *text*; an unknown code in *select* is a
     ``ValueError``.
     """
     rules = _selected_rules(select)
-    try:
-        tree = ast.parse(text, filename=path)
-    except (SyntaxError, ValueError) as exc:
-        # ValueError: source with null bytes.
-        line = getattr(exc, "lineno", None) or 1
-        col = (getattr(exc, "offset", None) or 1) - 1
-        return [Violation(rule=SYNTAX_CODE, path=path, line=line,
-                          col=max(col, 0),
-                          message=f"file does not parse: {exc.__class__.__name__}: {exc}")]
-
-    source = SourceFile(path, text, tree)
-    violations = _filter_suppressed(_check_file(source, rules),
-                                    {path: source})
+    source, failures = parse_text(path, text)
+    if source is None:
+        return failures
+    violations = _check_file(source, rules)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return violations
 
@@ -180,56 +141,20 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                 yield path
 
 
-def _check_project(project: Project) -> List[Violation]:
-    """Run the whole-program rules; pre-suppression.  Never raises.
-
-    Rules run in code order, appending their raw findings to
-    ``project.raw_findings`` as they go — so a later pass (the SPC105
-    suppression audit) sees everything the earlier ones would have
-    reported.
-    """
-    produced: List[Violation] = []
-    for rule in project.rules:
-        if not isinstance(rule, ProjectRule):
-            continue
-        try:
-            found = list(rule.check_project(project))
-        except Exception as exc:
-            found = [Violation(
-                rule=INTERNAL_CODE, path="<project>", line=1, col=0,
-                message=(f"rule {rule.code} ({rule.name}) crashed: "
-                         f"{exc.__class__.__name__}: {exc}"),
-            )]
-        produced.extend(found)
-        project.raw_findings.extend(found)
-    return produced
-
-
 def analyze_paths(paths: Sequence[str] = DEFAULT_TARGETS, *,
                   select: Optional[Sequence[str]] = None,
                   cache: Optional[ParseCache] = None) -> List[Violation]:
-    """Lint every Python file under *paths*, whole program included.
+    """Lint every Python file under *paths*.
 
     Never raises, except ``ValueError`` for an unknown code in
     *select*.
     """
     rules = _selected_rules(select)
     cache = cache if cache is not None else _SHARED_CACHE
-    files: Dict[str, SourceFile] = {}
     violations: List[Violation] = []
-    raw: List[Violation] = []
     for path in iter_python_files(paths):
         source, failures = cache.load(path)
-        if source is None:
-            violations.extend(failures)
-            continue
-        files[path] = source
-        raw.extend(_check_file(source, rules))
-    violations.extend(_filter_suppressed(raw, files))
-
-    project = Project(files, rules)
-    project.raw_findings.extend(raw)
-    violations.extend(_filter_suppressed(_check_project(project), files))
-
+        violations.extend(failures if source is None
+                          else _check_file(source, rules))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return violations

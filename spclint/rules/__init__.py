@@ -14,17 +14,22 @@ line here.
 | SPC005 | no private attributes assigned in __init__ but never read  |
 | SPC006 | no silent broad excepts on hot paths (bare excepts are     |
 |        | ruff's E722)                                               |
+| SPC102 | spans open as `with` items, chained into `.end()`, or      |
+|        | handed on; `start_all` has a `stop_all` or hands its       |
+|        | recording on                                               |
+| SPC105 | every `noqa` waiver still suppresses a finding (the engine |
+|        | runs this audit after the other rules on each file)        |
 
-The whole-program SPC1xx pack lives in :mod:`spclint.flow` and
-registers through the same registry;
-monitor/span lifecycle pairing is its SPC102.
+Every rule checks one file at a time.
 """
 
 from . import (  # noqa: F401  (imported for registration side effect)
     deadattrs,
     exceptions,
     floatcmp,
+    lifecycle,
     randomness,
+    suppress,
     wallclock,
 )
 
@@ -32,6 +37,8 @@ __all__ = [
     "deadattrs",
     "exceptions",
     "floatcmp",
+    "lifecycle",
     "randomness",
+    "suppress",
     "wallclock",
 ]

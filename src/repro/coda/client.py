@@ -206,11 +206,12 @@ class CodaClient:
         nbytes = self.cml.pending_bytes(volume)
         if nbytes == 0:
             return 0.0
-        span = self.telemetry.tracer.start_span(
+        # A disconnection or aborted transfer fails the push at a yield;
+        # the span's exit closes it with the failure's type as ``error``.
+        with self.telemetry.tracer.start_span(
             SPAN_CODA_REINTEGRATE, host=self.host_name, volume=volume,
             bytes=nbytes,
-        )
-        try:
+        ) as span:
             yield from self._require_connection(f"/{volume}/")
             # RPC2 chattiness: reintegration keeps the link busy for far
             # longer than the payload alone would
@@ -220,33 +221,28 @@ class CodaClient:
                 self.host_name, self.server.host_name, wire_bytes,
                 kind="bulk",
             )
-        except BaseException as exc:
-            # A disconnection or aborted transfer fails the push at a
-            # yield; the span must still close with the failure on it.
-            span.end(error=type(exc).__name__)
-            raise
-        conflicts_before = len(self.conflicts)
-        for record in self.cml.clear_volume(volume):
-            authoritative = self.server.lookup(record.path)
-            if authoritative.version != record.base_version:
-                # Someone else updated the file while this store sat in
-                # the CML.  Record the conflict; apply ours on top
-                # (last-writer-wins, visible for repair).
-                self.conflicts.append(Conflict(
-                    path=record.path,
-                    base_version=record.base_version,
-                    server_version=authoritative.version,
-                    detected_at=self._sim.now,
-                ))
-            committed = self.server.commit_store(
-                record.path, record.size, self.name
+            conflicts_before = len(self.conflicts)
+            for record in self.cml.clear_volume(volume):
+                authoritative = self.server.lookup(record.path)
+                if authoritative.version != record.base_version:
+                    # Someone else updated the file while this store sat
+                    # in the CML.  Record the conflict; apply ours on top
+                    # (last-writer-wins, visible for repair).
+                    self.conflicts.append(Conflict(
+                        path=record.path,
+                        base_version=record.base_version,
+                        server_version=authoritative.version,
+                        detected_at=self._sim.now,
+                    ))
+                committed = self.server.commit_store(
+                    record.path, record.size, self.name
+                )
+                self.cache.mark_clean(record.path, committed.version)
+                self.server.grant_callback(record.path, self.name)
+            span.end(
+                wire_bytes=wire_bytes, elapsed_s=elapsed,
+                conflicts=len(self.conflicts) - conflicts_before,
             )
-            self.cache.mark_clean(record.path, committed.version)
-            self.server.grant_callback(record.path, self.name)
-        span.end(
-            wire_bytes=wire_bytes, elapsed_s=elapsed,
-            conflicts=len(self.conflicts) - conflicts_before,
-        )
         metrics = self.telemetry.metrics
         metrics.counter(CODA_REINTEGRATIONS).inc()
         metrics.counter(CODA_REINTEGRATED_BYTES).inc(nbytes)

@@ -784,46 +784,46 @@ class SpectraClient:
         :class:`NoFeasibleAlternativeError` when every candidate has
         failed.
         """
-        span = self.telemetry.tracer.start_span(
+        with self.telemetry.tracer.start_span(
             SPAN_FAILOVER, operation=handle.spec.name,
             opid=handle.opid, failed_server=failed_server,
             error=type(cause).__name__,
-        )
-        proxy = self._proxies.get(failed_server)
-        if proxy is not None:
-            proxy.mark_unreachable()
-        # The failed server may still be embedded in cached spaces under
-        # keys that predate the failure; drop them all rather than serve
-        # a space that names a machine we just watched die.
-        self._space_cache.invalidate()
-        handle.failed_servers.add(failed_server)
-        self.abort_fidelity_op(handle)
-        try:
-            alternative = self._failover_alternative(handle)
-        except NoFeasibleAlternativeError:
-            span.end(outcome="exhausted")
-            raise
-        except BaseException as exc:
-            # A user utility factory or a predictor failed mid-choice.
-            span.end(outcome="error", raised=type(exc).__name__)
-            raise
+        ) as span:
+            proxy = self._proxies.get(failed_server)
+            if proxy is not None:
+                proxy.mark_unreachable()
+            # The failed server may still be embedded in cached spaces under
+            # keys that predate the failure; drop them all rather than serve
+            # a space that names a machine we just watched die.
+            self._space_cache.invalidate()
+            handle.failed_servers.add(failed_server)
+            self.abort_fidelity_op(handle)
+            try:
+                alternative = self._failover_alternative(handle)
+            except NoFeasibleAlternativeError:
+                span.end(outcome="exhausted")
+                raise
+            except BaseException as exc:
+                # A user utility factory or a predictor failed mid-choice.
+                span.end(outcome="error", raised=type(exc).__name__)
+                raise
 
-        # Revive the handle in place: the application keeps driving the
-        # same handle (its next do_remote_op, its end_fidelity_op), so
-        # the replacement must be invisible from above.
-        handle.alternative = alternative
-        handle.failed_over = True
-        handle.finished = False
-        handle.prediction = None
-        handle.solver_result = None
-        recording = OperationRecording(
-            owner=handle.recording.owner, started_at=self.sim.now,
-        )
-        handle.recording = recording
-        self._note_concurrency(recording)
-        self.monitors.start_all(recording)
-        self.telemetry.metrics.counter(SPECTRA_FAILOVERS).inc()
-        span.end(outcome="replaced", alternative=alternative.describe())
+            # Revive the handle in place: the application keeps driving the
+            # same handle (its next do_remote_op, its end_fidelity_op), so
+            # the replacement must be invisible from above.
+            handle.alternative = alternative
+            handle.failed_over = True
+            handle.finished = False
+            handle.prediction = None
+            handle.solver_result = None
+            recording = OperationRecording(
+                owner=handle.recording.owner, started_at=self.sim.now,
+            )
+            handle.recording = recording
+            self._note_concurrency(recording)
+            self.monitors.start_all(recording)
+            self.telemetry.metrics.counter(SPECTRA_FAILOVERS).inc()
+            span.end(outcome="replaced", alternative=alternative.describe())
 
         # Re-choosing costs decision time, like any choose phase.
         yield self.host.cpu.submit(
@@ -936,40 +936,40 @@ class SpectraClient:
                 f"operation #{handle.opid} already ended or aborted"
             )
         handle.finished = True
-        end_span = self.telemetry.tracer.start_span(
+        with self.telemetry.tracer.start_span(
             SPAN_END_OP, operation=handle.spec.name, opid=handle.opid,
-        )
-        yield self.host.cpu.submit(
-            self.overhead.end_cycles, owner=handle.recording.owner
-        ).done
-        recording = handle.recording
-        recording.finished_at = self.sim.now
-        self.monitors.stop_all(recording)
-        self._active = [r for r in self._active if r is not recording]
+        ) as end_span:
+            yield self.host.cpu.submit(
+                self.overhead.end_cycles, owner=handle.recording.owner
+            ).done
+            recording = handle.recording
+            recording.finished_at = self.sim.now
+            self.monitors.stop_all(recording)
+            self._active = [r for r in self._active if r is not recording]
 
-        registered = self.operation(handle.spec.name)
-        # cpu:local from the monitor counts the overhead cycles charged
-        # to the owner; service cycles were merged from responses.
-        usage = dict(recording.usage)
-        usage["time:total"] = recording.elapsed or 0.0
-        if not handle.failed_over:
-            # A failed-over recording covers only the surviving attempt
-            # (the pre-failure work was aborted and discarded), so it
-            # would teach the demand model a fictitious cheap operation.
-            discrete, continuous_fid = handle.spec.decision_context(
-                handle.alternative
-            )
-            registered.predictor.observe_operation(
-                timestamp=self.sim.now,
-                discrete=discrete,
-                continuous={**handle.params, **continuous_fid},
-                usage=usage,
-                file_accesses=recording.file_accesses,
-                data_object=handle.data_object,
-                concurrent=recording.concurrent,
-            )
-        if self.telemetry.tracer.enabled:
-            self._trace_outcome(end_span, handle, usage, recording)
+            registered = self.operation(handle.spec.name)
+            # cpu:local from the monitor counts the overhead cycles charged
+            # to the owner; service cycles were merged from responses.
+            usage = dict(recording.usage)
+            usage["time:total"] = recording.elapsed or 0.0
+            if not handle.failed_over:
+                # A failed-over recording covers only the surviving attempt
+                # (the pre-failure work was aborted and discarded), so it
+                # would teach the demand model a fictitious cheap operation.
+                discrete, continuous_fid = handle.spec.decision_context(
+                    handle.alternative
+                )
+                registered.predictor.observe_operation(
+                    timestamp=self.sim.now,
+                    discrete=discrete,
+                    continuous={**handle.params, **continuous_fid},
+                    usage=usage,
+                    file_accesses=recording.file_accesses,
+                    data_object=handle.data_object,
+                    concurrent=recording.concurrent,
+                )
+            if self.telemetry.tracer.enabled:
+                self._trace_outcome(end_span, handle, usage, recording)
         self._count_outcome(handle, usage, recording)
         return OperationReport(
             opid=handle.opid,

@@ -124,17 +124,16 @@ class MonitorSet:
     def predict_all(self, snapshot: ResourceSnapshot,
                     server_names: List[str]) -> None:
         """Assemble the snapshot: global predictions, then per server."""
-        span = self.telemetry.tracer.start_span(
+        with self.telemetry.tracer.start_span(
             SPAN_PREDICT_ALL, monitors=len(self._monitors),
             servers=len(server_names),
-        )
-        for monitor in self._monitors:
-            monitor.predict_avail(snapshot, None)
-        ordered = sorted(self._monitors, key=lambda m: m.predict_priority)
-        for server_name in server_names:
-            for monitor in ordered:
-                monitor.predict_avail(snapshot, server_name)
-        span.end()
+        ):
+            for monitor in self._monitors:
+                monitor.predict_avail(snapshot, None)
+            ordered = sorted(self._monitors, key=lambda m: m.predict_priority)
+            for server_name in server_names:
+                for monitor in ordered:
+                    monitor.predict_avail(snapshot, server_name)
         metrics = self.telemetry.metrics
         metrics.counter(MONITORS_SNAPSHOTS).inc()
         metrics.counter(MONITORS_PREDICTIONS).inc(

@@ -153,49 +153,50 @@ class RpcTransport:
         """
         effective = policy if policy is not None else self.retry_policy
         started = self._sim.now
-        span = self.telemetry.tracer.start_span(
+        with self.telemetry.tracer.start_span(
             SPAN_RPC_CALL, src=src_host, dst=dst_host,
             service=request.service, optype=request.optype,
             opid=request.opid,
-        )
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                response = yield from self._attempt(
-                    src_host, dst_host, request, effective
-                )
-                break
-            except Exception as exc:
-                retries_left = (effective is not None
-                                and attempts < effective.max_attempts)
-                if not retries_left or not is_retryable(exc):
-                    span.end(error=type(exc).__name__, attempts=attempts)
-                    self.telemetry.metrics.counter(RPC_FAILURES).inc()
-                    raise
-                self.telemetry.metrics.counter(RPC_RETRIES).inc()
+        ) as span:
+            attempts = 0
+            while True:
+                attempts += 1
                 try:
-                    yield Timeout(effective.backoff_s(attempts))
-                except BaseException as backoff_exc:
-                    # The caller's process can be killed while parked on
-                    # the backoff timer (mid-failover); the span must
-                    # not outlive the call.
-                    span.end(error=type(backoff_exc).__name__,
-                             attempts=attempts)
-                    raise
+                    response = yield from self._attempt(
+                        src_host, dst_host, request, effective
+                    )
+                    break
+                except Exception as exc:
+                    retries_left = (effective is not None
+                                    and attempts < effective.max_attempts)
+                    if not retries_left or not is_retryable(exc):
+                        span.end(error=type(exc).__name__, attempts=attempts)
+                        self.telemetry.metrics.counter(RPC_FAILURES).inc()
+                        raise
+                    self.telemetry.metrics.counter(RPC_RETRIES).inc()
+                    try:
+                        yield Timeout(effective.backoff_s(attempts))
+                    except BaseException as backoff_exc:
+                        # The caller's process can be killed while parked
+                        # on the backoff timer (mid-failover); the span
+                        # records how many attempts it made.
+                        span.end(error=type(backoff_exc).__name__,
+                                 attempts=attempts)
+                        raise
 
-        # Loopback calls never cross the network: they contribute neither
-        # bytes nor round trips to the operation's network demand model.
-        if stats is not None and src_host != dst_host:
-            stats.rpcs += 1
-            stats.bytes_sent += request.wire_bytes
-            stats.bytes_received += response.wire_bytes
-        span.end(
-            bytes_sent=request.wire_bytes,
-            bytes_received=response.wire_bytes,
-            local=src_host == dst_host,
-            attempts=attempts,
-        )
+            # Loopback calls never cross the network: they contribute
+            # neither bytes nor round trips to the operation's network
+            # demand model.
+            if stats is not None and src_host != dst_host:
+                stats.rpcs += 1
+                stats.bytes_sent += request.wire_bytes
+                stats.bytes_received += response.wire_bytes
+            span.end(
+                bytes_sent=request.wire_bytes,
+                bytes_received=response.wire_bytes,
+                local=src_host == dst_host,
+                attempts=attempts,
+            )
         metrics = self.telemetry.metrics
         metrics.counter(RPC_CALLS).inc()
         metrics.counter(RPC_BYTES_SENT).inc(request.wire_bytes)

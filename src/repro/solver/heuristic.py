@@ -77,66 +77,64 @@ class HeuristicSolver:
         if size == 0:
             return SolverResult(best=None, utility=NO_UTILITY, evaluations=0)
 
-        span = self.telemetry.tracer.start_span(
+        with self.telemetry.tracer.start_span(
             SPAN_SOLVER_SOLVE, space_size=size, restarts=self.restarts,
-        )
-        cache: Dict[Tuple[int, ...], Tuple] = {}
-        collect = self.collect_evaluated
-        evaluated: List[Tuple] = []
+        ) as span:
+            cache: Dict[Tuple[int, ...], Tuple] = {}
+            collect = self.collect_evaluated
+            evaluated: List[Tuple] = []
 
-        def evaluate(state: Tuple[int, ...]):
-            """Score a state not yet in ``cache`` and remember it."""
-            prediction = predict(space.decode(state))
-            value = utility(prediction)
-            # Rank key: utility first, then lower predicted time.
-            # The time tie-break lets the ascent walk off plateaus
-            # where every alternative scores 0 (e.g. everything is
-            # past a latency-ramp cutoff) toward the feasible region.
-            key = (value, -prediction.total_time_s)
-            hit = cache[state] = (prediction, value, key)
-            if collect:
-                evaluated.append((prediction, value))
-            return hit
+            def evaluate(state: Tuple[int, ...]):
+                """Score a state not yet in ``cache`` and remember it."""
+                prediction = predict(space.decode(state))
+                value = utility(prediction)
+                # Rank key: utility first, then lower predicted time.
+                # The time tie-break lets the ascent walk off plateaus
+                # where every alternative scores 0 (e.g. everything is
+                # past a latency-ramp cutoff) toward the feasible region.
+                key = (value, -prediction.total_time_s)
+                hit = cache[state] = (prediction, value, key)
+                if collect:
+                    evaluated.append((prediction, value))
+                return hit
 
-        rng = random.Random(self._solve_seed())
-        starts = self._starting_states(space, rng)
+            rng = random.Random(self._solve_seed())
+            starts = self._starting_states(space, rng)
 
-        best_prediction = None
-        best_utility = NO_UTILITY
-        best_key = None
-        visits = 0
-        #: best utility seen after each restart — the convergence story
-        trajectory: List[float] = []
-        # A restart from a start already climbed in this solve climbs the
-        # same path: every score it reads is fixed in the cache.
-        climbs: Dict[Tuple[int, ...], Tuple] = {}
-        for start in starts:
-            climb = climbs.get(start)
-            if climb is None:
-                climb = climbs[start] = self._ascend(space, start, cache,
-                                                     evaluate)
-            (prediction, value, key), steps = climb
-            visits += steps
-            if best_key is None or key > best_key:
-                best_prediction, best_utility, best_key = prediction, value, key
-            trajectory.append(best_utility)
+            best_prediction = None
+            best_utility = NO_UTILITY
+            best_key = None
+            visits = 0
+            #: best utility seen after each restart — the convergence story
+            trajectory: List[float] = []
+            # A restart from a start already climbed in this solve climbs the
+            # same path: every score it reads is fixed in the cache.
+            climbs: Dict[Tuple[int, ...], Tuple] = {}
+            for start in starts:
+                climb = climbs.get(start)
+                if climb is None:
+                    climb = climbs[start] = self._ascend(space, start, cache,
+                                                         evaluate)
+                (prediction, value, key), steps = climb
+                visits += steps
+                if best_key is None or key > best_key:
+                    best_prediction, best_utility, best_key = prediction, value, key
+                trajectory.append(best_utility)
 
-        result = SolverResult(
-            best=best_prediction,
-            utility=best_utility,
-            evaluations=len(cache),
-            visits=visits,
-            evaluated=evaluated,
-        )
-        # end() is a no-op on the null tracer's spans, so the span
-        # closes unconditionally — no path leaves it open.
-        span.end(
-            visits=result.visits,
-            evaluations=result.evaluations,
-            pruned=result.visits - result.evaluations,
-            best_utility=best_utility,
-            trajectory=trajectory,
-        )
+            result = SolverResult(
+                best=best_prediction,
+                utility=best_utility,
+                evaluations=len(cache),
+                visits=visits,
+                evaluated=evaluated,
+            )
+            span.end(
+                visits=result.visits,
+                evaluations=result.evaluations,
+                pruned=result.visits - result.evaluations,
+                best_utility=best_utility,
+                trajectory=trajectory,
+            )
         metrics = self.telemetry.metrics
         metrics.counter(SOLVER_SOLVES).inc()
         metrics.counter(SOLVER_VISITS).inc(result.visits)

@@ -170,11 +170,6 @@ class SpanTracer:
             self._clock(), attrs,
         )
 
-    def span(self, name: str, parent: Optional[Span] = None,
-             **attrs: Any) -> Span:
-        """Context-manager alias: ``with tracer.span("x") as s: ...``."""
-        return self.start_span(name, parent=parent, **attrs)
-
     def _record(self, span: Span) -> None:
         self._sink(span.to_record())
 
@@ -220,10 +215,6 @@ class NullTracer:
 
     def start_span(self, name: str, parent: Optional[Span] = None,
                    **attrs: Any) -> Span:
-        return NULL_SPAN
-
-    def span(self, name: str, parent: Optional[Span] = None,
-             **attrs: Any) -> Span:
         return NULL_SPAN
 
 

@@ -3,9 +3,9 @@
 This is the acceptance gate for the analysis subsystem — the exact CI
 invocation must exit 0 on the tree as committed:
 
-* ``python -m spclint`` from the repo root, with no arguments: the
-  per-file rules plus the whole-program SPC1xx pack over ``src/repro
-  tests benchmarks examples spclint``; any finding fails.
+* ``python -m spclint`` from the repo root, with no arguments: every
+  rule over ``src/repro tests benchmarks examples spclint``; any
+  finding fails.
 
 Any new wall-clock, environment or entropy read, unseeded RNG,
 unpaired lifecycle, float equality on a measurement, dead attribute,
@@ -13,40 +13,24 @@ swallowed exception, or stale suppression fails this test before it
 reaches CI.  (Telemetry-name typos are import errors; see
 ``tests/unit/test_telemetry_names.py``.)
 
-The in-process checks share one sweep of the gate's targets, and the
-CLI checks run :func:`spclint.cli.main` in-process.
+The in-process check sweeps the gate's targets once, and the CLI
+checks run :func:`spclint.cli.main` in-process.
 """
 
 import pathlib
 
-import pytest
-
-from spclint import RULE_REGISTRY, analyze_paths
+from spclint import analyze_paths
 from spclint.cli import main as lint_main
-from spclint.core import ProjectRule
 from spclint.engine import DEFAULT_TARGETS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-@pytest.fixture(scope="session")
-def repo_findings():
-    """Every finding of one in-process sweep of the gate's targets."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.chdir(REPO_ROOT)
-        return analyze_paths()
-
-
-def test_repo_is_clean_in_process(repo_findings):
-    """The per-file rules' share of the sweep is empty."""
-    violations = [v for v in repo_findings
-                  if not isinstance(RULE_REGISTRY.get(v.rule), ProjectRule)]
+def test_repo_is_clean_in_process(monkeypatch):
+    """One in-process sweep of the gate's targets has zero findings."""
+    monkeypatch.chdir(REPO_ROOT)
+    violations = analyze_paths()
     assert violations == [], "\n".join(v.render() for v in violations)
-
-
-def test_repo_is_deep_clean_in_process(repo_findings):
-    """The sweep, whole-program pack included, has zero findings."""
-    assert repo_findings == [], "\n".join(v.render() for v in repo_findings)
 
 
 def test_repo_is_clean_via_cli(monkeypatch, capsys):

@@ -2,8 +2,8 @@
 
 The engine's contract is that :func:`analyze_source` returns a list of
 violations for *any* input text — syntax errors, null bytes, weird
-unicode — and :func:`analyze_paths` does the same for any path, its
-whole-program pack included.  The sweep below pins that on every real
+unicode — and :func:`analyze_paths` does the same for any path.  The
+sweep below pins that on every real
 file in the repo, the engine's own included; the hypothesis test pins
 it on adversarial text.
 """

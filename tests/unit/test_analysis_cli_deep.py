@@ -1,15 +1,15 @@
-"""CLI surface of the whole-program pack, part of the repo's one gate.
+"""CLI surface of the lifecycle rule, part of the repo's one gate.
 
 Exercises what CI runs: ``python -m spclint`` over a tree, failing on
-whole-program and per-file findings alike.
+a lifecycle finding (SPC102) and on the other rules' findings alike.
 """
 
 import pytest
 
 from spclint.cli import main as lint_main
 
-#: A span leaking over the exception edge of its yield — SPC102's
-#: canonical finding, invisible to a lexical begin/end check.
+#: A span closed by hand, leaking over the exception edge of its
+#: yield — SPC102's canonical finding.
 LEAKY = (
     "def leaky(tracer, network):\n"
     "    span = tracer.start_span('op')\n"
@@ -17,7 +17,7 @@ LEAKY = (
     "    span.end()\n"
 )
 
-#: Trees whose only finding comes from a per-file check: a wall-clock
+#: Trees whose only finding comes from another check: a wall-clock
 #: read (SPC001) and a file that does not parse (SPC999).
 PER_FILE_ONLY = [
     ("SPC001", "import time\n\ndef stamp():\n    return time.time()\n"),
@@ -32,7 +32,7 @@ def tree_with(tmp_path, text):
 
 
 class TestDeepFlag:
-    """Every sweep is whole-program: there is no flag to ask for it."""
+    """Every sweep runs every rule: there is no flag to ask for one."""
 
     def test_deep_pass_finds_it(self, tmp_path, capsys):
         tree_with(tmp_path, LEAKY)

@@ -115,6 +115,36 @@ class TestNeverCrash:
             register_rule(Clone)
 
 
+class TestSuppressionAudit:
+    """SPC105 runs on each file after the other rules, so one source
+    string is enough to judge its waivers."""
+
+    WAIVED = ("import time\n\ndef stamp():\n"
+              "    return time.time()  # spectra: noqa[SPC001]\n")
+
+    def test_source_reports_a_dead_waiver(self):
+        found = analyze_source(SRC, "x = 1  # spectra: noqa[SPC001]\n")
+        assert [(v.rule, v.line) for v in found] == [("SPC105", 1)]
+
+    def test_waiver_that_suppresses_a_finding_is_used(self):
+        assert analyze_source(SRC, self.WAIVED) == []
+
+    def test_audit_judges_only_the_selected_rules(self):
+        found = analyze_source(SRC, self.WAIVED, select=["SPC002", "SPC105"])
+        assert found == []
+
+    def test_crashing_audit_becomes_spc000(self, monkeypatch):
+        audit = RULE_REGISTRY["SPC105"]
+
+        def explode(source, findings, active):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setattr(audit, "audit", explode)
+        found = analyze_source(SRC, self.WAIVED)
+        assert [v.rule for v in found] == [INTERNAL_CODE]
+        assert "SPC105" in found[0].message
+
+
 class TestFileDiscovery:
     def test_walk_skips_caches_and_sorts(self, tmp_path):
         (tmp_path / "b.py").write_text(CLEAN)

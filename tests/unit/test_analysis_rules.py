@@ -5,8 +5,7 @@ import textwrap
 
 import pytest
 
-from spclint import analyze_paths, analyze_source
-from spclint.cache import ParseCache
+from spclint import analyze_source
 
 #: Path under the default scope of every rule.
 SRC = "src/repro/sim/fixture.py"
@@ -18,15 +17,6 @@ def lint(code, path=SRC, select=None):
 
 def codes(violations):
     return [v.rule for v in violations]
-
-
-def sweep(tmp_path, code):
-    """Sweep *code* as the only file of a tree, SPC102 alone."""
-    target = tmp_path / SRC
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(textwrap.dedent(code))
-    return analyze_paths([str(tmp_path)], select=["SPC102"],
-                         cache=ParseCache())
 
 
 # -- SPC001: host reads -------------------------------------------------------------
@@ -194,62 +184,67 @@ class TestUnseededRandomness:
 
 
 class TestLifecyclePairing:
-    """The lexical pairing cases, checked by the whole-program SPC102.
+    """SPC102: a span begin is a `with` item, chained into .end(), or
+    handed on; a start_all has a stop_all or hands its recording on."""
 
-    SPC102 runs only over a whole tree, so each snippet is written to a
-    fixture file under the rule's scope and swept with
-    :func:`analyze_paths`.
-    """
-
-    def test_detects_span_never_ended(self, tmp_path):
-        found = sweep(tmp_path, """
+    def test_detects_span_never_ended(self):
+        found = lint("""
             def work(tracer):
                 span = tracer.start_span("work")
                 compute()
-        """)
+        """, select=["SPC102"])
         assert codes(found) == ["SPC102"]
         assert "never .end()ed" in found[0].message
 
-    def test_detects_dropped_span_result(self, tmp_path):
-        found = sweep(tmp_path, """
+    def test_detects_dropped_span_result(self):
+        found = lint("""
             def work(tracer):
                 tracer.start_span("work")
-        """)
+        """, select=["SPC102"])
         assert codes(found) == ["SPC102"]
         assert "dropped" in found[0].message
 
-    def test_detects_early_return_leak(self, tmp_path):
-        found = sweep(tmp_path, """
+    def test_detects_dropped_child(self):
+        found = lint("""
+            def work(span):
+                span.child("phase")
+        """, select=["SPC102"])
+        assert codes(found) == ["SPC102"]
+        assert ".child(...)" in found[0].message
+
+    def test_detects_early_return_leak(self):
+        found = lint("""
             def work(tracer, fast):
                 span = tracer.start_span("work")
                 if fast:
                     return None
                 compute()
                 span.end()
-        """)
+        """, select=["SPC102"])
         assert codes(found) == ["SPC102"]
         assert "leak" in found[0].message
 
-    def test_detects_start_all_without_stop_all(self, tmp_path):
-        found = sweep(tmp_path, """
+    def test_detects_start_all_without_stop_all(self):
+        found = lint("""
             def run(monitors):
                 recording = Recording()
                 monitors.start_all(recording)
                 compute()
-        """)
+        """, select=["SPC102"])
         assert codes(found) == ["SPC102"]
 
-    def test_paired_span_passes(self, tmp_path):
-        found = sweep(tmp_path, """
+    def test_span_closed_by_hand_is_flagged(self):
+        found = lint("""
             def work(tracer):
                 span = tracer.start_span("work")
                 compute()
                 span.end()
-        """)
-        assert found == []
+        """, select=["SPC102"])
+        assert codes(found) == ["SPC102"]
+        assert "closed by hand" in found[0].message
 
-    def test_end_in_finally_passes(self, tmp_path):
-        found = sweep(tmp_path, """
+    def test_end_in_finally_is_flagged(self):
+        found = lint("""
             def work(tracer, fast):
                 span = tracer.start_span("work")
                 try:
@@ -258,51 +253,11 @@ class TestLifecyclePairing:
                     compute()
                 finally:
                     span.end()
-        """)
-        assert found == []
+        """, select=["SPC102"])
+        assert codes(found) == ["SPC102"]
 
-    def test_with_statement_passes(self, tmp_path):
-        found = sweep(tmp_path, """
-            def work(tracer):
-                with tracer.span("work"):
-                    compute()
-        """)
-        assert found == []
-
-    def test_chained_end_passes(self, tmp_path):
-        found = sweep(tmp_path, """
-            def mark(tracer):
-                tracer.start_span("tick").end()
-        """)
-        assert found == []
-
-    def test_escaping_span_passes(self, tmp_path):
-        found = sweep(tmp_path, """
-            def begin(tracer):
-                span = tracer.start_span("op")
-                return span
-        """)
-        assert found == []
-
-    def test_span_passed_to_helper_passes(self, tmp_path):
-        found = sweep(tmp_path, """
-            def begin(tracer):
-                span = tracer.start_span("op")
-                finish_later(span)
-        """)
-        assert found == []
-
-    def test_escaping_recording_passes(self, tmp_path):
-        found = sweep(tmp_path, """
-            def begin(monitors):
-                recording = Recording()
-                monitors.start_all(recording)
-                return Handle(recording=recording)
-        """)
-        assert found == []
-
-    def test_end_before_early_exit_passes(self, tmp_path):
-        found = sweep(tmp_path, """
+    def test_end_before_early_exit_is_flagged(self):
+        found = lint("""
             def work(tracer, bad):
                 span = tracer.start_span("work")
                 if bad:
@@ -310,15 +265,111 @@ class TestLifecyclePairing:
                     raise RuntimeError("bad")
                 compute()
                 span.end()
-        """)
+        """, select=["SPC102"])
+        assert codes(found) == ["SPC102"]
+
+    def test_with_statement_passes(self):
+        found = lint("""
+            def work(tracer):
+                with tracer.start_span("work") as span:
+                    with span.child("phase") as phase:
+                        phase.end(items=3)
+                    compute()
+        """, select=["SPC102"])
         assert found == []
 
-    def test_suppressed(self, tmp_path):
-        found = sweep(tmp_path, """
+    def test_name_used_as_with_item_passes(self):
+        found = lint("""
+            def work(tracer):
+                span = tracer.start_span("work")
+                with span:
+                    compute()
+        """, select=["SPC102"])
+        assert found == []
+
+    def test_chained_end_passes(self):
+        found = lint("""
+            def mark(tracer):
+                tracer.start_span("tick").end()
+                tracer.start_span("tock", n=1).end(n=2)
+        """, select=["SPC102"])
+        assert found == []
+
+    def test_escaping_span_passes(self):
+        found = lint("""
+            def begin(tracer):
+                span = tracer.start_span("op")
+                return span
+        """, select=["SPC102"])
+        assert found == []
+
+    def test_span_passed_to_helper_passes(self):
+        found = lint("""
+            def begin(tracer):
+                span = tracer.start_span("op")
+                finish_later(span)
+        """, select=["SPC102"])
+        assert found == []
+
+    @pytest.mark.parametrize("body", [
+        "self.span = tracer.start_span('op')",
+        "spans[key] = tracer.start_span('op')",
+        "yield tracer.start_span('op')",
+        "return tracer.start_span('op'), 1",
+        "register(name=tracer.start_span('op'))",
+        "span = tracer.start_span('op')\n    pending.append(span)",
+        "span = tracer.start_span('op')\n    return {'span': span}",
+    ], ids=["attribute", "subscript", "yield", "return-tuple", "keyword",
+            "container-call", "return-dict"])
+    def test_handed_on_span_passes(self, body):
+        found = lint(f"def begin(self, tracer, spans, key):\n    {body}\n",
+                     select=["SPC102"])
+        assert found == []
+
+    def test_nested_function_is_its_own_scope(self):
+        # The closure's end does not pair the outer function's span.
+        found = lint("""
+            def work(tracer):
+                span = tracer.start_span("op")
+
+                def close():
+                    span.end()
+                return close
+        """, select=["SPC102"])
+        assert codes(found) == ["SPC102"]
+
+    def test_escaping_recording_passes(self):
+        found = lint("""
+            def begin(monitors):
+                recording = Recording()
+                monitors.start_all(recording)
+                return Handle(recording=recording)
+        """, select=["SPC102"])
+        assert found == []
+
+    def test_start_all_with_stop_all_passes(self):
+        found = lint("""
+            def measure(monitors):
+                recording = Recording()
+                monitors.start_all(recording)
+                compute()
+                monitors.stop_all(recording)
+        """, select=["SPC102"])
+        assert found == []
+
+    def test_out_of_scope_file_is_not_checked(self):
+        found = lint("""
+            def work(tracer):
+                span = tracer.start_span("work")
+        """, path="tests/unit/test_fixture.py", select=["SPC102"])
+        assert found == []
+
+    def test_suppressed(self):
+        found = lint("""
             def work(tracer):
                 span = tracer.start_span("work")  # spectra: noqa[SPC102]
                 compute()
-        """)
+        """, select=["SPC102"])
         assert found == []
 
 

@@ -385,10 +385,11 @@ class TestFailover:
 
 class TestFailoverSpan:
     def test_span_ends_when_rechoosing_raises(self):
-        """Regression (found by SPC102 once calls into can-raise
-        functions count as exception sources): an error other than
+        """Regression: an error other than
         :class:`NoFeasibleAlternativeError` while re-choosing, here from
-        a user utility factory, used to leave the failover span open."""
+        a user utility factory, used to leave the failover span open.
+        The span is now a `with` item, and the rechoose error still
+        lands on it as ``outcome="error"``."""
         records = []
         sim, client, servers = traced_testbed(records, ("srv", "srv2"))
         sim.run_process(client.register_fidelity(null_spec()))
@@ -456,7 +457,7 @@ class TestZeroBandwidthInfeasible:
 
 class TestMidBeginInterrupt:
     def test_interrupted_begin_leaks_nothing(self):
-        """Regression (found by SPC102 path checking): a process killed
+        """Regression: a process killed
         while ``begin_fidelity_op`` is parked at a CPU or reintegration
         yield used to leak the started monitor recording, the op span,
         and the open phase span, and left the handle's recording in

@@ -1,4 +1,4 @@
-"""Golden tests for the whole-program SPC1xx pack.
+"""Golden tests for SPC102 and SPC105 through a sweep of a tree on disk.
 
 Each test lays out a small fixture package on disk (``tmp_path``), runs
 the sweep over it with a private parse cache, and asserts the
@@ -54,25 +54,47 @@ class TestSPC102SpanPaths:
         assert len(found) == 1
         assert found[0].rule == "SPC102"
         assert "span 'span'" in found[0].message
-        assert "exception escaping" in found[0].message
+        assert "closed by hand" in found[0].message
 
-    def test_try_finally_and_with_are_clean(self, tmp_path):
+    def test_abort_leak_shape_is_flagged(self, tmp_path):
+        # The abort_fidelity_op leak: a span bound to a name, a yield,
+        # then an exception exit before the hand-written end.
+        root = write_fixture(tmp_path, {
+            "core/client.py": """\
+                class Client:
+                    def abort_fidelity_op(self, handle):
+                        span = self.tracer.start_span("abort", opid=handle.opid)
+                        yield self.cpu.submit(handle.cycles).done
+                        if handle.failed:
+                            raise RuntimeError("server lost")
+                        span.end()
+            """,
+        })
+        found = sweep(root, ["SPC102"])
+        assert [(v.rule, v.line) for v in found] == [("SPC102", 3)]
+        assert "abort_fidelity_op" in found[0].message
+
+    def test_with_is_clean_and_try_finally_is_not(self, tmp_path):
         root = write_fixture(tmp_path, {
             "sim/clean.py": """\
+                def managed(tracer, network):
+                    with tracer.start_span("op") as span:
+                        yield from network.transfer(100)
+                        span.end(bytes=100)
+
+
                 def closed_in_finally(tracer, network):
                     span = tracer.start_span("op")
                     try:
                         yield from network.transfer(100)
                     finally:
                         span.end()
-
-
-                def managed(tracer, network):
-                    with tracer.start_span("op") as span:
-                        yield from network.transfer(100)
             """,
         })
-        assert sweep(root, ["SPC102"]) == []
+        found = sweep(root, ["SPC102"])
+        # A finally closes this span, but only the `with` shape is
+        # paired by construction.
+        assert [v.line for v in found] == [8]
 
     def test_branch_closing_only_one_arm_leaks(self, tmp_path):
         root = write_fixture(tmp_path, {
@@ -86,43 +108,7 @@ class TestSPC102SpanPaths:
         })
         found = sweep(root, ["SPC102"])
         assert len(found) == 1
-        assert "return or fall-through" in found[0].message
-
-    def test_monitor_recording_leak_on_exception(self, tmp_path):
-        root = write_fixture(tmp_path, {
-            "sim/monitors.py": """\
-                def observed(monitors, network, recording):
-                    monitors.start_all(recording)
-                    yield from network.transfer(100)
-                    monitors.stop_all(recording)
-            """,
-        })
-        found = sweep(root, ["SPC102"])
-        assert len(found) == 1
-        assert "monitor recording" in found[0].message
-
-    def test_interprocedural_raise_via_raising_calls(self, tmp_path):
-        root = write_fixture(tmp_path, {
-            "sim/deep.py": """\
-                def may_fail(x):
-                    if x < 0:
-                        raise ValueError(x)
-                    return x
-
-
-                def caller(tracer, x):
-                    span = tracer.start_span("op")
-                    value = may_fail(x)
-                    span.end()
-                    return value
-            """,
-        })
-        # The plain call is not a raise or a yield, but its callee can
-        # raise: the exception edge out of it leaks the span.
-        found = sweep(root, ["SPC102"])
-        assert len(found) == 1
-        assert "span 'span'" in found[0].message
-        assert "exception escaping at line 9" in found[0].message
+        assert "can leak it" in found[0].message
 
 
 class TestSPC105UnusedSuppressions:
@@ -192,7 +178,7 @@ class TestDeepSweepRobustness:
         found = sweep(root, ["SPC102"])
         rules = sorted(v.rule for v in found)
         # The unparseable file is its own finding; the parseable one is
-        # still checked by the whole-program pack.
+        # still checked.
         assert rules == ["SPC102", "SPC999"]
 
     def test_inline_suppression_silences_deep_finding(self, tmp_path):

@@ -104,7 +104,7 @@ class TestSpanTracer:
     def test_context_manager_tags_errors(self):
         tracer = SpanTracer(lambda record: None, FakeClock())
         with pytest.raises(ValueError):
-            with tracer.span("boom") as span:
+            with tracer.start_span("boom") as span:
                 raise ValueError("no")
         assert span.ended
         assert span.attrs["error"] == "ValueError"
@@ -181,7 +181,7 @@ class TestNullTracer:
         with jsonl_trace(path) as traced:
             telemetry = Telemetry(tracer=NULL_TRACER, metrics=traced.metrics)
             telemetry.bind_clock(FakeClock(3.0))
-            with telemetry.tracer.span("anything") as span:
+            with telemetry.tracer.start_span("anything") as span:
                 span.child("more").end()
         (line,) = path.read_text().splitlines()
         assert json.loads(line) == {"type": "metrics", "metrics": {}}
