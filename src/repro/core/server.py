@@ -179,6 +179,11 @@ class SpectraServer:
             if others:
                 self._requests_by_owner[owner] = others
             else:
+                # An interrupt (the caller's RPC timeout) can end the
+                # dispatch mid-service: its CPU job would run on for
+                # nobody.  Only the owner's last open request may cancel,
+                # since a retry of the same op here shares the owner.
+                self.host.cpu.cancel_jobs_of(owner)
                 self.host.cpu.release(owner)
             if coda_mark is not None:
                 self.coda.release_access_mark(coda_mark)

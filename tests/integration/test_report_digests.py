@@ -22,7 +22,7 @@ WORKLOADS = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.p
 DIGESTS = {
     "metro": "70d3d9c0edc8943ddd2627bcaa102b53c977f15346241e015914629a26622d36",
     "latex-crowd":
-        "7b059a6a84cfebe805424db8bc15e3c4c15dda9d1f993d3063696414b982ab25",
+        "ca9261047f290a2c04f4d326772a1a741b32b0a1435cb04f67ffcd6d45c9e1a7",
 }
 
 

@@ -254,9 +254,6 @@ class TestServerSide:
         assert responses[long] == pytest.approx(short + long)
         assert owner not in cpu._finished_cycles
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "an abandoned dispatch leaves its service's CPU job running; "
-        "cancelling it moves the scenario report digests"))
     def test_abandoned_dispatch_stops_its_service_job(self, sim, testbed):
         # The caller's RPC timeout interrupts the dispatch mid-service:
         # nobody will read the result, so nothing should still run for it.
