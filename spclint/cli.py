@@ -2,8 +2,8 @@
 
 With no arguments it sweeps :data:`~spclint.engine.DEFAULT_TARGETS`
 (``src/repro tests benchmarks examples spclint``): every rule over one
-parse of every file.  That invocation *is* the CI gate.  Positional paths narrow the sweep; there
-are no options.
+parse of every file.  That invocation *is* the CI gate.  Positional
+paths narrow the sweep; there are no options.
 
 Exit codes follow linter convention: ``0`` clean, ``1`` violations
 found, ``2`` usage error (an unknown option, or no Python files).

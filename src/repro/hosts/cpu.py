@@ -176,8 +176,8 @@ class CPU:
         """
         self._resource.cancel(job)
 
-    def cancel_jobs_of(self, owner: str) -> int:
-        """Cancel every in-flight job of *owner*; returns how many.
+    def cancel_jobs_of(self, owner: str) -> None:
+        """Cancel every in-flight job of *owner*.
 
         For work nobody will wait for any more (a dispatch abandoned
         mid-service).  Each job retires as :meth:`cancel` retires it,
@@ -187,7 +187,6 @@ class CPU:
                 if job_owner == owner]
         for job in jobs:
             self.cancel(job)
-        return len(jobs)
 
     def cycles_used_by(self, owner: str) -> float:
         """Cumulative cycles served to *owner* — the ``/proc`` equivalent.
