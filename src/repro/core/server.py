@@ -132,6 +132,7 @@ class SpectraServer:
             self._requests_by_owner.get(owner, 0) + 1
         )
         coda_mark: Optional[int] = None
+        served = False
         try:
             # Server-side dispatch overhead (context switch, unmarshal).
             yield self.host.cpu.submit(
@@ -156,6 +157,7 @@ class SpectraServer:
                     f"service {request.service!r} on {self.host.name!r} "
                     f"lost its file-server path mid-operation: {exc}"
                 ) from exc
+            served = True
 
             cycles_used = self.host.cpu.cycles_used_by(owner) - cycles_before
             file_accesses: Dict[str, int] = {}
@@ -179,11 +181,13 @@ class SpectraServer:
             if others:
                 self._requests_by_owner[owner] = others
             else:
-                # An interrupt (the caller's RPC timeout) can end the
-                # dispatch mid-service: its CPU job would run on for
-                # nobody.  Only the owner's last open request may cancel,
-                # since a retry of the same op here shares the owner.
-                self.host.cpu.cancel_jobs_of(owner)
+                if not served:
+                    # An interrupt (the caller's RPC timeout) can end the
+                    # dispatch mid-service: its CPU job would run on for
+                    # nobody.  Only the owner's last open request may
+                    # cancel, since a retry of the same op here shares
+                    # the owner.
+                    self.host.cpu.cancel_jobs_of(owner)
                 self.host.cpu.release(owner)
             if coda_mark is not None:
                 self.coda.release_access_mark(coda_mark)
