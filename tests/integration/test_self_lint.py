@@ -13,13 +13,15 @@ swallowed exception, or stale suppression fails this test before it
 reaches CI.  (Telemetry-name typos are import errors; see
 ``tests/unit/test_telemetry_names.py``.)
 
-The in-process check sweeps the gate's targets once, and the CLI
-checks run :func:`spclint.cli.main` in-process.
+The in-process checks sweep the gate's targets, once through the
+shared parse cache and once file by file through
+:func:`spclint.analyze_source`, and the CLI checks run
+:func:`spclint.cli.main` in-process.
 """
 
 import pathlib
 
-from spclint import analyze_paths
+from spclint import analyze_paths, analyze_source, iter_python_files
 from spclint.cli import main as lint_main
 from spclint.engine import DEFAULT_TARGETS
 
@@ -30,6 +32,18 @@ def test_repo_is_clean_in_process(monkeypatch):
     """One in-process sweep of the gate's targets has zero findings."""
     monkeypatch.chdir(REPO_ROOT)
     violations = analyze_paths()
+    assert violations == [], "\n".join(v.render() for v in violations)
+
+
+def test_repo_is_deep_clean_in_process(monkeypatch):
+    """Each file of the gate's targets, linted on its own from its text,
+    has zero findings: the per-file entry point runs every rule, the
+    suppression audit included, as the sweep does."""
+    monkeypatch.chdir(REPO_ROOT)
+    violations = []
+    for path in iter_python_files(DEFAULT_TARGETS):
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        violations.extend(analyze_source(path, text))
     assert violations == [], "\n".join(v.render() for v in violations)
 
 

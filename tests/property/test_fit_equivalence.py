@@ -24,6 +24,7 @@ fit, weights by log position.
 """
 
 import copy
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,17 @@ def lstsq_mean(ys, decay):
     coef, *_ = np.linalg.lstsq(np.ones((n, 1)) * sw[:, None],
                                np.array(ys) * sw, rcond=None)
     return max(float(coef[0]), 0.0)
+
+
+def exact_mean(ys, decay):
+    """The recency-weighted mean in exact rational arithmetic."""
+    weight, step = Fraction(1), Fraction(decay)
+    total = weighted = Fraction(0)
+    for y in reversed(ys):
+        total += weight
+        weighted += weight * Fraction(y)
+        weight *= step
+    return weighted / total
 
 
 def constant_columns(arr):
@@ -199,12 +211,24 @@ def test_closed_form_fit_matches_lstsq(records):
 @settings(max_examples=300, deadline=None)
 @given(ys=st.lists(st.floats(0.0, 1e9), min_size=1, max_size=60),
        decay=st.sampled_from([0.5, 0.8, 0.9, 0.95, 1.0]))
+@example(ys=[0.0, SUBNORMAL_STEP, SUBNORMAL_STEP, 0.0], decay=0.8)
+@example(ys=[0.0, 3 * SUBNORMAL_STEP], decay=1.0)
 def test_feature_free_model_is_its_weighted_mean(ys, decay):
+    """The prediction is the weighted mean, within ``REL`` and ``ABS`` of
+    the oracle's.  Below the smallest normal float, ``lstsq`` rounds once
+    per term and lands on either side of the true mean, so there the two
+    agree within a subnormal step; the model must also be within half a
+    step of the exact mean: rounded once, not once per term."""
     model = RecencyWeightedLinearModel([], decay=decay, window=200)
     for y in ys:
         model.observe({}, y)
-    assert model.predict({}) == model.weighted_mean()
-    assert close(model.predict({}), lstsq_mean(ys, decay), max(ys))
+    got = model.predict({})
+    assert got == model.weighted_mean()
+    assert close(got, lstsq_mean(ys, decay), max(ys), SUBNORMAL_STEP)
+    exact = exact_mean(ys, decay)
+    assert abs(Fraction(got) - exact) <= (
+        Fraction(SUBNORMAL_STEP) / 2 + Fraction(REL) * exact
+        + Fraction(ABS * max(ys)))
 
 
 NAMES = ("a", "b", "c")
