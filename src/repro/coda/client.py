@@ -99,8 +99,14 @@ class CodaClient:
         # Open mark -> how many holders; insertion order is mark order.
         self._open_marks: Dict[int, int] = {}
         self._trickling = False
-        #: update/update conflicts detected at reintegration
+        #: the latest update/update conflict detected at reintegration
+        #: on each path, in the order the paths first conflicted: one
+        #: entry per file, as a Coda conflict directory holds
         self.conflicts: List[Conflict] = []
+        #: every conflict detected, a path's repeats included
+        self.conflicts_total = 0
+        # path -> its entry's index in ``conflicts``
+        self._conflict_index: Dict[str, int] = {}
         server.register_client(self)
 
     # -- connectivity ------------------------------------------------------------
@@ -221,14 +227,15 @@ class CodaClient:
                 self.host_name, self.server.host_name, wire_bytes,
                 kind="bulk",
             )
-            conflicts_before = len(self.conflicts)
+            conflicts = 0
             for record in self.cml.clear_volume(volume):
                 authoritative = self.server.lookup(record.path)
                 if authoritative.version != record.base_version:
                     # Someone else updated the file while this store sat
                     # in the CML.  Record the conflict; apply ours on top
                     # (last-writer-wins, visible for repair).
-                    self.conflicts.append(Conflict(
+                    conflicts += 1
+                    self._record_conflict(Conflict(
                         path=record.path,
                         base_version=record.base_version,
                         server_version=authoritative.version,
@@ -241,13 +248,23 @@ class CodaClient:
                 self.server.grant_callback(record.path, self.name)
             span.end(
                 wire_bytes=wire_bytes, elapsed_s=elapsed,
-                conflicts=len(self.conflicts) - conflicts_before,
+                conflicts=conflicts,
             )
         metrics = self.telemetry.metrics
         metrics.counter(CODA_REINTEGRATIONS).inc()
         metrics.counter(CODA_REINTEGRATED_BYTES).inc(nbytes)
         metrics.histogram(CODA_REINTEGRATE_S).observe(elapsed)
         return elapsed
+
+    def _record_conflict(self, conflict: Conflict) -> None:
+        """Count *conflict* and keep it as its path's latest."""
+        self.conflicts_total += 1
+        index = self._conflict_index.setdefault(conflict.path,
+                                                len(self.conflicts))
+        if index == len(self.conflicts):
+            self.conflicts.append(conflict)
+        else:
+            self.conflicts[index] = conflict
 
     def reintegrate_all(self) -> Generator:
         """Process: reintegrate every dirty volume."""

@@ -4,7 +4,7 @@ from .base import DemandModel, NoModelError, OperationDemandPredictor
 from .binned import BinnedLinearPredictor
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
-from .linear import EWMAModel, RecencyWeightedLinearModel
+from .linear import DemandWindow, EWMAModel, WindowedLinearModel
 from .logs import (
     DiscreteContext,
     FeatureContext,
@@ -27,6 +27,7 @@ __all__ = [
     "BinnedLinearPredictor",
     "DataSpecificPredictor",
     "DemandModel",
+    "DemandWindow",
     "DiscreteContext",
     "EWMAModel",
     "FeatureContext",
@@ -35,11 +36,11 @@ __all__ = [
     "OperationDemandPredictor",
     "PredictorStore",
     "PredictorStoreError",
-    "RecencyWeightedLinearModel",
     "STORE_SCHEMA",
     "StoredPredictor",
     "UsageLog",
     "UsageSample",
+    "WindowedLinearModel",
     "canonical_discrete_value",
     "discrete_key",
     "document_digest",

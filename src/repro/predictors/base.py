@@ -31,7 +31,8 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence
 
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
-from .logs import FeatureContext, UsageLog, UsageSample
+from .linear import WindowTable
+from .logs import FeatureContext, UsageLog, UsageSample, feature_row
 
 
 class DemandModel(Protocol):
@@ -60,6 +61,9 @@ class OperationDemandPredictor:
         self.log = log if log is not None else UsageLog()
         self._models: Dict[str, DemandModel] = {}
         self._custom: Dict[str, DemandModel] = {}
+        # The demand windows the built-in models share, one per sample
+        # stream; without features the models keep no rows to share.
+        self._windows = WindowTable() if self.feature_names else None
         self.files = FileAccessPredictor()
         # Rebuild in-memory models from an inherited log ("each predictor
         # reads the logged resource usage data").
@@ -88,7 +92,8 @@ class OperationDemandPredictor:
         model = self._model(resource)
         if model is None:
             model = DataSpecificPredictor(
-                self.feature_names, decay=self.decay, window=self.window
+                self.feature_names, decay=self.decay, window=self.window,
+                windows=self._windows,
             )
             self._models[resource] = model
         return model
@@ -120,6 +125,7 @@ class OperationDemandPredictor:
             data_object=data_object,
             concurrent=concurrent,
             file_accesses=file_accesses,
+            parts=self.log.parts,
         )
         self.log.append(sample)
         self._absorb(
@@ -132,9 +138,16 @@ class OperationDemandPredictor:
     def _absorb(self, sample: UsageSample, record: bool,
                 skip_energy_when_concurrent: bool = True) -> None:
         discrete = sample.discrete_dict()
-        # One feature row per sample, kept by every model that observes it.
-        continuous = FeatureContext(sample.continuous_dict(),
-                                    self.feature_names)
+        continuous = sample.continuous_dict()
+        if self._windows is not None:
+            # One row per distinct feature vector, kept once by each
+            # demand window the sample reaches; the stamp tells the
+            # window's models this sample from the one before.
+            continuous = FeatureContext(
+                continuous, self.feature_names,
+                self.log.parts.share(feature_row(continuous,
+                                                 self.feature_names)),
+                self._windows.stamp())
         for resource, value in zip(sample.usage_names, sample.usage_values):
             if (sample.concurrent and skip_energy_when_concurrent
                     and resource.startswith("energy")):

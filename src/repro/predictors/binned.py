@@ -8,10 +8,13 @@ combination of discrete variables has not yet been encountered"
 (paper §3.4).
 
 :class:`BinnedLinearPredictor` keys a family of
-:class:`~repro.predictors.linear.RecencyWeightedLinearModel` instances by
+:class:`~repro.predictors.linear.WindowedLinearModel` instances by
 the tuple of discrete values (fidelity point + execution plan), each
 regressing the resource on the continuous input parameters, plus one
-generic fallback model trained on everything.
+generic fallback model trained on everything.  Given its predictor's
+:class:`~repro.predictors.linear.WindowTable` and a data-object scope,
+each model joins the demand window its stream shares with the other
+resources' models of that scope and bin.
 
 Bins are keyed by :func:`~repro.predictors.logs.discrete_key`.  The
 contexts the predictor stack passes down are
@@ -24,10 +27,10 @@ on every observation and prediction.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..copying import deepcopy_state
-from .linear import RecencyWeightedLinearModel
+from .linear import GENERIC, WindowedLinearModel, WindowTable
 from .logs import DiscreteKey, discrete_key
 
 
@@ -35,16 +38,28 @@ class BinnedLinearPredictor:
     """Per-bin recency-weighted linear models with a generic fallback."""
 
     def __init__(self, feature_names: Sequence[str] = (),
-                 decay: float = 0.95, window: int = 200):
+                 decay: float = 0.95, window: int = 200,
+                 windows: Optional[WindowTable] = None,
+                 scope: Optional[str] = None):
         self.feature_names = tuple(feature_names)
         self.decay = decay
         self.window = window
-        self._bins: Dict[DiscreteKey, RecencyWeightedLinearModel] = {}
-        self._generic = self._new_model()
+        # The table the models find their streams' windows in, and the
+        # data object they are kept for (None: the general models).
+        self._windows = windows if self.feature_names else None
+        self._scope = scope
+        self._bins: Dict[DiscreteKey, WindowedLinearModel] = {}
+        self._generic = self._new_model(GENERIC)
 
-    def _new_model(self) -> RecencyWeightedLinearModel:
-        return RecencyWeightedLinearModel(
-            self.feature_names, decay=self.decay, window=self.window
+    def _new_model(self, bin_key: Optional[DiscreteKey]) -> WindowedLinearModel:
+        shared = None
+        if self._windows is not None:
+            shared = self._windows.window(
+                (self._scope, bin_key), self.feature_names, self.decay,
+                self.window)
+        return WindowedLinearModel(
+            self.feature_names, decay=self.decay, window=self.window,
+            shared=shared,
         )
 
     # -- updating -------------------------------------------------------------------
@@ -54,7 +69,7 @@ class BinnedLinearPredictor:
         key = discrete_key(discrete)
         model = self._bins.get(key)
         if model is None:
-            model = self._new_model()
+            model = self._new_model(key)
             self._bins[key] = model
         model.observe(continuous, value)
         self._generic.observe(continuous, value)

@@ -19,21 +19,30 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Sequence
 
 from .binned import BinnedLinearPredictor
+from .linear import WindowTable
 
 
 class DataSpecificPredictor:
-    """LRU cache of per-data-object predictors over a general fallback."""
+    """LRU cache of per-data-object predictors over a general fallback.
+
+    Given its predictor's :class:`~repro.predictors.linear.WindowTable`,
+    its models share their streams' demand windows with the other
+    resources' models (``windows``).
+    """
 
     def __init__(self, feature_names: Sequence[str] = (),
                  decay: float = 0.95, window: int = 200,
-                 max_objects: int = 32):
+                 max_objects: int = 32,
+                 windows: Optional[WindowTable] = None):
         if max_objects < 1:
             raise ValueError(f"max_objects must be >= 1: {max_objects}")
         self.feature_names = tuple(feature_names)
         self.decay = decay
         self.window = window
         self.max_objects = max_objects
-        self._general = BinnedLinearPredictor(feature_names, decay, window)
+        self._windows = windows
+        self._general = BinnedLinearPredictor(feature_names, decay, window,
+                                              windows)
         self._per_object: "OrderedDict[str, BinnedLinearPredictor]" = OrderedDict()
 
     # -- updating -------------------------------------------------------------------
@@ -46,7 +55,8 @@ class DataSpecificPredictor:
         model = self._per_object.get(data_object)
         if model is None:
             model = BinnedLinearPredictor(
-                self.feature_names, self.decay, self.window
+                self.feature_names, self.decay, self.window, self._windows,
+                scope=data_object,
             )
             self._per_object[data_object] = model
             if len(self._per_object) > self.max_objects:

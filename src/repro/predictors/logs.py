@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Tuple, Union)
+from math import copysign
+from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple, TypeVar, Union)
 
 from ..copying import deepcopy_state
 
@@ -103,24 +104,100 @@ def feature_row(continuous: Mapping[str, float],
 
 
 class FeatureContext(dict):
-    """Continuous inputs that carry their feature row.
+    """Continuous inputs that carry their feature row and a stamp.
 
     One logged sample is observed by every demand model of its
     operation: each resource's general model, its data-object model,
     and the bin and generic regressions inside each.  A context built
-    once per sample (``OperationDemandPredictor._absorb``) builds the
-    row once, and each model keeps that row instead of its own copy.
-    Like :class:`DiscreteContext` it is a plain mapping to everything
-    else, and read-only by contract.
+    once per sample (``OperationDemandPredictor._absorb``) carries the
+    row, and the models on one demand window keep it once between them
+    (:class:`~repro.predictors.linear.DemandWindow`).  ``stamp`` tells
+    those models apart one sample from the next: the first of them to
+    observe a stamp adds the row to the window, and the rest find it
+    there.  Like :class:`DiscreteContext` it is a plain mapping to
+    everything else, and read-only by contract.
     """
 
-    __slots__ = ("names", "row")
+    __slots__ = ("names", "row", "stamp")
 
     def __init__(self, continuous: Mapping[str, float],
-                 names: Tuple[str, ...]):
+                 names: Tuple[str, ...], row: Optional[FeatureRow] = None,
+                 stamp: Optional[int] = None):
         super().__init__(continuous)
         self.names = names
-        self.row: FeatureRow = feature_row(continuous, names)
+        self.row: FeatureRow = (feature_row(continuous, names) if row is None
+                                else row)
+        self.stamp = stamp
+
+
+#: how many distinct parts a :class:`SampleParts` table keeps before it
+#: starts over
+SHARED_PARTS_LIMIT = 256
+
+_Part = TypeVar("_Part", bound=Hashable)
+
+
+def same_value(a: Any, b: Any) -> bool:
+    """Equal in type and value, all the way down a tuple.
+
+    Unlike ``==``, ``0`` and ``0.0`` differ, and so do ``0.0`` and
+    ``-0.0``; a NaN equals nothing but itself, the same object.
+    """
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if type(a) is float:
+        return a == b and copysign(1.0, a) == copysign(1.0, b)
+    return a == b
+
+
+class SampleParts:
+    """One object per distinct immutable part of a log's samples.
+
+    The samples of one operation repeat the same few parts: the files
+    it reads, the (path, size) pair of each, and its input parameters.
+    :meth:`share` hands back the object already held for a part equal
+    to *part* in type and value (:func:`same_value`: a shared ``0.0``
+    must not stand in for a logged ``-0.0``), else keeps *part*.  The
+    table holds at most :data:`SHARED_PARTS_LIMIT` parts and empties
+    when full, so parts that never repeat (a speech utterance's
+    length) cost a bounded table and nothing per sample.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self) -> None:
+        self._parts: Dict[Any, Any] = {}
+
+    def share(self, part: _Part) -> _Part:
+        if part == ():
+            return part  # the empty tuple is one object already
+        held = self._parts.get(part)
+        if held is not None and same_value(held, part):
+            return held
+        if len(self._parts) >= SHARED_PARTS_LIMIT:
+            self._parts.clear()
+        self._parts[part] = part
+        return part
+
+    def share_pairs(self, pairs: Iterable[Tuple[str, Any]]
+                    ) -> Tuple[Tuple[str, Any], ...]:
+        """*pairs* as one shared tuple of shared pairs."""
+        share = self.share
+        return share(tuple(map(share, pairs)))
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __deepcopy__(self, memo: dict) -> "SampleParts":
+        # Every part is immutable: a copy needs its own table only.
+        clone = SampleParts()
+        clone._parts.update(self._parts)
+        memo[id(self)] = clone
+        return clone
 
 
 #: one tuple per distinct resource-name set: samples of one operation
@@ -145,10 +222,11 @@ class UsageSample:
 
     Build samples with :meth:`build` or :func:`sample_from_payload`:
     both go through :meth:`of`, which interns ``usage_names`` so every
-    sample with one resource set shares one names tuple.  Only the
-    names are interned: the values stay each sample's own, because
-    ``0.0 == -0.0`` would let a shared float tuple change a persisted
-    value.
+    sample with one resource set shares one names tuple.  Given a log's
+    :class:`SampleParts`, it also shares ``continuous``,
+    ``file_accesses`` and each pair in them with earlier samples that
+    hold equal ones.  The usage values stay each sample's own: they
+    almost never repeat.
     """
 
     timestamp: float
@@ -173,17 +251,24 @@ class UsageSample:
         data_object: Optional[str],
         concurrent: bool,
         file_accesses: Iterable[Tuple[str, int]],
+        parts: Optional[SampleParts] = None,
     ) -> "UsageSample":
-        """The one constructor; it interns *usage_names*."""
+        """The one constructor; it interns *usage_names*, and shares the
+        other repeated parts through *parts*."""
+        if parts is None:
+            continuous, file_accesses = tuple(continuous), tuple(file_accesses)
+        else:
+            continuous = parts.share_pairs(continuous)
+            file_accesses = parts.share_pairs(file_accesses)
         return cls(
             timestamp=timestamp,
             discrete=discrete,
-            continuous=tuple(continuous),
+            continuous=continuous,
             usage_names=_USAGE_NAMES.setdefault(usage_names, usage_names),
             usage_values=tuple(usage_values),
             data_object=data_object,
             concurrent=concurrent,
-            file_accesses=tuple(file_accesses),
+            file_accesses=file_accesses,
         )
 
     @classmethod
@@ -196,6 +281,7 @@ class UsageSample:
         data_object: Optional[str] = None,
         concurrent: bool = False,
         file_accesses: Optional[Dict[str, int]] = None,
+        parts: Optional[SampleParts] = None,
     ) -> "UsageSample":
         names = tuple(sorted(usage))
         return cls.of(
@@ -207,6 +293,7 @@ class UsageSample:
             data_object,
             concurrent,
             sorted((file_accesses or {}).items()),
+            parts,
         )
 
     @property
@@ -245,11 +332,17 @@ class UsageSample:
 
 
 class UsageLog:
-    """Append-only, bounded log of :class:`UsageSample` records."""
+    """Append-only, bounded log of :class:`UsageSample` records.
+
+    ``parts`` is the table the log's samples share their repeated parts
+    through: samples built for the log (by the predictor, or read back
+    by :meth:`from_payload`) pass it to :meth:`UsageSample.of`.
+    """
 
     def __init__(self, max_samples: int = 5000):
         self.max_samples = max_samples
         self._samples: List[UsageSample] = []
+        self.parts = SampleParts()
 
     def append(self, sample: UsageSample) -> None:
         self._samples.append(sample)
@@ -285,7 +378,7 @@ class UsageLog:
             raise ValueError(f"unsupported usage log version: {blob.get('version')}")
         log = cls(max_samples=max_samples)
         for raw in blob["samples"]:
-            log.append(sample_from_payload(raw))
+            log.append(sample_from_payload(raw, log.parts))
         return log
 
     def to_json(self) -> str:
@@ -296,8 +389,10 @@ class UsageLog:
         return cls.from_payload(json.loads(text), max_samples=max_samples)
 
 
-def sample_from_payload(raw: Dict[str, Any]) -> UsageSample:
-    """One :class:`UsageSample` from its JSON dict form."""
+def sample_from_payload(raw: Dict[str, Any],
+                        parts: Optional[SampleParts] = None) -> UsageSample:
+    """One :class:`UsageSample` from its JSON dict form, sharing its
+    repeated parts through *parts* if given."""
     return UsageSample.of(
         raw["timestamp"],
         discrete_key(dict(raw["discrete"])),
@@ -307,4 +402,5 @@ def sample_from_payload(raw: Dict[str, Any]) -> UsageSample:
         raw.get("data_object"),
         raw.get("concurrent", False),
         ((path, int(size)) for path, size in raw.get("file_accesses", [])),
+        parts,
     )

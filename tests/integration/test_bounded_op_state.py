@@ -9,8 +9,14 @@ After a drained run:
 * the built-in demand models that observed one logged sample hold one
   feature row object between them, and a model without features holds
   no rows at all;
+* the models of one sample stream (one predictor, data-object scope and
+  bin) that saw the same samples read one demand window, which holds at
+  most one row beyond its limit;
 * the logged samples of one operation that measured the same resources
-  share one ``usage_names`` tuple;
+  share one ``usage_names`` tuple, and equal file-access sets, equal
+  input parameters and equal feature rows are one object each;
+* each Coda client keeps at most one conflict per path, and counts
+  every conflict it detected;
 * the report's records hold no dict, and operations that made the same
   choice hold one ``Alternative`` object between them.
 
@@ -40,6 +46,16 @@ WORKLOADS = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.p
 #: the owner ``SpectraClient.register_fidelity`` charges: the daemon's
 #: own, not an operation's
 DAEMON_OWNER = "spectra"
+
+#: per Coda client, the reintegration conflicts the small seed-1 Latex
+#: crowd detects, as counted when every conflict was kept in the list
+LATEX_CROWD_CONFLICTS = {
+    "server-a": 66, "server-b": 68,
+    "latex-0": 10, "latex-1": 12, "latex-2": 12, "latex-3": 12,
+    "latex-4": 12, "latex-5": 12, "latex-6": 12, "latex-7": 12,
+    "latex-8": 6, "latex-9": 12, "latex-10": 6, "latex-11": 12,
+    "latex-12": 12, "latex-13": 12, "latex-14": 12, "latex-15": 8,
+}
 
 
 def _drained_workload_world(monkeypatch, workload):
@@ -88,16 +104,27 @@ def _last_sample_rows(predictor):
         if sample.data_object in model._per_object:
             binned.append(model._per_object[sample.data_object])
         for models in binned:
-            rows.append(models._generic._xs[-1])
-            rows.append(models._bins[sample.discrete]._xs[-1])
+            rows.append(models._generic.rows[-1])
+            rows.append(models._bins[sample.discrete].rows[-1])
     return sample, rows
 
 
-def _linear_models(predictor):
+def _streams(predictor):
+    """(scope, bin key or None for the generic model) -> the linear
+    models of every resource on that stream."""
+    streams = {}
     for model in predictor._models.values():
-        for binned in (model._general, *model._per_object.values()):
-            yield binned._generic
-            yield from binned._bins.values()
+        scopes = [(None, model._general), *model._per_object.items()]
+        for scope, binned in scopes:
+            streams.setdefault((scope, None), []).append(binned._generic)
+            for key, linear in binned._bins.items():
+                streams.setdefault((scope, key), []).append(linear)
+    return streams
+
+
+def _linear_models(predictor):
+    for models in _streams(predictor).values():
+        yield from models
 
 
 def assert_rows_shared(world):
@@ -106,7 +133,7 @@ def assert_rows_shared(world):
         for registered in compiled.client._operations.values():
             predictor = registered.predictor
             if not predictor.feature_names:
-                assert all(model._xs == [] and model.n_samples
+                assert all(model.rows == [] and model.n_samples
                            for model in _linear_models(predictor))
                 checked += 1
                 continue
@@ -118,10 +145,69 @@ def assert_rows_shared(world):
             # Every row any model keeps is one sample's row: at most one
             # row object per logged sample.
             held = {id(row) for model in _linear_models(predictor)
-                    for row in model._xs}
+                    for row in model.rows}
             assert len(held) <= len(predictor.log)
             checked += 1
     assert checked
+
+
+def assert_windows_shared(world):
+    """Models of one stream that hold the same rows read one window."""
+    shared = 0
+    for compiled in world.clients:
+        for registered in compiled.client._operations.values():
+            predictor = registered.predictor
+            if not predictor.feature_names:
+                continue
+            for models in _streams(predictor).values():
+                by_rows = {}
+                for model in models:
+                    window = model._shared
+                    assert model in window.members
+                    assert len(window.rows) <= window.limit + 1
+                    rows = tuple(map(id, model.rows))
+                    assert by_rows.setdefault(rows, window) is window
+                shared += len(models) - len(by_rows)
+    return shared
+
+
+def _by_value(parts):
+    """Group *parts* by value, telling 0 from 0.0 and 0.0 from -0.0."""
+    groups = {}
+    for part in parts:
+        groups.setdefault(repr(part), []).append(part)
+    return groups.values()
+
+
+def assert_sample_parts_shared(world):
+    """Equal file-access sets, (path, size) pairs, input parameters and
+    feature rows are one object each, within one operation's log."""
+    repeated = 0
+    for compiled in world.clients:
+        for registered in compiled.client._operations.values():
+            predictor = registered.predictor
+            samples = list(predictor.log)
+            parts = [
+                [sample.file_accesses for sample in samples],
+                [pair for sample in samples for pair in sample.file_accesses],
+                [sample.continuous for sample in samples],
+                [pair for sample in samples for pair in sample.continuous],
+                [row for model in _linear_models(predictor)
+                 for row in model.rows],
+            ]
+            for group in (group for kind in parts for group in _by_value(kind)):
+                assert all(part is group[0] for part in group), group[0]
+                repeated += len(group) - 1
+    return repeated
+
+
+def assert_conflicts_bounded(world, totals):
+    for name, node in world.nodes.items():
+        coda = node.coda
+        paths = [conflict.path for conflict in coda.conflicts]
+        assert len(paths) == len(set(paths)), name
+        assert coda.conflicts_total == totals.get(name, 0), name
+        assert (coda.conflicts_total > 0) == bool(coda.conflicts), name
 
 
 def assert_usage_names_shared(world):
@@ -156,7 +242,10 @@ def test_drained_latex_crowd_holds_no_finished_operation(monkeypatch):
     assert_ledgers_bounded(world)
     assert_access_logs_empty(world)
     assert_rows_shared(world)
+    assert assert_windows_shared(world) > 0
     assert_usage_names_shared(world)
+    assert assert_sample_parts_shared(world) > 0
+    assert_conflicts_bounded(world, LATEX_CROWD_CONFLICTS)
     assert_records_share_choices(report)
 
 
@@ -166,6 +255,8 @@ def test_drained_metro_holds_no_finished_operation(monkeypatch):
     assert_access_logs_empty(world)
     assert_rows_shared(world)
     assert_usage_names_shared(world)
+    assert_sample_parts_shared(world)
+    assert_conflicts_bounded(world, {})
     assert_records_share_choices(report)
 
 
@@ -214,9 +305,11 @@ def test_clone_of_a_trained_world_holds_no_finished_operation(trained_latex):
         assert_ledgers_bounded(world)
         assert_access_logs_empty(world)
         assert_rows_shared(world)
+        assert_windows_shared(world)
     world, app = clone
     world.sim.run_process(app.format("large"))
     world.sim.run()
     assert_ledgers_bounded(world)
     assert_access_logs_empty(world)
     assert_rows_shared(world)
+    assert_windows_shared(world)

@@ -20,7 +20,7 @@ import pathlib
 import subprocess
 import sys
 
-from repro.predictors.linear import RecencyWeightedLinearModel
+from repro.predictors.linear import WindowedLinearModel
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -66,7 +66,7 @@ print(json.dumps({"seen": seen, "codes": codes, "imported": imported,
 
 def two_feature_prediction():
     """A plane fit where both features vary: the ``lstsq`` path."""
-    model = RecencyWeightedLinearModel(("a", "b"))
+    model = WindowedLinearModel(("a", "b"))
     for a, b in [(1, 2), (2, 1), (3, 5), (4, 4), (5, 7), (6, 3)]:
         model.observe({"a": a, "b": b}, 1 + 2 * a + 3 * b)
     return model.predict({"a": 7, "b": 6})

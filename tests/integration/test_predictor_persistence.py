@@ -17,6 +17,14 @@ from repro.scenarios.sweep import run_sweep, sweep_to_json
 
 SCENARIO = "walk-in-office"
 
+#: each client's ``state_digest`` after a cold smoke run of SCENARIO
+#: with ``save_predictors=True``, as persisted before samples shared
+#: their repeated parts and demand models their windows: keeping less
+#: in memory must not move a persisted byte
+PERSISTED_STATE = {
+    "itsy": "2569ded1ea60a11716084aab301e3a8c8b41196521cea503f91aec2d311ba7f2",
+}
+
 
 @pytest.fixture(scope="module")
 def seeded_store(tmp_path_factory):
@@ -36,6 +44,10 @@ class TestRoundTripGate:
             scope = store.scoped(client)
             assert scope.operations(), f"no documents for client {client}"
             assert scope.state_digest() == digest
+
+    def test_persisted_state_is_pinned(self, seeded_store):
+        _root, report = seeded_store
+        assert report.predictor_state == PERSISTED_STATE
 
     def test_warm_run_sees_exactly_what_cold_run_saved(self, seeded_store):
         root, cold = seeded_store

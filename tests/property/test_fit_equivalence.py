@@ -6,9 +6,9 @@ feature held one value over the window) fits the weighted mean, and
 one whose window varied in exactly one feature fits a weighted line in
 it.  All of these used to go through ``np.linalg.lstsq``; they are now
 solved in closed form over Python floats purely for speed.  The oracles
-below are those old solvers, the old
-``RecencyWeightedLinearModel._refit`` among them.  Demand models tell
-which features varied from run lengths kept as they observe, checked
+below are those old solvers, the old demand-model refit among them.
+Demand models tell which features varied from run lengths their
+window keeps as it is appended to, checked
 here against the old ``max == min`` test over the window; a window where
 two or more features vary still solves with ``lstsq``, and its
 coefficients must equal the old refit's bit for bit.
@@ -33,7 +33,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.monitors import NetworkMonitor
 from repro.monitors.snapshot import NetworkEstimate
 from repro.network import TransferRecord
-from repro.predictors import RecencyWeightedLinearModel
+from repro.predictors import WindowedLinearModel
 
 DECAY = 0.9
 
@@ -219,7 +219,7 @@ def test_feature_free_model_is_its_weighted_mean(ys, decay):
     per term and lands on either side of the true mean, so there the two
     agree within a subnormal step; the model must also be within half a
     step of the exact mean: rounded once, not once per term."""
-    model = RecencyWeightedLinearModel([], decay=decay, window=200)
+    model = WindowedLinearModel([], decay=decay, window=200)
     for y in ys:
         model.observe({}, y)
     got = model.predict({})
@@ -278,7 +278,7 @@ def test_run_length_constancy_matches_max_equals_min(run):
         assert model.unidentified_features() == tuple(
             name for name, flag in zip(run["names"], constant) if flag)
 
-    model = RecencyWeightedLinearModel(run["names"], decay=run["decay"],
+    model = WindowedLinearModel(run["names"], decay=run["decay"],
                                        window=run["window"])
     split, history = run["split"], []
     observe_all(model, run, history, run["rows"][:split], run["ys"][:split],
@@ -323,7 +323,7 @@ def test_flat_windows_fit_the_weighted_mean_varying_ones_lstsq(run):
             assert model._coef.tobytes() == want.tobytes()
 
     probe = dict(zip(run["names"], run["probe"]))
-    model = RecencyWeightedLinearModel(run["names"], decay=run["decay"],
+    model = WindowedLinearModel(run["names"], decay=run["decay"],
                                        window=run["window"])
     observe_all(model, run, [], run["rows"], run["ys"], check)
 
@@ -408,7 +408,7 @@ def test_one_varying_feature_fits_a_line_without_lstsq(run):
             + tolerance(slope, slope_scale, step) * abs(x))
 
     probe = dict(zip(run["names"], run["probe"]))
-    model = RecencyWeightedLinearModel(run["names"], decay=run["decay"],
+    model = WindowedLinearModel(run["names"], decay=run["decay"],
                                        window=run["window"])
     observe_all(model, run, [], run["rows"], run["ys"], check)
 
@@ -421,7 +421,7 @@ def test_underflowed_spread_falls_back_to_lstsq():
     n = 1100
     xs = [(1.0,)] + [(0.0,)] * (n - 1)
     ys = [1e6] + [5.0] * (n - 1)
-    model = RecencyWeightedLinearModel(("a",), decay=0.5, window=n)
+    model = WindowedLinearModel(("a",), decay=0.5, window=n)
     for x, y in zip(xs, ys):
         model.observe({"a": x[0]}, y)
     assert model.unidentified_features() == ()

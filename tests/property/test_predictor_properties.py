@@ -9,7 +9,7 @@ from repro.predictors import (
     BinnedLinearPredictor,
     EWMAModel,
     FileAccessPredictor,
-    RecencyWeightedLinearModel,
+    WindowedLinearModel,
 )
 from repro.predictors.base import NoModelError, OperationDemandPredictor
 from repro.predictors.datamodel import DataSpecificPredictor
@@ -38,7 +38,7 @@ def test_linear_model_recovers_noiseless_linear_data(slope, intercept, xs,
     so such draws are discarded rather than asserted on.
     """
     assume(max(xs) - min(xs) >= 1e-3)
-    model = RecencyWeightedLinearModel(["x"], decay=0.9)
+    model = WindowedLinearModel(["x"], decay=0.9)
     for x in xs:
         model.observe({"x": x}, intercept + slope * x)
     expected = max(intercept + slope * probe, 0.0)
@@ -50,7 +50,7 @@ def test_linear_model_recovers_noiseless_linear_data(slope, intercept, xs,
 @given(values=st.lists(positive, min_size=1, max_size=50))
 @settings(max_examples=80, deadline=None)
 def test_weighted_mean_within_observed_range(values):
-    model = RecencyWeightedLinearModel([], decay=0.8)
+    model = WindowedLinearModel([], decay=0.8)
     for value in values:
         model.observe({}, value)
     mean = model.weighted_mean()

@@ -14,7 +14,7 @@ from repro.copying import deepcopy_state
 from repro.monitors.snapshot import NetworkEstimate
 from repro.network import TransferLog, TransferRecord
 from repro.predictors.binned import BinnedLinearPredictor
-from repro.predictors.linear import RecencyWeightedLinearModel
+from repro.predictors.linear import WindowedLinearModel
 from repro.predictors.logs import UsageLog, UsageSample
 
 FROZEN = [
@@ -59,13 +59,13 @@ class TestDeepcopyState:
         assert clone.extra[0] is not log.extra[0]
 
     def test_a_cycle_back_to_the_object_resolves_to_the_copy(self):
-        model = RecencyWeightedLinearModel(("x",))
+        model = WindowedLinearModel(("x",))
         model.owner = [model]
         clone = copy.deepcopy(model)
         assert clone.owner[0] is clone
 
     def test_the_memo_keeps_one_copy_of_an_object_reached_twice(self):
-        model = RecencyWeightedLinearModel(("x",))
+        model = WindowedLinearModel(("x",))
         a, b = copy.deepcopy([model, model])
         assert a is b and a is not model
 
@@ -123,7 +123,7 @@ class TestUsageLog:
 
 class TestModels:
     def _model(self):
-        model = RecencyWeightedLinearModel(("x",), decay=0.9, window=5)
+        model = WindowedLinearModel(("x",), decay=0.9, window=5)
         for x in range(4):
             model.observe({"x": float(x)}, 2.0 * x + 1.0)
         return model
@@ -146,7 +146,7 @@ class TestModels:
     def test_refitting_the_copy_leaves_the_original_coefficients(self):
         # Two varying features: the fit is an lstsq coefficient array
         # (one varying feature fits floats, which nothing can share).
-        model = RecencyWeightedLinearModel(("x", "y"), decay=0.9, window=5)
+        model = WindowedLinearModel(("x", "y"), decay=0.9, window=5)
         for x in range(4):
             model.observe({"x": float(x), "y": float(x % 2)}, 2.0 * x + 1.0)
         model.predict({"x": 0.0, "y": 0.0})

@@ -11,7 +11,7 @@ from repro.predictors import (
     FileAccessPredictor,
     NoModelError,
     OperationDemandPredictor,
-    RecencyWeightedLinearModel,
+    WindowedLinearModel,
     UsageLog,
     UsageSample,
 )
@@ -19,27 +19,27 @@ from repro.predictors import (
 
 class TestLinearModel:
     def test_recovers_exact_linear_relationship(self):
-        model = RecencyWeightedLinearModel(["x"])
+        model = WindowedLinearModel(["x"])
         for x in (1.0, 2.0, 5.0, 8.0):
             model.observe({"x": x}, 3.0 + 2.0 * x)
         assert model.predict({"x": 10.0}) == pytest.approx(23.0, rel=1e-6)
 
     def test_constant_data_predicts_constant(self):
-        model = RecencyWeightedLinearModel(["x"])
+        model = WindowedLinearModel(["x"])
         for _ in range(5):
             model.observe({"x": 4.0}, 7.0)
         assert model.predict({"x": 4.0}) == pytest.approx(7.0)
 
     def test_no_features_gives_weighted_mean(self):
-        model = RecencyWeightedLinearModel([], decay=0.5)
+        model = WindowedLinearModel([], decay=0.5)
         model.observe({}, 0.0)
         model.observe({}, 10.0)
         # newest weight 1, older 0.5: mean = 10/1.5
         assert model.weighted_mean() == pytest.approx(10.0 / 1.5)
 
     def test_recency_tracks_level_shift(self):
-        stale = RecencyWeightedLinearModel([], decay=1.0)
-        fresh = RecencyWeightedLinearModel([], decay=0.5)
+        stale = WindowedLinearModel([], decay=1.0)
+        fresh = WindowedLinearModel([], decay=0.5)
         for model in (stale, fresh):
             for _ in range(10):
                 model.observe({}, 100.0)
@@ -49,26 +49,26 @@ class TestLinearModel:
 
     def test_empty_model_raises(self):
         with pytest.raises(ValueError):
-            RecencyWeightedLinearModel(["x"]).predict({"x": 1.0})
+            WindowedLinearModel(["x"]).predict({"x": 1.0})
 
     def test_predictions_clamped_nonnegative(self):
-        model = RecencyWeightedLinearModel(["x"])
+        model = WindowedLinearModel(["x"])
         model.observe({"x": 1.0}, 10.0)
         model.observe({"x": 2.0}, 5.0)
         # Extrapolating far right would go negative; clamp to 0.
         assert model.predict({"x": 100.0}) == 0.0
 
     def test_window_bounds_memory(self):
-        model = RecencyWeightedLinearModel(["x"], window=10)
+        model = WindowedLinearModel(["x"], window=10)
         for i in range(100):
             model.observe({"x": float(i)}, float(i))
         assert model.n_samples == 10
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
-            RecencyWeightedLinearModel([], decay=0.0)
+            WindowedLinearModel([], decay=0.0)
         with pytest.raises(ValueError):
-            RecencyWeightedLinearModel([], window=1)
+            WindowedLinearModel([], window=1)
 
 
 class TestFlatWindowFit:
@@ -98,7 +98,7 @@ class TestFlatWindowFit:
     @pytest.mark.parametrize("names", [("x",), ("x", "y")])
     def test_flat_window_predicts_without_lstsq(self, monkeypatch, names):
         self._refuse_lstsq(monkeypatch)
-        model = RecencyWeightedLinearModel(names, decay=0.5)
+        model = WindowedLinearModel(names, decay=0.5)
         for value in (1.0, 2.0, 4.0):
             model.observe({name: 5.0 for name in names}, value)
         mean = model.weighted_mean()
@@ -107,7 +107,7 @@ class TestFlatWindowFit:
         assert model.unidentified_features() == names
 
     def test_window_trimmed_to_flat_predicts_without_lstsq(self, monkeypatch):
-        model = RecencyWeightedLinearModel(["x", "y"], window=3)
+        model = WindowedLinearModel(["x", "y"], window=3)
         for x in (1.0, 2.0, 3.0, 3.0, 3.0):
             model.observe({"x": x, "y": 7.0}, 10.0 * x)
         self._refuse_lstsq(monkeypatch)
@@ -118,7 +118,7 @@ class TestFlatWindowFit:
     @pytest.mark.parametrize("ys, solves", [((1.0, 5.0), 1), ((5.0, 5.0), 0)],
                              ids=["ys0", "ys1"])
     def test_varying_window_solves_with_lstsq(self, lstsq_calls, ys, solves):
-        model = RecencyWeightedLinearModel(["x", "y"])
+        model = WindowedLinearModel(["x", "y"])
         model.observe({"x": 1.0, "y": ys[0]}, 3.0)
         model.observe({"x": 2.0, "y": ys[1]}, 5.0)
         model.predict({"x": 3.0, "y": ys[1]})
@@ -404,7 +404,7 @@ class TestZeroVarianceColumns:
         # A feature observed at a single value carries no information; it
         # must not let the solver extrapolate along an unidentifiable
         # slope when probed at a different value.
-        model = RecencyWeightedLinearModel(["x"], decay=0.5)
+        model = WindowedLinearModel(["x"], decay=0.5)
         model.observe({"x": 4.0}, 0.0)
         model.observe({"x": 4.0}, 10.0)
         expected = model.weighted_mean()
@@ -412,7 +412,7 @@ class TestZeroVarianceColumns:
         assert model.predict({"x": -7.0}) == pytest.approx(expected)
 
     def test_varying_feature_still_fits_a_slope(self):
-        model = RecencyWeightedLinearModel(["x", "c"])
+        model = WindowedLinearModel(["x", "c"])
         for x in (1.0, 2.0, 5.0, 8.0):
             model.observe({"x": x, "c": 9.0}, 3.0 + 2.0 * x)
         # c is constant (dropped), x still drives the fit
