@@ -63,17 +63,6 @@ class ParseCache:
             self._entries[path] = (key, source, violations)
         return source, violations
 
-    def insert(self, source: SourceFile) -> None:
-        """Pre-seed the cache with an already-parsed source (tests).
-
-        The stored stat key mirrors what :meth:`load` will compute for
-        the path — ``None`` for a purely in-memory source — so a
-        pre-seeded entry is found again instead of falling through to a
-        doomed filesystem read.
-        """
-        self._entries[source.path] = (self._stat_key(source.path),
-                                      source, [])
-
     @staticmethod
     def _parse(path: str) -> Tuple[Optional[SourceFile], List[Violation]]:
         try:

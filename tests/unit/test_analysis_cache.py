@@ -82,15 +82,3 @@ class TestNegativeCaching:
         (tmp_path / "nowhere.py").write_text("x = 1\n")
         source, violations = cache.load(path)
         assert source is not None and violations == []
-
-    def test_insert_preseeds_for_in_memory_sources(self, tmp_path):
-        import ast
-
-        from spclint.core import SourceFile
-
-        text = "x = 1\n"
-        source = SourceFile("virtual/mod.py", text, ast.parse(text))
-        cache = ParseCache()
-        cache.insert(source)
-        loaded, violations = cache.load("virtual/mod.py")
-        assert loaded is source and violations == []
