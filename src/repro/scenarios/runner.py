@@ -483,15 +483,20 @@ def _run_pass(spec: ScenarioSpec, profile: str, telemetry: Telemetry,
         yield AllOf(processes)
 
     sim.run_process(barrier())
-    # Drain pending recoveries/timers so the fault journal is complete
-    # and the world ends healthy.
-    sim.run()
-
+    # The measured phase ends when its last operation does: read its
+    # clock and meters here.  The drain below may run the clock on to
+    # the last queued timer (a recovery, or an RPC deadline that its
+    # call outlived), idle time no operation spent.
+    end_s = sim.now
     energy = {
         compiled.name: compiled.node.host.energy_consumed_joules()
         - e0[compiled.name]
         for compiled in world.clients
     }
+    # Drain pending recoveries/timers so the fault journal is complete
+    # and the world ends healthy.
+    sim.run()
+
     counters = {name: telemetry.metrics.counter(name).value
                 for name in REPORT_COUNTERS}
     records.sort(key=lambda r: (r.client, r.index))
@@ -512,7 +517,7 @@ def _run_pass(spec: ScenarioSpec, profile: str, telemetry: Telemetry,
         seed=spec.seed,
         profile=profile,
         duration_s=spec.duration_s,
-        sim_time_s=sim.now,
+        sim_time_s=end_s,
         ops=records,
         energy_j=energy,
         counters=counters,

@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from repro.scenarios import run_scenario
+from repro.scenarios import run_scenario, runner
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
 
@@ -22,7 +22,7 @@ WORKLOADS = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.p
 DIGESTS = {
     "metro": "70d3d9c0edc8943ddd2627bcaa102b53c977f15346241e015914629a26622d36",
     "latex-crowd":
-        "ca9261047f290a2c04f4d326772a1a741b32b0a1435cb04f67ffcd6d45c9e1a7",
+        "c515227ecf738cc0a3e1052c234b57c7ed1916481124d3dedec07b65642add8d",
 }
 
 
@@ -39,3 +39,32 @@ def test_small_seed_1_report_digest(workload):
     report = run_scenario(spec)
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
     assert digest == DIGESTS[workload]
+
+
+def test_small_latex_crowd_reports_its_barrier_time(monkeypatch):
+    """The report's clock stops when the measured phase does.
+
+    The phase ends at its barrier, when the last client's process
+    returns.  The drain after it still runs, so the fault journal is
+    complete, and it runs the clock on to the last queued timer: here
+    an RPC deadline that its call outlived.  Neither ``sim_time_s`` nor
+    ``energy_j`` may count that idle tail.
+    """
+    ends, worlds = [], []
+    drive, compile_scenario = runner._drive, runner.compile_scenario
+
+    def timed(world, *args, **kwargs):
+        yield from drive(world, *args, **kwargs)
+        ends.append(world.sim.now)
+
+    def capture(*args, **kwargs):
+        worlds.append(compile_scenario(*args, **kwargs))
+        return worlds[-1]
+
+    monkeypatch.setattr(runner, "_drive", timed)
+    monkeypatch.setattr(runner, "compile_scenario", capture)
+    report = run_scenario(
+        _workloads().scenario_spec("latex-crowd", seed=1, small=True))
+    (world,) = worlds
+    assert report.sim_time_s == max(ends)
+    assert world.sim.now > report.sim_time_s
