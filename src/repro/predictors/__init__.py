@@ -4,7 +4,7 @@ from .base import DemandModel, NoModelError, OperationDemandPredictor
 from .binned import BinnedLinearPredictor
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
-from .linear import DemandWindow, EWMAModel, WindowedLinearModel
+from .linear import EWMAModel, WindowedLinearModel
 from .logs import (
     DiscreteContext,
     FeatureContext,
@@ -27,7 +27,6 @@ __all__ = [
     "BinnedLinearPredictor",
     "DataSpecificPredictor",
     "DemandModel",
-    "DemandWindow",
     "DiscreteContext",
     "EWMAModel",
     "FeatureContext",

@@ -63,7 +63,8 @@ class OperationDemandPredictor:
         self._custom: Dict[str, DemandModel] = {}
         # The demand windows the built-in models share, one per sample
         # stream; without features the models keep no rows to share.
-        self._windows = WindowTable() if self.feature_names else None
+        self._windows = (WindowTable(self.feature_names, decay, window)
+                         if self.feature_names else None)
         self.files = FileAccessPredictor()
         # Rebuild in-memory models from an inherited log ("each predictor
         # reads the logged resource usage data").

@@ -54,9 +54,7 @@ class BinnedLinearPredictor:
     def _new_model(self, bin_key: Optional[DiscreteKey]) -> WindowedLinearModel:
         shared = None
         if self._windows is not None:
-            shared = self._windows.window(
-                (self._scope, bin_key), self.feature_names, self.decay,
-                self.window)
+            shared = self._windows.window((self._scope, bin_key))
         return WindowedLinearModel(
             self.feature_names, decay=self.decay, window=self.window,
             shared=shared,

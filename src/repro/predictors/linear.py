@@ -169,19 +169,25 @@ class LineX:
         return intercept, slope
 
 
+#: a :class:`_WindowFit` part not computed yet
+_UNFITTED: Any = object()
+
+
 class _WindowFit:
     """The *x* side of one refit of a window's rows (see
-    :meth:`DemandWindow.line` and :meth:`DemandWindow.design`)."""
+    :meth:`DemandWindow.line` and :meth:`DemandWindow.design`).  The
+    rows fix which features varied, so a refit takes one path: one
+    part is all it ever computes."""
 
     __slots__ = ("end", "n", "line", "design")
 
     def __init__(self, end: int, n: int):
         self.end = end
         self.n = n
-        #: per varying feature index, its :class:`LineX` or None
-        self.line: Dict[int, Optional[LineX]] = {}
-        #: (root weights, weighted design) for lstsq, once built
-        self.design: Optional[Tuple[Any, Any]] = None
+        #: the :class:`LineX` of the one varying feature, or None
+        self.line: Optional[LineX] = _UNFITTED
+        #: (root weights, weighted design) for lstsq
+        self.design: Tuple[Any, Any] = _UNFITTED
 
 
 #: the stream key part a predictor's generic (bin-independent) models use
@@ -286,18 +292,19 @@ class DemandWindow:
         return fit
 
     def line(self, end: int, n: int, index: int) -> Optional[LineX]:
-        """The line *x* side of the member's rows in feature *index*."""
+        """The line *x* side of the member's rows in feature *index*,
+        the one that varied."""
         fit = self._fit_at(end, n)
-        if index not in fit.line:
-            fit.line[index] = LineX.of(
+        if fit.line is _UNFITTED:
+            fit.line = LineX.of(
                 [row[index] for row in self.rows_at(end, n)], self.decay)
-        return fit.line[index]
+        return fit.line
 
     def design(self, end: int, n: int) -> Tuple[Any, Any]:
         """The root weights and weighted design ``lstsq`` solves the
         member's rows with, the constant columns zeroed."""
         fit = self._fit_at(end, n)
-        if fit.design is None:
+        if fit.design is _UNFITTED:
             # Columns with no variance carry no information; zero them
             # so their whole effect routes through the intercept.  Left
             # in, the min-norm pseudo-inverse would split weight between
@@ -342,7 +349,10 @@ class WindowTable:
     observes (:meth:`stamp`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, names: Tuple[str, ...], decay: float, limit: int):
+        self.names = names
+        self.decay = decay
+        self.limit = limit
         self._windows: "weakref.WeakValueDictionary[Hashable, DemandWindow]" = (
             weakref.WeakValueDictionary())
         self._stamps = 0
@@ -352,20 +362,16 @@ class WindowTable:
         self._stamps += 1
         return self._stamps
 
-    def window(self, stream: Hashable, names: Tuple[str, ...], decay: float,
-               limit: int) -> DemandWindow:
+    def window(self, stream: Hashable) -> DemandWindow:
         """The window models of *stream* share."""
         window = self._windows.get(stream)
         if window is None:
-            window = DemandWindow(names, decay, limit)
+            window = DemandWindow(self.names, self.decay, self.limit)
             self._windows[stream] = window
         return window
 
-    def __len__(self) -> int:
-        return len(self._windows)
-
     def __deepcopy__(self, memo: dict) -> "WindowTable":
-        clone = WindowTable()
+        clone = WindowTable(self.names, self.decay, self.limit)
         memo[id(self)] = clone
         clone._stamps = self._stamps
         for stream, window in list(self._windows.items()):
@@ -407,9 +413,6 @@ class WindowedLinearModel:
             shared = None
         elif shared is None:
             shared = DemandWindow(self.feature_names, decay, window)
-        else:
-            assert (shared.names, shared.decay, shared.limit) == (
-                self.feature_names, decay, window), shared
         self._shared = shared
         if shared is not None:
             shared.members.append(self)

@@ -137,7 +137,7 @@ SHARED_PARTS_LIMIT = 256
 _Part = TypeVar("_Part", bound=Hashable)
 
 
-def same_value(a: Any, b: Any) -> bool:
+def _same_value(a: Any, b: Any) -> bool:
     """Equal in type and value, all the way down a tuple.
 
     Unlike ``==``, ``0`` and ``0.0`` differ, and so do ``0.0`` and
@@ -148,7 +148,7 @@ def same_value(a: Any, b: Any) -> bool:
     if type(a) is not type(b):
         return False
     if type(a) is tuple:
-        return len(a) == len(b) and all(map(same_value, a, b))
+        return len(a) == len(b) and all(map(_same_value, a, b))
     if type(a) is float:
         return a == b and copysign(1.0, a) == copysign(1.0, b)
     return a == b
@@ -160,7 +160,7 @@ class SampleParts:
     The samples of one operation repeat the same few parts: the files
     it reads, the (path, size) pair of each, and its input parameters.
     :meth:`share` hands back the object already held for a part equal
-    to *part* in type and value (:func:`same_value`: a shared ``0.0``
+    to *part* in type and value (:func:`_same_value`: a shared ``0.0``
     must not stand in for a logged ``-0.0``), else keeps *part*.  The
     table holds at most :data:`SHARED_PARTS_LIMIT` parts and empties
     when full, so parts that never repeat (a speech utterance's
@@ -176,7 +176,7 @@ class SampleParts:
         if part == ():
             return part  # the empty tuple is one object already
         held = self._parts.get(part)
-        if held is not None and same_value(held, part):
+        if held is not None and _same_value(held, part):
             return held
         if len(self._parts) >= SHARED_PARTS_LIMIT:
             self._parts.clear()
@@ -188,9 +188,6 @@ class SampleParts:
         """*pairs* as one shared tuple of shared pairs."""
         share = self.share
         return share(tuple(map(share, pairs)))
-
-    def __len__(self) -> int:
-        return len(self._parts)
 
     def __deepcopy__(self, memo: dict) -> "SampleParts":
         # Every part is immutable: a copy needs its own table only.

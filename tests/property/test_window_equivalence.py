@@ -2,7 +2,7 @@
 
 A predictor keeps one recency-weighted regression per resource for each
 data-object scope and bin.  The models of one scope and bin observe the
-same samples, so they share one :class:`~repro.predictors.DemandWindow`
+same samples, so they share one :class:`~repro.predictors.linear.DemandWindow`
 of feature rows, and a refit computes the rows' side of the fit once
 for all of them.  That sharing is only a saving: every prediction must
 be bit for bit what one model per resource, keeping its own rows,
