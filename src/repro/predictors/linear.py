@@ -214,6 +214,9 @@ class DemandWindow:
     keeps one row beyond ``limit`` and the runs before its last append
     for exactly that.  Models never fall more than one sample behind a
     window they are on, and no model reads a row it did not observe.
+
+    A model holds its window; the window holds its members weakly, so
+    the two make no reference cycle and an evicted model goes at once.
     """
 
     def __init__(self, names: Tuple[str, ...], decay: float, limit: int):
@@ -231,7 +234,7 @@ class DemandWindow:
         self.runs: Tuple[int, ...] = (0,) * len(names)
         #: ... and the same before the last append
         self.prev_runs: Tuple[int, ...] = self.runs
-        self.members: List[WindowedLinearModel] = []
+        self._members: List["weakref.ref[WindowedLinearModel]"] = []
         self._fit: Optional[_WindowFit] = None
 
     # -- rows ------------------------------------------------------------------------
@@ -250,29 +253,43 @@ class DemandWindow:
         self.stamp = stamp
         self._fit = None
 
+    @property
+    def members(self) -> List["WindowedLinearModel"]:
+        """The live models on this window."""
+        return [model for model in (ref() for ref in self._members)
+                if model is not None]
+
+    def join(self, model: "WindowedLinearModel") -> None:
+        self._members.append(weakref.ref(model))
+
     def release_laggers(self) -> None:
         """Move the members that missed the newest row to a new window
-        holding the rows they saw.
+        holding the rows they saw, and forget the members gone.
 
         Called before a new sample's row is appended: a member still
         short of the newest row then did not observe that sample.
         """
-        behind = [model for model in self.members
-                  if model._ys and model._end < self.pushed]
+        pushed = self.pushed
+        stay, behind = [], []
+        for ref in self._members:
+            model = ref()
+            if model is not None:
+                lagging = model._ys and model._end < pushed
+                (behind if lagging else stay).append(ref)
+        self._members = stay
         if not behind:
             return
-        self.members = [model for model in self.members
-                        if model not in behind]
         fork = DemandWindow(self.names, self.decay, self.limit)
+        models = [ref() for ref in behind]
         # Every member behind saw the rows up to the newest one.
-        keep = max(len(model._ys) for model in behind)
+        keep = max(len(model._ys) for model in models)
         fork.rows = self.rows[len(self.rows) - 1 - keep:-1]
         fork.pushed = keep
         fork.runs = fork.prev_runs = self.prev_runs
-        for model in behind:
+        for model in models:
             model._shared = fork
             model._end = keep
-        fork.members = behind
+        fork._members = behind
 
     def rows_at(self, end: int, n: int) -> List[FeatureRow]:
         """The *n* rows that end where a member with ``end`` stands."""
@@ -328,12 +345,17 @@ class DemandWindow:
 
     def __deepcopy__(self, memo: dict) -> "DemandWindow":
         # Rows are float tuples: a copy needs its own list, not its own
-        # rows.  The cached x side is rebuilt on demand.
-        return deepcopy_state(self, memo, rows=list, _fit=lambda fit: None)
+        # rows.  The cached x side is rebuilt on demand, and the copy's
+        # members are the copies of the live members.
+        clone = deepcopy_state(self, memo, rows=list, _fit=lambda fit: None,
+                               _members=lambda refs: [])
+        for model in self.members:
+            clone.join(copy.deepcopy(model, memo))
+        return clone
 
     def __repr__(self) -> str:
         return (f"<DemandWindow features={self.names} rows={len(self.rows)} "
-                f"members={len(self.members)}>")
+                f"members={len(self._members)}>")
 
 
 class WindowTable:
@@ -415,7 +437,7 @@ class WindowedLinearModel:
             shared = DemandWindow(self.feature_names, decay, window)
         self._shared = shared
         if shared is not None:
-            shared.members.append(self)
+            shared.join(self)
         self._ys: List[float] = []
         # How many of the window's rows this model has seen.
         self._end = 0
