@@ -121,12 +121,10 @@ class FeatureContext(dict):
     __slots__ = ("names", "row", "stamp")
 
     def __init__(self, continuous: Mapping[str, float],
-                 names: Tuple[str, ...], row: Optional[FeatureRow] = None,
-                 stamp: Optional[int] = None):
+                 names: Tuple[str, ...], row: FeatureRow, stamp: int):
         super().__init__(continuous)
         self.names = names
-        self.row: FeatureRow = (feature_row(continuous, names) if row is None
-                                else row)
+        self.row = row
         self.stamp = stamp
 
 
