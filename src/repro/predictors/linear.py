@@ -273,23 +273,25 @@ class DemandWindow:
         stay, behind = [], []
         for ref in self._members:
             model = ref()
-            if model is not None:
-                lagging = model._ys and model._end < pushed
-                (behind if lagging else stay).append(ref)
+            if model is None:
+                continue
+            if model._ys and model._end < pushed:
+                behind.append(model)
+            else:
+                stay.append(ref)
         self._members = stay
         if not behind:
             return
         fork = DemandWindow(self.names, self.decay, self.limit)
-        models = [ref() for ref in behind]
         # Every member behind saw the rows up to the newest one.
-        keep = max(len(model._ys) for model in models)
+        keep = max(len(model._ys) for model in behind)
         fork.rows = self.rows[len(self.rows) - 1 - keep:-1]
         fork.pushed = keep
         fork.runs = fork.prev_runs = self.prev_runs
-        for model in models:
+        for model in behind:
             model._shared = fork
             model._end = keep
-        fork._members = behind
+            fork.join(model)
 
     def rows_at(self, end: int, n: int) -> List[FeatureRow]:
         """The *n* rows that end where a member with ``end`` stands."""
