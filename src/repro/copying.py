@@ -12,15 +12,30 @@ of them that logs only append to and trim.  A hot type gives
   :func:`deepcopy_state`, naming the attributes to copy one level deep.
 
 Every attribute a hook does not name is deep-copied as before, so a
-field added later is copied in full by default.
+field added later is copied in full by default.  The attributes are the
+instance's ``__dict__`` and its slots, so a class may give up its
+per-instance dict and keep its hook as it is.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, TypeVar
+from typing import Any, Callable, Dict, Iterator, Tuple, TypeVar
 
 T = TypeVar("T")
+
+
+def _state(obj: Any) -> Iterator[Tuple[str, Any]]:
+    """(name, value) of every attribute *obj* holds: its ``__dict__``
+    entries, then its set slots."""
+    attrs = getattr(obj, "__dict__", None)
+    if attrs is not None:
+        yield from attrs.items()
+    for klass in type(obj).__mro__:
+        slots = klass.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name not in ("__dict__", "__weakref__") and hasattr(obj, name):
+                yield name, getattr(obj, name)
 
 
 def deepcopy_state(obj: T, memo: Dict[int, Any],
@@ -36,9 +51,8 @@ def deepcopy_state(obj: T, memo: Dict[int, Any],
     cls = type(obj)
     clone = cls.__new__(cls)
     memo[id(obj)] = clone
-    state = clone.__dict__
-    for name, value in obj.__dict__.items():
+    for name, value in _state(obj):
         copier = shallow.get(name)
-        state[name] = (copy.deepcopy(value, memo) if copier is None
-                       else copier(value))
+        object.__setattr__(clone, name, copy.deepcopy(value, memo)
+                           if copier is None else copier(value))
     return clone

@@ -951,7 +951,7 @@ class SpectraClient:
             # cpu:local from the monitor counts the overhead cycles charged
             # to the owner; service cycles were merged from responses.
             usage = dict(recording.usage)
-            usage["time:total"] = recording.elapsed or 0.0
+            elapsed = usage["time:total"] = recording.elapsed or 0.0
             if not handle.failed_over:
                 # A failed-over recording covers only the surviving attempt
                 # (the pre-failure work was aborted and discarded), so it
@@ -969,13 +969,14 @@ class SpectraClient:
                     concurrent=recording.concurrent,
                 )
             if self.telemetry.tracer.enabled:
-                self._trace_outcome(end_span, handle, usage, recording)
-        self._count_outcome(handle, usage, recording)
+                self._trace_outcome(end_span, handle, usage, elapsed,
+                                    recording.concurrent)
+        self._count_outcome(handle, usage, elapsed)
         return OperationReport(
             opid=handle.opid,
             operation=handle.spec.name,
             alternative=handle.alternative,
-            elapsed_s=recording.elapsed or 0.0,
+            elapsed_s=elapsed,
             usage=usage,
             file_accesses=dict(recording.file_accesses),
             concurrent=recording.concurrent,
@@ -984,16 +985,15 @@ class SpectraClient:
         )
 
     def _trace_outcome(self, end_span, handle: OperationHandle,
-                       usage: Dict[str, float],
-                       recording: OperationRecording) -> None:
+                       usage: Dict[str, float], elapsed: float,
+                       concurrent: bool) -> None:
         """Close the end span with measured vs predicted outcomes."""
-        elapsed = recording.elapsed or 0.0
         energy = usage.get("energy:client", 0.0)
         attrs: Dict[str, Any] = {
             "alternative": handle.alternative.describe(),
             "elapsed_s": elapsed,
             "energy_j": energy,
-            "concurrent": recording.concurrent,
+            "concurrent": concurrent,
             "failed_over": handle.failed_over,
             "usage": dict(usage),
         }
@@ -1003,9 +1003,7 @@ class SpectraClient:
         end_span.end(**attrs)
 
     def _count_outcome(self, handle: OperationHandle,
-                       usage: Dict[str, float],
-                       recording: OperationRecording) -> None:
-        elapsed = recording.elapsed or 0.0
+                       usage: Dict[str, float], elapsed: float) -> None:
         energy = usage.get("energy:client", 0.0)
         metrics = self.telemetry.metrics
         metrics.counter(SPECTRA_OPS_ENDED).inc()

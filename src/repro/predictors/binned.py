@@ -37,6 +37,9 @@ from .logs import DiscreteKey, discrete_key
 class BinnedLinearPredictor:
     """Per-bin recency-weighted linear models with a generic fallback."""
 
+    __slots__ = ("feature_names", "decay", "window", "_windows", "_scope",
+                 "_bins", "_generic")
+
     def __init__(self, feature_names: Sequence[str] = (),
                  decay: float = 0.95, window: int = 200,
                  windows: Optional[WindowTable] = None,

@@ -27,8 +27,13 @@ class DataSpecificPredictor:
 
     Given its predictor's :class:`~repro.predictors.linear.WindowTable`,
     its models share their streams' demand windows with the other
-    resources' models (``windows``).
+    resources' models (``windows``).  The per-object cache is created
+    with the first data object observed: an operation without data
+    objects keeps none.
     """
+
+    __slots__ = ("feature_names", "decay", "window", "max_objects",
+                 "_windows", "_general", "_per_object")
 
     def __init__(self, feature_names: Sequence[str] = (),
                  decay: float = 0.95, window: int = 200,
@@ -43,7 +48,8 @@ class DataSpecificPredictor:
         self._windows = windows
         self._general = BinnedLinearPredictor(feature_names, decay, window,
                                               windows)
-        self._per_object: "OrderedDict[str, BinnedLinearPredictor]" = OrderedDict()
+        self._per_object: Optional[
+            "OrderedDict[str, BinnedLinearPredictor]"] = None
 
     # -- updating -------------------------------------------------------------------
 
@@ -52,17 +58,20 @@ class DataSpecificPredictor:
         self._general.observe(discrete, continuous, value)
         if data_object is None:
             return
-        model = self._per_object.get(data_object)
+        per_object = self._per_object
+        if per_object is None:
+            per_object = self._per_object = OrderedDict()
+        model = per_object.get(data_object)
         if model is None:
             model = BinnedLinearPredictor(
                 self.feature_names, self.decay, self.window, self._windows,
                 scope=data_object,
             )
-            self._per_object[data_object] = model
-            if len(self._per_object) > self.max_objects:
-                self._per_object.popitem(last=False)
+            per_object[data_object] = model
+            if len(per_object) > self.max_objects:
+                per_object.popitem(last=False)
         else:
-            self._per_object.move_to_end(data_object)
+            per_object.move_to_end(data_object)
         model.observe(discrete, continuous, value)
 
     # -- predicting ------------------------------------------------------------------
@@ -70,7 +79,7 @@ class DataSpecificPredictor:
     def predict(self, discrete: Dict[str, Any], continuous: Dict[str, float],
                 data_object: Optional[str] = None) -> float:
         """Data-specific prediction when a cached model exists, else general."""
-        if data_object is not None:
+        if data_object is not None and self._per_object is not None:
             model = self._per_object.get(data_object)
             if model is not None and model.has_bin(discrete):
                 self._per_object.move_to_end(data_object)
@@ -82,11 +91,11 @@ class DataSpecificPredictor:
         return self._general.has_bin(discrete)
 
     def has_data_model(self, data_object: str) -> bool:
-        return data_object in self._per_object
+        return data_object in (self._per_object or ())
 
     @property
     def n_objects(self) -> int:
-        return len(self._per_object)
+        return len(self._per_object or ())
 
     def __repr__(self) -> str:
         return (f"<DataSpecificPredictor objects={self.n_objects} "

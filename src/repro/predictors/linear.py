@@ -47,6 +47,7 @@ from __future__ import annotations
 import copy
 import sys
 import weakref
+from array import array
 from math import ldexp
 from typing import (TYPE_CHECKING, Any, Dict, Hashable, List, Mapping,
                     Optional, Sequence, Tuple)
@@ -421,7 +422,16 @@ class WindowedLinearModel:
         The :class:`DemandWindow` of the stream this model observes,
         shared with its sibling models; by default a window of its own.
         Without features the model keeps no rows and no window.
+
+    The values are raw doubles in an ``array('d')``: a model holds no
+    float object, and every fit reads the same doubles a list of the
+    observed floats would hold.  The model has no per-instance dict; it
+    keeps a weak-reference slot for the window that lists it.
     """
+
+    __slots__ = ("feature_names", "decay", "window", "_shared", "_ys", "_end",
+                 "_intercept", "_slope", "_varying", "_coef", "_stale",
+                 "__weakref__")
 
     def __init__(self, feature_names: Sequence[str] = (),
                  decay: float = 0.95, window: int = 200,
@@ -440,7 +450,7 @@ class WindowedLinearModel:
         self._shared = shared
         if shared is not None:
             shared.join(self)
-        self._ys: List[float] = []
+        self._ys = array("d")
         # How many of the window's rows this model has seen.
         self._end = 0
         # The fit: intercept + slope * the one varying feature, or just
@@ -475,7 +485,7 @@ class WindowedLinearModel:
                 window = self._shared
                 window.append(stamp, feature_row(features, window.names))
             self._end = window.pushed
-        self._ys.append(float(value))
+        self._ys.append(value)
         if len(self._ys) > self.window:
             del self._ys[0]
         self._stale = True
@@ -493,10 +503,10 @@ class WindowedLinearModel:
         return self._shared.rows_at(self._end, len(self._ys))
 
     def __deepcopy__(self, memo: dict) -> "WindowedLinearModel":
-        # Values are floats: a copy needs its own list and coefficients,
-        # not its own values.  The window is copied through the memo, so
-        # siblings copied together share one copy of it.
-        return deepcopy_state(self, memo, _ys=list, _coef=copy.copy)
+        # A copy needs its own value array and coefficients.  The window
+        # is copied through the memo, so siblings copied together share
+        # one copy of it.
+        return deepcopy_state(self, memo, _ys=copy.copy, _coef=copy.copy)
 
     # -- predicting ------------------------------------------------------------------
 

@@ -2,10 +2,11 @@
 
 "Spectra logs resource usage and creates models that predict future
 demand.  Thus, the more an operation is executed, the more accurately its
-resource usage is predicted" (paper §3.3).  A :class:`UsageLog` stores
+resource usage is predicted" (paper §3.3).  A :class:`UsageLog` records
 one :class:`UsageSample` per executed operation: the context the
 operation ran in (fidelity, input parameters, data object, execution
-plan) and the resources it consumed.
+plan) and the resources it consumed.  It keeps them as columns, not as
+objects, and rebuilds the samples when read.
 
 Logs are serializable to/from JSON so learned behaviour can persist
 across runs, like Spectra's on-disk logs.
@@ -13,7 +14,9 @@ across runs, like Spectra's on-disk logs.
 
 from __future__ import annotations
 
+import copy
 import json
+from array import array
 from dataclasses import dataclass
 from math import copysign
 from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Mapping,
@@ -221,7 +224,7 @@ class UsageSample:
     :class:`SampleParts`, it also shares ``continuous``,
     ``file_accesses`` and each pair in them with earlier samples that
     hold equal ones.  The usage values stay each sample's own: they
-    almost never repeat.
+    almost never repeat, and a :class:`UsageLog` keeps them as doubles.
     """
 
     timestamp: float
@@ -326,44 +329,84 @@ class UsageSample:
         return self
 
 
-class UsageLog:
-    """Append-only, bounded log of :class:`UsageSample` records.
+#: what a :class:`UsageLog` keeps of a sample besides its timestamp and
+#: usage values: ``(discrete, continuous, usage_names, data_object,
+#: concurrent, file_accesses)``
+_Head = Tuple[DiscreteKey, Tuple[Tuple[str, float], ...], Tuple[str, ...],
+              Optional[str], bool, Tuple[Tuple[str, int], ...]]
 
-    ``parts`` is the table the log's samples share their repeated parts
-    through: samples built for the log (by the predictor, or read back
-    by :meth:`from_payload`) pass it to :meth:`UsageSample.of`.
+
+class UsageLog:
+    """Append-only, bounded log of :class:`UsageSample` records, kept as
+    columns.
+
+    The log keeps no sample object.  Per sample it keeps a *head* (every
+    field but the timestamp and the usage values, one tuple shared
+    through ``parts`` with the earlier samples that hold an equal one)
+    and the timestamp as it was given; every sample's usage values sit
+    in one ``array('d')``, in order.  Iterating, :meth:`samples` and
+    :meth:`to_payload` rebuild the samples: the values are floats by
+    construction (:meth:`UsageSample.build` and
+    :func:`sample_from_payload` call ``float``), so a double keeps each
+    of them exactly, ``-0.0`` and NaN included.  A timestamp keeps its
+    type: an ``int`` one still prints as ``0``, not ``0.0``.
+
+    ``parts`` is also the table the log's samples share their repeated
+    parts through: samples built for the log (by the predictor, or read
+    back by :meth:`from_payload`) pass it to :meth:`UsageSample.of`.
+    When the log outgrows ``max_samples`` it drops its oldest
+    ``max_samples // 2`` samples.
     """
 
     def __init__(self, max_samples: int = 5000):
         self.max_samples = max_samples
-        self._samples: List[UsageSample] = []
         self.parts = SampleParts()
+        self._heads: List[_Head] = []
+        self._timestamps: List[float] = []
+        self._values = array("d")
 
     def append(self, sample: UsageSample) -> None:
-        self._samples.append(sample)
-        if len(self._samples) > self.max_samples:
-            del self._samples[: self.max_samples // 2]
+        heads = self._heads
+        heads.append(self.parts.share((
+            sample.discrete, sample.continuous, sample.usage_names,
+            sample.data_object, sample.concurrent, sample.file_accesses)))
+        self._timestamps.append(sample.timestamp)
+        self._values.extend(sample.usage_values)
+        if len(heads) > self.max_samples:
+            drop = self.max_samples // 2
+            del self._values[:sum(len(head[2]) for head in heads[:drop])]
+            del heads[:drop]
+            del self._timestamps[:drop]
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._heads)
 
     def __iter__(self) -> Iterator[UsageSample]:
-        return iter(self._samples)
+        values = self._values
+        start = 0
+        for timestamp, (discrete, continuous, names, data_object, concurrent,
+                        file_accesses) in zip(self._timestamps, self._heads):
+            stop = start + len(names)
+            yield UsageSample(timestamp, discrete, continuous, names,
+                              tuple(values[start:stop]), data_object,
+                              concurrent, file_accesses)
+            start = stop
 
     def samples(self) -> List[UsageSample]:
-        return list(self._samples)
+        return list(self)
 
     def __deepcopy__(self, memo: dict) -> "UsageLog":
-        # The samples are frozen: a copy needs its own list, not its own
-        # samples.
-        return deepcopy_state(self, memo, _samples=list)
+        # The heads are immutable: a copy needs its own columns, not its
+        # own heads.
+        return deepcopy_state(self, memo, _heads=list, _timestamps=list,
+                              _values=copy.copy)
 
     # -- persistence ---------------------------------------------------------------
 
     def to_payload(self) -> Dict[str, Any]:
         """The log as a JSON-ready dict (embedded by the predictor store)."""
         return {"version": 1,
-                "samples": [s.to_payload() for s in self._samples]}
+                "samples": [sample.to_payload() for sample in self]}
 
     @classmethod
     def from_payload(cls, blob: Dict[str, Any],

@@ -15,6 +15,9 @@ After a drained run:
 * the logged samples of one operation that measured the same resources
   share one ``usage_names`` tuple, and equal file-access sets, equal
   input parameters and equal feature rows are one object each;
+* a usage log holds no sample object between operations, only its
+  columns; every built-in model keeps its values in an ``array('d')``;
+  and no model or predictor object carries a ``__dict__``;
 * each Coda client keeps at most one conflict per path, and counts
   every conflict it detected;
 * the report's records hold no dict, and operations that made the same
@@ -29,14 +32,18 @@ a Pangloss world whose parallel engines share the one server left up.
 """
 
 import dataclasses
+import gc
 import importlib.util
 import pathlib
+import types
+from array import array
 
 import pytest
 
 from repro.experiments import latex
 from repro.experiments.parallel import PARALLEL_APP
 from repro.experiments.runner import clone_world
+from repro.predictors.logs import UsageSample
 from repro.scenarios import compile_scenario, runner
 from repro.scenarios.library import thinkpad_testbed
 from repro.telemetry.names import SPECTRA_FAILOVERS
@@ -101,8 +108,9 @@ def _last_sample_rows(predictor):
             continue  # energy models skip concurrent samples
         model = predictor._models[resource]
         binned = [model._general]
-        if sample.data_object in model._per_object:
-            binned.append(model._per_object[sample.data_object])
+        per_object = model._per_object or {}
+        if sample.data_object in per_object:
+            binned.append(per_object[sample.data_object])
         for models in binned:
             rows.append(models._generic.rows[-1])
             rows.append(models._bins[sample.discrete].rows[-1])
@@ -114,7 +122,8 @@ def _streams(predictor):
     models of every resource on that stream."""
     streams = {}
     for model in predictor._models.values():
-        scopes = [(None, model._general), *model._per_object.items()]
+        scopes = [(None, model._general),
+                  *(model._per_object or {}).items()]
         for scope, binned in scopes:
             streams.setdefault((scope, None), []).append(binned._generic)
             for key, linear in binned._bins.items():
@@ -201,6 +210,42 @@ def assert_sample_parts_shared(world):
     return repeated
 
 
+def _held_by(root):
+    """Every object *root* holds, through containers and instance
+    state, not descending into classes, modules or functions."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def assert_history_is_columnar(world):
+    """Logs hold no sample objects and models hold their values as
+    doubles; models and predictors carry no instance dict."""
+    checked = 0
+    for compiled in world.clients:
+        for registered in compiled.client._operations.values():
+            predictor = registered.predictor
+            log = predictor.log
+            assert len(log)
+            assert not any(type(obj) is UsageSample for obj in _held_by(log))
+            assert type(log._values) is array and log._values.typecode == "d"
+            for model in _linear_models(predictor):
+                assert type(model._ys) is array and model._ys.typecode == "d"
+                assert not hasattr(model, "__dict__")
+                checked += 1
+            for model in predictor._models.values():
+                scopes = [model, model._general,
+                          *(model._per_object or {}).values()]
+                assert not any(hasattr(obj, "__dict__") for obj in scopes)
+    assert checked
+
+
 def assert_conflicts_bounded(world, totals):
     for name, node in world.nodes.items():
         coda = node.coda
@@ -247,6 +292,7 @@ def test_drained_latex_crowd_holds_no_finished_operation(monkeypatch):
     assert assert_sample_parts_shared(world) > 0
     assert_conflicts_bounded(world, LATEX_CROWD_CONFLICTS)
     assert_records_share_choices(report)
+    assert_history_is_columnar(world)
 
 
 def test_drained_metro_holds_no_finished_operation(monkeypatch):
@@ -258,6 +304,7 @@ def test_drained_metro_holds_no_finished_operation(monkeypatch):
     assert_sample_parts_shared(world)
     assert_conflicts_bounded(world, {})
     assert_records_share_choices(report)
+    assert_history_is_columnar(world)
 
 
 def test_parallel_engines_on_one_server_hold_no_finished_operation():

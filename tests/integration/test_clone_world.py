@@ -10,8 +10,8 @@ it.  These tests hold that to the old methodology:
 * isolation — the clone shares no mutable object with the trained world,
   and running it leaves the trained world untouched;
 * sharing — the clone does share the trained world's frozen log
-  records, and its own logs and models grow without touching the
-  original's;
+  records and usage-log heads, and its own logs and models grow without
+  touching the original's;
 * the guards — worlds a deep copy cannot reproduce exactly are refused.
 """
 
@@ -192,11 +192,15 @@ class TestIsolation:
         clone = clone_world(trained)
         original = _reachable(trained)
         # The walk really saw the world: the simulator, the client's
-        # solver, every node, and every sample in the client's usage logs.
+        # solver, every node, and every column and logged head of the
+        # client's usage logs.
         world, app = trained
+        logs = [registered.predictor.log
+                for registered in app.client._operations.values()]
         deep = [world.sim, app.client.solver, *world.nodes.values(),
-                *(sample for registered in app.client._operations.values()
-                  for sample in registered.predictor.log)]
+                *(column for log in logs
+                  for column in (log._heads, log._timestamps, log._values)),
+                *(head for log in logs for head in log._heads)]
         assert len(deep) > 2 + len(world.nodes)
         assert all(id(obj) in original for obj in deep)
         offenders = sorted({
@@ -260,10 +264,15 @@ class TestSharing:
             assert all(a is b for a, b in zip(cloned, records))
         assert original.network.log.recent(0.0, host=host)
 
-        samples = list(_predictor(original, app, name).log)
-        cloned = list(_predictor(clone, clone_app, name).log)
-        assert samples and len(cloned) == len(samples)
-        assert all(a is b for a, b in zip(cloned, samples))
+        # The usage log keeps its samples as columns: the clone shares
+        # each sample's head and owns every column.
+        log = _predictor(original, app, name).log
+        cloned = _predictor(clone, clone_app, name).log
+        assert len(log) and list(cloned) == list(log)
+        assert len(cloned._heads) == len(log._heads)
+        assert all(a is b for a, b in zip(cloned._heads, log._heads))
+        for column in ("_heads", "_timestamps", "_values"):
+            assert getattr(cloned, column) is not getattr(log, column)
 
     @pytest.mark.parametrize("name", list(EXPERIMENTS))
     def test_appending_to_a_clone_leaves_the_original_unchanged(self, name):

@@ -59,15 +59,63 @@ class TestDeepcopyState:
         assert clone.extra[0] is not log.extra[0]
 
     def test_a_cycle_back_to_the_object_resolves_to_the_copy(self):
-        model = WindowedLinearModel(("x",))
-        model.owner = [model]
-        clone = copy.deepcopy(model)
-        assert clone.owner[0] is clone
+        holder = _Holder([])
+        holder.items.append(holder)
+        clone = copy.deepcopy(holder)
+        assert clone is not holder
+        assert clone.items[0] is clone
+
+    def test_slots_are_copied_like_dict_attributes(self):
+        slotted = _Slotted([[1]], [[2]])
+        clone = copy.deepcopy(slotted)
+        assert not hasattr(clone, "__dict__")
+        assert clone.items == [[1]] and clone.items is not slotted.items
+        assert clone.items[0] is slotted.items[0]  # the shallow copier
+        assert clone.other == [[2]] and clone.other[0] is not slotted.other[0]
+        assert clone.tag == "base"
+
+    def test_an_unset_slot_stays_unset(self):
+        slotted = _Slotted([], [])
+        del slotted.other
+        clone = copy.deepcopy(slotted)
+        assert not hasattr(clone, "other")
+        assert clone.items == []
 
     def test_the_memo_keeps_one_copy_of_an_object_reached_twice(self):
         model = WindowedLinearModel(("x",))
         a, b = copy.deepcopy([model, model])
         assert a is b and a is not model
+
+
+class _Holder:
+    """A plain class whose hook copies through :func:`deepcopy_state`."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __deepcopy__(self, memo):
+        return deepcopy_state(self, memo)
+
+
+class _Base:
+    __slots__ = ("tag",)
+
+    def __init__(self):
+        self.tag = "base"
+
+
+class _Slotted(_Base):
+    """A slotted class, with a slot inherited, on the same hook."""
+
+    __slots__ = ("items", "other", "__weakref__")
+
+    def __init__(self, items, other):
+        super().__init__()
+        self.items = items
+        self.other = other
+
+    def __deepcopy__(self, memo):
+        return deepcopy_state(self, memo, items=list)
 
 
 class TestTransferLog:
@@ -111,14 +159,20 @@ class TestTransferLog:
 
 class TestUsageLog:
     def test_copy_shares_samples_and_owns_its_list(self):
+        # The log keeps no samples: a copy shares the heads they are
+        # rebuilt from and owns its columns.
         log = UsageLog()
         for i in range(3):
             log.append(UsageSample.build(i, {"plan": "local"}, {}, {"cpu": i}))
         clone = copy.deepcopy(log)
-        assert all(x is y for x, y in zip(clone, log))
+        assert list(clone) == list(log)
+        assert all(x is y for x, y in zip(clone._heads, log._heads))
+        for column in ("_heads", "_timestamps", "_values"):
+            assert getattr(clone, column) is not getattr(log, column)
         clone.append(UsageSample.build(9, {"plan": "remote"}, {}, {"cpu": 9}))
         assert (len(log), len(clone)) == (3, 4)
         assert [s.timestamp for s in log] == [0, 1, 2]
+        assert list(log._values) == [0.0, 1.0, 2.0]
 
 
 class TestModels:
