@@ -21,8 +21,11 @@ Package map
 ``repro.predictors`` self-tuning demand models
 ``repro.solver``    heuristic and exhaustive placement search
 ``repro.core``      the Spectra client/server and Figure-1 API
-``repro.apps``      Janus / Latex / Pangloss-Lite workload models
+``repro.discovery`` SLP-style directory for dynamic server discovery
+``repro.apps``      Janus / Latex / Pangloss-Lite / video workload models
 ``repro.baselines`` comparison policies (always-local, RPF, oracle...)
+``repro.faults``    deterministic fault injection (crashes, partitions)
+``repro.telemetry`` spans, metrics, and offline decision forensics
 ``repro.scenarios`` declarative worlds: the one world builder, the
                     paper's two testbeds as specs, seeded traffic
 ``repro.experiments`` harness regenerating every table and figure

@@ -98,6 +98,9 @@ LARGE_DOCUMENT = Document(
     complexity=1.15,
 )
 
+#: Latex documents addressable from a scenario's app options, by name.
+DOCUMENTS = {"small": SMALL_DOCUMENT, "large": LARGE_DOCUMENT}
+
 
 @dataclass(frozen=True)
 class LatexModel:

@@ -5,6 +5,7 @@ The application-facing API (Figure 1 of the paper) lives on
 :class:`~repro.core.api.SpectraNode`.
 """
 
+from .._lazy import lazy_exports
 from .api import SpectraNode
 from .client import (
     NoFeasibleAlternativeError,
@@ -14,7 +15,6 @@ from .client import (
     SpectraClient,
 )
 from .estimate import DemandEstimator
-from .explain import explain_decision, explain_trace
 from .operation import (
     OperationSpec,
     inverse_latency,
@@ -22,7 +22,6 @@ from .operation import (
 )
 from .overhead import OverheadModel
 from .plans import Alternative, ExecutionPlan, local_plan, remote_plan
-from .registry import ServerConfig
 from .server import CONTROL_SERVICE, SpectraServer
 from .utility import (
     AdditiveUtility,
@@ -30,6 +29,12 @@ from .utility import (
     DefaultUtility,
     ENERGY_EXPONENT_K,
 )
+
+# not on a run's path: decision forensics, the server config file
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "explain": ("explain_decision", "explain_trace"),
+    "registry": ("ServerConfig",),
+})
 
 __all__ = [
     "AdditiveUtility",

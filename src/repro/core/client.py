@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from ..coda import CodaClient
 from ..hosts import Host
@@ -42,7 +42,6 @@ from ..monitors import (
 )
 from ..network import NoRouteError, TransferAbortedError
 from ..predictors import OperationDemandPredictor, UsageLog, discrete_key
-from ..predictors.store import PredictorStore
 from ..rpc import (
     Request,
     Response,
@@ -76,7 +75,7 @@ from ..telemetry.names import (
     SPECTRA_OPS_BEGUN,
     SPECTRA_OPS_ENDED,
     SPECTRA_POLL_ERRORS,
-    begin_phase_s,
+    BEGIN_PHASE_S,
     ops_by_mode,
 )
 from .estimate import DemandEstimator
@@ -85,6 +84,9 @@ from .overhead import OverheadModel
 from .plans import Alternative
 from .server import CONTROL_SERVICE, SpectraServer
 from .utility import AlternativePrediction, DefaultUtility
+
+if TYPE_CHECKING:
+    from ..predictors.store import PredictorStore
 
 
 class NoFeasibleAlternativeError(RuntimeError):
@@ -214,12 +216,13 @@ class SpectraClient:
         #: flush_predictors/shutdown write learned state back — the
         #: cross-run half of the paper's self-tuning loop.  Accepts a
         #: directory path or a ready PredictorStore.
-        if store_dir is None or isinstance(store_dir, PredictorStore):
-            self.predictor_store: Optional[PredictorStore] = store_dir
-        else:
-            self.predictor_store = PredictorStore(
-                store_dir, telemetry=self.telemetry
-            )
+        self.predictor_store: Optional[PredictorStore] = store_dir
+        if store_dir is not None:
+            from ..predictors.store import PredictorStore
+            if not isinstance(store_dir, PredictorStore):
+                self.predictor_store = PredictorStore(
+                    store_dir, telemetry=self.telemetry
+                )
 
         self.network_monitor = NetworkMonitor(host.name, transport.network)
         battery_cls = battery_monitor_cls or (
@@ -559,7 +562,7 @@ class SpectraClient:
         metrics.counter(SPECTRA_OPS_BEGUN).inc()
         metrics.counter(ops_by_mode(self._decision_mode(handle))).inc()
         for phase, duration in handle.timings.items():
-            metrics.histogram(begin_phase_s(phase)).observe(duration)
+            metrics.histogram(BEGIN_PHASE_S[phase]).observe(duration)
 
     def _trace_decision(self, op_span, handle: OperationHandle) -> None:
         """Close the begin span with the decision's full context."""

@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..predictors.store import PredictorStore
 from .client import SpectraClient
 
 
@@ -68,6 +67,7 @@ class ServerConfig:
         for server in self.servers:
             client.add_server(server)
         if self.predictor_store is not None:
+            from ..predictors.store import PredictorStore
             client.predictor_store = PredictorStore(
                 self.predictor_store, telemetry=client.telemetry
             )

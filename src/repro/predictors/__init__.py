@@ -1,5 +1,6 @@
 """Self-tuning demand prediction: logs, models, and the predictor stack."""
 
+from .._lazy import lazy_exports
 from .base import DemandModel, NoModelError, OperationDemandPredictor
 from .binned import BinnedLinearPredictor
 from .datamodel import DataSpecificPredictor
@@ -13,15 +14,19 @@ from .logs import (
     canonical_discrete_value,
     discrete_key,
 )
-from .store import (
-    STORE_SCHEMA,
-    PredictorStore,
-    PredictorStoreError,
-    StoredPredictor,
-    document_digest,
-    merge_logs,
-    rebuild_predictor,
-)
+
+# not on a run's path: the persisted store (and the hashlib it needs)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "store": (
+        "STORE_SCHEMA",
+        "PredictorStore",
+        "PredictorStoreError",
+        "StoredPredictor",
+        "document_digest",
+        "merge_logs",
+        "rebuild_predictor",
+    ),
+})
 
 __all__ = [
     "BinnedLinearPredictor",

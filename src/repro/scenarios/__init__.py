@@ -44,6 +44,7 @@ instead of code:
     (``repro scenario sweep --jobs N``).
 """
 
+from .._lazy import lazy_exports
 from .arrivals import derive_seed, generate_arrivals, think_time
 from .compiler import (
     ADAPTERS,
@@ -52,7 +53,6 @@ from .compiler import (
     CompiledScenario,
     compile_scenario,
 )
-from .library import SCENARIOS, canned_spec, itsy_testbed, thinkpad_testbed
 from .runner import (
     OpRecord,
     ScenarioReport,
@@ -73,8 +73,14 @@ from .spec import (
     ThinkSpec,
     TimelineEventSpec,
 )
-from .sweep import run_sweep, sweep_to_json, variant_seeds
 from .timeline import compile_timeline
+
+# not on a run's path: the canned library, the sweep (multiprocessing)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "library": ("SCENARIOS", "canned_spec", "itsy_testbed",
+                "thinkpad_testbed"),
+    "sweep": ("run_sweep", "sweep_to_json", "variant_seeds"),
+})
 
 __all__ = [
     "ADAPTERS",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -31,32 +32,11 @@ from typing import (
     Tuple,
 )
 
-from ..apps import (
-    FULL_LM_BYTES,
-    FULL_LM_PATH,
-    LARGE_DOCUMENT,
-    REDUCED_LM_BYTES,
-    REDUCED_LM_PATH,
-    SMALL_DOCUMENT,
-    JanusService,
-    LatexApplication,
-    LatexService,
-    NullApplication,
-    PanglossApplication,
-    PanglossService,
-    SentenceWorkload,
-    SpeechApplication,
-    install_document,
-    install_pangloss_files,
-    warm_document,
-    warm_pangloss_files,
-)
 from ..coda import FileServer
 from ..core import SpectraNode
 from ..faults import FaultInjector, FaultSchedule
 from ..hosts import get_profile
 from ..network import Link, Network, SharedMedium
-from ..predictors.store import PredictorStore
 from ..rpc import NullService, RpcTransport
 from ..sim import Simulator
 from ..telemetry import Telemetry
@@ -64,8 +44,17 @@ from .arrivals import derive_seed
 from .spec import ClientSpec, ScenarioSpec
 from .timeline import compile_timeline
 
-#: Latex documents addressable from a scenario's app options.
-LATEX_DOCUMENTS = {"small": SMALL_DOCUMENT, "large": LARGE_DOCUMENT}
+if TYPE_CHECKING:
+    from ..predictors.store import PredictorStore
+
+
+def __getattr__(name: str):
+    # LATEX_DOCUMENTS, the Latex documents addressable from a scenario's
+    # app options, lives with the documents: reading it loads the app.
+    if name == "LATEX_DOCUMENTS":
+        from ..apps.latex import DOCUMENTS
+        return DOCUMENTS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- app option checks: each returns a problem message, or None -------------------
@@ -87,10 +76,11 @@ def _latex_documents(value) -> Optional[str]:
     if (not isinstance(value, (list, tuple))
             or not all(isinstance(name, str) for name in value)):
         return f"expected a list of document names, got {value!r}"
-    unknown = [name for name in value if name not in LATEX_DOCUMENTS]
+    from ..apps.latex import DOCUMENTS
+    unknown = [name for name in value if name not in DOCUMENTS]
     if unknown:
         return (f"unknown latex document(s) {unknown!r} "
-                f"(known: {', '.join(sorted(LATEX_DOCUMENTS))})")
+                f"(known: {', '.join(sorted(DOCUMENTS))})")
     return None
 
 
@@ -103,6 +93,11 @@ class AppAdapter:
     a per-client application object.  ``options`` is the mapping from
     :class:`~repro.scenarios.spec.AppSpec`; :attr:`OPTIONS` names the
     keys it may hold, each with its value check.
+
+    Each adapter imports its application module in the methods that
+    build the world, so a world loads only the applications its spec
+    names; :data:`ADAPTERS` and the option checks load none of them
+    (``documents`` aside, which reads the Latex document table).
     """
 
     kind: str = ""
@@ -157,19 +152,24 @@ class SpeechAdapter(AppAdapter):
                "min_length_s": _number}
 
     def install(self, fileserver) -> None:
+        from ..apps.speech import (FULL_LM_BYTES, FULL_LM_PATH,
+                                   REDUCED_LM_BYTES, REDUCED_LM_PATH)
         for path, size in ((FULL_LM_PATH, FULL_LM_BYTES),
                            (REDUCED_LM_PATH, REDUCED_LM_BYTES)):
             if not fileserver.exists(path):
                 fileserver.create_file(path, size)
 
     def service(self):
+        from ..apps.speech import JanusService
         return JanusService()
 
     def warm(self, coda) -> None:
+        from ..apps.speech import FULL_LM_PATH, REDUCED_LM_PATH
         coda.warm(FULL_LM_PATH)
         coda.warm(REDUCED_LM_PATH)
 
     def driver(self, client):
+        from ..apps.speech import SpeechApplication
         return SpeechApplication(client)
 
     def operation(self, app, rng, index, force=None) -> Generator:
@@ -189,22 +189,27 @@ class LatexAdapter(AppAdapter):
 
     def __init__(self, options: Optional[Mapping] = None):
         super().__init__(options)
-        names = self.options.get("documents", sorted(LATEX_DOCUMENTS))
-        self.documents = {name: LATEX_DOCUMENTS[name] for name in names}
+        from ..apps.latex import DOCUMENTS
+        names = self.options.get("documents", sorted(DOCUMENTS))
+        self.documents = {name: DOCUMENTS[name] for name in names}
 
     def install(self, fileserver) -> None:
+        from ..apps.latex import install_document
         for document in self.documents.values():
             install_document(fileserver, document)
 
     def service(self):
+        from ..apps.latex import LatexService
         return LatexService(self.documents)
 
     def warm(self, coda) -> None:
+        from ..apps.latex import warm_document
         outputs = bool(self.options.get("warm_outputs", True))
         for document in self.documents.values():
             warm_document(coda, document, outputs=outputs)
 
     def driver(self, client):
+        from ..apps.latex import LatexApplication
         return LatexApplication(client, self.documents)
 
     def operation(self, app, rng, index, force=None) -> Generator:
@@ -221,6 +226,7 @@ class NullAdapter(AppAdapter):
         return NullService()
 
     def driver(self, client):
+        from ..apps.null import NullApplication
         return NullApplication(client)
 
     def operation(self, app, rng, index, force=None) -> Generator:
@@ -236,19 +242,24 @@ class PanglossAdapter(AppAdapter):
     OPTIONS = {"parallel": _flag}
 
     def install(self, fileserver) -> None:
+        from ..apps.pangloss import install_pangloss_files
         install_pangloss_files(fileserver)
 
     def service(self):
+        from ..apps.pangloss import PanglossService
         return PanglossService()
 
     def warm(self, coda) -> None:
+        from ..apps.pangloss import warm_pangloss_files
         warm_pangloss_files(coda)
 
     def driver(self, client):
+        from ..apps.pangloss import PanglossApplication
         return PanglossApplication(
             client, parallel=self.options.get("parallel", False))
 
     def operation(self, app, rng, index, force=None) -> Generator:
+        from ..apps.workloads import SentenceWorkload
         sentences = SentenceWorkload()
         words = rng.randint(sentences.min_words, sentences.max_words)
         return app.translate(words, force=force)

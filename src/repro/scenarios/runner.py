@@ -32,11 +32,10 @@ import dataclasses
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.client import NoFeasibleAlternativeError, OperationReport
 from ..core.plans import Alternative
-from ..predictors.store import PredictorStore
 from ..rpc import RetryPolicy, RpcError
 from ..sim import AllOf, Timeout
 from ..telemetry import Telemetry
@@ -45,6 +44,9 @@ from .arrivals import derive_seed, generate_arrivals, think_time
 from .compiler import CompiledClient, CompiledScenario, compile_scenario
 from .spec import ScenarioError, ScenarioSpec, TimelineEventSpec
 from .timeline import event_faults
+
+if TYPE_CHECKING:
+    from ..predictors.store import PredictorStore
 
 #: Run profiles: ``full`` runs the spec as written; ``smoke`` shrinks it
 #: to CI size (short duration, few ops, little training).
@@ -388,6 +390,7 @@ def run_scenario(
         telemetry = Telemetry()
     store: Optional[PredictorStore] = None
     if predictor_store is not None:
+        from ..predictors.store import PredictorStore
         store = (predictor_store
                  if isinstance(predictor_store, PredictorStore)
                  else PredictorStore(predictor_store, telemetry=telemetry))

@@ -458,8 +458,7 @@ class ScenarioSpec:
         return pairs
 
     def _validate_apps(self, err, host_names: set) -> set:
-        # local import: the adapter registry imports app modules, and the
-        # spec layer must stay importable without them
+        # local import: the compiler imports this module
         from .compiler import ADAPTERS
         kinds = set()
         for i, app in enumerate(self.apps):

@@ -21,14 +21,7 @@ receive no telemetry run against :data:`NULL_TELEMETRY` and behave
 bit-identically to code that was never instrumented.
 """
 
-from .forensics import (
-    OperationForensics,
-    collect_operations,
-    load_jsonl,
-    render_trace_report,
-    split_records,
-)
-from .formatting import fmt_joules, fmt_rate, fmt_seconds, render_table
+from .._lazy import lazy_exports
 from .hub import NULL_TELEMETRY, Telemetry, ensure_telemetry, jsonl_trace
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -39,6 +32,13 @@ from .metrics import (
     NullMetricsRegistry,
 )
 from .tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, SpanTracer
+
+# not on a run's path: trace replay and tables for ``repro trace``
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "forensics": ("OperationForensics", "collect_operations", "load_jsonl",
+                  "render_trace_report", "split_records"),
+    "formatting": ("fmt_joules", "fmt_rate", "fmt_seconds", "render_table"),
+})
 
 __all__ = [
     "Counter",

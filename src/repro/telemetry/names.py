@@ -8,7 +8,8 @@ and every reader imports its name from here, and no other module spells
 any part of one.  ``tests/unit/test_telemetry_names.py`` checks that
 no literal name crept back in and that nothing here is left unused.
 
-The two families minted at runtime are the helpers at the bottom.
+The begin phases' histograms are a table of five names, and the one
+family minted at runtime is the helper at the bottom.
 """
 
 # -- counters -----------------------------------------------------------------
@@ -46,6 +47,12 @@ OP_ELAPSED_S = "spectra.op.elapsed_s"
 OP_ENERGY_J = "spectra.op.energy_j"
 PREDICT_TIME_ABS_REL_ERR = "spectra.predict.time_abs_rel_err"
 
+#: Histogram of each begin phase's duration (``spectra.begin.{phase}_s``),
+#: keyed by the phases ``begin_fidelity_op`` times.  The set is fixed, so
+#: the names are built once here, not once per decision.
+BEGIN_PHASE_S = {phase: f"spectra.begin.{phase}_s" for phase in (
+    "file_cache_prediction", "snapshot", "choosing", "consistency", "total")}
+
 # -- spans --------------------------------------------------------------------
 
 SPAN_BEGIN_OP = "begin_fidelity_op"
@@ -76,14 +83,10 @@ REPORT_COUNTERS = (
     FAULTS_INJECTED,
 )
 
-# -- families minted at runtime -----------------------------------------------
+# -- the family minted at runtime ---------------------------------------------
 
 
 def ops_by_mode(mode: str) -> str:
     """Counter of decisions made in *mode* (``spectra.ops.{mode}``)."""
     return f"spectra.ops.{mode}"
 
-
-def begin_phase_s(phase: str) -> str:
-    """Histogram of one begin phase's duration (``spectra.begin.{phase}_s``)."""
-    return f"spectra.begin.{phase}_s"

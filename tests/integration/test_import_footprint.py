@@ -12,6 +12,12 @@ imported.
 The sim-safety linter is a development tool beside the system
 (``spclint/``, run as ``python -m spclint``): no ``repro`` module loads
 it, and ``repro`` has no ``lint`` command.
+
+A scenario run loads only the layers it runs (DESIGN.md §22): with the
+benchmark driver's imports, a small ``metro`` or ``latex-crowd`` run
+loads no application it does not name, no decision forensics, canned
+library, sweep (nor ``multiprocessing``) and no predictor store.  The
+CLI still loads every subcommand's modules when it is imported.
 """
 
 import json
@@ -19,6 +25,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from repro.predictors.linear import WindowedLinearModel
 
@@ -99,3 +107,63 @@ def test_runs_leave_numpy_unloaded_until_a_two_feature_fit(tmp_path):
     assert prediction == two_feature_prediction()
     assert abs(prediction - 33.0) < 1e-9
 
+
+
+#: modules a scenario run does not execute; ``import repro.cli`` loads
+#: every one of them for its subcommands
+NOT_ON_A_RUN = (
+    "multiprocessing",
+    "repro.apps.pangloss",
+    "repro.apps.speech",
+    "repro.apps.workloads",
+    "repro.core.explain",
+    "repro.predictors.store",
+    "repro.scenarios.library",
+    "repro.scenarios.sweep",
+    "repro.telemetry.forensics",
+)
+
+#: the benchmark driver's imports for a scenario, then one small seed-1
+#: run of the workload named on the command line
+FOOTPRINT_PROBE = """
+import json, sys
+import repro
+from repro.scenarios import compile_scenario, run_scenario
+from repro.telemetry import NULL_TRACER, Telemetry
+import workloads
+spec = workloads.scenario_spec(sys.argv[1], 1, small=True)
+compile_scenario(spec, telemetry=Telemetry())
+report = run_scenario(spec, telemetry=Telemetry())
+print(json.dumps({"completed": report.completed, "ops": len(report.ops),
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def probe_modules(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), str(ROOT / "bench")]))
+    result = subprocess.run([sys.executable, "-c", code, *args],
+                            capture_output=True, text=True, env=env,
+                            check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload,app,other", [
+    ("metro", "repro.apps.null", "repro.apps.latex"),
+    ("latex-crowd", "repro.apps.latex", "repro.apps.null"),
+])
+def test_a_scenario_run_loads_only_what_it_runs(workload, app, other):
+    probe = probe_modules(FOOTPRINT_PROBE, workload)
+    assert probe["completed"] and probe["ops"] > 0
+    loaded = set(probe["modules"])
+    assert sorted(loaded & set(NOT_ON_A_RUN + ("repro.apps.video",))) == []
+    assert app in loaded
+    assert other not in loaded
+
+
+def test_importing_the_cli_loads_every_subcommand_module():
+    probe = probe_modules(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "print(json.dumps({'modules': sorted(sys.modules)}))\n")
+    assert sorted(set(NOT_ON_A_RUN) - set(probe["modules"])) == []

@@ -31,10 +31,14 @@ DECLARED = {key: value for key, value in vars(names).items()
             if not key.startswith("_")
             and (key.isupper() or inspect.isfunction(value))}
 HELPERS = [fn for fn in DECLARED.values() if inspect.isfunction(fn)]
-NAME_VALUES = {value for value in DECLARED.values()
-               if isinstance(value, str)}
-#: ``PHASE_SPAN_PREFIX`` plus each runtime family's static head
-#: (``spectra.ops.``, ``spectra.begin.``).
+#: Every declared name: the string constants and the values of the
+#: tables of names (``BEGIN_PHASE_S``).
+NAME_VALUES = ({value for value in DECLARED.values()
+                if isinstance(value, str)}
+               | {name for value in DECLARED.values()
+                  if isinstance(value, dict) for name in value.values()})
+#: ``PHASE_SPAN_PREFIX`` plus the runtime family's static head
+#: (``spectra.ops.``).
 PREFIXES = ({value for key, value in DECLARED.items()
              if key.endswith("_PREFIX")}
             | {fn("\0").partition("\0")[0] for fn in HELPERS})
@@ -69,7 +73,8 @@ def _is_name(text):
 
 def test_declarations_are_nonempty():
     assert len(NAME_VALUES) > 30
-    assert PREFIXES == {"phase:", "spectra.ops.", "spectra.begin."}
+    assert PREFIXES == {"phase:", "spectra.ops."}
+    assert "spectra.begin.total_s" in NAME_VALUES
 
 
 def test_no_literal_name_at_a_telemetry_call(modules):
