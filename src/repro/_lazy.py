@@ -11,9 +11,10 @@ from typing import Any, Callable, Dict, List, Mapping, Tuple
 def lazy_exports(
     package: str, namespace: Dict[str, Any],
     table: Mapping[str, Tuple[str, ...]],
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """``(__getattr__, __dir__)`` for *package*, whose globals are
-    *namespace*; *table* maps each submodule to the names it exports.
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """``(__getattr__, __dir__, names)`` for *package*, whose globals are
+    *namespace*; *table* maps each submodule to the names it exports, and
+    *names* lists them in table order for the package's ``__all__``.
 
     The first access to a name imports its submodule and caches the name
     in *namespace*, so the hook runs once per name.
@@ -33,4 +34,4 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(namespace.keys() | home.keys())
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(home)

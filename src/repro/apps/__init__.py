@@ -1,106 +1,63 @@
-"""The paper's three applications plus the null overhead probe."""
+"""The paper's three applications, the video extension and the null
+overhead probe.  Each name loads its module on first access, so a run
+loads only the applications its spec names (:mod:`repro._lazy`)."""
 
-from .latex import (
-    LARGE_DOCUMENT,
-    SMALL_DOCUMENT,
-    Document,
-    LatexApplication,
-    LatexModel,
-    LatexService,
-    install_document,
-    make_latex_spec,
-    warm_document,
-)
-from .null import NullApplication, make_null_spec
-from .pangloss import (
-    COMPONENTS,
-    ENGINE_FIDELITY,
-    ENGINE_FILES,
-    ENGINES,
-    PanglossApplication,
-    PanglossModel,
-    PanglossPlan,
-    PanglossService,
-    active_engines,
-    install_pangloss_files,
-    make_pangloss_spec,
-    pangloss_fidelity_desirability,
-    pangloss_fidelity_spec,
-    pangloss_plans,
-    warm_pangloss_files,
-)
-from .speech import (
-    FULL_LM_BYTES,
-    FULL_LM_PATH,
-    REDUCED_LM_BYTES,
-    REDUCED_LM_PATH,
-    JanusService,
-    SpeechApplication,
-    SpeechModel,
-    hybrid_plan,
-    make_speech_spec,
-    speech_fidelity_desirability,
-)
-from .video import (
-    FULL_FRAME_RATE,
-    SOURCE_BYTES,
-    SOURCE_PATH,
-    VideoApplication,
-    VideoModel,
-    VideoService,
-    install_video_files,
-    make_video_spec,
-    video_fidelity_desirability,
-)
-from .workloads import LatexWorkload, SentenceWorkload, SpeechWorkload
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COMPONENTS",
-    "Document",
-    "ENGINES",
-    "ENGINE_FIDELITY",
-    "ENGINE_FILES",
-    "FULL_FRAME_RATE",
-    "FULL_LM_BYTES",
-    "FULL_LM_PATH",
-    "JanusService",
-    "LARGE_DOCUMENT",
-    "LatexApplication",
-    "LatexModel",
-    "LatexService",
-    "LatexWorkload",
-    "NullApplication",
-    "PanglossApplication",
-    "PanglossModel",
-    "PanglossPlan",
-    "PanglossService",
-    "REDUCED_LM_BYTES",
-    "REDUCED_LM_PATH",
-    "SMALL_DOCUMENT",
-    "SentenceWorkload",
-    "SpeechApplication",
-    "SpeechModel",
-    "SpeechWorkload",
-    "SOURCE_BYTES",
-    "SOURCE_PATH",
-    "VideoApplication",
-    "VideoModel",
-    "VideoService",
-    "active_engines",
-    "hybrid_plan",
-    "install_document",
-    "install_pangloss_files",
-    "install_video_files",
-    "make_latex_spec",
-    "make_null_spec",
-    "make_pangloss_spec",
-    "make_speech_spec",
-    "make_video_spec",
-    "pangloss_fidelity_desirability",
-    "video_fidelity_desirability",
-    "pangloss_fidelity_spec",
-    "pangloss_plans",
-    "speech_fidelity_desirability",
-    "warm_document",
-    "warm_pangloss_files",
-]
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, globals(), {
+    "latex": (
+        "LARGE_DOCUMENT",
+        "SMALL_DOCUMENT",
+        "Document",
+        "LatexApplication",
+        "LatexModel",
+        "LatexService",
+        "install_document",
+        "make_latex_spec",
+        "warm_document",
+    ),
+    "null": ("NullApplication", "make_null_spec"),
+    "pangloss": (
+        "COMPONENTS",
+        "ENGINE_FIDELITY",
+        "ENGINE_FILES",
+        "ENGINES",
+        "PanglossApplication",
+        "PanglossModel",
+        "PanglossPlan",
+        "PanglossService",
+        "active_engines",
+        "install_pangloss_files",
+        "make_pangloss_spec",
+        "pangloss_fidelity_desirability",
+        "pangloss_fidelity_spec",
+        "pangloss_plans",
+        "warm_pangloss_files",
+    ),
+    "speech": (
+        "FULL_LM_BYTES",
+        "FULL_LM_PATH",
+        "REDUCED_LM_BYTES",
+        "REDUCED_LM_PATH",
+        "JanusService",
+        "SpeechApplication",
+        "SpeechModel",
+        "hybrid_plan",
+        "make_speech_spec",
+        "speech_fidelity_desirability",
+    ),
+    "video": (
+        "FULL_FRAME_RATE",
+        "SOURCE_BYTES",
+        "SOURCE_PATH",
+        "VideoApplication",
+        "VideoModel",
+        "VideoService",
+        "install_video_files",
+        "make_video_spec",
+        "video_fidelity_desirability",
+    ),
+    "workloads": ("LatexWorkload", "SentenceWorkload", "SpeechWorkload"),
+})
+
+__all__ = _lazy_names

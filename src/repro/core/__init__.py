@@ -31,7 +31,7 @@ from .utility import (
 )
 
 # not on a run's path: decision forensics, the server config file
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, globals(), {
     "explain": ("explain_decision", "explain_trace"),
     "registry": ("ServerConfig",),
 })
@@ -43,8 +43,6 @@ __all__ = [
     "CONTROL_SERVICE",
     "DefaultUtility",
     "DemandEstimator",
-    "explain_decision",
-    "explain_trace",
     "ENERGY_EXPONENT_K",
     "ExecutionPlan",
     "NoFeasibleAlternativeError",
@@ -53,7 +51,6 @@ __all__ = [
     "OperationSpec",
     "OverheadModel",
     "RegisteredOperation",
-    "ServerConfig",
     "SpectraClient",
     "SpectraNode",
     "SpectraServer",
@@ -61,4 +58,5 @@ __all__ = [
     "local_plan",
     "ramp_latency",
     "remote_plan",
+    *_lazy_names,
 ]

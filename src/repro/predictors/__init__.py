@@ -16,7 +16,7 @@ from .logs import (
 )
 
 # not on a run's path: the persisted store (and the hashlib it needs)
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, globals(), {
     "store": (
         "STORE_SCHEMA",
         "PredictorStore",
@@ -38,16 +38,10 @@ __all__ = [
     "FileAccessPredictor",
     "NoModelError",
     "OperationDemandPredictor",
-    "PredictorStore",
-    "PredictorStoreError",
-    "STORE_SCHEMA",
-    "StoredPredictor",
     "UsageLog",
     "UsageSample",
     "WindowedLinearModel",
     "canonical_discrete_value",
     "discrete_key",
-    "document_digest",
-    "merge_logs",
-    "rebuild_predictor",
+    *_lazy_names,
 ]

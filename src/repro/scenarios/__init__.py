@@ -76,7 +76,7 @@ from .spec import (
 from .timeline import compile_timeline
 
 # not on a run's path: the canned library, the sweep (multiprocessing)
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, globals(), {
     "library": ("SCENARIOS", "canned_spec", "itsy_testbed",
                 "thinkpad_testbed"),
     "sweep": ("run_sweep", "sweep_to_json", "variant_seeds"),
@@ -95,24 +95,18 @@ __all__ = [
     "LinkSpec",
     "MediumSpec",
     "OpRecord",
-    "SCENARIOS",
     "ScenarioError",
     "ScenarioReport",
     "ScenarioSpec",
     "ThinkSpec",
     "TimelineEventSpec",
-    "canned_spec",
     "compile_scenario",
     "compile_timeline",
     "derive_seed",
     "generate_arrivals",
-    "itsy_testbed",
     "render_report",
     "run_scenario",
-    "run_sweep",
     "smoke_spec",
-    "sweep_to_json",
-    "thinkpad_testbed",
     "think_time",
-    "variant_seeds",
+    *_lazy_names,
 ]

@@ -33,6 +33,7 @@ from typing import (
 )
 
 from ..coda import FileServer
+from ..copying import deepcopy_state
 from ..core import SpectraNode
 from ..faults import FaultInjector, FaultSchedule
 from ..hosts import get_profile
@@ -46,15 +47,6 @@ from .timeline import compile_timeline
 
 if TYPE_CHECKING:
     from ..predictors.store import PredictorStore
-
-
-def __getattr__(name: str):
-    # LATEX_DOCUMENTS, the Latex documents addressable from a scenario's
-    # app options, lives with the documents: reading it loads the app.
-    if name == "LATEX_DOCUMENTS":
-        from ..apps.latex import DOCUMENTS
-        return DOCUMENTS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- app option checks: each returns a problem message, or None -------------------
@@ -94,10 +86,10 @@ class AppAdapter:
     :class:`~repro.scenarios.spec.AppSpec`; :attr:`OPTIONS` names the
     keys it may hold, each with its value check.
 
-    Each adapter imports its application module in the methods that
-    build the world, so a world loads only the applications its spec
-    names; :data:`ADAPTERS` and the option checks load none of them
-    (``documents`` aside, which reads the Latex document table).
+    Each adapter imports its application module when it is built, so a
+    world loads only the applications its spec names; :data:`ADAPTERS`
+    and the option checks load none of them (``documents`` aside, which
+    reads the Latex document table).
     """
 
     kind: str = ""
@@ -106,6 +98,10 @@ class AppAdapter:
 
     def __init__(self, options: Optional[Mapping] = None):
         self.options: Dict[str, Any] = dict(options or {})
+
+    def __deepcopy__(self, memo: dict) -> AppAdapter:
+        # A module does not deep-copy: a cloned world shares the app's.
+        return deepcopy_state(self, memo, _app=lambda module: module)
 
     @classmethod
     def option_problems(cls, options: Mapping) -> List[Tuple[str, str]]:
@@ -151,26 +147,27 @@ class SpeechAdapter(AppAdapter):
     OPTIONS = {"mean_length_s": _number, "spread_s": _number,
                "min_length_s": _number}
 
+    def __init__(self, options: Optional[Mapping] = None):
+        super().__init__(options)
+        from ..apps import speech
+        self._app = speech
+
     def install(self, fileserver) -> None:
-        from ..apps.speech import (FULL_LM_BYTES, FULL_LM_PATH,
-                                   REDUCED_LM_BYTES, REDUCED_LM_PATH)
-        for path, size in ((FULL_LM_PATH, FULL_LM_BYTES),
-                           (REDUCED_LM_PATH, REDUCED_LM_BYTES)):
+        speech = self._app
+        for path, size in ((speech.FULL_LM_PATH, speech.FULL_LM_BYTES),
+                           (speech.REDUCED_LM_PATH, speech.REDUCED_LM_BYTES)):
             if not fileserver.exists(path):
                 fileserver.create_file(path, size)
 
     def service(self):
-        from ..apps.speech import JanusService
-        return JanusService()
+        return self._app.JanusService()
 
     def warm(self, coda) -> None:
-        from ..apps.speech import FULL_LM_PATH, REDUCED_LM_PATH
-        coda.warm(FULL_LM_PATH)
-        coda.warm(REDUCED_LM_PATH)
+        coda.warm(self._app.FULL_LM_PATH)
+        coda.warm(self._app.REDUCED_LM_PATH)
 
     def driver(self, client):
-        from ..apps.speech import SpeechApplication
-        return SpeechApplication(client)
+        return self._app.SpeechApplication(client)
 
     def operation(self, app, rng, index, force=None) -> Generator:
         mean = float(self.options.get("mean_length_s", 2.0))
@@ -182,35 +179,33 @@ class SpeechAdapter(AppAdapter):
 
 class LatexAdapter(AppAdapter):
     """Latex typesetting; options: ``documents`` (names from
-    ``LATEX_DOCUMENTS``, default both) and ``warm_outputs``."""
+    :data:`repro.apps.latex.DOCUMENTS`, default both) and
+    ``warm_outputs``."""
 
     kind = "latex"
     OPTIONS = {"documents": _latex_documents, "warm_outputs": _flag}
 
     def __init__(self, options: Optional[Mapping] = None):
         super().__init__(options)
-        from ..apps.latex import DOCUMENTS
-        names = self.options.get("documents", sorted(DOCUMENTS))
-        self.documents = {name: DOCUMENTS[name] for name in names}
+        from ..apps import latex
+        self._app = latex
+        names = self.options.get("documents", sorted(latex.DOCUMENTS))
+        self.documents = {name: latex.DOCUMENTS[name] for name in names}
 
     def install(self, fileserver) -> None:
-        from ..apps.latex import install_document
         for document in self.documents.values():
-            install_document(fileserver, document)
+            self._app.install_document(fileserver, document)
 
     def service(self):
-        from ..apps.latex import LatexService
-        return LatexService(self.documents)
+        return self._app.LatexService(self.documents)
 
     def warm(self, coda) -> None:
-        from ..apps.latex import warm_document
         outputs = bool(self.options.get("warm_outputs", True))
         for document in self.documents.values():
-            warm_document(coda, document, outputs=outputs)
+            self._app.warm_document(coda, document, outputs=outputs)
 
     def driver(self, client):
-        from ..apps.latex import LatexApplication
-        return LatexApplication(client, self.documents)
+        return self._app.LatexApplication(client, self.documents)
 
     def operation(self, app, rng, index, force=None) -> Generator:
         names = sorted(self.documents)
@@ -222,12 +217,16 @@ class NullAdapter(AppAdapter):
 
     kind = "null"
 
+    def __init__(self, options: Optional[Mapping] = None):
+        super().__init__(options)
+        from ..apps import null
+        self._app = null
+
     def service(self):
         return NullService()
 
     def driver(self, client):
-        from ..apps.null import NullApplication
-        return NullApplication(client)
+        return self._app.NullApplication(client)
 
     def operation(self, app, rng, index, force=None) -> Generator:
         return app.invoke(force=force)
@@ -241,26 +240,28 @@ class PanglossAdapter(AppAdapter):
     kind = "pangloss"
     OPTIONS = {"parallel": _flag}
 
+    def __init__(self, options: Optional[Mapping] = None):
+        super().__init__(options)
+        from ..apps import pangloss
+        from ..apps.workloads import SentenceWorkload
+        self._app = pangloss
+        self._sentences = SentenceWorkload()
+
     def install(self, fileserver) -> None:
-        from ..apps.pangloss import install_pangloss_files
-        install_pangloss_files(fileserver)
+        self._app.install_pangloss_files(fileserver)
 
     def service(self):
-        from ..apps.pangloss import PanglossService
-        return PanglossService()
+        return self._app.PanglossService()
 
     def warm(self, coda) -> None:
-        from ..apps.pangloss import warm_pangloss_files
-        warm_pangloss_files(coda)
+        self._app.warm_pangloss_files(coda)
 
     def driver(self, client):
-        from ..apps.pangloss import PanglossApplication
-        return PanglossApplication(
+        return self._app.PanglossApplication(
             client, parallel=self.options.get("parallel", False))
 
     def operation(self, app, rng, index, force=None) -> Generator:
-        from ..apps.workloads import SentenceWorkload
-        sentences = SentenceWorkload()
+        sentences = self._sentences
         words = rng.randint(sentences.min_words, sentences.max_words)
         return app.translate(words, force=force)
 

@@ -34,7 +34,7 @@ from .metrics import (
 from .tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, SpanTracer
 
 # not on a run's path: trace replay and tables for ``repro trace``
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, globals(), {
     "forensics": ("OperationForensics", "collect_operations", "load_jsonl",
                   "render_trace_report", "split_records"),
     "formatting": ("fmt_joules", "fmt_rate", "fmt_seconds", "render_table"),
@@ -51,18 +51,10 @@ __all__ = [
     "NULL_TRACER",
     "NullMetricsRegistry",
     "NullTracer",
-    "OperationForensics",
     "Span",
     "SpanTracer",
     "Telemetry",
-    "collect_operations",
     "ensure_telemetry",
-    "fmt_joules",
-    "fmt_rate",
-    "fmt_seconds",
     "jsonl_trace",
-    "load_jsonl",
-    "render_table",
-    "render_trace_report",
-    "split_records",
+    *_lazy_names,
 ]

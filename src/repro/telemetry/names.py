@@ -49,7 +49,9 @@ PREDICT_TIME_ABS_REL_ERR = "spectra.predict.time_abs_rel_err"
 
 #: Histogram of each begin phase's duration (``spectra.begin.{phase}_s``),
 #: keyed by the phases ``begin_fidelity_op`` times.  The set is fixed, so
-#: the names are built once here, not once per decision.
+#: the names are built once here, not once per decision;
+#: ``tests/unit/test_core_client_server.py`` checks it against the keys
+#: ``OperationHandle.timings`` records.
 BEGIN_PHASE_S = {phase: f"spectra.begin.{phase}_s" for phase in (
     "file_cache_prediction", "snapshot", "choosing", "consistency", "total")}
 

@@ -25,6 +25,7 @@ from repro.rpc import (
     next_opid,
 )
 from repro.rpc.messages import ServiceUnavailableError
+from repro.telemetry.names import BEGIN_PHASE_S
 
 
 @pytest.fixture
@@ -131,6 +132,8 @@ class TestDecisions:
         for key in ("file_cache_prediction", "snapshot", "choosing",
                     "consistency", "total"):
             assert key in handle.timings
+        # every phase timed has its histogram name, and no other does
+        assert handle.timings.keys() == BEGIN_PHASE_S.keys()
         assert handle.timings["total"] > 0
 
     def test_report_contains_usage(self, sim, testbed):
