@@ -16,8 +16,8 @@ Every experiment module runs that method through the helpers here:
 * :func:`measure_on_clones` measures every alternative, then Spectra's
   pick, each on its own :func:`clone_world` copy of a trained world;
 * :func:`measure_cells` measures every (scenario, input) cell of a
-  figure from one trained world, on forked workers when more than one
-  CPU is available.
+  figure from one trained world, on forked workers, one per available
+  CPU (:mod:`repro._fanout`).
 
 Training never depends on the scenario or on the alternative measured,
 so a clone starts from the state a freshly trained world would have, at
@@ -29,12 +29,11 @@ the cost of one deep copy instead of a whole training run.
 from __future__ import annotations
 
 import copy
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
                     Tuple, TypeVar)
 
+from .._fanout import fan_out
 from ..core import Alternative, DefaultUtility, OperationSpec
 from ..core.utility import AlternativePrediction
 from ..scenarios import CompiledScenario, ScenarioSpec, compile_scenario
@@ -200,54 +199,24 @@ def measure_on_clones(trained: Tuple[CompiledScenario, Any],
     return measurements, measure_spectra(world, host, op)
 
 
-#: ``(trained, measure)`` of the :func:`measure_cells` call whose pool
-#: is open.  Forked workers inherit it, so neither is pickled.
-_FORKED: Optional[Tuple[Any, Callable[..., Any]]] = None
-
-
-def _measure_forked(cell: tuple) -> Any:
-    """Worker entry point: one cell, on the world the fork inherited."""
-    trained, measure = _FORKED
-    return measure(trained, *cell)
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on (1 where the platform cannot say)."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def measure_cells(trained: WorldT, cells: Sequence[tuple],
                   measure: Callable[..., ResultT]) -> Dict[tuple, ResultT]:
     """``{cell: measure(trained, *cell)}`` for every cell, in cell order.
 
     Each cell is a pure function of the trained world and the cell:
     *measure* takes its own :func:`clone_world` copy, so no cell sees
-    another's state.  The cells therefore run on a ``fork`` pool, one
-    worker per CPU available to the process, and merge by cell index, so
-    the result is the same whatever the worker count.  Fork, not spawn: the Latex and Pangloss
-    worlds do not pickle (their desirability functions are closures),
-    and a forked worker inherits the quiescent world instead of
-    re-importing and retraining.  Only the cells and their results
-    travel pickled.
+    another's state, and the cells run through :func:`~repro._fanout.fan_out`
+    on forked workers, one per available CPU.  A forked worker inherits
+    the quiescent world, so neither it nor *measure* is pickled (the
+    Latex and Pangloss worlds do not pickle: their desirability
+    functions are closures) and no worker retrains.
 
-    Runs in-process for one worker, one cell, or a platform without
-    ``fork``.  A world :func:`clone_world` would refuse is refused with
+    A world :func:`clone_world` would refuse is refused with
     :class:`ValueError` before any worker starts; an exception raised in
     a cell reaches the caller.
     """
     _check_cloneable(trained)
-    jobs = min(_available_cpus(), len(cells))
-    if jobs <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return {cell: measure(trained, *cell) for cell in cells}
-    global _FORKED
-    _FORKED = (trained, measure)
-    try:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_measure_forked, cells, chunksize=1)
-    finally:
-        _FORKED = None
+    results = fan_out(lambda cell: measure(trained, *cell), cells)
     return dict(zip(cells, results))
 
 

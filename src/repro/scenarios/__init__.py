@@ -39,9 +39,9 @@ instead of code:
     spec factories (:func:`itsy_testbed`, :func:`thinkpad_testbed`).
 
 :mod:`~repro.scenarios.sweep`
-    :func:`run_sweep` — seeded variants of one scenario fanned across
-    worker processes and merged into one deterministic document
-    (``repro scenario sweep --jobs N``).
+    :func:`run_sweep` — seeded variants of one scenario fanned over
+    forked workers, one per available CPU, and merged into one
+    deterministic document (``repro scenario sweep``).
 """
 
 from .._lazy import lazy_exports

@@ -74,16 +74,14 @@ def add_scenario_arguments(parser: argparse.ArgumentParser,
         "sweep", parents=[common],
         help="run seeded variants of a scenario across worker processes",
         description="Fan --variants seeded realizations of one scenario "
-                    "over --jobs worker processes and merge them into a "
-                    "single deterministic spectra-sweep/1 JSON document "
-                    "— byte-identical for any job count.",
+                    "over forked workers, one per available CPU, and merge "
+                    "them into a single deterministic spectra-sweep/1 JSON "
+                    "document — byte-identical for any CPU count.",
     )
     sweep.add_argument("name",
                        help="canned scenario name or path to a JSON spec")
     sweep.add_argument("--variants", type=int, default=4,
                        help="seeded traffic realizations (default: 4)")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (default: 1 = in-process)")
     sweep.add_argument("--seed", type=int, default=None,
                        help="override the spec's base seed")
     sweep.add_argument("--profile", default="smoke", choices=PROFILES,
@@ -138,7 +136,7 @@ def run_scenario_command(args: argparse.Namespace) -> int:
             spec = _load_spec(args.name)
             if args.seed is not None:
                 spec = dataclasses.replace(spec, seed=args.seed)
-            doc = run_sweep(spec, variants=args.variants, jobs=args.jobs,
+            doc = run_sweep(spec, variants=args.variants,
                             profile=args.profile,
                             predictor_store=args.predictor_store,
                             save_predictors=args.save_predictors)

@@ -1,40 +1,35 @@
-"""Parallel scenario sweeps: one spec, many seeds, all CPU cores.
+"""Scenario sweeps: one spec, many seeds, every available CPU.
 
 A single scenario run answers "what happens"; a *sweep* answers "how
 much does it vary" — the same world re-run under ``--variants`` seeded
-traffic realizations, fanned across ``--jobs`` worker processes, merged
-into one deterministic JSON document.
+traffic realizations, fanned over forked workers, one per available
+CPU (:func:`repro._fanout.fan_out`), merged into one deterministic JSON
+document.
 
-Determinism across process counts is the design constraint:
+Determinism across CPU counts is the design constraint:
 
 * variant seeds derive from the spec's seed via CRC32
   (:func:`~repro.scenarios.arrivals.derive_seed`), never from worker
   identity, wall clock, or ``PYTHONHASHSEED``;
-* the spec travels to workers as its canonical JSON text, so every
-  worker compiles the identical world regardless of import order;
-* results merge **by variant index**, not completion order.
+* results come back in variant order, not completion order.
 
-Hence ``--jobs 1`` and ``--jobs 8`` produce byte-identical merged
-reports, and a sweep is exactly reproducible from its
-``(scenario, seed, variants, profile)`` header.
+Hence one CPU and eight produce byte-identical merged reports, and a
+sweep is exactly reproducible from its ``(scenario, seed, variants,
+profile)`` header.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import pathlib
 from typing import Any, Dict, List, Optional, Tuple
 
+from .._fanout import fan_out
 from .arrivals import derive_seed
 from .runner import run_scenario
 from .spec import ScenarioSpec
 
 SWEEP_SCHEMA = "spectra-sweep/1"
-
-#: one unit of worker input:
-#: (variant index, spec JSON, profile, seed, store dir or None, save flag)
-WorkItem = Tuple[int, str, str, int, Optional[str], bool]
 
 
 def variant_seeds(spec: ScenarioSpec, variants: int) -> List[int]:
@@ -51,71 +46,37 @@ def variant_seeds(spec: ScenarioSpec, variants: int) -> List[int]:
     ]
 
 
-def _run_variant(item: WorkItem) -> Tuple[int, int, Dict[str, Any]]:
-    """Worker entry point: compile, run, and report one variant.
-
-    Module-level (not a closure) so the ``spawn`` start method can
-    pickle it; takes/returns only plain data for the same reason.
-    """
-    index, spec_json, profile, seed, store_dir, save = item
-    spec = ScenarioSpec.from_json(spec_json)
-    report = run_scenario(spec, profile=profile, seed=seed,
-                          predictor_store=store_dir,
-                          save_predictors=save)
-    return index, seed, report.to_dict()
-
-
 def run_sweep(
     spec: ScenarioSpec,
     variants: int = 4,
-    jobs: int = 1,
     profile: str = "smoke",
     predictor_store: Optional[str] = None,
     save_predictors: bool = False,
 ) -> Dict[str, Any]:
-    """Run *variants* seeded realizations of *spec* across *jobs* workers.
+    """Run *variants* seeded realizations of *spec* on every available CPU.
 
-    Returns the merged ``spectra-sweep/1`` document.  ``jobs=1`` runs
-    in-process (no multiprocessing machinery, easiest to debug); more
-    jobs fan variants over a ``spawn``-context pool — ``fork`` would
-    duplicate whatever simulator state the parent happens to hold, and
-    ``spawn`` matches how workers behave on every platform.
+    Returns the merged ``spectra-sweep/1`` document.  The variants run
+    through :func:`~repro._fanout.fan_out`: in-process on one CPU, on
+    forked workers otherwise.
 
     ``predictor_store`` is a root directory; every variant gets its own
     ``variant-NNN`` scope under it, keyed by variant *index* — never by
     worker identity — so concurrent workers cannot race on documents
-    and ``--jobs 1`` vs ``--jobs 8`` stay byte-identical.
+    and the CPU count does not change a byte.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1: {jobs}")
     if save_predictors and predictor_store is None:
         raise ValueError("save_predictors=True requires a predictor_store")
     seeds = variant_seeds(spec, variants)
-    spec_json = spec.to_json()
 
-    def _variant_store(index: int) -> Optional[str]:
-        if predictor_store is None:
-            return None
-        return str(pathlib.Path(predictor_store) / f"variant-{index:03d}")
+    def run_variant(indexed: Tuple[int, int]) -> Dict[str, Any]:
+        index, seed = indexed
+        store = (None if predictor_store is None else
+                 str(pathlib.Path(predictor_store) / f"variant-{index:03d}"))
+        return run_scenario(spec, profile=profile, seed=seed,
+                            predictor_store=store,
+                            save_predictors=save_predictors).to_dict()
 
-    items: List[WorkItem] = [
-        (index, spec_json, profile, seed, _variant_store(index),
-         save_predictors)
-        for index, seed in enumerate(seeds)
-    ]
-
-    if jobs == 1 or len(items) == 1:
-        outcomes = [_run_variant(item) for item in items]
-    else:
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=min(jobs, len(items))) as pool:
-            outcomes = pool.map(_run_variant, items)
-
-    # Merge strictly by variant index: completion order depends on the
-    # scheduler, the report must not.
-    by_index = {index: (seed, report) for index, seed, report in outcomes}
-    ordered = [by_index[index] for index in range(len(items))]
-
+    ordered = list(zip(seeds, fan_out(run_variant, enumerate(seeds))))
     return {
         "schema": SWEEP_SCHEMA,
         "scenario": spec.name,

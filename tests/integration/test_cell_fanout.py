@@ -1,8 +1,9 @@
 """Integration tests: a figure's cells on forked workers.
 
 :func:`~repro.experiments.runner.measure_cells` measures every (scenario,
-input) cell of a figure from one trained world, on a ``fork`` pool with
-one worker per available CPU.  These tests hold it to its contract:
+input) cell of a figure from one trained world through
+:func:`~repro._fanout.fan_out`: a ``fork`` pool with one worker per
+available CPU.  These tests hold it to its contract:
 
 * the result does not depend on the worker count — one worker and two
   give every float with the same ``repr``, for each experiment and for
@@ -22,7 +23,6 @@ from repro.experiments import (
     run_pangloss_experiment,
     run_parallel_experiment,
     run_speech_experiment,
-    runner,
     speech,
 )
 from repro.experiments.runner import measure_cells
@@ -31,14 +31,6 @@ from repro.solver import HeuristicSolver
 
 class CellError(RuntimeError):
     """Raised by one cell of a sweep."""
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(n)`` makes the experiments see *n* available CPUs."""
-    def set_cpus(count):
-        monkeypatch.setattr(runner, "_available_cpus", lambda: count)
-    return set_cpus
 
 
 @pytest.fixture(scope="module")

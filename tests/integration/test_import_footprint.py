@@ -16,8 +16,9 @@ it, and ``repro`` has no ``lint`` command.
 A scenario run loads only the layers it runs (DESIGN.md §22): with the
 benchmark driver's imports, a small ``metro`` or ``latex-crowd`` run
 loads no application it does not name, no decision forensics, canned
-library, sweep (nor ``multiprocessing``) and no predictor store.  The
-CLI still loads every subcommand's modules when it is imported.
+library, sweep (nor ``multiprocessing``), exhaustive solver or
+predictor store.  The CLI still loads every subcommand's modules when
+it is imported.
 """
 
 import json
@@ -120,6 +121,7 @@ NOT_ON_A_RUN = (
     "repro.predictors.store",
     "repro.scenarios.library",
     "repro.scenarios.sweep",
+    "repro.solver.exhaustive",
     "repro.telemetry.forensics",
 )
 

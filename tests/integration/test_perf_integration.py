@@ -7,7 +7,8 @@ The acceptance bar, end to end:
   system level, not just per-solve;
 * reports do not depend on ``PYTHONHASHSEED`` (checked in fresh
   subprocesses with different hash seeds);
-* a multiprocess sweep merges to the same bytes as the in-process one.
+* a sweep forked over two CPUs merges to the same bytes as the
+  in-process one.
 """
 
 import os
@@ -58,8 +59,11 @@ def test_report_independent_of_hash_seed():
     assert _report_in_subprocess(0) == _report_in_subprocess(1)
 
 
-def test_sweep_jobs_do_not_change_bytes():
+def test_sweep_cpu_count_does_not_change_bytes(cpus):
     spec = canned_spec("walk-in-office")
-    serial = run_sweep(spec, variants=3, jobs=1, profile="smoke")
-    fanned = run_sweep(spec, variants=3, jobs=2, profile="smoke")
-    assert sweep_to_json(serial) == sweep_to_json(fanned)
+    sweeps = []
+    for count in (1, 2):
+        cpus(count)
+        sweeps.append(sweep_to_json(run_sweep(spec, variants=3,
+                                              profile="smoke")))
+    assert sweeps[0] == sweeps[1]

@@ -88,10 +88,10 @@ class TestRoundTripGate:
 class TestSweepStores:
     def test_sweep_isolates_variants_and_stays_deterministic(self, tmp_path):
         spec = canned_spec(SCENARIO)
-        first = run_sweep(spec, variants=2, jobs=1, profile="smoke",
+        first = run_sweep(spec, variants=2, profile="smoke",
                           predictor_store=str(tmp_path / "a"),
                           save_predictors=True)
-        second = run_sweep(spec, variants=2, jobs=1, profile="smoke",
+        second = run_sweep(spec, variants=2, profile="smoke",
                            predictor_store=str(tmp_path / "b"),
                            save_predictors=True)
         assert sweep_to_json(first) == sweep_to_json(second)

@@ -1,8 +1,8 @@
 """Lazy package re-exports keep the public API.
 
-``repro.apps``, ``repro.core``, ``repro.predictors``, ``repro.scenarios``
-and ``repro.telemetry`` import eagerly only what a scenario run uses and
-resolve the rest of their ``__all__`` on first access
+``repro.apps``, ``repro.core``, ``repro.predictors``, ``repro.scenarios``,
+``repro.solver`` and ``repro.telemetry`` import eagerly only what a
+scenario run uses and resolve the rest of their ``__all__`` on first access
 (:mod:`repro._lazy`).  Whether a name was imported eagerly or lazily,
 it must be the object its defining submodule holds, be listed by
 ``dir()``, bind under ``from package import *``, and an unknown name
@@ -15,7 +15,7 @@ import pkgutil
 import pytest
 
 PACKAGES = ("repro", "repro.apps", "repro.core", "repro.predictors",
-            "repro.scenarios", "repro.telemetry")
+            "repro.scenarios", "repro.solver", "repro.telemetry")
 
 
 def exports(package):

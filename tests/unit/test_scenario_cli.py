@@ -93,6 +93,15 @@ class TestScenarioRun:
         assert "absent" in capsys.readouterr().err
 
 
+class TestScenarioSweep:
+    def test_jobs_is_no_longer_an_option(self, capsys):
+        # Sweeps fan out over every available CPU; there is no knob.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "sweep", "walk-in-office", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 class TestTopLevelList:
     def test_repro_list_shows_scenarios_and_chaos_profiles(self, capsys):
         # The chaos runs are canned scenarios, listed with the rest.

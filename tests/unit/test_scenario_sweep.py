@@ -1,8 +1,8 @@
 """Unit tests for parallel scenario sweeps (``repro scenario sweep``).
 
-The multiprocess leg (jobs > 1 byte-identical to jobs == 1) lives in
-the integration suite; these tests pin the seed derivation, document
-shape, and canonical serialization in-process.
+The forked leg (two CPUs byte-identical to one) lives in the
+integration suite; these tests pin the seed derivation, document
+shape, and canonical serialization.
 """
 
 import json
@@ -45,14 +45,12 @@ class TestVariantSeeds:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             variant_seeds(spec(), 0)
-        with pytest.raises(ValueError):
-            run_sweep(spec(), variants=2, jobs=0)
 
 
 class TestRunSweep:
     @pytest.fixture(scope="class")
     def doc(self):
-        return run_sweep(spec(), variants=2, jobs=1, profile="smoke")
+        return run_sweep(spec(), variants=2, profile="smoke")
 
     def test_document_header(self, doc):
         spec = canned_spec("walk-in-office")
@@ -87,5 +85,5 @@ class TestRunSweep:
         assert text == sweep_to_json(json.loads(text))
 
     def test_rerun_is_byte_identical(self, doc):
-        again = run_sweep(spec(), variants=2, jobs=1, profile="smoke")
+        again = run_sweep(spec(), variants=2, profile="smoke")
         assert sweep_to_json(again) == sweep_to_json(doc)
