@@ -43,41 +43,42 @@ def generate_arrivals(spec: ArrivalSpec, rng: random.Random,
     Always returns at least one arrival: a client that exists generates
     traffic, even if the (scaled-down) duration left no room for its
     process — otherwise a smoke profile could silently test nothing.
+    A generated process stops drawing at ``n_ops`` arrivals.
     """
+    cap = MAX_ARRIVALS if spec.n_ops is None else min(MAX_ARRIVALS,
+                                                      spec.n_ops)
     if spec.kind == "poisson":
-        times = _poisson(rng, spec.rate_ops_per_s, 0.0, duration_s)
+        times = _poisson(rng, spec.rate_ops_per_s, 0.0, duration_s, cap)
     elif spec.kind == "fixed":
         interval = 1.0 / spec.rate_ops_per_s
         times, t = [], interval
-        while t < duration_s and len(times) < MAX_ARRIVALS:
+        while t < duration_s and len(times) < cap:
             times.append(t)
             t += interval
     elif spec.kind == "onoff":
         times, t = [], 0.0
-        while t < duration_s and len(times) < MAX_ARRIVALS:
+        while t < duration_s and len(times) < cap:
             times.extend(_poisson(rng, spec.rate_ops_per_s, t,
-                                  min(t + spec.on_s, duration_s)))
+                                  min(t + spec.on_s, duration_s),
+                                  cap - len(times)))
             t += spec.on_s + spec.off_s
             if spec.off_s <= 0 and spec.on_s <= 0:
                 break
-        times = times[:MAX_ARRIVALS]
     elif spec.kind == "trace":
-        times = [t for t in spec.times if t < duration_s]
+        times = [t for t in spec.times if t < duration_s][:spec.n_ops]
     else:  # pragma: no cover - validate() rejects unknown kinds
         raise ValueError(f"unknown arrival kind {spec.kind!r}")
 
-    if spec.n_ops is not None:
-        times = times[:spec.n_ops]
     if not times:
         times = [0.0]
     return times
 
 
 def _poisson(rng: random.Random, rate: float, start: float,
-             end: float) -> List[float]:
+             end: float, cap: int) -> List[float]:
     times = []
     t = start + rng.expovariate(rate)
-    while t < end and len(times) < MAX_ARRIVALS:
+    while t < end and len(times) < cap:
         times.append(t)
         t += rng.expovariate(rate)
     return times

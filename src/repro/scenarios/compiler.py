@@ -93,6 +93,9 @@ class AppAdapter:
     """
 
     kind: str = ""
+    #: whether :meth:`operation` draws from its generator; a client of
+    #: an adapter that does not gets none
+    draws: bool = False
     #: option key -> check returning a problem message (None when fine)
     OPTIONS: Mapping[str, Callable[[Any], Optional[str]]] = {}
 
@@ -133,7 +136,7 @@ class AppAdapter:
         """The per-client application object (has .spec and .register())."""
         raise NotImplementedError
 
-    def operation(self, app, rng: random.Random, index: int,
+    def operation(self, app, rng: Optional[random.Random], index: int,
                   force=None) -> Generator:
         """Process: one operation; returns the OperationReport."""
         raise NotImplementedError
@@ -144,6 +147,7 @@ class SpeechAdapter(AppAdapter):
     ``spread_s``, ``min_length_s`` (utterance-length distribution)."""
 
     kind = "speech"
+    draws = True
     OPTIONS = {"mean_length_s": _number, "spread_s": _number,
                "min_length_s": _number}
 
@@ -238,6 +242,7 @@ class PanglossAdapter(AppAdapter):
     :class:`~repro.apps.SentenceWorkload`'s word range."""
 
     kind = "pangloss"
+    draws = True
     OPTIONS = {"parallel": _flag}
 
     def __init__(self, options: Optional[Mapping] = None):
@@ -283,9 +288,9 @@ class CompiledClient:
     node: SpectraNode
     adapter: AppAdapter
     app: Any  # the per-client application driver
-    #: seeded generator for this client's workload draws
-    rng: random.Random = field(repr=False,
-                               default_factory=lambda: random.Random(0))
+    #: seeded generator for this client's workload draws; None when
+    #: its adapter draws none
+    rng: Optional[random.Random] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -408,8 +413,9 @@ def compile_scenario(
                 client.add_server(server)
         adapter = adapters[client_spec.app]
         app = adapter.driver(client)
-        rng = random.Random(derive_seed(spec.seed, "workload",
-                                        client_spec.host))
+        rng = (random.Random(derive_seed(spec.seed, "workload",
+                                         client_spec.host))
+               if adapter.draws else None)
         clients.append(CompiledClient(spec=client_spec, node=node,
                                       adapter=adapter, app=app, rng=rng))
 

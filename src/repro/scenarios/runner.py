@@ -31,6 +31,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -99,11 +102,8 @@ class OpRecord:
 
     A completed operation holds the :class:`~repro.core.plans.Alternative`
     it ran and reads its plan, server and fidelity off it; a failed one
-    has none.  The runner keeps one object per distinct choice, so every
-    record of that choice holds the same one.  The record keeps only
-    what the report prints: an operation's measured usage and its
-    solver-time prediction reach the ``on_op`` hook of
-    :func:`run_scenario` and are not kept here.
+    has none.  A report builds its records when they are read, from its
+    :class:`ClientOps` columns.
     """
 
     client: str
@@ -129,6 +129,78 @@ class OpRecord:
         return () if self.alternative is None else self.alternative.fidelity
 
 
+class ClientOps:
+    """One client's measured operations as columns, in index order.
+
+    ``choice`` indexes the run's list of chosen alternatives; a failed
+    operation has none (-1), so it is also the completed flag, and only
+    a failed one has an entry in ``errors``.  Measured usage and the
+    solver's prediction reach :func:`run_scenario`'s ``on_op`` hook and
+    are not kept.
+    """
+
+    __slots__ = ("issued_at_s", "elapsed_s", "choice", "failed_over",
+                 "errors")
+
+    def __init__(self) -> None:
+        self.issued_at_s = array("d")
+        self.elapsed_s = array("d")
+        self.choice = array("i")
+        self.failed_over = bytearray()
+        self.errors: Dict[int, str] = {}
+
+    def __len__(self) -> int:
+        return len(self.choice)
+
+    def add(self, issued_at_s: float, elapsed_s: float = 0.0,
+            choice: int = -1, failed_over: bool = False) -> None:
+        self.issued_at_s.append(issued_at_s)
+        self.elapsed_s.append(elapsed_s)
+        self.choice.append(choice)
+        self.failed_over.append(failed_over)
+
+    def latencies(self) -> List[float]:
+        return [latency for latency, choice
+                in zip(self.elapsed_s, self.choice) if choice >= 0]
+
+
+class OpRecords(Sequence):
+    """A run's measured operations in (client, index) order: a
+    read-only sequence of :class:`OpRecord`, each built when read."""
+
+    def __init__(self, clients: Dict[str, ClientOps],
+                 choices: List[Alternative]):
+        self.clients = dict(sorted(clients.items()))
+        self.choices = choices
+
+    def __len__(self) -> int:
+        return sum(map(len, self.clients.values()))
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(len(self)))]
+        position = item + len(self) if item < 0 else item
+        for name, ops in self.clients.items():
+            if 0 <= position < len(ops):
+                return self._record(name, ops, position)
+            position -= len(ops)
+        raise IndexError("operation index out of range")
+
+    def __iter__(self):
+        for name, ops in self.clients.items():
+            for index in range(len(ops)):
+                yield self._record(name, ops, index)
+
+    def _record(self, name: str, ops: ClientOps, index: int) -> OpRecord:
+        choice = ops.choice[index]
+        return OpRecord(
+            client=name, index=index, issued_at_s=ops.issued_at_s[index],
+            elapsed_s=ops.elapsed_s[index],
+            alternative=None if choice < 0 else self.choices[choice],
+            failed_over=bool(ops.failed_over[index]),
+            completed=choice >= 0, error=ops.errors.get(index, ""))
+
+
 @dataclass
 class ScenarioReport:
     """Everything one scenario run produced, JSON-stable."""
@@ -138,7 +210,7 @@ class ScenarioReport:
     profile: str
     duration_s: float
     sim_time_s: float
-    ops: List[OpRecord]
+    ops: OpRecords
     energy_j: Dict[str, float]
     counters: Dict[str, float]
     fault_journal: List[str]
@@ -156,19 +228,15 @@ class ScenarioReport:
 
     @property
     def completed(self) -> bool:
-        return all(op.completed for op in self.ops)
+        return all(-1 not in ops.choice for ops in self.ops.clients.values())
 
     def latencies(self) -> List[float]:
-        return [op.elapsed_s for op in self.ops if op.completed]
+        return [latency for ops in self.ops.clients.values()
+                for latency in ops.latencies()]
 
     def to_dict(self) -> Dict[str, Any]:
-        # One pass groups the ops by client, keeping each client's ops
-        # in run order; every section is built from its own group.
-        by_client: Dict[str, List[OpRecord]] = {}
-        for op in self.ops:
-            by_client.setdefault(op.client, []).append(op)
-        per_client = {name: self._client_section(name, by_client[name])
-                      for name in sorted(by_client)}
+        per_client = {name: self._client_section(name, ops)
+                      for name, ops in self.ops.clients.items()}
         data = {
             "scenario": self.scenario,
             "seed": self.seed,
@@ -177,10 +245,9 @@ class ScenarioReport:
             "sim_time_s": _round(self.sim_time_s),
             "clients": per_client,
             "totals": {
-                "ops": len(self.ops),
-                "completed": sum(1 for op in self.ops if op.completed),
-                "failed": sum(1 for op in self.ops if not op.completed),
-                "failovers": sum(1 for op in self.ops if op.failed_over),
+                key: sum(section[key] for section in per_client.values())
+                for key in ("ops", "completed", "failed", "failovers")
+            } | {
                 "latency": _latency_stats(self.latencies()),
                 "energy_j": _round(sum(self.energy_j.values())),
                 "bytes_transferred": self.bytes_transferred,
@@ -217,26 +284,28 @@ class ScenarioReport:
                 if energy_j > 0 else 1.0),
         }
 
-    def _client_section(self, name: str,
-                        ops: List[OpRecord]) -> Dict[str, Any]:
+    def _client_section(self, name: str, ops: ClientOps) -> Dict[str, Any]:
         mix: Dict[str, int] = {}
-        for op in ops:
-            if not op.completed:
+        for choice, count in Counter(ops.choice).items():
+            if choice < 0:
                 continue
-            where = f"@{op.server}" if op.server else ""
-            fidelity = ",".join(f"{k}={v}" for k, v in sorted(op.fidelity))
-            key = op.plan + where + (f" [{fidelity}]" if fidelity else "")
-            mix[key] = mix.get(key, 0) + 1
+            alternative = self.ops.choices[choice]
+            where = f"@{alternative.server}" if alternative.server else ""
+            fidelity = ",".join(f"{k}={v}"
+                                for k, v in sorted(alternative.fidelity))
+            key = (alternative.plan.name + where
+                   + (f" [{fidelity}]" if fidelity else ""))
+            mix[key] = mix.get(key, 0) + count
+        failed = ops.choice.count(-1)
         return {
             "ops": len(ops),
-            "completed": sum(1 for op in ops if op.completed),
-            "failed": sum(1 for op in ops if not op.completed),
-            "failovers": sum(1 for op in ops if op.failed_over),
-            "latency": _latency_stats(
-                [op.elapsed_s for op in ops if op.completed]),
+            "completed": len(ops) - failed,
+            "failed": failed,
+            "failovers": ops.failed_over.count(1),
+            "latency": _latency_stats(ops.latencies()),
             "energy_j": _round(self.energy_j.get(name, 0.0)),
             "mix": dict(sorted(mix.items())),
-            "errors": sorted({op.error for op in ops if op.error}),
+            "errors": sorted(set(ops.errors.values())),
         }
 
     def to_json(self) -> str:
@@ -284,8 +353,9 @@ def _train(world: CompiledScenario) -> None:
             list(compiled.spec.servers))
         # Training has its own generator so the measured phase's draws
         # do not shift when a profile rescales training_ops.
-        rng = random.Random(derive_seed(world.spec.seed, "training",
-                                        compiled.name))
+        rng = (random.Random(derive_seed(world.spec.seed, "training",
+                                         compiled.name))
+               if compiled.adapter.draws else None)
         for i in range(n):
             force = alternatives[i % len(alternatives)]
             sim.run_process(
@@ -302,45 +372,42 @@ OpAnchors = Dict[int, List[Tuple[TimelineEventSpec, float]]]
 
 
 def _drive(world: CompiledScenario, compiled: CompiledClient,
-           t0: float, records: List[OpRecord],
-           choices: Dict[Alternative, Alternative],
+           t0: float, ops: ClientOps, choices: Dict[Alternative, int],
            on_op: Optional[OpHook], anchors: Optional[OpAnchors]):
     """Process: one client's measured phase (arrivals + think times).
 
-    *choices* maps each alternative chosen so far to the one object the
-    records hold for it: each client's solver builds its own, and
-    builds them again when its reachable servers change.
+    *choices* numbers each alternative chosen so far in the run, in
+    first-chosen order: each client's solver builds its own, and builds
+    them again when its reachable servers change.
     """
     sim = world.sim
     spec = world.spec
-    arrival_rng = random.Random(derive_seed(spec.seed, "arrivals",
-                                            compiled.name))
-    think_rng = random.Random(derive_seed(spec.seed, "think",
-                                          compiled.name))
-    times = generate_arrivals(compiled.spec.arrivals, arrival_rng,
-                              spec.duration_s)
+    times = generate_arrivals(
+        compiled.spec.arrivals,
+        random.Random(derive_seed(spec.seed, "arrivals", compiled.name)),
+        spec.duration_s)
+    think = compiled.spec.think
+    think_rng = (random.Random(derive_seed(spec.seed, "think", compiled.name))
+                 if think.kind == "exponential" else None)
     for index, offset in enumerate(times):
         target = t0 + offset
         if sim.now < target:
             yield Timeout(target - sim.now)
-        record = OpRecord(client=compiled.name, index=index,
-                          issued_at_s=sim.now - t0)
-        records.append(record)
+        issued_at_s = sim.now - t0
         if anchors is not None:
             _place(world, anchors.get(index, ()))
         try:
             report = yield from compiled.operation(index)
         except (NoFeasibleAlternativeError, RpcError) as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
+            ops.add(issued_at_s)
+            ops.errors[index] = f"{type(exc).__name__}: {exc}"
         else:
-            record.elapsed_s = report.elapsed_s
-            record.alternative = choices.setdefault(report.alternative,
-                                                    report.alternative)
-            record.failed_over = report.failed_over
-            record.completed = True
+            ops.add(issued_at_s, report.elapsed_s,
+                    choices.setdefault(report.alternative, len(choices)),
+                    report.failed_over)
             if on_op is not None:
                 on_op(report)
-        pause = think_time(compiled.spec.think, think_rng)
+        pause = think_time(think, think_rng)
         if pause > 0:
             yield Timeout(pause)
 
@@ -417,25 +484,26 @@ def _anchors(spec: ScenarioSpec,
              baseline: ScenarioReport) -> Dict[str, OpAnchors]:
     """Each anchored event with its delay after its operation's start,
     read off the fault-free *baseline* run of *spec*."""
-    ops = {(op.client, op.index): op for op in baseline.ops}
     anchors: Dict[str, OpAnchors] = {}
     for i, event in enumerate(spec.timeline):
         anchor = event.anchor
         if anchor is None:
             continue
-        op = ops.get((anchor.client, anchor.op))
-        if op is None:
+        ops = baseline.ops.clients.get(anchor.client)
+        if ops is None or anchor.op >= len(ops):
             raise ScenarioError([
                 f"timeline[{i}].anchor.op: {anchor.client!r} never "
                 f"issues measured operation {anchor.op}"
             ])
-        if not op.completed:
+        if ops.choice[anchor.op] < 0:
             raise ScenarioError([
                 f"timeline[{i}].anchor.op: {anchor.client!r}'s "
-                f"operation {anchor.op} fails without faults ({op.error})"
+                f"operation {anchor.op} fails without faults "
+                f"({ops.errors[anchor.op]})"
             ])
         anchors.setdefault(anchor.client, {}).setdefault(
-            anchor.op, []).append((event, anchor.fraction * op.elapsed_s))
+            anchor.op, []).append(
+                (event, anchor.fraction * ops.elapsed_s[anchor.op]))
     return anchors
 
 
@@ -471,13 +539,13 @@ def _run_pass(spec: ScenarioSpec, profile: str, telemetry: Telemetry,
     t0 = sim.now
     world.install_timeline(offset_s=t0)
 
-    records: List[OpRecord] = []
-    choices: Dict[Alternative, Alternative] = {}
+    columns = {compiled.name: ClientOps() for compiled in world.clients}
+    choices: Dict[Alternative, int] = {}
     e0 = {compiled.name: compiled.node.host.energy_consumed_joules()
           for compiled in world.clients}
     processes = [
-        sim.spawn(_drive(world, compiled, t0, records, choices, on_op,
-                         anchors.get(compiled.name)),
+        sim.spawn(_drive(world, compiled, t0, columns[compiled.name],
+                         choices, on_op, anchors.get(compiled.name)),
                   name=f"scenario@{compiled.name}")
         for compiled in world.clients
     ]
@@ -502,7 +570,6 @@ def _run_pass(spec: ScenarioSpec, profile: str, telemetry: Telemetry,
 
     counters = {name: telemetry.metrics.counter(name).value
                 for name in REPORT_COUNTERS}
-    records.sort(key=lambda r: (r.client, r.index))
     predictor_state: Optional[Dict[str, str]] = None
     if store is not None:
         # Flush in client order (deterministic), then fingerprint each
@@ -521,7 +588,7 @@ def _run_pass(spec: ScenarioSpec, profile: str, telemetry: Telemetry,
         profile=profile,
         duration_s=spec.duration_s,
         sim_time_s=end_s,
-        ops=records,
+        ops=OpRecords(columns, list(choices)),
         energy_j=energy,
         counters=counters,
         fault_journal=world.injector.journal(),

@@ -483,9 +483,13 @@ class ScenarioSpec:
         apps_by_kind = {a.kind: a for a in self.apps}
         if not self.clients:
             err("clients: at least one client is required")
+        seen = set()
         for i, client in enumerate(self.clients):
             path = f"clients[{i}]"
             host = hosts_by_name.get(client.host)
+            if client.host in seen:
+                err(f"{path}.host: {client.host!r} already drives a client")
+            seen.add(client.host)
             if host is None:
                 err(f"{path}.host: unknown host {client.host!r}")
             elif host.role != "client":

@@ -21,7 +21,13 @@ After a drained run:
 * each Coda client keeps at most one conflict per path, and counts
   every conflict it detected;
 * the report's records hold no dict, and operations that made the same
-  choice hold one ``Alternative`` object between them.
+  choice hold one ``Alternative`` object between them;
+* the report keeps its operations as per-client columns of at most 32
+  bytes an operation, and builds no ``OpRecord`` until ``ops`` is read;
+* during the measured phase the only live random generators are the
+  think-time generators of exponential thinkers, the workload generators
+  of apps that draw from one, and the retry policy's when a timeline
+  arms it.
 
 The runs are the benchmark's two scenario workloads in their
 ``small=True`` shape (``bench/workloads.py``): the Latex crowd's server
@@ -35,6 +41,7 @@ import dataclasses
 import gc
 import importlib.util
 import pathlib
+import random
 import types
 from array import array
 
@@ -44,7 +51,7 @@ from repro.experiments import latex
 from repro.experiments.parallel import PARALLEL_APP
 from repro.experiments.runner import clone_world
 from repro.predictors.logs import UsageSample
-from repro.scenarios import compile_scenario, runner
+from repro.scenarios import ADAPTERS, OpRecord, compile_scenario, runner
 from repro.scenarios.library import thinkpad_testbed
 from repro.telemetry.names import SPECTRA_FAILOVERS
 
@@ -65,23 +72,63 @@ LATEX_CROWD_CONFLICTS = {
 }
 
 
+def _live(kind):
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is kind)
+
+
 def _drained_workload_world(monkeypatch, workload):
+    """The drained world of a small seed-1 workload run, its report, and
+    the number of random generators alive at its first measured
+    operation's end that were not alive before the run (such as the
+    ``random`` module's own)."""
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    worlds = []
+    worlds, generators = [], []
     compile_scenario = runner.compile_scenario
 
     def capture(*args, **kwargs):
         worlds.append(compile_scenario(*args, **kwargs))
         return worlds[-1]
 
+    def count_generators(_report):
+        if not generators:
+            generators.append(_live(random.Random) - before)
+
     monkeypatch.setattr(runner, "compile_scenario", capture)
+    before = _live(random.Random)
     report = runner.run_scenario(
-        workloads.scenario_spec(workload, seed=1, small=True))
+        workloads.scenario_spec(workload, seed=1, small=True),
+        on_op=count_generators)
     (world,) = worlds
     assert not world.sim.pending
-    return world, report
+    return world, report, generators[0]
+
+
+def drawing_generators(spec):
+    """The generators a measured phase of *spec* may hold: one per
+    exponential thinker, one per client of an app that draws, and the
+    retry policy's when a timeline arms it."""
+    return (sum(client.think.kind == "exponential" for client in spec.clients)
+            + sum(ADAPTERS[client.app].draws for client in spec.clients)
+            + bool(spec.timeline))
+
+
+def assert_ops_columnar(report):
+    """No record exists until ``ops`` is read; the columns hold at most
+    32 bytes an operation."""
+    assert _live(OpRecord) == 0
+    columns = report.ops.clients.values()
+    held = sum(len(ops.issued_at_s) * ops.issued_at_s.itemsize
+               + len(ops.elapsed_s) * ops.elapsed_s.itemsize
+               + len(ops.choice) * ops.choice.itemsize
+               + len(ops.failed_over)
+               for ops in columns)
+    assert all(type(ops.failed_over) is bytearray for ops in columns)
+    assert held <= 32 * len(report.ops)
+    records = list(report.ops)
+    assert _live(OpRecord) == len(records) > 0
 
 
 def assert_ledgers_bounded(world):
@@ -282,7 +329,10 @@ def assert_records_share_choices(report):
 
 
 def test_drained_latex_crowd_holds_no_finished_operation(monkeypatch):
-    world, report = _drained_workload_world(monkeypatch, "latex-crowd")
+    world, report, generators = _drained_workload_world(monkeypatch,
+                                                        "latex-crowd")
+    assert generators == drawing_generators(world.spec) == 17
+    assert_ops_columnar(report)
     assert report.counters[SPECTRA_FAILOVERS] > 0
     assert_ledgers_bounded(world)
     assert_access_logs_empty(world)
@@ -296,7 +346,9 @@ def test_drained_latex_crowd_holds_no_finished_operation(monkeypatch):
 
 
 def test_drained_metro_holds_no_finished_operation(monkeypatch):
-    world, report = _drained_workload_world(monkeypatch, "metro")
+    world, report, generators = _drained_workload_world(monkeypatch, "metro")
+    assert generators == drawing_generators(world.spec) == 0
+    assert_ops_columnar(report)
     assert_ledgers_bounded(world)
     assert_access_logs_empty(world)
     assert_rows_shared(world)

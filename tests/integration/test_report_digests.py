@@ -6,6 +6,10 @@ report's JSON with a pinned value.  Any change to a decision, a
 simulated time or energy, or a counter moves a digest, so a speed-up
 that must keep every output passes only if these still match.  A change
 that is meant to move one must say why and re-pin it here.
+
+The operation records of those two runs and of the ``chaos-speech``
+smoke run (and its fault-free baseline) are pinned field by field too,
+floats by ``repr``: the report's JSON rounds, the records do not.
 """
 
 import hashlib
@@ -14,7 +18,7 @@ import pathlib
 
 import pytest
 
-from repro.scenarios import run_scenario, runner
+from repro.scenarios import OpRecord, canned_spec, run_scenario, runner
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
 
@@ -24,6 +28,27 @@ DIGESTS = {
     "latex-crowd":
         "c515227ecf738cc0a3e1052c234b57c7ed1916481124d3dedec07b65642add8d",
 }
+
+
+#: run -> sha256 of every ``OpRecord`` field, in ``report.ops`` order
+RECORD_DIGESTS = {
+    "metro": "e94315efea7755bce5c4d6aa308815ff4075e7012f3d02237612a1c910327a5f",
+    "latex-crowd":
+        "a6a162ac67e502fad21505fb99a7b04fb5a54f4743b180d772f3749a348185cf",
+    "chaos-speech":
+        "d27cdff3d0c78922b3c60edc115a12916c130248272e0662f32bec7443e8d4a8",
+    "chaos-speech baseline":
+        "1b977d9ba905c5c6fd9f0b62e9d360eeeaa14ac0583bc7bf60596c1c0245e6b4",
+}
+
+
+def record_digest(ops) -> str:
+    digest = hashlib.sha256()
+    for op in ops:
+        digest.update(repr((op.client, op.index, op.issued_at_s, op.elapsed_s,
+                            op.plan, op.server, op.fidelity, op.failed_over,
+                            op.completed, op.error)).encode("utf-8") + b"\n")
+    return digest.hexdigest()
 
 
 def _workloads():
@@ -68,3 +93,44 @@ def test_small_latex_crowd_reports_its_barrier_time(monkeypatch):
     (world,) = worlds
     assert report.sim_time_s == max(ends)
     assert world.sim.now > report.sim_time_s
+
+
+@pytest.fixture(scope="module")
+def small_metro():
+    return run_scenario(_workloads().scenario_spec("metro", seed=1,
+                                                   small=True))
+
+
+def test_small_run_records_digests(small_metro):
+    latex = run_scenario(
+        _workloads().scenario_spec("latex-crowd", seed=1, small=True))
+    chaos = run_scenario(canned_spec("chaos-speech"), profile="smoke")
+    runs = {"metro": small_metro.ops, "latex-crowd": latex.ops,
+            "chaos-speech": chaos.ops,
+            "chaos-speech baseline": chaos.baseline.ops}
+    assert {name: record_digest(ops) for name, ops in runs.items()} \
+        == RECORD_DIGESTS
+
+
+def test_ops_is_a_read_only_sequence_of_records(small_metro):
+    ops = small_metro.ops
+    records = list(ops)
+    assert len(ops) == len(records) == 463
+    assert all(type(op) is OpRecord for op in records)
+    assert [(op.client, op.index) for op in records] == sorted(
+        (op.client, op.index) for op in records)
+    assert ops[0] == records[0] and ops[-1] == records[-1]
+    assert ops[-len(ops)] == records[0]
+    assert ops[5] == records[5] and ops[-7] == records[-7]
+    assert ops[3:9] == records[3:9]
+    assert ops[::-50] == records[::-50]
+    assert ops[400:10_000] == records[400:]
+    assert ops[10:3] == []
+    for index in (len(ops), -len(ops) - 1):
+        with pytest.raises(IndexError):
+            ops[index]
+    assert records[2] in ops
+    assert ops.index(records[2]) == 2
+    assert list(reversed(ops)) == records[::-1]
+    with pytest.raises(TypeError):
+        ops[0] = records[1]

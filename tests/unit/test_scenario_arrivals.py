@@ -1,10 +1,12 @@
 """Unit tests for seeded traffic generation (repro.scenarios.arrivals)."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.scenarios import derive_seed, generate_arrivals, think_time
+from repro.scenarios.arrivals import MAX_ARRIVALS
 from repro.scenarios.spec import ArrivalSpec, ThinkSpec
 
 
@@ -73,6 +75,57 @@ class TestGenerateArrivals:
     def test_never_empty(self):
         spec = ArrivalSpec(kind="trace", times=(50.0,))
         assert gen(spec, duration=10.0) == [0.0]
+
+
+def generate_then_truncate(spec, rng, duration_s):
+    """The arrival generator as it was before it stopped at ``n_ops``:
+    every process runs to ``MAX_ARRIVALS`` and is cut afterwards."""
+    def poisson(start, end):
+        times = []
+        t = start + rng.expovariate(spec.rate_ops_per_s)
+        while t < end and len(times) < MAX_ARRIVALS:
+            times.append(t)
+            t += rng.expovariate(spec.rate_ops_per_s)
+        return times
+
+    if spec.kind == "poisson":
+        times = poisson(0.0, duration_s)
+    elif spec.kind == "fixed":
+        interval = 1.0 / spec.rate_ops_per_s
+        times, t = [], interval
+        while t < duration_s and len(times) < MAX_ARRIVALS:
+            times.append(t)
+            t += interval
+    elif spec.kind == "onoff":
+        times, t = [], 0.0
+        while t < duration_s and len(times) < MAX_ARRIVALS:
+            times.extend(poisson(t, min(t + spec.on_s, duration_s)))
+            t += spec.on_s + spec.off_s
+        times = times[:MAX_ARRIVALS]
+    else:
+        times = [t for t in spec.times if t < duration_s]
+    if spec.n_ops is not None:
+        times = times[:spec.n_ops]
+    return times or [0.0]
+
+
+@pytest.mark.parametrize("spec", [
+    ArrivalSpec(kind="poisson", rate_ops_per_s=2.0),
+    ArrivalSpec(kind="fixed", rate_ops_per_s=3.0),
+    ArrivalSpec(kind="onoff", rate_ops_per_s=4.0, on_s=3.0, off_s=2.0),
+    ArrivalSpec(kind="onoff", rate_ops_per_s=50.0, on_s=300.0, off_s=0.0),
+    ArrivalSpec(kind="trace", times=tuple(float(t) for t in range(0, 60, 7))),
+], ids=["poisson", "fixed", "onoff", "onoff-past-cap", "trace"])
+def test_stopping_at_n_ops_keeps_the_truncated_prefix(spec):
+    for n_ops in (None, 1, 2, 5, 37, 150, MAX_ARRIVALS + 5):
+        capped = dataclasses.replace(spec, n_ops=n_ops)
+        for duration_s in (0.5, 45.0, 400.0):
+            for seed in (1, 2, 3):
+                assert generate_arrivals(
+                    capped, random.Random(seed), duration_s
+                ) == generate_then_truncate(
+                    capped, random.Random(seed), duration_s
+                ), (n_ops, duration_s, seed)
 
 
 class TestThinkTime:

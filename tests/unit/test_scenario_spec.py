@@ -97,6 +97,16 @@ class TestValidation:
         ])
         assert any("duplicate host" in p for p in problems_of(spec))
 
+    def test_two_clients_on_one_host(self):
+        # Their operations would share one report section and energy
+        # meter, with every operation index repeated.
+        spec = small_spec(apps=[dict(kind="null"), dict(kind="pangloss")],
+                          clients=[dict(host="c", app="null", servers=["s"]),
+                                   dict(host="c", app="pangloss",
+                                        servers=["s"])])
+        assert problems_of(spec) == (
+            "clients[1].host: 'c' already drives a client",)
+
     def test_link_to_unknown_host(self):
         spec = small_spec(links=[
             dict(a="c", b="ghost", bandwidth_bps=1000.0, latency_s=0.0),
