@@ -185,7 +185,6 @@ class SpectraClient:
         local_server: SpectraServer,
         solver=None,
         overhead: Optional[OverheadModel] = None,
-        battery_monitor_cls=None,
         predictor_decay: float = 0.95,
         always_reintegrate: bool = False,
         telemetry: Optional[Telemetry] = None,
@@ -225,10 +224,8 @@ class SpectraClient:
                 )
 
         self.network_monitor = NetworkMonitor(host.name, transport.network)
-        battery_cls = battery_monitor_cls or (
-            SmartBatteryMonitor if host.battery_driver is not None
-            else MultimeterMonitor
-        )
+        battery_cls = (SmartBatteryMonitor if host.battery_driver is not None
+                       else MultimeterMonitor)
         self.monitors = MonitorSet([
             LocalCPUMonitor(host),
             self.network_monitor,
@@ -316,17 +313,17 @@ class SpectraClient:
                 continue
             except (RpcError, TransferAbortedError, NoRouteError):
                 proxy.mark_unreachable()
-                self._count_poll_error(server_name)
+                self._count_poll_error()
                 continue
             try:
                 proxy.update_preds(response.result)
             except (TypeError, AttributeError, ValueError, KeyError):
                 # A garbled status payload must not kill the loop either.
                 proxy.mark_unreachable()
-                self._count_poll_error(server_name)
+                self._count_poll_error()
         return None
 
-    def _count_poll_error(self, server_name: str) -> None:
+    def _count_poll_error(self) -> None:
         self.telemetry.metrics.counter(SPECTRA_POLL_ERRORS).inc()
 
     def start_polling(self, interval_s: float = 5.0) -> None:
@@ -547,7 +544,7 @@ class SpectraClient:
             # the monitors, and close the span before propagating.
             # (The open phase span, if any, is closed by its `with`.)
             self.monitors.stop_all(recording)
-            self._active = [r for r in self._active if r is not recording]
+            self._drop_active(recording)
             op_span.end(error=type(exc).__name__)
             raise
 
@@ -610,6 +607,10 @@ class SpectraClient:
             for active in self._active:
                 active.concurrent = True
 
+    def _drop_active(self, recording: OperationRecording) -> None:
+        """Release *recording*'s concurrency slot."""
+        self._active = [r for r in self._active if r is not recording]
+
     def _untried_alternative(self, registered: RegisteredOperation,
                              space: SearchSpace) -> Optional[Alternative]:
         """First alternative whose (plan × fidelity) bin has no data.
@@ -669,10 +670,7 @@ class SpectraClient:
         if untried is not None:
             return untried, None, None
 
-        if self.utility_factory is not None:
-            utility = self.utility_factory(spec, snapshot.battery.importance)
-        else:
-            utility = DefaultUtility(spec, snapshot.battery.importance)
+        utility = self._utility(spec, snapshot)
         result = self.solver.solve(space, estimator.predict, utility)
         if not result.found:
             # Everything infeasible (e.g. all servers down and the local
@@ -692,6 +690,11 @@ class SpectraClient:
                 )
             return fallback, None, result
         return result.best.alternative, result.best, result
+
+    def _utility(self, spec: OperationSpec, snapshot: ResourceSnapshot):
+        """The utility function for one decision on *snapshot*."""
+        factory = self.utility_factory or DefaultUtility
+        return factory(spec, snapshot.battery.importance)
 
     # -- do_local_op / do_remote_op ------------------------------------------------------------
 
@@ -863,14 +866,7 @@ class SpectraClient:
                 handle.params, handle.data_object,
                 always_reintegrate=self.always_reintegrate,
             )
-            if self.utility_factory is not None:
-                utility = self.utility_factory(
-                    handle.spec, snapshot.battery.importance
-                )
-            else:
-                utility = DefaultUtility(
-                    handle.spec, snapshot.battery.importance
-                )
+            utility = self._utility(handle.spec, snapshot)
             scored = []
             for server in reachable:
                 candidate = Alternative.build(plan, server, fidelity)
@@ -924,7 +920,7 @@ class SpectraClient:
         # though the measurements are discarded, so no monitor is left
         # mid-observation (the recording-leak end_fidelity_op avoids).
         self.monitors.stop_all(handle.recording)
-        self._active = [r for r in self._active if r is not handle.recording]
+        self._drop_active(handle.recording)
         if self.telemetry.tracer.enabled:
             self.telemetry.tracer.start_span(
                 SPAN_ABORT_OP, operation=handle.spec.name,
@@ -948,7 +944,7 @@ class SpectraClient:
             recording = handle.recording
             recording.finished_at = self.sim.now
             self.monitors.stop_all(recording)
-            self._active = [r for r in self._active if r is not recording]
+            self._drop_active(recording)
 
             registered = self.operation(handle.spec.name)
             # cpu:local from the monitor counts the overhead cycles charged

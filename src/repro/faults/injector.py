@@ -133,9 +133,7 @@ class FaultInjector:
         aborted = 0
         for (a, b), link in severed.items():
             self._network.disconnect(a, b, abort_in_flight=False)
-            aborter = getattr(link, "abort_transfers", None)
-            if aborter is not None:
-                aborted += aborter(f"server {host!r} crashed")
+            aborted += link.abort_transfers(f"server {host!r} crashed")
         self._severed[host] = severed
         return True, aborted
 
@@ -223,7 +221,7 @@ class FaultInjector:
 
     def _active_transfers(self, pair: Tuple[str, str]) -> int:
         link = self._link(pair)
-        return getattr(link, "active_transfers", 0) if link else 0
+        return link.active_transfers if link else 0
 
     def journal(self) -> List[str]:
         """Human-readable application log, in order."""

@@ -25,7 +25,9 @@ class CPU:
     Jobs are tagged with an *owner* string (analogous to a pid).  The CPU
     maintains cumulative cycles served per owner, which the CPU monitor
     reads before and after an operation — exactly how Spectra samples
-    ``/proc`` statistics on real Linux.
+    ``/proc`` statistics on real Linux.  Jobs in flight are read from the
+    resource's job table, through each job's ``owner``; the CPU keeps
+    only the finished cycles.
 
     ``on_utilization_change(now, busy, active_jobs)`` fires on every
     scheduling change so power meters can track CPU-active time.
@@ -51,9 +53,8 @@ class CPU:
             cycles_per_second,
             name=f"{name}.cycles",
             on_utilization_change=on_utilization_change,
+            on_detach=self._retire,
         )
-        # In-flight job -> owner, in submission order.
-        self._active: Dict[FairShareJob, str] = {}
         # Cycles of each owner's finished jobs, kept from the owner's
         # first submit or read until :meth:`release`.
         self._finished_cycles: Dict[str, float] = {}
@@ -88,16 +89,16 @@ class CPU:
         """
         return sum(
             job.weight
-            for job, owner in self._active.items()
-            if job.remaining > 0 and owner != exclude_owner
+            for job in self._resource.jobs
+            if job.remaining > 0 and job.owner != exclude_owner
         )
 
     def _external_weight(self) -> float:
         """Weight of currently running *external* (background) jobs."""
         return sum(
             job.weight
-            for job, owner in self._active.items()
-            if job.remaining > 0 and owner in self._external_owners
+            for job in self._resource.jobs
+            if job.remaining > 0 and job.owner in self._external_owners
         )
 
     def smoothed_load(self) -> float:
@@ -146,12 +147,10 @@ class CPU:
         if external:
             # Jobs the owner already has running now count as external.
             self._external_owners.add(owner)
-        job = self._resource.submit(cycles, weight=weight)
+        job = self._resource.submit(cycles, weight=weight, owner=owner)
         if job.finished_at is None:  # in service, not an empty job
             if owner not in self._finished_cycles:
                 self._finished_cycles[owner] = 0.0
-            self._active[job] = owner
-            job.done.add_callback(lambda _ev: self._retire(owner, job))
         else:
             self._finished_cycles[owner] = (
                 self._finished_cycles.get(owner, 0.0) + job.amount
@@ -169,9 +168,8 @@ class CPU:
     def cancel(self, job: FairShareJob) -> None:
         """Abort a queued/in-flight job (used by background load control).
 
-        Failing the job's ``done`` event retires it at once, charging its
-        partial cycles to its owner, and the resource's change
-        notification then resyncs the external load.  A finished job is
+        The resource retires the job at once, charging its partial cycles
+        to its owner and resyncing the external load.  A finished job is
         left alone.
         """
         self._resource.cancel(job)
@@ -183,9 +181,7 @@ class CPU:
         mid-service).  Each job retires as :meth:`cancel` retires it,
         charging its partial cycles to *owner*.
         """
-        jobs = [job for job, job_owner in self._active.items()
-                if job_owner == owner]
-        for job in jobs:
+        for job in self._resource.jobs_of(owner):
             self.cancel(job)
 
     def cycles_used_by(self, owner: str) -> float:
@@ -201,8 +197,8 @@ class CPU:
         self._resource._settle()
         in_flight = sum(
             job.amount - job.remaining
-            for job, job_owner in self._active.items()
-            if job_owner == owner
+            for job in self._resource.jobs
+            if job.owner == owner
         )
         return self._finished_cycles.setdefault(owner, 0.0) + in_flight
 
@@ -226,8 +222,14 @@ class CPU:
 
     # -- internals ---------------------------------------------------------------
 
-    def _retire(self, owner: str, job: FairShareJob) -> None:
-        self._active.pop(job)
+    def _retire(self, job: FairShareJob) -> None:
+        """Charge a job leaving service (finished or cancelled) to its owner.
+
+        The resource calls this as it detaches the job, before any
+        ``done`` callback runs: a process woken by one completion reads
+        every job that finished at the same instant as finished.
+        """
+        owner = job.owner
         finished = self._finished_cycles.get(owner)
         if finished is not None:  # None: released, and not read since
             self._finished_cycles[owner] = (
@@ -254,7 +256,7 @@ class CPU:
     def _resync_external(self) -> None:
         """Close the current smoothing interval and re-snapshot the
         external competing weight (called whenever membership changes —
-        crucially *after* the in-flight map reflects the change).
+        crucially *after* the resource's job table reflects the change).
 
         Callers skip it until an external owner first submits: until
         then the smoothed load is 0.0, and folding in an external weight

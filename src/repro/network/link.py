@@ -8,12 +8,15 @@ Two kinds of interconnect appear in the paper's testbeds:
   and B — a broadcast medium where concurrent transfers contend for the
   same airtime.
 
-Both are modelled as a latency plus a byte-rate
-:class:`~repro.sim.resources.FairShareResource`; the difference is scope.
-A :class:`Link` owns a private resource; a :class:`SharedMedium` hands the
-*same* resource to every attached pair, so simultaneous transfers split
-the bandwidth — which is what makes Coda reintegration traffic slow down
-a concurrent RPC, an effect Spectra's predictions must capture.
+Both are one host pair's :class:`MediumView`: a latency plus a share of
+a medium's byte-rate :class:`~repro.sim.resources.FairShareResource`;
+the difference is scope.  A :class:`SharedMedium` hands the *same*
+resource to every attached pair, so simultaneous transfers split the
+bandwidth — which is what makes Coda reintegration traffic slow down a
+concurrent RPC, an effect Spectra's predictions must capture.  A
+:class:`Link` is the view of a private medium with one pair.  Each
+transfer's byte job is owned by its view, so a view reads and aborts
+its own transfers in the resource's job table.
 
 Links can also *fail* mid-transfer: severing a link (a partition, a
 server crash) aborts its in-flight byte jobs with
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from ..sim import FairShareJob, FairShareResource, Simulator, Timeout
+from ..sim import FairShareResource, Simulator, Timeout
 
 
 class TransferAbortedError(RuntimeError):
@@ -41,64 +44,111 @@ class TransferAbortedError(RuntimeError):
     """
 
 
-class Link:
-    """A point-to-point pipe with one-way ``latency`` and shared ``bandwidth``.
+class SharedMedium:
+    """A broadcast medium (wireless LAN) shared by many endpoints.
 
-    ``bandwidth`` is bytes/second for the pipe as a whole; concurrent
-    transfers in either direction share it fairly (full-duplex serial
-    lines and half-duplex radios both approximate this under load).
+    :meth:`attach` returns a :class:`MediumView` for one endpoint pair;
+    all views share the medium's bandwidth resource so contention is
+    global, while per-pair latency may differ.
     """
 
     def __init__(self, sim: Simulator, bandwidth_bps: float,
-                 latency_s: float, name: str = "link"):
-        if latency_s < 0:
-            raise ValueError(f"negative latency: {latency_s}")
+                 default_latency_s: float = 0.002, name: str = "medium"):
         self._sim = sim
         self.name = name
-        self.latency_s = float(latency_s)
+        self.default_latency_s = default_latency_s
         self._resource = FairShareResource(sim, bandwidth_bps, name=f"{name}.bw")
+        self._views: List["MediumView"] = []
 
     @property
     def bandwidth_bps(self) -> float:
-        """Nominal capacity, bytes/second."""
         return self._resource.capacity
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
-        """Change capacity (the paper's 'network scenario' halves it).
-
-        Zero is legal — a fully-jammed link; in-flight transfers stall
-        until bandwidth returns.
-        """
         self._resource.set_capacity(bandwidth_bps)
 
     @property
     def active_transfers(self) -> int:
         return self._resource.active_jobs
 
-    def abort_transfers(self, reason: str = "") -> int:
-        """Fail every in-flight transfer with :class:`TransferAbortedError`.
+    def attach(self, latency_s: Optional[float] = None,
+               name: str = "") -> "MediumView":
+        """Create a pairwise view of this medium with its own latency."""
+        view = MediumView(
+            self,
+            latency_s if latency_s is not None else self.default_latency_s,
+            name=name or f"{self.name}.view{len(self._views)}",
+        )
+        self._views.append(view)
+        return view
 
-        Returns the number of transfers aborted.  Called when the link
-        is severed mid-operation (fault injection, partitions).
+
+class MediumView:
+    """One host pair's link: a latency plus a share of a medium's bandwidth.
+
+    ``bandwidth`` is bytes/second for the medium as a whole; concurrent
+    transfers of every pair on it, in either direction, share it fairly
+    (full-duplex serial lines and half-duplex radios both approximate
+    this under load).
+    """
+
+    def __init__(self, medium: SharedMedium, latency_s: float, name: str):
+        self._sim = medium._sim
+        self._resource = medium._resource
+        self.latency_s = latency_s
+        self.name = name
+
+    @property
+    def bandwidth_bps(self) -> float:
+        """Nominal capacity of the medium, bytes/second."""
+        return self._resource.capacity
+
+    def set_bandwidth(self, bandwidth_bps: float) -> None:
+        """Change the medium's capacity (the paper's 'network scenario'
+        halves it).
+
+        Zero is legal — a fully-jammed medium; in-flight transfers stall
+        until bandwidth returns.
+        """
+        self._resource.set_capacity(bandwidth_bps)
+
+    @property
+    def active_transfers(self) -> int:
+        """This pair's transfers in flight."""
+        return len(self._resource.jobs_of(self))
+
+    def abort_transfers(self, reason: str = "") -> int:
+        """Fail this pair's in-flight transfers with :class:`TransferAbortedError`.
+
+        Returns the number of transfers aborted.  Called when the pair is
+        severed mid-operation (fault injection, partitions); the rest of
+        a shared medium's traffic keeps flowing.
         """
         message = reason or f"transfer aborted: link {self.name!r} severed"
-        return self._resource.abort_all(
-            lambda: TransferAbortedError(message)
+        return self._resource.abort_jobs_of(
+            self, lambda: TransferAbortedError(message)
         )
 
     def transmit(self, nbytes: int) -> Generator:
         """Process: move *nbytes* across the link; returns elapsed seconds.
 
         Time = one-way latency + fair share of bandwidth.  Zero-byte
-        transfers still pay latency (a bare datagram).  If the waiting
-        process is interrupted (an RPC timeout firing), the byte job is
-        withdrawn so the link's capacity is not leaked.
+        transfers still pay latency (a bare datagram).
         """
         start = self._sim.now
         yield Timeout(self.latency_s)
         if nbytes > 0:
-            job = self._resource.submit(float(nbytes))
-            yield from _await_job(self._resource, job)
+            resource = self._resource
+            job = resource.submit(float(nbytes), owner=self)
+            try:
+                yield job.done
+            except BaseException:
+                # An abort (link severed) has already withdrawn the job.
+                # Anything else delivered here — an Interrupt from an
+                # RPC timeout, a generator close — must not leave the
+                # job consuming bandwidth forever.
+                resource.abort(job)  # no-op when finished or aborted
+                raise
         return self._sim.now - start
 
     def estimate_transfer_time(self, nbytes: int) -> float:
@@ -115,122 +165,12 @@ class Link:
         return self.latency_s + nbytes / rate
 
 
-def _await_job(resource: FairShareResource, job: FairShareJob) -> Generator:
-    """Process: wait for a byte job, withdrawing it if the wait dies.
-
-    An abort (link severed) fails ``job.done`` with
-    :class:`TransferAbortedError`, which simply propagates.  Any other
-    exception delivered at the yield point — an :class:`~repro.sim.Interrupt`
-    from an RPC timeout, a generator close — must not leave the job
-    consuming bandwidth forever, so it is withdrawn before re-raising.
-    """
-    try:
-        yield job.done
-    except BaseException:
-        resource.abort(job)  # no-op when the job already finished/aborted
-        raise
-
-
-class SharedMedium:
-    """A broadcast medium (wireless LAN) shared by many endpoints.
-
-    :meth:`attach` returns a :class:`Link`-compatible view for one
-    endpoint pair; all views share the medium's bandwidth resource so
-    contention is global, while per-pair latency may differ.
-    """
+class Link(MediumView):
+    """A dedicated point-to-point pipe: the one pair of a private medium."""
 
     def __init__(self, sim: Simulator, bandwidth_bps: float,
-                 default_latency_s: float = 0.002, name: str = "medium"):
-        self._sim = sim
-        self.name = name
-        self.default_latency_s = default_latency_s
-        self._resource = FairShareResource(sim, bandwidth_bps, name=f"{name}.bw")
-        self._views: List["_MediumView"] = []
-
-    @property
-    def bandwidth_bps(self) -> float:
-        return self._resource.capacity
-
-    def set_bandwidth(self, bandwidth_bps: float) -> None:
-        self._resource.set_capacity(bandwidth_bps)
-
-    @property
-    def active_transfers(self) -> int:
-        return self._resource.active_jobs
-
-    def abort_transfers(self, reason: str = "") -> int:
-        """Abort every in-flight transfer on the whole medium."""
-        message = reason or f"transfer aborted: medium {self.name!r} severed"
-        return self._resource.abort_all(
-            lambda: TransferAbortedError(message)
-        )
-
-    def attach(self, latency_s: Optional[float] = None,
-               name: str = "") -> "_MediumView":
-        """Create a pairwise view of this medium with its own latency."""
-        view = _MediumView(
-            self._sim,
-            self,
-            latency_s if latency_s is not None else self.default_latency_s,
-            name=name or f"{self.name}.view{len(self._views)}",
-        )
-        self._views.append(view)
-        return view
-
-
-class _MediumView:
-    """Link-shaped facade over a :class:`SharedMedium` for one host pair."""
-
-    def __init__(self, sim: Simulator, medium: SharedMedium,
-                 latency_s: float, name: str):
-        self._sim = sim
-        self._medium = medium
-        self.latency_s = latency_s
-        self.name = name
-        #: this pair's in-flight byte jobs (severing one view must not
-        #: abort the rest of the medium's traffic)
-        self._active: List[FairShareJob] = []
-
-    @property
-    def bandwidth_bps(self) -> float:
-        return self._medium.bandwidth_bps
-
-    def set_bandwidth(self, bandwidth_bps: float) -> None:
-        self._medium.set_bandwidth(bandwidth_bps)
-
-    @property
-    def active_transfers(self) -> int:
-        return len(self._active)
-
-    def abort_transfers(self, reason: str = "") -> int:
-        """Abort this pair's in-flight transfers only.
-
-        A partition between one host pair leaves the rest of the shared
-        medium's traffic flowing — only the severed pair's jobs die.
-        """
-        message = reason or f"transfer aborted: link {self.name!r} severed"
-        count = 0
-        for job in list(self._active):
-            if self._medium._resource.abort(job, TransferAbortedError(message)):
-                count += 1
-        return count
-
-    def transmit(self, nbytes: int) -> Generator:
-        start = self._sim.now
-        yield Timeout(self.latency_s)
-        if nbytes > 0:
-            job = self._medium._resource.submit(float(nbytes))
-            self._active.append(job)
-            try:
-                yield from _await_job(self._medium._resource, job)
-            finally:
-                self._active.remove(job)
-        return self._sim.now - start
-
-    def estimate_transfer_time(self, nbytes: int) -> float:
-        rate = self._medium._resource.rate_for_new_job()
-        if nbytes <= 0:
-            return self.latency_s
-        if rate <= 0:
-            return float("inf")
-        return self.latency_s + nbytes / rate
+                 latency_s: float, name: str = "link"):
+        if latency_s < 0:
+            raise ValueError(f"negative latency: {latency_s}")
+        super().__init__(SharedMedium(sim, bandwidth_bps, name=name),
+                         float(latency_s), name)

@@ -17,9 +17,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..sim import Simulator
+from .link import MediumView
 from .stats import TransferLog, TransferRecord
-
-LinkLike = object  # Link or _MediumView; both expose the same interface
 
 
 class NoRouteError(LookupError):
@@ -81,7 +80,7 @@ class Network:
     def __init__(self, sim: Simulator):
         self._sim = sim
         self._interfaces: Dict[str, NetworkInterface] = {}
-        self._links: Dict[Tuple[str, str], LinkLike] = {}
+        self._links: Dict[Tuple[str, str], MediumView] = {}
         self.log = TransferLog()
 
     # -- wiring -----------------------------------------------------------------
@@ -100,7 +99,7 @@ class Network:
         except KeyError:
             raise NoRouteError(f"unknown host {host_name!r}") from None
 
-    def connect(self, host_a: str, host_b: str, link: LinkLike) -> None:
+    def connect(self, host_a: str, host_b: str, link: MediumView) -> None:
         """Wire two registered hosts together with *link* (bidirectional)."""
         for host in (host_a, host_b):
             if host not in self._interfaces:
@@ -109,7 +108,7 @@ class Network:
                 )
         self._links[self._key(host_a, host_b)] = link
 
-    def link_between(self, host_a: str, host_b: str) -> LinkLike:
+    def link_between(self, host_a: str, host_b: str) -> MediumView:
         try:
             return self._links[self._key(host_a, host_b)]
         except KeyError:
@@ -121,7 +120,7 @@ class Network:
         return self._key(host_a, host_b) in self._links
 
     def disconnect(self, host_a: str, host_b: str,
-                   abort_in_flight: bool = True) -> Optional[LinkLike]:
+                   abort_in_flight: bool = True) -> Optional[MediumView]:
         """Remove the link (the paper's simulated network partition).
 
         By default, transfers that are mid-flight on the severed link
@@ -135,12 +134,10 @@ class Network:
         if link is None:
             return None
         if abort_in_flight:
-            aborter = getattr(link, "abort_transfers", None)
-            if aborter is not None:
-                aborter(f"partition between {host_a!r} and {host_b!r}")
+            link.abort_transfers(f"partition between {host_a!r} and {host_b!r}")
         return link
 
-    def links_of(self, host_name: str) -> Dict[Tuple[str, str], LinkLike]:
+    def links_of(self, host_name: str) -> Dict[Tuple[str, str], MediumView]:
         """Every link adjacent to *host_name*, keyed by (a, b) host pair.
 
         The fault injector uses this to sever (and later restore) all of

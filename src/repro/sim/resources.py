@@ -33,7 +33,7 @@ for its equivalence tests.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from .events import Event, SimulationError
 from .kernel import Simulator, TimerHandle
@@ -45,6 +45,8 @@ class FairShareJob:
     ``amount`` is in resource units (cycles, bytes).  ``weight`` scales the
     job's share: a weight-2 job gets twice the rate of a weight-1 job.  The
     job's :attr:`done` event fires when the full amount has been served.
+    ``owner`` is whoever the job's service is charged to (a CPU's process
+    tag, a medium's host pair); the resource only compares it.
 
     :attr:`remaining` is a *view*: while the job is in service it is
     derived from the owning scheduler's virtual clock (as of the last
@@ -53,16 +55,19 @@ class FairShareJob:
     is pinned on the job itself.
     """
 
-    __slots__ = ("amount", "weight", "done", "started_at", "finished_at",
-                 "_resource", "_detached_remaining", "_finish_tag")
+    __slots__ = ("amount", "weight", "owner", "done", "started_at",
+                 "finished_at", "_resource", "_detached_remaining",
+                 "_finish_tag")
 
-    def __init__(self, amount: float, weight: float = 1.0):
+    def __init__(self, amount: float, weight: float = 1.0,
+                 owner: Any = None):
         if amount < 0:
             raise ValueError(f"negative job amount: {amount}")
         if weight <= 0:
             raise ValueError(f"job weight must be positive: {weight}")
         self.amount = float(amount)
         self.weight = float(weight)
+        self.owner = owner
         self.done = Event()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -105,12 +110,21 @@ class FairShareResource:
 
     An optional ``on_utilization_change`` callback receives
     ``(now, busy: bool, active_jobs: int)`` on every membership or capacity
-    change — the hook power meters and load monitors attach to.
+    change — the hook power meters and load monitors attach to.  An
+    optional ``on_detach`` callback receives each job as it leaves
+    service (finished or aborted, its :attr:`~FairShareJob.remaining`
+    pinned), before any ``done`` callback runs — the point where a CPU
+    charges the job's cycles to its owner.
+
+    :attr:`jobs` is the one table of jobs in service, in submission
+    order; :meth:`jobs_of` and :meth:`abort_jobs_of` read and abort one
+    owner's share of it.
     """
 
     __slots__ = ("_sim", "_capacity", "name", "_on_utilization_change",
-                 "total_served", "_active", "_weight_total", "_virtual",
-                 "_vt_as_of", "_heap", "_heap_seq", "_heap_dead", "_timer")
+                 "_on_detach", "total_served", "jobs", "_weight_total",
+                 "_virtual", "_vt_as_of", "_heap", "_heap_seq", "_heap_dead",
+                 "_timer")
 
     def __init__(
         self,
@@ -118,6 +132,7 @@ class FairShareResource:
         capacity: float,
         name: str = "resource",
         on_utilization_change: Optional[Callable[[float, bool, int], None]] = None,
+        on_detach: Optional[Callable[[FairShareJob], None]] = None,
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive: {capacity}")
@@ -125,10 +140,13 @@ class FairShareResource:
         self._capacity = float(capacity)
         self.name = name
         self._on_utilization_change = on_utilization_change
+        self._on_detach = on_detach
         #: cumulative units served (for utilization accounting)
         self.total_served = 0.0
-        #: live job count (heap entries include tombstones, this doesn't)
-        self._active = 0
+        #: jobs in service, in submission order (a dict used as an
+        #: ordered set; the heap also holds tombstones, this doesn't).
+        #: Read it, never write it: submit and _detach maintain it.
+        self.jobs: Dict[FairShareJob, None] = {}
         #: maintained sum of live weights — the O(1) replacement for the
         #: legacy per-call rescan; reset to exactly 0.0 at idle so float
         #: drift cannot accumulate across busy periods
@@ -154,12 +172,12 @@ class FairShareResource:
     @property
     def active_jobs(self) -> int:
         """Number of jobs currently being served."""
-        return self._active
+        return len(self.jobs)
 
     @property
     def busy(self) -> bool:
         """True while at least one job is in service."""
-        return self._active > 0
+        return bool(self.jobs)
 
     def set_capacity(self, capacity: float) -> None:
         """Change the service rate; in-flight jobs reschedule immediately.
@@ -176,9 +194,14 @@ class FairShareResource:
         self._reschedule()
         self._notify()
 
-    def submit(self, amount: float, weight: float = 1.0) -> FairShareJob:
-        """Add a job for *amount* units; returns it with a ``done`` event."""
-        job = FairShareJob(amount, weight=weight)
+    def submit(self, amount: float, weight: float = 1.0,
+               owner: Any = None) -> FairShareJob:
+        """Add a job for *amount* units; returns it with a ``done`` event.
+
+        An empty job (*amount* zero) finishes at once and never enters
+        :attr:`jobs`.
+        """
+        job = FairShareJob(amount, weight=weight, owner=owner)
         now = self._sim.now
         job.started_at = now
         if job.amount <= 0:
@@ -189,13 +212,13 @@ class FairShareResource:
         self._settle()
         job._resource = self
         job._finish_tag = self._virtual + job.amount / job.weight
-        self._active += 1
+        self.jobs[job] = None
         self._weight_total += job.weight
         self._heap_seq += 1
         heapq.heappush(self._heap, (job._finish_tag, self._heap_seq, job))
         self._reschedule()
         if self._on_utilization_change is not None:
-            self._on_utilization_change(now, True, self._active)
+            self._on_utilization_change(now, True, len(self.jobs))
         return job
 
     def cancel(self, job: FairShareJob) -> None:
@@ -228,13 +251,20 @@ class FairShareResource:
 
         ``exc_factory`` builds a fresh exception per job — exception
         instances must not be shared across waiters whose tracebacks
-        will diverge.
+        will diverge.  A job that a ``done`` callback aborts first is
+        not counted twice.
         """
-        count = 0
-        for job in self._live_jobs():
-            if self.abort(job, exc_factory()):
-                count += 1
-        return count
+        return sum(self.abort(job, exc_factory()) for job in list(self.jobs))
+
+    def jobs_of(self, owner: Any) -> List[FairShareJob]:
+        """*owner*'s jobs in service, in submission order."""
+        return [job for job in self.jobs if job.owner == owner]
+
+    def abort_jobs_of(self, owner: Any,
+                      exc_factory: Callable[[], BaseException]) -> int:
+        """:meth:`abort_all`, for *owner*'s jobs only."""
+        return sum(self.abort(job, exc_factory())
+                   for job in self.jobs_of(owner))
 
     def run(self, amount: float, weight: float = 1.0) -> Generator:
         """Process-style helper: ``yield from resource.run(amount)``."""
@@ -267,12 +297,7 @@ class FairShareResource:
         Tests assert ``_total_weight() == _rescan_weight()``; production
         code must never call this.
         """
-        return sum(job.weight for job in self._live_jobs())
-
-    def _live_jobs(self) -> List[FairShareJob]:
-        """Snapshot of active jobs in submission order (skips tombstones)."""
-        return [entry[2] for entry in sorted(self._heap, key=lambda e: e[1])
-                if entry[2]._resource is self]
+        return sum(job.weight for job in self.jobs)
 
     def _job_remaining(self, job: FairShareJob) -> float:
         left = job.weight * (job._finish_tag - self._virtual)
@@ -288,7 +313,7 @@ class FairShareResource:
         now = self._sim.now
         elapsed = now - self._vt_as_of
         if elapsed > 0.0:
-            if self._active > 0 and self._capacity > 0.0:
+            if self.jobs and self._capacity > 0.0:
                 self._virtual += self._capacity * elapsed / self._weight_total
                 self.total_served += self._capacity * elapsed
             self._vt_as_of = now
@@ -302,10 +327,12 @@ class FairShareResource:
         """
         job._detached_remaining = remaining
         job._resource = None
-        self._active -= 1
+        del self.jobs[job]
         self._weight_total -= job.weight
-        if self._active == 0:
+        if not self.jobs:
             self._weight_total = 0.0
+        if self._on_detach is not None:
+            self._on_detach(job)
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap when tombstones dominate it.
@@ -394,9 +421,10 @@ class FairShareResource:
             job.done.succeed(job)
         self._reschedule()
         if finished and self._on_utilization_change is not None:
-            self._on_utilization_change(now, self._active > 0, self._active)
+            active = len(self.jobs)
+            self._on_utilization_change(now, active > 0, active)
 
     def _notify(self) -> None:
         if self._on_utilization_change is not None:
-            self._on_utilization_change(self._sim.now, self._active > 0,
-                                        self._active)
+            active = len(self.jobs)
+            self._on_utilization_change(self._sim.now, active > 0, active)

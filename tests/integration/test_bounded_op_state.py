@@ -134,7 +134,8 @@ def assert_ops_columnar(report):
 def assert_ledgers_bounded(world):
     for node in world.nodes.values():
         cpu = node.host.cpu
-        allowed = (set(cpu._active.values()) | cpu._external_owners
+        allowed = ({job.owner for job in cpu._resource.jobs}
+                   | cpu._external_owners
                    | {DAEMON_OWNER})
         assert set(cpu._finished_cycles) <= allowed, node.name
 

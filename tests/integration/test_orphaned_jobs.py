@@ -26,10 +26,10 @@ def test_no_job_retires_after_its_owner_is_released(monkeypatch):
     orphans = []
     retire = CPU._retire
 
-    def counting_retire(cpu, owner, job):
-        if owner not in cpu._finished_cycles:
-            orphans.append((owner, job.amount - job.remaining))
-        retire(cpu, owner, job)
+    def counting_retire(cpu, job):
+        if job.owner not in cpu._finished_cycles:
+            orphans.append((job.owner, job.amount - job.remaining))
+        retire(cpu, job)
 
     monkeypatch.setattr(CPU, "_retire", counting_retire)
     report = run_scenario(

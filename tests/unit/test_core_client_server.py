@@ -283,7 +283,7 @@ class TestServerSide:
         sim.run_process(call())
         sim.advance(0.5)  # the interrupt has reached the dispatch
         assert owner not in server_node.server._requests_by_owner
-        assert owner not in cpu._active.values()
+        assert not cpu._resource.jobs_of(owner)
 
     def test_local_host_not_addable_as_server(self, sim, testbed):
         _net, _cn, _sn, client = testbed

@@ -1,4 +1,4 @@
-"""The docs cite only tests that exist.
+"""The docs cite only tests that exist, and quote only pinned digests.
 
 DESIGN.md, README.md and EXPERIMENTS.md name the tests that hold each
 invariant.  A test file that is renamed or deleted, or a test class or
@@ -9,7 +9,10 @@ checks keep that map honest:
   ``benchmarks/`` or ``bench/`` (a bare file name may sit anywhere
   there; a path must be exact);
 * every ``path::Name`` or ``path::Class::name`` they cite is defined in
-  that file, checked on its AST, not by importing it.
+  that file, checked on its AST, not by importing it;
+* every digest they or the verify notes quote as a 12-hex prefix
+  followed by ``…`` starts a digest that a pin file holds, so a quote
+  cannot outlive a re-pin.
 """
 
 import ast
@@ -23,6 +26,16 @@ TEST_ROOTS = ("tests", "benchmarks", "bench")
 #: a test file name, optionally with its directories, then any number
 #: of ``::Name`` parts (a line break may fall after the ``::``)
 CITATION = re.compile(r"((?:[\w.-]+/)*test_\w+\.py)((?:::\s*\w+)*)")
+
+#: the docs whose quoted digests must be pinned
+DIGEST_DOCS = DOCS + (".claude/skills/verify/SKILL.md",)
+#: the files that pin full sha256 digests
+PIN_FILES = ("tests/integration/full_scale_digests.txt",
+             "tests/integration/test_report_digests.py",
+             "tests/integration/test_predictor_persistence.py",
+             "examples/stdout.sha256")
+QUOTED_DIGEST = re.compile(r"\b([0-9a-f]{12})…")
+FULL_DIGEST = re.compile(r"\b[0-9a-f]{64}\b")
 
 
 def citations():
@@ -86,3 +99,17 @@ def test_every_cited_test_name_is_defined():
         if not defines(trees[path], names):
             undefined.append(f"{doc}: {cited}::{'::'.join(names)}")
     assert undefined == []
+
+
+def test_every_quoted_digest_is_pinned():
+    pinned = set()
+    for pin_file in PIN_FILES:
+        text = (REPO_ROOT / pin_file).read_text(encoding="utf-8")
+        pinned.update(digest[:12] for digest in FULL_DIGEST.findall(text))
+    assert len(pinned) >= 10
+    quoted = [(doc, prefix) for doc in DIGEST_DOCS
+              for prefix in QUOTED_DIGEST.findall(
+                  (REPO_ROOT / doc).read_text(encoding="utf-8"))]
+    assert len(quoted) >= 8
+    assert [f"{doc}: {prefix}…" for doc, prefix in quoted
+            if prefix not in pinned] == []

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hosts import CPU, BackgroundLoad
 from repro.sim import Simulator
@@ -139,7 +140,7 @@ class TestCancel:
         sim.advance(1.0)
         for _ in range(2):
             cpu.cancel(job)
-            assert not cpu._active
+            assert not cpu._resource.jobs
             assert cpu.active_jobs == 0
             assert cpu.instantaneous_competition() == 0.0
             assert cpu.cycles_used_by("op") == job.amount - job.remaining
@@ -171,7 +172,7 @@ class TestRelease:
         cpu.release("op#1")
         sim.run()
         assert job.finished_at == pytest.approx(1.0)
-        assert not cpu._active
+        assert not cpu._resource.jobs
         assert cpu._finished_cycles == {}
 
     def test_reader_after_release_sees_the_in_flight_job(self, sim, cpu):
@@ -205,8 +206,8 @@ def rescanned_external_weight(cpu):
     """An independent O(n) rescan of the in-flight jobs' external weight."""
     return sum(
         job.weight
-        for job, owner in cpu._active.items()
-        if job.remaining > 0 and owner in cpu._external_owners
+        for job in cpu._resource.jobs
+        if job.remaining > 0 and job.owner in cpu._external_owners
     )
 
 
@@ -221,8 +222,8 @@ class AlwaysResyncCPU(CPU):
         self._resync_external()
         return job
 
-    def _retire(self, owner, job):
-        super()._retire(owner, job)
+    def _retire(self, job):
+        super()._retire(job)
         self._resync_external()
 
 
@@ -328,3 +329,178 @@ class TestExternalWeight:
         for _ in range(5):
             advance(1.0)
             check()
+
+
+class DictScanOracle:
+    """The CPU's bookkeeping as it was before it read its jobs from the
+    resource's table: an in-flight job -> owner dict in submission order,
+    a job retired (popped and charged) by its own ``done`` callback, and
+    the four scans over the dict.  It shadows a live CPU: every submit
+    and release goes through both."""
+
+    def __init__(self, cpu):
+        self.cpu = cpu
+        self._active = {}
+        self._finished_cycles = {}
+
+    def submit(self, cycles, owner, weight=1.0, external=False):
+        job = self.cpu.submit(cycles, owner=owner, weight=weight,
+                              external=external)
+        if job.finished_at is None:
+            if owner not in self._finished_cycles:
+                self._finished_cycles[owner] = 0.0
+            self._active[job] = owner
+            job.done.add_callback(lambda _ev: self._retire(owner, job))
+        else:
+            self._finished_cycles[owner] = (
+                self._finished_cycles.get(owner, 0.0) + job.amount)
+        return job
+
+    def _retire(self, owner, job):
+        self._active.pop(job)
+        finished = self._finished_cycles.get(owner)
+        if finished is not None:
+            self._finished_cycles[owner] = (
+                finished + (job.amount - job.remaining))
+
+    def release(self, owner):
+        self.cpu.release(owner)
+        self._finished_cycles.pop(owner, None)
+
+    def jobs_of(self, owner):
+        """The jobs ``cancel_jobs_of`` cancelled."""
+        return [job for job, job_owner in self._active.items()
+                if job_owner == owner]
+
+    def instantaneous_competition(self, exclude_owner=None):
+        return sum(
+            job.weight
+            for job, owner in self._active.items()
+            if job.remaining > 0 and owner != exclude_owner
+        )
+
+    def external_weight(self):
+        return sum(
+            job.weight
+            for job, owner in self._active.items()
+            if job.remaining > 0 and owner in self.cpu._external_owners
+        )
+
+    def cycles_used_by(self, owner):
+        self.cpu._resource._settle()
+        in_flight = sum(
+            job.amount - job.remaining
+            for job, job_owner in self._active.items()
+            if job_owner == owner
+        )
+        return self._finished_cycles.setdefault(owner, 0.0) + in_flight
+
+
+ORACLE_OWNERS = ("a", "b", "bg")
+
+#: one step of a random CPU workload
+cpu_actions = st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(ORACLE_OWNERS),
+              st.sampled_from((0.0, 5e6, 37e6, 50e6, 1e9)),
+              st.sampled_from((0.5, 1.0, 3.0)), st.booleans()),
+    # two equal jobs of one owner: they finish at the same instant
+    st.tuples(st.just("pair"), st.sampled_from(ORACLE_OWNERS),
+              st.sampled_from((5e6, 37e6, 50e6)),
+              st.sampled_from((0.5, 1.0, 3.0)), st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("cancel_jobs_of"), st.sampled_from(ORACLE_OWNERS)),
+    st.tuples(st.just("release"), st.sampled_from(ORACLE_OWNERS)),
+    st.tuples(st.just("advance"),
+              st.sampled_from((0.0, 0.013, 0.1, 0.37, 1.0))),
+)
+
+
+class TestJobTableMatchesTheDictScans:
+    """Reading in-flight jobs through the resource's table, and charging
+    a job as the resource detaches it, gives exactly (``==``) what the
+    dict scans gave, at every step of a random workload."""
+
+    @staticmethod
+    def check(cpu, oracle):
+        for owner in (None,) + ORACLE_OWNERS:
+            assert (cpu.instantaneous_competition(owner)
+                    == oracle.instantaneous_competition(owner))
+        assert cpu._external_weight() == oracle.external_weight()
+        for owner in ORACLE_OWNERS:
+            assert cpu.cycles_used_by(owner) == oracle.cycles_used_by(owner)
+
+    @given(actions=st.lists(cpu_actions, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_random_workload(self, actions):
+        sim = Simulator()
+        cpu = CPU(sim, cycles_per_second=100e6)
+        oracle = DictScanOracle(cpu)
+        jobs = []
+        for action in actions:
+            kind = action[0]
+            if kind in ("submit", "pair"):
+                _kind, owner, cycles, weight, external = action
+                for _ in range(2 if kind == "pair" else 1):
+                    jobs.append(oracle.submit(cycles, owner, weight,
+                                              external=external and owner == "bg"))
+            elif kind == "cancel" and jobs:
+                cpu.cancel(jobs[action[1] % len(jobs)])
+            elif kind == "cancel_jobs_of":
+                assert (cpu._resource.jobs_of(action[1])
+                        == oracle.jobs_of(action[1]))
+                cpu.cancel_jobs_of(action[1])
+            elif kind == "release":
+                oracle.release(action[1])
+            elif kind == "advance":
+                sim.advance(action[1])
+            self.check(cpu, oracle)
+            assert list(cpu._resource.jobs) == list(oracle._active)
+        sim.run()
+        self.check(cpu, oracle)
+        assert not cpu._resource.jobs and not oracle._active
+        assert cpu._finished_cycles == oracle._finished_cycles
+
+    def test_same_instant_completions_read_as_finished(self, sim, cpu):
+        """The resource detaches every job due at one instant before it
+        succeeds any of them, and a woken process runs at once.  The
+        process woken by the first of two same-owner completions reads
+        both jobs as finished: the second one is charged as it is
+        detached, not when its own ``done`` callbacks run."""
+        oracle = DictScanOracle(cpu)
+        first = oracle.submit(30e6, "op")
+        second = oracle.submit(30e6, "op")
+        seen = []
+
+        def reader():
+            yield first.done
+            seen.append((second.done.triggered,
+                         cpu.cycles_used_by("op"),
+                         oracle.cycles_used_by("op"),
+                         cpu.instantaneous_competition(),
+                         list(cpu._resource.jobs)))
+
+        sim.spawn(reader())
+        sim.run()
+        assert seen == [(False, 60e6, 60e6, 0, [])]
+        assert second.finished_at == first.finished_at
+
+    def test_a_reader_opened_after_release_in_the_window(self, sim, cpu):
+        """As :meth:`CPU.release` says: a reader that starts after a job
+        finished never sees its cycles.  The second of two same-instant
+        jobs has finished when the first one's waiter runs; the dict
+        scans still counted it in flight there."""
+        oracle = DictScanOracle(cpu)
+        first = oracle.submit(30e6, "op")
+        oracle.submit(30e6, "op")
+        oracle.release("op")
+        seen = []
+
+        def reader():
+            yield first.done
+            seen.append((cpu.cycles_used_by("op"),
+                         oracle.cycles_used_by("op")))
+
+        sim.spawn(reader())
+        sim.run()
+        assert seen == [(0.0, 30e6)]
+        assert cpu.cycles_used_by("op") == 0.0

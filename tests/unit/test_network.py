@@ -1,5 +1,7 @@
 """Unit tests for the network substrate (repro.network)."""
 
+import random
+
 import pytest
 
 from repro.network import (
@@ -11,6 +13,7 @@ from repro.network import (
     TransferLog,
     TransferRecord,
 )
+from repro.sim import Simulator
 
 
 class TestLink:
@@ -332,3 +335,69 @@ class TestLinkFailures:
         links = network.links_of("b")
         assert links == {("a", "b"): ab, ("b", "c"): bc}
         assert network.links_of("a") == {("a", "b"): ab}
+
+
+class TestDedicatedLinkIsAOnePairMedium:
+    """A dedicated ``Link`` is a view over a private medium: it moves
+    bytes, aborts and words its errors exactly as the one attachment of
+    a ``SharedMedium`` with the same bandwidth, latency and name."""
+
+    @staticmethod
+    def drive(build, seed):
+        sim = Simulator()
+        link = build(sim)
+        rng = random.Random(seed)
+        outcomes = []
+
+        def push(index, nbytes):
+            try:
+                elapsed = yield from link.transmit(nbytes)
+                outcomes.append((index, "done", sim.now, elapsed))
+            except TransferAbortedError as exc:
+                outcomes.append((index, "aborted", sim.now, str(exc)))
+
+        for index in range(12):
+            sim.call_in(rng.uniform(0.0, 20.0),
+                        lambda i=index, n=rng.choice((0, 50, 1000, 7919)):
+                        sim.spawn(push(i, n)))
+        for _ in range(3):
+            sim.call_in(rng.uniform(0.0, 20.0), lambda f=rng.choice(
+                (0.0, 0.5, 2.0)): link.set_bandwidth(1000.0 * f or 1e-3))
+        aborts = []
+        for reason in ("", "partition"):
+            sim.call_in(rng.uniform(0.0, 20.0), lambda r=reason: aborts.append(
+                (sim.now, link.active_transfers, link.abort_transfers(r),
+                 link.estimate_transfer_time(500))))
+        sim.run()
+        return outcomes, aborts, link.active_transfers, link.bandwidth_bps
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_times_aborts_and_messages(self, seed):
+        dedicated = self.drive(
+            lambda sim: Link(sim, 1000.0, 0.01, name="a-b"), seed)
+        attached = self.drive(
+            lambda sim: SharedMedium(sim, 1000.0, default_latency_s=0.01,
+                                     name="a-b").attach(name="a-b"), seed)
+        assert attached == dedicated
+        outcomes, aborts, _active, _bandwidth = dedicated
+        assert len(outcomes) == 12
+        assert sum(count for _at, _active, count, _eta in aborts) == sum(
+            fate == "aborted" for _i, fate, _at, _value in outcomes)
+
+    def test_default_abort_message_names_the_link(self, sim):
+        link = Link(sim, 1000.0, 0.0, name="a-b")
+        failures = []
+
+        def push():
+            try:
+                yield from link.transmit(10_000)
+            except TransferAbortedError as exc:
+                failures.append(str(exc))
+
+        sim.spawn(push())
+        sim.advance(0.5)
+        assert link.active_transfers == 1
+        assert link._resource.name == "a-b.bw"
+        assert link.abort_transfers() == 1
+        sim.run()
+        assert failures == ["transfer aborted: link 'a-b' severed"]

@@ -209,7 +209,9 @@ class TestTimeout:
         policy = RetryPolicy(max_attempts=1, timeout_s=1.0)
         with pytest.raises(RpcTimeoutError):
             call(sim, transport, policy=policy, indata_bytes=10_000_000)
-        sim.run()  # deliver the scheduled interrupt to the exchange
+        # Deliver the scheduled interrupt to the exchange, long before
+        # the bytes would have finished on their own.
+        sim.run(until=2.0)
         assert link.active_transfers == 0
 
     def test_timeout_is_retryable(self):
