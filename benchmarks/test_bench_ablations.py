@@ -14,6 +14,8 @@ from repro.experiments.ablation import (
     ablate_reintegration_policy,
     ablate_solver,
     ablate_utility_form,
+    render_ablation_table,
+    render_solver_table,
 )
 
 from conftest import cached, save_figure
@@ -34,16 +36,7 @@ def _ablations():
 def test_ablation_suite(benchmark, results_dir):
     outcomes = benchmark.pedantic(_ablations, rounds=1, iterations=1)
 
-    lines = ["Ablations: paper design vs ablated design",
-             "=" * 41]
-    for outcome in outcomes:
-        arrow = "✓" if outcome.baseline_wins else "✗"
-        lines.append(
-            f"{arrow} {outcome.name}\n"
-            f"    paper={outcome.baseline_value:.4f}  "
-            f"ablated={outcome.ablated_value:.4f}  ({outcome.unit})"
-        )
-    save_figure(results_dir, "ablations", "\n".join(lines))
+    save_figure(results_dir, "ablations", render_ablation_table(outcomes))
 
     # The paper's design never loses its own ablation.
     for outcome in outcomes:
@@ -79,11 +72,7 @@ def test_ablation_solver_quality(benchmark, results_dir):
         lambda: cached("ablation-solver", ablate_solver),
         rounds=1, iterations=1,
     )
-    lines = ["Solver ablation: heuristic vs exhaustive (Pangloss, baseline)",
-             "=" * 60]
-    for key, value in sorted(out.items()):
-        lines.append(f"  {key:32s} {value:.3f}")
-    save_figure(results_dir, "ablation_solver", "\n".join(lines))
+    save_figure(results_dir, "ablation_solver", render_solver_table(out))
 
     # The heuristic search stays within a few points of exhaustive.
     assert out["heuristic_relative_utility"] >= (

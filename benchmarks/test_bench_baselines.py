@@ -11,6 +11,7 @@ average.
 import pytest
 
 from repro.experiments import run_policy_comparison, summarize
+from repro.experiments.baselines import render_policy_table
 
 from conftest import cached, save_figure
 
@@ -24,23 +25,8 @@ def test_policy_comparison(benchmark, results_dir):
     outcomes = benchmark.pedantic(_comparison, rounds=1, iterations=1)
     means = summarize(outcomes)
 
-    lines = ["Policy comparison (speech scenarios, relative utility "
-             "vs oracle)", "=" * 64]
-    header = f"{'scenario':12s}" + "".join(
-        f"{policy:>14s}" for policy in sorted(means)
-    )
-    lines.append(header)
-    scenarios = sorted({o.scenario for o in outcomes})
-    table = {(o.scenario, o.policy): o.relative_utility for o in outcomes}
-    for scenario in scenarios:
-        lines.append(f"{scenario:12s}" + "".join(
-            f"{table[(scenario, policy)]:14.3f}"
-            for policy in sorted(means)
-        ))
-    lines.append(f"{'MEAN':12s}" + "".join(
-        f"{means[policy]:14.3f}" for policy in sorted(means)
-    ))
-    save_figure(results_dir, "policy_comparison", "\n".join(lines))
+    save_figure(results_dir, "policy_comparison",
+                render_policy_table(outcomes))
 
     # Spectra dominates every baseline on average.
     for policy, mean in means.items():

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.experiments import (
-    full_cache_prediction_ms,
-    render_overhead_table,
-    run_overhead_experiment,
-)
+from repro.experiments import full_cache_prediction_ms, run_overhead_experiment
+from repro.experiments.figures import render_figure
 
 from conftest import cached, save_figure
 
@@ -21,7 +18,7 @@ def test_fig10_overhead_table(benchmark, results_dir):
     full_cache = cached("overhead-fullcache", full_cache_prediction_ms)
 
     save_figure(results_dir, "fig10_overhead",
-                render_overhead_table(rows, full_cache_ms=full_cache))
+                render_figure("fig10", (rows, full_cache)))
 
     by_servers = {row.n_servers: row for row in rows}
 

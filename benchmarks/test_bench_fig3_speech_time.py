@@ -9,7 +9,8 @@ shape claims.
 import pytest
 
 from repro.apps import make_speech_spec
-from repro.experiments import render_bar_figure, run_speech_experiment
+from repro.experiments import run_speech_experiment
+from repro.experiments.figures import render_figure
 
 from conftest import cached, save_figure
 
@@ -24,10 +25,8 @@ def _speech_results():
 def test_fig3_speech_execution_time(benchmark, results_dir):
     results = benchmark.pedantic(_speech_results, rounds=1, iterations=1)
 
-    save_figure(results_dir, "fig3_speech_time", render_bar_figure(
-        "Figure 3: Speech recognition execution time (seconds)",
-        spec, results, metric="time",
-    ))
+    save_figure(results_dir, "fig3_speech_time",
+                render_figure("fig3", results))
 
     # Shape assertions from the paper's §4.1 narrative.
     baseline = {m.label: m.time_s for m in results["baseline"].measurements}

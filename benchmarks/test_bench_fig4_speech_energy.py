@@ -9,7 +9,8 @@ remote, so an energy-conscious Spectra goes remote at full fidelity.
 import pytest
 
 from repro.apps import make_speech_spec
-from repro.experiments import render_bar_figure, run_speech_experiment
+from repro.experiments import run_speech_experiment
+from repro.experiments.figures import render_figure
 
 from conftest import cached, save_figure
 
@@ -25,11 +26,8 @@ def test_fig4_speech_energy(benchmark, results_dir):
     results = benchmark.pedantic(_speech_results, rounds=1, iterations=1)
     energy = results["energy"]
 
-    save_figure(results_dir, "fig4_speech_energy", render_bar_figure(
-        "Figure 4: Speech recognition energy usage (joules, "
-        "energy scenario)",
-        spec, {"energy": energy}, metric="energy",
-    ))
+    save_figure(results_dir, "fig4_speech_energy",
+                render_figure("fig4", results))
 
     joules = {m.label: m.energy_j for m in energy.measurements}
     times = {m.label: m.time_s for m in energy.measurements}

@@ -6,12 +6,10 @@ Spectra's pick, on the 560X / wireless testbed.
 
 import pytest
 
-from repro.apps import make_latex_spec
-from repro.experiments import render_bar_figure, run_latex_experiment
+from repro.experiments import run_latex_experiment
+from repro.experiments.figures import render_figure
 
 from conftest import cached, save_figure
-
-spec = make_latex_spec()
 
 
 def _latex_results():
@@ -25,10 +23,8 @@ def test_fig5_latex_small_document(benchmark, results_dir):
              for scenario in ("baseline", "filecache", "reintegrate",
                               "energy")}
 
-    save_figure(results_dir, "fig5_latex_small", render_bar_figure(
-        "Figure 5: Small document (14 pp) execution time (seconds)",
-        spec, small, metric="time",
-    ))
+    save_figure(results_dir, "fig5_latex_small",
+                render_figure("fig5", results))
 
     def times(result):
         return {m.alternative.server or "local": m.time_s

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.apps import make_latex_spec
-from repro.experiments import render_bar_figure, run_latex_experiment
+from repro.experiments import run_latex_experiment
+from repro.experiments.figures import render_figure
 
 from conftest import cached, save_figure
-
-spec = make_latex_spec()
 
 
 def _latex_results():
@@ -21,10 +19,8 @@ def test_fig6_latex_large_document(benchmark, results_dir):
              for scenario in ("baseline", "filecache", "reintegrate",
                               "energy")}
 
-    save_figure(results_dir, "fig6_latex_large", render_bar_figure(
-        "Figure 6: Large document (123 pp) execution time (seconds)",
-        spec, large, metric="time",
-    ))
+    save_figure(results_dir, "fig6_latex_large",
+                render_figure("fig6", results))
 
     # Server B wins every large-document scenario.
     for scenario, result in large.items():

@@ -9,12 +9,10 @@ savings over faster execution time."
 
 import pytest
 
-from repro.apps import make_latex_spec
-from repro.experiments import render_bar_figure, run_latex_experiment
+from repro.experiments import run_latex_experiment
+from repro.experiments.figures import render_figure
 
 from conftest import cached, save_figure
-
-spec = make_latex_spec()
 
 
 def _latex_results():
@@ -29,10 +27,8 @@ def test_fig7_latex_energy(benchmark, results_dir):
         "energy/large": results[("energy", "large")],
     }
 
-    save_figure(results_dir, "fig7_latex_energy", render_bar_figure(
-        "Figure 7: Latex energy usage (joules, energy scenario)",
-        spec, energy, metric="energy",
-    ))
+    save_figure(results_dir, "fig7_latex_energy",
+                render_figure("fig7", results))
 
     def axis(result, field):
         return {m.alternative.server or "local": getattr(m, field)

@@ -8,7 +8,8 @@ among all ~100 (location × fidelity) combinations by achieved utility;
 import pytest
 
 from repro.apps import make_pangloss_spec
-from repro.experiments import render_rank_figure, run_pangloss_experiment
+from repro.experiments import run_pangloss_experiment
+from repro.experiments.figures import render_figure
 
 from conftest import cached, save_figure
 
@@ -23,10 +24,8 @@ def _pangloss_results():
 def test_fig8_pangloss_percentiles(benchmark, results_dir):
     results = benchmark.pedantic(_pangloss_results, rounds=1, iterations=1)
 
-    save_figure(results_dir, "fig8_pangloss_accuracy", render_rank_figure(
-        "Figure 8: Accuracy for Pangloss-Lite (percentile of best)",
-        spec, results,
-    ))
+    save_figure(results_dir, "fig8_pangloss_accuracy",
+                render_figure("fig8", results))
 
     percentiles = {key: result.percentile(spec)
                    for key, result in results.items()}

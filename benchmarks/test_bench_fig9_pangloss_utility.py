@@ -8,7 +8,8 @@ order: a high per-cell floor and a ≥85% average.
 import pytest
 
 from repro.apps import make_pangloss_spec
-from repro.experiments import render_rank_figure, run_pangloss_experiment
+from repro.experiments import run_pangloss_experiment
+from repro.experiments.figures import render_figure
 
 from conftest import cached, save_figure
 
@@ -23,11 +24,8 @@ def _pangloss_results():
 def test_fig9_pangloss_relative_utility(benchmark, results_dir):
     results = benchmark.pedantic(_pangloss_results, rounds=1, iterations=1)
 
-    save_figure(results_dir, "fig9_pangloss_utility", render_rank_figure(
-        "Figure 9: Relative utility for Pangloss-Lite "
-        "(Spectra / zero-overhead oracle)",
-        spec, results,
-    ))
+    save_figure(results_dir, "fig9_pangloss_utility",
+                render_figure("fig9", results))
 
     rels = {key: result.relative_utility(spec)
             for key, result in results.items()}

@@ -23,165 +23,34 @@ import pathlib
 import sys
 from typing import Callable, Dict, List
 
-from .apps import make_latex_spec, make_pangloss_spec, make_speech_spec
+from .core.explain import explain_trace
 from .experiments import (
-    full_cache_prediction_ms,
     render_accuracy_table,
-    run_accuracy_experiment,
-    render_bar_figure,
-    render_overhead_table,
     render_parallel_table,
-    render_rank_figure,
+    run_accuracy_experiment,
     run_all_ablations,
-    run_latex_experiment,
-    run_overhead_experiment,
-    run_pangloss_experiment,
     run_parallel_experiment,
     run_policy_comparison,
-    run_speech_experiment,
-    summarize,
 )
-from .core.explain import explain_trace
+from .experiments.ablation import (ablate_solver, render_ablation_table,
+                                   render_solver_table)
+from .experiments.baselines import render_policy_table
+from .experiments.figures import FIGURES, figure_text
 from .predictors.cli import add_predictor_arguments, run_predictors_command
-from .experiments.ablation import ablate_solver
 from .scenarios import SCENARIOS
 from .scenarios.cli import add_scenario_arguments, run_scenario_command
 from .telemetry import load_jsonl, render_trace_report, split_records
 
-#: figure name -> (description, generator returning rendered text)
-Generator = Callable[[], str]
 
-
-def _fig3() -> str:
-    return render_bar_figure(
-        "Figure 3: Speech recognition execution time (seconds)",
-        make_speech_spec(), run_speech_experiment(), metric="time",
-    )
-
-
-def _fig4() -> str:
-    results = run_speech_experiment(scenarios=("energy",))
-    return render_bar_figure(
-        "Figure 4: Speech recognition energy usage (joules)",
-        make_speech_spec(), results, metric="energy",
-    )
-
-
-def _latex_figure(document: str, metric: str, title: str) -> str:
-    results = run_latex_experiment(documents=(document,))
-    keyed = {scenario: result
-             for (scenario, _doc), result in results.items()}
-    return render_bar_figure(title, make_latex_spec(), keyed, metric=metric)
-
-
-def _fig5() -> str:
-    return _latex_figure(
-        "small", "time",
-        "Figure 5: Small document (14 pp) execution time (seconds)",
-    )
-
-
-def _fig6() -> str:
-    return _latex_figure(
-        "large", "time",
-        "Figure 6: Large document (123 pp) execution time (seconds)",
-    )
-
-
-def _fig7() -> str:
-    results = run_latex_experiment(scenarios=("energy",))
-    keyed = {f"energy/{doc}": result
-             for (_scenario, doc), result in results.items()}
-    return render_bar_figure(
-        "Figure 7: Latex energy usage (joules, energy scenario)",
-        make_latex_spec(), keyed, metric="energy",
-    )
-
-
-_PANGLOSS_CACHE: Dict[str, object] = {}
-
-
-def _pangloss_results():
-    if "results" not in _PANGLOSS_CACHE:
-        _PANGLOSS_CACHE["results"] = run_pangloss_experiment()
-    return _PANGLOSS_CACHE["results"]
-
-
-def _fig8() -> str:
-    return render_rank_figure(
-        "Figure 8: Accuracy for Pangloss-Lite (percentile of best)",
-        make_pangloss_spec(), _pangloss_results(),
-    )
-
-
-def _fig9() -> str:
-    return render_rank_figure(
-        "Figure 9: Relative utility for Pangloss-Lite",
-        make_pangloss_spec(), _pangloss_results(),
-    )
-
-
-def _fig10() -> str:
-    return render_overhead_table(
-        run_overhead_experiment(), full_cache_ms=full_cache_prediction_ms(),
-    )
-
-
-FIGURES: Dict[str, Generator] = {
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-}
-
-
-def _ablations() -> str:
-    lines = ["Ablations: paper design vs ablated design", "=" * 41]
-    for outcome in run_all_ablations():
-        verdict = "paper design wins" if outcome.baseline_wins else "ABLATED WINS"
-        lines.append(f"{outcome.name}: paper={outcome.baseline_value:.4f} "
-                     f"ablated={outcome.ablated_value:.4f} "
-                     f"({outcome.unit}) — {verdict}")
-    solver = ablate_solver()
-    lines.append("solver (heuristic vs exhaustive): " + ", ".join(
-        f"{key}={value:.3f}" for key, value in sorted(solver.items())
-    ))
-    return "\n".join(lines)
-
-
-def _baselines() -> str:
-    outcomes = run_policy_comparison()
-    means = summarize(outcomes)
-    lines = ["Policy comparison (relative utility vs oracle)", "=" * 46]
-    for outcome in outcomes:
-        lines.append(f"{outcome.scenario:12s} {outcome.policy:14s} "
-                     f"{outcome.relative_utility:6.3f}  {outcome.choice}")
-    lines.append("means: " + ", ".join(
-        f"{policy}={mean:.3f}" for policy, mean in sorted(means.items())
-    ))
-    return "\n".join(lines)
-
-
-def _parallel() -> str:
-    return render_parallel_table(
+#: extra table name -> generator returning its rendered text
+EXTRAS: Dict[str, Callable[[], str]] = {
+    "ablations": lambda: (render_ablation_table(run_all_ablations()) + "\n\n"
+                          + render_solver_table(ablate_solver())),
+    "baselines": lambda: render_policy_table(run_policy_comparison()),
+    "parallel": lambda: render_parallel_table(
         run_parallel_experiment(twin=True),
-        run_parallel_experiment(twin=False),
-    )
-
-
-def _accuracy() -> str:
-    return render_accuracy_table(run_accuracy_experiment())
-
-
-EXTRAS: Dict[str, Generator] = {
-    "ablations": _ablations,
-    "baselines": _baselines,
-    "parallel": _parallel,
-    "accuracy": _accuracy,
+        run_parallel_experiment(twin=False)),
+    "accuracy": lambda: render_accuracy_table(run_accuracy_experiment()),
 }
 
 
@@ -305,7 +174,7 @@ def main(argv: List[str] = None) -> int:
                   f"(known: {', '.join(FIGURES)})", file=sys.stderr)
             return 2
         for name in names:
-            _write(output_dir, name, FIGURES[name](), quiet=args.quiet)
+            _write(output_dir, name, figure_text(name), quiet=args.quiet)
         return 0
 
     _write(output_dir, args.command, EXTRAS[args.command](),

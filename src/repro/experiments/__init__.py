@@ -15,18 +15,17 @@ from .contention import (
     run_contention_cell,
     run_contention_experiment,
 )
-from .latex import run_latex_experiment, run_latex_scenario
+from .latex import run_latex_experiment
 from .overhead import (
     OverheadRow,
     full_cache_prediction_ms,
     measure_overhead,
     run_overhead_experiment,
 )
-from .pangloss import run_pangloss_cell, run_pangloss_experiment
+from .pangloss import run_pangloss_experiment
 from .parallel import (
     ParallelCell,
     render_parallel_table,
-    run_parallel_cell,
     run_parallel_experiment,
 )
 from .report import render_bar_figure, render_overhead_table, render_rank_figure
@@ -40,7 +39,7 @@ from .runner import (
     score_measurement,
     utility_of,
 )
-from .speech import run_speech_experiment, run_speech_scenario
+from .speech import run_speech_experiment
 
 __all__ = [
     "AblationOutcome",
@@ -70,15 +69,11 @@ __all__ = [
     "run_contention_cell",
     "run_contention_experiment",
     "run_latex_experiment",
-    "run_latex_scenario",
     "run_overhead_experiment",
-    "run_pangloss_cell",
     "run_pangloss_experiment",
-    "run_parallel_cell",
     "run_parallel_experiment",
     "run_policy_comparison",
     "run_speech_experiment",
-    "run_speech_scenario",
     "score_measurement",
     "summarize",
     "utility_of",

@@ -13,6 +13,8 @@ paper's mechanism buys:
 5. **Heuristic vs exhaustive solver** — decision quality and cost.
 6. **Likelihood-driven vs indiscriminate reintegration** — remote
    execution time for the clean large-document volume.
+
+Each function trains its testbed once and measures on clones of it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from ..solver import ExhaustiveSolver, HeuristicSolver
 from . import latex as latex_exp
 from . import pangloss as pangloss_exp
 from . import speech as speech_exp
-from .runner import measure_spectra, relative_utility, score_measurement
+from .runner import (clone_world, measure_spectra, relative_utility,
+                     score_measurement)
 
 
 @dataclass
@@ -59,10 +62,12 @@ def ablate_utility_form() -> AblationOutcome:
     the stated user-preference model).
     """
     spec = make_speech_spec()
-    baseline = speech_exp.run_speech_scenario("energy")
+    trained = speech_exp._train()
+    baseline = speech_exp._measure_scenario(trained, "energy")
     rel_mult = baseline.relative_utility(spec)
 
-    world, app = speech_exp._build("energy")
+    world, app = clone_world(trained)
+    speech_exp._apply_scenario(world, "energy")
     world.nodes["itsy"].client.utility_factory = (
         lambda s, c: AdditiveUtility(s, c, energy_weight=5.0)
     )
@@ -83,8 +88,10 @@ def ablate_recency_weighting() -> AblationOutcome:
     Metric: mean absolute relative error of the local-plan time
     prediction over the post-drift operations — lower is better.
     """
+    trained = speech_exp._train()
+
     def run(decay: float) -> float:
-        world, app = speech_exp._build("baseline")
+        world, app = clone_world(trained)
         itsy = world.nodes["itsy"]
         client = itsy.client
         client.predictor_decay = decay
@@ -217,7 +224,7 @@ def ablate_hybrid_plan() -> AblationOutcome:
     Metric: best achievable utility among the measured alternatives.
     """
     spec = make_speech_spec()
-    result = speech_exp.run_speech_scenario("baseline")
+    result = speech_exp._measure_scenario(speech_exp._train(), "baseline")
     with_hybrid = max(
         score_measurement(spec, 0.0, m) for m in result.measurements
     )
@@ -241,7 +248,8 @@ def ablate_solver() -> Dict[str, float]:
     out: Dict[str, float] = {}
     for label, solver in (("heuristic", HeuristicSolver()),
                           ("exhaustive", ExhaustiveSolver())):
-        result = pangloss_exp.run_pangloss_cell("baseline", 10, solver=solver)
+        result = pangloss_exp._measure_cell(
+            pangloss_exp._train(solver=solver), "baseline", 10)
         out[f"{label}_relative_utility"] = result.relative_utility(spec)
         out[f"{label}_percentile"] = result.percentile(spec)
     return out
@@ -255,9 +263,11 @@ def ablate_reintegration_policy() -> AblationOutcome:
     reintegration entirely; the ablated policy flushes it anyway.
     Metric: Spectra's measured operation time — lower is better.
     """
-    baseline = latex_exp.run_latex_scenario("reintegrate", "large")
+    trained = latex_exp._train()
+    baseline = latex_exp._measure_cell(trained, "reintegrate", "large")
 
-    world, app = latex_exp._build("reintegrate")
+    world, app = clone_world(trained)
+    latex_exp._apply_scenario(world, app, "reintegrate")
     world.nodes["560x"].client.always_reintegrate = True
     report = world.sim.run_process(app.format("large"))
     ablated_time = report.elapsed_s
@@ -283,13 +293,14 @@ def ablate_monitor_freshness() -> AblationOutcome:
     spec = make_pangloss_spec()
     words = 10
 
-    fresh = pangloss_exp.run_pangloss_cell("cpu", words)
+    trained = pangloss_exp._train()
+    fresh = pangloss_exp._measure_cell(trained, "cpu", words)
     fresh_rel = fresh.relative_utility(spec)
 
     # Stale variant: identical world, but the scenario changes happen
     # AFTER the last poll and the client does not re-poll before the
     # probe (its proxies still describe the old world).
-    world, app = pangloss_exp._build("baseline")
+    world, app = clone_world(trained)
     pangloss_exp._evict_corpus(world)
     world.nodes["server-a"].host.start_background_load(2)
     world.sim.advance(10.0)  # the load persists; no poll happens
@@ -316,3 +327,23 @@ def run_all_ablations() -> List[AblationOutcome]:
         ablate_reintegration_policy(),
         ablate_monitor_freshness(),
     ]
+
+
+def render_ablation_table(outcomes: List[AblationOutcome]) -> str:
+    lines = ["Ablations: paper design vs ablated design", "=" * 41]
+    for outcome in outcomes:
+        arrow = "✓" if outcome.baseline_wins else "✗"
+        lines.append(
+            f"{arrow} {outcome.name}\n"
+            f"    paper={outcome.baseline_value:.4f}  "
+            f"ablated={outcome.ablated_value:.4f}  ({outcome.unit})"
+        )
+    return "\n".join(lines)
+
+
+def render_solver_table(solver: Dict[str, float]) -> str:
+    lines = ["Solver ablation: heuristic vs exhaustive (Pangloss, baseline)",
+             "=" * 60]
+    for key, value in sorted(solver.items()):
+        lines.append(f"  {key:32s} {value:.3f}")
+    return "\n".join(lines)

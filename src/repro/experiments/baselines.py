@@ -7,6 +7,9 @@ against the measured oracle.  This quantifies the paper's related-work
 claims: static policies break whenever the environment moves away from
 their assumption, and RPF — lacking per-resource monitors and fidelity —
 cannot anticipate cache state, bandwidth changes, or quality trade-offs.
+
+The speech testbed is trained once; every measurement and every
+policy's pick runs on its own clone of it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from ..baselines import (
     RPFPolicy,
 )
 from . import speech as speech_exp
-from .runner import best_measurement, measure_forced, utility_of
+from .runner import best_measurement, clone_world, measure_forced, utility_of
 
 
 @dataclass
@@ -38,9 +41,11 @@ class PolicyOutcome:
     relative_utility: float
 
 
-def _policy_choice_run(policy: PlacementPolicy, scenario: str):
-    """Fresh world; feed the policy history; execute its choice."""
-    world, app = speech_exp._build(scenario)
+def _policy_choice_run(trained, policy: PlacementPolicy, scenario: str):
+    """A clone of *trained* in *scenario*; feed the policy history;
+    execute its choice."""
+    world, app = clone_world(trained)
+    speech_exp._apply_scenario(world, scenario)
     itsy = world.nodes["itsy"]
     alternatives = app.spec.alternatives(
         ["t20"] if itsy.client.known_servers() else []
@@ -72,10 +77,11 @@ def run_policy_comparison(scenarios=speech_exp.SCENARIOS
                           ) -> List[PolicyOutcome]:
     """Spectra + four baselines across the speech scenarios."""
     spec = make_speech_spec()
+    trained = speech_exp._train()
     outcomes: List[PolicyOutcome] = []
     for scenario in scenarios:
         c = speech_exp.scenario_energy_importance(scenario)
-        result = speech_exp.run_speech_scenario(scenario)
+        result = speech_exp._measure_scenario(trained, scenario)
         _best_m, oracle = best_measurement(spec, c, result.measurements)
 
         def relative(time_s, energy_j, alternative) -> float:
@@ -94,7 +100,8 @@ def run_policy_comparison(scenarios=speech_exp.SCENARIOS
         ))
         for policy in (AlwaysLocalPolicy(), AlwaysRemotePolicy(),
                        RPFPolicy()):
-            choice, time_s, energy_j = _policy_choice_run(policy, scenario)
+            choice, time_s, energy_j = _policy_choice_run(
+                trained, policy, scenario)
             outcomes.append(PolicyOutcome(
                 policy=policy.name, scenario=scenario,
                 choice=choice.describe(), time_s=time_s, energy_j=energy_j,
@@ -122,3 +129,19 @@ def summarize(outcomes: List[PolicyOutcome]) -> Dict[str, float]:
         )
     return {policy: sum(vals) / len(vals)
             for policy, vals in sorted(totals.items())}
+
+
+def render_policy_table(outcomes: List[PolicyOutcome]) -> str:
+    """Relative utility per scenario and policy, and each policy's mean."""
+    means = summarize(outcomes)
+    lines = ["Policy comparison (speech scenarios, relative utility "
+             "vs oracle)", "=" * 64]
+    lines.append(f"{'scenario':12s}" + "".join(
+        f"{policy:>14s}" for policy in means))
+    table = {(o.scenario, o.policy): o.relative_utility for o in outcomes}
+    for scenario in sorted({o.scenario for o in outcomes}):
+        lines.append(f"{scenario:12s}" + "".join(
+            f"{table[(scenario, policy)]:14.3f}" for policy in means))
+    lines.append(f"{'MEAN':12s}" + "".join(
+        f"{mean:14.3f}" for mean in means.values()))
+    return "\n".join(lines)

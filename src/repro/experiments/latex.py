@@ -57,13 +57,6 @@ LATEX_APP = AppSpec(kind="latex", options={"documents": list(DOCUMENTS)})
 World = Tuple[CompiledScenario, LatexApplication]
 
 
-def _build(scenario: str, solver=None, telemetry=None) -> World:
-    """Fresh trained world with the scenario applied."""
-    world, app = _train(solver=solver, telemetry=telemetry)
-    _apply_scenario(world, app, scenario)
-    return world, app
-
-
 def _train(solver=None, telemetry=None) -> World:
     """Fresh world (documents installed, caches warm) with models
     trained ("We first executed Latex 20 times..."): the runs alternate
@@ -122,12 +115,6 @@ def _measure_cell(trained: World, scenario: str,
         energy_importance=scenario_energy_importance(scenario),
         meta={"document": document},
     )
-
-
-def run_latex_scenario(scenario: str, document: str,
-                       solver=None) -> ScenarioResult:
-    """Measure the three placements + Spectra's pick for one cell."""
-    return _measure_cell(_train(solver=solver), scenario, document)
 
 
 def run_latex_experiment(scenarios=SCENARIOS, documents=("small", "large"),

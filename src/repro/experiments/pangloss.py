@@ -45,13 +45,6 @@ EBMT_CORPUS = ENGINE_FILES["ebmt"][0]
 World = Tuple[CompiledScenario, PanglossApplication]
 
 
-def _build(scenario: str, solver=None) -> World:
-    """Fresh trained world with the scenario applied."""
-    world, app = _train(solver=solver)
-    _apply_scenario(world, scenario)
-    return world, app
-
-
 def _train(solver=None) -> World:
     """Fresh world (knowledge bases installed, caches warm) with models
     trained on the paper's 129 sentences."""
@@ -86,12 +79,6 @@ def _restore_scenario(world: CompiledScenario, scenario: str) -> None:
     if scenario in ("filecache", "cpu"):
         _evict_corpus(world)
         world.poll()
-
-
-def run_pangloss_cell(scenario: str, words: int,
-                      solver=None) -> ScenarioResult:
-    """One (scenario, sentence) cell: Spectra's pick + the full sweep."""
-    return _measure_cell(_train(solver=solver), scenario, words)
 
 
 def _measure_cell(trained: World, scenario: str,

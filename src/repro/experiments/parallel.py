@@ -46,7 +46,7 @@ class ParallelCell:
 PARALLEL_APP = AppSpec(kind="pangloss", options={"parallel": True})
 
 
-def _build(twin: bool, solver=None):
+def _train(twin: bool, solver=None):
     """A trained ThinkPad world; ``twin`` gives server A B's hardware."""
     world = train_world(thinkpad_testbed(PARALLEL_APP, twin=twin),
                         SentenceWorkload().training(129),
@@ -85,17 +85,10 @@ def _measure_cell(trained, words: int) -> ParallelCell:
     )
 
 
-def run_parallel_cell(words: int, twin: bool = True,
-                      solver=None) -> ParallelCell:
-    """Compare sequential vs parallel full-fidelity execution on a
-    freshly trained world."""
-    return _measure_cell(_build(twin, solver=solver), words)
-
-
 def run_parallel_experiment(sentences=(8, 18, 27), twin: bool = True,
                             solver=None) -> List[ParallelCell]:
     """One cell per sentence, all from one trained world."""
-    results = measure_cells(_build(twin, solver=solver),
+    results = measure_cells(_train(twin, solver=solver),
                             [(words,) for words in sentences], _measure_cell)
     return [results[(words,)] for words in sentences]
 

@@ -74,10 +74,9 @@ def render_rank_figure(title: str, spec: OperationSpec,
     return "\n".join(lines)
 
 
-def render_overhead_table(rows: List[OverheadRow],
+def render_overhead_table(title: str, rows: List[OverheadRow],
                           full_cache_ms: float = None) -> str:
     """Figure 10: the overhead breakdown table, milliseconds."""
-    title = "Figure 10: Spectra overhead (null operation), milliseconds"
     lines = [title, "=" * len(title)]
     keys = list(rows[0].as_millis().keys())
     header = f"{'activity':28s}" + "".join(

@@ -34,8 +34,10 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
                     Tuple, TypeVar)
 
 from .._fanout import fan_out
-from ..core import Alternative, DefaultUtility, OperationSpec
+from ..core import (Alternative, DefaultUtility, NoFeasibleAlternativeError,
+                    OperationSpec)
 from ..core.utility import AlternativePrediction
+from ..rpc import RpcError
 from ..scenarios import CompiledScenario, ScenarioSpec, compile_scenario
 
 WorldT = TypeVar("WorldT", bound=tuple)
@@ -145,13 +147,15 @@ def measure_forced(world: CompiledScenario, host: str, op: Op,
                    alternative: Alternative) -> AltMeasurement:
     """Run ``op(alternative)`` on *world*; time and *host*'s energy.
 
-    An operation that fails marks the alternative infeasible.
+    An operation that fails as a scenario run's failed operations do (no
+    feasible alternative, an RPC failure) marks the alternative
+    infeasible; any other exception propagates.
     """
     meter = world.nodes[host].host
     e0 = meter.energy_consumed_joules()
     try:
         report = world.sim.run_process(op(alternative))
-    except Exception:
+    except (NoFeasibleAlternativeError, RpcError):
         return AltMeasurement(alternative, float("inf"), float("inf"),
                               feasible=False)
     return AltMeasurement(alternative, report.elapsed_s,

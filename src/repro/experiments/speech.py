@@ -22,7 +22,7 @@ plus the final "Spectra" bar of Figure 3.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..apps import FULL_LM_PATH, SpeechApplication, SpeechWorkload
 from ..scenarios import CompiledScenario, itsy_testbed
@@ -44,13 +44,6 @@ ENERGY_SCENARIO_C = 0.15
 
 
 World = Tuple[CompiledScenario, SpeechApplication]
-
-
-def _build(scenario: str, solver=None, telemetry=None) -> World:
-    """Fresh trained world with the scenario applied."""
-    world, app = _train(solver=solver, telemetry=telemetry)
-    _apply_scenario(world, scenario)
-    return world, app
 
 
 def _train(solver=None, telemetry=None) -> World:
@@ -95,12 +88,8 @@ def scenario_energy_importance(scenario: str) -> float:
     return ENERGY_SCENARIO_C if scenario == "energy" else 0.0
 
 
-def _measure_scenario(trained: World, scenario: str,
-                      probe_length_s: Optional[float] = None
-                      ) -> ScenarioResult:
-    if probe_length_s is None:
-        probe_length_s = SpeechWorkload().probes(1)[0]
-
+def _measure_scenario(trained: World, scenario: str) -> ScenarioResult:
+    probe_length_s = SpeechWorkload().probes(1)[0]
     # Which alternatives exist depends on the scenario (no server in the
     # file-cache partition), but we measure all six and mark infeasible.
     return ScenarioResult(
@@ -110,14 +99,6 @@ def _measure_scenario(trained: World, scenario: str,
         energy_importance=scenario_energy_importance(scenario),
         meta={"probe_length_s": probe_length_s},
     )
-
-
-def run_speech_scenario(scenario: str,
-                        probe_length_s: Optional[float] = None,
-                        solver=None) -> ScenarioResult:
-    """Measure all alternatives + Spectra's choice for one scenario."""
-    return _measure_scenario(_train(solver=solver), scenario,
-                             probe_length_s)
 
 
 def run_speech_experiment(scenarios=SCENARIOS, solver=None

@@ -31,7 +31,7 @@ def crashed_speech_run(seed=7):
     """One unforced recognition with the T20 crashing mid-operation."""
     records = []
     telemetry = Telemetry(tracer=SpanTracer(records.append))
-    world, app = speech_experiment._build("baseline", telemetry=telemetry)
+    world, app = speech_experiment._train(telemetry=telemetry)
     client = world.nodes["itsy"].client
     # Generous per-attempt timeout (a recognition takes seconds), quick
     # backoff: the failover, not the retry, is under test.

@@ -5,8 +5,8 @@ measurement on a :func:`~repro.experiments.runner.clone_world` copy of
 it.  These tests hold that to the old methodology:
 
 * equivalence — a clone of the trained world with the scenario applied
-  measures exactly what a freshly built ``_build(scenario)`` world
-  measures (forced alternative and Spectra's own choice);
+  measures exactly what a freshly trained world with the scenario
+  applied measures (forced alternative and Spectra's own choice);
 * isolation — the clone shares no mutable object with the trained world,
   and running it leaves the trained world untouched;
 * sharing — the clone does share the trained world's frozen log
@@ -102,8 +102,9 @@ def _clone_with_scenario(name, scenario):
 class TestEquivalence:
     @pytest.mark.parametrize("name,scenario", CASES)
     def test_clone_measures_like_a_fresh_build(self, name, scenario):
-        module, _op, _host, servers, _apply = EXPERIMENTS[name]
-        fresh = module._build(scenario)
+        module, _op, _host, servers, apply = EXPERIMENTS[name]
+        fresh = module._train()
+        apply(*fresh, scenario)
         cloned = _clone_with_scenario(name, scenario)
         # A local alternative is feasible in every scenario.
         forced = fresh[1].spec.alternatives(servers)[0]

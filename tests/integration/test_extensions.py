@@ -12,32 +12,40 @@ from repro.apps import SpeechWorkload
 from repro.coda import FileServer
 from repro.core import OperationSpec, SpectraNode, local_plan, remote_plan
 from repro.discovery import DirectoryService, start_advertising, start_discovery
-from repro.experiments import parallel
-from repro.experiments.parallel import (
-    run_parallel_cell,
-    run_parallel_experiment,
-)
-from repro.experiments.speech import _build as build_speech
+from repro.experiments import parallel, speech
+from repro.experiments.parallel import run_parallel_experiment
 from repro.hosts import IBM_560X, SERVER_B
 from repro.network import Link, Network, SharedMedium
 from repro.odyssey import FidelitySpec
 from repro.rpc import NullService, RpcTransport
 
 
+def fresh_parallel_cell(words, twin):
+    """One sentence measured on a freshly trained world."""
+    return parallel._measure_cell(parallel._train(twin), words)
+
+
+def fresh_speech_world(scenario):
+    """A freshly trained speech world with *scenario* applied."""
+    world, app = speech._train()
+    speech._apply_scenario(world, scenario)
+    return world, app
+
+
 class TestParallelExecution:
     @pytest.fixture(scope="class")
     def twin_cell(self):
-        return run_parallel_cell(18, twin=True)
+        return fresh_parallel_cell(18, twin=True)
 
     @pytest.fixture(scope="class")
     def unequal_cell(self):
-        return run_parallel_cell(18, twin=False)
+        return fresh_parallel_cell(18, twin=False)
 
     def test_one_trained_world_measures_like_fresh_worlds(self, twin_cell,
                                                           monkeypatch):
         """The sweep trains once and measures each sentence on a clone;
         every cell must equal a freshly trained world's."""
-        fresh = [twin_cell, run_parallel_cell(27, twin=True)]
+        fresh = [twin_cell, fresh_parallel_cell(27, twin=True)]
         trainings = []
         train_world = parallel.train_world
 
@@ -66,7 +74,7 @@ class TestParallelExecution:
     def test_parallel_preserves_fidelity_on_long_sentences(self):
         """The headline benefit: full quality where sequential execution
         had to shed the glossary engine."""
-        cell = run_parallel_cell(27, twin=True)
+        cell = fresh_parallel_cell(27, twin=True)
         assert "glossary=on" in cell.spectra_choice
 
 
@@ -198,11 +206,11 @@ class TestTrickleReintegration:
 class TestModelPersistence:
     def test_warm_start_skips_exploration(self):
         # Session 1: train, export the learned history.
-        world1, app1 = build_speech("baseline")
+        world1, app1 = fresh_speech_world("baseline")
         exported = world1.nodes["itsy"].client.export_usage_log(app1.spec.name)
 
         # Session 2: a fresh world, models warm-started from the export.
-        world2, app2 = build_speech("baseline")
+        world2, app2 = fresh_speech_world("baseline")
         del world2.nodes["itsy"].client._operations[app2.spec.name]
         world2.sim.run_process(world2.nodes["itsy"].client.register_fidelity(
             app2.spec, usage_log_json=exported,
@@ -215,7 +223,7 @@ class TestModelPersistence:
         assert report.alternative.plan.name == "hybrid"
 
     def test_export_roundtrip_preserves_file_knowledge(self):
-        world, app = build_speech("baseline")
+        world, app = fresh_speech_world("baseline")
         exported = world.nodes["itsy"].client.export_usage_log(app.spec.name)
         from repro.predictors import OperationDemandPredictor, UsageLog
 
@@ -236,10 +244,9 @@ class TestHoardingEndToEnd:
         the partition hits.  A client that *hoarded* the model and ran
         a hoard walk before leaving keeps full quality."""
         from repro.apps import FULL_LM_PATH, SpeechWorkload
-        from repro.experiments.speech import _build
 
         # Without hoarding (the paper's outcome): reduced vocabulary.
-        world, app = _build("filecache")
+        world, app = fresh_speech_world("filecache")
         probe = SpeechWorkload().probes(1)[0]
         report = world.sim.run_process(app.recognize(probe))
         assert report.alternative.fidelity_dict()["vocab"] == "reduced"
@@ -247,7 +254,7 @@ class TestHoardingEndToEnd:
         # With hoarding: same scenario, but the user hoarded the LM and
         # walked before the partition; the flush in the scenario setup
         # is undone by the walk.
-        world, app = _build("filecache")
+        world, app = fresh_speech_world("filecache")
         world.nodes["itsy"].client.coda.hoard(FULL_LM_PATH)
         world.sim.run_process(world.nodes["itsy"].client.coda.hoard_walk())
         report = world.sim.run_process(app.recognize(probe))
@@ -260,10 +267,9 @@ class TestFailureInjection:
         """A server crash inside an operation surfaces as a transport
         error at do_remote_op — never a hang or a silent wrong result."""
         from repro.apps import SpeechWorkload
-        from repro.experiments.speech import _build
         from repro.rpc.messages import ServiceUnavailableError
 
-        world, app = _build("baseline")
+        world, app = fresh_speech_world("baseline")
         probe = SpeechWorkload().probes(1)[0]
         remote = next(a for a in app.spec.alternatives(["t20"])
                       if a.plan.name == "remote")
@@ -288,9 +294,8 @@ class TestFailureInjection:
         """After the failed attempt, the next decision routes around the
         dead server (the poll marks it unreachable)."""
         from repro.apps import SpeechWorkload
-        from repro.experiments.speech import _build
 
-        world, app = _build("baseline")
+        world, app = fresh_speech_world("baseline")
         world.nodes["t20"].server.available = False
         world.poll()
         probe = SpeechWorkload().probes(1)[0]

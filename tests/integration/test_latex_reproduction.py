@@ -3,18 +3,16 @@
 import pytest
 
 from repro.apps import make_latex_spec
-from repro.experiments.latex import run_latex_scenario
+from repro.experiments.latex import run_latex_experiment
 
 spec = make_latex_spec()
 
 
 @pytest.fixture(scope="module")
 def results():
-    return {
-        (scenario, document): run_latex_scenario(scenario, document)
-        for scenario in ("baseline", "filecache", "reintegrate", "energy")
-        for document in ("small", "large")
-    }
+    return run_latex_experiment(
+        scenarios=("baseline", "filecache", "reintegrate", "energy"),
+        documents=("small", "large"))
 
 
 def times(result):

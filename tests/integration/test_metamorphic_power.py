@@ -76,7 +76,8 @@ def test_doubled_power_doubles_every_energy(name, monkeypatch):
             == after.energy_j
 
 
-#: figure -> (its experiment as ``repro figures`` runs it, its testbed)
+#: figure -> (its experiment, restricted to the energy scenario the
+#: figure shows, its testbed)
 ENERGY_FIGURES = {
     "fig4": (lambda: run_speech_experiment(scenarios=("energy",)),
              itsy_testbed),

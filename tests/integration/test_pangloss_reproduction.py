@@ -3,29 +3,34 @@
 import pytest
 
 from repro.apps import make_pangloss_spec
-from repro.experiments.pangloss import run_pangloss_cell
+from repro.experiments import pangloss
 
 spec = make_pangloss_spec()
 
 
 @pytest.fixture(scope="module")
-def baseline_small():
-    return run_pangloss_cell("baseline", 4)
+def trained():
+    return pangloss._train()
 
 
 @pytest.fixture(scope="module")
-def baseline_large():
-    return run_pangloss_cell("baseline", 27)
+def baseline_small(trained):
+    return pangloss._measure_cell(trained, "baseline", 4)
 
 
 @pytest.fixture(scope="module")
-def filecache_small():
-    return run_pangloss_cell("filecache", 7)
+def baseline_large(trained):
+    return pangloss._measure_cell(trained, "baseline", 27)
 
 
 @pytest.fixture(scope="module")
-def cpu_large():
-    return run_pangloss_cell("cpu", 18)
+def filecache_small(trained):
+    return pangloss._measure_cell(trained, "filecache", 7)
+
+
+@pytest.fixture(scope="module")
+def cpu_large(trained):
+    return pangloss._measure_cell(trained, "cpu", 18)
 
 
 class TestInputParameterModeling:

@@ -10,7 +10,7 @@ import pytest
 from repro.apps import make_speech_spec
 from repro.experiments.speech import (
     ENERGY_SCENARIO_C,
-    run_speech_scenario,
+    run_speech_experiment,
 )
 
 spec = make_speech_spec()
@@ -18,10 +18,8 @@ spec = make_speech_spec()
 
 @pytest.fixture(scope="module")
 def results():
-    return {
-        scenario: run_speech_scenario(scenario)
-        for scenario in ("baseline", "energy", "network", "cpu", "filecache")
-    }
+    return run_speech_experiment(
+        scenarios=("baseline", "energy", "network", "cpu", "filecache"))
 
 
 def by_label(result):

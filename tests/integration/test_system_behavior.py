@@ -11,9 +11,15 @@ import pytest
 
 from repro.apps import SMALL_DOCUMENT, SpeechWorkload
 from repro.experiments.baselines import run_policy_comparison, summarize
-from repro.experiments.latex import _build as build_latex
-from repro.experiments.speech import _build as build_speech
+from repro.experiments import latex, speech
 from repro.solver import ExhaustiveSolver
+
+
+def build_latex(scenario):
+    """A freshly trained Latex world with *scenario* applied."""
+    world, app = latex._train()
+    latex._apply_scenario(world, app, scenario)
+    return world, app
 
 
 class TestDataConsistency:
@@ -50,7 +56,7 @@ class TestSelfTuning:
     def test_prediction_error_shrinks_with_training(self):
         """'the more an operation is executed, the more accurately its
         resource usage is predicted.'"""
-        world, app = build_speech("baseline")
+        world, app = speech._train()
         client = world.nodes["itsy"].client
         probe = SpeechWorkload().probes(1)[0]
 
@@ -103,7 +109,7 @@ class TestGoalDirectedAdaptationEndToEnd:
         """Drive c with the real controller instead of pinning: heavy
         drain against an ambitious goal pushes decisions to the
         energy-frugal remote plan."""
-        world, app = build_speech("baseline")
+        world, app = speech._train()
         probe = SpeechWorkload().probes(1)[0]
         report = world.sim.run_process(app.recognize(probe))
         assert report.alternative.plan.name == "hybrid"  # c == 0 baseline
@@ -124,8 +130,8 @@ class TestGoalDirectedAdaptationEndToEnd:
 
 class TestSolverQualityEndToEnd:
     def test_heuristic_matches_exhaustive_choice_on_speech(self):
-        heuristic = build_speech("baseline")
-        exhaustive = build_speech("baseline", solver=ExhaustiveSolver())
+        heuristic = speech._train()
+        exhaustive = speech._train(solver=ExhaustiveSolver())
         probe = SpeechWorkload().probes(1)[0]
         r1 = heuristic[0].sim.run_process(heuristic[1].recognize(probe))
         r2 = exhaustive[0].sim.run_process(exhaustive[1].recognize(probe))

@@ -1,5 +1,7 @@
 """Unit tests for the experiment runner helpers and renderers."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import OperationSpec, local_plan, remote_plan
@@ -16,6 +18,7 @@ from repro.experiments.runner import (
     ScenarioResult,
     SpectraMeasurement,
     best_measurement,
+    measure_forced,
     rank_percentile,
     relative_utility,
     score_measurement,
@@ -23,6 +26,8 @@ from repro.experiments.runner import (
     utility_of,
 )
 from repro.odyssey import FidelitySpec
+from repro.rpc import ServiceUnavailableError
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -112,6 +117,36 @@ class TestScenarioResult:
                                                               rel=1e-6)
 
 
+class TestMeasureForced:
+    @staticmethod
+    def world():
+        meter = SimpleNamespace(energy_consumed_joules=lambda: 0.0)
+        return SimpleNamespace(sim=Simulator(),
+                               nodes={"client": SimpleNamespace(host=meter)})
+
+    @staticmethod
+    def raising(exc):
+        def op(_force):
+            raise exc
+            yield  # a generator, as an operation is
+        return op
+
+    def test_an_rpc_failure_marks_the_alternative_infeasible(self, spec):
+        m = measurement(spec)
+        result = measure_forced(
+            self.world(), "client",
+            self.raising(ServiceUnavailableError("down")), m.alternative)
+        assert not result.feasible
+        assert (result.time_s, result.energy_j) == (float("inf"),
+                                                    float("inf"))
+
+    def test_a_fault_in_the_program_propagates(self, spec):
+        m = measurement(spec)
+        with pytest.raises(TypeError):
+            measure_forced(self.world(), "client",
+                           self.raising(TypeError("bug")), m.alternative)
+
+
 class TestTrainWorld:
     def test_trains_every_client_in_turn_round_robin(self):
         calls = []
@@ -179,7 +214,8 @@ class TestRenderers:
             file_cache_prediction=0.0052, choosing=0.0004,
             begin_other=0.0027, do_local_op=0.0059, end=0.0021,
         )
-        text = render_overhead_table([row], full_cache_ms=359.6)
+        text = render_overhead_table("Overhead", [row],
+                                     full_cache_ms=359.6)
         assert "0 servers" in text
         assert "359.6" in text
         assert "total" in text
