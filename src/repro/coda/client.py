@@ -135,9 +135,7 @@ class CodaClient:
             # Stale: revalidate.  Version unchanged -> regain callback.
             yield from self._require_connection(path)
             yield from self.network.transfer(
-                self.host_name, self.server.host_name, _VALIDATE_RPC_BYTES,
-                kind="rpc",
-            )
+                self.host_name, self.server.host_name, _VALIDATE_RPC_BYTES)
             authoritative = self.server.lookup(path)
             if authoritative.version == entry.version:
                 entry.has_callback = True
@@ -151,9 +149,7 @@ class CodaClient:
         yield from self._require_connection(path)
         authoritative = self.server.lookup(path)
         yield from self.network.transfer(
-            self.server.host_name, self.host_name, authoritative.size,
-            kind="bulk",
-        )
+            self.server.host_name, self.host_name, authoritative.size)
         self.cache.insert(path, authoritative.size, authoritative.version)
         self.server.grant_callback(path, self.name)
         record = FileAccess(self._sim.now, path, authoritative.size, hit=False)
@@ -224,9 +220,7 @@ class CodaClient:
             # (REINTEGRATION_EFFICIENCY).
             wire_bytes = int(nbytes / REINTEGRATION_EFFICIENCY)
             elapsed = yield from self.network.transfer(
-                self.host_name, self.server.host_name, wire_bytes,
-                kind="bulk",
-            )
+                self.host_name, self.server.host_name, wire_bytes)
             conflicts = 0
             for record in self.cml.clear_volume(volume):
                 authoritative = self.server.lookup(record.path)

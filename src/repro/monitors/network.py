@@ -50,6 +50,7 @@ class NetworkMonitor(ResourceMonitor):
         self._host_name = host_name
         self._network = network
         self.window_s = window_s
+        network.log.declare_window(window_s)
         self.decay = decay
         # The last fit per remote (and under HOST_WIDE), reused while the
         # window it covered is unchanged.
@@ -84,11 +85,11 @@ class NetworkMonitor(ResourceMonitor):
         when it covered the same window.
 
         Every window under one key is a suffix of one :class:`TransferLog`
-        index, which only grows at its end and trims at its start, and
-        holds each record once.  So two windows with the same first
-        record, last record (both by identity) and length hold the same
-        records in the same order.  Index positions would not do: a trim
-        shifts them.  A deep copy of the monitor together with its log
+        index, which only grows at its end, drops at its start only
+        records no window can reach, and holds each record once.  So two
+        windows with the same first record, last record (both by
+        identity) and length hold the same records in the same order.
+        Index positions would not do: a drop shifts them.  A deep copy of the monitor together with its log
         (``clone_world``) shares the log's records, which are frozen and
         deep-copy to themselves, so the memo's records are the copy's own
         and the key stays valid there too.

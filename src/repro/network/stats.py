@@ -21,9 +21,9 @@ from ..copying import deepcopy_state
 class TransferRecord:
     """One logged network transfer.
 
-    ``kind`` distinguishes ``"rpc"`` (short request/response exchange,
-    good for RTT estimation) from ``"bulk"`` (large one-way payload, good
-    for throughput estimation), mirroring the paper's short-vs-bulk split.
+    Short exchanges and bulk transfers are logged alike: the monitor
+    fits both to one line, where the small ones pin the latency and the
+    large ones the bandwidth.
     """
 
     src: str
@@ -31,18 +31,10 @@ class TransferRecord:
     nbytes: int
     started_at: float
     finished_at: float
-    kind: str = "bulk"
 
     @property
     def elapsed(self) -> float:
         return self.finished_at - self.started_at
-
-    @property
-    def throughput(self) -> float:
-        """Observed bytes/second (0 for instantaneous records)."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.nbytes / self.elapsed
 
     def __deepcopy__(self, memo: dict) -> "TransferRecord":
         # Frozen, and every field is immutable: a copy may share it.
@@ -62,22 +54,31 @@ class TransferLog:
     time, and :meth:`recent` finds its window with one bisection instead
     of scanning the whole network's history.
 
-    ``max_records`` bounds each index on its own — when one outgrows it,
-    its oldest half is dropped — so a busy pair never evicts a quiet
-    pair's evidence.  :attr:`transfers` and :attr:`bytes` are running
-    totals over every record ever appended, trimmed or not.
+    The longest window a reader declared (:meth:`declare_window`) is the
+    horizon: a record appended drops, from each index it joins, those
+    that finished over a horizon before it, which no reader can ask for
+    again.  A log no reader declared to keeps every record.
+    :attr:`transfers` and :attr:`bytes` count every record appended.
     """
 
-    def __init__(self, max_records: int = 10_000):
-        if max_records < 1:
-            raise ValueError(f"max_records must be positive: {max_records}")
-        self.max_records = max_records
+    def __init__(self):
         self.transfers = 0
         self.bytes = 0
         self._held = 0
         self._latest = float("-inf")
+        self._horizon: Optional[float] = None
         self._by_pair: Dict[Tuple[str, str], _Index] = {}
         self._by_host: Dict[str, _Index] = {}
+
+    def declare_window(self, window_s: float) -> None:
+        """Promise that a reader asks :meth:`recent` only for records
+        since ``now - window_s`` or later, ``now`` no earlier than the
+        newest record; refused past the horizon once records may be gone.
+        """
+        horizon = self._horizon
+        if horizon is not None and window_s > horizon and self.transfers:
+            raise ValueError(f"{window_s} s window past the {horizon} s horizon")
+        self._horizon = window_s if horizon is None else max(horizon, window_s)
 
     def append(self, record: TransferRecord) -> None:
         if record.finished_at < self._latest:
@@ -88,25 +89,30 @@ class TransferLog:
         self._latest = record.finished_at
         self.transfers += 1
         self.bytes += record.nbytes
+        # Rounding is monotone, so no reader's ``now - window_s`` is
+        # below this: what is dropped lies before every window.
+        cutoff = (float("-inf") if self._horizon is None
+                  else record.finished_at - self._horizon)
         src, dst = record.src, record.dst
-        self._held += 1 - self._push(self._by_pair, _pair(src, dst), record)
-        self._push(self._by_host, src, record)
+        self._held += 1 - self._push(self._by_pair, _pair(src, dst), record,
+                                     cutoff)
+        self._push(self._by_host, src, record, cutoff)
         if dst != src:
-            self._push(self._by_host, dst, record)
+            self._push(self._by_host, dst, record, cutoff)
 
     def _push(self, indexes: Dict[Hashable, _Index], key: Hashable,
-              record: TransferRecord) -> int:
-        """Append *record* under *key*; returns how many records it trimmed."""
+              record: TransferRecord, cutoff: float) -> int:
+        """Append *record* under *key* and drop the records that finished
+        before *cutoff*; returns how many it dropped."""
         index = indexes.get(key)
         if index is None:
             index = indexes[key] = ([], [])
         records, times = index
         records.append(record)
         times.append(record.finished_at)
-        if len(records) <= self.max_records:
+        if times[0] >= cutoff:
             return 0
-        # Drop the oldest half in one slice rather than one-at-a-time.
-        drop = max(1, self.max_records // 2)
+        drop = bisect_left(times, cutoff)
         del records[:drop]
         del times[:drop]
         return drop

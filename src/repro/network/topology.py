@@ -150,8 +150,7 @@ class Network:
 
     # -- data movement -------------------------------------------------------------
 
-    def transfer(self, src: str, dst: str, nbytes: int,
-                 kind: str = "bulk") -> Generator:
+    def transfer(self, src: str, dst: str, nbytes: int) -> Generator:
         """Process: move *nbytes* from *src* to *dst*; returns elapsed seconds.
 
         Local 'transfers' (src == dst) complete instantly with no logging:
@@ -173,10 +172,8 @@ class Network:
         finally:
             src_if._tx_end(nbytes)
             dst_if._rx_end(nbytes)
-        self.log.append(TransferRecord(
-            src=src, dst=dst, nbytes=nbytes,
-            started_at=started, finished_at=self._sim.now, kind=kind,
-        ))
+        self.log.append(TransferRecord(src, dst, nbytes, started,
+                                       self._sim.now))
         return elapsed
 
     def estimate_transfer_time(self, src: str, dst: str, nbytes: int) -> float:

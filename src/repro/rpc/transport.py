@@ -50,10 +50,6 @@ from .messages import (
 #: return value is a Response.
 Dispatcher = Callable[[Request], Generator]
 
-#: A message up to this many wire bytes is logged as an ``rpc`` transfer,
-#: a larger one as ``bulk``.
-RPC_MAX_BYTES = 1024
-
 
 @dataclass(slots=True)
 class ExchangeStats:
@@ -242,10 +238,8 @@ class RpcTransport:
                 f"host {dst_host!r} unreachable from {src_host!r}"
             )
 
-        kind = "rpc" if request.wire_bytes <= RPC_MAX_BYTES else "bulk"
-        yield from self.network.transfer(
-            src_host, dst_host, request.wire_bytes, kind=kind,
-        )
+        yield from self.network.transfer(src_host, dst_host,
+                                         request.wire_bytes)
 
         response = yield from dispatcher(request)
         if not isinstance(response, Response):
@@ -254,8 +248,6 @@ class RpcTransport:
                 "expected Response"
             )
 
-        kind = "rpc" if response.wire_bytes <= RPC_MAX_BYTES else "bulk"
-        yield from self.network.transfer(
-            dst_host, src_host, response.wire_bytes, kind=kind,
-        )
+        yield from self.network.transfer(dst_host, src_host,
+                                         response.wire_bytes)
         return response

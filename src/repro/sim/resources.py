@@ -44,7 +44,8 @@ class FairShareJob:
 
     ``amount`` is in resource units (cycles, bytes).  ``weight`` scales the
     job's share: a weight-2 job gets twice the rate of a weight-1 job.  The
-    job's :attr:`done` event fires when the full amount has been served.
+    job's :attr:`done` event fires, with no value (the job as its value
+    made a job-event cycle), when the full amount has been served.
     ``owner`` is whoever the job's service is charged to (a CPU's process
     tag, a medium's host pair); the resource only compares it.
 
@@ -207,7 +208,7 @@ class FairShareResource:
         if job.amount <= 0:
             job._detached_remaining = 0.0
             job.finished_at = now
-            job.done.succeed(job)
+            job.done.succeed()
             return job
         self._settle()
         job._resource = self
@@ -418,7 +419,7 @@ class FairShareResource:
             job.finished_at = now
             finished.append(job)
         for job in finished:
-            job.done.succeed(job)
+            job.done.succeed()
         self._reschedule()
         if finished and self._on_utilization_change is not None:
             active = len(self.jobs)

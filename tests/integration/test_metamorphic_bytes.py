@@ -9,8 +9,7 @@ applications' payloads and files (speech, Latex, Pangloss; the null
 operation sends headers only), the RPC header
 (:data:`~repro.rpc.messages.HEADER_BYTES`), a server status reply, the
 Coda change-log record overhead, its validation RPC and its cache
-capacity, and the size up to which a message is logged as an ``rpc``
-transfer (:data:`~repro.rpc.transport.RPC_MAX_BYTES`).  Scaling by two
+capacity.  Scaling by two
 is exact in binary floating point, so every canned scenario's smoke
 report must match bit for bit, its ``bytes_transferred`` doubled.  The
 transform is seen to reach the operations: each measured ``net:bytes``
@@ -36,7 +35,7 @@ from repro.apps import latex, pangloss, speech
 from repro.coda import client as coda_client
 from repro.coda.reintegration import ChangeLog
 from repro.monitors.remote import ServerStatus
-from repro.rpc import messages, transport
+from repro.rpc import messages
 from repro.scenarios import SCENARIOS, canned_spec, run_scenario
 
 #: cost model -> its fields that count bytes (speech's two rates are
@@ -79,8 +78,6 @@ def doubled_model(cls):
 
 def double_every_byte_size(monkeypatch):
     monkeypatch.setattr(messages, "HEADER_BYTES", 2 * messages.HEADER_BYTES)
-    monkeypatch.setattr(transport, "RPC_MAX_BYTES",
-                        2 * transport.RPC_MAX_BYTES)
     monkeypatch.setattr(ChangeLog, "RECORD_OVERHEAD_BYTES",
                         2 * ChangeLog.RECORD_OVERHEAD_BYTES)
     monkeypatch.setattr(coda_client, "_VALIDATE_RPC_BYTES",

@@ -32,8 +32,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.monitors import NetworkMonitor
 from repro.monitors.snapshot import NetworkEstimate
-from repro.network import TransferRecord
+from repro.network import Network, TransferRecord
 from repro.predictors import WindowedLinearModel
+from repro.sim import Simulator
 
 DECAY = 0.9
 
@@ -194,7 +195,7 @@ def test_closed_form_fit_matches_lstsq(records):
     """The fit matches the oracle's within ``REL`` and ``ABS`` times each
     coefficient's condition-aware scale (:func:`line_scales`).  The time
     per byte is compared, not the bandwidth, its reciprocal."""
-    got = NetworkMonitor("c", network=None, decay=DECAY)._fit(records)
+    got = NetworkMonitor("c", Network(Simulator()), decay=DECAY)._fit(records)
     want = lstsq_fit(records)
     assert (got is None) == (want is None)
     if want is None:

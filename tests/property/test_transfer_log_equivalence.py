@@ -8,9 +8,14 @@ must return the very same records in the very same order.  The oracle
 below is that old scan, with the monitor's old machine-wide filter for
 per-host queries.
 
-Once an index outgrows ``max_records`` it drops its oldest half, which
-the unbounded oracle never does; from then on that index must hold
-exactly its own newest records.
+A log that readers have declared windows to drops, on each append, the
+records that finished before the new record's time minus the longest
+window (the horizon); the unbounded oracle never drops anything.  Every
+query a reader can make starts at or after ``newest - horizon``, and
+for those the two logs must agree by identity and order.  Queries are
+made the way the monitor makes them, ``now - window`` with ``now`` at or
+after the newest record and ``window`` at most the horizon, and at any
+later start.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -59,14 +64,22 @@ def held_under(log, key):
     return log.recent(float("-inf"), host=key)
 
 
-#: Gaps between consecutive finish times; zeros make ties.
-GAPS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])
+#: Gaps between consecutive finish times; zeros make ties, and fractions
+#: that are not binary put window starts off the logged times by a
+#: rounding error.
+GAPS = st.sampled_from([0.0, 0.0, 0.1, 0.5, 0.7, 1.0, 3.0])
 
-#: (pair query?, host a, host b, which candidate *since*); hosts and
-#: candidates are picked modulo how many exist at that point.
+#: The declared windows, none for an undeclared log; the longest is the
+#: horizon.
+WINDOWS = st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 10.0]), max_size=3)
+
+#: (pair query?, host a, host b, which candidate *since*, reader's lag
+#: past the newest record, which declared window it reads); hosts,
+#: candidates and windows are picked modulo how many exist at that point.
 QUERIES = st.lists(
     st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 5),
-              st.integers(0, 1000)),
+              st.integers(0, 1000), st.sampled_from([0.0, 0.0, 0.1, 2.0]),
+              st.integers(0, 2)),
     max_size=3,
 )
 
@@ -79,21 +92,17 @@ STEPS = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(n_hosts=st.integers(2, 6), max_records=st.integers(1, 8), steps=STEPS)
-def test_indexed_log_matches_linear_scan(n_hosts, max_records, steps):
+@given(n_hosts=st.integers(2, 6), windows=WINDOWS, steps=STEPS)
+def test_indexed_log_matches_linear_scan(n_hosts, windows, steps):
     hosts = [f"h{i}" for i in range(n_hosts)]
-    log = TransferLog(max_records=max_records)
+    log = TransferLog()
+    for window in windows:
+        log.declare_window(window)
+    horizon = max(windows) if windows else None
     oracle = LinearScanLog()
     appended = {}  # index key -> records appended under it
     times = []
     now = 0.0
-
-    def check_query(since, key, got, want):
-        if len(appended.get(key, ())) <= max_records:
-            assert same_records(got, want)
-        else:
-            assert same_records(got, [r for r in held_under(log, key)
-                                      if r.finished_at >= since])
 
     for src_i, dst_i, gap, nbytes, queries in steps:
         src, dst = hosts[src_i % n_hosts], hosts[dst_i % n_hosts]
@@ -109,29 +118,31 @@ def test_indexed_log_matches_linear_scan(n_hosts, max_records, steps):
         # Window starts on, between, before and after the logged times.
         candidates = (times + [t + 0.25 for t in times]
                       + [times[0] - 1.0, now + 1.0])
-        for is_pair, a_i, b_i, since_i in queries:
+        for is_pair, a_i, b_i, since_i, lag, window_i in queries:
             since = candidates[since_i % len(candidates)]
+            if windows:
+                # No reader reads further back than its own window.
+                reader_since = (now + lag) - windows[window_i % len(windows)]
+                since = max(since, reader_since)
             a, b = hosts[a_i % n_hosts], hosts[b_i % n_hosts]
             if is_pair:
-                check_query(since, pair_key(a, b),
-                            log.recent(since, endpoint=(a, b)),
-                            oracle.recent(since, endpoint=(a, b)))
+                assert same_records(log.recent(since, endpoint=(a, b)),
+                                    oracle.recent(since, endpoint=(a, b)))
             else:
-                check_query(since, a, log.recent(since, host=a),
-                            oracle.machine_wide(since, a))
+                assert same_records(log.recent(since, host=a),
+                                    oracle.machine_wide(since, a))
 
-    # Every index holds exactly its own newest records, within its bound.
-    shortest = max_records + 1 - max(1, max_records // 2)
+    # Every index holds exactly its own records within the horizon of
+    # the last record appended to it: all of them when undeclared.
     held_in_pairs = 0
     for key, records in appended.items():
         held = held_under(log, key)
         if isinstance(key, frozenset):
             held_in_pairs += len(held)
-        if len(records) <= max_records:
-            assert same_records(held, records)
-        else:
-            assert shortest <= len(held) <= max_records
-            assert same_records(held, records[-len(held):])
+        cutoff = (float("-inf") if horizon is None
+                  else records[-1].finished_at - horizon)
+        assert same_records(held, [r for r in records
+                                   if r.finished_at >= cutoff])
     assert len(log) == held_in_pairs
     assert log.transfers == len(steps)
     assert log.bytes == sum(r.nbytes for r in oracle.recent(float("-inf")))

@@ -18,7 +18,7 @@ from repro.predictors.linear import WindowedLinearModel
 from repro.predictors.logs import UsageLog, UsageSample
 
 FROZEN = [
-    TransferRecord("a", "b", 1000, 0.0, 0.5, kind="rpc"),
+    TransferRecord("a", "b", 1000, 0.0, 0.5),
     UsageSample.build(1.0, {"plan": "local"}, {"words": 3.0},
                       {"cpu:local": 2e8}, file_accesses={"/lm": 10}),
     FileAccess(2.0, "/coda/doc.tex", 4096, hit=False),
@@ -147,14 +147,16 @@ class TestTransferLog:
         assert log.recent(0.0, host="d") == []
 
     def test_trimming_the_copy_leaves_the_original_unchanged(self):
-        log = TransferLog(max_records=4)
+        log = TransferLog()
+        log.declare_window(3.0)
         for i in range(4):
             log.append(TransferRecord("a", "b", 10, i, i + 0.5))
         held = log.recent(0.0, host="a")
         clone = copy.deepcopy(log)
-        clone.append(TransferRecord("a", "b", 10, 5.0, 5.5))  # trims
+        clone.append(TransferRecord("a", "b", 10, 5.0, 5.5))  # drops two
         assert len(clone.recent(0.0, host="a")) == 3
         assert log.recent(0.0, host="a") == held
+        assert len(held) == 4
 
 
 class TestUsageLog:

@@ -19,7 +19,7 @@ from repro.monitors import (
     SmartBatteryMonitor,
 )
 from repro.monitors.network import HOST_WIDE
-from repro.network import Link, Network, TransferLog, TransferRecord
+from repro.network import Link, Network, TransferRecord
 
 
 def blank_snapshot(now=0.0, host="client"):
@@ -109,9 +109,9 @@ class TestNetworkMonitor:
         monitor = NetworkMonitor("client", wired)
 
         def traffic():
-            yield from wired.transfer("client", "server", 200, kind="rpc")
-            yield from wired.transfer("client", "server", 5_000, kind="bulk")
-            yield from wired.transfer("server", "client", 2_000, kind="bulk")
+            yield from wired.transfer("client", "server", 200)
+            yield from wired.transfer("client", "server", 5_000)
+            yield from wired.transfer("server", "client", 2_000)
 
         sim.run_process(traffic())
         estimate = monitor.estimate_to("server", now=sim.now)
@@ -289,9 +289,9 @@ class TestMachineWideBandwidthFallback:
         monitor = NetworkMonitor("client", network)
 
         def traffic():
-            yield from network.transfer("client", "a", 200, kind="rpc")
-            yield from network.transfer("client", "a", 5_000, kind="bulk")
-            yield from network.transfer("a", "client", 2_000, kind="bulk")
+            yield from network.transfer("client", "a", 200)
+            yield from network.transfer("client", "a", 5_000)
+            yield from network.transfer("a", "client", 2_000)
 
         sim.run_process(traffic())
         estimate = monitor.estimate_to("b", now=sim.now)
@@ -389,22 +389,22 @@ class TestNetworkFitMemo:
         assert estimate == self.fresh_fit(network, "a", 125.0)
 
     def test_trimmed_index_refits(self, network):
-        network.log = TransferLog(max_records=4)
         sizes = (200, 5_000, 2_000, 800)
         for i, nbytes in enumerate(sizes):
             self.log(network, "a", nbytes, float(i))
         monitor = NetworkMonitor("client", network)
         fits = count_fits(monitor)
         monitor.estimate_to("a", now=10.0)
-        # The fifth record trims the pair's index to its newest three.
-        self.log(network, "a", 3_000, 4.0)
-        held = network.log.recent(0.0, endpoint=("client", "a"))
-        assert len(held) == 3
-        estimate = monitor.estimate_to("a", now=10.0)
-        assert fits == [4, 3]
-        assert estimate == self.fresh_fit(network, "a", 10.0)
-        assert monitor.estimate_to("a", now=11.0) is estimate
-        assert fits == [4, 3]
+        # Past the 120 s horizon of the first record, the fifth drops it
+        # from the pair's index.
+        self.log(network, "a", 3_000, 120.5)
+        held = network.log.recent(float("-inf"), endpoint=("client", "a"))
+        assert [r.nbytes for r in held] == [5_000, 2_000, 800, 3_000]
+        estimate = monitor.estimate_to("a", now=120.5)
+        assert fits == [4, 4]
+        assert estimate == self.fresh_fit(network, "a", 120.5)
+        assert monitor.estimate_to("a", now=121.0) is estimate
+        assert fits == [4, 4]
 
     def test_pair_and_host_wide_windows_keep_separate_entries(self, network):
         self.log(network, "a", 200, 1.0)

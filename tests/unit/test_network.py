@@ -110,7 +110,7 @@ class TestNetworkTopology:
 
     def test_transfer_logs_record(self, sim, net):
         def push():
-            return (yield from net.transfer("a", "b", 500, kind="bulk"))
+            return (yield from net.transfer("a", "b", 500))
 
         elapsed = sim.run_process(push())
         assert elapsed == pytest.approx(0.6)
@@ -172,9 +172,9 @@ class TestNetworkTopology:
 
 
 class TestTransferLog:
-    def make_record(self, nbytes, t0=0.0, t1=1.0, kind="bulk"):
+    def make_record(self, nbytes, t0=0.0, t1=1.0):
         return TransferRecord(src="a", dst="b", nbytes=nbytes,
-                              started_at=t0, finished_at=t1, kind=kind)
+                              started_at=t0, finished_at=t1)
 
     def test_recent_filters_by_time(self):
         log = TransferLog()
@@ -209,34 +209,57 @@ class TestTransferLog:
             log.append(self.make_record(2, 0.0, 1.0))
 
     def test_bounded_size(self):
-        log = TransferLog(max_records=10)
+        # A 9 s horizon keeps the records finished in the last 9 s: those
+        # at 16..25 s once the newest finished at 25 s.
+        log = TransferLog()
+        log.declare_window(9.0)
         for i in range(25):
             log.append(self.make_record(i, t0=i, t1=i + 1))
-        assert len(log) <= 10
-        # Newest records survive.
-        assert log.recent(0.0, endpoint=("a", "b"))[-1].nbytes == 24
+        assert len(log) == 10
+        held = log.recent(float("-inf"), host="b")
+        assert [r.nbytes for r in held] == list(range(15, 25))
+        assert log.recent(float("-inf"), endpoint=("a", "b")) == held
 
     def test_busy_pair_does_not_evict_quiet_pair(self):
         """Regression: a global cap let one pair's traffic evict another's."""
-        log = TransferLog(max_records=10)
-        log.append(TransferRecord("quiet", "server", 7, 0.0, 1.0))
+        log = TransferLog()
+        log.declare_window(10.0)
         for i in range(25):
             log.append(self.make_record(i, t0=i, t1=i + 1))
-        quiet = log.recent(0.0, endpoint=("quiet", "server"))
+            if i == 19:
+                log.append(TransferRecord("quiet", "server", 7, 19.0, 20.0))
+        quiet = log.recent(15.0, endpoint=("quiet", "server"))
         assert [r.nbytes for r in quiet] == [7]
-        assert [r.nbytes for r in log.recent(0.0, host="quiet")] == [7]
+        assert [r.nbytes for r in log.recent(15.0, host="quiet")] == [7]
 
     def test_totals_count_trimmed_records(self):
         """Regression: report totals summed from the capped log undercounted."""
-        log = TransferLog(max_records=10)
+        log = TransferLog()
+        log.declare_window(5.0)
         for i in range(25):
             log.append(self.make_record(1000 + i, t0=i, t1=i + 1))
+        assert len(log) == 6
         assert log.transfers == 25
         assert log.bytes == sum(1000 + i for i in range(25))
 
-    def test_throughput(self):
-        record = self.make_record(500, 0.0, 2.0)
-        assert record.throughput == pytest.approx(250.0)
+    def test_horizon_is_the_longest_window(self):
+        log = TransferLog()
+        log.declare_window(2.0)
+        log.declare_window(5.0)
+        log.declare_window(3.0)
+        for i in range(10):
+            log.append(self.make_record(i, t0=i, t1=i + 1))
+        # Newest at 10 s: the records at 5..10 s are within 5 s of it.
+        assert [r.nbytes for r in log.recent(float("-inf"), host="a")] \
+            == [4, 5, 6, 7, 8, 9]
+
+    def test_a_longer_window_after_appends_is_refused(self):
+        log = TransferLog()
+        log.declare_window(2.0)
+        log.append(self.make_record(1))
+        log.declare_window(2.0)
+        with pytest.raises(ValueError, match="horizon"):
+            log.declare_window(3.0)
 
 
 class TestLinkFailures:

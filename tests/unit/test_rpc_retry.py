@@ -97,6 +97,13 @@ class TestBackoff:
                              backoff_max_s=3.0, jitter=0.0)
         assert policy.backoff_s(5) == pytest.approx(3.0)
 
+    def test_default_cap_binds_from_the_seventh_retry(self):
+        # Scenario runs allow 3 attempts, so they never reach the cap;
+        # this pins the documented formula instead.
+        policy = RetryPolicy(jitter=0.0)
+        assert policy.backoff_s(6) == 3.2
+        assert policy.backoff_s(7) == 5.0
+
     def test_jitter_stays_within_band(self):
         policy = RetryPolicy(backoff_base_s=1.0, backoff_multiplier=1.0,
                              backoff_max_s=1.0, jitter=0.2, seed=3)

@@ -168,6 +168,18 @@ class TestHeuristicSolver:
             "remote", 0
         )
 
+    def test_ascent_stops_on_a_plateau(self):
+        # Every alternative ties on the rank key: no neighbour improves,
+        # so one climb looks at its start and the start's neighbours.
+        table = {(plan, "s1" if plan != "local" else None, level): 5.0
+                 for plan in ("local", "remote", "hybrid")
+                 for level in range(2)}
+        space = SearchSpace(make_spec(), ["s1"])
+        result = HeuristicSolver(restarts=1, seed=0).solve(
+            space, predictor_from(table), utility
+        )
+        assert result.visits == 1 + len(space.neighbors(space.first_state))
+
     def test_empty_space(self):
         spec = OperationSpec(
             name="op", plans=(remote_plan(),), fidelity=FidelitySpec.fixed(),
